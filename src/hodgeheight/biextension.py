@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import default_tol
 from .errors import InvalidBlockType, NotGeneralizedBiextension
-from .height import Orientation, OrientedMHS
-from .linalg import Subspace, expm_nilpotent
+from .height import Orientation, OrientedMHS, _coefficient_against_bottom
+from .linalg import Subspace, expm_nilpotent, maxabs
 from .mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
 from .splitting import deligne_delta
 
@@ -193,11 +193,13 @@ def extract_invariants(om: OrientedMHS, tol: float | None = None) -> Biextension
     d1 = middle_class(v1)
 
     spl = deligne_delta(H, tol)
-    d2 = np.array([_bottom_coeff(spl.delta @ m, bottom, tol) for m in mid_basis])
+    d2 = np.array([_coefficient_against_bottom(spl.delta @ m, bottom, tol,
+                                               max(maxabs(spl.delta @ m), maxabs(spl.delta)))
+                   for m in mid_basis])
 
     vmin = B.weight_projector(two_c) @ np.conj(e)
     ht_vec = -((vmin - np.conj(vmin)) / 2j) / 2
-    ht = _bottom_coeff(ht_vec, bottom, tol)
+    ht = _coefficient_against_bottom(ht_vec, bottom, tol, maxabs(e))
 
     def clean(x: np.ndarray) -> tuple[float, ...]:
         scale = max(1.0, float(np.abs(x).max()) if x.size else 0.0)
@@ -206,12 +208,6 @@ def extract_invariants(om: OrientedMHS, tol: float | None = None) -> Biextension
 
     return BiextensionSpec(weights=(two_a, b, two_c), middle=middle,
                            delta1=clean(d1), delta2=clean(d2), ht=float(ht))
-
-
-def _bottom_coeff(vector: np.ndarray, bottom: np.ndarray, tol: float) -> float:
-    j = int(np.argmax(np.abs(bottom)))
-    coeff = vector[j] / bottom[j]
-    return float(np.real(coeff))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,7 @@ def monodromy_weight_filtration(N, center: int = 0,
     n = Nf.shape[0]
     m = check_nilpotent(Nf, tol)
     Nop = exact if exact is not None else Nf
+    powers = _powers(Nop, m)
 
     def kernel_power(j: int) -> Subspace:
         if j <= 0:
@@ -85,9 +86,9 @@ def monodromy_weight_filtration(N, center: int = 0,
             return Subspace.full(n)
         if exact is not None:
             from .linalg import nullspace_exact
-            return Subspace.from_rows(nullspace_exact(_exact_power(exact, j), n), n)
+            return Subspace.from_rows(nullspace_exact(powers[j], n), n)
         from .linalg import nullspace_float
-        return Subspace.from_rows(nullspace_float(np.linalg.matrix_power(Nf, j), tol), n, tol)
+        return Subspace.from_rows(nullspace_float(powers[j], tol), n, tol)
 
     def image_power(space: Subspace, j: int) -> Subspace:
         out = space
@@ -105,22 +106,33 @@ def monodromy_weight_filtration(N, center: int = 0,
             steps.append((k + center, total))
             prev_dim = total.dim
     filt = weight_filtration(steps, n)
-    _verify_centered(filt, Nop, Nf, center, m, n, tol)
+    _verify_centered(filt, powers, center, tol)
     return filt
 
 
-def _exact_power(M: list[list[Fraction]], j: int) -> list[list[Fraction]]:
-    n = len(M)
-    P = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    for _ in range(j):
-        P = [[sum(P[i][t] * M[t][k] for t in range(n)) for k in range(n)] for i in range(n)]
-    return P
+def _powers(Nmat, m: int) -> list:
+    """The table N^0, ..., N^m: Fraction matrices when Nmat is one, else floats.
+
+    m is the nilpotency index at the working tolerance, so N^m (zero at that
+    tolerance) stands for every higher power."""
+    if isinstance(Nmat, list):
+        n = len(Nmat)
+        out = [[[Fraction(int(i == k)) for k in range(n)] for i in range(n)]]
+        for _ in range(m):
+            P = out[-1]
+            out.append([[sum(P[i][t] * Nmat[t][k] for t in range(n)) for k in range(n)]
+                        for i in range(n)])
+        return out
+    out = [np.eye(Nmat.shape[0], dtype=complex)]
+    for _ in range(m):
+        out.append(out[-1] @ Nmat)
+    return out
 
 
-def _verify_centered(filt: Filtration, Nmat, Nf: np.ndarray, center: int,
-                     m: int, n: int, tol: float) -> None:
+def _verify_centered(filt: Filtration, powers: list, center: int, tol: float) -> None:
+    m = len(powers) - 1
     for k in filt.indices:
-        moved = filt.at(k).image_under(Nmat, tol)
+        moved = filt.at(k).image_under(powers[1], tol)
         if not filt.at(k - 2).contains(moved, tol):
             raise NotNilpotent("monodromy filtration axiom N W_k <= W_{k-2} failed")
     for j in range(1, m + 1):
@@ -130,16 +142,10 @@ def _verify_centered(filt: Filtration, Nmat, Nf: np.ndarray, center: int,
             raise NotNilpotent("graded pieces are not symmetric around the center")
         if hi:
             # N^j must drop Gr_{c+j} isomorphically onto Gr_{c-j}
-            img = filt.at(center + j).image_under(_power(Nmat, Nf, j), tol)
+            img = filt.at(center + j).image_under(powers[j], tol)
             covered = img.add(filt.at(center - j - 1), tol)
             if covered.dim - filt.at(center - j - 1).dim != hi:
                 raise NotNilpotent("N^j does not induce an isomorphism on graded pieces")
-
-
-def _power(Nmat, Nf, j):
-    if isinstance(Nmat, list):
-        return _exact_power(Nmat, j)
-    return np.linalg.matrix_power(Nf, j)
 
 
 def _gr_dim(filt: Filtration, k: int) -> int:
@@ -154,13 +160,13 @@ def relative_weight_filtration(N, W: Filtration, tol: float | None = None) -> Fi
     tol = default_tol() if tol is None else tol
     Nf, exact = _as_subspace_matrix(N)
     n = W.ambient_dim
-    check_nilpotent(Nf, tol)
+    m = check_nilpotent(Nf, tol)
     Nmat = exact if exact is not None else Nf
     for k in W.indices:
         if not W.at(k).contains(W.at(k).image_under(Nmat, tol), tol):
             raise DoesNotExist("N does not preserve the weight filtration")
 
-    M_steps = _relative_rec(Nmat, Nf, W, W.indices, n, tol)
+    M_steps = _relative_rec(Nmat, Nf, _powers(Nmat, m), W, W.indices, n, tol)
     try:
         filt = _steps_to_filtration(M_steps, n)
     except MalformedFiltration as exc:
@@ -170,7 +176,7 @@ def relative_weight_filtration(N, W: Filtration, tol: float | None = None) -> Fi
     return filt
 
 
-def _relative_rec(Nmat, Nf, W: Filtration, weights: list[int], n: int,
+def _relative_rec(Nmat, Nf, powers: list, W: Filtration, weights: list[int], n: int,
                   tol: float) -> dict[int, Subspace]:
     """Return M as a map k -> M_k (not yet reduced to jumps).
 
@@ -183,7 +189,8 @@ def _relative_rec(Nmat, Nf, W: Filtration, weights: list[int], n: int,
     if len(weights) == 1:
         return _centered_on_subspace(Nmat, Nf, top_space, k_top, n, tol)
     sub = W.at(weights[-2])
-    Msub = _relative_rec(Nmat, Nf, W, weights[:-1], n, tol)
+    Msub = _relative_rec(Nmat, Nf, powers, W, weights[:-1], n, tol)
+    m = len(powers) - 1
 
     lo = min(Msub) - 2 * n - 2
     hi = k_top + n + 1
@@ -198,11 +205,11 @@ def _relative_rec(Nmat, Nf, W: Filtration, weights: list[int], n: int,
     M: dict[int, Subspace] = {}
     for j in range(0, hi - k_top + 1):
         target = msub_at(k_top - j - 2)
-        pre = target.preimage_under(_power(Nmat, Nf, j + 1), tol)
+        pre = target.preimage_under(powers[min(j + 1, m)], tol)
         # the recursion lives on the subobject W_{k_top}, not the ambient space
         M[k_top + j] = pre.intersect(top_space, tol)
     for j in range(1, k_top - lo + 1):
-        pushed = M[k_top + j].image_under(_power(Nmat, Nf, j), tol) if k_top + j in M \
+        pushed = M[k_top + j].image_under(powers[min(j, m)], tol) if k_top + j in M \
             else Subspace.zero(n)
         M[k_top - j] = pushed.add(msub_at(k_top - j), tol)
     return M

@@ -267,6 +267,11 @@ class Subspace:
     def add(self, other: "Subspace", tol: float | None = None) -> "Subspace":
         """Span of the union of the two bases."""
         self._check_ambient(other)
+        # bases are canonical, so a sum with the zero space is the other operand
+        if other.dim == 0:
+            return self
+        if self.dim == 0:
+            return other
         if self.is_exact() and other.is_exact():
             return Subspace.from_rows(list(self.exact) + list(other.exact), self.ambient_dim)
         rows = np.vstack([self.basis, other.basis])
@@ -305,7 +310,8 @@ class Subspace:
         """Entrywise complex conjugation (Betti conjugation in rational coordinates)."""
         if self.is_exact():
             return self
-        return Subspace.from_rows(np.conj(self.basis), self.ambient_dim)
+        # conjugating a reduced echelon basis keeps it reduced, with the same pivots
+        return Subspace(np.conj(self.basis), self.ambient_dim, pivots=self._pivots)
 
     def annihilator(self, tol: float | None = None) -> "Subspace":
         """Row vectors phi with phi . v = 0 for every v in the subspace."""

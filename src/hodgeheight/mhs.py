@@ -14,6 +14,12 @@ pieces I^{p,q} with
 from which F and W are recovered by summing components.  Validity of the pair
 (F, W) as a mixed Hodge structure is exactly the statement that this
 decomposition works.
+
+A MixedHodgeStructure is immutable: W and F are fixed at construction.  Its
+candidate lattice, its ValidationReport and its DeligneBigrading are each
+computed once per resolved tolerance and cached on the structure, so
+validate(tol) followed by bigrading(tol) builds the lattice once, while a call
+at another tol computes afresh.
 """
 from __future__ import annotations
 
@@ -190,10 +196,10 @@ class DeligneBigrading:
         return e
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    failures: list[str]
+    failures: tuple[str, ...]
 
 
 class MixedHodgeStructure:
@@ -207,7 +213,10 @@ class MixedHodgeStructure:
         self.W = W
         self.F = F
         self.dim = W.ambient_dim
-        self._bigrading: DeligneBigrading | None = None
+        # per resolved tol: the candidate lattice, its report and its bigrading
+        self._candidates: dict[float, dict[tuple[int, int], Subspace]] = {}
+        self._reports: dict[float, ValidationReport] = {}
+        self._bigradings: dict[float, DeligneBigrading] = {}
 
     # -- ranges ---------------------------------------------------------------
 
@@ -224,18 +233,26 @@ class MixedHodgeStructure:
 
     # -- bigrading -------------------------------------------------------------
 
-    def _component_candidates(self, tol: float | None) -> dict[tuple[int, int], Subspace]:
+    def _component_candidates(self, tol: float) -> dict[tuple[int, int], Subspace]:
+        """Build the candidate pieces I^{a,b}; callers cache them per tol."""
         n = self.dim
         pmin, pmax = min(self.levels), max(self.levels)
         wmin, wmax = min(self.weights), max(self.weights)
+        fw: dict[tuple[int, int], Subspace] = {}
+        us: dict[tuple[int, int], Subspace] = {}
+
+        def FW(p: int, k: int) -> Subspace:
+            if (p, k) not in fw:
+                fw[(p, k)] = self.F.at(p).intersect(self.W.at(k), tol)
+            return fw[(p, k)]
 
         def U(r: int, s: int) -> Subspace:
-            total = Subspace.zero(n)
-            j = 0
-            while s - j >= wmin:
-                total = total.add(self.F.at(r - j).intersect(self.W.at(s - j), tol), tol)
-                j += 1
-            return total
+            # U(r, s) = (F^r cap W_s) + U(r-1, s-1), zero below the bottom weight
+            if s < wmin:
+                return Subspace.zero(n)
+            if (r, s) not in us:
+                us[(r, s)] = FW(r, s).add(U(r - 1, s - 1), tol)
+            return us[(r, s)]
 
         comps: dict[tuple[int, int], Subspace] = {}
         for a in range(pmin, pmax + 1):
@@ -243,18 +260,25 @@ class MixedHodgeStructure:
                 k = a + b
                 if k < wmin or k > wmax:
                     continue
-                Ubar = U(b - 1, k - 2).conj()
-                rhs = self.F.at(b).conj().intersect(self.W.at(k), tol).add(Ubar, tol)
-                piece = self.F.at(a).intersect(self.W.at(k), tol).intersect(rhs, tol)
+                # W is real, so conj(F^b) cap W_k = conj(F^b cap W_k)
+                rhs = FW(b, k).add(U(b - 1, k - 2), tol).conj()
+                piece = FW(a, k).intersect(rhs, tol)
                 if piece.dim > 0:
                     comps[(a, b)] = piece
         return comps
 
+    def _candidates_at(self, tol: float) -> dict[tuple[int, int], Subspace]:
+        if tol not in self._candidates:
+            self._candidates[tol] = self._component_candidates(tol)
+        return self._candidates[tol]
+
     def validate(self, tol: float | None = None) -> ValidationReport:
         """Check the three bigrading axioms; ok iff all hold."""
         tol = default_tol() if tol is None else tol
+        if tol in self._reports:
+            return self._reports[tol]
         failures: list[str] = []
-        comps = self._component_candidates(tol)
+        comps = self._candidates_at(tol)
         n = self.dim
         total = sum(s.dim for s in comps.values())
         if total != n:
@@ -286,18 +310,20 @@ class MixedHodgeStructure:
                 if not target.contains(s.conj(), tol):
                     failures.append(f"conjugation-axiom: conj I^{(a, b)} escapes "
                                     f"I^{(b, a)} + lower terms")
-        return ValidationReport(ok=not failures, failures=failures)
+        self._reports[tol] = ValidationReport(ok=not failures, failures=tuple(failures))
+        return self._reports[tol]
 
     def bigrading(self, tol: float | None = None) -> DeligneBigrading:
-        if self._bigrading is not None:
-            return self._bigrading
+        tol = default_tol() if tol is None else tol
+        if tol in self._bigradings:
+            return self._bigradings[tol]
         report = self.validate(tol)
         if not report.ok:
             raise NotAnMHS("; ".join(report.failures))
-        comps = self._component_candidates(tol)
+        comps = self._candidates_at(tol)
         basis = np.vstack([comps[k].basis for k in sorted(comps)]).T
-        self._bigrading = DeligneBigrading(comps, basis, self.dim)
-        return self._bigrading
+        self._bigradings[tol] = DeligneBigrading(comps, basis, self.dim)
+        return self._bigradings[tol]
 
 
 def deligne_bigrading(H: MixedHodgeStructure, tol: float | None = None) -> DeligneBigrading:

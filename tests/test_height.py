@@ -183,3 +183,15 @@ def test_rescale_slope_for_length_two(rng):
     for t in (1j, 2.0 + 3j):
         moved = height(rescale_fiber(om, N, t))
         assert moved - h0 == pytest.approx(t.imag * slope, abs=1e-10)
+
+
+def test_coefficient_against_bottom_is_checked():
+    from hodgeheight.errors import ZeroBottomPairing
+    from hodgeheight.height import _coefficient_against_bottom
+
+    bottom = np.array([0, 0, 1], dtype=complex)
+    assert _coefficient_against_bottom(np.array([0, 0, 2.5]), bottom, 1e-9, 1.0) == 2.5
+    with pytest.raises(ZeroBottomPairing, match="not proportional"):
+        _coefficient_against_bottom(np.array([1, 5, 2 + 3j]), bottom, 1e-9, 1.0)
+    with pytest.raises(ZeroBottomPairing, match="nonreal"):
+        _coefficient_against_bottom(np.array([0, 0, 2 + 3j]), bottom, 1e-9, 1.0)

@@ -129,3 +129,11 @@ def test_nilpotent_exp_log_roundtrip():
     assert np.abs(back - (0.3j * N + N @ N)).max() < 1e-12
     with pytest.raises(NotNilpotent):
         check_nilpotent(np.eye(2))
+
+
+def test_conj_keeps_echelon_basis_and_pivots():
+    rng = np.random.default_rng(11)
+    S = echelonize(rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)))
+    C = S.conj()
+    assert np.array_equal(C.basis, np.conj(S.basis))
+    assert C.pivots == S.pivots
