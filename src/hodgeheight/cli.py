@@ -22,6 +22,7 @@ from .config import Config, default_tol
 from .errors import HodgeError, NoConvergence, NotAnMHS
 from .height import OrientedMHS, height
 from .limits import limit_height
+from .mhs import is_hodge_tate
 from .schemas import (
     detect_kind,
     dumps,
@@ -235,13 +236,11 @@ def cmd_sweep(args) -> int:
                 z = z0 + (z1 - z0) * t
                 s = np.exp(2j * np.pi * z)
                 pts.append(([z] * k, [s] * k))
-            limit_ok = v.limit_structure().validate(args.tol).ok
-            from .mhs import is_hodge_tate
-            if limit_ok and is_hodge_tate(v.limit_structure(), args.tol) and v.length >= 4:
+            limit = v.limit_structure()
+            if limit.validate(args.tol).ok and is_hodge_tate(limit, args.tol) and v.length >= 4:
                 report = check_asymptotics(v, pts, args.tol)
-                for (zz, ss), p in zip(pts, report.points):
-                    h = height(oriented_fiber(v, zz, ss, args.tol), args.tol)
-                    rows.append((complex(zz[0]).imag, h, p.identity_residual))
+                for p in report.points:
+                    rows.append((complex(p.z[0]).imag, p.height, p.identity_residual))
             else:
                 for zz, ss in pts:
                     h = height(oriented_fiber(v, zz, ss, args.tol), args.tol)

@@ -17,7 +17,7 @@ the height by 1/c, which is why each scenario pins its own generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import pi
 
 import numpy as np
@@ -50,6 +50,9 @@ class Orientation:
 class OrientedMHS:
     mhs: MixedHodgeStructure
     orientation: Orientation
+    # per resolved tol: the read-only top lift, filled by top_lift
+    _lifts: dict[float, np.ndarray] = field(default_factory=dict, init=False,
+                                            compare=False, repr=False)
 
     @property
     def max_weight(self) -> int:
@@ -85,13 +88,17 @@ def _check_oriented(om: OrientedMHS, tol: float) -> None:
 
 def top_lift(om: OrientedMHS, tol: float | None = None) -> np.ndarray:
     """The unique element of I^{a,a} (2a = max weight) projecting to the top
-    generator modulo lower weights."""
+    generator modulo lower weights; checked and computed once per resolved
+    tol, and read-only because every caller shares it."""
     tol = default_tol() if tol is None else tol
-    _check_oriented(om, tol)
-    H = om.mhs
-    a = om.max_weight // 2
-    B = H.bigrading(tol)
-    return B.lift(om.orientation.top, a, a, H.W.at(om.max_weight - 1), tol)
+    if tol not in om._lifts:
+        _check_oriented(om, tol)
+        H = om.mhs
+        a = om.max_weight // 2
+        e = H.bigrading(tol).lift(om.orientation.top, a, a, H.W.at(om.max_weight - 1), tol)
+        e.setflags(write=False)
+        om._lifts[tol] = e
+    return om._lifts[tol]
 
 
 def _coefficient_against_bottom(vector: np.ndarray, bottom: np.ndarray,

@@ -173,15 +173,14 @@ class Subspace:
     exact echelon basis and all operations between exact subspaces stay exact.
     """
 
-    __slots__ = ("basis", "ambient_dim", "exact", "_pivots")
+    __slots__ = ("basis", "ambient_dim", "exact", "pivots")
 
-    def __init__(self, basis: Matrix, ambient_dim: int,
-                 exact: list[list[Fraction]] | None = None,
-                 pivots: list[int] | None = None):
+    def __init__(self, basis: Matrix, ambient_dim: int, pivots: list[int],
+                 exact: list[list[Fraction]] | None = None):
         self.basis = basis
         self.ambient_dim = int(ambient_dim)
+        self.pivots = pivots
         self.exact = exact
-        self._pivots = pivots
 
     # -- constructors -------------------------------------------------------
 
@@ -218,12 +217,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def pivots(self) -> list[int]:
-        if self._pivots is None:
-            _, self._pivots = rref_float(self.basis)
-        return self._pivots
-
     def is_exact(self) -> bool:
         return self.exact is not None
 
@@ -252,6 +245,8 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
         if other.dim == 0:
             return True
+        if self.is_exact() and other.is_exact():
+            return all(_reduces_to_zero(v, self.exact, self.pivots) for v in other.exact)
         return self.add(other, tol).dim == self.dim
 
     def contains_vector(self, v, tol: float | None = None) -> bool:
@@ -311,7 +306,7 @@ class Subspace:
         if self.is_exact():
             return self
         # conjugating a reduced echelon basis keeps it reduced, with the same pivots
-        return Subspace(np.conj(self.basis), self.ambient_dim, pivots=self._pivots)
+        return Subspace(np.conj(self.basis), self.ambient_dim, pivots=self.pivots)
 
     def annihilator(self, tol: float | None = None) -> "Subspace":
         """Row vectors phi with phi . v = 0 for every v in the subspace."""
@@ -365,6 +360,16 @@ class Subspace:
         if not rows:
             return Subspace.zero(self.ambient_dim)
         return Subspace.from_rows(rows, self.ambient_dim, tol)
+
+
+def _reduces_to_zero(v: list[Fraction], R: list[list[Fraction]], pivots: list[int]) -> bool:
+    """Whether v lies in the row span of the reduced echelon basis R: clearing
+    v at each pivot column leaves zero exactly when it does."""
+    for row, p in zip(R, pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def _exact_matrix(A) -> list[list[Fraction]] | None:

@@ -16,21 +16,25 @@ from which F and W are recovered by summing components.  Validity of the pair
 decomposition works.
 
 A MixedHodgeStructure is immutable: W and F are fixed at construction.  Its
-candidate lattice, its ValidationReport and its DeligneBigrading are each
-computed once per resolved tolerance and cached on the structure, so
-validate(tol) followed by bigrading(tol) builds the lattice once, while a call
-at another tol computes afresh.
+candidate lattice, its ValidationReport, its DeligneBigrading and its
+splitting (see splitting.deligne_delta) are each computed once per resolved
+tolerance and cached on the structure, so validate(tol) followed by
+bigrading(tol) builds the lattice once, while a call at another tol computes
+afresh.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .config import default_tol
 from .errors import MalformedFiltration, NotAnMHS
 from .linalg import Subspace, echelonize, maxabs
+
+if TYPE_CHECKING:
+    from .splitting import Splitting
 
 # ---------------------------------------------------------------------------
 # filtrations
@@ -217,6 +221,8 @@ class MixedHodgeStructure:
         self._candidates: dict[float, dict[tuple[int, int], Subspace]] = {}
         self._reports: dict[float, ValidationReport] = {}
         self._bigradings: dict[float, DeligneBigrading] = {}
+        # per resolved tol: the Splitting, filled by splitting.deligne_delta
+        self._splittings: dict[float, Splitting] = {}
 
     # -- ranges ---------------------------------------------------------------
 

@@ -6,23 +6,29 @@ conjugate:
 
     conj(Y) = Ad(exp(-2i delta)) Y.
 
-Two solvers are provided.  The primary one runs a fixed-point iteration on the
-nilpotent group element w with Ad(exp(w)) Y = conj(Y), peeling the mismatch
-depth by depth along the ad-Y eigenvalues (all <= -1 on the relevant
-subalgebra, so each depth is solvable by division); nilpotency makes the
-iteration terminate after at most the weight span.  The secondary solver finds
-the group element by one linear solve and takes its exact nilpotent logarithm.
-Both verify realness and the bidegree constraint post hoc.
+The solver runs a fixed-point iteration on the nilpotent group element w with
+Ad(exp(w)) Y = conj(Y), peeling the mismatch depth by depth along the ad-Y
+eigenvalues (all <= -1 on the relevant subalgebra, so each depth is solvable
+by division); nilpotency makes the iteration terminate after at most the
+weight span.  Realness, the bidegree constraint and the defining relation are
+verified post hoc.
+
+deligne_delta computes the Splitting once per structure and resolved
+tolerance and caches it on the MixedHodgeStructure, next to the lattice,
+report and bigrading caches; the cached Splitting is shared by every caller,
+so it is frozen and its arrays are read-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .config import default_tol
 from .errors import NoConvergence
-from .linalg import expm_nilpotent, logm_unipotent, maxabs, nullspace_float
+from .linalg import expm_nilpotent, maxabs, nullspace_float
 from .mhs import DeligneBigrading, MixedHodgeStructure
 
 
@@ -55,10 +61,10 @@ def component_support(components: dict[tuple[int, int], np.ndarray],
     return sorted(k for k, m in components.items() if maxabs(m) > tol * scale)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Splitting:
     delta: np.ndarray                            # real in rational coordinates
-    hodge_components: dict[tuple[int, int], np.ndarray]
+    hodge_components: Mapping[tuple[int, int], np.ndarray]
     residual: float                              # max-abs defect of the defining relation
 
     def component(self, a: int, b: int) -> np.ndarray:
@@ -88,57 +94,17 @@ def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndar
     return w
 
 
-def _solve_group_element_linear(B: DeligneBigrading, tol: float) -> np.ndarray:
-    """g = 1 + x with g Y = conj(Y) g and x strictly lowering the weight
-    filtration; then w = log g."""
-    Y = B.Y
-    Ybar = np.conj(Y)
-    n = B.ambient_dim
-    weights = B.weights
-    span = max(weights) - min(weights)
-    # strictly-lowering part of gl via ad-Y eigenprojections
-    def lower(A):
-        out = np.zeros_like(A)
-        for m in range(-1, -(span + 1), -1):
-            out = out + B.ad_weight_component(A, m)
-        return out
-
-    # unknown x constrained to the lowering subalgebra: parametrize by a basis
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            L = lower(E)
-            if maxabs(L) > 1e-12:
-                basis.append(L)
-    if not basis:
-        return np.zeros((n, n), dtype=complex)
-    cols = np.array([(b @ Y - Ybar @ b).flatten() for b in basis]).T
-    rhs = (Ybar - Y).flatten()
-    coeff, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    x = sum(c * b for c, b in zip(coeff, basis))
-    scale = max(maxabs(Y), 1.0)
-    if maxabs(x @ Y - Ybar @ x - (Ybar - Y)) > tol * scale:
-        raise NoConvergence("linear solve for the splitting group element failed")
-    return logm_unipotent(np.eye(n) + x)
-
-
-def deligne_delta(H: MixedHodgeStructure, tol: float | None = None,
-                  solver: str = "fixed-point") -> Splitting:
-    """Compute the splitting of a valid mixed Hodge structure.
-
-    solver: "fixed-point" (default) or "group-log"; both must agree, which is
-    exercised by the test suite on random structures.
-    """
+def deligne_delta(H: MixedHodgeStructure, tol: float | None = None) -> Splitting:
+    """The splitting of a valid mixed Hodge structure, computed once per
+    resolved tol and cached on H."""
     tol = default_tol() if tol is None else tol
-    B = H.bigrading(tol)
-    if solver == "fixed-point":
-        w = _solve_group_element_fixed_point(B, tol)
-    elif solver == "group-log":
-        w = _solve_group_element_linear(B, tol)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    if tol not in H._splittings:
+        H._splittings[tol] = _solve_splitting(H.bigrading(tol), tol)
+    return H._splittings[tol]
+
+
+def _solve_splitting(B: DeligneBigrading, tol: float) -> Splitting:
+    w = _solve_group_element_fixed_point(B, tol)
     delta = 0.5j * w
     comps = gl_hodge_components(B, delta)
     scale = max(maxabs(delta), 1.0)
@@ -155,7 +121,9 @@ def deligne_delta(H: MixedHodgeStructure, tol: float | None = None,
     if residual > tol:
         raise NoConvergence(f"splitting residual {residual:.3e} exceeds tolerance {tol:.3e}")
     delta = delta.real.astype(float)
-    return Splitting(delta=delta, hodge_components=comps, residual=residual)
+    for m in (delta, *comps.values()):
+        m.setflags(write=False)
+    return Splitting(delta=delta, hodge_components=MappingProxyType(comps), residual=residual)
 
 
 def lowering_morphisms(H: MixedHodgeStructure, drop: int = 2,

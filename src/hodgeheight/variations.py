@@ -12,7 +12,7 @@ be probed at arbitrary points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import pi
 
 import numpy as np
@@ -77,6 +77,9 @@ class LocalVariation:
     nilpotents: tuple[np.ndarray, ...]
     gamma: GammaPoly
     orientation: Orientation
+    # the oriented limit pair (F_inf, W), built once so that its caches (lattice,
+    # bigrading, splitting, top lift) serve every call
+    _limit: OrientedMHS = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         tol = default_tol()
@@ -90,6 +93,8 @@ class LocalVariation:
             raise HodgeError("Gamma must have one variable per divisor")
         if not self.is_tame(tol):
             raise HodgeError("tameness divisibility s_j | [N_j, Gamma] fails")
+        object.__setattr__(self, "_limit", OrientedMHS(MixedHodgeStructure(self.W, self.F_inf),
+                                                       self.orientation))
 
     @property
     def dim(self) -> int:
@@ -119,7 +124,7 @@ class LocalVariation:
         return out
 
     def limit_structure(self) -> MixedHodgeStructure:
-        return MixedHodgeStructure(self.W, self.F_inf)
+        return self._limit.mhs
 
 
 def fiber(v: LocalVariation, z, s, tol: float | None = None) -> MixedHodgeStructure:
@@ -162,6 +167,7 @@ def height_sweep(v: LocalVariation, path, tol: float | None = None) -> list[tupl
 class AsymptoticsPoint:
     z: tuple[complex, ...]
     s: tuple[complex, ...]
+    height: float
     height_gap: float
     identity_residual: float
 
@@ -174,8 +180,9 @@ class AsymptoticsReport:
 
 
 def check_asymptotics(v: LocalVariation, sequence, tol: float | None = None) -> AsymptoticsReport:
-    """For a Hodge-Tate variation of length >= 4: per sampled point, the gap
-    |Ht(fiber) - Ht(limit)| and the residual of the depth-one identity
+    """For a Hodge-Tate variation of length >= 4: per sampled point, the fiber
+    height Ht(fiber), the gap |Ht(fiber) - Ht(limit)| and the residual of the
+    depth-one identity
     delta^{-1,-1}(z,s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1}."""
     tol = default_tol() if tol is None else tol
     limit = v.limit_structure()
@@ -190,7 +197,7 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float | None = None) -> 
     lim_comps = gl_hodge_components(B_lim, spl_lim.delta)
     n = v.dim
     d11_lim = lim_comps.get((-1, -1), np.zeros((n, n)))
-    ht_lim = height(OrientedMHS(limit, v.orientation), tol)
+    ht_lim = height(v._limit, tol)
 
     points = []
     for z, s in sequence:
@@ -205,9 +212,10 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float | None = None) -> 
         predicted = v.n_of([1j * y for y in imz]).imag + \
             im_gamma_comps.get((-1, -1), np.zeros((n, n))).real + d11_lim.real
         resid = maxabs(d11.real - predicted)
-        hgap = abs(height(OrientedMHS(H, v.orientation), tol) - ht_lim)
+        ht = height(OrientedMHS(H, v.orientation), tol)
         points.append(AsymptoticsPoint(z=tuple(np.atleast_1d(z)), s=tuple(np.atleast_1d(s)),
-                                       height_gap=hgap, identity_residual=float(resid)))
+                                       height=ht, height_gap=abs(ht - ht_lim),
+                                       identity_residual=float(resid)))
     ok = all(p.identity_residual < tol for p in points)
     return AsymptoticsReport(points=points, limit_height=ht_lim, identity_ok=ok)
 

@@ -224,3 +224,21 @@ def test_validate_rejects_garbage_rational(dilog_file, tmp_path):
     bad = tmp_path / "garbage.json"
     bad.write_text(dumps(doc), encoding="utf-8")
     assert main(["validate", str(bad)]) == 1
+
+
+def test_sweep_variation_heights_match_fibers(variation_file, capsys):
+    from hodgeheight.height import height
+    from hodgeheight.schemas import parse_variation
+    from hodgeheight.variations import oriented_fiber
+
+    # off the imaginary axis s is not real, so the heights are not zero (they
+    # are negative here, so they differ from the height gaps too)
+    assert main(["sweep", variation_file, "--z-start", "0.7+0.1j", "--z-end", "0.7+0.5j",
+                 "--count", "4"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+    v = parse_variation(load(variation_file))
+    for param, h, _ in rows:
+        z = 0.7 + 1j * float(param)
+        want = height(oriented_fiber(v, [z], [np.exp(2j * np.pi * z)]))
+        assert abs(want) > 1e-6
+        assert abs(float(h) - want) < 1e-12

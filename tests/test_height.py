@@ -195,3 +195,13 @@ def test_coefficient_against_bottom_is_checked():
         _coefficient_against_bottom(np.array([1, 5, 2 + 3j]), bottom, 1e-9, 1.0)
     with pytest.raises(ZeroBottomPairing, match="nonreal"):
         _coefficient_against_bottom(np.array([0, 0, 2 + 3j]), bottom, 1e-9, 1.0)
+
+
+def test_top_lift_cached_per_tolerance():
+    from hodgeheight.height import top_lift
+
+    om = dilog_fiber(0.4 + 0.65j)
+    assert top_lift(om, 1e-9) is top_lift(om, 1e-9)
+    assert top_lift(om) is top_lift(om, 1e-9)
+    assert top_lift(om, 1e-8) is not top_lift(om, 1e-9)
+    assert np.array_equal(top_lift(om, 1e-8), top_lift(om, 1e-9))

@@ -8,7 +8,7 @@ from hodgeheight.linalg import Subspace
 from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta
-from hodgeheight.variations import fiber, random_hodge_tate
+from hodgeheight.variations import check_asymptotics, fiber, random_hodge_tate
 
 TOL = 1e-9
 
@@ -91,3 +91,22 @@ def test_lattice_built_once_per_tolerance(monkeypatch):
     height(om, 1e-8)
     deligne_delta(om.mhs, 1e-8)
     assert builds == [TOL, 1e-8]
+
+
+def test_limit_lattice_built_once_across_asymptotics_calls(monkeypatch):
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    limit = v.limit_structure()
+    limit_builds = []
+    original = MixedHodgeStructure._component_candidates
+
+    def counted(self, tol):
+        if self is limit:
+            limit_builds.append(tol)
+        return original(self, tol)
+
+    monkeypatch.setattr(MixedHodgeStructure, "_component_candidates", counted)
+    points = [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 3.0)]
+    first = check_asymptotics(v, points)
+    second = check_asymptotics(v, points)
+    assert limit_builds == [TOL]
+    assert first == second

@@ -137,3 +137,40 @@ def test_conj_keeps_echelon_basis_and_pivots():
     C = S.conj()
     assert np.array_equal(C.basis, np.conj(S.basis))
     assert C.pivots == S.pivots
+
+
+_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _exact_pair(draw):
+    """Two exact subspaces of Q^n (n <= 6): each is the zero space, the full
+    space, or spanned by random rational rows; the second is often built from
+    combinations of the first's generators, so that containment holds."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(_fractions, min_size=n, max_size=n)
+
+    def space(rows):
+        kind = draw(st.sampled_from(["zero", "full", "rows", "rows"]))
+        if kind == "zero":
+            return Subspace.zero(n)
+        if kind == "full":
+            return Subspace.full(n)
+        return Subspace.from_rows(rows, n)
+
+    A = space(draw(st.lists(row, max_size=n)))
+    gens = A.exact or [[Fraction(0)] * n]
+    combos = [[sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0)) for j in range(n)]
+              for coeffs in draw(st.lists(st.lists(_fractions, min_size=len(gens),
+                                                   max_size=len(gens)), max_size=3))]
+    B = space(combos + draw(st.lists(row, max_size=1)))
+    return A, B
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_pair())
+def test_exact_contains_agrees_with_sum_dimension(pair):
+    A, B = pair
+    assert A.is_exact() and B.is_exact()
+    assert A.contains(B) == (A.add(B).dim == A.dim)
+    assert B.contains(A) == (B.add(A).dim == B.dim)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 from hodgeheight.biextension import build_biextension, random_spec
 from hodgeheight.dilog import bloch_wigner
 from hodgeheight.height import rescale_fiber
-from hodgeheight.linalg import maxabs
+from hodgeheight.linalg import logm_unipotent, maxabs
 from hodgeheight.mhs import dual
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import (
@@ -60,12 +63,45 @@ def test_dilog_delta_deep_coefficient_is_height():
     assert abs(v[2] - (-bloch_wigner(s))) < 1e-12
 
 
+def group_log_delta(B, tol=1e-9):
+    """Oracle for deligne_delta: g = 1 + x with g Y = conj(Y) g and x strictly
+    lowering the weight filtration, by one linear solve; delta = (i/2) log g."""
+    Y = B.Y
+    Ybar = np.conj(Y)
+    n = B.ambient_dim
+    span = max(B.weights) - min(B.weights)
+
+    def lower(A):
+        # strictly-lowering part of gl via ad-Y eigenprojections
+        out = np.zeros_like(A)
+        for m in range(-1, -(span + 1), -1):
+            out = out + B.ad_weight_component(A, m)
+        return out
+
+    # unknown x constrained to the lowering subalgebra: parametrize by a basis
+    basis = []
+    for i in range(n):
+        for j in range(n):
+            E = np.zeros((n, n), dtype=complex)
+            E[i, j] = 1.0
+            L = lower(E)
+            if maxabs(L) > 1e-12:
+                basis.append(L)
+    if not basis:
+        return np.zeros((n, n), dtype=complex)
+    cols = np.array([(b @ Y - Ybar @ b).flatten() for b in basis]).T
+    coeff, *_ = np.linalg.lstsq(cols, (Ybar - Y).flatten(), rcond=None)
+    x = sum(c * b for c, b in zip(coeff, basis))
+    assert maxabs(x @ Y - Ybar @ x - (Ybar - Y)) <= tol * max(maxabs(Y), 1.0)
+    return 0.5j * logm_unipotent(np.eye(n) + x)
+
+
 def test_two_solvers_agree_on_random_structures(rng):
     for _ in range(25):
         om = build_biextension(random_spec(rng))
-        s1 = deligne_delta(om.mhs, solver="fixed-point")
-        s2 = deligne_delta(om.mhs, solver="group-log")
-        assert maxabs(s1.delta - s2.delta) < 1e-10
+        s1 = deligne_delta(om.mhs)
+        s2 = group_log_delta(om.mhs.bigrading())
+        assert maxabs(s1.delta - s2) < 1e-10
 
 
 def test_delta_support_in_lambda(rng):
@@ -134,3 +170,29 @@ def test_lowering_morphisms_are_pure_type(rng):
         comps = gl_hodge_components(B, N.astype(complex))
         support = component_support(comps, 1e-9)
         assert all(key == (-1, -1) for key in support)
+
+
+def test_splitting_cached_per_tolerance(monkeypatch):
+    H = dilog_fiber(0.35 + 0.55j).mhs
+    assert deligne_delta(H, 1e-9) is deligne_delta(H, 1e-9)
+    assert deligne_delta(H, 1e-8) is not deligne_delta(H, 1e-9)
+    # tol=None resolves to the current default before the lookup
+    assert deligne_delta(H) is deligne_delta(H, 1e-9)
+    monkeypatch.setenv("HODGE_TOL", "1e-10")
+    assert deligne_delta(H) is deligne_delta(H, 1e-10)
+    assert deligne_delta(H) is not deligne_delta(H, 1e-9)
+
+
+def test_shared_splitting_and_top_lift_are_read_only():
+    from hodgeheight.height import top_lift
+
+    om = dilog_fiber(0.35 + 0.55j)
+    spl = deligne_delta(om.mhs)
+    arrays = [spl.delta, *spl.hodge_components.values(), top_lift(om)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spl.delta = np.zeros((3, 3))
+    with pytest.raises(TypeError):
+        spl.hodge_components[(0, 0)] = np.zeros((3, 3))

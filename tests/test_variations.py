@@ -173,3 +173,8 @@ def test_dilog_variation_asymptotics_to_zero():
     gaps = [p.height_gap for p in rep.points]
     assert gaps[-1] < 1e-9
     assert gaps[-1] < gaps[0]
+
+
+def test_limit_structure_built_once():
+    v = random_hodge_tate((1, 2, 1), 1, seed=1)
+    assert v.limit_structure() is v.limit_structure()
