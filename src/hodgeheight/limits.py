@@ -15,8 +15,22 @@ step down and M' computed recursively on it,
     M_(k+j)  = preimage of M'_(k-j-2) under N^(j+1)      (j >= 0)
     M_(k-j)  = N^j( M_(k+j) ) + M'_(k-j)                 (j >= 1)
 
-where k is the top weight.  The two characterizing axioms are re-verified on
-the result; failure raises DoesNotExist (admissibility failure).
+where k is the top weight and the preimages are cut down to W_k.  With m the
+nilpotency index (N^m = 0), only the 2m-1 indices k-m+1 .. k+m-1 of each
+peeled weight are live: from j = m-1 on the preimage under N^(j+1) = 0 is
+everything, so M_(k+j) = W_k, and from j = m on the push N^j M_(k+j) is
+zero, so M_(k-j) = M'_(k-j).  The recursion therefore computes M_(k+j) for
+j = 0..m-2 and M_(k-j) for j = 1..m-1, sets M_(k+m-1) = W_k, carries the
+entries of M' at or below k-m over unchanged, and returns M as a step
+function (the value at the largest stored index <= j).
+
+The two characterizing axioms are re-verified on the result; failure raises
+DoesNotExist (admissibility failure).  The graded axiom compares, on each
+Gr^W_k, the dimension of M_j cut down to the piece with that of the
+monodromy filtration of the induced nilpotent for j in [k-2n, k+2n].  Both
+are step functions of j that change only at jumps of M or of the reference,
+so evaluating them at the lower end of the range and at every such jump
+inside it is the same check as evaluating them at every integer.
 
 deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to
@@ -29,6 +43,7 @@ identities are verified post hoc.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +57,7 @@ from .errors import (
     NotAnMHS,
     NotNilpotent,
 )
+from .height import _coefficient_against_bottom
 from .linalg import (
     Subspace,
     check_nilpotent,
@@ -114,7 +130,8 @@ def _powers(Nmat, m: int) -> list:
     """The table N^0, ..., N^m: Fraction matrices when Nmat is one, else floats.
 
     m is the nilpotency index at the working tolerance, so N^m (zero at that
-    tolerance) stands for every higher power."""
+    tolerance) stands for every higher power.  On rational input N^m must be
+    exactly zero, since the callers read every power from m on as zero."""
     if isinstance(Nmat, list):
         n = len(Nmat)
         out = [[[Fraction(int(i == k)) for k in range(n)] for i in range(n)]]
@@ -122,6 +139,8 @@ def _powers(Nmat, m: int) -> list:
             P = out[-1]
             out.append([[sum(P[i][t] * Nmat[t][k] for t in range(n)) for k in range(n)]
                         for i in range(n)])
+        if any(any(row) for row in out[-1]):
+            raise NotNilpotent(f"N^{m} is zero at the working tolerance but not exactly")
         return out
     out = [np.eye(Nmat.shape[0], dtype=complex)]
     for _ in range(m):
@@ -178,40 +197,37 @@ def relative_weight_filtration(N, W: Filtration, tol: float | None = None) -> Fi
 
 def _relative_rec(Nmat, Nf, powers: list, W: Filtration, weights: list[int], n: int,
                   tol: float) -> dict[int, Subspace]:
-    """Return M as a map k -> M_k (not yet reduced to jumps).
+    """Return M as a step function: a map k -> M_k whose lookup at any j is
+    the value at the largest key <= j (zero below the smallest key).
 
     Implements the top-weight peeling recursion; the base case is a single
     weight, where M is the monodromy filtration of N restricted to that piece
-    shifted to be centered there.
+    shifted to be centered there.  Only the live window of 2m-1 entries
+    around the top weight k is computed (see the module docstring): below
+    k-m+1 the entries of M' carry over, and from k+m-1 on M is W_k.
     """
     k_top = weights[-1]
     top_space = W.at(k_top)
     if len(weights) == 1:
         return _centered_on_subspace(Nmat, Nf, top_space, k_top, n, tol)
-    sub = W.at(weights[-2])
     Msub = _relative_rec(Nmat, Nf, powers, W, weights[:-1], n, tol)
     m = len(powers) - 1
-
-    lo = min(Msub) - 2 * n - 2
-    hi = k_top + n + 1
+    keys = sorted(Msub)
 
     def msub_at(j: int) -> Subspace:
-        best = Subspace.zero(n)
-        for idx in sorted(Msub):
-            if idx <= j:
-                best = Msub[idx]
-        return best
+        i = bisect_right(keys, j)
+        return Msub[keys[i - 1]] if i else Subspace.zero(n)
 
-    M: dict[int, Subspace] = {}
-    for j in range(0, hi - k_top + 1):
-        target = msub_at(k_top - j - 2)
-        pre = target.preimage_under(powers[min(j + 1, m)], tol)
-        # the recursion lives on the subobject W_{k_top}, not the ambient space
-        M[k_top + j] = pre.intersect(top_space, tol)
-    for j in range(1, k_top - lo + 1):
-        pushed = M[k_top + j].image_under(powers[min(j, m)], tol) if k_top + j in M \
-            else Subspace.zero(n)
-        M[k_top - j] = pushed.add(msub_at(k_top - j), tol)
+    # upward: M_(k+j) = N^-(j+1) M'_(k-j-2) cap W_k; N^(j+1) = 0 from j = m-1 on
+    up = [msub_at(k_top - j - 2).preimage_under(powers[j + 1], tol).intersect(top_space, tol)
+          for j in range(m - 1)]
+    up.append(top_space)
+    M = {k: Msub[k] for k in keys if k <= k_top - m}
+    # downward: M_(k-j) = N^j M_(k+j) + M'_(k-j); N^j = 0 from j = m on
+    for j in range(1, m):
+        M[k_top - j] = up[j].image_under(powers[j], tol).add(msub_at(k_top - j), tol)
+    for j, space in enumerate(up):
+        M[k_top + j] = space
     return M
 
 
@@ -225,7 +241,6 @@ def _centered_on_subspace(Nmat, Nf, space: Subspace, center: int, n: int,
         return {k: filt.at(k) for k in filt.indices}
     # restrict: coordinates on the subspace via its echelon basis
     B = space.basis
-    d = space.dim
     # N restricted: N b_i = sum_j c_ij b_j  ->  solve against the basis
     Bt = B.T
     coeffs = np.linalg.lstsq(Bt, (np.asarray(Nf) @ Bt), rcond=None)[0].T
@@ -251,18 +266,19 @@ def _verify_relative(M: Filtration, Nmat, Nf, W: Filtration, n: int, tol: float)
         if not M.at(k - 2).contains(M.at(k).image_under(Nmat, tol), tol):
             raise DoesNotExist("candidate filtration is not lowered by two under N")
     # induced filtration on each graded piece must be the shifted monodromy
-    # filtration of the induced nilpotent
+    # filtration of the induced nilpotent; both sides are step functions of
+    # j, so they are compared at the lower end of [k-2n, k+2n] and at every
+    # jump of M or of the reference inside it
     for k in W.indices:
         Wk, Wk1 = W.at(k), W.at(k - 1)
-        gr_dim = Wk.dim - Wk1.dim
-        if gr_dim == 0:
+        if Wk.dim == Wk1.dim:
             continue
         induced = _induced_on_graded(Nf, Wk, Wk1, tol)
-        ref = monodromy_weight_filtration(induced, k, tol) if gr_dim else None
-        for j in range(k - 2 * n, k + 2 * n + 1):
+        ref = monodromy_weight_filtration(induced, k, tol)
+        lo, hi = k - 2 * n, k + 2 * n
+        for j in sorted({lo, *(i for i in M.indices + ref.indices if lo < i <= hi)}):
             want = ref.at(j).dim
-            got_space = M.at(j).intersect(Wk, tol).add(Wk1, tol)
-            got = got_space.dim - Wk1.dim
+            got = M.at(j).intersect(Wk, tol).add(Wk1, tol).dim - Wk1.dim
             if got != want:
                 raise DoesNotExist(
                     f"induced filtration on Gr_{k} differs from the monodromy filtration")
@@ -526,13 +542,8 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
     proj = _grading_projectors(system.Yprime, weights, tol)
     deep = _ad_component(proj, spl.delta.astype(complex), -length)
     vec_out = deep @ np.asarray(orientation.top, dtype=complex)
-    bottom = np.asarray(orientation.bottom, dtype=complex)
-    j = int(np.argmax(np.abs(bottom)))
-    coeff = vec_out[j] / bottom[j]
-    scale = max(maxabs(spl.delta), 1.0)
-    if maxabs(vec_out - coeff * bottom) > 1e3 * tol * max(scale, abs(coeff)):
-        raise NotAnMHS("deep splitting component is not proportional to the bottom generator")
-    return float(coeff.real)
+    return _coefficient_against_bottom(vec_out, orientation.bottom, tol,
+                                       max(maxabs(vec_out), maxabs(spl.delta)))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,9 @@ def rational_rows(rows) -> list[list[Fraction]] | None:
     """Return a Fraction matrix when every entry is exactly rational, else None."""
     out = []
     for row in rows:
+        if all(type(x) is Fraction for x in row):
+            out.append(list(row))
+            continue
         r = []
         for x in row:
             if not is_rational_entry(x):
@@ -119,12 +122,13 @@ def rref_exact(M: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], l
         if sel is None:
             continue
         M[r], M[sel] = M[sel], M[r]
-        inv = Fraction(1) / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        if M[r][c] != 1:
+            inv = 1 / M[r][c]
+            M[r] = [x * inv if x else x for x in M[r]]
         for k in range(rows):
-            if k != r and M[k][c] != 0:
-                f = M[k][c]
-                M[k] = [a - f * b for a, b in zip(M[k], M[r])]
+            f = M[k][c]
+            if k != r and f:
+                M[k] = [a - f * b if b else a for a, b in zip(M[k], M[r])]
         pivots.append(c)
         r += 1
     return M[:r], pivots
@@ -289,10 +293,7 @@ class Subspace:
             cols = [[A[i][j] for i in range(len(A))] + [-B[i][j] for i in range(len(B))]
                     for j in range(n)]
             ker = nullspace_exact(cols, len(A) + len(B))
-            vecs = []
-            for coeffs in ker:
-                vecs.append([sum(coeffs[i] * A[i][j] for i in range(len(A)))
-                             for j in range(n)])
+            vecs = [_combination(coeffs, A, n) for coeffs in ker]
             return Subspace.from_rows(vecs, n) if vecs else Subspace.zero(n)
         S = np.vstack([self.basis, -other.basis])
         ker = nullspace_float(S.T, tol)
@@ -319,16 +320,14 @@ class Subspace:
 
     def image_under(self, A, tol: float | None = None) -> "Subspace":
         """Span of A v over basis vectors v; A may map into a different space."""
-        n = self.ambient_dim
         out_dim = len(A) if not isinstance(A, np.ndarray) else A.shape[0]
         if self.dim == 0:
             return Subspace.zero(out_dim)
         exact_A = _exact_matrix(A)
         if self.is_exact() and exact_A is not None:
-            rows = []
-            for v in self.exact:
-                rows.append([sum(exact_A[i][j] * v[j] for j in range(n))
-                             for i in range(out_dim)])
+            # A v is the combination of the columns of A with the entries of v
+            cols = list(zip(*exact_A))
+            rows = [_combination(v, cols, out_dim) for v in self.exact]
             return Subspace.from_rows(rows, out_dim)
         A = np.array(A, dtype=complex)
         return Subspace.from_rows(self.basis @ A.T, out_dim, tol)
@@ -341,9 +340,7 @@ class Subspace:
             return Subspace.full(n)
         exact_A = _exact_matrix(A)
         if ann.is_exact() and exact_A is not None:
-            rows = []
-            for phi in ann.exact:
-                rows.append([sum(phi[i] * exact_A[i][j] for i in range(n)) for j in range(n)])
+            rows = [_combination(phi, exact_A, n) for phi in ann.exact]
             return Subspace.from_rows(nullspace_exact(rows, n), n)
         M = ann.basis @ np.array(A, dtype=complex)
         return Subspace.from_rows(nullspace_float(M, tol), n, tol)
@@ -362,13 +359,23 @@ class Subspace:
         return Subspace.from_rows(rows, self.ambient_dim, tol)
 
 
+def _combination(coeffs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
+                 n: int) -> list[Fraction]:
+    """sum_i coeffs[i] * rows[i] in Q^n, skipping zero coefficients and entries."""
+    out = [Fraction(0)] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [a + c * b if b else a for a, b in zip(out, row)]
+    return out
+
+
 def _reduces_to_zero(v: list[Fraction], R: list[list[Fraction]], pivots: list[int]) -> bool:
     """Whether v lies in the row span of the reduced echelon basis R: clearing
     v at each pivot column leaves zero exactly when it does."""
     for row, p in zip(R, pivots):
         c = v[p]
         if c:
-            v = [a - c * b for a, b in zip(v, row)]
+            v = [a - c * b if b else a for a, b in zip(v, row)]
     return not any(v)
 
 

@@ -193,10 +193,8 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float | None = None) -> 
     if v.length < 4:
         raise LengthTooSmall("asymptotic statement needs length at least 4")
     B_lim = limit.bigrading(tol)
-    spl_lim = deligne_delta(limit, tol)
-    lim_comps = gl_hodge_components(B_lim, spl_lim.delta)
+    d11_lim = deligne_delta(limit, tol).component(-1, -1)
     n = v.dim
-    d11_lim = lim_comps.get((-1, -1), np.zeros((n, n)))
     ht_lim = height(v._limit, tol)
 
     points = []

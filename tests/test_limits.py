@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hodgeheight.errors import DoesNotExist, NotNilpotent
+from hodgeheight.errors import DoesNotExist, MalformedFiltration, NotNilpotent
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight.limits import (
     NilpotentOrbit,
+    _as_subspace_matrix,
+    _centered_on_subspace,
+    _induced_on_graded,
+    _powers,
+    _steps_to_filtration,
     deligne_system_grading,
     limit_height,
     limit_mhs,
@@ -13,7 +18,7 @@ from hodgeheight.limits import (
     random_deligne_system,
     relative_weight_filtration,
 )
-from hodgeheight.linalg import Subspace, expm_nilpotent, maxabs
+from hodgeheight.linalg import Subspace, check_nilpotent, expm_nilpotent, maxabs
 from hodgeheight.mhs import is_hodge_tate, weight_filtration
 from hodgeheight.scenarios import cubic_orbit
 from hodgeheight.variations import dilog_variation
@@ -60,6 +65,17 @@ def test_monodromy_filtration_random_nilpotent_axioms(rng):
         N = np.linalg.inv(g) @ blocks @ g
         filt = monodromy_weight_filtration(N, center=0)
         assert filt.at(max(filt.indices)).dim == n
+
+
+def test_exact_input_nilpotent_only_at_tolerance_raises():
+    # N^1 is below the tolerance but not zero: the power table must not read
+    # it as zero, so both filtrations refuse the input as not nilpotent
+    N = [[Fraction(1, 10 ** 12), 0], [0, 0]]
+    W = weight_filtration([(-2, Subspace.from_rows([[0, 1]], 2)), (0, Subspace.full(2))], 2)
+    with pytest.raises(NotNilpotent):
+        monodromy_weight_filtration(N)
+    with pytest.raises(NotNilpotent):
+        relative_weight_filtration(N, W)
 
 
 def test_monodromy_exact_arithmetic_path():
@@ -221,3 +237,159 @@ def test_limit_height_reduces_to_height_when_graded_trivial(rng):
     orbit2 = NilpotentOrbit(orbit.W, orbit.N,
                             orbit.F_inf.map_spaces(lambda s: s.image_under(G)))
     assert limit_height(orbit2, v.orientation) == pytest.approx(lh, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the relative weight filtration against its unwindowed construction
+
+TOL = 1e-9
+
+
+def full_window_rec(Nmat, Nf, powers, W, weights, n, tol):
+    """The peeling recursion over every index in [min(M') - 2n - 2, k + n + 1],
+    each entry recomputed, powers above m read as N^m."""
+    k_top = weights[-1]
+    top_space = W.at(k_top)
+    if len(weights) == 1:
+        return _centered_on_subspace(Nmat, Nf, top_space, k_top, n, tol)
+    Msub = full_window_rec(Nmat, Nf, powers, W, weights[:-1], n, tol)
+    m = len(powers) - 1
+    lo = min(Msub) - 2 * n - 2
+    hi = k_top + n + 1
+
+    def msub_at(j):
+        best = Subspace.zero(n)
+        for idx in sorted(Msub):
+            if idx <= j:
+                best = Msub[idx]
+        return best
+
+    M = {}
+    for j in range(0, hi - k_top + 1):
+        pre = msub_at(k_top - j - 2).preimage_under(powers[min(j + 1, m)], tol)
+        M[k_top + j] = pre.intersect(top_space, tol)
+    for j in range(1, k_top - lo + 1):
+        pushed = M[k_top + j].image_under(powers[min(j, m)], tol) if k_top + j in M \
+            else Subspace.zero(n)
+        M[k_top - j] = pushed.add(msub_at(k_top - j), tol)
+    return M
+
+
+def full_range_check(M, Nmat, Nf, W, n, tol):
+    """Both axioms, the graded one at every j in [k - 2n, k + 2n]."""
+    for k in M.indices:
+        if not M.at(k - 2).contains(M.at(k).image_under(Nmat, tol), tol):
+            raise DoesNotExist("candidate filtration is not lowered by two under N")
+    for k in W.indices:
+        Wk, Wk1 = W.at(k), W.at(k - 1)
+        if Wk.dim == Wk1.dim:
+            continue
+        ref = monodromy_weight_filtration(_induced_on_graded(Nf, Wk, Wk1, tol), k, tol)
+        for j in range(k - 2 * n, k + 2 * n + 1):
+            got = M.at(j).intersect(Wk, tol).add(Wk1, tol).dim - Wk1.dim
+            if got != ref.at(j).dim:
+                raise DoesNotExist("induced filtration differs from the monodromy filtration")
+
+
+def reference_relative_weight_filtration(N, W, tol=TOL):
+    Nf, exact = _as_subspace_matrix(N)
+    n = W.ambient_dim
+    m = check_nilpotent(Nf, tol)
+    Nmat = exact if exact is not None else Nf
+    for k in W.indices:
+        if not W.at(k).contains(W.at(k).image_under(Nmat, tol), tol):
+            raise DoesNotExist("N does not preserve the weight filtration")
+    steps = full_window_rec(Nmat, Nf, _powers(Nmat, m), W, W.indices, n, tol)
+    try:
+        M = _steps_to_filtration(steps, n)
+    except MalformedFiltration as exc:
+        raise DoesNotExist(str(exc)) from exc
+    full_range_check(M, Nmat, Nf, W, n, tol)
+    return M
+
+
+def _outcome(fn, N, W):
+    try:
+        return fn(N, W, TOL)
+    except DoesNotExist:
+        return None
+
+
+def _assert_same_filtration(got, want, exact):
+    assert got.indices == want.indices
+    for k in want.indices:
+        if exact:
+            assert got.at(k).exact == want.at(k).exact, k
+        else:
+            assert got.at(k).equals(want.at(k), TOL), k
+
+
+def _non_admissible_candidate(rng):
+    """W in coordinates and a nilpotent N preserving it (strictly lower in an
+    order of decreasing weight), moved by a random unimodular change of
+    basis; the relative filtration often does not exist."""
+    n = int(rng.integers(2, 6))
+    weights = sorted(rng.integers(-2, 3, size=n).tolist(), reverse=True)
+    N = np.tril(rng.integers(-1, 2, size=(n, n)), -1).astype(float)
+    N[rng.random((n, n)) < 0.4] = 0.0
+    g = np.eye(n) + np.triu(rng.integers(-1, 2, size=(n, n)), 1)
+    perm = rng.permutation(n)
+    g = g[perm][:, perm]
+    ginv = np.round(np.linalg.inv(g))
+    W = weight_filtration(
+        [(k, Subspace.from_rows([g[:, i] for i in range(n) if weights[i] <= k], n))
+         for k in sorted(set(weights))], n)
+    return np.round(g @ N @ ginv), W
+
+
+def test_windowed_relative_filtration_matches_full_window_oracle():
+    rng = np.random.default_rng(4242)
+    for _ in range(100):
+        W, N, _ = random_deligne_system(rng)
+        Nr = np.round(N)
+        assert maxabs(N - Nr) < 1e-9
+        # raw float N when it carries noise, and N / 3, which always takes the
+        # float path (M does not change when N is scaled)
+        for Nf in ((N, N / 3) if maxabs(N - Nr) else (N / 3,)):
+            want = _outcome(reference_relative_weight_filtration, Nf, W)
+            got = _outcome(relative_weight_filtration, Nf, W)
+            assert (got is None) == (want is None)
+            if want is not None:
+                _assert_same_filtration(got, want, exact=False)
+        # N rounded to the integers it stands for: the exact path
+        want = reference_relative_weight_filtration(Nr, W)
+        got = relative_weight_filtration(Nr, W)
+        assert got.at(max(got.indices)).is_exact()
+        _assert_same_filtration(got, want, exact=True)
+
+
+def test_windowed_relative_filtration_fails_where_the_oracle_fails():
+    rng = np.random.default_rng(777)
+    failed = admissible = 0
+    for _ in range(60):
+        N, W = _non_admissible_candidate(rng)
+        want = _outcome(reference_relative_weight_filtration, N, W)
+        got = _outcome(relative_weight_filtration, N, W)
+        if want is None:
+            failed += 1
+            assert got is None
+        else:
+            admissible += 1
+            _assert_same_filtration(got, want, exact=True)
+    assert failed >= 15 and admissible >= 15
+
+
+def test_relative_filtration_preimages_stay_in_the_live_window(monkeypatch):
+    orbit, _ = cubic_orbit()
+    calls = []
+    original = Subspace.preimage_under
+
+    def counted(self, A, tol=None):
+        calls.append(1)
+        return original(self, A, tol)
+
+    monkeypatch.setattr(Subspace, "preimage_under", counted)
+    M = relative_weight_filtration(orbit.N, orbit.W)
+    m = check_nilpotent(orbit.N)
+    assert M.indices == [-6, -4, -2, 0]
+    assert 0 < len(calls) <= (m - 1) * (len(orbit.W.indices) - 1)

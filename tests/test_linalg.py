@@ -174,3 +174,83 @@ def test_exact_contains_agrees_with_sum_dimension(pair):
     assert A.is_exact() and B.is_exact()
     assert A.contains(B) == (A.add(B).dim == A.dim)
     assert B.contains(A) == (B.add(A).dim == B.dim)
+
+
+def _dense_rref(rows, n):
+    """Gauss-Jordan over Fractions on every entry, no shortcuts."""
+    M = [list(r) for r in rows]
+    r = 0
+    for c in range(n):
+        sel = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if sel is None:
+            continue
+        M[r], M[sel] = M[sel], M[r]
+        p = M[r][c]
+        M[r] = [x / p for x in M[r]]
+        for k in range(len(M)):
+            if k != r:
+                f = M[k][c]
+                M[k] = [a - f * b for a, b in zip(M[k], M[r])]
+        r += 1
+    return M[:r]
+
+
+def _dense_null(rows, n):
+    """Echelon basis of {v : row . v = 0 for every row}."""
+    R = _dense_rref(rows, n)
+    piv = [next(c for c in range(n) if row[c] != 0) for row in R]
+    basis = []
+    for f in (c for c in range(n) if c not in piv):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(R, piv):
+            v[p] = -row[f]
+        basis.append(v)
+    return _dense_rref(basis, n)
+
+
+def _dense_apply(A, v):
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A]
+
+
+_sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), _fractions)
+
+
+@st.composite
+def _exact_kernel_case(draw):
+    """A sparse rational n x n matrix (possibly zero) and two exact subspaces
+    of Q^n (each zero, full or spanned by sparse rational rows), n <= 6."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(_sparse_fractions, min_size=n, max_size=n)
+    if draw(st.booleans()) and draw(st.booleans()):
+        A = [[Fraction(0)] * n for _ in range(n)]
+    else:
+        A = draw(st.lists(row, min_size=n, max_size=n))
+
+    def space():
+        kind = draw(st.sampled_from(["zero", "full", "rows", "rows"]))
+        if kind == "zero":
+            return Subspace.zero(n)
+        if kind == "full":
+            return Subspace.full(n)
+        return Subspace.from_rows(draw(st.lists(row, max_size=n)), n)
+
+    return n, A, space(), space()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_kernel_case())
+def test_exact_kernel_matches_dense_reference(case):
+    n, A, S, T = case
+    image = S.image_under(A)
+    assert image.is_exact()
+    assert image.exact == _dense_rref([_dense_apply(A, v) for v in S.exact], n)
+    ann = _dense_null(S.exact, n)
+    pre = S.preimage_under(A)
+    assert pre.is_exact()
+    want = _dense_null([_dense_apply(list(zip(*A)), phi) for phi in ann], n) if ann \
+        else _dense_rref(Subspace.full(n).exact, n)
+    assert pre.exact == want
+    both = S.intersect(T)
+    assert both.is_exact()
+    assert both.exact == _dense_null(_dense_null(S.exact, n) + _dense_null(T.exact, n), n)
