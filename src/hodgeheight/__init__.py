@@ -1,7 +1,7 @@
 """Deligne bigradings, splittings and signed heights of mixed Hodge structures."""
 
 from .biextension import BiextensionSpec, build_biextension, extract_invariants
-from .config import Config, default_tol
+from .config import default_tol
 from .dilog import bloch_wigner, li2
 from .height import (
     Orientation,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiextensionSpec",
-    "Config",
     "DeligneBigrading",
     "DeligneSystem",
     "Filtration",

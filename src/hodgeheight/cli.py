@@ -2,11 +2,15 @@
 
     hodgeheight validate FILE
     hodgeheight compute FILE --what {bigrading,delta,height,limit-height}
-    hodgeheight scenario NAME [params]
+    hodgeheight scenario NAME [params] [--format {json,csv}]
     hodgeheight sweep FILE --z-start Z --z-end Z --count N
 
+Global flags, before or after the subcommand: --tol, --precision, --out.
+
 Exit codes: 0 success, 1 validation/assertion failure, 2 numerical tolerance
-failure, 3 I/O or parse failure.
+failure, 3 I/O or parse failure.  Bad arguments, including a --tol (or
+HODGE_TOL) that is not finite and positive and a --precision below 53, are
+usage errors: argparse prints the usage and exits with status 2.
 """
 from __future__ import annotations
 
@@ -14,11 +18,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
-from .config import Config, default_tol
+from .config import default_tol
 from .errors import HodgeError, NoConvergence, NotAnMHS
 from .height import OrientedMHS, height
 from .limits import limit_height
@@ -264,16 +269,15 @@ def cmd_sweep(args) -> int:
 
 
 def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
-    d = argparse.SUPPRESS if suppress else None
-    ap.add_argument("--tol", type=float, help="comparison tolerance",
-                    **({"default": d} if suppress else {"default": None}))
-    ap.add_argument("--precision", type=int, help="working precision in bits",
-                    **({"default": d} if suppress else {"default": 53}))
-    ap.add_argument("--seed", type=int, **({"default": d} if suppress else {"default": 0}))
-    ap.add_argument("--format", choices=["json", "csv"],
-                    **({"default": d} if suppress else {"default": "json"}))
-    ap.add_argument("--out", help="write output to a file instead of stdout",
-                    **({"default": d} if suppress else {"default": None}))
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    ap.add_argument("--tol", type=float, default=default(None),
+                    help="comparison tolerance, finite and positive")
+    ap.add_argument("--precision", type=int, default=default(53),
+                    help="working precision in bits, at least 53")
+    ap.add_argument("--out", default=default(None),
+                    help="write output to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario", help="run a named worked example", parents=[common])
     p.add_argument("name", choices=["dilog", "triangle", "family", "dim0", "orbit6iii"])
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--s", default="0.5+0.5j")
     p.add_argument("--z", default="1j")
     p.add_argument("--t", default="-1j")
@@ -328,8 +333,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.tol is None:
         args.tol = default_tol()
-    Config(tol=args.tol, precision_bits=args.precision, seed=args.seed,
-           output_format=args.format)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        ap.error(f"the tolerance must be finite and positive, got {args.tol}")
+    if args.precision < 53:
+        ap.error(f"--precision must be at least 53 bits, got {args.precision}")
     return args.func(args)
 
 

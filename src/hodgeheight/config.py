@@ -1,11 +1,9 @@
-"""Run-time configuration: tolerances, precision, seeds, output format."""
+"""Run-time configuration: the default comparison tolerance."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
-DEFAULT_PRECISION_BITS = 53
 
 
 def default_tol() -> float:
@@ -14,19 +12,3 @@ def default_tol() -> float:
     if env is not None:
         return float(env)
     return DEFAULT_TOL
-
-
-@dataclass(frozen=True)
-class Config:
-    tol: float = DEFAULT_TOL
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    seed: int = 0
-    output_format: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.precision_bits < 53:
-            raise ValueError("precision must be at least 53 bits")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output_format must be 'json' or 'csv'")

@@ -11,7 +11,8 @@ sphere and vanishing at 0, 1, infinity and on the real axis.
 
 Requesting more than 53 bits routes the evaluation through mpmath at the
 corresponding working precision (the limit linear algebra elsewhere stays in
-doubles).
+doubles); mpmath is imported only then, so importing the package does not
+load it.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from fractions import Fraction
 from math import atan2, comb, log, pi
 
 import cmath
-
-import mpmath
 
 ZETA2 = pi * pi / 6
 CATALAN = 0.915965594177219015054603514932384110774
@@ -95,6 +94,8 @@ def li2(z: complex, precision_bits: int = 53) -> BranchedValue:
 def _li2_mp(z: complex, precision_bits: int) -> complex:
     """mpmath evaluation; the principal branch matches ours off the cut.  On
     the cut [1, inf) the arg = -pi convention picks the limit from above."""
+    import mpmath  # imported on first use: only precision above 53 bits needs it
+
     with mpmath.workprec(precision_bits + 10):
         w = mpmath.mpc(z.real, z.imag)
         if z.imag == 0.0 and z.real > 1.0:
@@ -122,6 +123,8 @@ def bloch_wigner(z, precision_bits: int = 53) -> float:
     if z.imag == 0.0:
         return 0.0
     if precision_bits > 53:
+        import mpmath
+
         with mpmath.workprec(precision_bits + 10):
             w = mpmath.mpc(z.real, z.imag)
             val = mpmath.im(mpmath.polylog(2, w)) + \

@@ -38,8 +38,11 @@ an sl2-triple (N0, Y - Y', N0+) commuting with the deeper components of N.
 Starting from any grading of W that commutes with Y (built from Y-invariant
 echelon complements), the defect [N - N0, N0+] is killed depth by depth with
 corrections exp(gamma), gamma of the appropriate bidegree; each step is a
-linear solve and nilpotency bounds the number of steps.  All bracket
-identities are verified post hoc.
+linear solve and nilpotency bounds the number of steps.  Each step computes
+the eigenspaces of Y' once: they give its projectors (linalg.graded_projectors),
+every degree part of N and of the defect in one linalg.graded_parts call
+each, and the final check that Y' grades W.  All bracket identities are
+verified post hoc.
 """
 from __future__ import annotations
 
@@ -62,8 +65,12 @@ from .linalg import (
     Subspace,
     check_nilpotent,
     expm_nilpotent,
+    graded_parts,
+    graded_projectors,
     lin_ad,
     maxabs,
+    nullspace_exact,
+    nullspace_float,
     rational_rows,
     solve_linear,
     unvec,
@@ -95,29 +102,24 @@ def monodromy_weight_filtration(N, center: int = 0,
     Nop = exact if exact is not None else Nf
     powers = _powers(Nop, m)
 
-    def kernel_power(j: int) -> Subspace:
-        if j <= 0:
-            return Subspace.zero(n)
-        if j >= m:
-            return Subspace.full(n)
+    def kernel(e: int) -> Subspace:
         if exact is not None:
-            from .linalg import nullspace_exact
-            return Subspace.from_rows(nullspace_exact(powers[j], n), n)
-        from .linalg import nullspace_float
-        return Subspace.from_rows(nullspace_float(powers[j], tol), n, tol)
+            return Subspace.from_rows(nullspace_exact(powers[e], n), n)
+        return Subspace.from_rows(nullspace_float(powers[e], tol), n, tol)
 
-    def image_power(space: Subspace, j: int) -> Subspace:
-        out = space
-        for _ in range(j):
-            out = out.image_under(Nop, tol)
-        return out
+    # ker N^e for e = 0..m, each computed once: zero at e = 0, everything at m
+    kernels = [Subspace.zero(n), *(kernel(e) for e in range(1, m)), Subspace.full(n)]
+    images: dict[tuple[int, int], Subspace] = {}   # (e, j) -> N^j ker N^e
 
     steps: list[tuple[int, Subspace]] = []
     prev_dim = -1
     for k in range(-m, m + 1):
         total = Subspace.zero(n)
         for j in range(0, m + 1):
-            total = total.add(image_power(kernel_power(k + 2 * j + 1), j), tol)
+            e = min(max(k + 2 * j + 1, 0), m)
+            if (e, j) not in images:
+                images[(e, j)] = kernels[e].image_under(powers[j], tol) if j else kernels[e]
+            total = total.add(images[(e, j)], tol)
         if total.dim > prev_dim and total.dim > 0:
             steps.append((k + center, total))
             prev_dim = total.dim
@@ -317,83 +319,56 @@ class DeligneSystem:
         return self.sl2[0]
 
 
-def _grading_projectors(Y: np.ndarray, levels: list[int], tol: float):
-    """Eigenprojectors of a (possibly non-diagonal) grading with the given
-    integer eigenvalues."""
-    from .linalg import nullspace_float
-
+def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, Subspace]:
+    """The nonzero eigenspaces of Y at the given integer eigenvalues."""
     n = Y.shape[0]
     spaces = {}
     for k in levels:
-        E = nullspace_float(Y - k * np.eye(n), tol)
-        if E.shape[0]:
+        E = Subspace.from_rows(nullspace_float(Y - k * np.eye(n), tol), n, tol)
+        if E.dim:
             spaces[k] = E
-    C = np.vstack([spaces[k] for k in sorted(spaces)]).T
-    if C.shape[1] != n:
+    return spaces
+
+
+def _grades(spaces: dict[int, Subspace], W: Filtration, tol: float) -> bool:
+    """Whether the pieces (eigenvalue -> eigenspace) grade W: for every weight
+    k, the pieces with eigenvalue <= k span exactly W_k."""
+    span, pending = Subspace.zero(W.ambient_dim), sorted(spaces)
+    for k in W.indices:
+        while pending and pending[0] <= k:
+            span = span.add(spaces[pending.pop(0)], tol)
+        if span.dim != W.at(k).dim or not W.at(k).contains(span, tol):
+            return False
+    return True
+
+
+def _grading_projectors(spaces: dict[int, Subspace], n: int) -> dict[int, np.ndarray]:
+    """Eigenprojectors of a grading from its eigenspaces, which must span."""
+    if sum(s.dim for s in spaces.values()) != n:
         raise ConstructionFailed("grading eigenspaces do not span")
-    Cinv = np.linalg.inv(C)
-    proj = {}
-    idx = 0
-    for k in sorted(spaces):
-        d = spaces[k].shape[0]
-        E = np.zeros((n, n), dtype=complex)
-        for t in range(idx, idx + d):
-            E[t, t] = 1.0
-        proj[k] = C @ E @ Cinv
-        idx += d
-    return proj
-
-
-def _ad_component(proj: dict[int, np.ndarray], A: np.ndarray, j: int) -> np.ndarray:
-    out = np.zeros_like(np.asarray(A, dtype=complex))
-    for k in proj:
-        if k + j in proj:
-            out = out + proj[k + j] @ A @ proj[k]
-    return out
+    return graded_projectors({k: s.basis for k, s in spaces.items()})
 
 
 def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> np.ndarray:
     """A grading of W commuting with Y: Y-invariant echelon complements of
     consecutive weight steps.  When Y already grades W it is returned as is."""
-    from .linalg import nullspace_float
-
     n = W.ambient_dim
     evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
-    # fast path: Y itself grades W
-    cums = {}
-    total = Subspace.zero(n)
-    grades_w = True
-    for mu in evs:
-        E = Subspace.from_rows(nullspace_float(Y - mu * np.eye(n), tol), n, tol)
-        total = total.add(E, tol)
-        cums[mu] = total
-    for k in W.indices:
-        lower = [cums[mu] for mu in evs if mu <= k]
-        space = lower[-1] if lower else Subspace.zero(n)
-        if space.dim != W.at(k).dim or not W.at(k).contains(space, tol):
-            grades_w = False
-            break
-    if grades_w:
+    eigen = _eigenspaces(Y, evs, tol)
+    if _grades(eigen, W, tol):
         return np.asarray(Y, dtype=complex)
 
-    pieces = []
-    weights = []
+    pieces: dict[int, np.ndarray] = {}
     prev = Subspace.zero(n)
     for k in W.indices:
         Wk = W.at(k)
-        for mu in evs:
-            E = Subspace.from_rows(nullspace_float(Y - mu * np.eye(n), tol), n, tol)
-            big = E.intersect(Wk, tol)
-            small = E.intersect(prev, tol)
-            comp = small.complement_in(big, tol)
-            if comp.dim:
-                pieces.append(comp.basis)
-                weights.extend([k] * comp.dim)
+        comps = [E.intersect(prev, tol).complement_in(E.intersect(Wk, tol), tol)
+                 for E in eigen.values()]
+        pieces[k] = np.vstack([c.basis for c in comps])
         prev = Wk
-    C = np.vstack(pieces).T
-    if C.shape[1] != n:
+    if sum(len(b) for b in pieces.values()) != n:
         raise ConstructionFailed("initial grading construction did not span")
-    return C @ np.diag(np.array(weights, dtype=complex)) @ np.linalg.inv(C)
+    return sum(k * P for k, P in graded_projectors(pieces).items())
 
 
 def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
@@ -413,9 +388,12 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     levels = W.indices
     span = levels[-1] - levels[0]
 
+    zero = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
-        proj = _grading_projectors(Yp, levels, tol)
-        N0 = _ad_component(proj, N, 0)
+        spaces = _eigenspaces(Yp, levels, tol)
+        proj = _grading_projectors(spaces, n)
+        N_parts = graded_parts(proj, N)
+        N0 = N_parts.get(0, zero)
         H = Y - Yp
         # Jacobson-Morozov completion: [Y',X] = 0, [H,X] = 2X, [X,N0] = H
         eye2 = np.eye(n * n)
@@ -428,18 +406,15 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
         R = (N - N0) @ N0p - N0p @ (N - N0)
         if maxabs(R) <= 10 * tol * scale:
             break
-        j0, Rj0 = None, None
-        for j in range(1, span + 1):
-            Rj = _ad_component(proj, R, -j)
-            if maxabs(Rj) > 10 * tol * scale:
-                j0, Rj0 = j, Rj
-                break
+        R_parts = graded_parts(proj, R)
+        j0 = next((j for j in range(1, span + 1)
+                   if maxabs(R_parts.get(-j, zero)) > 10 * tol * scale), None)
         if j0 is None:
             break
         # correction gamma: [Y,g] = 0, [Y',g] = -j0 g, ad(N0+) ad(N0) g = R_{-j0}
         L2 = np.vstack([lin_ad(Y), lin_ad(Yp) + j0 * np.eye(n * n),
                         lin_ad(N0p) @ lin_ad(N0)])
-        rhs2 = np.concatenate([np.zeros(n * n), np.zeros(n * n), vec(Rj0)])
+        rhs2 = np.concatenate([np.zeros(n * n), np.zeros(n * n), vec(R_parts[-j0])])
         g, res2 = solve_linear(L2, rhs2)
         if res2 > 1e3 * tol * scale:
             raise ConstructionFailed("depth correction system is inconsistent")
@@ -449,17 +424,14 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     else:
         raise ConstructionFailed("grading iteration did not converge")
 
-    proj = _grading_projectors(Yp, levels, tol)
-    comps = {}
-    for j in range(0, span + 1):
-        part = _ad_component(proj, N, -j)
-        if maxabs(part) > tol * scale:
-            comps[j] = part
-    N0 = comps.get(0, np.zeros((n, n), dtype=complex))
+    # every exit of the loop above comes before Yp moves, so spaces, proj and
+    # N_parts belong to the final Yp
+    comps = {j: N_parts[-j] for j in range(0, span + 1)
+             if -j in N_parts and maxabs(N_parts[-j]) > tol * scale}
+    N0 = comps.get(0, zero)
     H = Y - Yp
 
-    residual = 0.0
-    residual = max(residual, maxabs(Y @ Yp - Yp @ Y))
+    residual = maxabs(Y @ Yp - Yp @ Y)
     residual = max(residual, maxabs(sum(comps.values()) - N) if comps else maxabs(N))
     for j, part in comps.items():
         residual = max(residual, maxabs(Yp @ part - part @ Yp + j * part))
@@ -467,13 +439,8 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     residual = max(residual, maxabs(N0p @ N0 - N0 @ N0p - H))
     residual = max(residual, maxabs(H @ N0p - N0p @ H - 2 * N0p))
     residual = max(residual, maxabs((N - N0) @ N0p - N0p @ (N - N0)))
-    # Y' must grade W: projector images (column spaces) with eigenvalue <= k
-    # must span exactly W_k
-    for k in levels:
-        rows = [proj[m].T for m in proj if m <= k]
-        space = Subspace.from_rows(np.vstack(rows), n, tol) if rows else Subspace.zero(n)
-        if space.dim != W.at(k).dim or not W.at(k).contains(space, tol):
-            raise ConstructionFailed("result does not grade the weight filtration")
+    if not _grades(spaces, W, tol):
+        raise ConstructionFailed("result does not grade the weight filtration")
     residual /= scale
     if residual > 1e3 * tol:
         raise ConstructionFailed(f"bracket identities fail at {residual:.3e}")
@@ -539,8 +506,8 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
     Y = Hlim.bigrading(tol).Y
     system = deligne_system_grading(orbit.W, orbit.N, Y, tol)
     spl = deligne_delta(Hlim, tol)
-    proj = _grading_projectors(system.Yprime, weights, tol)
-    deep = _ad_component(proj, spl.delta.astype(complex), -length)
+    proj = _grading_projectors(_eigenspaces(system.Yprime, weights, tol), orbit.dim)
+    deep = graded_parts(proj, spl.delta).get(-length, np.zeros((orbit.dim, orbit.dim)))
     vec_out = deep @ np.asarray(orientation.top, dtype=complex)
     return _coefficient_against_bottom(vec_out, orientation.bottom, tol,
                                        max(maxabs(vec_out), maxabs(spl.delta)))

@@ -9,7 +9,7 @@ one, so rank decisions on that data never involve a threshold.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .errors import DimensionMismatch, NotNilpotent
 Matrix = np.ndarray
 
 # the ambient field: complex scalars in the fixed rational coordinate basis,
-# conjugated entrywise; working precision is Config.precision_bits (53 here,
-# higher precision is routed through the special-function backends)
+# conjugated entrywise, in double precision
 Scalar = complex
 
 # ---------------------------------------------------------------------------
@@ -449,6 +448,41 @@ def logm_unipotent(G: Matrix) -> Matrix:
         if not np.any(T):
             break
         out = out + ((-1) ** (k + 1)) * T / k
+    return out
+
+
+def graded_projectors(pieces: Mapping[Hashable, Matrix]) -> dict[Hashable, Matrix]:
+    """Projectors of a direct-sum decomposition C^n = (+) pieces[k], each
+    piece given by the rows of a basis.  With C the matrix whose columns are
+    the piece bases in key order, the projector onto piece k along the others
+    is C[:, block_k] @ inv(C)[block_k]."""
+    keys = sorted(pieces)
+    C = np.vstack([pieces[k] for k in keys]).T
+    Cinv = np.linalg.inv(C)
+    out = {}
+    start = 0
+    for k in keys:
+        block = slice(start, start + len(pieces[k]))
+        out[k] = C[:, block] @ Cinv[block]
+        start = block.stop
+    return out
+
+
+def graded_parts(proj: Mapping[Hashable, Matrix], A: Matrix) -> dict[Hashable, Matrix]:
+    """Every degree part of A with respect to the projectors of a grading.
+
+    Keys are integer weights or tuples such as (p, q) bidegrees, subtracted
+    componentwise: the part of degree g is the sum of P_l A P_k over the
+    pairs of keys with l - k = g, so it maps piece k into piece k + g, and
+    the parts sum to A."""
+    A = np.asarray(A, dtype=complex)
+    left = {l: P @ A for l, P in proj.items()}
+    out: dict[Hashable, Matrix] = {}
+    for k in sorted(proj):
+        for l in sorted(proj):
+            g = tuple(a - b for a, b in zip(l, k)) if isinstance(k, tuple) else l - k
+            block = left[l] @ proj[k]
+            out[g] = out[g] + block if g in out else block
     return out
 
 

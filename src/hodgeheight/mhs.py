@@ -20,18 +20,20 @@ candidate lattice, its ValidationReport, its DeligneBigrading and its
 splitting (see splitting.deligne_delta) are each computed once per resolved
 tolerance and cached on the structure, so validate(tol) followed by
 bigrading(tol) builds the lattice once, while a call at another tol computes
-afresh.
+afresh.  A DeligneBigrading builds its projectors (linalg.graded_projectors)
+and its grading Y once, when it is made, and keeps them read-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .config import default_tol
 from .errors import MalformedFiltration, NotAnMHS
-from .linalg import Subspace, echelonize, maxabs
+from .linalg import Subspace, echelonize, graded_projectors, maxabs
 
 if TYPE_CHECKING:
     from .splitting import Splitting
@@ -125,14 +127,31 @@ def hodge_filtration(steps: Iterable[tuple[int, Subspace]], dim: int) -> Filtrat
 # the bigrading
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeligneBigrading:
-    """The decomposition V_C = (+) I^{p,q} with its projectors and grading."""
+    """The decomposition V_C = (+) I^{p,q} with its projectors and grading.
 
-    components: dict[tuple[int, int], Subspace]
-    basis: np.ndarray                     # columns: component bases in key order
+    The projectors onto each I^{p,q} and onto each weight piece (the sum over
+    p + q = k) and the grading Y (k on the weight-k piece) are built once at
+    construction and are read-only, because the cached bigrading is shared."""
+
+    components: Mapping[tuple[int, int], Subspace]
     ambient_dim: int
-    _proj: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    projectors: Mapping[tuple[int, int], np.ndarray] = field(init=False, repr=False)
+    weight_projectors: Mapping[int, np.ndarray] = field(init=False, repr=False)
+    Y: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        proj = graded_projectors({key: s.basis for key, s in self.components.items()})
+        by_weight: dict[int, np.ndarray] = {}
+        for (p, q), P in proj.items():
+            by_weight[p + q] = by_weight[p + q] + P if p + q in by_weight else P
+        Y = sum(k * P for k, P in by_weight.items())
+        for m in (Y, *proj.values(), *by_weight.values()):
+            m.setflags(write=False)
+        object.__setattr__(self, "projectors", MappingProxyType(proj))
+        object.__setattr__(self, "weight_projectors", MappingProxyType(by_weight))
+        object.__setattr__(self, "Y", Y)
 
     @property
     def keys(self) -> list[tuple[int, int]]:
@@ -140,50 +159,14 @@ class DeligneBigrading:
 
     @property
     def weights(self) -> list[int]:
-        return sorted({p + q for p, q in self.components})
+        return sorted(self.weight_projectors)
 
     def projector(self, p: int, q: int) -> np.ndarray:
-        key = (p, q)
-        if key not in self._proj:
-            self._build_projectors()
-        return self._proj[key]
+        return self.projectors[(p, q)]
 
     def weight_projector(self, k: int) -> np.ndarray:
         n = self.ambient_dim
-        out = np.zeros((n, n), dtype=complex)
-        for (p, q) in self.components:
-            if p + q == k:
-                out = out + self.projector(p, q)
-        return out
-
-    def _build_projectors(self) -> None:
-        n = self.ambient_dim
-        Cinv = np.linalg.inv(self.basis)
-        idx = 0
-        for key in self.keys:
-            d = self.components[key].dim
-            E = np.zeros((n, n), dtype=complex)
-            for j in range(idx, idx + d):
-                E[j, j] = 1.0
-            self._proj[key] = self.basis @ E @ Cinv
-            idx += d
-
-    @property
-    def Y(self) -> np.ndarray:
-        n = self.ambient_dim
-        out = np.zeros((n, n), dtype=complex)
-        for (p, q) in self.components:
-            out = out + (p + q) * self.projector(p, q)
-        return out
-
-    def ad_weight_component(self, A: np.ndarray, m: int) -> np.ndarray:
-        """Component of A on which ad Y acts as multiplication by m."""
-        n = self.ambient_dim
-        out = np.zeros((n, n), dtype=complex)
-        for k in self.weights:
-            if k + m in self.weights:
-                out = out + self.weight_projector(k + m) @ A @ self.weight_projector(k)
-        return out
+        return self.weight_projectors.get(k, np.zeros((n, n), dtype=complex))
 
     def lift(self, vector, p: int, q: int, modulo: Subspace,
              tol: float | None = None) -> np.ndarray:
@@ -326,9 +309,7 @@ class MixedHodgeStructure:
         report = self.validate(tol)
         if not report.ok:
             raise NotAnMHS("; ".join(report.failures))
-        comps = self._candidates_at(tol)
-        basis = np.vstack([comps[k].basis for k in sorted(comps)]).T
-        self._bigradings[tol] = DeligneBigrading(comps, basis, self.dim)
+        self._bigradings[tol] = DeligneBigrading(self._candidates_at(tol), self.dim)
         return self._bigradings[tol]
 
 

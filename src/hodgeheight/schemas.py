@@ -18,7 +18,7 @@ from .errors import HodgeError
 from .height import Orientation, OrientedMHS
 from .limits import NilpotentOrbit
 from .linalg import Subspace
-from .mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
+from .mhs import Filtration, MixedHodgeStructure, hodge_filtration, weight_filtration
 from .variations import GammaPoly, LocalVariation
 
 
@@ -58,17 +58,20 @@ def _dump_complex(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def parse_mhs(doc: dict) -> MixedHodgeStructure:
+def _filtrations(doc: dict, hodge_key: str) -> tuple[Filtration, Filtration]:
+    """The weight filtration of a file and the Hodge filtration under hodge_key."""
     n = int(doc["dimension"])
-    wsteps = []
-    for step in doc["weight_filtration"]:
-        basis = _rational_matrix(step["basis"])
-        wsteps.append((int(step["weight"]), Subspace.from_rows(basis, n)))
-    fsteps = []
-    for step in doc["hodge_filtration"]:
-        basis = _complex_matrix(step["basis"])
-        fsteps.append((int(step["level"]), Subspace.from_rows(basis, n)))
-    return MixedHodgeStructure(weight_filtration(wsteps, n), hodge_filtration(fsteps, n))
+    W = weight_filtration([(int(step["weight"]),
+                            Subspace.from_rows(_rational_matrix(step["basis"]), n))
+                           for step in doc["weight_filtration"]], n)
+    F = hodge_filtration([(int(step["level"]),
+                           Subspace.from_rows(_complex_matrix(step["basis"]), n))
+                          for step in doc[hodge_key]], n)
+    return W, F
+
+
+def parse_mhs(doc: dict) -> MixedHodgeStructure:
+    return MixedHodgeStructure(*_filtrations(doc, "hodge_filtration"))
 
 
 def parse_orientation(doc: dict) -> Orientation | None:
@@ -88,33 +91,13 @@ def parse_oriented_mhs(doc: dict) -> OrientedMHS:
 
 
 def parse_orbit(doc: dict) -> tuple[NilpotentOrbit, Orientation | None]:
-    n = int(doc["dimension"])
-    wsteps = []
-    for step in doc["weight_filtration"]:
-        wsteps.append((int(step["weight"]),
-                       Subspace.from_rows(_rational_matrix(step["basis"]), n)))
-    W = weight_filtration(wsteps, n)
-    fsteps = []
-    for step in doc["f_infinity"]:
-        fsteps.append((int(step["level"]),
-                       Subspace.from_rows(_complex_matrix(step["basis"]), n)))
-    F = hodge_filtration(fsteps, n)
+    W, F = _filtrations(doc, "f_infinity")
     N = _rational_matrix(doc["nilpotent"])
     return NilpotentOrbit(W, N, F), parse_orientation(doc)
 
 
 def parse_variation(doc: dict) -> LocalVariation:
-    n = int(doc["dimension"])
-    wsteps = []
-    for step in doc["weight_filtration"]:
-        wsteps.append((int(step["weight"]),
-                       Subspace.from_rows(_rational_matrix(step["basis"]), n)))
-    W = weight_filtration(wsteps, n)
-    fsteps = []
-    for step in doc["f_infinity"]:
-        fsteps.append((int(step["level"]),
-                       Subspace.from_rows(_complex_matrix(step["basis"]), n)))
-    F = hodge_filtration(fsteps, n)
+    W, F = _filtrations(doc, "f_infinity")
     nilpotents = tuple(np.array([[float(_parse_rational(x)) for x in row] for row in mat])
                        for mat in doc["nilpotents"])
     terms = {}

@@ -11,7 +11,10 @@ Ad(exp(w)) Y = conj(Y), peeling the mismatch depth by depth along the ad-Y
 eigenvalues (all <= -1 on the relevant subalgebra, so each depth is solvable
 by division); nilpotency makes the iteration terminate after at most the
 weight span.  Realness, the bidegree constraint and the defining relation are
-verified post hoc.
+verified post hoc.  Both splittings of a matrix by degree come from
+linalg.graded_parts over projectors the bigrading already holds: each step
+takes every negative ad-Y part of the mismatch in one call over the weight
+projectors, and gl_hodge_components is the same call over the (p, q) ones.
 
 deligne_delta computes the Splitting once per structure and resolved
 tolerance and caches it on the MixedHodgeStructure, next to the lattice,
@@ -28,7 +31,7 @@ import numpy as np
 
 from .config import default_tol
 from .errors import NoConvergence
-from .linalg import expm_nilpotent, maxabs, nullspace_float
+from .linalg import expm_nilpotent, graded_parts, maxabs, nullspace_float
 from .mhs import DeligneBigrading, MixedHodgeStructure
 
 
@@ -39,18 +42,7 @@ def gl_hodge_components(B: DeligneBigrading, M: np.ndarray) -> dict[tuple[int, i
     n = B.ambient_dim
     if M.shape != (n, n):
         raise ValueError("matrix must be square of the ambient dimension")
-    keys = B.keys
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for (c, d) in keys:
-        right = B.projector(c, d)
-        for (p, q) in keys:
-            a, b = p - c, q - d
-            block = B.projector(p, q) @ M @ right
-            if (a, b) in out:
-                out[(a, b)] = out[(a, b)] + block
-            else:
-                out[(a, b)] = block
-    return out
+    return graded_parts(B.projectors, M)
 
 
 def component_support(components: dict[tuple[int, int], np.ndarray],
@@ -86,8 +78,8 @@ def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndar
         R = Ybar - G @ Y @ np.linalg.inv(G)
         if maxabs(R) <= 1e-3 * tol * scale:
             return w
-        for m in range(-1, -(span + 1), -1):
-            w = w + B.ad_weight_component(R, m) / (-m)
+        # each negative-weight part of R is solvable by division by -m
+        w = w + sum(P / -m for m, P in graded_parts(B.weight_projectors, R).items() if m < 0)
     G = expm_nilpotent(w)
     if maxabs(Ybar - G @ Y @ np.linalg.inv(G)) > tol * scale:
         raise NoConvergence("splitting iteration did not reach its residual target")

@@ -242,3 +242,40 @@ def test_sweep_variation_heights_match_fibers(variation_file, capsys):
         want = height(oriented_fiber(v, [z], [np.exp(2j * np.pi * z)]))
         assert abs(want) > 1e-6
         assert abs(float(h) - want) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "nan", "scenario", "dim0"],
+    ["--tol", "inf", "scenario", "dim0"],
+    ["--tol", "0", "scenario", "dim0"],
+    ["--tol", "-1", "scenario", "dim0"],
+    ["--precision", "40", "scenario", "dim0"],
+    ["scenario", "dim0", "--tol", "nan"],
+    ["--tol", "abc", "scenario", "dim0"],
+], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "precision-40",
+        "tol-nan-after-command", "tol-abc"])
+def test_bad_global_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hodgeheight")
+    assert "Traceback" not in err
+
+
+def test_nonfinite_env_tol_is_a_usage_error(monkeypatch, dilog_file):
+    monkeypatch.setenv("HODGE_TOL", "nan")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", dilog_file])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "1", "scenario", "dim0"],
+    ["validate", "x.json", "--format", "csv"],
+    ["--format", "csv", "scenario", "dim0"],
+], ids=["seed", "format-on-validate", "format-before-scenario"])
+def test_removed_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -102,3 +102,18 @@ def test_high_precision_backend_agrees():
     # on-cut values keep the arg = -pi side
     assert li2(2.0, precision_bits=120).value.imag == pytest.approx(
         li2(2.0).value.imag, abs=1e-12)
+
+
+def test_import_leaves_mpmath_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hodgeheight
+
+    src = str(Path(hodgeheight.__file__).resolve().parents[1])
+    code = "import sys, hodgeheight; sys.exit('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

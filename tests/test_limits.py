@@ -18,7 +18,14 @@ from hodgeheight.limits import (
     random_deligne_system,
     relative_weight_filtration,
 )
-from hodgeheight.linalg import Subspace, check_nilpotent, expm_nilpotent, maxabs
+from hodgeheight.linalg import (
+    Subspace,
+    check_nilpotent,
+    expm_nilpotent,
+    maxabs,
+    nullspace_exact,
+    nullspace_float,
+)
 from hodgeheight.mhs import is_hodge_tate, weight_filtration
 from hodgeheight.scenarios import cubic_orbit
 from hodgeheight.variations import dilog_variation
@@ -393,3 +400,85 @@ def test_relative_filtration_preimages_stay_in_the_live_window(monkeypatch):
     m = check_nilpotent(orbit.N)
     assert M.indices == [-6, -4, -2, 0]
     assert 0 < len(calls) <= (m - 1) * (len(orbit.W.indices) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the monodromy filtration against its closed formula, term by term
+
+
+def reference_monodromy_filtration(N, center=0, tol=TOL):
+    """W(N)_k = sum_j N^j (ker N^(k+2j+1)), with ker N^e recomputed for every
+    (k, j) and N^j applied as j chained images under N."""
+    Nf, exact = _as_subspace_matrix(N)
+    n = Nf.shape[0]
+    m = check_nilpotent(Nf, tol)
+    Nop = exact if exact is not None else Nf
+    powers = _powers(Nop, m)
+
+    def kernel_power(j):
+        if j <= 0:
+            return Subspace.zero(n)
+        if j >= m:
+            return Subspace.full(n)
+        if exact is not None:
+            return Subspace.from_rows(nullspace_exact(powers[j], n), n)
+        return Subspace.from_rows(nullspace_float(powers[j], tol), n, tol)
+
+    def image_power(space, j):
+        out = space
+        for _ in range(j):
+            out = out.image_under(Nop, tol)
+        return out
+
+    steps = []
+    prev_dim = -1
+    for k in range(-m, m + 1):
+        total = Subspace.zero(n)
+        for j in range(0, m + 1):
+            total = total.add(image_power(kernel_power(k + 2 * j + 1), j), tol)
+        if total.dim > prev_dim and total.dim > 0:
+            steps.append((k + center, total))
+            prev_dim = total.dim
+    return weight_filtration(steps, n)
+
+
+def _monodromy_cases():
+    orbit, _ = cubic_orbit()
+    yield orbit.N, 0
+    yield orbit.N, -3
+    rng = np.random.default_rng(2718)
+    for _ in range(60):
+        _, N, _ = random_deligne_system(rng)
+        yield np.round(N), int(rng.integers(-2, 3))
+
+
+def test_monodromy_filtration_matches_closed_formula_oracle():
+    for N, center in _monodromy_cases():
+        want = reference_monodromy_filtration(N, center)
+        got = monodromy_weight_filtration(N, center)
+        assert got.at(max(got.indices)).is_exact()
+        _assert_same_filtration(got, want, exact=True)
+        # N / 3 has the same filtration and takes the float path
+        _assert_same_filtration(monodromy_weight_filtration(N / 3, center), want, exact=False)
+
+
+def test_monodromy_filtration_computes_each_kernel_once(monkeypatch):
+    import hodgeheight.limits as limits_module
+    import hodgeheight.linalg as linalg_module
+
+    calls = []
+    original = linalg_module.nullspace_exact
+
+    def counted(M, n):
+        calls.append(M)
+        return original(M, n)
+
+    monkeypatch.setattr(limits_module, "nullspace_exact", counted)
+    monkeypatch.setattr(linalg_module, "nullspace_exact", counted)
+    for N, center in _monodromy_cases():
+        calls.clear()
+        monodromy_weight_filtration(N, center)
+        m = check_nilpotent(N)
+        # one kernel per exponent 1 .. m-1, none asked for twice
+        assert len(calls) <= m - 1
+        assert len({str(M) for M in calls}) == len(calls)

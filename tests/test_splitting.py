@@ -6,7 +6,7 @@ import pytest
 from hodgeheight.biextension import build_biextension, random_spec
 from hodgeheight.dilog import bloch_wigner
 from hodgeheight.height import rescale_fiber
-from hodgeheight.linalg import logm_unipotent, maxabs
+from hodgeheight.linalg import graded_parts, logm_unipotent, maxabs
 from hodgeheight.mhs import dual
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import (
@@ -75,7 +75,7 @@ def group_log_delta(B, tol=1e-9):
         # strictly-lowering part of gl via ad-Y eigenprojections
         out = np.zeros_like(A)
         for m in range(-1, -(span + 1), -1):
-            out = out + B.ad_weight_component(A, m)
+            out = out + graded_parts(B.weight_projectors, A).get(m, 0)
         return out
 
     # unknown x constrained to the lowering subalgebra: parametrize by a basis
