@@ -17,7 +17,7 @@ import numpy as np
 from .config import default_tol
 from .errors import InvalidBlockType, NotGeneralizedBiextension
 from .height import Orientation, OrientedMHS, _coefficient_against_bottom
-from .linalg import Subspace, expm_nilpotent, maxabs
+from .linalg import Subspace, expm_nilpotent, maxabs, quotient_coordinates
 from .mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
 from .splitting import deligne_delta
 
@@ -142,25 +142,15 @@ def build_biextension(spec: BiextensionSpec) -> OrientedMHS:
     return OrientedMHS(H, Orientation.of(top, bottom))
 
 
-def _graded_middle_basis(om: OrientedMHS, tol: float):
-    """Canonical lift basis of the middle graded piece: echelon rows of W_b
-    whose pivots are not pivots of W_bottom."""
-    H = om.mhs
-    weights = H.weights
-    b = weights[1]
-    Wb = H.W.at(b)
-    Wbot = H.W.at(weights[0])
-    rows = [Wb.basis[i] for i, p in enumerate(Wb.pivots) if p not in set(Wbot.pivots)]
-    return np.array(rows).reshape(len(rows), H.dim)
-
-
 def extract_invariants(om: OrientedMHS, tol: float | None = None) -> BiextensionSpec:
     """Read the splitting blocks of a generalized biextension back off.
 
-    delta1 comes from (i/2) Pi_b(conj e - e) as a class in the middle graded
-    piece, the height from -(1/2) Im Pi_min(conj e), and delta2 from the
-    corresponding graded block of the full splitting; the middle Hodge types
-    are the bigrading dimensions in weight b.
+    The middle graded piece W_b / W_2c has the basis of the echelon rows of
+    W_b whose pivots W_2c lacks.  delta1 is the class of (i/2) Pi_b(conj e - e)
+    in it, read at those pivots (linalg.quotient_coordinates, no solve);
+    delta2 is the graded block of the full splitting on that basis, and the
+    height comes from -(1/2) Im Pi_min(conj e).  The middle Hodge types are
+    the bigrading dimensions in weight b.
     """
     tol = default_tol() if tol is None else tol
     H = om.mhs
@@ -179,18 +169,12 @@ def extract_invariants(om: OrientedMHS, tol: float | None = None) -> Biextension
 
     from .height import top_lift
     e = top_lift(om, tol)
-    mid_basis = _graded_middle_basis(om, tol)
-    mdim = mid_basis.shape[0]
+    Wb, Wbot = H.W.at(b), H.W.at(two_c)
+    mid_basis = Wbot.complement_in(Wb, tol).basis
     bottom = om.orientation.bottom
 
-    def middle_class(vector: np.ndarray) -> np.ndarray:
-        """Coordinates of a W_b vector in the canonical lift basis mod bottom."""
-        cols = np.vstack([mid_basis, H.W.at(two_c).basis]).T
-        x, *_ = np.linalg.lstsq(cols, vector, rcond=None)
-        return x[:mdim]
-
     v1 = 0.5j * (B.weight_projector(b) @ (np.conj(e) - e))
-    d1 = middle_class(v1)
+    d1 = quotient_coordinates(v1[None, :], Wb, Wbot)[0]
 
     spl = deligne_delta(H, tol)
     d2 = np.array([_coefficient_against_bottom(spl.delta @ m, bottom, tol,

@@ -9,7 +9,7 @@ Global flags, before or after the subcommand: --tol, --precision, --out.
 
 Exit codes: 0 success, 1 validation/assertion failure, 2 numerical tolerance
 failure, 3 I/O or parse failure.  Bad arguments, including a --tol (or
-HODGE_TOL) that is not finite and positive and a --precision below 53, are
+HODGE_TOL) that is not a finite positive number and a --precision below 53, are
 usage errors: argparse prints the usage and exits with status 2.
 """
 from __future__ import annotations
@@ -331,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.tol is None:
-        args.tol = default_tol()
+    try:
+        args.tol = default_tol() if args.tol is None else args.tol
+    except HodgeError as exc:
+        ap.error(str(exc))
     if not (math.isfinite(args.tol) and args.tol > 0):
         ap.error(f"the tolerance must be finite and positive, got {args.tol}")
     if args.precision < 53:

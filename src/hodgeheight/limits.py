@@ -6,8 +6,16 @@ center+j and center-j; it is computed by the closed formula
 
     W(N)_k = sum_j N^j ( ker N^(k+2j+1) )
 
-and verified against both axioms afterwards.  Purely rational input stays in
-exact arithmetic throughout, so no rank decision involves a threshold.
+and verified against both axioms afterwards.
+
+Each function of the orbit path takes one N (linalg.as_operator): Fraction
+rows when every entry is rational, otherwise a complex array.  Its powers
+come from one table (linalg.nilpotent_powers), and N is restricted to a
+weight step or to a graded piece W_k / W_(k-1) by pivot reads
+(linalg.quotient_coordinates), not by a solve.  So rational N with rational
+W stays in exact arithmetic throughout, and no rank decision on it involves
+a threshold; only N that is not rational (real N that depends on F, say)
+takes the float path.
 
 relative_weight_filtration(N, W) peels the top weight of W: with W' the next
 step down and M' computed recursively on it,
@@ -42,13 +50,15 @@ linear solve and nilpotency bounds the number of steps.  Each step computes
 the eigenspaces of Y' once: they give its projectors (linalg.graded_projectors),
 every degree part of N and of the defect in one linalg.graded_parts call
 each, and the final check that Y' grades W.  All bracket identities are
-verified post hoc.
+verified post hoc.  The final projectors stay on the DeligneSystem,
+read-only, for limit_height.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,15 +73,17 @@ from .errors import (
 from .height import _coefficient_against_bottom
 from .linalg import (
     Subspace,
+    as_operator,
     check_nilpotent,
     expm_nilpotent,
     graded_parts,
     graded_projectors,
     lin_ad,
     maxabs,
+    nilpotent_powers,
     nullspace_exact,
     nullspace_float,
-    rational_rows,
+    quotient_coordinates,
     solve_linear,
     unvec,
     vec,
@@ -83,27 +95,17 @@ from .splitting import deligne_delta
 # monodromy weight filtration
 
 
-def _as_subspace_matrix(N) -> tuple[np.ndarray, list[list[Fraction]] | None]:
-    """Float matrix plus an exact Fraction copy when the input is rational."""
-    arr = np.asarray(N)
-    exact = rational_rows(arr.tolist())
-    if exact is None:
-        return np.asarray(N, dtype=complex), None
-    return np.array([[complex(x) for x in row] for row in exact]), exact
-
-
 def monodromy_weight_filtration(N, center: int = 0,
                                 tol: float | None = None) -> Filtration:
     """The unique filtration with N W_k <= W_{k-2} and N^j : Gr_{c+j} ~ Gr_{c-j}."""
     tol = default_tol() if tol is None else tol
-    Nf, exact = _as_subspace_matrix(N)
-    n = Nf.shape[0]
-    m = check_nilpotent(Nf, tol)
-    Nop = exact if exact is not None else Nf
-    powers = _powers(Nop, m)
+    N = as_operator(N)
+    n = len(N)
+    powers = nilpotent_powers(N, tol)
+    m = len(powers) - 1
 
     def kernel(e: int) -> Subspace:
-        if exact is not None:
+        if isinstance(N, list):
             return Subspace.from_rows(nullspace_exact(powers[e], n), n)
         return Subspace.from_rows(nullspace_float(powers[e], tol), n, tol)
 
@@ -111,8 +113,7 @@ def monodromy_weight_filtration(N, center: int = 0,
     kernels = [Subspace.zero(n), *(kernel(e) for e in range(1, m)), Subspace.full(n)]
     images: dict[tuple[int, int], Subspace] = {}   # (e, j) -> N^j ker N^e
 
-    steps: list[tuple[int, Subspace]] = []
-    prev_dim = -1
+    sums: dict[int, Subspace] = {}
     for k in range(-m, m + 1):
         total = Subspace.zero(n)
         for j in range(0, m + 1):
@@ -120,34 +121,10 @@ def monodromy_weight_filtration(N, center: int = 0,
             if (e, j) not in images:
                 images[(e, j)] = kernels[e].image_under(powers[j], tol) if j else kernels[e]
             total = total.add(images[(e, j)], tol)
-        if total.dim > prev_dim and total.dim > 0:
-            steps.append((k + center, total))
-            prev_dim = total.dim
-    filt = weight_filtration(steps, n)
+        sums[k + center] = total
+    filt = _steps_to_filtration(sums, n)
     _verify_centered(filt, powers, center, tol)
     return filt
-
-
-def _powers(Nmat, m: int) -> list:
-    """The table N^0, ..., N^m: Fraction matrices when Nmat is one, else floats.
-
-    m is the nilpotency index at the working tolerance, so N^m (zero at that
-    tolerance) stands for every higher power.  On rational input N^m must be
-    exactly zero, since the callers read every power from m on as zero."""
-    if isinstance(Nmat, list):
-        n = len(Nmat)
-        out = [[[Fraction(int(i == k)) for k in range(n)] for i in range(n)]]
-        for _ in range(m):
-            P = out[-1]
-            out.append([[sum(P[i][t] * Nmat[t][k] for t in range(n)) for k in range(n)]
-                        for i in range(n)])
-        if any(any(row) for row in out[-1]):
-            raise NotNilpotent(f"N^{m} is zero at the working tolerance but not exactly")
-        return out
-    out = [np.eye(Nmat.shape[0], dtype=complex)]
-    for _ in range(m):
-        out.append(out[-1] @ Nmat)
-    return out
 
 
 def _verify_centered(filt: Filtration, powers: list, center: int, tol: float) -> None:
@@ -179,40 +156,45 @@ def _gr_dim(filt: Filtration, k: int) -> int:
 
 def relative_weight_filtration(N, W: Filtration, tol: float | None = None) -> Filtration:
     tol = default_tol() if tol is None else tol
-    Nf, exact = _as_subspace_matrix(N)
+    N = as_operator(N)
     n = W.ambient_dim
-    m = check_nilpotent(Nf, tol)
-    Nmat = exact if exact is not None else Nf
+    powers = nilpotent_powers(N, tol)
     for k in W.indices:
-        if not W.at(k).contains(W.at(k).image_under(Nmat, tol), tol):
+        if not W.at(k).contains(W.at(k).image_under(N, tol), tol):
             raise DoesNotExist("N does not preserve the weight filtration")
 
-    M_steps = _relative_rec(Nmat, Nf, _powers(Nmat, m), W, W.indices, n, tol)
+    M_steps = _relative_rec(N, powers, W, W.indices, n, tol)
     try:
         filt = _steps_to_filtration(M_steps, n)
     except MalformedFiltration as exc:
         # the downward/upward passes only interlock when the filtration exists
         raise DoesNotExist(f"candidate family is not a filtration: {exc}") from exc
-    _verify_relative(filt, Nmat, Nf, W, n, tol)
+    _verify_relative(filt, N, W, n, tol)
     return filt
 
 
-def _relative_rec(Nmat, Nf, powers: list, W: Filtration, weights: list[int], n: int,
+def _relative_rec(N, powers: list, W: Filtration, weights: list[int], n: int,
                   tol: float) -> dict[int, Subspace]:
     """Return M as a step function: a map k -> M_k whose lookup at any j is
     the value at the largest key <= j (zero below the smallest key).
 
     Implements the top-weight peeling recursion; the base case is a single
     weight, where M is the monodromy filtration of N restricted to that piece
-    shifted to be centered there.  Only the live window of 2m-1 entries
-    around the top weight k is computed (see the module docstring): below
-    k-m+1 the entries of M' carry over, and from k+m-1 on M is W_k.
+    shifted to be centered there: the restriction is read in the coordinates
+    of the piece's echelon rows and the result carried back along them.
+    Only the live window of 2m-1 entries around the top weight k is computed
+    (see the module docstring): below k-m+1 the entries of M' carry over, and
+    from k+m-1 on M is W_k.
     """
     k_top = weights[-1]
     top_space = W.at(k_top)
     if len(weights) == 1:
-        return _centered_on_subspace(Nmat, Nf, top_space, k_top, n, tol)
-    Msub = _relative_rec(Nmat, Nf, powers, W, weights[:-1], n, tol)
+        small = monodromy_weight_filtration(_induced(N, top_space, Subspace.zero(n)),
+                                            k_top, tol)
+        lift = ([list(col) for col in zip(*top_space.exact)] if top_space.is_exact()
+                else top_space.basis.T)
+        return {k: small.at(k).image_under(lift, tol) for k in small.indices}
+    Msub = _relative_rec(N, powers, W, weights[:-1], n, tol)
     m = len(powers) - 1
     keys = sorted(Msub)
 
@@ -233,24 +215,17 @@ def _relative_rec(Nmat, Nf, powers: list, W: Filtration, weights: list[int], n: 
     return M
 
 
-def _centered_on_subspace(Nmat, Nf, space: Subspace, center: int, n: int,
-                          tol: float) -> dict[int, Subspace]:
-    """Monodromy filtration of N restricted to an N-stable subspace, expressed
-    in ambient coordinates and centered at `center`."""
-    if space.dim == n:
-        filt = monodromy_weight_filtration(Nmat if isinstance(Nmat, list) else Nf,
-                                           center, tol)
-        return {k: filt.at(k) for k in filt.indices}
-    # restrict: coordinates on the subspace via its echelon basis
-    B = space.basis
-    # N restricted: N b_i = sum_j c_ij b_j  ->  solve against the basis
-    Bt = B.T
-    coeffs = np.linalg.lstsq(Bt, (np.asarray(Nf) @ Bt), rcond=None)[0].T
-    resid = maxabs(Bt @ coeffs.T - np.asarray(Nf) @ Bt)
-    if resid > 1e3 * tol * max(1.0, maxabs(Nf)):
-        raise DoesNotExist("subspace is not stable under N")
-    small = monodromy_weight_filtration(coeffs, center, tol)
-    return {k: Subspace.from_rows(small.at(k).basis @ B, n, tol) for k in small.indices}
+def _induced(N, top: Subspace, sub: Subspace):
+    """Matrix of N on top / sub, both N-stable, in the basis of the echelon
+    rows of top whose pivots sub lacks: column i holds the pivot-read
+    coordinates (linalg.quotient_coordinates) of N applied to row i.  Exact
+    when N and both subspaces are."""
+    rows = [i for i, p in enumerate(top.pivots) if p not in sub.pivots]
+    if isinstance(N, list) and top.is_exact() and sub.is_exact():
+        images = [[sum((a * b for a, b in zip(row, top.exact[i]) if b), Fraction(0))
+                   for row in N] for i in rows]
+        return [list(col) for col in zip(*quotient_coordinates(images, top, sub))]
+    return quotient_coordinates(top.basis[rows] @ np.asarray(N, dtype=complex).T, top, sub).T
 
 
 def _steps_to_filtration(M: dict[int, Subspace], n: int) -> Filtration:
@@ -263,9 +238,9 @@ def _steps_to_filtration(M: dict[int, Subspace], n: int) -> Filtration:
     return weight_filtration(steps, n)
 
 
-def _verify_relative(M: Filtration, Nmat, Nf, W: Filtration, n: int, tol: float) -> None:
+def _verify_relative(M: Filtration, N, W: Filtration, n: int, tol: float) -> None:
     for k in M.indices:
-        if not M.at(k - 2).contains(M.at(k).image_under(Nmat, tol), tol):
+        if not M.at(k - 2).contains(M.at(k).image_under(N, tol), tol):
             raise DoesNotExist("candidate filtration is not lowered by two under N")
     # induced filtration on each graded piece must be the shifted monodromy
     # filtration of the induced nilpotent; both sides are step functions of
@@ -275,8 +250,7 @@ def _verify_relative(M: Filtration, Nmat, Nf, W: Filtration, n: int, tol: float)
         Wk, Wk1 = W.at(k), W.at(k - 1)
         if Wk.dim == Wk1.dim:
             continue
-        induced = _induced_on_graded(Nf, Wk, Wk1, tol)
-        ref = monodromy_weight_filtration(induced, k, tol)
+        ref = monodromy_weight_filtration(_induced(N, Wk, Wk1), k, tol)
         lo, hi = k - 2 * n, k + 2 * n
         for j in sorted({lo, *(i for i in M.indices + ref.indices if lo < i <= hi)}):
             want = ref.at(j).dim
@@ -284,20 +258,6 @@ def _verify_relative(M: Filtration, Nmat, Nf, W: Filtration, n: int, tol: float)
             if got != want:
                 raise DoesNotExist(
                     f"induced filtration on Gr_{k} differs from the monodromy filtration")
-
-
-def _induced_on_graded(Nf: np.ndarray, Wk: Subspace, Wk1: Subspace, tol: float) -> np.ndarray:
-    """Matrix of N on W_k / W_{k-1} in the basis of pivot rows of W_k missing
-    from W_{k-1}."""
-    lift = Wk.basis[[i for i, p in enumerate(Wk.pivots) if p not in set(Wk1.pivots)]]
-    d = lift.shape[0]
-    cols = np.vstack([lift, Wk1.basis]).T if Wk1.dim else lift.T
-    out = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        rhs = np.asarray(Nf, dtype=complex) @ lift[i]
-        x, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-        out[:, i] = x[:d]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +273,8 @@ class DeligneSystem:
     N_components: dict[int, np.ndarray]   # j -> N_{-j}
     sl2: tuple[np.ndarray, np.ndarray, np.ndarray]  # (N0, H, N0+)
     residual: float
+    # eigenprojectors of Y' on the weights of W, read-only
+    projectors: MappingProxyType = field(repr=False)
 
     @property
     def N0(self) -> np.ndarray:
@@ -445,7 +407,8 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     if residual > 1e3 * tol:
         raise ConstructionFailed(f"bracket identities fail at {residual:.3e}")
     return DeligneSystem(W=W, N=N, Y=Y, Yprime=Yp, N_components=comps,
-                         sl2=(N0, H, N0p), residual=float(residual))
+                         sl2=(N0, H, N0p), residual=float(residual),
+                         projectors=MappingProxyType(proj))
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +423,15 @@ class NilpotentOrbit:
         self.W = W
         self.F_inf = F_inf
         self.dim = W.ambient_dim
-        Nf, exact = _as_subspace_matrix(N)
-        self.N = Nf
-        self.N_exact = exact
-        check_nilpotent(Nf, tol)
+        # the one N of the orbit path, and its complex copy for exp(zN)
+        self.monodromy = as_operator(N)
+        self.N = np.array(self.monodromy, dtype=complex)
+        check_nilpotent(self.monodromy, tol)
         for k in W.indices:
-            if not W.at(k).contains(W.at(k).image_under(Nf, tol), tol):
+            if not W.at(k).contains(W.at(k).image_under(self.monodromy, tol), tol):
                 raise NotNilpotent("N must preserve the weight filtration")
         for p in F_inf.indices:
-            moved = F_inf.at(p).image_under(Nf, tol)
+            moved = F_inf.at(p).image_under(self.monodromy, tol)
             if not F_inf.at(p - 1).contains(moved, tol):
                 raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
 
@@ -482,8 +445,7 @@ class NilpotentOrbit:
 
 
 def limit_mhs(orbit: NilpotentOrbit, tol: float | None = None) -> MixedHodgeStructure:
-    M = relative_weight_filtration(orbit.N_exact if orbit.N_exact is not None else orbit.N,
-                                   orbit.W, tol)
+    M = relative_weight_filtration(orbit.monodromy, orbit.W, tol)
     H = MixedHodgeStructure(M, orbit.F_inf)
     report = H.validate(tol)
     if not report.ok:
@@ -496,7 +458,8 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
     the limit splitting against the bottom generator.
 
     The grading Y' and the generators refer to W while the splitting comes
-    from the limit structure (F_inf, M)."""
+    from the limit structure (F_inf, M); the degree parts of the splitting
+    are taken over the projectors of Y' that the Deligne system holds."""
     tol = default_tol() if tol is None else tol
     weights = orbit.W.indices
     length = weights[-1] - weights[0]
@@ -506,8 +469,7 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
     Y = Hlim.bigrading(tol).Y
     system = deligne_system_grading(orbit.W, orbit.N, Y, tol)
     spl = deligne_delta(Hlim, tol)
-    proj = _grading_projectors(_eigenspaces(system.Yprime, weights, tol), orbit.dim)
-    deep = graded_parts(proj, spl.delta).get(-length, np.zeros((orbit.dim, orbit.dim)))
+    deep = graded_parts(system.projectors, spl.delta).get(-length, np.zeros_like(spl.delta))
     vec_out = deep @ np.asarray(orientation.top, dtype=complex)
     return _coefficient_against_bottom(vec_out, orientation.bottom, tol,
                                        max(maxabs(vec_out), maxabs(spl.delta)))

@@ -322,14 +322,13 @@ class Subspace:
         out_dim = len(A) if not isinstance(A, np.ndarray) else A.shape[0]
         if self.dim == 0:
             return Subspace.zero(out_dim)
-        exact_A = _exact_matrix(A)
-        if self.is_exact() and exact_A is not None:
+        A = as_operator(A)
+        if self.is_exact() and isinstance(A, list):
             # A v is the combination of the columns of A with the entries of v
-            cols = list(zip(*exact_A))
+            cols = list(zip(*A))
             rows = [_combination(v, cols, out_dim) for v in self.exact]
             return Subspace.from_rows(rows, out_dim)
-        A = np.array(A, dtype=complex)
-        return Subspace.from_rows(self.basis @ A.T, out_dim, tol)
+        return Subspace.from_rows(self.basis @ np.asarray(A, dtype=complex).T, out_dim, tol)
 
     def preimage_under(self, A, tol: float | None = None) -> "Subspace":
         """{v : A v in S}."""
@@ -337,11 +336,11 @@ class Subspace:
         ann = self.annihilator(tol)
         if ann.dim == 0:
             return Subspace.full(n)
-        exact_A = _exact_matrix(A)
-        if ann.is_exact() and exact_A is not None:
-            rows = [_combination(phi, exact_A, n) for phi in ann.exact]
+        A = as_operator(A)
+        if ann.is_exact() and isinstance(A, list):
+            rows = [_combination(phi, A, n) for phi in ann.exact]
             return Subspace.from_rows(nullspace_exact(rows, n), n)
-        M = ann.basis @ np.array(A, dtype=complex)
+        M = ann.basis @ np.asarray(A, dtype=complex)
         return Subspace.from_rows(nullspace_float(M, tol), n, tol)
 
     def complement_in(self, bigger: "Subspace", tol: float | None = None) -> "Subspace":
@@ -378,12 +377,35 @@ def _reduces_to_zero(v: list[Fraction], R: list[list[Fraction]], pivots: list[in
     return not any(v)
 
 
-def _exact_matrix(A) -> list[list[Fraction]] | None:
+def quotient_coordinates(vectors, top: Subspace, sub: Subspace):
+    """Coordinates of vectors of top modulo sub <= top, read at pivots.
+
+    Reducing v against the echelon rows r_q of sub, v - sum_q v[q] r_q,
+    clears it at sub's pivots q.  What is left lies in top, so it is the
+    combination of top's echelon rows with its own entries at top's pivots.
+    Its entries at the pivots of top that sub lacks are thus its coordinates
+    modulo sub, in the basis of the rows of top at those pivots.  Fraction
+    rows (a list) against an exact sub stay exact; anything else is read as
+    a complex array.  sub = 0 gives a plain restriction to top.  Nothing
+    checks that the vectors lie in top."""
+    keep = [p for p in top.pivots if p not in set(sub.pivots)]
+    if isinstance(vectors, list) and sub.is_exact():
+        return [[v[p] - sum(v[q] * r[p] for r, q in zip(sub.exact, sub.pivots))
+                 for p in keep] for v in vectors]
+    V = np.array(vectors, dtype=complex)
+    return (V - V[:, sub.pivots] @ sub.basis)[:, keep]
+
+
+def as_operator(A):
+    """A matrix as the subspace operations and the orbit path take it:
+    Fraction rows when every entry is exactly rational, else a complex array."""
+    rows = A
     if isinstance(A, np.ndarray):
         if A.dtype != object and np.iscomplexobj(A) and np.any(A.imag):
-            return None
-        A = A.tolist()
-    return rational_rows(A)
+            return A
+        rows = A.tolist()
+    exact = rational_rows(rows)
+    return exact if exact is not None else np.asarray(A, dtype=complex)
 
 
 def echelonize(vectors, ambient_dim: int | None = None, tol: float | None = None) -> Subspace:
@@ -408,18 +430,36 @@ def maxabs(A) -> float:
     return float(np.abs(A).max()) if A.size else 0.0
 
 
-def check_nilpotent(N: Matrix, tol: float | None = None) -> int:
-    """Return the nilpotency index, raising NotNilpotent otherwise."""
+def nilpotent_powers(N, tol: float | None = None) -> list:
+    """The table N^0, ..., N^m of a nilpotent N, raising NotNilpotent otherwise.
+
+    N is Fraction rows (a list) or an array.  N^m is the first power that is
+    exactly zero on Fraction rows, and the first at most tol * scale^m on an
+    array, with scale = max(max |N_ij|, 1); callers read every power from m
+    on as N^m."""
     tol = default_tol() if tol is None else tol
+    n = len(N)
+    if isinstance(N, list):
+        table = [[[Fraction(int(i == k)) for k in range(n)] for i in range(n)]]
+        for _ in range(n):
+            table.append([[sum((a * b for a, b in zip(row, col) if a), Fraction(0))
+                           for col in zip(*N)] for row in table[-1]])
+            if not any(any(row) for row in table[-1]):
+                return table
+        raise NotNilpotent("matrix is not nilpotent")
     N = np.array(N, dtype=complex)
-    n = N.shape[0]
     scale = max(maxabs(N), 1.0)
-    P = np.eye(n, dtype=complex)
+    table = [np.eye(n, dtype=complex)]
     for k in range(1, n + 1):
-        P = P @ N
-        if maxabs(P) <= tol * scale ** k:
-            return k
+        table.append(table[-1] @ N)
+        if maxabs(table[-1]) <= tol * scale ** k:
+            return table
     raise NotNilpotent("matrix is not nilpotent at the working tolerance")
+
+
+def check_nilpotent(N, tol: float | None = None) -> int:
+    """Return the nilpotency index, raising NotNilpotent otherwise."""
+    return len(nilpotent_powers(N, tol)) - 1
 
 
 def expm_nilpotent(A: Matrix) -> Matrix:
@@ -455,7 +495,8 @@ def graded_projectors(pieces: Mapping[Hashable, Matrix]) -> dict[Hashable, Matri
     """Projectors of a direct-sum decomposition C^n = (+) pieces[k], each
     piece given by the rows of a basis.  With C the matrix whose columns are
     the piece bases in key order, the projector onto piece k along the others
-    is C[:, block_k] @ inv(C)[block_k]."""
+    is C[:, block_k] @ inv(C)[block_k].  The projectors are read-only, since
+    bigradings and Deligne systems keep and share them."""
     keys = sorted(pieces)
     C = np.vstack([pieces[k] for k in keys]).T
     Cinv = np.linalg.inv(C)
@@ -464,6 +505,7 @@ def graded_projectors(pieces: Mapping[Hashable, Matrix]) -> dict[Hashable, Matri
     for k in keys:
         block = slice(start, start + len(pieces[k]))
         out[k] = C[:, block] @ Cinv[block]
+        out[k].setflags(write=False)
         start = block.stop
     return out
 

@@ -147,7 +147,7 @@ class DeligneBigrading:
         for (p, q), P in proj.items():
             by_weight[p + q] = by_weight[p + q] + P if p + q in by_weight else P
         Y = sum(k * P for k, P in by_weight.items())
-        for m in (Y, *proj.values(), *by_weight.values()):
+        for m in (Y, *by_weight.values()):
             m.setflags(write=False)
         object.__setattr__(self, "projectors", MappingProxyType(proj))
         object.__setattr__(self, "weight_projectors", MappingProxyType(by_weight))

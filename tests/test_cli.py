@@ -270,6 +270,16 @@ def test_nonfinite_env_tol_is_a_usage_error(monkeypatch, dilog_file):
     assert exc.value.code == 2
 
 
+def test_unparsable_env_tol_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HODGE_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", "dim0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hodgeheight")
+    assert "HODGE_TOL" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--seed", "1", "scenario", "dim0"],
     ["validate", "x.json", "--format", "csv"],

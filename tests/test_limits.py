@@ -6,10 +6,6 @@ from hodgeheight.errors import DoesNotExist, MalformedFiltration, NotNilpotent
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight.limits import (
     NilpotentOrbit,
-    _as_subspace_matrix,
-    _centered_on_subspace,
-    _induced_on_graded,
-    _powers,
     _steps_to_filtration,
     deligne_system_grading,
     limit_height,
@@ -25,10 +21,13 @@ from hodgeheight.linalg import (
     maxabs,
     nullspace_exact,
     nullspace_float,
+    rational_rows,
 )
 from hodgeheight.mhs import is_hodge_tate, weight_filtration
 from hodgeheight.scenarios import cubic_orbit
 from hodgeheight.variations import dilog_variation
+
+TOL = 1e-9
 
 
 def shift_matrix(n):
@@ -146,6 +145,91 @@ def test_relative_filtration_nonexistence():
         relative_weight_filtration(N, W)
 
 
+# Admissible inputs on which a restriction of N that solves for the transpose
+# of its matrix raises DoesNotExist.  Each pins M three ways.
+
+E3 = np.eye(3)
+
+
+# (N, W, M) with W and M as spanning rows per index
+PINNED_RELATIVE = [
+    # Q(0) plus a weight -2 Jordan block e1 -> e2
+    (np.array([[0.0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+     {-2: E3[[1, 2]], 0: E3},
+     {-3: E3[[2]], -1: E3[[1, 2]], 0: E3}),
+    # from _non_admissible_candidate (rng 777): e0 + e1 -> e2 inside W_{-2}
+    (np.array([[0.0, 0, 0], [0, 0, 0], [-1, 2, 0]]),
+     {-2: np.array([[1.0, 1, 0], [0, 0, 1]]), -1: E3},
+     {-3: E3[[2]], -1: E3}),
+]
+
+
+def _rank(*blocks):
+    rows = [b for b in blocks if len(b)]
+    return int(np.linalg.matrix_rank(np.vstack(rows), tol=1e-9)) if rows else 0
+
+
+def _meet(a, b):
+    """Rows spanning the intersection of the row spaces of a and b (both of
+    full row rank): x a = y b for (x, y) in the null space of [a; -b]^T."""
+    if not len(a) or not len(b):
+        return np.zeros((0, a.shape[1]))
+    _, sv, vh = np.linalg.svd(np.vstack([a, -b]).T)
+    rank = int((sv > 1e-9).sum())
+    return vh[rank:].conj()[:, :len(a)] @ a
+
+
+def _dense_axioms_hold(N, W, M, n):
+    """Both axioms of M = M(N, W) by dense numpy ranks: N M_j <= M_(j-2), and
+    on each Gr^W_k, with A_j = M_j cap W_k + W_(k-1), N^l induces an
+    isomorphism A_(k+l) / A_(k+l-1) -> A_(k-l) / A_(k-l-1).  W and M map
+    indices to spanning rows and are step functions."""
+    def at(F, j):
+        keys = [k for k in F if k <= j]
+        return F[max(keys)] if keys else np.zeros((0, n))
+
+    for j in range(min(M), max(M) + 3):
+        if _rank(at(M, j - 2), at(M, j) @ N.T) != _rank(at(M, j - 2)):
+            return False
+    for k in W:
+        Wk, Wk1 = at(W, k), at(W, k - 1)
+
+        def A(j):
+            return np.vstack([_meet(at(M, j), Wk), Wk1])
+
+        for l in range(2 * n + 1):
+            gr_hi = _rank(A(k + l)) - _rank(A(k + l - 1))
+            gr_lo = _rank(A(k - l)) - _rank(A(k - l - 1))
+            Nl = np.linalg.matrix_power(N, l)
+            pushed = _rank(A(k + l) @ Nl.T, A(k - l - 1)) - _rank(A(k - l - 1))
+            if not gr_hi == gr_lo == pushed:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("N, W_rows, M_rows", PINNED_RELATIVE,
+                         ids=["jordan-block-in-w-2", "non-admissible-candidate-777"])
+def test_pinned_relative_filtration_exists(N, W_rows, M_rows):
+    W = weight_filtration([(k, Subspace.from_rows(r, 3)) for k, r in W_rows.items()], 3)
+    want = {k: Subspace.from_rows(r, 3) for k, r in M_rows.items()}
+    # integer N: the exact path, every step exact and equal
+    got = relative_weight_filtration(N, W)
+    assert got.indices == sorted(want)
+    for k, space in want.items():
+        assert got.at(k).is_exact() and got.at(k).exact == space.exact, k
+    # N / 3: the float path, equal at the tolerance
+    got_float = relative_weight_filtration(N / 3, W)
+    assert got_float.indices == sorted(want)
+    for k, space in want.items():
+        assert got_float.at(k).equals(space, TOL), k
+    # both axioms by dense ranks, independently of the subspace arithmetic
+    M_dense = {k: got.at(k).basis.real for k in got.indices}
+    assert _dense_axioms_hold(N, W_rows, M_dense, 3)
+    assert _dense_axioms_hold(N / 3, W_rows, M_dense, 3)
+    # and the rank check has teeth: a wrong bottom step fails it
+    assert not _dense_axioms_hold(N, W_rows, {**M_dense, -3: E3[[0]]}, 3)
+
+
 def test_deligne_system_trivial_graded_action():
     n = 3
     N = np.zeros((n, n))
@@ -191,6 +275,22 @@ def test_deligne_system_bracket_identities(rng):
         assert maxabs(H @ N0 - N0 @ H + 2 * N0) < 1e-10
         assert maxabs(N0p @ N0 - N0 @ N0p - H) < 1e-10
         assert maxabs((N - N0) @ N0p - N0p @ (N - N0)) < 1e-10
+
+
+def test_deligne_system_projectors_belong_to_the_final_grading():
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        W, N, Y = random_deligne_system(rng)
+        ds = deligne_system_grading(W, N, Y)
+        n = W.ambient_dim
+        assert set(ds.projectors) <= set(W.indices)
+        assert maxabs(sum(ds.projectors.values()) - np.eye(n)) < 1e-10
+        assert maxabs(sum(k * P for k, P in ds.projectors.items()) - ds.Yprime) < 1e-10
+        with pytest.raises(TypeError):
+            ds.projectors[0] = np.eye(n)
+        P = next(iter(ds.projectors.values()))
+        with pytest.raises(ValueError):
+            P[0, 0] = 1.0
 
 
 def test_limit_mhs_of_cubic_orbit_is_split_hodge_tate_like():
@@ -249,7 +349,67 @@ def test_limit_height_reduces_to_height_when_graded_trivial(rng):
 # ---------------------------------------------------------------------------
 # the relative weight filtration against its unwindowed construction
 
-TOL = 1e-9
+# The oracle restricts N by least squares on a float copy of N, independently
+# of the pivot reads of the library.
+
+
+def _as_subspace_matrix(N):
+    """Float matrix plus an exact Fraction copy when the input is rational."""
+    arr = np.asarray(N)
+    exact = rational_rows(arr.tolist())
+    if exact is None:
+        return np.asarray(N, dtype=complex), None
+    return np.array([[complex(x) for x in row] for row in exact]), exact
+
+
+def _powers(Nmat, m):
+    """The table N^0, ..., N^m: Fraction matrices when Nmat is one, else floats;
+    on rational input N^m must be exactly zero."""
+    if isinstance(Nmat, list):
+        n = len(Nmat)
+        out = [[[Fraction(int(i == k)) for k in range(n)] for i in range(n)]]
+        for _ in range(m):
+            P = out[-1]
+            out.append([[sum(P[i][t] * Nmat[t][k] for t in range(n)) for k in range(n)]
+                        for i in range(n)])
+        if any(any(row) for row in out[-1]):
+            raise NotNilpotent(f"N^{m} is zero at the working tolerance but not exactly")
+        return out
+    out = [np.eye(Nmat.shape[0], dtype=complex)]
+    for _ in range(m):
+        out.append(out[-1] @ Nmat)
+    return out
+
+
+def _centered_on_subspace(Nmat, Nf, space, center, n, tol):
+    """Monodromy filtration of N restricted to an N-stable subspace, expressed
+    in ambient coordinates and centered at `center`."""
+    if space.dim == n:
+        filt = monodromy_weight_filtration(Nmat if isinstance(Nmat, list) else Nf,
+                                           center, tol)
+        return {k: filt.at(k) for k in filt.indices}
+    # N b_i = sum_j C_ji b_j: column i of C holds the coordinates of N b_i
+    Bt = space.basis.T
+    coeffs = np.linalg.lstsq(Bt, np.asarray(Nf) @ Bt, rcond=None)[0]
+    resid = maxabs(Bt @ coeffs - np.asarray(Nf) @ Bt)
+    if resid > 1e3 * tol * max(1.0, maxabs(Nf)):
+        raise DoesNotExist("subspace is not stable under N")
+    small = monodromy_weight_filtration(coeffs, center, tol)
+    return {k: Subspace.from_rows(small.at(k).basis @ space.basis, n, tol)
+            for k in small.indices}
+
+
+def _induced_on_graded(Nf, Wk, Wk1, tol):
+    """Matrix of N on W_k / W_{k-1} in the basis of pivot rows of W_k missing
+    from W_{k-1}."""
+    lift = Wk.basis[[i for i, p in enumerate(Wk.pivots) if p not in set(Wk1.pivots)]]
+    d = lift.shape[0]
+    cols = np.vstack([lift, Wk1.basis]).T if Wk1.dim else lift.T
+    out = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        x, *_ = np.linalg.lstsq(cols, np.asarray(Nf, dtype=complex) @ lift[i], rcond=None)
+        out[:, i] = x[:d]
+    return out
 
 
 def full_window_rec(Nmat, Nf, powers, W, weights, n, tol):
@@ -323,9 +483,14 @@ def _outcome(fn, N, W):
 
 
 def _assert_same_filtration(got, want, exact):
+    """Same indices and steps.  With exact=True every step of got must be
+    exact, and it equals the oracle's exactly where the oracle's step is
+    exact; a float oracle step (least squares) is compared at TOL."""
     assert got.indices == want.indices
     for k in want.indices:
         if exact:
+            assert got.at(k).is_exact(), k
+        if exact and want.at(k).is_exact():
             assert got.at(k).exact == want.at(k).exact, k
         else:
             assert got.at(k).equals(want.at(k), TOL), k

@@ -11,6 +11,8 @@ from hodgeheight.linalg import (
     expm_nilpotent,
     intersect,
     logm_unipotent,
+    nilpotent_powers,
+    quotient_coordinates,
     subspace_sum,
 )
 
@@ -129,6 +131,41 @@ def test_nilpotent_exp_log_roundtrip():
     assert np.abs(back - (0.3j * N + N @ N)).max() < 1e-12
     with pytest.raises(NotNilpotent):
         check_nilpotent(np.eye(2))
+
+
+def test_nilpotent_powers_stop_at_the_first_zero_power():
+    N = [[Fraction(0)] * 3, [Fraction(1, 3), Fraction(0), Fraction(0)],
+         [Fraction(2), Fraction(5), Fraction(0)]]
+    table = nilpotent_powers(N)
+    assert len(table) == 4 and check_nilpotent(N) == 3
+    assert all(type(x) is Fraction for P in table for row in P for x in row)
+    assert table[2] == [[0, 0, 0], [0, 0, 0], [Fraction(5, 3), 0, 0]]
+    assert not any(any(row) for row in table[3])
+    # the float table stops at the first power at most tol * scale^m
+    Nf = np.array(N, dtype=complex)
+    assert len(nilpotent_powers(Nf)) == 4
+    assert np.allclose(nilpotent_powers(Nf)[2], np.array(table[2], dtype=complex))
+    # exactly: 1e-12 on the diagonal is never zero; as a float it is zero at 1e-9
+    tiny = [[Fraction(1, 10 ** 12), Fraction(0)], [Fraction(0), Fraction(0)]]
+    with pytest.raises(NotNilpotent):
+        nilpotent_powers(tiny)
+    assert check_nilpotent(np.array(tiny, dtype=float)) == 1
+
+
+def test_quotient_coordinates_read_pivots_modulo_the_subspace():
+    top = echelonize([[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 0, 1]])
+    sub = echelonize([[0, 1, 3, 1]])
+    assert top.contains(sub)
+    # v = 2 r0 - r1 + 5 s with r_p the row of top at pivot p; modulo sub,
+    # r1 = -r3, so v has coordinates (2, 1) against r0, r3
+    v = [Fraction(x) for x in (2, 4, 16, 5)]
+    keep = [p for p in top.pivots if p not in sub.pivots]
+    exact = quotient_coordinates([v], top, sub)
+    assert keep == [0, 3] and exact == [[2, 1]]
+    assert all(type(x) is Fraction for x in exact[0])
+    # the float read agrees, and sub = 0 is a plain restriction to top
+    assert np.allclose(quotient_coordinates(np.array([v], dtype=float), top, sub), [[2, 1]])
+    assert quotient_coordinates([v], top, Subspace.zero(4)) == [[2, 4, 5]]
 
 
 def test_conj_keeps_echelon_basis_and_pivots():

@@ -145,3 +145,17 @@ def test_dim0_random_roundtrip(rng):
 def test_family_near_one_real_is_zero():
     r = scenario_family(1 - 1e-3)
     assert r.height == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-9", ""])
+def test_bad_env_tol_raises_a_typed_error(monkeypatch, value):
+    from hodgeheight.config import default_tol
+    from hodgeheight.errors import MalformedFiltration
+
+    monkeypatch.setenv("HODGE_TOL", value)
+    with pytest.raises(HodgeError, match="HODGE_TOL"):
+        default_tol()
+    # before the parse was checked, "nan" surfaced as a MalformedFiltration
+    with pytest.raises(HodgeError, match="HODGE_TOL") as exc:
+        scenario_dim0(2, 3)
+    assert not isinstance(exc.value, MalformedFiltration)
