@@ -322,12 +322,14 @@ class Subspace:
         out_dim = len(A) if not isinstance(A, np.ndarray) else A.shape[0]
         if self.dim == 0:
             return Subspace.zero(out_dim)
-        A = as_operator(A)
-        if self.is_exact() and isinstance(A, list):
-            # A v is the combination of the columns of A with the entries of v
-            cols = list(zip(*A))
-            rows = [_combination(v, cols, out_dim) for v in self.exact]
-            return Subspace.from_rows(rows, out_dim)
+        # only an exact subspace can use Fraction rows of A
+        if self.is_exact():
+            A = as_operator(A)
+            if isinstance(A, list):
+                # A v is the combination of the columns of A with the entries of v
+                cols = list(zip(*A))
+                rows = [_combination(v, cols, out_dim) for v in self.exact]
+                return Subspace.from_rows(rows, out_dim)
         return Subspace.from_rows(self.basis @ np.asarray(A, dtype=complex).T, out_dim, tol)
 
     def preimage_under(self, A, tol: float | None = None) -> "Subspace":
@@ -336,10 +338,11 @@ class Subspace:
         ann = self.annihilator(tol)
         if ann.dim == 0:
             return Subspace.full(n)
-        A = as_operator(A)
-        if ann.is_exact() and isinstance(A, list):
-            rows = [_combination(phi, A, n) for phi in ann.exact]
-            return Subspace.from_rows(nullspace_exact(rows, n), n)
+        if ann.is_exact():
+            A = as_operator(A)
+            if isinstance(A, list):
+                rows = [_combination(phi, A, n) for phi in ann.exact]
+                return Subspace.from_rows(nullspace_exact(rows, n), n)
         M = ann.basis @ np.asarray(A, dtype=complex)
         return Subspace.from_rows(nullspace_float(M, tol), n, tol)
 

@@ -15,13 +15,32 @@ from which F and W are recovered by summing components.  Validity of the pair
 (F, W) as a mixed Hodge structure is exactly the statement that this
 decomposition works.
 
+Validation checks that statement in two stages.  First the candidates must
+form a direct sum: their dimensions add to n and their stacked bases have
+rank n.  Each candidate I^{a,b} is built inside F^a cap W_{a+b}, so the sum
+of the pieces with a >= p lies in F^p and the sum of the pieces with
+a + b <= k lies in W_k; once the sum is direct, those spans have the summed
+dimensions, so the F- and W-axioms reduce to the dimension equalities
+
+    sum_{a >= p} dim I^{a,b} = dim F^p,    sum_{a+b <= k} dim I^{a,b} = dim W_k.
+
+This is the bigrading of Deligne's splitting lemma (Cattani-Kaplan-Schmid,
+Degeneration of Hodge structures, Ann. Math. 1986, section 2).  The
+conjugation axiom, conj I^{a,b} inside I^{b,a} + sum_{x<b, y<a} I^{x,y}, is
+one residual per piece, ||(1 - P_target) conj(B)^T||_max <= tol * max(1,
+||B||_max) for the echelon basis B of the piece, with P_target the sum of
+the direct-sum projectors onto the target pieces.  The residual is linear
+in B, so the bound scales with the entries of the basis, as the pivot
+threshold of linalg.rref_float scales with the entries of its matrix.
+
 A MixedHodgeStructure is immutable: W and F are fixed at construction.  Its
-candidate lattice, its ValidationReport, its DeligneBigrading and its
+candidate lattice, its ValidationReport, the projectors of its candidate
+pieces (one linalg.graded_projectors call), its DeligneBigrading and its
 splitting (see splitting.deligne_delta) are each computed once per resolved
 tolerance and cached on the structure, so validate(tol) followed by
-bigrading(tol) builds the lattice once, while a call at another tol computes
-afresh.  A DeligneBigrading builds its projectors (linalg.graded_projectors)
-and its grading Y once, when it is made, and keeps them read-only.
+bigrading(tol) builds the lattice and the projectors once, while a call at
+another tol computes afresh.  A DeligneBigrading takes those projectors,
+builds its grading Y once, when it is made, and keeps them read-only.
 """
 from __future__ import annotations
 
@@ -131,25 +150,26 @@ def hodge_filtration(steps: Iterable[tuple[int, Subspace]], dim: int) -> Filtrat
 class DeligneBigrading:
     """The decomposition V_C = (+) I^{p,q} with its projectors and grading.
 
-    The projectors onto each I^{p,q} and onto each weight piece (the sum over
-    p + q = k) and the grading Y (k on the weight-k piece) are built once at
-    construction and are read-only, because the cached bigrading is shared."""
+    The projectors onto each I^{p,q} are those of linalg.graded_projectors on
+    the components, which validation has already built.  The projectors onto
+    each weight piece (the sum over p + q = k) and the grading Y (k on the
+    weight-k piece) are built once at construction.  All are read-only,
+    because the cached bigrading is shared."""
 
     components: Mapping[tuple[int, int], Subspace]
     ambient_dim: int
-    projectors: Mapping[tuple[int, int], np.ndarray] = field(init=False, repr=False)
+    projectors: Mapping[tuple[int, int], np.ndarray] = field(repr=False)
     weight_projectors: Mapping[int, np.ndarray] = field(init=False, repr=False)
     Y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        proj = graded_projectors({key: s.basis for key, s in self.components.items()})
         by_weight: dict[int, np.ndarray] = {}
-        for (p, q), P in proj.items():
+        for (p, q), P in self.projectors.items():
             by_weight[p + q] = by_weight[p + q] + P if p + q in by_weight else P
         Y = sum(k * P for k, P in by_weight.items())
         for m in (Y, *by_weight.values()):
             m.setflags(write=False)
-        object.__setattr__(self, "projectors", MappingProxyType(proj))
+        object.__setattr__(self, "projectors", MappingProxyType(self.projectors))
         object.__setattr__(self, "weight_projectors", MappingProxyType(by_weight))
         object.__setattr__(self, "Y", Y)
 
@@ -200,9 +220,11 @@ class MixedHodgeStructure:
         self.W = W
         self.F = F
         self.dim = W.ambient_dim
-        # per resolved tol: the candidate lattice, its report and its bigrading
+        # per resolved tol: the candidate lattice, its report, the projectors
+        # of a direct-sum lattice and its bigrading
         self._candidates: dict[float, dict[tuple[int, int], Subspace]] = {}
         self._reports: dict[float, ValidationReport] = {}
+        self._projectors: dict[float, dict[tuple[int, int], np.ndarray]] = {}
         self._bigradings: dict[float, DeligneBigrading] = {}
         # per resolved tol: the Splitting, filled by splitting.deligne_delta
         self._splittings: dict[float, Splitting] = {}
@@ -262,45 +284,52 @@ class MixedHodgeStructure:
         return self._candidates[tol]
 
     def validate(self, tol: float | None = None) -> ValidationReport:
-        """Check the three bigrading axioms; ok iff all hold."""
+        """Check the three bigrading axioms; ok iff all hold.
+
+        After the direct-sum check (dimensions add to n, stacked bases of
+        rank n) the F- and W-axioms are dimension counts, which suffice
+        because each candidate lies in F^a cap W_{a+b} by construction.  The
+        conjugation axiom holds for a piece with echelon basis B when
+        ||(1 - P_target) conj(B)^T||_max <= tol * max(1, ||B||_max), where
+        P_target projects onto I^{b,a} + sum_{x<b, y<a} I^{x,y} along the
+        other pieces; the bound is relative to the basis entries because the
+        residual is linear in B.  See the module docstring."""
         tol = default_tol() if tol is None else tol
         if tol in self._reports:
             return self._reports[tol]
-        failures: list[str] = []
         comps = self._candidates_at(tol)
         n = self.dim
         total = sum(s.dim for s in comps.values())
         if total != n:
-            failures.append(f"direct-sum: component dimensions add to {total}, expected {n}")
+            failures = [f"direct-sum: component dimensions add to {total}, expected {n}"]
+        elif echelonize(np.vstack([comps[k].basis for k in sorted(comps)]), n, tol).dim != n:
+            failures = ["direct-sum: components are not independent"]
         else:
-            stacked = np.vstack([comps[k].basis for k in sorted(comps)])
-            if echelonize(stacked, n, tol).dim != n:
-                failures.append("direct-sum: components are not independent")
-        if not failures:
-            for p in range(min(self.levels), max(self.levels) + 1):
-                span = Subspace.zero(n)
-                for (a, b), s in comps.items():
-                    if a >= p:
-                        span = span.add(s, tol)
-                if not span.equals(self.F.at(p), tol) :
-                    failures.append(f"F-axiom: F^{p} is not the span of components with p >= {p}")
-            for k in self.weights:
-                span = Subspace.zero(n)
-                for (a, b), s in comps.items():
-                    if a + b <= k:
-                        span = span.add(s, tol)
-                if not span.equals(self.W.at(k), tol):
-                    failures.append(f"W-axiom: W_{k} is not the span of components with p+q <= {k}")
-            for (a, b), s in comps.items():
-                target = comps.get((b, a), Subspace.zero(n))
-                for (x, y), t in comps.items():
-                    if x < b and y < a:
-                        target = target.add(t, tol)
-                if not target.contains(s.conj(), tol):
-                    failures.append(f"conjugation-axiom: conj I^{(a, b)} escapes "
-                                    f"I^{(b, a)} + lower terms")
+            failures = self._axiom_failures(comps, tol)
         self._reports[tol] = ValidationReport(ok=not failures, failures=tuple(failures))
         return self._reports[tol]
+
+    def _axiom_failures(self, comps: dict[tuple[int, int], Subspace],
+                        tol: float) -> list[str]:
+        """The F-, W- and conjugation-axiom failures of a direct-sum lattice;
+        stores its projectors for bigrading."""
+        failures: list[str] = []
+        for p in range(min(self.levels), max(self.levels) + 1):
+            if sum(s.dim for (a, _), s in comps.items() if a >= p) != self.F.at(p).dim:
+                failures.append(f"F-axiom: F^{p} is not the span of components with p >= {p}")
+        for k in self.weights:
+            if sum(s.dim for (a, b), s in comps.items() if a + b <= k) != self.W.at(k).dim:
+                failures.append(f"W-axiom: W_{k} is not the span of components with p+q <= {k}")
+        proj = graded_projectors({key: s.basis for key, s in comps.items()})
+        self._projectors[tol] = proj
+        for (a, b), s in comps.items():
+            v = np.conj(s.basis).T
+            escaped = v - sum((P @ v for (x, y), P in proj.items()
+                               if (x, y) == (b, a) or (x < b and y < a)), np.zeros_like(v))
+            if maxabs(escaped) > tol * max(1.0, maxabs(s.basis)):
+                failures.append(f"conjugation-axiom: conj I^{(a, b)} escapes "
+                                f"I^{(b, a)} + lower terms")
+        return failures
 
     def bigrading(self, tol: float | None = None) -> DeligneBigrading:
         tol = default_tol() if tol is None else tol
@@ -309,7 +338,8 @@ class MixedHodgeStructure:
         report = self.validate(tol)
         if not report.ok:
             raise NotAnMHS("; ".join(report.failures))
-        self._bigradings[tol] = DeligneBigrading(self._candidates_at(tol), self.dim)
+        self._bigradings[tol] = DeligneBigrading(self._candidates_at(tol), self.dim,
+                                                 self._projectors[tol])
         return self._bigradings[tol]
 
 

@@ -1,11 +1,14 @@
-"""The memoized candidate lattice against Deligne's formula term by term."""
+"""The memoized candidate lattice against Deligne's formula term by term, and
+validation by dimension counts against validation by spans."""
 import numpy as np
 import pytest
 
 from hodgeheight.biextension import build_biextension, random_spec
 from hodgeheight.height import OrientedMHS, height
-from hodgeheight.linalg import Subspace
-from hodgeheight.mhs import MixedHodgeStructure
+from hodgeheight import mhs
+from hodgeheight.linalg import Subspace, echelonize
+from hodgeheight.mhs import (MixedHodgeStructure, ValidationReport, hodge_filtration,
+                             weight_filtration)
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta
 from hodgeheight.variations import check_asymptotics, fiber, random_hodge_tate
@@ -110,3 +113,180 @@ def test_limit_lattice_built_once_across_asymptotics_calls(monkeypatch):
     second = check_asymptotics(v, points)
     assert limit_builds == [TOL]
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# validation by dimension counts against validation by spans
+
+
+def reference_validate(H: MixedHodgeStructure, tol: float) -> ValidationReport:
+    """The three bigrading axioms checked by spans of the candidate pieces:
+    F^p and W_k are compared with the sums of their pieces, and conj I^{a,b}
+    must be contained in the sum of I^{b,a} and the lower pieces."""
+    failures: list[str] = []
+    comps = H._candidates_at(tol)
+    n = H.dim
+    total = sum(s.dim for s in comps.values())
+    if total != n:
+        failures.append(f"direct-sum: component dimensions add to {total}, expected {n}")
+    else:
+        stacked = np.vstack([comps[k].basis for k in sorted(comps)])
+        if echelonize(stacked, n, tol).dim != n:
+            failures.append("direct-sum: components are not independent")
+    if not failures:
+        for p in range(min(H.levels), max(H.levels) + 1):
+            span = Subspace.zero(n)
+            for (a, b), s in comps.items():
+                if a >= p:
+                    span = span.add(s, tol)
+            if not span.equals(H.F.at(p), tol):
+                failures.append(f"F-axiom: F^{p} is not the span of components with p >= {p}")
+        for k in H.weights:
+            span = Subspace.zero(n)
+            for (a, b), s in comps.items():
+                if a + b <= k:
+                    span = span.add(s, tol)
+            if not span.equals(H.W.at(k), tol):
+                failures.append(f"W-axiom: W_{k} is not the span of components with p+q <= {k}")
+        for (a, b), s in comps.items():
+            target = comps.get((b, a), Subspace.zero(n))
+            for (x, y), t in comps.items():
+                if x < b and y < a:
+                    target = target.add(t, tol)
+            if not target.contains(s.conj(), tol):
+                failures.append(f"conjugation-axiom: conj I^{(a, b)} escapes "
+                                f"I^{(b, a)} + lower terms")
+    return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+AXIOMS = ("direct-sum", "F-axiom", "W-axiom", "conjugation-axiom")
+
+
+def _axioms(report: ValidationReport) -> set[str]:
+    named = {f.split(":")[0] for f in report.failures}
+    assert named <= set(AXIOMS), report.failures
+    return named
+
+
+def _assert_same_verdict(H: MixedHodgeStructure, tol: float = TOL) -> ValidationReport:
+    want = reference_validate(H, tol)
+    got = H.validate(tol)
+    assert got.ok == want.ok, (got.failures, want.failures)
+    assert _axioms(got) == _axioms(want), (got.failures, want.failures)
+    return got
+
+
+def _valid_structures():
+    """The structures of _cases() as built, each with its bigrading."""
+    for name, build in _cases():
+        H = build()
+        yield name, H, H.bigrading(TOL)
+
+
+def _moved_piece(H: MixedHodgeStructure, B, key) -> MixedHodgeStructure:
+    """(W, F') where F' counts the piece I^{a,b} at level a - 1, so F'^a no
+    longer contains it."""
+    level = {k: k[0] - (k == key) for k in B.components}
+    steps = []
+    for p in sorted(set(level.values())):
+        rows = [B.components[k].basis for k in B.components if level[k] >= p]
+        steps.append((p, Subspace.from_rows(np.vstack(rows), H.dim, TOL)))
+    return MixedHodgeStructure(H.W, hodge_filtration(steps, H.dim))
+
+
+def _swapped_w_step(H: MixedHodgeStructure, i: int) -> MixedHodgeStructure:
+    """(W', F) where W' exchanges the graded pieces of W at its i-th and
+    (i+1)-th jumps; W' is again a rational filtration with the same jumps."""
+    ks = H.weights
+    prev = H.W.at(ks[i - 1]) if i else Subspace.zero(H.dim)
+    upper = H.W.at(ks[i]).complement_in(H.W.at(ks[i + 1]))
+    steps = [(k, H.W.at(k)) for k in ks]
+    steps[i] = (ks[i], prev.add(upper))
+    return MixedHodgeStructure(weight_filtration(steps, H.dim), H.F)
+
+
+def _relabelled(H: MixedHodgeStructure, B):
+    """Copies of H whose lattice files one piece I^{a,b} under (a-1, b+1),
+    which drops it from the count of F^a, or under (a, b+1), which drops it
+    from the count of W_{a+b}.  Either key keeps the piece inside F^{key[0]}
+    cap W_{key[0]+key[1]} and the sum direct, so only the dimension counts
+    (and the conjugation axiom) can catch it."""
+    for key in B.components:
+        a, b = key
+        for new in ((a - 1, b + 1), (a, b + 1)):
+            if new in B.components:
+                continue
+            moved = {k: s for k, s in B.components.items() if k != key}
+            moved[new] = B.components[key]
+            G = MixedHodgeStructure(H.W, H.F)
+            G._candidates[TOL] = moved
+            yield new[0] < a, G
+
+
+def _conjugation_breaks(H: MixedHodgeStructure, B, size: float):
+    """Copies of H whose lattice moves one piece I^{a,b} along a piece
+    I^{a',b'} with a' >= a and a' + b' <= a + b, by `size` relative to the
+    largest entry of the basis of I^{a,b}.  The moved piece stays
+    in F^a cap W_{a+b}, as every built candidate does, but its conjugate
+    gains a component along I^{b',a'}, which lies outside I^{b,a} and the
+    pieces below it."""
+    for key, piece in B.components.items():
+        a, b = key
+        for (x, y), other in B.components.items():
+            if (x, y) == key or x < a or x + y > a + b:
+                continue
+            v = other.basis[0] / np.abs(other.basis[0]).max()
+            moved = dict(B.components)
+            shift = size * max(1.0, np.abs(piece.basis).max()) * v
+            moved[key] = Subspace.from_rows(piece.basis + shift, H.dim, TOL)
+            G = MixedHodgeStructure(H.W, H.F)
+            G._candidates[TOL] = moved
+            yield G
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=name) for name, b in _cases()])
+def test_validate_agrees_with_span_reference(build):
+    assert _assert_same_verdict(build()).ok
+
+
+def test_validate_agrees_with_span_reference_on_breakages():
+    moved = swapped = relabelled = conj = 0
+    for name, H, B in _valid_structures():
+        for key in B.components:
+            if key[0] > min(H.levels):
+                assert not _assert_same_verdict(_moved_piece(H, B, key)).ok, (name, key)
+                moved += 1
+        for i in range(len(H.weights) - 1):
+            # some swaps give another valid structure; the verdicts must agree
+            _assert_same_verdict(_swapped_w_step(H, i))
+            swapped += 1
+        for out_of_f, G in _relabelled(H, B):
+            report = _assert_same_verdict(G)
+            assert ("F-axiom" if out_of_f else "W-axiom") in _axioms(report), name
+            relabelled += 1
+        for size in (10 * TOL, 1e3 * TOL):
+            for G in _conjugation_breaks(H, B, size):
+                report = _assert_same_verdict(G)
+                assert not report.ok and "conjugation-axiom" in _axioms(report), name
+                conj += 1
+    assert moved and swapped and relabelled and conj
+
+
+def test_projectors_built_once_per_tolerance(monkeypatch):
+    calls = []
+    original = mhs.graded_projectors
+
+    def counted(pieces):
+        calls.append(sorted(pieces))
+        return original(pieces)
+
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    built = fiber(v, [2j], [np.exp(-4 * np.pi)])
+    H = MixedHodgeStructure(built.W, built.F)
+    monkeypatch.setattr(mhs, "graded_projectors", counted)
+    for tol in (TOL, 1e-8):
+        assert H.validate(tol).ok
+        B = H.bigrading(tol)
+        assert H.bigrading(tol) is B
+    assert len(calls) == 2
+    assert all(P is H._projectors[1e-8][k] for k, P in B.projectors.items())

@@ -346,6 +346,38 @@ def test_limit_height_reduces_to_height_when_graded_trivial(rng):
     assert limit_height(orbit2, v.orientation) == pytest.approx(lh, abs=1e-10)
 
 
+@pytest.mark.parametrize("ranks, seed", [((1, 2, 1), 5), ((1, 2, 2, 1), 3)])
+def test_limit_height_under_a_rational_change_of_basis(ranks, seed):
+    # F_inf moved by exp(0.7i E), with E the top-to-bottom block, has limit
+    # height 0.7; a random rational change of basis g, as in
+    # random_deligne_system, makes the projectors of Y' non-symmetric and
+    # must leave the height as it is
+    from hodgeheight.height import Orientation
+    from hodgeheight.variations import random_hodge_tate
+
+    v = random_hodge_tate(ranks, 1, seed=seed)
+    n = v.W.ambient_dim
+    E = np.zeros((n, n))
+    E[n - 1, 0] = 1.0
+    G = expm_nilpotent(0.7j * E)
+    orbit = NilpotentOrbit(v.W, v.nilpotents[0], v.F_inf.map_spaces(lambda s: s.image_under(G)))
+    assert limit_height(orbit, v.orientation) == pytest.approx(0.7, abs=1e-12)
+
+    rng = np.random.default_rng(11)
+    g = np.eye(n) + np.triu(rng.integers(-2, 3, size=(n, n)), 1)
+    perm = rng.permutation(n)
+    g = g[perm][:, perm]
+    ginv = np.round(np.linalg.inv(g))
+    assert np.array_equal(g @ ginv, np.eye(n))
+    moved = NilpotentOrbit(orbit.W.map_spaces(lambda s: s.image_under(g)),
+                           g @ orbit.N.real @ ginv,
+                           orbit.F_inf.map_spaces(lambda s: s.image_under(g)))
+    system = deligne_system_grading(moved.W, moved.N, limit_mhs(moved).bigrading().Y)
+    assert max(maxabs(P - P.T) for P in system.projectors.values()) > 1
+    orientation = Orientation.of(g @ v.orientation.top, g @ v.orientation.bottom)
+    assert limit_height(moved, orientation) == pytest.approx(0.7, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # the relative weight filtration against its unwindowed construction
 

@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from hodgeheight import linalg
 from hodgeheight.errors import DimensionMismatch, NotNilpotent
 from hodgeheight.linalg import (
     Subspace,
@@ -112,6 +113,27 @@ def test_annihilator_and_preimage():
     # N v in S always lands in span(e2, e3); membership needs coords to satisfy phi
     for v in P.basis:
         assert S.contains_vector(N @ v)
+
+
+def test_float_subspace_maps_without_a_fraction_scan(monkeypatch):
+    # only an exact subspace can use Fraction rows of A, so a float subspace
+    # never scans A; an integer-valued A and the non-integer A / 3 have the
+    # same image and preimage
+    rng = np.random.default_rng(17)
+    S = echelonize(rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6)))
+    A = rng.integers(-3, 4, size=(6, 6)).astype(float)
+    scans = []
+    scan = linalg.as_operator
+    monkeypatch.setattr(linalg, "as_operator", lambda M: scans.append(M) or scan(M))
+    image, preimage = S.image_under(A), S.preimage_under(A)
+    assert image.equals(S.image_under(A / 3))
+    assert preimage.equals(S.preimage_under(A / 3))
+    assert not scans
+    assert image.equals(echelonize(S.basis @ A.T))
+    # A is invertible, so the preimage of S has the dimension of S
+    assert np.linalg.matrix_rank(A) == 6 and preimage.dim == S.dim
+    for v in preimage.basis:
+        assert S.contains_vector(A @ v)
 
 
 def test_complement_in():
