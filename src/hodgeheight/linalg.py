@@ -48,6 +48,13 @@ def is_rational_entry(x) -> bool:
     return False
 
 
+def integral_array(M: np.ndarray) -> bool:
+    """Whether every entry of a numeric array is finite, real and an integer:
+    the verdict of is_rational_entry on each float64 or complex entry."""
+    return bool(np.isfinite(M).all() and not M.imag.any()
+                and (M.real == np.round(M.real)).all())
+
+
 def rational_rows(rows) -> list[list[Fraction]] | None:
     """Return a Fraction matrix when every entry is exactly rational, else None."""
     out = []
@@ -189,12 +196,17 @@ class Subspace:
 
     @staticmethod
     def from_rows(rows, ambient_dim: int | None = None, tol: float | None = None) -> "Subspace":
+        # a float64 or complex array that is not integral is not rational,
+        # entry by entry as is_rational_entry decides, so skip the scan
+        inexact = (isinstance(rows, np.ndarray) and rows.size
+                   and rows.dtype in (np.float64, np.complex128)
+                   and not integral_array(rows))
         rows = [list(r) for r in rows]
         if ambient_dim is None:
             if not rows:
                 raise DimensionMismatch("empty generator list needs an explicit ambient dimension")
             ambient_dim = len(rows[0])
-        exact_rows = rational_rows(rows)
+        exact_rows = None if inexact else rational_rows(rows)
         if exact_rows is not None:
             R, piv = rref_exact(exact_rows) if exact_rows else ([], [])
             basis = np.array([[complex(x) for x in row] for row in R],
@@ -358,6 +370,98 @@ class Subspace:
         if not rows:
             return Subspace.zero(self.ambient_dim)
         return Subspace.from_rows(rows, self.ambient_dim, tol)
+
+
+class AdaptedBasis:
+    """A basis of C^n adapted to a chain of subspaces S_1 < ... < S_m = C^n:
+    the first dims[i] rows of T span S_i.
+
+    The rows are the echelon rows of S_1, then for each later step its
+    echelon rows at the pivots that the step below lacks, as
+    Subspace.complement_in selects them.  They are not re-echelonized, so T
+    does not depend on a tolerance, and a chain of coordinate subspaces
+    gives a permutation.  The pivots of an exact chain are nested, and each
+    row has a leading one at its own pivot, so T is then a row permutation
+    of a unit upper triangular matrix, kept over Q with its inverse.  Float
+    pivots near the threshold need not nest; a step whose pivots miss some
+    of the step below keeps its rows at the pivots that complete pivoting
+    on the coordinates of the step below leaves free (_covered_pivots)."""
+
+    __slots__ = ("T", "inverse", "exact", "exact_inverse", "dims")
+
+    def __init__(self, steps: Sequence[Subspace]):
+        n = steps[-1].ambient_dim
+        picked: list[tuple[Subspace, int]] = []
+        below: set[int] = set()
+        for prev, s in zip((None, *steps), steps):
+            if not below <= set(s.pivots):
+                below = _covered_pivots(prev, s)
+            picked += [(s, i) for i, p in enumerate(s.pivots) if p not in below]
+            below = set(s.pivots)
+        self.dims = tuple(s.dim for s in steps)
+        self.T = np.array([s.basis[i] for s, i in picked], dtype=complex).reshape(n, n)
+        self.exact = self.exact_inverse = None
+        if all(s.is_exact() for s in steps):
+            self.exact = [s.exact[i] for s, i in picked]
+            one = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            R, _ = rref_exact([row + e for row, e in zip(self.exact, one)])
+            self.exact_inverse = [row[n:] for row in R]
+            self.inverse = np.array([[complex(x) for x in row] for row in self.exact_inverse],
+                                    dtype=complex).reshape(n, n)
+        else:
+            self.inverse = np.linalg.inv(self.T)
+        for m in (self.T, self.inverse):
+            m.setflags(write=False)
+
+    def reduce(self, S: Subspace, tol: float | None = None):
+        """The rows of S in the coordinates of T, v T^-1, in reduced echelon
+        form with pivots taken from the right: (rows, pivots), with Fraction
+        rows when S and the chain are exact.  Each row is zero at the pivots
+        of the other rows and after its own pivot (there below the pivot
+        threshold, for float rows)."""
+        n = S.ambient_dim
+        if S.is_exact() and self.exact is not None:
+            R, piv = rref_exact([_combination(v, self.exact_inverse, n)[::-1] for v in S.exact])
+            return [row[::-1] for row in R], [n - 1 - c for c in piv]
+        R, piv = rref_float((S.basis @ self.inverse)[:, ::-1], tol)
+        return R[:, ::-1], [n - 1 - c for c in piv]
+
+    def meet(self, S: Subspace, reduced, step: Subspace,
+             tol: float | None = None) -> Subspace:
+        """S cap step for a step of the chain, read off reduced = reduce(S).
+
+        In the coordinates of T the step is the span of the first d = dim
+        step coordinates.  A combination of the reduced rows vanishes past d
+        exactly when its coefficient on each row with pivot >= d is zero, so
+        S cap step is spanned by the rows with pivot < d, cut to their first
+        d coordinates and mapped back by T."""
+        rows, piv = reduced
+        d = step.dim
+        keep = [i for i, c in enumerate(piv) if c < d]
+        if len(keep) == S.dim:
+            return S
+        if len(keep) == d:
+            return step
+        n = S.ambient_dim
+        if not keep:
+            return Subspace.zero(n)
+        if isinstance(rows, list):
+            return Subspace.from_rows([_combination(rows[i][:d], self.exact[:d], n)
+                                       for i in keep], n)
+        return Subspace.from_rows(rows[keep, :d] @ self.T[:d], n, tol)
+
+
+def _covered_pivots(sub: Subspace, top: Subspace) -> set[int]:
+    """dim sub pivots of top whose echelon rows, swapped for the rows of
+    sub, still span top: complete pivoting on the coordinates of sub in the
+    rows of top, for a fixed count and so without a threshold."""
+    C = np.array(sub.basis[:, top.pivots], dtype=complex)
+    cols = set()
+    for _ in range(sub.dim):
+        i, j = np.unravel_index(int(np.argmax(np.abs(C))), C.shape)
+        cols.add(top.pivots[j])
+        C = C - np.outer(C[:, j] / C[i, j], C[i])
+    return cols
 
 
 def _combination(coeffs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],

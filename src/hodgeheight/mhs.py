@@ -15,6 +15,18 @@ from which F and W are recovered by summing components.  Validity of the pair
 (F, W) as a mixed Hodge structure is exactly the statement that this
 decomposition works.
 
+Every F^p cap W_k of the lattice is read off one echelon form of F^p per
+level, not intersected step by step.  W carries an adapted basis T (see
+linalg.AdaptedBasis), whose first dim W_k rows span W_k, so in the
+coordinates v T^-1 each W_k is the span of the first dim W_k coordinates.
+There F^p is row-reduced once with its pivots taken from the right: each row
+is zero after its pivot and at the other pivots, so a combination of rows
+vanishes past coordinate d exactly when its coefficients on the rows with
+pivot >= d are zero.  F^p cap W_k is thus the span of the rows with pivot
+< dim W_k, mapped back by T, and its dimension is read without a rank
+decision on the stacked bases of F^p and W_k.  An exact F^p against an exact
+W stays exact, since T and T^-1 are then kept over Q.
+
 Validation checks that statement in two stages.  First the candidates must
 form a direct sum: their dimensions add to n and their stacked bases have
 rank n.  Each candidate I^{a,b} is built inside F^a cap W_{a+b}, so the sum
@@ -52,7 +64,7 @@ import numpy as np
 
 from .config import default_tol
 from .errors import MalformedFiltration, NotAnMHS
-from .linalg import Subspace, echelonize, graded_projectors, maxabs
+from .linalg import AdaptedBasis, Subspace, echelonize, graded_projectors, maxabs
 
 if TYPE_CHECKING:
     from .splitting import Splitting
@@ -77,6 +89,7 @@ class Filtration:
         self.ambient_dim = int(ambient_dim)
         self.steps = tuple(steps)
         self._validate()
+        self._adapted: AdaptedBasis | None = None
 
     def _validate(self) -> None:
         if not self.steps:
@@ -119,6 +132,14 @@ class Filtration:
             if idx >= k:
                 best = s
         return best if best is not None else Subspace.zero(self.ambient_dim)
+
+    def adapted_basis(self) -> AdaptedBasis:
+        """The linalg.AdaptedBasis of the steps of an increasing filtration,
+        built on first use; the steps are fixed, so every structure on this
+        filtration shares it."""
+        if self._adapted is None:
+            self._adapted = AdaptedBasis([s for _, s in self.steps])
+        return self._adapted
 
     def shift(self, by: int) -> "Filtration":
         return Filtration([(k + by, s) for k, s in self.steps], self.increasing,
@@ -245,16 +266,33 @@ class MixedHodgeStructure:
     # -- bigrading -------------------------------------------------------------
 
     def _component_candidates(self, tol: float) -> dict[tuple[int, int], Subspace]:
-        """Build the candidate pieces I^{a,b}; callers cache them per tol."""
+        """Build the candidate pieces I^{a,b}; callers cache them per tol.
+
+        Each F^p is reduced once against the adapted basis of W, and every
+        F^p cap W_k is read off that echelon (AdaptedBasis.meet; see the
+        module docstring for why this is the intersection).  The sums U(r, s)
+        and the right-hand sides are Subspace sums, and each piece is one
+        final Subspace.intersect."""
         n = self.dim
         pmin, pmax = min(self.levels), max(self.levels)
         wmin, wmax = min(self.weights), max(self.weights)
+        flag = self.W.adapted_basis()
+        reduced: dict[int, tuple] = {}
         fw: dict[tuple[int, int], Subspace] = {}
         us: dict[tuple[int, int], Subspace] = {}
 
         def FW(p: int, k: int) -> Subspace:
+            # F^p cap W_k, read off the one echelon of F^p against the W-flag
             if (p, k) not in fw:
-                fw[(p, k)] = self.F.at(p).intersect(self.W.at(k), tol)
+                Fp, Wk = self.F.at(p), self.W.at(k)
+                if Fp.dim == 0 or Wk.dim == n:
+                    fw[(p, k)] = Fp
+                elif Wk.dim == 0 or Fp.dim == n:
+                    fw[(p, k)] = Wk
+                else:
+                    if p not in reduced:
+                        reduced[p] = flag.reduce(Fp, tol)
+                    fw[(p, k)] = flag.meet(Fp, reduced[p], Wk, tol)
             return fw[(p, k)]
 
         def U(r: int, s: int) -> Subspace:

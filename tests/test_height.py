@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgeheight.biextension import build_biextension, embed_into_padded, random_spec
 from hodgeheight.dilog import bloch_wigner
 from hodgeheight.errors import (
+    HodgeError,
     NotAMorphism,
     NotGeneralizedBiextension,
     NotInjectiveOnEnds,
@@ -21,6 +23,7 @@ from hodgeheight.height import (
     rho2,
 )
 from hodgeheight.limits import limit_mhs
+from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import lowering_morphisms
 
@@ -56,6 +59,67 @@ def test_cubic_fiber_height_formula():
         assert height(om) == pytest.approx(expected, abs=1e-9)
         # three nonzero weights: the conjugation shortcut applies as well
         assert height_biextension(om) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("y", [57.5, 60.0, 100.0, 200.0])
+def test_cubic_fiber_height_toward_the_boundary(y):
+    # each F^p cap W_k is read off one echelon of F^p against the W-flag, so
+    # no rank decision is taken on the stacked bases of F^p and W_k
+    orbit, orient = cubic_orbit()
+    expected = -(2.0 / 3.0) * y ** 3
+    assert height(OrientedMHS(orbit.fiber(1j * y), orient)) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("y", [400.0, 1000.0])
+def test_cubic_fiber_past_the_frontier_is_right_or_a_typed_error(y):
+    orbit, orient = cubic_orbit()
+    try:
+        value = height(OrientedMHS(orbit.fiber(1j * y), orient))
+    except HodgeError:
+        return
+    assert value == pytest.approx(-(2.0 / 3.0) * y ** 3, rel=1e-9)
+
+
+def _moved_oriented(om: OrientedMHS, g: np.ndarray) -> OrientedMHS:
+    H = om.mhs
+    moved = MixedHodgeStructure(H.W.map_spaces(lambda s: s.image_under(g)),
+                                H.F.map_spaces(lambda s: s.image_under(g)))
+    return OrientedMHS(moved, Orientation.of(g @ om.orientation.top,
+                                             g @ om.orientation.bottom))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["biextension", "dilog", "cubic"]))
+def test_height_is_invariant_under_a_rational_change_of_coordinates(seed, kind):
+    # g is an isomorphism (W, F) -> (g W, g F) carrying the orientation, so
+    # functoriality with d_max = d_min = 1 says the height does not change.
+    # The moved W is rational but no longer made of coordinate subspaces, and
+    # the splitting solve loses accuracy there (NoConvergence on 4 in 5
+    # cubic fibers past y = 5, and on 1 in 300 biextensions): the answer
+    # must then be a typed error, never a wrong value.  Dilog fibers have
+    # not raised in 300 draws, so an error there fails the test.
+    rng = np.random.default_rng(seed)
+    if kind == "biextension":
+        om = build_biextension(random_spec(rng))
+    elif kind == "dilog":
+        om = dilog_fiber(complex(rng.uniform(-2.0, 3.0), rng.choice([-1, 1]) * rng.uniform(0.05, 2.0)))
+    else:
+        orbit, orient = cubic_orbit()
+        om = OrientedMHS(orbit.fiber(1j * rng.uniform(0.5, 20.0)), orient)
+    n = om.mhs.dim
+    g = rng.integers(-2, 3, size=(n, n)).astype(float)
+    while abs(np.linalg.det(g)) < 0.5:
+        g = rng.integers(-2, 3, size=(n, n)).astype(float)
+    moved = _moved_oriented(om, g)
+    assert all(s.is_exact() for _, s in moved.mhs.W.steps)
+    try:
+        rep = check_functoriality(g, om, moved)
+    except HodgeError:
+        if kind == "dilog":
+            raise
+        return
+    assert rep.d_max == pytest.approx(1.0) and rep.d_min == pytest.approx(1.0)
+    assert rep.height_b == pytest.approx(rep.height_a, rel=1e-8, abs=1e-9)
 
 
 def test_biextension_guard_rejects_four_weights():

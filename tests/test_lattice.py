@@ -6,11 +6,12 @@ import pytest
 from hodgeheight.biextension import build_biextension, random_spec
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight import mhs
+from hodgeheight.limits import NilpotentOrbit, limit_mhs
 from hodgeheight.linalg import Subspace, echelonize
 from hodgeheight.mhs import (MixedHodgeStructure, ValidationReport, hodge_filtration,
                              weight_filtration)
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
-from hodgeheight.splitting import deligne_delta
+from hodgeheight.splitting import deligne_delta, lowering_morphisms
 from hodgeheight.variations import check_asymptotics, fiber, random_hodge_tate
 
 TOL = 1e-9
@@ -49,11 +50,42 @@ def reference_candidates(H: MixedHodgeStructure, tol: float):
     return comps
 
 
+def _rational_gl(n: int, rng) -> np.ndarray:
+    """A random integer matrix that is invertible over Q."""
+    while True:
+        g = rng.integers(-2, 3, size=(n, n)).astype(float)
+        if abs(np.linalg.det(g)) > 0.5:
+            return g
+
+
+def _moved(H: MixedHodgeStructure, g: np.ndarray) -> MixedHodgeStructure:
+    """(g W, g F): an exact W stays exact, but its steps are no longer
+    coordinate subspaces, so the adapted basis of g W is not a permutation."""
+    return MixedHodgeStructure(H.W.map_spaces(lambda s: s.image_under(g)),
+                               H.F.map_spaces(lambda s: s.image_under(g)))
+
+
+def _biextension_limit(spec, g=None) -> MixedHodgeStructure:
+    """The limit structure (F, M) of the biextension orbit with a (-1,-1)
+    lowering morphism as N, as the orbit-limits benchmark builds it; M is a
+    float filtration, since N is real but not rational.  g moves the orbit
+    by a change of rational coordinates first."""
+    H = build_biextension(spec).mhs
+    basis = lowering_morphisms(H)
+    N = sum(c * basis[j] for j, c in enumerate((1, 2)[:len(basis)]))
+    orbit = NilpotentOrbit(H.W, N, H.F)
+    if g is not None:
+        orbit = NilpotentOrbit(orbit.W.map_spaces(lambda s: s.image_under(g)),
+                               g @ N @ np.linalg.inv(g),
+                               orbit.F_inf.map_spaces(lambda s: s.image_under(g)))
+    return limit_mhs(orbit)
+
+
 def _cases():
     """(id, zero-argument factory) pairs; structures are made inside the test."""
     rng = np.random.default_rng(314)
-    for i in range(12):
-        spec = random_spec(rng)
+    specs = [random_spec(rng) for _ in range(12)]
+    for i, spec in enumerate(specs):
         yield f"biextension-{i}", lambda spec=spec: build_biextension(spec).mhs
     for s in (0.4 + 0.65j, -0.3 + 0.7j, 2 + 1j):
         yield f"dilog-{s}", lambda s=s: dilog_fiber(s).mhs
@@ -65,6 +97,22 @@ def _cases():
                    lambda ranks=ranks, seed=seed, y=y: fiber(
                        random_hodge_tate(ranks, 1, seed=seed), [1j * y],
                        [np.exp(-2 * np.pi * y)]))
+    # W not coordinate-aligned: exact, moved by a rational change of
+    # coordinates, and float, the relative weight filtration of a float N
+    moves = np.random.default_rng(2718)
+    for i in (0, 4):
+        g = _rational_gl(build_biextension(specs[i]).mhs.dim, moves)
+        yield f"moved-biextension-{i}", lambda i=i, g=g: _moved(build_biextension(specs[i]).mhs, g)
+    g = _rational_gl(6, moves)
+    yield "moved-hodge-tate-1221", lambda g=g: _moved(
+        fiber(random_hodge_tate((1, 2, 2, 1), 1, seed=3), [2j], [np.exp(-4 * np.pi)]), g)
+    g = _rational_gl(6, moves)
+    yield "moved-hodge-tate-1221-limit", lambda g=g: _moved(
+        random_hodge_tate((1, 2, 2, 1), 1, seed=3).limit_structure(), g)
+    for i in (1, 4):
+        yield f"biextension-limit-{i}", lambda i=i: _biextension_limit(specs[i])
+        g = _rational_gl(build_biextension(specs[i]).mhs.dim, moves)
+        yield f"moved-biextension-limit-{i}", lambda i=i, g=g: _biextension_limit(specs[i], g)
 
 
 @pytest.mark.parametrize("build", [pytest.param(b, id=name) for name, b in _cases()])
@@ -113,6 +161,35 @@ def test_limit_lattice_built_once_across_asymptotics_calls(monkeypatch):
     second = check_asymptotics(v, points)
     assert limit_builds == [TOL]
     assert first == second
+
+
+def test_lattice_reads_f_cap_w_off_one_adapted_basis(monkeypatch):
+    # no F^p cap W_k goes through Subspace.intersect, and the adapted basis
+    # of W is built once for every fiber of a variation and its limit
+    builds, meets = [], []
+    adapted, intersect = mhs.AdaptedBasis, Subspace.intersect
+
+    def counted_basis(steps):
+        builds.append(steps)
+        return adapted(steps)
+
+    def counted_intersect(self, other, tol=None):
+        meets.append((self, other))
+        return intersect(self, other, tol)
+
+    monkeypatch.setattr(mhs, "AdaptedBasis", counted_basis)
+    monkeypatch.setattr(Subspace, "intersect", counted_intersect)
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    H = fiber(v, [2j], [np.exp(-4 * np.pi)])
+    assert len(builds) == 1 and meets
+    fsteps, wsteps = [s for _, s in H.F.steps], [s for _, s in H.W.steps]
+    for pair in meets:
+        assert not (any(x is s for x in pair for s in fsteps)
+                    and any(x is s for x in pair for s in wsteps)), pair
+    for y in (1.0, 3.0, 5.0):
+        fiber(v, [1j * y], [np.exp(-2 * np.pi * y)])
+    check_asymptotics(v, [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 3.0)])
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

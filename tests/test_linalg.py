@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hodgeheight import linalg
 from hodgeheight.errors import DimensionMismatch, NotNilpotent
 from hodgeheight.linalg import (
+    AdaptedBasis,
     Subspace,
     check_nilpotent,
     echelonize,
@@ -134,6 +135,71 @@ def test_float_subspace_maps_without_a_fraction_scan(monkeypatch):
     assert np.linalg.matrix_rank(A) == 6 and preimage.dim == S.dim
     for v in preimage.basis:
         assert S.contains_vector(A @ v)
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[1, 2, 0], [0, -3, 5]]),
+    np.array([[1.0, 2.0, 0.0], [0.0, -3.0, 5.0]]),
+    np.array([[1.0, 2.0, 0.0], [0.0, -3.0, 5.0]], dtype=complex),
+    np.array([[1.0, 2.5, 0.0], [0.0, -3.0, 5.0]]),
+    np.array([[1.0, 2.5, 0.0], [0.0, -3.0, 5.0]], dtype=complex),
+    np.array([[1.0, 2.0 + 1j, 0.0], [0.0, -3.0, 5.0]]),
+    np.array([[1.0, 2.0 + 0.5j, 0.0], [0.0, -3.0, 5.0]]),
+    np.array([[1.0, np.inf, 0.0], [0.0, -3.0, 5.0]]),
+    np.array([[1.0, np.nan, 0.0], [0.0, -3.0, 5.0]]),
+    np.array([[1.0, complex(np.inf, 0.0), 0.0], [0.0, -3.0, 5.0]]),
+    np.array([[1.0, complex(2.0, np.nan), 0.0], [0.0, -3.0, 5.0]]),
+    np.array([[1e300, -0.0, 2.0 ** 60], [0.0, 1.0, 0.0]]),
+], ids=["int", "float", "complex", "half", "complex-half", "imag", "complex-frac",
+        "inf", "nan", "complex-inf", "complex-nan", "huge"])
+def test_from_rows_exact_verdict_matches_the_entry_scan(M):
+    # the vectorized test on float and complex arrays decides exactness as
+    # the per-entry scan of rational_rows does
+    scanned = linalg.rational_rows([list(r) for r in M]) is not None
+    assert linalg.integral_array(M.astype(complex)) == scanned
+    assert Subspace.from_rows(M).is_exact() == scanned
+
+
+def _spans(rows, step: Subspace) -> bool:
+    return len(rows) == step.dim and step.contains(echelonize(rows, step.ambient_dim))
+
+
+def test_adapted_basis_of_coordinate_steps_is_a_permutation():
+    steps = [echelonize([[0, 0, 1, 0]]), echelonize([[0, 0, 1, 0], [1, 0, 0, 0]]),
+             Subspace.full(4)]
+    A = AdaptedBasis(steps)
+    assert A.dims == (1, 2, 4)
+    assert np.array_equal(np.abs(A.T), np.eye(4)[[2, 0, 1, 3]])
+    assert np.array_equal(A.inverse, A.T.T)
+
+
+def test_adapted_basis_of_an_exact_chain_is_exact():
+    g = np.array([[1, 2, 0, -1], [0, 1, 1, 0], [2, 0, 1, 1], [0, -1, 0, 1]], dtype=float)
+    steps = [echelonize(g[:1]), echelonize(g[:3]), Subspace.full(4)]
+    A = AdaptedBasis(steps)
+    one = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*A.exact_inverse)]
+               for row in A.exact]
+    assert product == one
+    for d, step in zip(A.dims, steps):
+        assert _spans(A.T[:d], step)
+    # F cap W_k read off the flag, against the intersection, stays exact
+    F = echelonize([[1, 0, 3, 0], [0, 1, -1, 2]])
+    reduced = A.reduce(F)
+    for step in steps:
+        got = A.meet(F, reduced, step)
+        assert got.is_exact() and got.equals(F.intersect(step))
+
+
+def test_adapted_basis_when_float_pivots_do_not_nest():
+    # the bottom step has its pivot at a 2e-9 entry, which the pivot
+    # threshold of the step above (scaled by its entry 10) does not see
+    low = Subspace.from_rows(np.array([[2e-9, 1, 0]], dtype=complex), 3)
+    mid = Subspace.from_rows(np.array([[2e-9, 1, 0], [0, 0, 10]], dtype=complex), 3)
+    assert mid.contains(low) and not set(low.pivots) <= set(mid.pivots)
+    A = AdaptedBasis([low, mid, Subspace.full(3)])
+    assert np.abs(A.T @ A.inverse - np.eye(3)).max() < 1e-12
+    assert _spans(A.T[:1], low) and _spans(A.T[:2], mid)
 
 
 def test_complement_in():
