@@ -235,10 +235,6 @@ def _mdim(types) -> int:
     return sum((1 if p == q else 2) * m for (p, q), m in types)
 
 
-def random_oriented_mhs(rng: np.random.Generator, max_middle: int = 4) -> OrientedMHS:
-    return build_biextension(random_spec(rng, max_middle))
-
-
 def embed_into_padded(om_spec: BiextensionSpec, extra: int = 1):
     """Inclusion of a built biextension into the same build with extra split
     middle coordinates: a morphism with d_max = d_min = 1 and equal heights."""

@@ -7,10 +7,13 @@
 
 Global flags, before or after the subcommand: --tol, --precision, --out.
 
-Exit codes: 0 success, 1 validation/assertion failure, 2 numerical tolerance
-failure, 3 I/O or parse failure.  Bad arguments, including a --tol (or
-HODGE_TOL) that is not a finite positive number and a --precision below 53, are
-usage errors: argparse prints the usage and exits with status 2.
+Exit codes, mapped once in main: 0 success; 1 for any HodgeError (a
+structure that fails an axiom, a document that lacks a key or holds a
+malformed entry, a file of the wrong kind); 2 for NoConvergence, a numerical
+tolerance failure; 3 for a file that is missing, unreadable or not JSON.
+Bad arguments, including a malformed number for a complex parameter, a --tol
+(or HODGE_TOL) that is not a finite positive number and a --precision below
+53, are usage errors: argparse prints the usage and exits with status 2.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import sys
 import numpy as np
 
 from .config import default_tol
-from .errors import HodgeError, NoConvergence, NotAnMHS
+from .errors import HodgeError, NoConvergence
 from .height import OrientedMHS, height
 from .limits import limit_height
 from .mhs import is_hodge_tate
@@ -57,108 +60,79 @@ def _fmt(x: float) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        doc = load(args.path)
-        H = parse_mhs(doc) if detect_kind(doc) == "mhs" else None
-        if H is None:
-            kind = detect_kind(doc)
-            if kind == "orbit":
-                orbit, _ = parse_orbit(doc)
-                H = orbit.fiber(2j, args.tol)
-            else:
-                v = parse_variation(doc)
-                H = v.limit_structure()
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IOERR
-    except HodgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+    doc = load(args.path)
+    kind = detect_kind(doc)
+    if kind == "orbit":
+        H = parse_orbit(doc)[0].fiber(2j, args.tol)
+    elif kind == "variation":
+        H = parse_variation(doc).limit_structure()
+    else:
+        H = parse_mhs(doc)
     report = H.validate(args.tol)
-    doc_out = {"ok": report.ok, "failures": report.failures}
-    _emit(args, dumps(doc_out))
+    _emit(args, dumps({"ok": report.ok, "failures": report.failures}))
     return OK if report.ok else FAIL
 
 
+def _oriented_orbit(doc: dict):
+    orbit, orient = parse_orbit(doc)
+    if orient is None:
+        raise HodgeError("orbit file has no orientation")
+    return orbit, orient
+
+
 def cmd_compute(args) -> int:
-    try:
-        doc = load(args.path)
-        kind = detect_kind(doc)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IOERR
-    try:
-        if args.what == "limit-height":
-            if kind != "orbit":
-                print("error: limit-height needs an orbit file", file=sys.stderr)
-                return FAIL
-            orbit, orient = parse_orbit(doc)
-            if orient is None:
-                print("error: orbit file has no orientation", file=sys.stderr)
-                return FAIL
-            value = limit_height(orbit, orient, args.tol)
-            _emit(args, dumps({"limit_height": value}))
-            return OK
-        if kind == "orbit":
-            orbit, orient = parse_orbit(doc)
-            H = orbit.fiber(complex(args.z), args.tol)
-            om = OrientedMHS(H, orient) if orient is not None else None
-        elif kind == "variation":
-            v = parse_variation(doc)
-            z = complex(args.z)
-            s = np.exp(2j * np.pi * z)
-            om = oriented_fiber(v, [z] * len(v.nilpotents), [s] * len(v.nilpotents), args.tol)
-            H = om.mhs
-        else:
-            H = parse_mhs(doc)
-            om = None
-            if "orientation" in doc:
-                om = parse_oriented_mhs(doc)
-        if args.what == "bigrading":
-            B = H.bigrading(args.tol)
-            comps = {f"{p},{q}": [[[x.real, x.imag] for x in row] for row in B.components[(p, q)].basis]
-                     for (p, q) in B.keys}
-            _emit(args, dumps({"components": comps}))
-            return OK
-        if args.what == "delta":
-            spl = deligne_delta(H, args.tol)
-            _emit(args, dumps({"delta": [[float(x) for x in row] for row in spl.delta],
-                               "residual": spl.residual}))
-            return OK
-        if args.what == "height":
-            if om is None:
-                print("error: height needs an orientation", file=sys.stderr)
-                return FAIL
-            _emit(args, dumps({"height": height(om, args.tol)}))
-            return OK
-        print(f"error: unknown computation {args.what!r}", file=sys.stderr)
-        return FAIL
-    except NoConvergence as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL
-    except HodgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+    doc = load(args.path)
+    kind = detect_kind(doc)
+    if args.what == "limit-height":
+        if kind != "orbit":
+            raise HodgeError("limit-height needs an orbit file")
+        value = limit_height(*_oriented_orbit(doc), args.tol)
+        _emit(args, dumps({"limit_height": value}))
+        return OK
+    if kind == "orbit":
+        orbit, orient = parse_orbit(doc)
+        H = orbit.fiber(args.z, args.tol)
+        om = OrientedMHS(H, orient) if orient is not None else None
+    elif kind == "variation":
+        v = parse_variation(doc)
+        s = np.exp(2j * np.pi * args.z)
+        k = len(v.nilpotents)
+        om = oriented_fiber(v, [args.z] * k, [s] * k, args.tol)
+        H = om.mhs
+    else:
+        om = parse_oriented_mhs(doc) if "orientation" in doc else None
+        H = om.mhs if om is not None else parse_mhs(doc)
+    if args.what == "bigrading":
+        B = H.bigrading(args.tol)
+        comps = {f"{p},{q}": [[[x.real, x.imag] for x in row] for row in B.components[(p, q)].basis]
+                 for (p, q) in B.keys}
+        _emit(args, dumps({"components": comps}))
+    elif args.what == "delta":
+        spl = deligne_delta(H, args.tol)
+        _emit(args, dumps({"delta": [[float(x) for x in row] for row in spl.delta],
+                           "residual": spl.residual}))
+    else:
+        if om is None:
+            raise HodgeError("height needs an orientation")
+        _emit(args, dumps({"height": height(om, args.tol)}))
+    return OK
 
 
 def _scenario_rows(name: str, args) -> tuple[list[tuple[str, float, float]], bool]:
     """Rows of (label, computed, expected); second value reports overall pass."""
     tol = args.tol
     if name == "dilog":
-        s = complex(args.s)
-        r = scenarios.scenario_dilog(s, tol, precision_bits=args.precision)
+        r = scenarios.scenario_dilog(args.s, tol, precision_bits=args.precision)
         rows = [("height_general", r.height_general, r.expected),
                 ("height_biextension", r.height_biextension, r.expected)]
         return rows, r.bigrading_ok and all(abs(c - e) <= 1e-9 for _, c, e in rows)
     if name == "orbit6iii":
-        z = complex(args.z)
-        r = scenarios.scenario_orbit6iii(z, tol)
+        r = scenarios.scenario_orbit6iii(args.z, tol)
         rows = [("fiber_height", r.fiber_height, r.expected_fiber),
                 ("limit_height", r.limit_height, 0.0)]
         return rows, all(abs(c - e) <= 1e-9 for _, c, e in rows)
     if name == "family":
-        t = complex(args.t)
-        r = scenarios.scenario_family(t, tol, precision_bits=args.precision)
+        r = scenarios.scenario_family(args.t, tol, precision_bits=args.precision)
         rows = [("height", r.height, r.reduced_form),
                 ("closed_form", r.closed_form, r.reduced_form)]
         ok = all(abs(c - e) <= 1e-9 for _, c, e in rows)
@@ -167,17 +141,15 @@ def _scenario_rows(name: str, args) -> tuple[list[tuple[str, float, float]], boo
             ok = ok and abs(val) < 1e-4
         return rows, ok
     if name == "dim0":
-        r = scenarios.scenario_dim0(complex(args.a), complex(args.b), tol)
+        r = scenarios.scenario_dim0(args.a, args.b, tol)
         rows = [("height", r.height, 0.0),
                 ("delta1[0]", r.spec.delta1[0], r.spec.delta1[0]),
                 ("delta1[1]", r.spec.delta1[1], r.spec.delta1[1])]
         return rows, r.roundtrip_ok and abs(r.height) <= 1e-9
     if name == "triangle":
         T = scenarios.TriangleData(
-            a=tuple(complex(x) for x in args.a_coeffs),
-            b=tuple(complex(x) for x in args.b_coeffs),
-            c=tuple(complex(x) for x in args.c_coeffs),
-            alpha=complex(args.alpha), beta=complex(args.beta))
+            a=tuple(args.a_coeffs), b=tuple(args.b_coeffs), c=tuple(args.c_coeffs),
+            alpha=args.alpha, beta=args.beta)
         r = scenarios.scenario_triangle(T, tol)
         rows = [("ht_nine", r.ht_nine, r.ht_six),
                 ("ht_six", r.ht_six, r.ht_nine),
@@ -188,14 +160,7 @@ def _scenario_rows(name: str, args) -> tuple[list[tuple[str, float, float]], boo
 
 
 def cmd_scenario(args) -> int:
-    try:
-        rows, ok = _scenario_rows(args.name, args)
-    except NoConvergence as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL
-    except HodgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+    rows, ok = _scenario_rows(args.name, args)
     if args.format == "json":
         doc = {"scenario": args.name, "pass": ok,
                "rows": [{"label": l, "computed": c, "expected": e} for l, c, e in rows]}
@@ -213,52 +178,31 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        doc = load(args.path)
-        kind = detect_kind(doc)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IOERR
-    z0, z1 = complex(args.z_start), complex(args.z_end)
-    count = int(args.count)
-    params = np.linspace(0.0, 1.0, count)
+    doc = load(args.path)
+    kind = detect_kind(doc)
+    z0, z1 = args.z_start, args.z_end
+    zs = [z0 + (z1 - z0) * t for t in np.linspace(0.0, 1.0, args.count)]
     rows = []
-    try:
-        if kind == "orbit":
-            orbit, orient = parse_orbit(doc)
-            if orient is None:
-                print("error: orbit file has no orientation", file=sys.stderr)
-                return FAIL
-            for t in params:
-                z = z0 + (z1 - z0) * t
-                h = height(OrientedMHS(orbit.fiber(z, args.tol), orient), args.tol)
-                rows.append((z.imag, h, float("nan")))
-        elif kind == "variation":
-            v = parse_variation(doc)
-            k = len(v.nilpotents)
-            pts = []
-            for t in params:
-                z = z0 + (z1 - z0) * t
-                s = np.exp(2j * np.pi * z)
-                pts.append(([z] * k, [s] * k))
-            limit = v.limit_structure()
-            if limit.validate(args.tol).ok and is_hodge_tate(limit, args.tol) and v.length >= 4:
-                report = check_asymptotics(v, pts, args.tol)
-                for p in report.points:
-                    rows.append((complex(p.z[0]).imag, p.height, p.identity_residual))
-            else:
-                for zz, ss in pts:
-                    h = height(oriented_fiber(v, zz, ss, args.tol), args.tol)
-                    rows.append((complex(zz[0]).imag, h, float("nan")))
+    if kind == "orbit":
+        orbit, orient = _oriented_orbit(doc)
+        for z in zs:
+            h = height(OrientedMHS(orbit.fiber(z, args.tol), orient), args.tol)
+            rows.append((z.imag, h, float("nan")))
+    elif kind == "variation":
+        v = parse_variation(doc)
+        k = len(v.nilpotents)
+        pts = [([z] * k, [np.exp(2j * np.pi * z)] * k) for z in zs]
+        limit = v.limit_structure()
+        if limit.validate(args.tol).ok and is_hodge_tate(limit, args.tol) and v.length >= 4:
+            report = check_asymptotics(v, pts, args.tol)
+            for p in report.points:
+                rows.append((complex(p.z[0]).imag, p.height, p.identity_residual))
         else:
-            print("error: sweep needs an orbit or variation file", file=sys.stderr)
-            return FAIL
-    except NoConvergence as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL
-    except NotAnMHS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+            for zz, ss in pts:
+                h = height(oriented_fiber(v, zz, ss, args.tol), args.tol)
+                rows.append((complex(zz[0]).imag, h, float("nan")))
+    else:
+        raise HodgeError("sweep needs an orbit or variation file")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["param", "height", "identity_residual"])
@@ -300,29 +244,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--what", required=True,
                    choices=["bigrading", "delta", "height", "limit-height"])
-    p.add_argument("--z", default="2j", help="fiber parameter for orbit/variation files")
+    p.add_argument("--z", type=complex, default=2j,
+                   help="fiber parameter for orbit/variation files")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("scenario", help="run a named worked example", parents=[common])
     p.add_argument("name", choices=["dilog", "triangle", "family", "dim0", "orbit6iii"])
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--s", default="0.5+0.5j")
-    p.add_argument("--z", default="1j")
-    p.add_argument("--t", default="-1j")
-    p.add_argument("--a", dest="a", default="2")
-    p.add_argument("--b", dest="b", default="3")
-    p.add_argument("--a-coeffs", nargs=3, default=["1", "2j", "1"])
-    p.add_argument("--b-coeffs", nargs=3, default=["1", "1", "2j"])
-    p.add_argument("--c-coeffs", nargs=3, default=["2j", "1", "1"])
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="1")
+    p.add_argument("--s", type=complex, default=0.5 + 0.5j)
+    p.add_argument("--z", type=complex, default=1j)
+    p.add_argument("--t", type=complex, default=-1j)
+    p.add_argument("--a", type=complex, default=2)
+    p.add_argument("--b", type=complex, default=3)
+    p.add_argument("--a-coeffs", type=complex, nargs=3, default=[1, 2j, 1])
+    p.add_argument("--b-coeffs", type=complex, nargs=3, default=[1, 1, 2j])
+    p.add_argument("--c-coeffs", type=complex, nargs=3, default=[2j, 1, 1])
+    p.add_argument("--alpha", type=complex, default=1)
+    p.add_argument("--beta", type=complex, default=1)
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("sweep", help="heights along a ray in z-space (CSV)",
                        parents=[common])
     p.add_argument("path")
-    p.add_argument("--z-start", default="0.5j")
-    p.add_argument("--z-end", default="5j")
+    p.add_argument("--z-start", type=complex, default=0.5j)
+    p.add_argument("--z-end", type=complex, default=5j)
     p.add_argument("--count", type=int, default=10)
     p.set_defaults(func=cmd_sweep)
     return ap
@@ -339,7 +284,17 @@ def main(argv=None) -> int:
         ap.error(f"the tolerance must be finite and positive, got {args.tol}")
     if args.precision < 53:
         ap.error(f"--precision must be at least 53 bits, got {args.precision}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NoConvergence as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL
+    except HodgeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FAIL
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return IOERR
 
 
 if __name__ == "__main__":

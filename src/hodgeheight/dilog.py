@@ -104,9 +104,6 @@ def _li2_mp(z: complex, precision_bits: int) -> complex:
         return complex(val)
 
 
-INFINITY = complex("inf")
-
-
 def bloch_wigner(z, precision_bits: int = 53) -> float:
     """The single-valued dilogarithm Im(Li2) + arg(1-z) log|z|.
 

@@ -30,7 +30,7 @@ from .errors import (
     NotOriented,
     ZeroBottomPairing,
 )
-from .linalg import maxabs
+from .linalg import maxabs, quotient_coordinates
 from .mhs import MixedHodgeStructure, conjugate, dual, is_morphism
 from .splitting import deligne_delta
 
@@ -89,13 +89,15 @@ def _check_oriented(om: OrientedMHS, tol: float) -> None:
 def top_lift(om: OrientedMHS, tol: float | None = None) -> np.ndarray:
     """The unique element of I^{a,a} (2a = max weight) projecting to the top
     generator modulo lower weights; checked and computed once per resolved
-    tol, and read-only because every caller shares it."""
+    tol, and read-only because every caller shares it.
+
+    The top weight piece is rank one, so it is I^{a,a}, and the other pieces
+    span W_(max-1): the lift is the top weight projection of the generator."""
     tol = default_tol() if tol is None else tol
     if tol not in om._lifts:
         _check_oriented(om, tol)
-        H = om.mhs
-        a = om.max_weight // 2
-        e = H.bigrading(tol).lift(om.orientation.top, a, a, H.W.at(om.max_weight - 1), tol)
+        P = om.mhs.bigrading(tol).weight_projector(om.max_weight)
+        e = P @ om.orientation.top
         e.setflags(write=False)
         om._lifts[tol] = e
     return om._lifts[tol]
@@ -170,15 +172,12 @@ def check_functoriality(f: np.ndarray, A: OrientedMHS, B: OrientedMHS,
     _check_oriented(A, tol)
     _check_oriented(B, tol)
 
-    # d_max: f(1_A) = d_max 1_B in the top graded piece
-    below = B.mhs.W.at(B.max_weight - 1)
-    cols = np.vstack([[B.orientation.top], below.basis]).T if below.dim else \
-        np.array([B.orientation.top]).T
-    rhs = f @ A.orientation.top
-    x, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    if maxabs(cols @ x - rhs) > 100 * tol * max(1.0, maxabs(rhs)):
-        raise NotAMorphism("image of the top generator is not expressible in the target")
-    d_max = x[0]
+    # d_max: f(1_A) = d_max 1_B in the top graded piece, read as the ratio of
+    # their one coordinate modulo W_(max-1), which 1_B does not lie in
+    W = B.mhs.W
+    image, top = quotient_coordinates(np.array([f @ A.orientation.top, B.orientation.top]),
+                                      W.at(B.max_weight), W.at(B.max_weight - 1))
+    d_max = image[0] / top[0]
     # d_min: f(bottom_A) = d_min bottom_B inside the rank-one bottom step
     img = f @ A.orientation.bottom
     d_min = _coefficient_against_bottom(img, B.orientation.bottom, tol, maxabs(img)) \
@@ -207,7 +206,7 @@ def dual_oriented(om: OrientedMHS, tol: float | None = None) -> OrientedMHS:
     n = H.dim
     # top generator of the dual: a functional taking value 1 on the bottom
     bottom = om.orientation.bottom
-    lam, *_ = np.linalg.lstsq(np.array([bottom]), np.array([1.0 + 0j]), rcond=None)
+    lam = np.conj(bottom) / np.vdot(bottom, bottom)
     # bottom generator of the dual: the annihilator line of W_{max-1}, scaled
     # to take value 1 on the top generator
     ann = H.W.at(om.max_weight - 1).annihilator(tol)

@@ -43,15 +43,19 @@ inside it is the same check as evaluating them at every integer.
 deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to
 an sl2-triple (N0, Y - Y', N0+) commuting with the deeper components of N.
-Starting from any grading of W that commutes with Y (built from Y-invariant
-echelon complements), the defect [N - N0, N0+] is killed depth by depth with
-corrections exp(gamma), gamma of the appropriate bidegree; each step is a
-linear solve and nilpotency bounds the number of steps.  Each step computes
-the eigenspaces of Y' once: they give its projectors (linalg.graded_projectors),
-every degree part of N and of the defect in one linalg.graded_parts call
-each, and the final check that Y' grades W.  All bracket identities are
-verified post hoc.  The final projectors stay on the DeligneSystem,
-read-only, for limit_height.
+It starts from a grading of W that commutes with Y, given by its pieces
+(weight -> basis rows): the eigenspaces of Y when they already grade W at
+its jumps, else Y-invariant echelon complements of consecutive weight steps.
+The eigenspaces of Y are computed once, there.  The defect [N - N0, N0+] is
+then killed depth by depth with corrections exp(gamma), gamma of the
+appropriate bidegree; each step is a linear solve and nilpotency bounds the
+number of steps.  A correction conjugates Y' by G = exp(gamma), so it moves
+each piece by G (rows B become B G^T) and no eigenspace is recomputed.  Each
+step takes the projectors of the pieces from linalg.graded_projectors, sets
+Y' = sum k P_k and takes every degree part of N and of the defect in one
+linalg.graded_parts call each.  That the final pieces grade W and all
+bracket identities are verified post hoc.  The final projectors stay on the
+DeligneSystem, read-only, for limit_height.
 """
 from __future__ import annotations
 
@@ -292,35 +296,30 @@ def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, Subspace]:
     return spaces
 
 
-def _grades(spaces: dict[int, Subspace], W: Filtration, tol: float) -> bool:
-    """Whether the pieces (eigenvalue -> eigenspace) grade W: for every weight
-    k, the pieces with eigenvalue <= k span exactly W_k."""
-    span, pending = Subspace.zero(W.ambient_dim), sorted(spaces)
+def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
+    """Whether the pieces (weight -> basis rows) grade W: for every weight k,
+    the pieces with key <= k span exactly W_k."""
+    n = W.ambient_dim
     for k in W.indices:
-        while pending and pending[0] <= k:
-            span = span.add(spaces[pending.pop(0)], tol)
+        rows = [b for j, b in pieces.items() if j <= k]
+        span = Subspace.from_rows(np.vstack(rows), n, tol) if rows else Subspace.zero(n)
         if span.dim != W.at(k).dim or not W.at(k).contains(span, tol):
             return False
     return True
 
 
-def _grading_projectors(spaces: dict[int, Subspace], n: int) -> dict[int, np.ndarray]:
-    """Eigenprojectors of a grading from its eigenspaces, which must span."""
-    if sum(s.dim for s in spaces.values()) != n:
-        raise ConstructionFailed("grading eigenspaces do not span")
-    return graded_projectors({k: s.basis for k, s in spaces.items()})
-
-
-def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> np.ndarray:
-    """A grading of W commuting with Y: Y-invariant echelon complements of
-    consecutive weight steps.  When Y already grades W it is returned as is."""
+def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> dict[int, np.ndarray]:
+    """The pieces (weight -> basis rows) of a grading of W commuting with Y:
+    Y-invariant echelon complements of consecutive weight steps.  When the
+    eigenspaces of Y already grade W at its jumps they are the pieces."""
     n = W.ambient_dim
     evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
     eigen = _eigenspaces(Y, evs, tol)
-    if _grades(eigen, W, tol):
-        return np.asarray(Y, dtype=complex)
+    pieces = {k: E.basis for k, E in eigen.items()}
+    if set(pieces) <= set(W.indices) and _grades(pieces, W, tol):
+        return pieces
 
-    pieces: dict[int, np.ndarray] = {}
+    pieces = {}
     prev = Subspace.zero(n)
     for k in W.indices:
         Wk = W.at(k)
@@ -330,7 +329,7 @@ def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> np.ndarray:
         prev = Wk
     if sum(len(b) for b in pieces.values()) != n:
         raise ConstructionFailed("initial grading construction did not span")
-    return sum(k * P for k, P in graded_projectors(pieces).items())
+    return pieces
 
 
 def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
@@ -346,14 +345,14 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
         raise ConstructionFailed("[Y, N] = -2N fails on the input")
     check_nilpotent(N, tol)
 
-    Yp = _initial_w_grading(W, Y, tol)
+    pieces = _initial_w_grading(W, Y, tol)
     levels = W.indices
     span = levels[-1] - levels[0]
 
     zero = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
-        spaces = _eigenspaces(Yp, levels, tol)
-        proj = _grading_projectors(spaces, n)
+        proj = graded_projectors(pieces)
+        Yp = sum(k * P for k, P in proj.items())
         N_parts = graded_parts(proj, N)
         N0 = N_parts.get(0, zero)
         H = Y - Yp
@@ -380,14 +379,14 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
         g, res2 = solve_linear(L2, rhs2)
         if res2 > 1e3 * tol * scale:
             raise ConstructionFailed("depth correction system is inconsistent")
-        gamma = unvec(g, n)
-        G = expm_nilpotent(gamma)
-        Yp = G @ Yp @ np.linalg.inv(G)
+        # Ad(exp(gamma)) Y' grades by the pieces moved by exp(gamma)
+        G = expm_nilpotent(unvec(g, n))
+        pieces = {k: b @ G.T for k, b in pieces.items()}
     else:
         raise ConstructionFailed("grading iteration did not converge")
 
-    # every exit of the loop above comes before Yp moves, so spaces, proj and
-    # N_parts belong to the final Yp
+    # every exit of the loop above comes before the pieces move, so proj, Yp
+    # and N_parts belong to the final pieces
     comps = {j: N_parts[-j] for j in range(0, span + 1)
              if -j in N_parts and maxabs(N_parts[-j]) > tol * scale}
     N0 = comps.get(0, zero)
@@ -401,7 +400,7 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     residual = max(residual, maxabs(N0p @ N0 - N0 @ N0p - H))
     residual = max(residual, maxabs(H @ N0p - N0p @ H - 2 * N0p))
     residual = max(residual, maxabs((N - N0) @ N0p - N0p @ (N - N0)))
-    if not _grades(spaces, W, tol):
+    if not _grades(pieces, W, tol):
         raise ConstructionFailed("result does not grade the weight filtration")
     residual /= scale
     if residual > 1e3 * tol:
@@ -458,8 +457,9 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
     the limit splitting against the bottom generator.
 
     The grading Y' and the generators refer to W while the splitting comes
-    from the limit structure (F_inf, M); the degree parts of the splitting
-    are taken over the projectors of Y' that the Deligne system holds."""
+    from the limit structure (F_inf, M).  The deepest degree part of the
+    splitting, of degree w_min - w_max, is P_min delta P_max over the
+    projectors of Y' that the Deligne system holds."""
     tol = default_tol() if tol is None else tol
     weights = orbit.W.indices
     length = weights[-1] - weights[0]
@@ -469,7 +469,8 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
     Y = Hlim.bigrading(tol).Y
     system = deligne_system_grading(orbit.W, orbit.N, Y, tol)
     spl = deligne_delta(Hlim, tol)
-    deep = graded_parts(system.projectors, spl.delta).get(-length, np.zeros_like(spl.delta))
+    P = system.projectors
+    deep = P[weights[0]] @ spl.delta @ P[weights[-1]]
     vec_out = deep @ np.asarray(orientation.top, dtype=complex)
     return _coefficient_against_bottom(vec_out, orientation.bottom, tol,
                                        max(maxabs(vec_out), maxabs(spl.delta)))

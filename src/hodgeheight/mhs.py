@@ -45,14 +45,16 @@ the direct-sum projectors onto the target pieces.  The residual is linear
 in B, so the bound scales with the entries of the basis, as the pivot
 threshold of linalg.rref_float scales with the entries of its matrix.
 
-A MixedHodgeStructure is immutable: W and F are fixed at construction.  Its
-candidate lattice, its ValidationReport, the projectors of its candidate
-pieces (one linalg.graded_projectors call), its DeligneBigrading and its
-splitting (see splitting.deligne_delta) are each computed once per resolved
-tolerance and cached on the structure, so validate(tol) followed by
-bigrading(tol) builds the lattice and the projectors once, while a call at
-another tol computes afresh.  A DeligneBigrading takes those projectors,
-builds its grading Y once, when it is made, and keeps them read-only.
+A MixedHodgeStructure is immutable: W and F are fixed at construction.  It
+keeps one cache, per resolved tolerance: the ValidationReport and, when the
+axioms hold, the DeligneBigrading, which validate builds from the same
+candidate pieces and the one linalg.graded_projectors call the conjugation
+check made.  So validate(tol) followed by bigrading(tol) builds the lattice
+and the projectors once, while a call at another tol computes afresh.  A
+DeligneBigrading builds its weight projectors and its grading Y once, when
+it is made, and keeps them read-only; every grading fact downstream (the top
+lift of an oriented structure, the splitting) is read off these projectors.
+The splitting (see splitting.deligne_delta) is cached next to it.
 """
 from __future__ import annotations
 
@@ -209,20 +211,6 @@ class DeligneBigrading:
         n = self.ambient_dim
         return self.weight_projectors.get(k, np.zeros((n, n), dtype=complex))
 
-    def lift(self, vector, p: int, q: int, modulo: Subspace,
-             tol: float | None = None) -> np.ndarray:
-        """The element of I^{p,q} congruent to `vector` modulo `modulo`."""
-        tol = default_tol() if tol is None else tol
-        piece = self.components[(p, q)]
-        A = np.vstack([piece.basis, modulo.basis]).T if modulo.dim else piece.basis.T
-        x, *_ = np.linalg.lstsq(A, np.asarray(vector, dtype=complex), rcond=None)
-        e = x[: piece.dim] @ piece.basis
-        resid = maxabs(A @ x - np.asarray(vector, dtype=complex))
-        scale = max(maxabs(vector), 1.0)
-        if resid > 100 * tol * scale:
-            raise NotAnMHS("vector has no lift into the requested component")
-        return e
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -241,12 +229,8 @@ class MixedHodgeStructure:
         self.W = W
         self.F = F
         self.dim = W.ambient_dim
-        # per resolved tol: the candidate lattice, its report, the projectors
-        # of a direct-sum lattice and its bigrading
-        self._candidates: dict[float, dict[tuple[int, int], Subspace]] = {}
-        self._reports: dict[float, ValidationReport] = {}
-        self._projectors: dict[float, dict[tuple[int, int], np.ndarray]] = {}
-        self._bigradings: dict[float, DeligneBigrading] = {}
+        # per resolved tol: the report and, when it is ok, the bigrading
+        self._validated: dict[float, tuple[ValidationReport, DeligneBigrading | None]] = {}
         # per resolved tol: the Splitting, filled by splitting.deligne_delta
         self._splittings: dict[float, Splitting] = {}
 
@@ -266,7 +250,8 @@ class MixedHodgeStructure:
     # -- bigrading -------------------------------------------------------------
 
     def _component_candidates(self, tol: float) -> dict[tuple[int, int], Subspace]:
-        """Build the candidate pieces I^{a,b}; callers cache them per tol.
+        """Build the candidate pieces I^{a,b}, once per tol (validate caches
+        the outcome).
 
         Each F^p is reduced once against the adapted basis of W, and every
         F^p cap W_k is read off that echelon (AdaptedBasis.meet; see the
@@ -316,11 +301,6 @@ class MixedHodgeStructure:
                     comps[(a, b)] = piece
         return comps
 
-    def _candidates_at(self, tol: float) -> dict[tuple[int, int], Subspace]:
-        if tol not in self._candidates:
-            self._candidates[tol] = self._component_candidates(tol)
-        return self._candidates[tol]
-
     def validate(self, tol: float | None = None) -> ValidationReport:
         """Check the three bigrading axioms; ok iff all hold.
 
@@ -331,26 +311,33 @@ class MixedHodgeStructure:
         ||(1 - P_target) conj(B)^T||_max <= tol * max(1, ||B||_max), where
         P_target projects onto I^{b,a} + sum_{x<b, y<a} I^{x,y} along the
         other pieces; the bound is relative to the basis entries because the
-        residual is linear in B.  See the module docstring."""
+        residual is linear in B.  See the module docstring.  When all hold,
+        the bigrading is built from the same pieces and projectors and
+        cached with the report."""
         tol = default_tol() if tol is None else tol
-        if tol in self._reports:
-            return self._reports[tol]
-        comps = self._candidates_at(tol)
+        if tol in self._validated:
+            return self._validated[tol][0]
+        comps = self._component_candidates(tol)
         n = self.dim
         total = sum(s.dim for s in comps.values())
+        bigrading = None
         if total != n:
             failures = [f"direct-sum: component dimensions add to {total}, expected {n}"]
         elif echelonize(np.vstack([comps[k].basis for k in sorted(comps)]), n, tol).dim != n:
             failures = ["direct-sum: components are not independent"]
         else:
-            failures = self._axiom_failures(comps, tol)
-        self._reports[tol] = ValidationReport(ok=not failures, failures=tuple(failures))
-        return self._reports[tol]
+            proj = graded_projectors({key: s.basis for key, s in comps.items()})
+            failures = self._axiom_failures(comps, proj, tol)
+            if not failures:
+                bigrading = DeligneBigrading(comps, n, proj)
+        report = ValidationReport(ok=not failures, failures=tuple(failures))
+        self._validated[tol] = (report, bigrading)
+        return report
 
     def _axiom_failures(self, comps: dict[tuple[int, int], Subspace],
-                        tol: float) -> list[str]:
-        """The F-, W- and conjugation-axiom failures of a direct-sum lattice;
-        stores its projectors for bigrading."""
+                        proj: dict[tuple[int, int], np.ndarray], tol: float) -> list[str]:
+        """The F-, W- and conjugation-axiom failures of a direct-sum lattice
+        with projectors proj."""
         failures: list[str] = []
         for p in range(min(self.levels), max(self.levels) + 1):
             if sum(s.dim for (a, _), s in comps.items() if a >= p) != self.F.at(p).dim:
@@ -358,8 +345,6 @@ class MixedHodgeStructure:
         for k in self.weights:
             if sum(s.dim for (a, b), s in comps.items() if a + b <= k) != self.W.at(k).dim:
                 failures.append(f"W-axiom: W_{k} is not the span of components with p+q <= {k}")
-        proj = graded_projectors({key: s.basis for key, s in comps.items()})
-        self._projectors[tol] = proj
         for (a, b), s in comps.items():
             v = np.conj(s.basis).T
             escaped = v - sum((P @ v for (x, y), P in proj.items()
@@ -371,14 +356,12 @@ class MixedHodgeStructure:
 
     def bigrading(self, tol: float | None = None) -> DeligneBigrading:
         tol = default_tol() if tol is None else tol
-        if tol in self._bigradings:
-            return self._bigradings[tol]
-        report = self.validate(tol)
-        if not report.ok:
+        if tol not in self._validated:
+            self.validate(tol)
+        report, bigrading = self._validated[tol]
+        if bigrading is None:
             raise NotAnMHS("; ".join(report.failures))
-        self._bigradings[tol] = DeligneBigrading(self._candidates_at(tol), self.dim,
-                                                 self._projectors[tol])
-        return self._bigradings[tol]
+        return bigrading
 
 
 def deligne_bigrading(H: MixedHodgeStructure, tol: float | None = None) -> DeligneBigrading:

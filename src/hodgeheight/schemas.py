@@ -4,10 +4,12 @@ Conventions: weight-filtration bases and orientation vectors are rational,
 serialized as strings "p/q" (or integers); complex entries are [re, im]
 pairs.  A structure file holds {dimension, weight_filtration, hodge_filtration,
 orientation?}; an orbit file adds {nilpotent, f_infinity}; a variation file
-adds {nilpotents, gamma}.  Output uses sorted keys so files are byte-stable.
+adds {nilpotents, gamma}.  A document that lacks a key or holds a malformed
+entry raises HodgeError.  Output uses sorted keys so files are byte-stable.
 """
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Any
@@ -20,6 +22,18 @@ from .limits import NilpotentOrbit
 from .linalg import Subspace
 from .mhs import Filtration, MixedHodgeStructure, hodge_filtration, weight_filtration
 from .variations import GammaPoly, LocalVariation
+
+
+def _document(parse):
+    """A parser whose document lacks a key or holds a value of the wrong
+    shape raises HodgeError, as for a garbage rational entry."""
+    @functools.wraps(parse)
+    def checked(doc):
+        try:
+            return parse(doc)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise HodgeError(f"malformed document: {type(exc).__name__}: {exc}") from exc
+    return checked
 
 
 def _parse_rational(x) -> Fraction:
@@ -70,10 +84,12 @@ def _filtrations(doc: dict, hodge_key: str) -> tuple[Filtration, Filtration]:
     return W, F
 
 
+@_document
 def parse_mhs(doc: dict) -> MixedHodgeStructure:
     return MixedHodgeStructure(*_filtrations(doc, "hodge_filtration"))
 
 
+@_document
 def parse_orientation(doc: dict) -> Orientation | None:
     if "orientation" not in doc:
         return None
@@ -83,6 +99,7 @@ def parse_orientation(doc: dict) -> Orientation | None:
     return Orientation.of(top, bottom)
 
 
+@_document
 def parse_oriented_mhs(doc: dict) -> OrientedMHS:
     orient = parse_orientation(doc)
     if orient is None:
@@ -90,12 +107,14 @@ def parse_oriented_mhs(doc: dict) -> OrientedMHS:
     return OrientedMHS(parse_mhs(doc), orient)
 
 
+@_document
 def parse_orbit(doc: dict) -> tuple[NilpotentOrbit, Orientation | None]:
     W, F = _filtrations(doc, "f_infinity")
     N = _rational_matrix(doc["nilpotent"])
     return NilpotentOrbit(W, N, F), parse_orientation(doc)
 
 
+@_document
 def parse_variation(doc: dict) -> LocalVariation:
     W, F = _filtrations(doc, "f_infinity")
     nilpotents = tuple(np.array([[float(_parse_rational(x)) for x in row] for row in mat])

@@ -289,3 +289,46 @@ def test_removed_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_missing_key_is_a_malformed_document(dilog_file, tmp_path, capsys):
+    doc = load(dilog_file)
+    del doc["weight_filtration"]
+    bad = tmp_path / "no-weights.json"
+    bad.write_text(dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(bad)], ["compute", str(bad), "--what", "height"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed document") and "weight_filtration" in err
+
+
+def test_sweep_variation_without_orientation_fails(variation_file, tmp_path, capsys):
+    doc = load(variation_file)
+    del doc["orientation"]
+    bad = tmp_path / "unoriented.json"
+    bad.write_text(dumps(doc), encoding="utf-8")
+    assert main(["sweep", str(bad), "--count", "2"]) == 1
+    assert "orientation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00"], ids=["json", "utf8"])
+def test_undecodable_file_exits_3(content, tmp_path, capsys):
+    bad = tmp_path / "undecodable.json"
+    bad.write_bytes(content)
+    assert main(["validate", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "x.json", "--z-start", "abc"],
+    ["sweep", "x.json", "--z-end", "1+"],
+    ["compute", "x.json", "--what", "height", "--z", "abc"],
+    ["scenario", "dilog", "--s", "half"],
+    ["scenario", "triangle", "--a-coeffs", "1", "q", "2"],
+], ids=["z-start", "z-end", "compute-z", "scenario-s", "coefficients"])
+def test_malformed_number_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hodgeheight") and "invalid complex value" in err

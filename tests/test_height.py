@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +25,11 @@ from hodgeheight.height import (
     rho2,
 )
 from hodgeheight.limits import limit_mhs
+from hodgeheight.linalg import maxabs
 from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import lowering_morphisms
+from test_lattice import _cases, _rational_gl
 
 
 def test_split_real_structure_has_zero_height():
@@ -269,3 +273,87 @@ def test_top_lift_cached_per_tolerance():
     assert top_lift(om) is top_lift(om, 1e-9)
     assert top_lift(om, 1e-8) is not top_lift(om, 1e-9)
     assert np.array_equal(top_lift(om, 1e-8), top_lift(om, 1e-9))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the top lift and d_max solved from the linear systems the
+# least-squares versions solved, independent of the weight projectors and
+# pivot reads that top_lift and check_functoriality use.  Both systems are
+# square and invertible on a valid oriented structure, so they are solved
+# directly: np.linalg.lstsq on the lift system is itself off by 1.0e-12
+# relative (against the closed form 62500/3) on the cubic fiber at y = 50.
+
+
+def solved_top_lift(om: OrientedMHS) -> np.ndarray:
+    """The element of I^{a,a} congruent to the top generator modulo
+    W_(max-1), from the columns of I^{a,a} and W_(max-1)."""
+    H = om.mhs
+    a = om.max_weight // 2
+    piece = H.bigrading().components[(a, a)]
+    A = np.vstack([piece.basis, H.W.at(om.max_weight - 1).basis]).T
+    x = np.linalg.solve(A, np.asarray(om.orientation.top, dtype=complex))
+    return x[: piece.dim] @ piece.basis
+
+
+def solved_d_max(f: np.ndarray, A: OrientedMHS, B: OrientedMHS) -> complex:
+    """d_max with f(1_A) = d_max 1_B modulo W_(max-1), from the columns 1_B
+    and W_(max-1)."""
+    cols = np.vstack([[B.orientation.top], B.mhs.W.at(B.max_weight - 1).basis]).T
+    return np.linalg.solve(cols, f @ A.orientation.top)[0]
+
+
+def _oriented(H: MixedHodgeStructure) -> OrientedMHS:
+    """H with rational generators: the first coordinate vector outside
+    W_(max-1) and the basis row of W_min (rank one, as every lattice case
+    has it)."""
+    below = H.W.at(max(H.weights) - 1)
+    top = next(e for e in np.eye(H.dim) if not below.contains_vector(e))
+    return OrientedMHS(H, Orientation.of(top, np.real(H.W.at(min(H.weights)).basis[0])))
+
+
+def _oriented_cases():
+    """(id, factory) pairs: the lattice cases with generators read off W,
+    built biextensions, dilog fibers and cubic fibers moved by GL_4(Q)."""
+    for name, build in _cases():
+        yield f"lattice-{name}", lambda build=build: _oriented(build())
+    rng = np.random.default_rng(1618)
+    for i in range(4):
+        spec = random_spec(rng)
+        yield f"biextension-{i}", lambda spec=spec: build_biextension(spec)
+    for s in (0.25 + 0.5j, -1.5 + 0.3j, 2.5 - 1.2j):
+        yield f"dilog-{s}", lambda s=s: dilog_fiber(s)
+    for y in (0.5, 2.0, 10.0):
+        g = _rational_gl(4, rng)
+        yield f"moved-cubic-{y}", lambda y=y, g=g: _moved_oriented(
+            OrientedMHS(cubic_orbit()[0].fiber(1j * y), cubic_orbit()[1]), g)
+
+
+ORIENTED = [pytest.param(b, id=name) for name, b in _oriented_cases()]
+
+
+@pytest.mark.parametrize("build", ORIENTED)
+def test_top_lift_matches_solved_oracle(build):
+    from hodgeheight.height import top_lift
+
+    om = build()
+    want = solved_top_lift(om)
+    assert maxabs(top_lift(om) - want) <= 1e-12 * maxabs(want)
+
+
+@pytest.mark.parametrize("build", ORIENTED)
+def test_functoriality_d_max_matches_solved_oracle(build, monkeypatch):
+    # f = g in GL_n(Q) carries A onto B = g A, whose top generator is
+    # -5/2 g 1_A plus an element of W_(max-1), so d_max = -2/5.  The heights
+    # are stubbed: this compares the d_max read alone, also where the
+    # splitting of a moved structure fails (see the invariance property above)
+    monkeypatch.setattr(sys.modules["hodgeheight.height"], "height", lambda om, tol=None: 0.0)
+    A = build()
+    g = _rational_gl(A.mhs.dim, np.random.default_rng(A.mhs.dim))
+    moved = _moved_oriented(A, g)
+    w = np.real(moved.mhs.W.at(moved.max_weight - 1).basis[-1])
+    B = OrientedMHS(moved.mhs, Orientation.of(-2.5 * moved.orientation.top + 3 * w,
+                                              moved.orientation.bottom))
+    rep = check_functoriality(g, A, B)
+    want = solved_d_max(g, A, B)
+    assert abs(rep.d_max - want) <= 1e-12 * abs(want)
+    assert rep.d_max == pytest.approx(-0.4, rel=1e-12)

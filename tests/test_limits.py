@@ -679,3 +679,46 @@ def test_monodromy_filtration_computes_each_kernel_once(monkeypatch):
         # one kernel per exponent 1 .. m-1, none asked for twice
         assert len(calls) <= m - 1
         assert len({str(M) for M in calls}) == len(calls)
+
+
+def test_eigenspaces_computed_once_per_deligne_system(monkeypatch):
+    # the eigenspaces of Y are computed once, for the initial pieces; each
+    # correction moves the pieces instead of recomputing eigenspaces of Y'
+    from hodgeheight import limits
+
+    rng = np.random.default_rng(5)
+    systems = []
+    for _ in range(12):
+        # Y + 2 lam N grades M as well, and some of these need corrections
+        W, N, Y = random_deligne_system(rng)
+        systems.append((W, N, Y + 2 * complex(rng.normal(), rng.normal()) * N))
+    eigen, steps = [], []
+    original, projectors = limits._eigenspaces, limits.graded_projectors
+
+    def counted_eigen(Y, levels, tol):
+        eigen.append(levels)
+        return original(Y, levels, tol)
+
+    def counted_projectors(pieces):
+        steps.append(sorted(pieces))
+        return projectors(pieces)
+
+    monkeypatch.setattr(limits, "_eigenspaces", counted_eigen)
+    monkeypatch.setattr(limits, "graded_projectors", counted_projectors)
+    for i, (W, N, Y) in enumerate(systems):
+        ds = deligne_system_grading(W, N, Y)
+        assert ds.residual < 1e-10
+        assert len(eigen) == i + 1
+    # some systems need a correction, so the moved pieces are exercised
+    assert len(steps) > len(systems)
+
+
+def test_grading_with_an_eigenvalue_between_jumps_is_not_a_grading_of_w():
+    # the eigenspaces of Y = diag(0, 1, 2) span W_0 and W_2, but Y has the
+    # eigenvalue 1, which is no weight of W, so it is not taken as Y'; with
+    # N = 0 no grading of W completes to an sl2-triple with H = Y - Y'
+    from hodgeheight.errors import ConstructionFailed
+
+    W = weight_filtration([(0, Subspace.from_rows([[1, 0, 0]], 3)), (2, Subspace.full(3))], 3)
+    with pytest.raises(ConstructionFailed):
+        deligne_system_grading(W, np.zeros((3, 3)), np.diag([0.0, 1.0, 2.0]))
