@@ -9,44 +9,54 @@ center+j and center-j; it is computed by the closed formula
 and verified against both axioms afterwards.
 
 Each function of the orbit path takes one N (linalg.as_operator): Fraction
-rows when every entry is rational, otherwise a complex array.  Its powers
-come from one table (linalg.nilpotent_powers), and N is restricted to a
-weight step or to a graded piece W_k / W_(k-1) by pivot reads
-(linalg.quotient_coordinates), not by a solve.  So rational N with rational
-W stays in exact arithmetic throughout, and no rank decision on it involves
-a threshold; only N that is not rational (real N that depends on F, say)
-takes the float path.
+rows when every entry is rational, otherwise a complex array, with its
+powers from one table (linalg.nilpotent_powers).  So rational N with
+rational W stays in exact arithmetic throughout, and no rank
+decision on it involves a threshold; only N that is not rational (real N
+that depends on F, say) takes the float path.
 
-relative_weight_filtration(N, W) peels the top weight of W: with W' the next
-step down and M' computed recursively on it,
+relative_weight_filtration(N, W) runs in the coordinates c of v = c T, T the
+adapted basis of W (linalg.AdaptedBasis), where W_k is the span of the
+first d_k = dim W_k coordinates and N acts by N' (AdaptedBasis.operator).
+N preserves W exactly when N' vanishes below its diagonal blocks; N on W_k
+is then the leading d_k x d_k block of N' (and N^j the leading block of
+N'^j, so one power table serves every level), and N on Gr^W_k is the k-th
+diagonal block.  The recursion peels the top weight k of W: with M'
+computed on W_k' (k' the weight below) and carried up to C^(d_k) by
+appending zero coordinates,
 
     M_(k+j)  = preimage of M'_(k-j-2) under N^(j+1)      (j >= 0)
     M_(k-j)  = N^j( M_(k+j) ) + M'_(k-j)                 (j >= 1)
 
-where k is the top weight and the preimages are cut down to W_k.  With m the
-nilpotency index (N^m = 0), only the 2m-1 indices k-m+1 .. k+m-1 of each
-peeled weight are live: from j = m-1 on the preimage under N^(j+1) = 0 is
+with every preimage taken inside C^(d_k) = W_k.  With m the nilpotency
+index (N^m = 0), only the 2m-1 indices k-m+1 .. k+m-1 of each peeled
+weight are live: from j = m-1 on the preimage under N^(j+1) = 0 is
 everything, so M_(k+j) = W_k, and from j = m on the push N^j M_(k+j) is
 zero, so M_(k-j) = M'_(k-j).  The recursion therefore computes M_(k+j) for
-j = 0..m-2 and M_(k-j) for j = 1..m-1, sets M_(k+m-1) = W_k, carries the
-entries of M' at or below k-m over unchanged, and returns M as a step
-function (the value at the largest stored index <= j).
+j = 0..m-2 and M_(k-j) for j = 1..m-1, sets M_(k+m-1) = W_k and carries the
+entries of M' at or below k-m over unchanged.  The base case is the
+monodromy filtration of the bottom block.  M goes back by c -> c T.
 
 The two characterizing axioms are re-verified on the result; failure raises
 DoesNotExist (admissibility failure).  The graded axiom compares, on each
-Gr^W_k, the dimension of M_j cut down to the piece with that of the
-monodromy filtration of the induced nilpotent for j in [k-2n, k+2n].  Both
-are step functions of j that change only at jumps of M or of the reference,
-so evaluating them at the lower end of the range and at every such jump
-inside it is the same check as evaluating them at every integer.
+Gr^W_k, dim (M_j cap W_k) / (M_j cap W_(k-1)) with the dimension of the
+monodromy filtration of the diagonal block for j in [k-2n, k+2n] (for the
+bottom piece that is the base case, computed once).  The first dimension
+is a count: each step of M is row-reduced once with its pivots taken from
+the right (linalg.right_echelon), and it is the number of rows with pivot
+in d_(k-1) .. d_k - 1.  Both are step functions of j that change only at
+jumps of M or of the reference, so evaluating them at the lower end of the
+range and at every such jump inside it is the same check as evaluating
+them at every integer.
 
 deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to
 an sl2-triple (N0, Y - Y', N0+) commuting with the deeper components of N.
 It starts from a grading of W that commutes with Y, given by its pieces
 (weight -> basis rows): the eigenspaces of Y when they already grade W at
-its jumps, else Y-invariant echelon complements of consecutive weight steps.
-The eigenspaces of Y are computed once, there.  The defect [N - N0, N0+] is
+its jumps, else in each eigenspace E a complement of E cap W_(k-1) in
+E cap W_k, read off one echelon of E in the coordinates of T.  The
+eigenspaces of Y are computed once, there.  The defect [N - N0, N0+] is
 then killed depth by depth with corrections exp(gamma), gamma of the
 appropriate bidegree; each step is a linear solve and nilpotency bounds the
 number of steps.  A correction conjugates Y' by G = exp(gamma), so it moves
@@ -76,6 +86,7 @@ from .errors import (
 )
 from .height import _coefficient_against_bottom
 from .linalg import (
+    AdaptedBasis,
     Subspace,
     as_operator,
     check_nilpotent,
@@ -87,7 +98,7 @@ from .linalg import (
     nilpotent_powers,
     nullspace_exact,
     nullspace_float,
-    quotient_coordinates,
+    right_echelon,
     solve_linear,
     unvec,
     vec,
@@ -160,76 +171,72 @@ def _gr_dim(filt: Filtration, k: int) -> int:
 
 def relative_weight_filtration(N, W: Filtration, tol: float | None = None) -> Filtration:
     tol = default_tol() if tol is None else tol
-    N = as_operator(N)
-    n = W.ambient_dim
-    powers = nilpotent_powers(N, tol)
-    for k in W.indices:
-        if not W.at(k).contains(W.at(k).image_under(N, tol), tol):
-            raise DoesNotExist("N does not preserve the weight filtration")
-
-    M_steps = _relative_rec(N, powers, W, W.indices, n, tol)
+    flag = W.adapted_basis()
+    Np = flag.operator(as_operator(N))
+    powers = nilpotent_powers(Np, tol)
+    if not _preserves(flag, Np, tol):
+        raise DoesNotExist("N does not preserve the weight filtration")
+    base, M_steps = _relative_rec(powers, W.indices, flag.dims, tol)
     try:
-        filt = _steps_to_filtration(M_steps, n)
+        filt = _steps_to_filtration(M_steps, W.ambient_dim)
     except MalformedFiltration as exc:
         # the downward/upward passes only interlock when the filtration exists
         raise DoesNotExist(f"candidate family is not a filtration: {exc}") from exc
-    _verify_relative(filt, N, W, n, tol)
-    return filt
+    _verify_relative(filt, Np, W.indices, flag.dims, base, tol)
+    return filt.map_spaces(lambda s: flag.lift(s, tol))
 
 
-def _relative_rec(N, powers: list, W: Filtration, weights: list[int], n: int,
-                  tol: float) -> dict[int, Subspace]:
-    """Return M as a step function: a map k -> M_k whose lookup at any j is
-    the value at the largest key <= j (zero below the smallest key).
+def _preserves(flag: AdaptedBasis, Np, tol: float) -> bool:
+    """Whether Np = flag.operator(N) vanishes below its diagonal blocks: exactly,
+    or up to tol * max(max |Np|, 1) as the rref_float pivot threshold."""
+    n = len(Np)
+    block = [sum(d <= i for d in flag.dims) for i in range(n)]
+    lower = [Np[i][j] for i in range(n) for j in range(n) if block[i] > block[j]]
+    if isinstance(Np, list):
+        return not any(lower)
+    return max(map(abs, lower), default=0.0) <= tol * max(maxabs(Np), 1.0)
 
-    Implements the top-weight peeling recursion; the base case is a single
-    weight, where M is the monodromy filtration of N restricted to that piece
-    shifted to be centered there: the restriction is read in the coordinates
-    of the piece's echelon rows and the result carried back along them.
-    Only the live window of 2m-1 entries around the top weight k is computed
-    (see the module docstring): below k-m+1 the entries of M' carry over, and
-    from k+m-1 on M is W_k.
-    """
-    k_top = weights[-1]
-    top_space = W.at(k_top)
-    if len(weights) == 1:
-        small = monodromy_weight_filtration(_induced(N, top_space, Subspace.zero(n)),
-                                            k_top, tol)
-        lift = ([list(col) for col in zip(*top_space.exact)] if top_space.is_exact()
-                else top_space.basis.T)
-        return {k: small.at(k).image_under(lift, tol) for k in small.indices}
-    Msub = _relative_rec(N, powers, W, weights[:-1], n, tol)
+
+def _block(A, lo: int, hi: int):
+    """The diagonal block of rows and columns lo .. hi-1 of Fraction rows or an array."""
+    return [row[lo:hi] for row in A[lo:hi]] if isinstance(A, list) else A[lo:hi, lo:hi]
+
+
+def _pad(S: Subspace, d: int) -> Subspace:
+    """S in C^d by appending zero coordinates, which keeps its echelon rows."""
+    zeros = [Fraction(0)] * (d - S.ambient_dim)
+    basis = np.hstack([S.basis, np.zeros((S.dim, len(zeros)), dtype=complex)])
+    return Subspace(basis, d, pivots=S.pivots,
+                    exact=None if S.exact is None else [row + zeros for row in S.exact])
+
+
+def _relative_rec(powers: list, weights: list[int], dims: tuple[int, ...],
+                  tol: float) -> tuple[Filtration, dict[int, Subspace]]:
+    """(base, M) from the power table of N': the monodromy filtration of the
+    bottom block, and M in the coordinates of T as a map k -> M_k, read as
+    the step function of its largest key <= j (see the module docstring)."""
     m = len(powers) - 1
-    keys = sorted(Msub)
+    base = monodromy_weight_filtration(_block(powers[1], 0, dims[0]), weights[0], tol)
+    M = dict(base.steps)
+    for k_top, d in zip(weights[1:], dims[1:]):
+        keys = sorted(M)
+        Msub = {k: _pad(M[k], d) for k in keys}
+        P = [_block(p, 0, d) for p in powers]
 
-    def msub_at(j: int) -> Subspace:
-        i = bisect_right(keys, j)
-        return Msub[keys[i - 1]] if i else Subspace.zero(n)
+        def msub_at(j: int) -> Subspace:
+            i = bisect_right(keys, j)
+            return Msub[keys[i - 1]] if i else Subspace.zero(d)
 
-    # upward: M_(k+j) = N^-(j+1) M'_(k-j-2) cap W_k; N^(j+1) = 0 from j = m-1 on
-    up = [msub_at(k_top - j - 2).preimage_under(powers[j + 1], tol).intersect(top_space, tol)
-          for j in range(m - 1)]
-    up.append(top_space)
-    M = {k: Msub[k] for k in keys if k <= k_top - m}
-    # downward: M_(k-j) = N^j M_(k+j) + M'_(k-j); N^j = 0 from j = m on
-    for j in range(1, m):
-        M[k_top - j] = up[j].image_under(powers[j], tol).add(msub_at(k_top - j), tol)
-    for j, space in enumerate(up):
-        M[k_top + j] = space
-    return M
-
-
-def _induced(N, top: Subspace, sub: Subspace):
-    """Matrix of N on top / sub, both N-stable, in the basis of the echelon
-    rows of top whose pivots sub lacks: column i holds the pivot-read
-    coordinates (linalg.quotient_coordinates) of N applied to row i.  Exact
-    when N and both subspaces are."""
-    rows = [i for i, p in enumerate(top.pivots) if p not in sub.pivots]
-    if isinstance(N, list) and top.is_exact() and sub.is_exact():
-        images = [[sum((a * b for a, b in zip(row, top.exact[i]) if b), Fraction(0))
-                   for row in N] for i in rows]
-        return [list(col) for col in zip(*quotient_coordinates(images, top, sub))]
-    return quotient_coordinates(top.basis[rows] @ np.asarray(N, dtype=complex).T, top, sub).T
+        # upward: M_(k+j) = N^-(j+1) M'_(k-j-2); N^(j+1) = 0 from j = m-1 on
+        up = [msub_at(k_top - j - 2).preimage_under(P[j + 1], tol) for j in range(m - 1)]
+        up.append(Subspace.full(d))
+        M = {k: Msub[k] for k in keys if k <= k_top - m}
+        # downward: M_(k-j) = N^j M_(k+j) + M'_(k-j); N^j = 0 from j = m on
+        for j in range(1, m):
+            M[k_top - j] = up[j].image_under(P[j], tol).add(msub_at(k_top - j), tol)
+        for j, space in enumerate(up):
+            M[k_top + j] = space
+    return base, M
 
 
 def _steps_to_filtration(M: dict[int, Subspace], n: int) -> Filtration:
@@ -242,26 +249,27 @@ def _steps_to_filtration(M: dict[int, Subspace], n: int) -> Filtration:
     return weight_filtration(steps, n)
 
 
-def _verify_relative(M: Filtration, N, W: Filtration, n: int, tol: float) -> None:
+def _verify_relative(M: Filtration, Np, weights: list[int], dims: tuple[int, ...],
+                     base: Filtration, tol: float) -> None:
+    """Both axioms of M = M(N, W) in the coordinates of T, Np = N'; the
+    graded one by pivot counts (see the module docstring)."""
     for k in M.indices:
-        if not M.at(k - 2).contains(M.at(k).image_under(N, tol), tol):
+        if not M.at(k - 2).contains(M.at(k).image_under(Np, tol), tol):
             raise DoesNotExist("candidate filtration is not lowered by two under N")
-    # induced filtration on each graded piece must be the shifted monodromy
-    # filtration of the induced nilpotent; both sides are step functions of
-    # j, so they are compared at the lower end of [k-2n, k+2n] and at every
-    # jump of M or of the reference inside it
-    for k in W.indices:
-        Wk, Wk1 = W.at(k), W.at(k - 1)
-        if Wk.dim == Wk1.dim:
-            continue
-        ref = monodromy_weight_filtration(_induced(N, Wk, Wk1), k, tol)
-        lo, hi = k - 2 * n, k + 2 * n
-        for j in sorted({lo, *(i for i in M.indices + ref.indices if lo < i <= hi)}):
-            want = ref.at(j).dim
-            got = M.at(j).intersect(Wk, tol).add(Wk1, tol).dim - Wk1.dim
-            if got != want:
+    n = len(Np)
+    keys = M.indices
+    pivots = [right_echelon(s.exact if s.is_exact() else s.basis, tol)[1] for _, s in M.steps]
+    lo = 0
+    for k, d in zip(weights, dims):
+        ref = monodromy_weight_filtration(_block(Np, lo, d), k, tol) if lo else base
+        first, last = k - 2 * n, k + 2 * n
+        for j in sorted({first, *(i for i in keys + ref.indices if first < i <= last)}):
+            i = bisect_right(keys, j)
+            got = sum(lo <= p < d for p in pivots[i - 1]) if i else 0
+            if got != ref.at(j).dim:
                 raise DoesNotExist(
                     f"induced filtration on Gr_{k} differs from the monodromy filtration")
+        lo = d
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +318,9 @@ def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
 
 def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> dict[int, np.ndarray]:
     """The pieces (weight -> basis rows) of a grading of W commuting with Y:
-    Y-invariant echelon complements of consecutive weight steps.  When the
-    eigenspaces of Y already grade W at its jumps they are the pieces."""
+    the eigenspaces of Y when they grade W at its jumps, else in each E an
+    echelon complement of E cap W_(k-1) in E cap W_k, with E reduced once
+    against the flag of W and E cap W_k read off it (AdaptedBasis.meet)."""
     n = W.ambient_dim
     evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
     eigen = _eigenspaces(Y, evs, tol)
@@ -319,14 +328,16 @@ def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> dict[int, np
     if set(pieces) <= set(W.indices) and _grades(pieces, W, tol):
         return pieces
 
-    pieces = {}
-    prev = Subspace.zero(n)
-    for k in W.indices:
-        Wk = W.at(k)
-        comps = [E.intersect(prev, tol).complement_in(E.intersect(Wk, tol), tol)
-                 for E in eigen.values()]
-        pieces[k] = np.vstack([c.basis for c in comps])
-        prev = Wk
+    flag = W.adapted_basis()
+    parts: dict[int, list] = {k: [] for k in W.indices}
+    for E in eigen.values():
+        reduced = flag.reduce(E, tol)
+        prev = Subspace.zero(n)
+        for k, Wk in W.steps:
+            meet = flag.meet(E, reduced, Wk, tol)
+            parts[k].append(prev.complement_in(meet, tol).basis)
+            prev = meet
+    pieces = {k: np.vstack(b) for k, b in parts.items()}
     if sum(len(b) for b in pieces.values()) != n:
         raise ConstructionFailed("initial grading construction did not span")
     return pieces
@@ -426,9 +437,9 @@ class NilpotentOrbit:
         self.monodromy = as_operator(N)
         self.N = np.array(self.monodromy, dtype=complex)
         check_nilpotent(self.monodromy, tol)
-        for k in W.indices:
-            if not W.at(k).contains(W.at(k).image_under(self.monodromy, tol), tol):
-                raise NotNilpotent("N must preserve the weight filtration")
+        flag = W.adapted_basis()
+        if not _preserves(flag, flag.operator(self.monodromy), tol):
+            raise NotNilpotent("N must preserve the weight filtration")
         for p in F_inf.indices:
             moved = F_inf.at(p).image_under(self.monodromy, tol)
             if not F_inf.at(p - 1).contains(moved, tol):
@@ -523,9 +534,8 @@ def random_deligne_system(rng: np.random.Generator, max_dim: int = 6,
             W = weight_filtration(steps, n)
         except Exception:
             continue
-        # N must preserve W
-        ok = all(W.at(k).contains(W.at(k).image_under(N, tol), tol) for k in W.indices)
-        if not ok:
+        flag = W.adapted_basis()
+        if not _preserves(flag, flag.operator(as_operator(N)), tol):
             continue
         try:
             M = relative_weight_filtration(N, W, tol)

@@ -385,7 +385,10 @@ class AdaptedBasis:
     of a unit upper triangular matrix, kept over Q with its inverse.  Float
     pivots near the threshold need not nest; a step whose pivots miss some
     of the step below keeps its rows at the pivots that complete pivoting
-    on the coordinates of the step below leaves free (_covered_pivots)."""
+    on the coordinates of the step below leaves free (_covered_pivots).
+    Coordinates of v = c T are c = v T^-1; there N acts by N' (operator), on
+    S_i by its leading dims[i] block when N preserves the chain, and rows c
+    go back by c T (lift), both over Q when the chain and N are exact."""
 
     __slots__ = ("T", "inverse", "exact", "exact_inverse", "dims")
 
@@ -414,17 +417,29 @@ class AdaptedBasis:
             m.setflags(write=False)
 
     def reduce(self, S: Subspace, tol: float | None = None):
-        """The rows of S in the coordinates of T, v T^-1, in reduced echelon
-        form with pivots taken from the right: (rows, pivots), with Fraction
-        rows when S and the chain are exact.  Each row is zero at the pivots
-        of the other rows and after its own pivot (there below the pivot
-        threshold, for float rows)."""
+        """The rows of S in the coordinates of T, v T^-1, as right_echelon
+        gives them: Fraction rows when S and the chain are exact."""
         n = S.ambient_dim
         if S.is_exact() and self.exact is not None:
-            R, piv = rref_exact([_combination(v, self.exact_inverse, n)[::-1] for v in S.exact])
-            return [row[::-1] for row in R], [n - 1 - c for c in piv]
-        R, piv = rref_float((S.basis @ self.inverse)[:, ::-1], tol)
-        return R[:, ::-1], [n - 1 - c for c in piv]
+            return right_echelon([_combination(v, self.exact_inverse, n) for v in S.exact])
+        return right_echelon(S.basis @ self.inverse, tol)
+
+    def operator(self, N):
+        """N' with N'^T = T N^T T^-1, column j the coordinates of N applied to
+        row j of T: Fraction rows when N (as_operator) and the chain are exact."""
+        if isinstance(N, list) and self.exact is not None:
+            n, cols = len(N), list(zip(*N))
+            images = [_combination(t, cols, n) for t in self.exact]
+            coords = [_combination(v, self.exact_inverse, n) for v in images]
+            return [list(c) for c in zip(*coords)]
+        return (self.T @ np.asarray(N, dtype=complex).T @ self.inverse).T
+
+    def lift(self, S: Subspace, tol: float | None = None) -> Subspace:
+        """The subspace of the rows c T for c in a subspace S of coordinates."""
+        n = S.ambient_dim
+        if S.is_exact() and self.exact is not None:
+            return Subspace.from_rows([_combination(c, self.exact, n) for c in S.exact], n)
+        return Subspace.from_rows(S.basis @ self.T, n, tol)
 
     def meet(self, S: Subspace, reduced, step: Subspace,
              tol: float | None = None) -> Subspace:
@@ -449,6 +464,19 @@ class AdaptedBasis:
             return Subspace.from_rows([_combination(rows[i][:d], self.exact[:d], n)
                                        for i in keep], n)
         return Subspace.from_rows(rows[keep, :d] @ self.T[:d], n, tol)
+
+
+def right_echelon(rows, tol: float | None = None):
+    """Reduced row echelon form with pivots taken from the right: (rows,
+    pivots), Fraction rows staying exact.  Each row is zero at the other
+    pivots and after its own (below the pivot threshold, for float rows), so
+    a combination vanishes past coordinate d exactly when its coefficients
+    on the rows with pivot >= d are zero."""
+    if isinstance(rows, list):
+        R, piv = rref_exact([row[::-1] for row in rows])
+        return [row[::-1] for row in R], [len(rows[0]) - 1 - c for c in piv]
+    R, piv = rref_float(rows[:, ::-1], tol)
+    return R[:, ::-1], [rows.shape[1] - 1 - c for c in piv]
 
 
 def _covered_pivots(sub: Subspace, top: Subspace) -> set[int]:
