@@ -51,21 +51,24 @@ them at every integer.
 
 deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to
-an sl2-triple (N0, Y - Y', N0+) commuting with the deeper components of N.
-It starts from a grading of W that commutes with Y, given by its pieces
-(weight -> basis rows): the eigenspaces of Y when they already grade W at
-its jumps, else in each eigenspace E a complement of E cap W_(k-1) in
-E cap W_k, read off one echelon of E in the coordinates of T.  The
-eigenspaces of Y are computed once, there.  The defect [N - N0, N0+] is
-then killed depth by depth with corrections exp(gamma), gamma of the
-appropriate bidegree; each step is a linear solve and nilpotency bounds the
-number of steps.  A correction conjugates Y' by G = exp(gamma), so it moves
-each piece by G (rows B become B G^T) and no eigenspace is recomputed.  Each
-step takes the projectors of the pieces from linalg.graded_projectors, sets
-Y' = sum k P_k and takes every degree part of N and of the defect in one
-linalg.graded_parts call each.  That the final pieces grade W and all
-bracket identities are verified post hoc.  The final projectors stay on the
-DeligneSystem, read-only, for limit_height.
+an sl2-triple (N0, H = Y - Y', N0+) commuting with the deeper components of
+N.  It starts from pieces (weight -> basis rows) of a grading of W: in each
+eigenspace E of Y (computed once, there) a complement of E cap W_(k-1) in
+E cap W_k, read off one echelon of E in the coordinates of T.  The defect
+[N - N0, N0+] is then killed depth by depth with corrections exp(gamma),
+[Y, gamma] = 0; nilpotency bounds the number of steps.  A correction moves
+each piece by G = exp(gamma) (rows B become B G^T), so every row stays an
+eigenvector of Y.  With C the matrix of the rows as columns, C^-1 Y C and
+C^-1 Y' C are diagonal, diag(a) and diag(b), so ad Y and ad Y' act on the
+entries of C^-1 X C by a_i - a_j and b_i - b_j, and their bracket conditions
+only select the entries that may be nonzero: b_i = b_j and a_i - a_j = 2
+for N0+, a_i = a_j and b_i - b_j = -j0 for gamma.  What remains,
+[N0+, N0] = H or ad N0+ ad N0 gamma = R_(-j0), is solved by least squares on
+those entries.  Each step takes the projectors of the pieces from
+linalg.graded_projectors, sets Y' = sum k P_k and takes every degree part of
+N and of the defect in one linalg.graded_parts call each.  That the final
+pieces grade W and all bracket identities are verified post hoc.  The final
+projectors stay on the DeligneSystem, read-only, for limit_height.
 """
 from __future__ import annotations
 
@@ -93,15 +96,11 @@ from .linalg import (
     expm_nilpotent,
     graded_parts,
     graded_projectors,
-    lin_ad,
     maxabs,
     nilpotent_powers,
     nullspace_exact,
     nullspace_float,
     right_echelon,
-    solve_linear,
-    unvec,
-    vec,
 )
 from .mhs import Filtration, MixedHodgeStructure, weight_filtration
 from .splitting import deligne_delta
@@ -318,19 +317,14 @@ def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
 
 def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> dict[int, np.ndarray]:
     """The pieces (weight -> basis rows) of a grading of W commuting with Y:
-    the eigenspaces of Y when they grade W at its jumps, else in each E an
-    echelon complement of E cap W_(k-1) in E cap W_k, with E reduced once
-    against the flag of W and E cap W_k read off it (AdaptedBasis.meet)."""
+    in each eigenspace E of Y an echelon complement of E cap W_(k-1) in
+    E cap W_k, with E reduced once against the flag of W and E cap W_k read
+    off it (AdaptedBasis.meet)."""
     n = W.ambient_dim
     evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
-    eigen = _eigenspaces(Y, evs, tol)
-    pieces = {k: E.basis for k, E in eigen.items()}
-    if set(pieces) <= set(W.indices) and _grades(pieces, W, tol):
-        return pieces
-
     flag = W.adapted_basis()
     parts: dict[int, list] = {k: [] for k in W.indices}
-    for E in eigen.values():
+    for E in _eigenspaces(Y, evs, tol).values():
         reduced = flag.reduce(E, tol)
         prev = Subspace.zero(n)
         for k, Wk in W.steps:
@@ -341,6 +335,20 @@ def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> dict[int, np
     if sum(len(b) for b in pieces.values()) != n:
         raise ConstructionFailed("initial grading construction did not span")
     return pieces
+
+
+def _solve_on_support(C: np.ndarray, Cinv: np.ndarray, support: np.ndarray, op,
+                      rhs: np.ndarray, bound: float, failure: str) -> np.ndarray:
+    """The least-squares X = C Z C^-1, Z zero off the mask support, of the
+    linear op(X) = rhs (op maps stacks of matrices); raises
+    ConstructionFailed(failure) when op(X) misses rhs by more than bound."""
+    i, j = np.nonzero(support)
+    basis = C.T[i][:, :, None] * Cinv[j][:, None, :]   # C e_i e_j^T C^-1
+    z = np.linalg.lstsq(op(basis).reshape(len(i), rhs.size).T, rhs.ravel(), rcond=None)[0]
+    X = np.tensordot(z, basis, 1)
+    if maxabs(op(X) - rhs) > bound:
+        raise ConstructionFailed(failure)
+    return X
 
 
 def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
@@ -357,8 +365,10 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     check_nilpotent(N, tol)
 
     pieces = _initial_w_grading(W, Y, tol)
-    levels = W.indices
-    span = levels[-1] - levels[0]
+    span = W.indices[-1] - W.indices[0]
+
+    def ad(A, X):
+        return A @ X - X @ A
 
     zero = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
@@ -367,15 +377,17 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
         N_parts = graded_parts(proj, N)
         N0 = N_parts.get(0, zero)
         H = Y - Yp
-        # Jacobson-Morozov completion: [Y',X] = 0, [H,X] = 2X, [X,N0] = H
-        eye2 = np.eye(n * n)
-        L = np.vstack([lin_ad(Yp), lin_ad(H) - 2 * eye2, -lin_ad(N0)])
-        rhs = np.concatenate([np.zeros(n * n), np.zeros(n * n), vec(H)])
-        x, res = solve_linear(L, rhs)
-        if res > 1e3 * tol * scale:
-            raise ConstructionFailed("sl2 completion system is inconsistent")
-        N0p = unvec(x, n)
-        R = (N - N0) @ N0p - N0p @ (N - N0)
+        # the rows of the pieces as columns: C^-1 Y C = diag(a), C^-1 Y' C = diag(b)
+        keys = sorted(pieces)
+        C = np.vstack([pieces[k] for k in keys]).T
+        Cinv = np.linalg.inv(C)
+        a = np.rint(np.diag(Cinv @ Y @ C).real)
+        b = np.concatenate([np.full(len(pieces[k]), k) for k in keys])
+        da, db = a[:, None] - a, b[:, None] - b
+        # Jacobson-Morozov: [Y',X] = 0, [H,X] = 2X select entries; [X,N0] = H
+        N0p = _solve_on_support(C, Cinv, (db == 0) & (da == 2), lambda X: -ad(N0, X), H,
+                                1e3 * tol * scale, "sl2 completion system is inconsistent")
+        R = ad(N - N0, N0p)
         if maxabs(R) <= 10 * tol * scale:
             break
         R_parts = graded_parts(proj, R)
@@ -383,16 +395,13 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
                    if maxabs(R_parts.get(-j, zero)) > 10 * tol * scale), None)
         if j0 is None:
             break
-        # correction gamma: [Y,g] = 0, [Y',g] = -j0 g, ad(N0+) ad(N0) g = R_{-j0}
-        L2 = np.vstack([lin_ad(Y), lin_ad(Yp) + j0 * np.eye(n * n),
-                        lin_ad(N0p) @ lin_ad(N0)])
-        rhs2 = np.concatenate([np.zeros(n * n), np.zeros(n * n), vec(R_parts[-j0])])
-        g, res2 = solve_linear(L2, rhs2)
-        if res2 > 1e3 * tol * scale:
-            raise ConstructionFailed("depth correction system is inconsistent")
+        # correction: [Y,g] = 0, [Y',g] = -j0 g select entries; ad N0+ ad N0 g = R_{-j0}
+        g = _solve_on_support(C, Cinv, (da == 0) & (db == -j0),
+                              lambda X: ad(N0p, ad(N0, X)), R_parts[-j0],
+                              1e3 * tol * scale, "depth correction system is inconsistent")
         # Ad(exp(gamma)) Y' grades by the pieces moved by exp(gamma)
-        G = expm_nilpotent(unvec(g, n))
-        pieces = {k: b @ G.T for k, b in pieces.items()}
+        G = expm_nilpotent(g)
+        pieces = {k: rows @ G.T for k, rows in pieces.items()}
     else:
         raise ConstructionFailed("grading iteration did not converge")
 
@@ -401,7 +410,6 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     comps = {j: N_parts[-j] for j in range(0, span + 1)
              if -j in N_parts and maxabs(N_parts[-j]) > tol * scale}
     N0 = comps.get(0, zero)
-    H = Y - Yp
 
     residual = maxabs(Y @ Yp - Yp @ Y)
     residual = max(residual, maxabs(sum(comps.values()) - N) if comps else maxabs(N))

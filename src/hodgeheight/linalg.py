@@ -557,7 +557,7 @@ def subspace_sum(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers (nilpotent exponentials, adjoint actions, linear solves)
+# matrix helpers (nilpotent exponentials, graded projectors and parts)
 
 
 def maxabs(A) -> float:
@@ -661,26 +661,3 @@ def graded_parts(proj: Mapping[Hashable, Matrix], A: Matrix) -> dict[Hashable, M
             block = left[l] @ proj[k]
             out[g] = out[g] + block if g in out else block
     return out
-
-
-def vec(X: Matrix) -> np.ndarray:
-    return np.asarray(X, dtype=complex).flatten(order="F")
-
-
-def unvec(x: np.ndarray, n: int) -> Matrix:
-    return np.asarray(x, dtype=complex).reshape((n, n), order="F")
-
-
-def lin_ad(A: Matrix) -> Matrix:
-    """Matrix of X -> A X - X A on column-major vectorized X."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    eye = np.eye(n)
-    return np.kron(eye, A) - np.kron(A.T, eye)
-
-
-def solve_linear(L: Matrix, rhs: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, float]:
-    """Least-squares solve returning (solution, residual max-abs)."""
-    x, *_ = np.linalg.lstsq(np.asarray(L, dtype=complex), np.asarray(rhs, dtype=complex), rcond=None)
-    res = maxabs(L @ x - rhs)
-    return x, res

@@ -55,6 +55,28 @@ def test_dilog_height_both_paths():
         assert height_biextension(om) == pytest.approx(expected, abs=1e-11)
 
 
+@pytest.mark.parametrize("s", [
+    1e-300 * np.exp(0.7j), 1e-100 * np.exp(2.1j), 1e-8 * np.exp(-1.2j),
+    1 + 1e-15 * np.exp(0.4j), 1 + 1e-10 * np.exp(2.5j), 1 + 1e-6 * np.exp(-2j),
+])
+def test_dilog_height_near_zero_and_one_is_right_to_a_relative_bound(s):
+    om = dilog_fiber(s)
+    expected = -bloch_wigner(s, 200)
+    assert height(om) == pytest.approx(expected, rel=1e-14, abs=0)
+    assert height_biextension(om) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("s", [1e6 + 1j, 1e10 * (1 + 1j), -1e8 + 5j, 1e30j])
+def test_dilog_height_toward_infinity_is_right_to_an_absolute_bound(s):
+    # D2(s) -> 0 as s -> infinity while the entries of the fiber grow like
+    # log|s|, so the general path is right only up to an absolute error
+    # (relative error 1.0e-3 at 1e6 + i, and no correct sign at 1e30 i)
+    om = dilog_fiber(s)
+    expected = -bloch_wigner(s, 200)
+    assert height(om) == pytest.approx(expected, rel=0, abs=1e-13)
+    assert height_biextension(om) == pytest.approx(expected, rel=0, abs=1e-13)
+
+
 def test_cubic_fiber_height_formula():
     orbit, orient = cubic_orbit()
     for y in (0.5, 1.0, 2.0):
