@@ -16,8 +16,14 @@ import numpy as np
 
 from .config import default_tol
 from .errors import InvalidBlockType, NotGeneralizedBiextension
-from .height import Orientation, OrientedMHS, _coefficient_against_bottom
-from .linalg import Subspace, expm_nilpotent, maxabs, quotient_coordinates
+from .height import (
+    Orientation,
+    OrientedMHS,
+    _coefficient_against_bottom,
+    height_biextension,
+    top_lift,
+)
+from .linalg import Subspace, expm_nilpotent, maxabs
 from .mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
 from .splitting import deligne_delta
 
@@ -145,12 +151,12 @@ def build_biextension(spec: BiextensionSpec) -> OrientedMHS:
 def extract_invariants(om: OrientedMHS, tol: float | None = None) -> BiextensionSpec:
     """Read the splitting blocks of a generalized biextension back off.
 
-    The middle graded piece W_b / W_2c has the basis of the echelon rows of
-    W_b whose pivots W_2c lacks.  delta1 is the class of (i/2) Pi_b(conj e - e)
-    in it, read at those pivots (linalg.quotient_coordinates, no solve);
-    delta2 is the graded block of the full splitting on that basis, and the
-    height comes from -(1/2) Im Pi_min(conj e).  The middle Hodge types are
-    the bigrading dimensions in weight b.
+    In the coordinates c = v T^-1 of the adapted basis T of W, the rows
+    T[lo:hi] (lo = dim W_2c, hi = dim W_b) are a basis of the middle graded
+    piece W_b / W_2c.  delta1 is c[lo:hi] for v = (i/2) Pi_b(conj e - e),
+    with e the top lift; delta2 is the graded block of the full splitting
+    on the rows T[lo:hi], and the height is height_biextension.  The middle
+    Hodge types are the bigrading dimensions in weight b.
     """
     tol = default_tol() if tol is None else tol
     H = om.mhs
@@ -161,29 +167,20 @@ def extract_invariants(om: OrientedMHS, tol: float | None = None) -> Biextension
     two_c, b, two_a = weights
     B = H.bigrading(tol)
     # middle types with p >= q and multiplicities
-    mids: dict[tuple[int, int], int] = {}
-    for (p, q), piece in B.components.items():
-        if p + q == b and p >= q:
-            mids[(p, q)] = piece.dim
-    middle = tuple(sorted(mids.items()))
+    middle = tuple(sorted(((p, q), piece.dim) for (p, q), piece in B.components.items()
+                          if p + q == b and p >= q))
 
-    from .height import top_lift
     e = top_lift(om, tol)
-    Wb, Wbot = H.W.at(b), H.W.at(two_c)
-    mid_basis = Wbot.complement_in(Wb, tol).basis
-    bottom = om.orientation.bottom
-
+    flag = H.W.adapted_basis()
+    lo, hi = flag.dims[:2]
     v1 = 0.5j * (B.weight_projector(b) @ (np.conj(e) - e))
-    d1 = quotient_coordinates(v1[None, :], Wb, Wbot)[0]
+    d1 = (v1 @ flag.inverse)[lo:hi]
 
+    bottom = om.orientation.bottom
     spl = deligne_delta(H, tol)
     d2 = np.array([_coefficient_against_bottom(spl.delta @ m, bottom, tol,
                                                max(maxabs(spl.delta @ m), maxabs(spl.delta)))
-                   for m in mid_basis])
-
-    vmin = B.weight_projector(two_c) @ np.conj(e)
-    ht_vec = -((vmin - np.conj(vmin)) / 2j) / 2
-    ht = _coefficient_against_bottom(ht_vec, bottom, tol, maxabs(e))
+                   for m in flag.T[lo:hi]])
 
     def clean(x: np.ndarray) -> tuple[float, ...]:
         scale = max(1.0, float(np.abs(x).max()) if x.size else 0.0)
@@ -191,7 +188,8 @@ def extract_invariants(om: OrientedMHS, tol: float | None = None) -> Biextension
         return tuple(float(t) for t in out)
 
     return BiextensionSpec(weights=(two_a, b, two_c), middle=middle,
-                           delta1=clean(d1), delta2=clean(d2), ht=float(ht))
+                           delta1=clean(d1), delta2=clean(d2),
+                           ht=height_biextension(om, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 An orientation is a choice of rational generators for the rank-one top and
 bottom weight-graded pieces.  The height is the coefficient, against the
-bottom generator, of the deepest diagonal Hodge component of the splitting
-applied to the canonical lift of the top generator:
+bottom generator, of the deepest part of the splitting on the top generator:
 
-    delta^{r,r}(e) = Ht * e_vee,    r = -length/2.
+    P_min delta P_max (top) = Ht * bottom,
+
+P_k the projectors of a grading of W by weight: those of the bigrading for
+height (the bottom piece is I^{c,c} alone, so this is delta^{r,r} on the top
+lift, r = -length/2), those of the Deligne system's Y' for
+limits.limit_height.  Both check the orientation against W first.
 
 For structures with at most three nonzero weights (generalized biextensions)
 the same number falls out of one conjugation:
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import pi
+from typing import Mapping
 
 import numpy as np
 
@@ -30,8 +35,8 @@ from .errors import (
     NotOriented,
     ZeroBottomPairing,
 )
-from .linalg import maxabs, quotient_coordinates
-from .mhs import MixedHodgeStructure, conjugate, dual, is_morphism
+from .linalg import maxabs
+from .mhs import Filtration, MixedHodgeStructure, conjugate, dual, is_morphism
 from .splitting import deligne_delta
 
 
@@ -67,22 +72,22 @@ class OrientedMHS:
         return self.max_weight - self.min_weight
 
 
-def _check_oriented(om: OrientedMHS, tol: float) -> None:
-    H = om.mhs
-    wmax, wmin = om.max_weight, om.min_weight
-    below_top = H.W.at(wmax - 1)
-    if H.dim - below_top.dim != 1:
+def _check_oriented(W: Filtration, orientation: Orientation, tol: float) -> None:
+    """Raise NotOriented unless the generators orient W."""
+    wmin, wmax = W.indices[0], W.indices[-1]
+    below_top = W.at(wmax - 1)
+    if W.ambient_dim - below_top.dim != 1:
         raise NotOriented("top weight-graded piece is not of rank one")
-    if H.W.at(wmin).dim != 1:
+    if W.at(wmin).dim != 1:
         raise NotOriented("bottom weight-graded piece is not of rank one")
     if wmax % 2 or wmin % 2:
         raise NotOriented("top and bottom weights must be even")
-    top, bottom = om.orientation.top, om.orientation.bottom
+    top, bottom = orientation.top, orientation.bottom
     if maxabs(top) == 0 or maxabs(bottom) == 0:
         raise NotOriented("orientation generators must be nonzero")
     if below_top.contains_vector(top, tol):
         raise NotOriented("top generator projects to zero in the top graded piece")
-    if not H.W.at(wmin).contains_vector(bottom, tol):
+    if not W.at(wmin).contains_vector(bottom, tol):
         raise NotOriented("bottom generator must span the lowest weight step")
 
 
@@ -95,7 +100,7 @@ def top_lift(om: OrientedMHS, tol: float | None = None) -> np.ndarray:
     span W_(max-1): the lift is the top weight projection of the generator."""
     tol = default_tol() if tol is None else tol
     if tol not in om._lifts:
-        _check_oriented(om, tol)
+        _check_oriented(om.mhs.W, om.orientation, tol)
         P = om.mhs.bigrading(tol).weight_projector(om.max_weight)
         e = P @ om.orientation.top
         e.setflags(write=False)
@@ -107,29 +112,34 @@ def _coefficient_against_bottom(vector: np.ndarray, bottom: np.ndarray,
                                 tol: float, scale: float) -> float:
     j = int(np.argmax(np.abs(bottom)))
     coeff = vector[j] / bottom[j]
-    if maxabs(vector - coeff * np.asarray(bottom, dtype=complex)) > 100 * tol * max(scale, abs(coeff), 1.0):
+    bound = 100 * tol * max(scale, abs(coeff), 1.0)
+    # written as "not <=" so that a NaN vector fails both guards
+    if not maxabs(vector - coeff * np.asarray(bottom, dtype=complex)) <= bound:
         raise ZeroBottomPairing("extracted vector is not proportional to the bottom generator")
-    if abs(coeff.imag) > 100 * tol * max(scale, abs(coeff), 1.0):
+    if not abs(coeff.imag) <= bound:
         raise ZeroBottomPairing("height coefficient has a nonreal part")
     return float(coeff.real)
 
 
+def _deep_coefficient(delta: np.ndarray, projectors: Mapping[int, np.ndarray],
+                      orientation: Orientation, tol: float) -> float:
+    """The height read: P_min delta P_max on the top generator, against the
+    bottom generator, for the projectors (weight -> P) of a grading of W."""
+    lo, hi = min(projectors), max(projectors)
+    vec = projectors[lo] @ delta @ projectors[hi] @ orientation.top
+    return _coefficient_against_bottom(vec, orientation.bottom, tol,
+                                       max(maxabs(vec), maxabs(delta)))
+
+
 def height(om: OrientedMHS, tol: float | None = None) -> float:
-    """Signed height via the deepest diagonal component of the splitting.
+    """Signed height via the deepest part of the splitting.
 
     Its error is absolute, on the scale of the splitting, not of the height:
     for dilog fibers as |s| -> infinity, -D2(s) -> 0 and the error is ~1e-14."""
     tol = default_tol() if tol is None else tol
-    H = om.mhs
-    e = top_lift(om, tol)
-    r = -(om.length // 2)
-    if r == 0:
-        return 0.0
-    spl = deligne_delta(H, tol)
-    block = spl.component(r, r)
-    vec = block @ e
-    return _coefficient_against_bottom(vec, om.orientation.bottom, tol,
-                                       max(maxabs(vec), maxabs(spl.delta)))
+    top_lift(om, tol)  # the orientation check, once per resolved tol
+    return _deep_coefficient(deligne_delta(om.mhs, tol).delta,
+                             om.mhs.bigrading(tol).weight_projectors, om.orientation, tol)
 
 
 def height_biextension(om: OrientedMHS, tol: float | None = None) -> float:
@@ -143,8 +153,6 @@ def height_biextension(om: OrientedMHS, tol: float | None = None) -> float:
     B = H.bigrading(tol)
     v = B.weight_projector(om.min_weight) @ (e - np.conj(e))
     half_im = (v - np.conj(v)) / 4j
-    if maxabs(half_im) == 0.0:
-        return 0.0
     return _coefficient_against_bottom(half_im, om.orientation.bottom, tol, maxabs(e))
 
 
@@ -172,15 +180,14 @@ def check_functoriality(f: np.ndarray, A: OrientedMHS, B: OrientedMHS,
         raise NotAMorphism("top/bottom weights of source and target differ")
     if not is_morphism(f, A.mhs, B.mhs, tol):
         raise NotAMorphism("matrix does not respect both filtrations")
-    _check_oriented(A, tol)
-    _check_oriented(B, tol)
+    _check_oriented(A.mhs.W, A.orientation, tol)
+    _check_oriented(B.mhs.W, B.orientation, tol)
 
     # d_max: f(1_A) = d_max 1_B in the top graded piece, read as the ratio of
-    # their one coordinate modulo W_(max-1), which 1_B does not lie in
-    W = B.mhs.W
-    image, top = quotient_coordinates(np.array([f @ A.orientation.top, B.orientation.top]),
-                                      W.at(B.max_weight), W.at(B.max_weight - 1))
-    d_max = image[0] / top[0]
+    # their last coordinates c[n-1], c = v T^-1 for the adapted basis T of W:
+    # the one coordinate modulo W_(max-1), which 1_B does not lie in
+    last = B.mhs.W.adapted_basis().inverse[:, -1]
+    d_max = (f @ A.orientation.top) @ last / (B.orientation.top @ last)
     # d_min: f(bottom_A) = d_min bottom_B inside the rank-one bottom step
     img = f @ A.orientation.bottom
     d_min = _coefficient_against_bottom(img, B.orientation.bottom, tol, maxabs(img)) \
@@ -205,18 +212,15 @@ def dual_oriented(om: OrientedMHS, tol: float | None = None) -> OrientedMHS:
     <1_H, 1_H*^vee> = 1 and <1_H^vee, 1_H*> = 1, under which Ht flips sign."""
     tol = default_tol() if tol is None else tol
     H = om.mhs
+    _check_oriented(H.W, om.orientation, tol)
     Hd = dual(H, tol)
-    n = H.dim
     # top generator of the dual: a functional taking value 1 on the bottom
     bottom = om.orientation.bottom
     lam = np.conj(bottom) / np.vdot(bottom, bottom)
-    # bottom generator of the dual: the annihilator line of W_{max-1}, scaled
-    # to take value 1 on the top generator
-    ann = H.W.at(om.max_weight - 1).annihilator(tol)
-    if ann.dim != 1:
-        raise NotOriented("dual bottom piece is not of rank one")
-    mu = ann.basis[0]
-    mu = mu / (mu @ om.orientation.top)
+    # bottom generator of the dual: the annihilator line of W_{max-1}, the last
+    # column of T^-1 (T the adapted basis of W), taking value 1 on the top generator
+    mu = H.W.adapted_basis().inverse[:, -1]
+    mu = mu / (om.orientation.top @ mu)
     return OrientedMHS(Hd, Orientation.of(lam, mu))
 
 

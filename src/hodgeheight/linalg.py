@@ -512,25 +512,6 @@ def _reduces_to_zero(v: list[Fraction], R: list[list[Fraction]], pivots: list[in
     return not any(v)
 
 
-def quotient_coordinates(vectors, top: Subspace, sub: Subspace):
-    """Coordinates of vectors of top modulo sub <= top, read at pivots.
-
-    Reducing v against the echelon rows r_q of sub, v - sum_q v[q] r_q,
-    clears it at sub's pivots q.  What is left lies in top, so it is the
-    combination of top's echelon rows with its own entries at top's pivots.
-    Its entries at the pivots of top that sub lacks are thus its coordinates
-    modulo sub, in the basis of the rows of top at those pivots.  Fraction
-    rows (a list) against an exact sub stay exact; anything else is read as
-    a complex array.  sub = 0 gives a plain restriction to top.  Nothing
-    checks that the vectors lie in top."""
-    keep = [p for p in top.pivots if p not in set(sub.pivots)]
-    if isinstance(vectors, list) and sub.is_exact():
-        return [[v[p] - sum(v[q] * r[p] for r, q in zip(sub.exact, sub.pivots))
-                 for p in keep] for v in vectors]
-    V = np.array(vectors, dtype=complex)
-    return (V - V[:, sub.pivots] @ sub.basis)[:, keep]
-
-
 def as_operator(A):
     """A matrix as the subspace operations and the orbit path take it:
     Fraction rows when every entry is exactly rational, else a complex array."""

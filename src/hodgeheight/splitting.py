@@ -13,10 +13,13 @@ by division); nilpotency makes the iteration terminate after at most the
 weight span.  Realness, the bidegree constraint and the defining relation are
 verified post hoc, once, by _solve_splitting: an iteration that stops short
 of the relation fails that check, so the splitting has one NoConvergence
-verdict.  Both splittings of a matrix by degree come from
-linalg.graded_parts over projectors the bigrading already holds: each step
-takes every negative ad-Y part of the mismatch in one call over the weight
-projectors, and gl_hodge_components is the same call over the (p, q) ones.
+verdict; it also fails on an iterate that overflowed to inf or NaN.  The
+inverse of exp(w) is exp(-w), so no matrix is inverted.  Both splittings of
+a matrix by degree come from linalg.graded_parts over projectors the
+bigrading already holds: each step takes every negative ad-Y part of the
+mismatch in one call over the weight projectors, and gl_hodge_components is
+the same call over the (p, q) ones; the Hodge components a Splitting holds
+are those of its real delta, so they sum to it.
 
 deligne_delta computes the Splitting once per structure and resolved
 tolerance and caches it on the MixedHodgeStructure, next to the lattice,
@@ -33,7 +36,7 @@ import numpy as np
 
 from .config import default_tol
 from .errors import NoConvergence
-from .linalg import expm_nilpotent, graded_parts, maxabs, nullspace_float
+from .linalg import graded_parts, maxabs, nullspace_float
 from .mhs import DeligneBigrading, MixedHodgeStructure
 
 
@@ -66,6 +69,15 @@ class Splitting:
         return self.hodge_components.get((a, b), np.zeros((n, n), dtype=complex))
 
 
+def _ad_exp(w: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """exp(w) Y exp(-w) for a nilpotent w: both factors sum the terms w^k / k!,
+    exp(-w) with alternating signs, so no matrix is inverted."""
+    terms = [np.eye(len(w), dtype=complex)]
+    while len(terms) <= len(w) and terms[-1].any():
+        terms.append(terms[-1] @ w / len(terms))
+    return sum(terms) @ Y @ sum((-1) ** k * t for k, t in enumerate(terms))
+
+
 def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndarray:
     """w with Ad(exp(w)) Y = conj(Y), found depth by depth; the caller
     verifies the relation."""
@@ -77,8 +89,7 @@ def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndar
     scale = max(maxabs(Y), 1.0)
     w = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
-        G = expm_nilpotent(w)
-        R = Ybar - G @ Y @ np.linalg.inv(G)
+        R = Ybar - _ad_exp(w, Y)
         if maxabs(R) <= 1e-3 * tol * scale:
             return w
         # each negative-weight part of R is solvable by division by -m
@@ -97,57 +108,44 @@ def deligne_delta(H: MixedHodgeStructure, tol: float | None = None) -> Splitting
 
 def _solve_splitting(B: DeligneBigrading, tol: float) -> Splitting:
     w = _solve_group_element_fixed_point(B, tol)
-    delta = 0.5j * w
+    solved = 0.5j * w
+    delta = solved.real.astype(float)
+    # the components resolve the real delta the Splitting holds: their sum is it
     comps = gl_hodge_components(B, delta)
-    scale = max(maxabs(delta), 1.0)
+    scale = max(maxabs(solved), 1.0)
 
     # post-hoc verification: realness, bidegree support, defining relation
-    residual = 0.0
-    residual = max(residual, maxabs(delta.imag) / scale)
-    for (a, b), m in comps.items():
-        if a >= 0 or b >= 0:
-            residual = max(residual, maxabs(m) / scale)
-    G = expm_nilpotent(-2j * delta)
-    rel = np.conj(B.Y) - G @ B.Y @ np.linalg.inv(G)
-    residual = max(residual, maxabs(rel) / max(maxabs(B.Y), 1.0))
-    if residual > tol:
+    # (exp(-2i delta) = exp(w)); np.max keeps a NaN that Python's max drops
+    rel = np.conj(B.Y) - _ad_exp(w, B.Y)
+    residual = float(np.max([maxabs(solved.imag) / scale,
+                             *(maxabs(m) / scale for (a, b), m in comps.items()
+                               if a >= 0 or b >= 0),
+                             maxabs(rel) / max(maxabs(B.Y), 1.0)]))
+    if not (np.isfinite(solved).all() and residual <= tol):
         raise NoConvergence(f"splitting residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    delta = delta.real.astype(float)
     for m in (delta, *comps.values()):
         m.setflags(write=False)
     return Splitting(delta=delta, hodge_components=MappingProxyType(comps), residual=residual)
 
 
-def lowering_morphisms(H: MixedHodgeStructure, drop: int = 2,
-                       tol: float | None = None) -> list[np.ndarray]:
-    """Basis of real matrices N with N W_k <= W_{k-drop} and
-    N F^p <= F^{p - drop/2}; for drop=2 these are the (-1,-1)-morphisms.
+def lowering_morphisms(H: MixedHodgeStructure, tol: float | None = None) -> list[np.ndarray]:
+    """Basis of the (-1,-1)-morphisms: real matrices N with N W_k <= W_{k-2}
+    and N F^p <= F^{p-1}.
 
     Filtration compatibility of a real matrix forces pure Hodge type by
     functoriality of the bigrading, so no extra type constraint is needed.
     """
     tol = default_tol() if tol is None else tol
     n = H.dim
-    if drop % 2:
-        raise ValueError("drop must be even")
-    fshift = drop // 2
     rows = []
     # a . (N v) = 0 for annihilator rows a of the target and basis vectors v of
     # the source; coefficient of N_ij in row-major vec(N) is a_i v_j.
-    for k in H.weights:
-        src = H.W.at(k)
-        tgt_ann = H.W.at(k - drop).annihilator(tol)
-        for avec in tgt_ann.basis:
-            for v in src.basis:
-                rows.append(np.kron(avec, v))
-    for p in H.levels:
-        src = H.F.at(p)
-        tgt_ann = H.F.at(p - fshift).annihilator(tol)
-        for avec in tgt_ann.basis:
-            for v in src.basis:
-                rows.append(np.kron(avec, v))
-    if not rows:
-        return [np.eye(n)[i].reshape(n, 1) * np.eye(n)[j] for i in range(n) for j in range(n)]
+    for filt, shift in ((H.W, -2), (H.F, -1)):
+        for k in filt.indices:
+            tgt_ann = filt.at(k + shift).annihilator(tol)
+            for avec in tgt_ann.basis:
+                for v in filt.at(k).basis:
+                    rows.append(np.kron(avec, v))
     M = np.array(rows)
     M = np.vstack([M.real, M.imag]).astype(complex)
     flat = nullspace_float(M, tol).real

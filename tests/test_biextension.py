@@ -115,3 +115,37 @@ def test_extract_of_split_build_is_zero_spec():
     assert back.ht == 0.0
     assert all(x == 0.0 for x in back.delta1)
     assert all(x == 0.0 for x in back.delta2)
+
+
+def test_extract_invariants_on_a_moved_biextension():
+    # g in GL_n(Q) moves W off the coordinate flag, so the middle basis is
+    # rows of g W_b.  With g e_i = sum_j A_ij t_j modulo g W_2c (e_i the
+    # reference middle basis, t_j the middle basis read back; A from the
+    # pivot read of test_linalg), the blocks read back are delta1 A and
+    # A^-1 delta2, and the height does not move
+    from test_height import _moved_oriented
+    from test_lattice import _rational_gl
+    from test_linalg import quotient_coordinates
+    from hodgeheight.errors import HodgeError
+
+    rng = np.random.default_rng(2024)
+    compared = 0
+    for _ in range(12):
+        spec = random_spec(rng)
+        om = build_biextension(spec)
+        n = om.mhs.dim
+        g = _rational_gl(n, rng)
+        moved = _moved_oriented(om, g)
+        try:
+            back = extract_invariants(moved)
+        except HodgeError:
+            continue
+        compared += 1
+        two_a, b, two_c = spec.weights
+        W = moved.mhs.W
+        A = quotient_coordinates(g[:, 1:n - 1].T, W.at(b), W.at(two_c))
+        assert back.weights == spec.weights and back.middle == spec.middle
+        assert back.ht == pytest.approx(spec.ht, abs=1e-9)
+        assert np.allclose(back.delta1, np.asarray(spec.delta1) @ A, atol=1e-9)
+        assert np.allclose(back.delta2, np.linalg.solve(A, spec.delta2), atol=1e-9)
+    assert compared >= 10

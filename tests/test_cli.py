@@ -109,6 +109,16 @@ def test_compute_limit_height_orbit(orbit_file, capsys):
     assert out["limit_height"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_compute_limit_height_rejects_a_top_generator_in_w_minus_3(orbit_file, capsys):
+    # e2 lies in W_-3, so it does not generate the top graded piece: exit 1
+    doc = load(orbit_file)
+    doc["orientation"]["top"] = ["0", "0", "1", "0"]
+    with open(orbit_file, "w", encoding="utf-8") as fh:
+        fh.write(dumps(doc))
+    assert main(["compute", orbit_file, "--what", "limit-height"]) == 1
+    assert "top generator" in capsys.readouterr().err
+
+
 def test_scenario_commands(capsys):
     assert main(["scenario", "dilog", "--s", "0.5"]) == 0
     capsys.readouterr()

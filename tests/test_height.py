@@ -28,7 +28,7 @@ from hodgeheight.limits import limit_mhs
 from hodgeheight.linalg import maxabs
 from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
-from hodgeheight.splitting import lowering_morphisms
+from hodgeheight.splitting import deligne_delta, lowering_morphisms
 from test_lattice import _cases, _rational_gl
 
 
@@ -104,6 +104,35 @@ def test_cubic_fiber_past_the_frontier_is_right_or_a_typed_error(y):
     except HodgeError:
         return
     assert value == pytest.approx(-(2.0 / 3.0) * y ** 3, rel=1e-9)
+
+
+def _moved_cubic_draws():
+    """Integer g with entries in -2..2 and |det g| >= 0.5, from numpy seeds
+    0-59 (54 draws)."""
+    for seed in range(60):
+        g = np.random.default_rng(seed).integers(-2, 3, size=(4, 4)).astype(float)
+        if abs(np.linalg.det(g)) >= 0.5:
+            yield g
+
+
+@pytest.mark.parametrize("y", [10.0, 20.0, 50.0, 100.0, 200.0])
+def test_moved_cubic_fiber_height_is_right_or_a_typed_error(y):
+    # on many of these fibers the splitting's fixed point overflows: the
+    # solve inverts no matrix, so that is no LinAlgError, and its verdict
+    # fails on a non-finite delta, so that is no NaN height
+    orbit, orient = cubic_orbit()
+    om = OrientedMHS(orbit.fiber(1j * y), orient)
+    expected = -(2.0 / 3.0) * y ** 3
+    draws = list(_moved_cubic_draws())
+    assert len(draws) == 54
+    for g in draws:
+        moved = _moved_oriented(om, g)
+        try:
+            delta = deligne_delta(moved.mhs).delta
+        except HodgeError:
+            continue
+        assert np.isfinite(delta).all()
+        assert height(moved) == pytest.approx(expected, rel=1e-9)
 
 
 def _moved_oriented(om: OrientedMHS, g: np.ndarray) -> OrientedMHS:
@@ -287,6 +316,18 @@ def test_coefficient_against_bottom_is_checked():
         _coefficient_against_bottom(np.array([0, 0, 2 + 3j]), bottom, 1e-9, 1.0)
 
 
+def test_coefficient_against_bottom_rejects_nan():
+    # nan > bound is False, so the guards are written as "not <= bound"
+    from hodgeheight.errors import ZeroBottomPairing
+    from hodgeheight.height import _coefficient_against_bottom
+
+    bottom = np.array([0, 0, 1], dtype=complex)
+    for vec in (np.array([0, 0, np.nan]), np.array([np.nan, 0, 2.5]),
+                np.array([0, 0, complex(1, np.nan)])):
+        with pytest.raises(ZeroBottomPairing):
+            _coefficient_against_bottom(vec, bottom, 1e-9, 1.0)
+
+
 def test_top_lift_cached_per_tolerance():
     from hodgeheight.height import top_lift
 
@@ -351,6 +392,42 @@ def _oriented_cases():
 
 
 ORIENTED = [pytest.param(b, id=name) for name, b in _oriented_cases()]
+
+
+def delta_rr_height(om: OrientedMHS) -> float:
+    """delta^{r,r} (r = -length/2) on the top lift, against the bottom
+    generator: the Hodge component of the splitting that P_min delta P_max
+    equals on the top lift, since the bottom piece is I^{c,c} alone."""
+    from hodgeheight.height import top_lift
+
+    r = -(om.length // 2)
+    vec = deligne_delta(om.mhs).component(r, r) @ top_lift(om)
+    bottom = om.orientation.bottom
+    j = int(np.argmax(np.abs(bottom)))
+    return float((vec[j] / bottom[j]).real)
+
+
+def _lattice_oriented_cases():
+    """The lattice cases with generators read off W, as they are and moved
+    by a rational g."""
+    for i, (name, build) in enumerate(_cases()):
+        yield name, lambda build=build: _oriented(build())
+        yield f"moved-{name}", lambda build=build, i=i: _moved_oriented(
+            _oriented(build()), _rational_gl(build().dim, np.random.default_rng(i)))
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=name)
+                                   for name, b in _lattice_oriented_cases()])
+def test_height_matches_the_delta_rr_oracle(build):
+    # the error of a height is absolute on the scale of delta
+    om = build()
+    try:
+        scale = max(1.0, maxabs(deligne_delta(om.mhs).delta))
+    except HodgeError:
+        with pytest.raises(HodgeError):
+            height(om)
+        return
+    assert abs(height(om) - delta_rr_height(om)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("build", ORIENTED)

@@ -9,6 +9,7 @@ from hodgeheight.errors import (
     DoesNotExist,
     MalformedFiltration,
     NotNilpotent,
+    NotOriented,
 )
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight.limits import (
@@ -452,6 +453,53 @@ def test_limit_height_under_a_rational_change_of_basis(ranks, seed):
     assert max(maxabs(P - P.T) for P in system.projectors.values()) > 1
     orientation = Orientation.of(g @ v.orientation.top, g @ v.orientation.bottom)
     assert limit_height(moved, orientation) == pytest.approx(0.7, abs=1e-10)
+
+
+def _biextension_orbits():
+    """Biextension orbits with a (-1,-1) lowering morphism as N, and their
+    generators; the limit height of each equals spec.ht."""
+    from hodgeheight.biextension import build_biextension, random_spec
+    from hodgeheight.splitting import lowering_morphisms
+
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        spec = random_spec(rng, 4)
+        om = build_biextension(spec)
+        N = lowering_morphisms(om.mhs)[0]
+        yield spec, NilpotentOrbit(om.mhs.W, N, om.mhs.F), om.orientation
+
+
+def test_limit_height_checks_the_orientation_against_w():
+    # the generators orient W as a fiber's do: a top generator inside
+    # W_(max-1) and a bottom generator outside W_min raise NotOriented, as
+    # height on the fiber does
+    from hodgeheight.height import Orientation
+
+    for spec, orbit, orient in _biextension_orbits():
+        assert limit_height(orbit, orient) == pytest.approx(spec.ht, abs=1e-10)
+        e1 = np.eye(orbit.dim)[1]
+        for bad in (Orientation.of(e1, orient.bottom), Orientation.of(orient.top, e1)):
+            with pytest.raises(NotOriented):
+                limit_height(orbit, bad)
+            with pytest.raises(NotOriented):
+                height(OrientedMHS(orbit.fiber(1j), bad))
+
+
+def test_limit_height_needs_even_end_weights():
+    # W of weights -1 < 1 with rank-one ends, N e0 = e1: a rank-one piece
+    # of odd weight is no Hodge structure, so these generators orient
+    # nothing, and the check rejects them before the limit is built (which
+    # would fail as NotAnMHS)
+    from hodgeheight.height import Orientation
+    from hodgeheight.mhs import hodge_filtration
+
+    e = np.eye(2)
+    W = weight_filtration([(-1, Subspace.from_rows([e[1]], 2)), (1, Subspace.full(2))], 2)
+    F = hodge_filtration([(1, Subspace.from_rows([e[0]], 2)), (0, Subspace.full(2))], 2)
+    N = np.zeros((2, 2))
+    N[1, 0] = 1.0
+    with pytest.raises(NotOriented, match="even"):
+        limit_height(NilpotentOrbit(W, N, F), Orientation.of(e[0], e[1]))
 
 
 # ---------------------------------------------------------------------------

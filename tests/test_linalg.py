@@ -14,7 +14,6 @@ from hodgeheight.linalg import (
     intersect,
     logm_unipotent,
     nilpotent_powers,
-    quotient_coordinates,
     subspace_sum,
 )
 
@@ -240,6 +239,30 @@ def test_nilpotent_powers_stop_at_the_first_zero_power():
     assert check_nilpotent(np.array(tiny, dtype=float)) == 1
 
 
+# ---------------------------------------------------------------------------
+# oracle: coordinates modulo a subspace read at pivots, which the library
+# reads off the adapted basis of W as (v T^-1)[d_(k-1):d_k]
+
+
+def quotient_coordinates(vectors, top: Subspace, sub: Subspace):
+    """Coordinates of vectors of top modulo sub <= top, read at pivots.
+
+    Reducing v against the echelon rows r_q of sub, v - sum_q v[q] r_q,
+    clears it at sub's pivots q.  What is left lies in top, so it is the
+    combination of top's echelon rows with its own entries at top's pivots.
+    Its entries at the pivots of top that sub lacks are thus its coordinates
+    modulo sub, in the basis of the rows of top at those pivots.  Fraction
+    rows (a list) against an exact sub stay exact; anything else is read as
+    a complex array.  sub = 0 gives a plain restriction to top.  Nothing
+    checks that the vectors lie in top."""
+    keep = [p for p in top.pivots if p not in set(sub.pivots)]
+    if isinstance(vectors, list) and sub.is_exact():
+        return [[v[p] - sum(v[q] * r[p] for r, q in zip(sub.exact, sub.pivots))
+                 for p in keep] for v in vectors]
+    V = np.array(vectors, dtype=complex)
+    return (V - V[:, sub.pivots] @ sub.basis)[:, keep]
+
+
 def test_quotient_coordinates_read_pivots_modulo_the_subspace():
     top = echelonize([[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 0, 1]])
     sub = echelonize([[0, 1, 3, 1]])
@@ -254,6 +277,29 @@ def test_quotient_coordinates_read_pivots_modulo_the_subspace():
     # the float read agrees, and sub = 0 is a plain restriction to top
     assert np.allclose(quotient_coordinates(np.array([v], dtype=float), top, sub), [[2, 1]])
     assert quotient_coordinates([v], top, Subspace.zero(4)) == [[2, 4, 5]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adapted_basis_reads_the_quotient_coordinates(seed):
+    # a random rational flag W_1 < ... < W_m = Q^n, not made of coordinate
+    # subspaces: the coordinates of v in W_k modulo W_(k-1), against the rows
+    # of W_k at the pivots W_(k-1) lacks, are (v T^-1)[d_(k-1):d_k]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    basis = rng.integers(-3, 4, size=(n, n)).astype(float)
+    while abs(np.linalg.det(basis)) < 0.5:
+        basis = rng.integers(-3, 4, size=(n, n)).astype(float)
+    cuts = sorted(set(rng.integers(1, n, size=2).tolist())) + [n]
+    steps = [echelonize(basis[:d]) for d in cuts]
+    assert all(s.is_exact() for s in steps)
+    flag = AdaptedBasis(steps)
+    assert flag.dims == tuple(cuts)
+    for k, (sub, top) in enumerate(zip([Subspace.zero(n), *steps], steps)):
+        lo, hi = (0, *flag.dims)[k], flag.dims[k]
+        assert np.allclose(flag.T[lo:hi], top.basis[[p not in sub.pivots for p in top.pivots]])
+        v = rng.integers(-5, 6, size=top.dim) @ top.basis
+        want = quotient_coordinates(np.array([v]), top, sub)[0]
+        assert np.allclose((v @ flag.inverse)[lo:hi], want, atol=1e-12)
 
 
 def test_conj_keeps_echelon_basis_and_pivots():
