@@ -55,9 +55,12 @@ class Orientation:
 class OrientedMHS:
     mhs: MixedHodgeStructure
     orientation: Orientation
-    # per resolved tol: the read-only top lift, filled by top_lift
+    # per resolved tol: the read-only top lift, filled by top_lift, and the
+    # tolerances the orientation check has passed at (_check_oriented_once)
     _lifts: dict[float, np.ndarray] = field(default_factory=dict, init=False,
                                             compare=False, repr=False)
+    _oriented: set[float] = field(default_factory=set, init=False,
+                                  compare=False, repr=False)
 
     @property
     def max_weight(self) -> int:
@@ -91,6 +94,13 @@ def _check_oriented(W: Filtration, orientation: Orientation, tol: float) -> None
         raise NotOriented("bottom generator must span the lowest weight step")
 
 
+def _check_oriented_once(om: OrientedMHS, tol: float) -> None:
+    """_check_oriented on the structure's W, run once per resolved tol."""
+    if tol not in om._oriented:
+        _check_oriented(om.mhs.W, om.orientation, tol)
+        om._oriented.add(tol)
+
+
 def top_lift(om: OrientedMHS, tol: float | None = None) -> np.ndarray:
     """The unique element of I^{a,a} (2a = max weight) projecting to the top
     generator modulo lower weights; checked and computed once per resolved
@@ -100,7 +110,7 @@ def top_lift(om: OrientedMHS, tol: float | None = None) -> np.ndarray:
     span W_(max-1): the lift is the top weight projection of the generator."""
     tol = default_tol() if tol is None else tol
     if tol not in om._lifts:
-        _check_oriented(om.mhs.W, om.orientation, tol)
+        _check_oriented_once(om, tol)
         P = om.mhs.bigrading(tol).weight_projector(om.max_weight)
         e = P @ om.orientation.top
         e.setflags(write=False)
@@ -180,8 +190,8 @@ def check_functoriality(f: np.ndarray, A: OrientedMHS, B: OrientedMHS,
         raise NotAMorphism("top/bottom weights of source and target differ")
     if not is_morphism(f, A.mhs, B.mhs, tol):
         raise NotAMorphism("matrix does not respect both filtrations")
-    _check_oriented(A.mhs.W, A.orientation, tol)
-    _check_oriented(B.mhs.W, B.orientation, tol)
+    _check_oriented_once(A, tol)
+    _check_oriented_once(B, tol)
 
     # d_max: f(1_A) = d_max 1_B in the top graded piece, read as the ratio of
     # their last coordinates c[n-1], c = v T^-1 for the adapted basis T of W:
@@ -212,7 +222,7 @@ def dual_oriented(om: OrientedMHS, tol: float | None = None) -> OrientedMHS:
     <1_H, 1_H*^vee> = 1 and <1_H^vee, 1_H*> = 1, under which Ht flips sign."""
     tol = default_tol() if tol is None else tol
     H = om.mhs
-    _check_oriented(H.W, om.orientation, tol)
+    _check_oriented_once(om, tol)
     Hd = dual(H, tol)
     # top generator of the dual: a functional taking value 1 on the bottom
     bottom = om.orientation.bottom

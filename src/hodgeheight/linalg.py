@@ -5,6 +5,16 @@ makes the representation canonical for a fixed tolerance: pivots are leading
 ones ordered by column.  Purely rational inputs (weight filtrations, nilpotent
 monodromy matrices) keep an exact Fraction representation alongside the float
 one, so rank decisions on that data never involve a threshold.
+
+The float kernel rref_float row-reduces Python lists of complex numbers, not
+numpy rows.  The library's matrices are tiny (at most 8 columns; the common
+shapes are 1-4 x 4 and 6 x 6), so a numpy call per row operation costs more
+in call overhead than the arithmetic it does.  The matrix goes into Python
+rows once and back into an array once.  Only the pivot-row division stays in
+numpy, so that it rounds as numpy does.  CPython's complex product is not
+fused as numpy's may be, so entries can differ from a numpy row loop in the
+last bits; the pivots agree away from the threshold (tests/test_linalg.py
+keeps that loop as an oracle).
 """
 from __future__ import annotations
 
@@ -78,36 +88,51 @@ def rational_rows(rows) -> list[list[Fraction]] | None:
 
 
 def rref_float(M: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form with pivot threshold tol * (max absolute entry)."""
+    """Reduced row echelon form with pivot threshold tol * max(max |M_ij|, 1).
+
+    Each pivot is the first largest |entry| at or below the current row (a
+    NaN first, as np.argmax picks it); entries at or under the threshold are
+    not pivots.  The matrix is row-reduced as Python complex rows, converted
+    in and out once: see the module docstring for why."""
     tol = default_tol() if tol is None else tol
-    M = np.array(M, dtype=complex)
+    M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         M = M.reshape(-1, M.shape[-1]) if M.size else M.reshape(0, 0)
     rows, cols = M.shape
     if rows == 0 or cols == 0:
         return M.reshape(max(rows, 0), cols), []
-    scale = max(float(np.abs(M).max()), 1.0)
-    M = M.copy()
+    bound = tol * max(float(np.abs(M).max()), 1.0)
+    A = M.tolist()
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        if r >= rows:
+        r = len(pivots)
+        if r == rows:
             break
-        i = r + int(np.argmax(np.abs(M[r:, c])))
-        if abs(M[i, c]) <= tol * scale:
+        try:
+            mags = [abs(row[c]) for row in A[r:]]
+        except OverflowError:  # |z| past the float range, inf to numpy
+            mags = np.abs([row[c] for row in A[r:]]).tolist()
+        # the magnitudes are >= 0, so their sum is NaN exactly when one is
+        total = sum(mags)
+        i = (mags.index(max(mags)) if total == total
+             else next(k for k, m in enumerate(mags) if m != m))
+        if mags[i] <= bound:
             continue
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        M[r] = M[r] / M[r, c]
-        for k in range(rows):
-            if k != r and M[k, c] != 0:
-                M[k] = M[k] - M[k, c] * M[r]
+        A[r], A[r + i] = A[r + i], A[r]
+        # the division stays in numpy: CPython's complex division rounds
+        # differently, and on the benchmark's inputs moved entries by up to
+        # 2.3e-13 relative, against 8.0e-16 with numpy's
+        pivot = A[r] = (np.array(A[r]) / A[r][c]).tolist()
+        for k, row in enumerate(A):
+            f = row[c]
+            if k != r and f != 0:
+                A[k] = [a - f * b for a, b in zip(row, pivot)]
         pivots.append(c)
-        r += 1
     # entries are kept at full precision: genuinely tiny coordinates (for
     # instance exponentially suppressed periods near a boundary point) carry
     # information, and all comparisons downstream are tolerance based
-    return M[:r], pivots
+    r = len(pivots)
+    return np.array(A[:r], dtype=complex).reshape(r, cols), pivots
 
 
 def rref_exact(M: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -196,23 +221,29 @@ class Subspace:
 
     @staticmethod
     def from_rows(rows, ambient_dim: int | None = None, tol: float | None = None) -> "Subspace":
-        # a float64 or complex array that is not integral is not rational,
-        # entry by entry as is_rational_entry decides, so skip the scan
-        inexact = (isinstance(rows, np.ndarray) and rows.size
-                   and rows.dtype in (np.float64, np.complex128)
-                   and not integral_array(rows))
-        rows = [list(r) for r in rows]
-        if ambient_dim is None:
-            if not rows:
-                raise DimensionMismatch("empty generator list needs an explicit ambient dimension")
-            ambient_dim = len(rows[0])
-        exact_rows = None if inexact else rational_rows(rows)
+        if (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.size
+                and rows.dtype in (np.float64, np.complex128)):
+            # such an array is rational exactly when it is integral, entry by
+            # entry as is_rational_entry decides, so no entry is scanned
+            ambient_dim = rows.shape[1] if ambient_dim is None else ambient_dim
+            M = rows.reshape(len(rows), ambient_dim)
+            exact_rows = ([[Fraction(int(x)) for x in row] for row in M.real.tolist()]
+                          if integral_array(M) else None)
+        else:
+            rows = [list(r) for r in rows]
+            if ambient_dim is None:
+                if not rows:
+                    raise DimensionMismatch(
+                        "empty generator list needs an explicit ambient dimension")
+                ambient_dim = len(rows[0])
+            exact_rows = rational_rows(rows)
+            M = rows
         if exact_rows is not None:
             R, piv = rref_exact(exact_rows) if exact_rows else ([], [])
             basis = np.array([[complex(x) for x in row] for row in R],
                              dtype=complex).reshape(len(R), ambient_dim)
             return Subspace(basis, ambient_dim, exact=R, pivots=piv)
-        M = np.array(rows, dtype=complex).reshape(len(rows), ambient_dim)
+        M = np.asarray(M, dtype=complex).reshape(len(M), ambient_dim)
         R, piv = rref_float(M, tol)
         return Subspace(R, ambient_dim, pivots=piv)
 

@@ -13,13 +13,14 @@ by division); nilpotency makes the iteration terminate after at most the
 weight span.  Realness, the bidegree constraint and the defining relation are
 verified post hoc, once, by _solve_splitting: an iteration that stops short
 of the relation fails that check, so the splitting has one NoConvergence
-verdict; it also fails on an iterate that overflowed to inf or NaN.  The
-inverse of exp(w) is exp(-w), so no matrix is inverted.  Both splittings of
-a matrix by degree come from linalg.graded_parts over projectors the
-bigrading already holds: each step takes every negative ad-Y part of the
-mismatch in one call over the weight projectors, and gl_hodge_components is
-the same call over the (p, q) ones; the Hodge components a Splitting holds
-are those of its real delta, so they sum to it.
+verdict.  An iterate that overflows to inf or NaN stays non-finite, so the
+iteration raises that verdict at the first one.  The inverse of exp(w) is
+exp(-w), so no matrix is inverted.  Both splittings of a matrix by degree
+come from linalg.graded_parts over projectors the bigrading already holds:
+each step takes every negative ad-Y part of the mismatch in one call over
+the weight projectors, and gl_hodge_components is the same call over the
+(p, q) ones; the Hodge components a Splitting holds are those of its real
+delta, so they sum to it.
 
 deligne_delta computes the Splitting once per structure and resolved
 tolerance and caches it on the MixedHodgeStructure, next to the lattice,
@@ -80,7 +81,8 @@ def _ad_exp(w: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndarray:
     """w with Ad(exp(w)) Y = conj(Y), found depth by depth; the caller
-    verifies the relation."""
+    verifies the relation.  Raises NoConvergence at the first mismatch that
+    is not finite."""
     Y = B.Y
     Ybar = np.conj(Y)
     n = B.ambient_dim
@@ -90,8 +92,12 @@ def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndar
     w = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
         R = Ybar - _ad_exp(w, Y)
-        if maxabs(R) <= 1e-3 * tol * scale:
+        err = maxabs(R)
+        if err <= 1e-3 * tol * scale:
             return w
+        # an iterate that overflowed stays non-finite, so stop at the first
+        if not np.isfinite(err):
+            raise NoConvergence(f"splitting iterate is not finite (residual {err})")
         # each negative-weight part of R is solvable by division by -m
         w = w + sum(P / -m for m, P in graded_parts(B.weight_projectors, R).items() if m < 0)
     return w

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgeheight import splitting
 from hodgeheight.biextension import build_biextension, embed_into_padded, random_spec
 from hodgeheight.dilog import bloch_wigner
 from hodgeheight.errors import (
     HodgeError,
+    NoConvergence,
     NotAMorphism,
     NotGeneralizedBiextension,
     NotInjectiveOnEnds,
@@ -25,7 +27,7 @@ from hodgeheight.height import (
     rho2,
 )
 from hodgeheight.limits import limit_mhs
-from hodgeheight.linalg import maxabs
+from hodgeheight.linalg import Subspace, maxabs
 from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, lowering_morphisms
@@ -135,6 +137,38 @@ def test_moved_cubic_fiber_height_is_right_or_a_typed_error(y):
         assert height(moved) == pytest.approx(expected, rel=1e-9)
 
 
+def test_moved_cubic_splitting_stops_at_its_first_non_finite_iterate(monkeypatch):
+    # an iterate that overflowed stays non-finite, so the fixed point raises
+    # NoConvergence there instead of running its remaining passes on inf/NaN
+    passes = []
+    ad_exp = splitting._ad_exp
+
+    def counted(w, Y):
+        out = ad_exp(w, Y)
+        passes.append(bool(np.isfinite(out).all()))
+        return out
+
+    monkeypatch.setattr(splitting, "_ad_exp", counted)
+    orbit, orient = cubic_orbit()
+    om = OrientedMHS(orbit.fiber(100j), orient)
+    overflowed = 0
+    for g in _moved_cubic_draws():
+        moved = _moved_oriented(om, g)
+        passes.clear()
+        error = None
+        with np.errstate(all="ignore"):
+            try:
+                deligne_delta(moved.mhs)
+            except HodgeError as e:
+                error = type(e)
+        if False in passes:
+            overflowed += 1
+            first = passes.index(False) + 1
+            assert len(passes) <= first + 1
+            assert error is NoConvergence
+    assert overflowed >= 20
+
+
 def _moved_oriented(om: OrientedMHS, g: np.ndarray) -> OrientedMHS:
     H = om.mhs
     moved = MixedHodgeStructure(H.W.map_spaces(lambda s: s.image_under(g)),
@@ -237,6 +271,21 @@ def test_functoriality_block_embedding(rng):
         f, A, B = embed_into_padded(spec)
         rep = check_functoriality(f, A, B)
         assert rep.residual < 1e-10
+
+
+def test_functoriality_checks_each_orientation_once(monkeypatch):
+    # the orientation check runs once per structure and tol, shared with the
+    # top lift that height(A) and height(B) take
+    calls = []
+    contains_vector = Subspace.contains_vector
+    monkeypatch.setattr(Subspace, "contains_vector",
+                        lambda self, v, tol=None: calls.append(v) or contains_vector(self, v, tol))
+    A, B = dilog_fiber(0.25 + 0.5j), dilog_fiber(0.25 + 0.5j)
+    check_functoriality(np.eye(3), A, B)
+    assert len(calls) == 4
+    check_functoriality(np.eye(3), A, B)
+    height(A)
+    assert len(calls) == 4
 
 
 def test_functoriality_rejects_non_morphism():

@@ -425,3 +425,133 @@ def test_exact_kernel_matches_dense_reference(case):
     both = S.intersect(T)
     assert both.is_exact()
     assert both.exact == _dense_null(_dense_null(S.exact, n) + _dense_null(T.exact, n), n)
+
+
+# ---------------------------------------------------------------------------
+# the float echelon kernel against the numpy row loop it replaced
+
+
+def reference_rref_float(M, tol=None):
+    """rref_float as a numpy row loop: the pivot is the first largest |entry|
+    at or below row r (np.argmax), and each row is cleared by one array
+    operation.  The oracle for the kernel's pivots and entries."""
+    tol = linalg.default_tol() if tol is None else tol
+    M = np.array(M, dtype=complex)
+    rows, cols = M.shape
+    if rows == 0 or cols == 0:
+        return M, []
+    scale = max(float(np.abs(M).max()), 1.0)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        i = r + int(np.argmax(np.abs(M[r:, c])))
+        if abs(M[i, c]) <= tol * scale:
+            continue
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        M[r] = M[r] / M[r, c]
+        for k in range(rows):
+            if k != r and M[k, c] != 0:
+                M[k] = M[k] - M[k, c] * M[r]
+        pivots.append(c)
+        r += 1
+    return M[:r], pivots
+
+
+_KERNEL_TOL = 1e-9
+
+
+@st.composite
+def _float_matrix(draw):
+    """A 1-8 x 1-8 matrix scaled by 10^-12 .. 10^12: real, complex, Gaussian
+    integer, a rank-deficient product, one whose last column lies 0.3 or 3
+    pivot thresholds off the span of the others, or a sparse one with NaN,
+    inf or overflowing entries."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["real", "complex", "integer", "product", "threshold",
+                                 "nonfinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gauss(r, c):
+        return rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+
+    if kind == "real":
+        M = rng.normal(size=(rows, cols)).astype(complex)
+    elif kind == "integer":
+        M = rng.integers(-3, 4, size=(rows, cols)) + 1j * rng.integers(-3, 4, size=(rows, cols))
+    elif kind == "nonfinite":
+        # half the entries zero, so rows with a zero factor meet non-finite
+        # pivot rows
+        M = gauss(rows, cols) * (rng.random((rows, cols)) < 0.5)
+    elif kind == "product":
+        k = int(rng.integers(1, min(rows, cols) + 1))
+        M = gauss(rows, k) @ gauss(k, cols)
+    elif kind == "threshold" and cols > 1:
+        A = gauss(rows, cols - 1)
+        M = np.hstack([A, A @ gauss(cols - 1, 1)])
+    else:
+        M = gauss(rows, cols)
+    M = M * 10.0 ** draw(st.integers(-12, 12))
+    if kind == "threshold" and cols > 1:
+        bound = _KERNEL_TOL * max(float(np.abs(M).max()), 1.0)
+        phases = np.exp(2j * np.pi * rng.random(rows)) / np.sqrt(rows)
+        M[:, -1] += draw(st.sampled_from([0.3, 3.0])) * bound * phases
+    if kind == "nonfinite":
+        # finite parts whose modulus overflows: CPython's abs raises there
+        values = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(1.0, np.nan),
+                  complex(1.5e308, -1.5e308)]
+        for _ in range(draw(st.integers(1, 3))):
+            M[rng.integers(rows), rng.integers(cols)] = values[rng.integers(len(values))]
+    return M
+
+
+def _assert_same_echelon(R, piv, M):
+    """R, piv against the oracle on M: the same pivots, non-finite entries
+    where the oracle has them, and, for a finite M, finite entries within
+    1e-14 max(1, max |R_ref|) times the condition sigma_1 / sigma_r of M at
+    its rank r: two eliminations that round differently differ by rounding
+    amplified by that condition.  On a finite real M the arithmetic is the
+    same (only complex products round differently), so the entries are
+    equal."""
+    want, want_piv = reference_rref_float(M, _KERNEL_TOL)
+    assert piv == want_piv
+    assert R.shape == want.shape
+    if np.isfinite(M).all() and not M.imag.any():
+        assert np.array_equal(R, want)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(R), finite)
+    if not want_piv or not np.isfinite(M).all():
+        # a NaN makes the threshold NaN, so every column takes a pivot, and
+        # the finite entries left are rounding noise over rounding noise
+        return
+    sv = np.linalg.svd(M, compute_uv=False)
+    cond = sv[0] / sv[len(want_piv) - 1] if np.isfinite(sv).all() else 1.0
+    scale = max(1.0, float(np.abs(want[finite]).max(initial=0.0)))
+    assert (np.abs(R[finite] - want[finite]) <= 1e-14 * scale * max(cond, 1.0)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_matrix())
+def test_rref_float_matches_the_numpy_row_loop(M):
+    with np.errstate(all="ignore"):
+        R, piv = linalg.rref_float(M, _KERNEL_TOL)
+        _assert_same_echelon(R, piv, M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_float_matrix())
+def test_from_rows_reads_an_array_as_its_list_of_rows(M):
+    # the array goes straight to the kernel (or to Fractions, when integral),
+    # the list through the per-entry scan: same verdict, same echelon basis
+    with np.errstate(all="ignore"):
+        for A in (M, M.real):
+            S = Subspace.from_rows(A, tol=_KERNEL_TOL)
+            L = Subspace.from_rows(A.tolist(), tol=_KERNEL_TOL)
+            assert S.is_exact() == L.is_exact() == linalg.integral_array(A)
+            assert S.pivots == L.pivots
+            assert S.exact == L.exact
+            assert np.array_equal(S.basis, L.basis, equal_nan=True)
+            if not S.is_exact():
+                _assert_same_echelon(S.basis, S.pivots, A)
