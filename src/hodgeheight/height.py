@@ -9,7 +9,8 @@ bottom generator, of the deepest part of the splitting on the top generator:
 P_k the projectors of a grading of W by weight: those of the bigrading for
 height (the bottom piece is I^{c,c} alone, so this is delta^{r,r} on the top
 lift, r = -length/2), those of the Deligne system's Y' for
-limits.limit_height.  Both check the orientation against W first.
+limits.limit_height.  Both check the orientation against W first, on every
+call: a cheap read of coordinates, so no check or top lift is cached.
 
 For structures with at most three nonzero weights (generalized biextensions)
 the same number falls out of one conjugation:
@@ -21,7 +22,7 @@ the height by 1/c, which is why each scenario pins its own generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 from typing import Mapping
 
@@ -35,7 +36,7 @@ from .errors import (
     NotOriented,
     ZeroBottomPairing,
 )
-from .linalg import maxabs
+from .linalg import expm_nilpotent, maxabs
 from .mhs import Filtration, MixedHodgeStructure, conjugate, dual, is_morphism
 from .splitting import deligne_delta
 
@@ -55,12 +56,6 @@ class Orientation:
 class OrientedMHS:
     mhs: MixedHodgeStructure
     orientation: Orientation
-    # per resolved tol: the read-only top lift, filled by top_lift, and the
-    # tolerances the orientation check has passed at (_check_oriented_once)
-    _lifts: dict[float, np.ndarray] = field(default_factory=dict, init=False,
-                                            compare=False, repr=False)
-    _oriented: set[float] = field(default_factory=set, init=False,
-                                  compare=False, repr=False)
 
     @property
     def max_weight(self) -> int:
@@ -76,46 +71,32 @@ class OrientedMHS:
 
 
 def _check_oriented(W: Filtration, orientation: Orientation, tol: float) -> None:
-    """Raise NotOriented unless the generators orient W."""
-    wmin, wmax = W.indices[0], W.indices[-1]
-    below_top = W.at(wmax - 1)
-    if W.ambient_dim - below_top.dim != 1:
+    """Raise NotOriented unless the generators orient W, read on the adapted
+    basis of W: W_(max-1) is all coordinates but the last, W_min the first."""
+    flag = W.adapted_basis()
+    below_top = flag.dims[-2] if len(flag.dims) > 1 else 0
+    if W.ambient_dim - below_top != 1:
         raise NotOriented("top weight-graded piece is not of rank one")
-    if W.at(wmin).dim != 1:
+    if flag.dims[0] != 1:
         raise NotOriented("bottom weight-graded piece is not of rank one")
-    if wmax % 2 or wmin % 2:
+    if W.indices[-1] % 2 or W.indices[0] % 2:
         raise NotOriented("top and bottom weights must be even")
     top, bottom = orientation.top, orientation.bottom
     if maxabs(top) == 0 or maxabs(bottom) == 0:
         raise NotOriented("orientation generators must be nonzero")
-    if below_top.contains_vector(top, tol):
+    if flag.depth(top, tol) <= below_top:
         raise NotOriented("top generator projects to zero in the top graded piece")
-    if not W.at(wmin).contains_vector(bottom, tol):
+    if flag.depth(bottom, tol) > 1:
         raise NotOriented("bottom generator must span the lowest weight step")
 
 
-def _check_oriented_once(om: OrientedMHS, tol: float) -> None:
-    """_check_oriented on the structure's W, run once per resolved tol."""
-    if tol not in om._oriented:
-        _check_oriented(om.mhs.W, om.orientation, tol)
-        om._oriented.add(tol)
-
-
 def top_lift(om: OrientedMHS, tol: float | None = None) -> np.ndarray:
-    """The unique element of I^{a,a} (2a = max weight) projecting to the top
-    generator modulo lower weights; checked and computed once per resolved
-    tol, and read-only because every caller shares it.
-
-    The top weight piece is rank one, so it is I^{a,a}, and the other pieces
-    span W_(max-1): the lift is the top weight projection of the generator."""
+    """The element of I^{a,a} (2a = max weight) congruent to the top generator
+    modulo W_(max-1), after the orientation check: the top weight piece is
+    rank one, so it is I^{a,a}, and the lift is the generator's projection."""
     tol = default_tol() if tol is None else tol
-    if tol not in om._lifts:
-        _check_oriented_once(om, tol)
-        P = om.mhs.bigrading(tol).weight_projector(om.max_weight)
-        e = P @ om.orientation.top
-        e.setflags(write=False)
-        om._lifts[tol] = e
-    return om._lifts[tol]
+    _check_oriented(om.mhs.W, om.orientation, tol)
+    return om.mhs.bigrading(tol).weight_projector(om.max_weight) @ om.orientation.top
 
 
 def _coefficient_against_bottom(vector: np.ndarray, bottom: np.ndarray,
@@ -147,7 +128,7 @@ def height(om: OrientedMHS, tol: float | None = None) -> float:
     Its error is absolute, on the scale of the splitting, not of the height:
     for dilog fibers as |s| -> infinity, -D2(s) -> 0 and the error is ~1e-14."""
     tol = default_tol() if tol is None else tol
-    top_lift(om, tol)  # the orientation check, once per resolved tol
+    _check_oriented(om.mhs.W, om.orientation, tol)
     return _deep_coefficient(deligne_delta(om.mhs, tol).delta,
                              om.mhs.bigrading(tol).weight_projectors, om.orientation, tol)
 
@@ -190,8 +171,8 @@ def check_functoriality(f: np.ndarray, A: OrientedMHS, B: OrientedMHS,
         raise NotAMorphism("top/bottom weights of source and target differ")
     if not is_morphism(f, A.mhs, B.mhs, tol):
         raise NotAMorphism("matrix does not respect both filtrations")
-    _check_oriented_once(A, tol)
-    _check_oriented_once(B, tol)
+    _check_oriented(A.mhs.W, A.orientation, tol)
+    _check_oriented(B.mhs.W, B.orientation, tol)
 
     # d_max: f(1_A) = d_max 1_B in the top graded piece, read as the ratio of
     # their last coordinates c[n-1], c = v T^-1 for the adapted basis T of W:
@@ -222,7 +203,7 @@ def dual_oriented(om: OrientedMHS, tol: float | None = None) -> OrientedMHS:
     <1_H, 1_H*^vee> = 1 and <1_H^vee, 1_H*> = 1, under which Ht flips sign."""
     tol = default_tol() if tol is None else tol
     H = om.mhs
-    _check_oriented_once(om, tol)
+    _check_oriented(H.W, om.orientation, tol)
     Hd = dual(H, tol)
     # top generator of the dual: a functional taking value 1 on the bottom
     bottom = om.orientation.bottom
@@ -250,8 +231,6 @@ def conjugate_oriented(om: OrientedMHS) -> OrientedMHS:
 def rescale_fiber(om: OrientedMHS, N: np.ndarray, t: complex,
                   tol: float | None = None) -> OrientedMHS:
     """(exp(tN) . F, W) with the same orientation, for a lowering morphism N."""
-    from .linalg import expm_nilpotent
-
     G = expm_nilpotent(complex(t) * np.asarray(N, dtype=complex))
     F = om.mhs.F.map_spaces(lambda s: s.image_under(G, tol))
     return OrientedMHS(MixedHodgeStructure(om.mhs.W, F), om.orientation)

@@ -304,15 +304,15 @@ def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, Subspace]:
 
 
 def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
-    """Whether the pieces (weight -> basis rows) grade W: for every weight k,
-    the pieces with key <= k span exactly W_k."""
-    n = W.ambient_dim
-    for k in W.indices:
-        rows = [b for j, b in pieces.items() if j <= k]
-        span = Subspace.from_rows(np.vstack(rows), n, tol) if rows else Subspace.zero(n)
-        if span.dim != W.at(k).dim or not W.at(k).contains(span, tol):
-            return False
-    return True
+    """Whether the pieces (weight -> basis rows) grade W: their rows are
+    independent, each piece k lies in W_k (read by AdaptedBasis.depth) and,
+    for every weight k, the pieces with key <= k count dim W_k rows."""
+    rows = np.vstack(list(pieces.values()))
+    flag = W.adapted_basis()
+    return (Subspace.from_rows(rows, W.ambient_dim, tol).dim == len(rows)
+            and all(flag.depth(b, tol) <= W.at(j).dim for j, b in pieces.items())
+            and all(sum(len(b) for j, b in pieces.items() if j <= k) == W.at(k).dim
+                    for k in W.indices))
 
 
 def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> dict[int, np.ndarray]:

@@ -295,9 +295,6 @@ class Subspace:
             return all(_reduces_to_zero(v, self.exact, self.pivots) for v in other.exact)
         return self.add(other, tol).dim == self.dim
 
-    def contains_vector(self, v, tol: float | None = None) -> bool:
-        return self.contains(Subspace.from_rows([list(v)], self.ambient_dim, tol), tol)
-
     # -- operations ----------------------------------------------------------
 
     def _check_ambient(self, other: "Subspace") -> None:
@@ -417,7 +414,8 @@ class AdaptedBasis:
     pivots near the threshold need not nest; a step whose pivots miss some
     of the step below keeps its rows at the pivots that complete pivoting
     on the coordinates of the step below leaves free (_covered_pivots).
-    Coordinates of v = c T are c = v T^-1; there N acts by N' (operator), on
+    Coordinates of v = c T are c = v T^-1, and v lies in S_i when c
+    vanishes past dims[i] (depth); there N acts by N' (operator), on
     S_i by its leading dims[i] block when N preserves the chain, and rows c
     go back by c T (lift), both over Q when the chain and N are exact."""
 
@@ -464,6 +462,19 @@ class AdaptedBasis:
             coords = [_combination(v, self.exact_inverse, n) for v in images]
             return [list(c) for c in zip(*coords)]
         return (self.T @ np.asarray(N, dtype=complex).T @ self.inverse).T
+
+    def depth(self, rows, tol: float | None = None) -> int:
+        """One past the last coordinate of the rows c = v T^-1 above the
+        pivot threshold tol * max(max |c|, 1) of rref_float (a NaN is above
+        it): the rows lie in the step of dimension d iff their depth is <= d."""
+        tol = default_tol() if tol is None else tol
+        c = np.abs(np.asarray(rows) @ self.inverse)
+        # scanned as a list: numpy reductions cost more on these few columns
+        c = (c.max(axis=0, initial=0.0) if c.ndim == 2 else c).tolist()
+        bound, d = tol * max(1.0, *c), len(c)
+        while d and c[d - 1] <= bound:
+            d -= 1
+        return d
 
     def lift(self, S: Subspace, tol: float | None = None) -> Subspace:
         """The subspace of the rows c T for c in a subspace S of coordinates."""

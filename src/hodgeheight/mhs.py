@@ -86,33 +86,35 @@ class Filtration:
 
     def __init__(self, steps: Iterable[tuple[int, Subspace]], increasing: bool,
                  ambient_dim: int):
-        steps = sorted(((int(k), s) for k, s in steps), key=lambda t: t[0])
+        self._settle(steps, increasing, ambient_dim)
+        # each step, smallest first, must lie in the next
+        up = [s for _, s in self.steps][:: 1 if self.increasing else -1]
+        if not all(b.contains(a) for a, b in zip(up, up[1:])):
+            raise MalformedFiltration("weight filtration steps must strictly increase"
+                                      if self.increasing else
+                                      "Hodge filtration steps must strictly decrease")
+
+    def _settle(self, steps, increasing: bool, ambient_dim: int) -> None:
+        """Store the sorted steps and check all but their nesting."""
+        self.steps = tuple(sorted(((int(k), s) for k, s in steps), key=lambda t: t[0]))
         self.increasing = bool(increasing)
         self.ambient_dim = int(ambient_dim)
-        self.steps = tuple(steps)
-        self._validate()
         self._adapted: AdaptedBasis | None = None
-
-    def _validate(self) -> None:
         if not self.steps:
             raise MalformedFiltration("a filtration needs at least one step")
-        dims = [s.dim for _, s in self.steps]
         spaces = [s for _, s in self.steps]
-        for s in spaces:
-            if s.ambient_dim != self.ambient_dim:
-                raise MalformedFiltration("step has wrong ambient dimension")
+        if any(s.ambient_dim != self.ambient_dim for s in spaces):
+            raise MalformedFiltration("step has wrong ambient dimension")
         if self.increasing:
-            for a, b in zip(spaces, spaces[1:]):
-                if not b.contains(a) or b.dim <= a.dim:
-                    raise MalformedFiltration("weight filtration steps must strictly increase")
+            if any(b.dim <= a.dim for a, b in zip(spaces, spaces[1:])):
+                raise MalformedFiltration("weight filtration steps must strictly increase")
             if spaces[-1].dim != self.ambient_dim:
                 raise MalformedFiltration("weight filtration must top out at the full space")
             if spaces[0].dim == 0:
                 raise MalformedFiltration("bottom jump of W must be nonzero")
         else:
-            for a, b in zip(spaces, spaces[1:]):
-                if not a.contains(b) or a.dim <= b.dim:
-                    raise MalformedFiltration("Hodge filtration steps must strictly decrease")
+            if any(a.dim <= b.dim for a, b in zip(spaces, spaces[1:])):
+                raise MalformedFiltration("Hodge filtration steps must strictly decrease")
             if spaces[0].dim != self.ambient_dim:
                 raise MalformedFiltration("Hodge filtration must start at the full space")
             if spaces[-1].dim == 0:
@@ -148,8 +150,11 @@ class Filtration:
                           self.ambient_dim)
 
     def map_spaces(self, fn) -> "Filtration":
-        return Filtration([(k, fn(s)) for k, s in self.steps], self.increasing,
-                          self.ambient_dim)
+        """The steps moved by fn, a (conjugate-)linear map such as image_under,
+        lift or conj, which keeps each step inside the next."""
+        moved = Filtration.__new__(Filtration)
+        moved._settle([(k, fn(s)) for k, s in self.steps], self.increasing, self.ambient_dim)
+        return moved
 
     def __repr__(self) -> str:
         kind = "W" if self.increasing else "F"
@@ -414,13 +419,15 @@ def dual(H: MixedHodgeStructure, tol: float | None = None) -> MixedHodgeStructur
 
 def is_morphism(T: np.ndarray, A: MixedHodgeStructure, B: MixedHodgeStructure,
                 tol: float | None = None) -> bool:
-    """True when the real matrix T respects both filtrations (type (0,0))."""
+    """True when the real matrix T respects both filtrations (type (0,0));
+    T A.W_k in B.W_k is read at the steps of A.W on the adapted basis of B.W."""
     tol = default_tol() if tol is None else tol
     T = np.asarray(T, dtype=complex)
     if maxabs(T.imag) > tol * max(1.0, maxabs(T)):
         return False
-    for k in sorted(set(A.weights) | set(B.weights)):
-        if not B.W.at(k).contains(A.W.at(k).image_under(T, tol), tol):
+    flag = B.W.adapted_basis()
+    for k, step in A.W.steps:
+        if flag.depth(step.basis @ T.T, tol) > B.W.at(k).dim:
             return False
     for p in sorted(set(A.levels) | set(B.levels)):
         if not B.F.at(p).contains(A.F.at(p).image_under(T, tol), tol):

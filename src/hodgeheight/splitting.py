@@ -72,11 +72,13 @@ class Splitting:
 
 def _ad_exp(w: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """exp(w) Y exp(-w) for a nilpotent w: both factors sum the terms w^k / k!,
-    exp(-w) with alternating signs, so no matrix is inverted."""
-    terms = [np.eye(len(w), dtype=complex)]
-    while len(terms) <= len(w) and terms[-1].any():
-        terms.append(terms[-1] @ w / len(terms))
-    return sum(terms) @ Y @ sum((-1) ** k * t for k, t in enumerate(terms))
+    exp(-w) with alternating signs, so no matrix is inverted.  An overflow
+    gives inf or NaN silently; both callers' verdicts fail on it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [np.eye(len(w), dtype=complex)]
+        while len(terms) <= len(w) and terms[-1].any():
+            terms.append(terms[-1] @ w / len(terms))
+        return sum(terms) @ Y @ sum((-1) ** k * t for k, t in enumerate(terms))
 
 
 def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndarray:

@@ -26,7 +26,8 @@ from .errors import (
     NotHodgeTate,
 )
 from .height import Orientation, OrientedMHS, height
-from .linalg import Subspace, check_nilpotent, expm_nilpotent, maxabs
+from .limits import NilpotentOrbit
+from .linalg import Subspace, expm_nilpotent, maxabs
 from .mhs import MixedHodgeStructure, hodge_filtration, is_hodge_tate, weight_filtration
 from .splitting import deligne_delta, gl_hodge_components
 
@@ -77,14 +78,14 @@ class LocalVariation:
     nilpotents: tuple[np.ndarray, ...]
     gamma: GammaPoly
     orientation: Orientation
-    # the oriented limit pair (F_inf, W), built once so that its caches (lattice,
-    # bigrading, splitting, top lift) serve every call
+    # the oriented limit pair (F_inf, W), built once so that the caches of its
+    # structure (lattice, bigrading, splitting) serve every call
     _limit: OrientedMHS = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         tol = default_tol()
         for N in self.nilpotents:
-            check_nilpotent(np.asarray(N, dtype=complex), tol)
+            NilpotentOrbit(self.W, N, self.F_inf, tol)
         for A in self.nilpotents:
             for B in self.nilpotents:
                 if maxabs(np.asarray(A) @ B - np.asarray(B) @ A) > tol:

@@ -32,6 +32,7 @@ from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, lowering_morphisms
 from test_lattice import _cases, _rational_gl
+from test_linalg import contains_vector
 
 
 def test_split_real_structure_has_zero_height():
@@ -117,11 +118,13 @@ def _moved_cubic_draws():
             yield g
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("y", [10.0, 20.0, 50.0, 100.0, 200.0])
 def test_moved_cubic_fiber_height_is_right_or_a_typed_error(y):
     # on many of these fibers the splitting's fixed point overflows: the
     # solve inverts no matrix, so that is no LinAlgError, and its verdict
-    # fails on a non-finite delta, so that is no NaN height
+    # fails on a non-finite delta, so that is no NaN height; the overflow
+    # itself raises no numpy warning
     orbit, orient = cubic_orbit()
     om = OrientedMHS(orbit.fiber(1j * y), orient)
     expected = -(2.0 / 3.0) * y ** 3
@@ -137,6 +140,7 @@ def test_moved_cubic_fiber_height_is_right_or_a_typed_error(y):
         assert height(moved) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_moved_cubic_splitting_stops_at_its_first_non_finite_iterate(monkeypatch):
     # an iterate that overflowed stays non-finite, so the fixed point raises
     # NoConvergence there instead of running its remaining passes on inf/NaN
@@ -156,11 +160,10 @@ def test_moved_cubic_splitting_stops_at_its_first_non_finite_iterate(monkeypatch
         moved = _moved_oriented(om, g)
         passes.clear()
         error = None
-        with np.errstate(all="ignore"):
-            try:
-                deligne_delta(moved.mhs)
-            except HodgeError as e:
-                error = type(e)
+        try:
+            deligne_delta(moved.mhs)
+        except HodgeError as e:
+            error = type(e)
         if False in passes:
             overflowed += 1
             first = passes.index(False) + 1
@@ -273,19 +276,23 @@ def test_functoriality_block_embedding(rng):
         assert rep.residual < 1e-10
 
 
-def test_functoriality_checks_each_orientation_once(monkeypatch):
-    # the orientation check runs once per structure and tol, shared with the
-    # top lift that height(A) and height(B) take
-    calls = []
-    contains_vector = Subspace.contains_vector
-    monkeypatch.setattr(Subspace, "contains_vector",
-                        lambda self, v, tol=None: calls.append(v) or contains_vector(self, v, tol))
-    A, B = dilog_fiber(0.25 + 0.5j), dilog_fiber(0.25 + 0.5j)
-    check_functoriality(np.eye(3), A, B)
-    assert len(calls) == 4
-    check_functoriality(np.eye(3), A, B)
-    height(A)
-    assert len(calls) == 4
+def test_check_oriented_builds_no_subspace(monkeypatch):
+    # the check reads coordinates on the adapted basis of W, which W builds
+    # once, so it makes no Subspace and is cheap enough to run on every call
+    from hodgeheight.height import _check_oriented
+
+    made = []
+    init = Subspace.__init__
+    monkeypatch.setattr(Subspace, "__init__",
+                        lambda self, *a, **kw: made.append(a) or init(self, *a, **kw))
+    for om in (dilog_fiber(0.25 + 0.5j), build_biextension(random_spec(np.random.default_rng(5)))):
+        om.mhs.W.adapted_basis()
+        made.clear()
+        _check_oriented(om.mhs.W, om.orientation, 1e-9)
+        bottom = om.orientation.bottom
+        with pytest.raises(NotOriented):
+            _check_oriented(om.mhs.W, Orientation.of(bottom, bottom), 1e-9)
+        assert made == []
 
 
 def test_functoriality_rejects_non_morphism():
@@ -377,16 +384,6 @@ def test_coefficient_against_bottom_rejects_nan():
             _coefficient_against_bottom(vec, bottom, 1e-9, 1.0)
 
 
-def test_top_lift_cached_per_tolerance():
-    from hodgeheight.height import top_lift
-
-    om = dilog_fiber(0.4 + 0.65j)
-    assert top_lift(om, 1e-9) is top_lift(om, 1e-9)
-    assert top_lift(om) is top_lift(om, 1e-9)
-    assert top_lift(om, 1e-8) is not top_lift(om, 1e-9)
-    assert np.array_equal(top_lift(om, 1e-8), top_lift(om, 1e-9))
-
-
 # ---------------------------------------------------------------------------
 # oracles: the top lift and d_max solved from the linear systems the
 # least-squares versions solved, independent of the weight projectors and
@@ -419,7 +416,7 @@ def _oriented(H: MixedHodgeStructure) -> OrientedMHS:
     W_(max-1) and the basis row of W_min (rank one, as every lattice case
     has it)."""
     below = H.W.at(max(H.weights) - 1)
-    top = next(e for e in np.eye(H.dim) if not below.contains_vector(e))
+    top = next(e for e in np.eye(H.dim) if not contains_vector(below, e))
     return OrientedMHS(H, Orientation.of(top, np.real(H.W.at(min(H.weights)).basis[0])))
 
 
@@ -505,3 +502,99 @@ def test_functoriality_d_max_matches_solved_oracle(build, monkeypatch):
     want = solved_d_max(g, A, B)
     assert abs(rep.d_max - want) <= 1e-12 * abs(want)
     assert rep.d_max == pytest.approx(-0.4, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the orientation check asked through Subspace membership, against
+# the read of coordinates on the adapted basis of W that height uses
+
+
+def reference_check_oriented(W, orientation: Orientation, tol: float) -> None:
+    """Raise NotOriented unless the generators orient W, by two
+    Subspace memberships, in W_(max-1) and in W_min."""
+    wmin, wmax = W.indices[0], W.indices[-1]
+    below_top = W.at(wmax - 1)
+    if W.ambient_dim - below_top.dim != 1:
+        raise NotOriented("top weight-graded piece is not of rank one")
+    if W.at(wmin).dim != 1:
+        raise NotOriented("bottom weight-graded piece is not of rank one")
+    if wmax % 2 or wmin % 2:
+        raise NotOriented("top and bottom weights must be even")
+    top, bottom = orientation.top, orientation.bottom
+    if maxabs(top) == 0 or maxabs(bottom) == 0:
+        raise NotOriented("orientation generators must be nonzero")
+    if contains_vector(below_top, top, tol):
+        raise NotOriented("top generator projects to zero in the top graded piece")
+    if not contains_vector(W.at(wmin), bottom, tol):
+        raise NotOriented("bottom generator must span the lowest weight step")
+
+
+def _orientation_verdict(check, W, top, bottom, tol: float = 1e-9) -> str | None:
+    try:
+        check(W, Orientation.of(top, bottom), tol)
+    except NotOriented as e:
+        return str(e)
+    return None
+
+
+def _orientation_probes(om: OrientedMHS, rng):
+    """The structure's own generators, each coordinate vector as the top and
+    as the bottom, and the top shifted by an integer element of W_(max-1)."""
+    top, bottom = om.orientation.top, om.orientation.bottom
+    yield top, bottom
+    for e in np.eye(om.mhs.dim):
+        yield e, bottom
+        yield top, e
+    yield top + _below_top_element(om, rng), bottom
+
+
+def _below_top_element(om: OrientedMHS, rng) -> np.ndarray:
+    below = om.mhs.W.at(om.max_weight - 1)
+    return rng.integers(-3, 4, below.dim) @ below.basis
+
+
+def _orientation_family(kind: str, rng) -> list[OrientedMHS]:
+    if kind == "biextension":
+        return [build_biextension(random_spec(rng)) for _ in range(150)]
+    if kind == "dilog":
+        return [dilog_fiber(s) for s in (0.25 + 0.5j, -1.5 + 0.3j, 2.5 - 1.2j)]
+    orbit, orient = cubic_orbit()
+    return [OrientedMHS(orbit.fiber(1j * y), orient) for y in (0.5, 2.0, 10.0)]
+
+
+@pytest.mark.parametrize("kind", ["biextension", "dilog", "cubic"])
+def test_check_oriented_agrees_with_the_subspace_oracle(kind):
+    # each structure as it is and moved by an integer g in GL_n(Q): the same
+    # verdict and, on a rejection, the same message
+    from hodgeheight.height import _check_oriented
+
+    rng = np.random.default_rng(31)
+    checked = rejected = 0
+    for om in _orientation_family(kind, rng):
+        for case in (om, _moved_oriented(om, _rational_gl(om.mhs.dim, rng))):
+            for top, bottom in _orientation_probes(case, rng):
+                want = _orientation_verdict(reference_check_oriented, case.mhs.W, top, bottom)
+                got = _orientation_verdict(_check_oriented, case.mhs.W, top, bottom)
+                assert got == want
+                checked += 1
+                rejected += want is not None
+    assert 0 < rejected < checked
+
+
+@pytest.mark.parametrize("kind", ["biextension", "dilog", "cubic"])
+def test_check_oriented_is_right_near_the_threshold(kind):
+    # w + 1e-4 top (w in W_(max-1)) still orients, and bottom + 1e-4 top no
+    # longer lies in W_min.  The Subspace oracle rejected the first on 3 of
+    # these 300 biextension draws: it normalizes the vector by its pivot
+    # (here -1e-4), which inflates the threshold of the stacked echelon
+    from hodgeheight.height import _check_oriented
+
+    rng = np.random.default_rng(37)
+    for om in _orientation_family(kind, rng):
+        for case in (om, _moved_oriented(om, _rational_gl(om.mhs.dim, rng))):
+            top, bottom = case.orientation.top, case.orientation.bottom
+            W = case.mhs.W
+            shifted = _below_top_element(case, rng) + 1e-4 * top
+            assert _orientation_verdict(_check_oriented, W, shifted, bottom) is None
+            assert (_orientation_verdict(_check_oriented, W, top, bottom + 1e-4 * top)
+                    == "bottom generator must span the lowest weight step")

@@ -14,6 +14,7 @@ from hodgeheight.errors import (
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight.limits import (
     NilpotentOrbit,
+    _grades,
     _initial_w_grading,
     _steps_to_filtration,
     deligne_system_grading,
@@ -38,6 +39,7 @@ from hodgeheight.linalg import (
 from hodgeheight.mhs import is_hodge_tate, weight_filtration
 from hodgeheight.scenarios import cubic_orbit
 from hodgeheight.variations import dilog_variation
+from test_linalg import contains_vector
 
 TOL = 1e-9
 
@@ -60,7 +62,7 @@ def test_monodromy_filtration_jordan_two():
     N[1, 0] = 1.0
     filt = monodromy_weight_filtration(N, center=-3)
     assert filt.indices == [-4, -2]
-    assert filt.at(-4).contains_vector([0, 1])
+    assert contains_vector(filt.at(-4), [0, 1])
     assert filt.at(-4).dim == 1
 
 
@@ -135,7 +137,7 @@ def test_relative_filtration_cubic_orbit():
     orbit, _ = cubic_orbit()
     M = relative_weight_filtration(orbit.N, orbit.W)
     assert M.indices == [-6, -4, -2, 0]
-    assert M.at(-6).contains_vector([0, 0, 0, 1])
+    assert contains_vector(M.at(-6), [0, 0, 0, 1])
     assert M.at(-4).dim == 2
     assert M.at(-2).dim == 3
 
@@ -1201,3 +1203,52 @@ def test_deligne_system_solves_on_the_free_entries_alone(monkeypatch):
                    for _, cols in shapes[1::2])
         corrections += len(shapes) // 2
     assert corrections
+
+
+# ---------------------------------------------------------------------------
+# oracle: _grades asked through a span and a Subspace.contains per weight
+
+
+def reference_grades(pieces: dict, W, tol: float) -> bool:
+    """For every weight k, the pieces with key <= k span exactly W_k: one
+    span, one dimension and one containment per weight."""
+    n = W.ambient_dim
+    for k in W.indices:
+        rows = [b for j, b in pieces.items() if j <= k]
+        span = Subspace.from_rows(np.vstack(rows), n, tol) if rows else Subspace.zero(n)
+        if span.dim != W.at(k).dim or not W.at(k).contains(span, tol):
+            return False
+    return True
+
+
+def _broken_gradings(pieces: dict, rng):
+    """Gradings that must fail: a bottom row pushed out of its step by a top
+    row (once by a whole row, once by 1e-4 of one), a top row replaced by a
+    bottom row (dependent rows), and the bottom and top pieces swapped."""
+    lo, hi = min(pieces), max(pieces)
+    for c in (1.0, 1e-4):
+        bad = dict(pieces)
+        bad[lo] = pieces[lo].copy()
+        bad[lo][int(rng.integers(len(bad[lo])))] += c * pieces[hi][0]
+        yield bad
+    bad = dict(pieces)
+    bad[hi] = pieces[hi].copy()
+    bad[hi][0] = pieces[lo][0]
+    yield bad
+    yield {**pieces, lo: pieces[hi], hi: pieces[lo]}
+
+
+def test_grades_agrees_with_the_subspace_oracle():
+    rng = np.random.default_rng(1729)
+    broken = 0
+    for _ in range(60):
+        W, N, Y = random_deligne_system(rng)
+        pieces = _initial_w_grading(W, Y, 1e-9)
+        assert _grades(pieces, W, 1e-9) and reference_grades(pieces, W, 1e-9)
+        if len(pieces) < 2:
+            continue
+        for bad in _broken_gradings(pieces, rng):
+            assert not reference_grades(bad, W, 1e-9)
+            assert not _grades(bad, W, 1e-9)
+            broken += 1
+    assert broken >= 100

@@ -17,6 +17,7 @@ from hodgeheight.mhs import (
     weight_filtration,
 )
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
+from test_linalg import contains_vector
 
 
 def test_rational_structure_validates():
@@ -119,10 +120,10 @@ def test_cubic_orbit_fiber_components():
     nu0 = np.array([1, z, z ** 2 / 2, z ** 3 / 6], dtype=complex)
     nu1 = np.array([0, 1, z, z ** 2 / 2], dtype=complex)
     nu2 = np.array([0, 0, 1, z], dtype=complex)
-    assert B.components[(0, 0)].contains_vector(nu0)
-    assert B.components[(-1, -2)].contains_vector(nu1)
-    assert B.components[(-2, -1)].contains_vector(nu1 + (np.conj(z) - z) * nu2)
-    assert B.components[(-3, -3)].contains_vector([0, 0, 0, 1])
+    assert contains_vector(B.components[(0, 0)], nu0)
+    assert contains_vector(B.components[(-1, -2)], nu1)
+    assert contains_vector(B.components[(-2, -1)], nu1 + (np.conj(z) - z) * nu2)
+    assert contains_vector(B.components[(-3, -3)], [0, 0, 0, 1])
 
 
 def test_twist_round_trip_and_shift():
@@ -234,9 +235,9 @@ def test_dilog_fiber_explicit_basis_vectors():
     L2 = complex(mpmath.polylog(2, s))
     e0 = [1.0, l1s / tp, -(l1s * ls + L2)]
     e1 = [0.0, 1.0 / tp, -ls]
-    assert B.components[(0, 0)].contains_vector(e0)
-    assert B.components[(-1, -1)].contains_vector(e1)
-    assert B.components[(-2, -2)].contains_vector([0, 0, 1])
+    assert contains_vector(B.components[(0, 0)], e0)
+    assert contains_vector(B.components[(-1, -1)], e1)
+    assert contains_vector(B.components[(-2, -2)], [0, 0, 1])
 
 
 def test_twist_by_zero_is_identity():
@@ -268,3 +269,59 @@ def test_caches_are_keyed_by_tolerance(monkeypatch):
     monkeypatch.setenv("HODGE_TOL", "1e-10")
     assert H.bigrading() is H.bigrading(1e-10)
     assert H.bigrading() is not H.bigrading(1e-9)
+
+
+# ---------------------------------------------------------------------------
+# oracle: is_morphism asked through an image and a Subspace.contains per weight
+
+
+def reference_is_morphism(T, A: MixedHodgeStructure, B: MixedHodgeStructure,
+                          tol: float = 1e-9) -> bool:
+    """True when the real matrix T maps A.W_k into B.W_k and A.F^p into
+    B.F^p for every index of either structure."""
+    T = np.asarray(T, dtype=complex)
+    if maxabs(T.imag) > tol * max(1.0, maxabs(T)):
+        return False
+    for k in sorted(set(A.weights) | set(B.weights)):
+        if not B.W.at(k).contains(A.W.at(k).image_under(T, tol), tol):
+            return False
+    for p in sorted(set(A.levels) | set(B.levels)):
+        if not B.F.at(p).contains(A.F.at(p).image_under(T, tol), tol):
+            return False
+    return True
+
+
+def _morphism_probes(rng):
+    """(T, A, B): the padded embeddings of built biextensions, integer maps
+    of a structure to itself and to its move by g, identities, and the
+    identity plus 1e-4 times a map that swaps the ends of W."""
+    from hodgeheight.biextension import embed_into_padded, random_spec
+    from test_lattice import _moved, _rational_gl
+
+    for _ in range(20):
+        f, A, B = embed_into_padded(random_spec(rng))
+        yield f, A.mhs, B.mhs
+        yield np.eye(A.mhs.dim), A.mhs, A.mhs
+        yield np.eye(A.mhs.dim) + 1e-4 * np.eye(A.mhs.dim)[::-1], A.mhs, A.mhs
+        g = _rational_gl(A.mhs.dim, rng)
+        moved = _moved(A.mhs, g)
+        yield g, A.mhs, moved
+        yield g, A.mhs, A.mhs
+        yield np.linalg.inv(g), moved, A.mhs
+        yield g @ f.T, B.mhs, moved
+        yield rng.integers(-2, 3, size=f.shape), A.mhs, B.mhs
+    for s in (0.25 + 0.5j, -1.5 + 0.3j, 2.5 - 1.2j):
+        H = dilog_fiber(s).mhs
+        yield np.eye(3), H, H
+        yield np.triu(rng.integers(-2, 3, size=(3, 3))).T, H, H
+        yield rng.integers(-2, 3, size=(3, 3)), H, H
+
+
+def test_is_morphism_agrees_with_the_subspace_oracle():
+    rng = np.random.default_rng(4242)
+    verdicts = []
+    for T, A, B in _morphism_probes(rng):
+        want = reference_is_morphism(T, A, B)
+        assert is_morphism(T, A, B) == want
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)

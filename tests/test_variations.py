@@ -178,3 +178,19 @@ def test_dilog_variation_asymptotics_to_zero():
 def test_limit_structure_built_once():
     v = random_hodge_tate((1, 2, 1), 1, seed=1)
     assert v.limit_structure() is v.limit_structure()
+
+
+def test_variation_rejects_a_nilpotent_that_raises_weight():
+    # a variation checks each nilpotent as NilpotentOrbit does: N must
+    # preserve W (and be horizontal for F_inf)
+    from hodgeheight.errors import NotNilpotent
+    from hodgeheight.limits import NilpotentOrbit
+
+    v = dilog_variation(10)
+    bad = np.zeros((3, 3))
+    bad[0, 2] = 1.0
+    with pytest.raises(NotNilpotent, match="weight filtration"):
+        NilpotentOrbit(v.W, bad, v.F_inf)
+    with pytest.raises(NotNilpotent, match="weight filtration"):
+        LocalVariation(W=v.W, F_inf=v.F_inf, nilpotents=(bad,), gamma=v.gamma,
+                       orientation=v.orientation)
