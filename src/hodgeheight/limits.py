@@ -19,11 +19,11 @@ relative_weight_filtration(N, W) runs in the coordinates c of v = c T, T the
 adapted basis of W (linalg.AdaptedBasis), where W_k is the span of the
 first d_k = dim W_k coordinates and N acts by N' (AdaptedBasis.operator).
 N preserves W exactly when N' vanishes below its diagonal blocks; N on W_k
-is then the leading d_k x d_k block of N' (and N^j the leading block of
-N'^j, so one power table serves every level), and N on Gr^W_k is the k-th
-diagonal block.  The recursion peels the top weight k of W: with M'
-computed on W_k' (k' the weight below) and carried up to C^(d_k) by
-appending zero coordinates,
+is then the leading d_k x d_k block of N' and N on Gr^W_k the k-th
+diagonal block, and the powers of each block are the blocks of the powers
+of N', so one table serves every level and every block.  The recursion
+peels the top weight k of W: with M' computed on W_k' (k' the weight
+below) and carried up to C^(d_k) by appending zero coordinates,
 
     M_(k+j)  = preimage of M'_(k-j-2) under N^(j+1)      (j >= 0)
     M_(k-j)  = N^j( M_(k+j) ) + M'_(k-j)                 (j >= 1)
@@ -113,10 +113,12 @@ def monodromy_weight_filtration(N, center: int = 0,
                                 tol: float | None = None) -> Filtration:
     """The unique filtration with N W_k <= W_{k-2} and N^j : Gr_{c+j} ~ Gr_{c-j}."""
     tol = default_tol() if tol is None else tol
-    N = as_operator(N)
-    n = len(N)
-    powers = nilpotent_powers(N, tol)
-    m = len(powers) - 1
+    return _monodromy_from_powers(nilpotent_powers(as_operator(N), tol), center, tol)
+
+
+def _monodromy_from_powers(powers: list, center: int, tol: float) -> Filtration:
+    """The monodromy filtration of N from its power table N^0 .. N^m."""
+    N, n, m = powers[1], len(powers[0]), len(powers) - 1
 
     def kernel(e: int) -> Subspace:
         if isinstance(N, list):
@@ -181,7 +183,7 @@ def relative_weight_filtration(N, W: Filtration, tol: float | None = None) -> Fi
     except MalformedFiltration as exc:
         # the downward/upward passes only interlock when the filtration exists
         raise DoesNotExist(f"candidate family is not a filtration: {exc}") from exc
-    _verify_relative(filt, Np, W.indices, flag.dims, base, tol)
+    _verify_relative(filt, powers, W.indices, flag.dims, base, tol)
     return filt.map_spaces(lambda s: flag.lift(s, tol))
 
 
@@ -201,6 +203,19 @@ def _block(A, lo: int, hi: int):
     return [row[lo:hi] for row in A[lo:hi]] if isinstance(A, list) else A[lo:hi, lo:hi]
 
 
+def _block_powers(powers: list, lo: int, hi: int, tol: float) -> list:
+    """The diagonal blocks lo .. hi-1 of N'^0 .. N'^m (the powers of that block
+    of N', which preserves W) up to the first power nilpotent_powers would
+    stop at on the block; failing that, the block's own table."""
+    table = [_block(p, lo, hi) for p in powers]
+    exact = isinstance(table[1], list)
+    scale = 1.0 if exact else max(maxabs(table[1]), 1.0)
+    for j in range(1, len(table)):
+        if (not any(map(any, table[j]))) if exact else maxabs(table[j]) <= tol * scale ** j:
+            return table[:j + 1]
+    return nilpotent_powers(table[1], tol)
+
+
 def _pad(S: Subspace, d: int) -> Subspace:
     """S in C^d by appending zero coordinates, which keeps its echelon rows."""
     zeros = [Fraction(0)] * (d - S.ambient_dim)
@@ -215,7 +230,7 @@ def _relative_rec(powers: list, weights: list[int], dims: tuple[int, ...],
     bottom block, and M in the coordinates of T as a map k -> M_k, read as
     the step function of its largest key <= j (see the module docstring)."""
     m = len(powers) - 1
-    base = monodromy_weight_filtration(_block(powers[1], 0, dims[0]), weights[0], tol)
+    base = _monodromy_from_powers(_block_powers(powers, 0, dims[0], tol), weights[0], tol)
     M = dict(base.steps)
     for k_top, d in zip(weights[1:], dims[1:]):
         keys = sorted(M)
@@ -248,19 +263,19 @@ def _steps_to_filtration(M: dict[int, Subspace], n: int) -> Filtration:
     return weight_filtration(steps, n)
 
 
-def _verify_relative(M: Filtration, Np, weights: list[int], dims: tuple[int, ...],
+def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tuple[int, ...],
                      base: Filtration, tol: float) -> None:
-    """Both axioms of M = M(N, W) in the coordinates of T, Np = N'; the
-    graded one by pivot counts (see the module docstring)."""
+    """Both axioms of M = M(N, W) in the coordinates of T, from the power
+    table of N'; the graded one by pivot counts (see the module docstring)."""
     for k in M.indices:
-        if not M.at(k - 2).contains(M.at(k).image_under(Np, tol), tol):
+        if not M.at(k - 2).contains(M.at(k).image_under(powers[1], tol), tol):
             raise DoesNotExist("candidate filtration is not lowered by two under N")
-    n = len(Np)
+    n = len(powers[0])
     keys = M.indices
     pivots = [right_echelon(s.exact if s.is_exact() else s.basis, tol)[1] for _, s in M.steps]
     lo = 0
     for k, d in zip(weights, dims):
-        ref = monodromy_weight_filtration(_block(Np, lo, d), k, tol) if lo else base
+        ref = _monodromy_from_powers(_block_powers(powers, lo, d, tol), k, tol) if lo else base
         first, last = k - 2 * n, k + 2 * n
         for j in sorted({first, *(i for i in keys + ref.indices if first < i <= last)}):
             i = bisect_right(keys, j)

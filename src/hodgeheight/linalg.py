@@ -684,3 +684,15 @@ def graded_parts(proj: Mapping[Hashable, Matrix], A: Matrix) -> dict[Hashable, M
             block = left[l] @ proj[k]
             out[g] = out[g] + block if g in out else block
     return out
+
+
+def graded_part(proj: Mapping[Hashable, Matrix], A: Matrix, g: Hashable) -> Matrix:
+    """The degree-g part of A alone, graded_parts(proj, A).get(g, 0) as an
+    n x n matrix: only the blocks P_(k+g) A P_k are built."""
+    A = np.asarray(A, dtype=complex)
+    out = np.zeros_like(A)
+    for k in sorted(proj):
+        l = tuple(a + b for a, b in zip(k, g)) if isinstance(k, tuple) else k + g
+        if l in proj:
+            out = out + proj[l] @ A @ proj[k]
+    return out

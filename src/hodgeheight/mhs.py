@@ -23,9 +23,10 @@ There F^p is row-reduced once with its pivots taken from the right: each row
 is zero after its pivot and at the other pivots, so a combination of rows
 vanishes past coordinate d exactly when its coefficients on the rows with
 pivot >= d are zero.  F^p cap W_k is thus the span of the rows with pivot
-< dim W_k, mapped back by T, and its dimension is read without a rank
-decision on the stacked bases of F^p and W_k.  An exact F^p against an exact
-W stays exact, since T and T^-1 are then kept over Q.
+< dim W_k, mapped back by T, and its dimension is that count, read without
+a rank decision.  An exact F^p against an exact W stays exact, since T and
+T^-1 are then kept over Q.  Those counts give the Hodge numbers h^{a,b} of
+Gr^W_{a+b}, and only the pieces with h^{a,b} != 0 are built.
 
 Validation checks that statement in two stages.  First the candidates must
 form a direct sum: their dimensions add to n and their stacked bases have
@@ -37,7 +38,11 @@ dimensions, so the F- and W-axioms reduce to the dimension equalities
     sum_{a >= p} dim I^{a,b} = dim F^p,    sum_{a+b <= k} dim I^{a,b} = dim W_k.
 
 This is the bigrading of Deligne's splitting lemma (Cattani-Kaplan-Schmid,
-Degeneration of Hodge structures, Ann. Math. 1986, section 2).  The
+Degeneration of Hodge structures, Ann. Math. 1986, section 2), whose pieces
+have dim I^{a,b} = h^{a,b}.  Pieces inside F^a cap W_{a+b} that pass all
+checks are that bigrading, which is unique, so skipping the pieces with
+h^{a,b} = 0 loses nothing on a mixed Hodge structure and lets no other pair
+pass.  The
 conjugation axiom, conj I^{a,b} inside I^{b,a} + sum_{x<b, y<a} I^{x,y}, is
 one residual per piece, ||(1 - P_target) conj(B)^T||_max <= tol * max(1,
 ||B||_max) for the echelon basis B of the piece, with P_target the sum of
@@ -59,6 +64,7 @@ The splitting (see splitting.deligne_delta) is cached next to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -255,49 +261,48 @@ class MixedHodgeStructure:
     # -- bigrading -------------------------------------------------------------
 
     def _component_candidates(self, tol: float) -> dict[tuple[int, int], Subspace]:
-        """Build the candidate pieces I^{a,b}, once per tol (validate caches
-        the outcome).
-
-        Each F^p is reduced once against the adapted basis of W, and every
-        F^p cap W_k is read off that echelon (AdaptedBasis.meet; see the
-        module docstring for why this is the intersection).  The sums U(r, s)
-        and the right-hand sides are Subspace sums, and each piece is one
-        final Subspace.intersect."""
+        """Build the candidate pieces I^{a,b} with h^{a,b} != 0, once per tol
+        (validate caches the outcome; the module docstring says why it stays
+        sound).  F^p cap W_k is read off one echelon of F^p against the
+        adapted basis of W (AdaptedBasis.meet), and its dimension is the
+        count of rows with pivot < dim W_k, so the Hodge numbers h^{a,b} =
+        dim F^a Gr_k - dim F^{a+1} Gr_k, k = a + b, take no rank decision;
+        they are 0 unless F jumps at a and W at k."""
         n = self.dim
         pmin, pmax = min(self.levels), max(self.levels)
-        wmin, wmax = min(self.weights), max(self.weights)
+        weights = self.weights
         flag = self.W.adapted_basis()
-        reduced: dict[int, tuple] = {}
-        fw: dict[tuple[int, int], Subspace] = {}
-        us: dict[tuple[int, int], Subspace] = {}
 
+        @cache
+        def echelon(p: int) -> tuple:
+            return flag.reduce(self.F.at(p), tol)
+
+        @cache
+        def dim_FW(p: int, k: int) -> int:
+            # dim F^p cap W_k: the pivots < dim W_k of the echelon FW reads
+            f, d = self.F.at(p).dim, self.W.at(k).dim
+            if f in (0, n) or d in (0, n):
+                return min(f, d)
+            return sum(c < d for c in echelon(p)[1])
+
+        @cache
         def FW(p: int, k: int) -> Subspace:
             # F^p cap W_k, read off the one echelon of F^p against the W-flag
-            if (p, k) not in fw:
-                Fp, Wk = self.F.at(p), self.W.at(k)
-                if Fp.dim == 0 or Wk.dim == n:
-                    fw[(p, k)] = Fp
-                elif Wk.dim == 0 or Fp.dim == n:
-                    fw[(p, k)] = Wk
-                else:
-                    if p not in reduced:
-                        reduced[p] = flag.reduce(Fp, tol)
-                    fw[(p, k)] = flag.meet(Fp, reduced[p], Wk, tol)
-            return fw[(p, k)]
+            Fp, Wk = self.F.at(p), self.W.at(k)
+            return (Fp if Fp.dim == 0 or Wk.dim == n else
+                    Wk if Wk.dim == 0 or Fp.dim == n else flag.meet(Fp, echelon(p), Wk, tol))
 
+        @cache
         def U(r: int, s: int) -> Subspace:
             # U(r, s) = (F^r cap W_s) + U(r-1, s-1), zero below the bottom weight
-            if s < wmin:
-                return Subspace.zero(n)
-            if (r, s) not in us:
-                us[(r, s)] = FW(r, s).add(U(r - 1, s - 1), tol)
-            return us[(r, s)]
+            return Subspace.zero(n) if s < weights[0] else FW(r, s).add(U(r - 1, s - 1), tol)
 
         comps: dict[tuple[int, int], Subspace] = {}
-        for a in range(pmin, pmax + 1):
+        for a in self.levels:
             for b in range(pmin, pmax + 1):
                 k = a + b
-                if k < wmin or k > wmax:
+                if k not in weights or (dim_FW(a, k) - dim_FW(a, k - 1)
+                                        == dim_FW(a + 1, k) - dim_FW(a + 1, k - 1)):
                     continue
                 # W is real, so conj(F^b) cap W_k = conj(F^b cap W_k)
                 rhs = FW(b, k).add(U(b - 1, k - 2), tol).conj()

@@ -15,12 +15,12 @@ verified post hoc, once, by _solve_splitting: an iteration that stops short
 of the relation fails that check, so the splitting has one NoConvergence
 verdict.  An iterate that overflows to inf or NaN stays non-finite, so the
 iteration raises that verdict at the first one.  The inverse of exp(w) is
-exp(-w), so no matrix is inverted.  Both splittings of a matrix by degree
-come from linalg.graded_parts over projectors the bigrading already holds:
-each step takes every negative ad-Y part of the mismatch in one call over
-the weight projectors, and gl_hodge_components is the same call over the
-(p, q) ones; the Hodge components a Splitting holds are those of its real
-delta, so they sum to it.
+exp(-w), so no matrix is inverted.  Each step adds, over the pairs of
+weights l < k, the blocks P_l R P_k / (k - l) of the mismatch R with the
+weight projectors the bigrading holds: its ad-Y parts of negative degree
+divided by minus the degree, with no other block built.  gl_hodge_components
+is linalg.graded_parts over the (p, q) projectors; the Hodge components a
+Splitting holds are those of its real delta, so they sum to it.
 
 deligne_delta computes the Splitting once per structure and resolved
 tolerance and caches it on the MixedHodgeStructure, next to the lattice,
@@ -91,6 +91,7 @@ def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndar
     weights = B.weights
     span = max(weights) - min(weights)
     scale = max(maxabs(Y), 1.0)
+    P = B.weight_projectors
     w = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
         R = Ybar - _ad_exp(w, Y)
@@ -100,8 +101,8 @@ def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndar
         # an iterate that overflowed stays non-finite, so stop at the first
         if not np.isfinite(err):
             raise NoConvergence(f"splitting iterate is not finite (residual {err})")
-        # each negative-weight part of R is solvable by division by -m
-        w = w + sum(P / -m for m, P in graded_parts(B.weight_projectors, R).items() if m < 0)
+        # each part of R of negative weight l - k is solvable by division by k - l
+        w = w + sum(P[l] @ R @ P[k] / (k - l) for k in weights for l in weights if l < k)
     return w
 
 

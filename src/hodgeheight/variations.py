@@ -27,9 +27,9 @@ from .errors import (
 )
 from .height import Orientation, OrientedMHS, height
 from .limits import NilpotentOrbit
-from .linalg import Subspace, expm_nilpotent, maxabs
+from .linalg import Subspace, expm_nilpotent, graded_part, maxabs
 from .mhs import MixedHodgeStructure, hodge_filtration, is_hodge_tate, weight_filtration
-from .splitting import deligne_delta, gl_hodge_components
+from .splitting import deligne_delta
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,8 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float | None = None) -> 
     """For a Hodge-Tate variation of length >= 4: per sampled point, the fiber
     height Ht(fiber), the gap |Ht(fiber) - Ht(limit)| and the residual of the
     depth-one identity
-    delta^{-1,-1}(z,s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1}."""
+    delta^{-1,-1}(z,s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1},
+    with only the (-1,-1) parts taken (linalg.graded_part)."""
     tol = default_tol() if tol is None else tol
     limit = v.limit_structure()
     # Hodge-Tate variations have relative filtration equal to W, so the pair
@@ -202,14 +203,12 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float | None = None) -> 
     for z, s in sequence:
         H = fiber(v, z, s, tol)
         spl = deligne_delta(H, tol)
-        comps = gl_hodge_components(B_lim, spl.delta.astype(complex))
-        d11 = comps.get((-1, -1), np.zeros((n, n)))
+        d11 = graded_part(B_lim.projectors, spl.delta, (-1, -1))
         imz = [complex(x).imag for x in np.atleast_1d(z)]
         gm = v.gamma(s)
         im_gamma = (gm - np.conj(gm)) / 2j if gm.size else np.zeros((n, n))
-        im_gamma_comps = gl_hodge_components(B_lim, im_gamma.astype(complex))
         predicted = v.n_of([1j * y for y in imz]).imag + \
-            im_gamma_comps.get((-1, -1), np.zeros((n, n))).real + d11_lim.real
+            graded_part(B_lim.projectors, im_gamma, (-1, -1)).real + d11_lim.real
         resid = maxabs(d11.real - predicted)
         ht = height(OrientedMHS(H, v.orientation), tol)
         points.append(AsymptoticsPoint(z=tuple(np.atleast_1d(z)), s=tuple(np.atleast_1d(s)),
@@ -340,12 +339,3 @@ def dilog_variation(degree: int = 60) -> LocalVariation:
     gamma = GammaPoly.of(1, terms)
     return LocalVariation(W=W, F_inf=F, nilpotents=(N,), gamma=gamma,
                           orientation=Orientation.of([1, 0, 0], [0, 0, 1]))
-
-
-def slope_fit(params: np.ndarray, heights: np.ndarray) -> dict[str, float]:
-    """Least-squares diagnostic: fit heights against log|s| and (log|s|)^3."""
-    x = np.asarray(params, dtype=float)
-    y = np.asarray(heights, dtype=float)
-    A = np.vstack([np.ones_like(x), x, x ** 3]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return {"constant": float(coef[0]), "linear": float(coef[1]), "cubic": float(coef[2])}

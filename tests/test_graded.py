@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgeheight.linalg import graded_parts, graded_projectors, maxabs
+from hodgeheight.linalg import graded_part, graded_parts, graded_projectors, maxabs
 from hodgeheight.scenarios import dilog_fiber
-from hodgeheight.splitting import gl_hodge_components
+from hodgeheight.splitting import _ad_exp, _solve_group_element_fixed_point, gl_hodge_components
 
 from test_lattice import _cases
 
@@ -62,6 +62,54 @@ def test_graded_projectors_and_parts_on_random_direct_sums(case):
             target = proj.get(_shift(k, g), np.zeros((n, n)))
             # the part of degree g maps piece k into piece k + g
             assert maxabs(part @ P - target @ part @ P) <= eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_direct_sum())
+def test_graded_part_is_one_entry_of_graded_parts(case):
+    # every degree in range, present or not, for int and (p, q) keys alike
+    pieces, A = case
+    n = A.shape[0]
+    proj = graded_projectors(pieces)
+    parts = graded_parts(proj, A)
+    if isinstance(next(iter(proj)), tuple):
+        degrees = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+    else:
+        degrees = range(-7, 8)
+    for g in degrees:
+        want = parts.get(g, np.zeros((n, n), dtype=complex))
+        assert np.array_equal(graded_part(proj, A, g), want), g
+
+
+def reference_fixed_point(B, tol):
+    """The splitting's fixed point with each step summing every negative
+    weight part of the mismatch divided by minus its weight."""
+    Y, n = B.Y, B.ambient_dim
+    scale = max(maxabs(Y), 1.0)
+    w = np.zeros((n, n), dtype=complex)
+    for _ in range(max(B.weights) - min(B.weights) + 3):
+        R = np.conj(Y) - _ad_exp(w, Y)
+        if maxabs(R) <= 1e-3 * tol * scale:
+            return w
+        w = w + sum(P / -m for m, P in graded_parts(B.weight_projectors, R).items() if m < 0)
+    return w
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=name) for name, b in _cases()])
+def test_fixed_point_sums_the_pairs_below_the_diagonal(build):
+    # P_l R P_k / (k - l) over l < k is every negative-weight part over -m.
+    # Where the iteration stops short of the relation (the moved (1,2,2,1)
+    # fiber, at about 2e-7), both iterates are rounding noise at that level,
+    # so only the verdict is compared there
+    B = build().bigrading(1e-9)
+    got, want = _solve_group_element_fixed_point(B, 1e-9), reference_fixed_point(B, 1e-9)
+
+    def relation(w):
+        return maxabs(np.conj(B.Y) - _ad_exp(w, B.Y)) / max(maxabs(B.Y), 1.0)
+
+    assert (relation(got) <= 1e-9) == (relation(want) <= 1e-9)
+    if relation(want) <= 1e-9:
+        assert maxabs(got - want) <= 1e-12 * max(maxabs(want), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -90,16 +90,18 @@ def test_cubic_fiber_height_formula():
         assert height_biextension(om) == pytest.approx(expected, abs=1e-9)
 
 
-@pytest.mark.parametrize("y", [57.5, 60.0, 100.0, 200.0])
+@pytest.mark.parametrize("y", [57.5, 60.0, 100.0, 200.0, 260.0, 400.0, 1000.0])
 def test_cubic_fiber_height_toward_the_boundary(y):
     # each F^p cap W_k is read off one echelon of F^p against the W-flag, so
-    # no rank decision is taken on the stacked bases of F^p and W_k
+    # no rank decision is taken on the stacked bases of F^p and W_k; from
+    # y = 260 on, only the pieces with a nonzero Hodge number are built, so
+    # no piece that is zero at the exact answer can spoil the direct sum
     orbit, orient = cubic_orbit()
     expected = -(2.0 / 3.0) * y ** 3
     assert height(OrientedMHS(orbit.fiber(1j * y), orient)) == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("y", [400.0, 1000.0])
+@pytest.mark.parametrize("y", [400.0, 1000.0, 1500.0, 1e4])
 def test_cubic_fiber_past_the_frontier_is_right_or_a_typed_error(y):
     orbit, orient = cubic_orbit()
     try:

@@ -50,6 +50,49 @@ def reference_candidates(H: MixedHodgeStructure, tol: float):
     return comps
 
 
+def reference_component_candidates(H: MixedHodgeStructure, tol: float):
+    """The memoized lattice before it skipped pieces: every (a, b) in range
+    builds its right-hand side and its final intersection, and only the
+    pieces of dimension 0 are dropped."""
+    n = H.dim
+    pmin, pmax = min(H.levels), max(H.levels)
+    wmin, wmax = min(H.weights), max(H.weights)
+    flag = H.W.adapted_basis()
+    reduced, fw, us = {}, {}, {}
+
+    def FW(p, k):
+        if (p, k) not in fw:
+            Fp, Wk = H.F.at(p), H.W.at(k)
+            if Fp.dim == 0 or Wk.dim == n:
+                fw[(p, k)] = Fp
+            elif Wk.dim == 0 or Fp.dim == n:
+                fw[(p, k)] = Wk
+            else:
+                if p not in reduced:
+                    reduced[p] = flag.reduce(Fp, tol)
+                fw[(p, k)] = flag.meet(Fp, reduced[p], Wk, tol)
+        return fw[(p, k)]
+
+    def U(r, s):
+        if s < wmin:
+            return Subspace.zero(n)
+        if (r, s) not in us:
+            us[(r, s)] = FW(r, s).add(U(r - 1, s - 1), tol)
+        return us[(r, s)]
+
+    comps = {}
+    for a in range(pmin, pmax + 1):
+        for b in range(pmin, pmax + 1):
+            k = a + b
+            if k < wmin or k > wmax:
+                continue
+            rhs = FW(b, k).add(U(b - 1, k - 2), tol).conj()
+            piece = FW(a, k).intersect(rhs, tol)
+            if piece.dim > 0:
+                comps[(a, b)] = piece
+    return comps
+
+
 def _rational_gl(n: int, rng) -> np.ndarray:
     """A random integer matrix that is invertible over Q."""
     while True:
@@ -123,6 +166,62 @@ def test_memoized_lattice_matches_reference(build):
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key].equals(want[key], TOL), key
+
+
+def _assert_nonzero_reference_pieces(H: MixedHodgeStructure) -> None:
+    got = H._component_candidates(TOL)
+    want = reference_component_candidates(H, TOL)
+    assert sorted(got) == sorted(want)
+    for key, piece in want.items():
+        assert np.array_equal(got[key].basis, piece.basis), key
+        assert got[key].pivots == piece.pivots and got[key].exact == piece.exact, key
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=name) for name, b in _cases()])
+def test_lattice_builds_the_nonzero_pieces_of_the_full_loop(build):
+    _assert_nonzero_reference_pieces(build())
+
+
+def _random_structures(rng):
+    """Biextensions, Hodge-Tate, cubic and dilog fibers, each also moved by a
+    random matrix in GL_n(Q).  The cubic ray stops at y = 250: from y = 260
+    on, the full loop builds pieces that are zero at the exact answer."""
+    for _ in range(12):
+        yield build_biextension(random_spec(rng)).mhs
+    for ranks in ((1, 2, 1), (1, 3, 1), (1, 2, 2, 1)):
+        v = random_hodge_tate(ranks, 1, seed=int(rng.integers(1, 100)))
+        for y in rng.uniform(0.5, 8, size=2):
+            yield fiber(v, [1j * y], [np.exp(-2 * np.pi * y)])
+    for y in (1.0, 30.0, 120.0, 250.0):
+        yield cubic_orbit()[0].fiber(1j * y)
+    for _ in range(4):
+        s = complex(rng.uniform(-0.9, 0.9), rng.choice([-1, 1]) * rng.uniform(0.05, 0.9))
+        yield dilog_fiber(s).mhs
+
+
+def test_lattice_builds_the_nonzero_pieces_on_random_structures():
+    rng = np.random.default_rng(1616)
+    for H in _random_structures(rng):
+        _assert_nonzero_reference_pieces(H)
+        _assert_nonzero_reference_pieces(_moved(H, _rational_gl(H.dim, rng)))
+
+
+def test_hodge_tate_lattice_intersects_only_the_diagonal(monkeypatch):
+    # the (1,2,2,1) fiber has Hodge numbers h^{p,p} = 1, 2, 2, 1 and no other
+    meets = []
+    intersect = Subspace.intersect
+
+    def counted(self, other, tol=None):
+        meets.append(1)
+        return intersect(self, other, tol)
+
+    built = fiber(random_hodge_tate((1, 2, 2, 1), 1, seed=3), [2j], [np.exp(-4 * np.pi)])
+    H = MixedHodgeStructure(built.W, built.F)
+    monkeypatch.setattr(Subspace, "intersect", counted)
+    comps = H._component_candidates(TOL)
+    assert sorted(comps) == [(p, p) for p in range(-3, 1)]
+    assert [comps[(p, p)].dim for p in range(0, -4, -1)] == [1, 2, 2, 1]
+    assert len(meets) == 4
 
 
 def test_lattice_built_once_per_tolerance(monkeypatch):
@@ -347,6 +446,27 @@ def test_validate_agrees_with_span_reference_on_breakages():
                 assert not report.ok and "conjugation-axiom" in _axioms(report), name
                 conj += 1
     assert moved and swapped and relabelled and conj
+
+
+def _full_loop_verdict(H: MixedHodgeStructure) -> bool:
+    G = MixedHodgeStructure(H.W, H.F)
+    G._component_candidates = lambda tol: reference_component_candidates(G, tol)
+    return G.validate(TOL).ok
+
+
+def test_skipped_pieces_keep_the_verdict_on_breakages():
+    # a structure that is not a mixed Hodge structure still fails when only
+    # the pieces with a nonzero Hodge number are built
+    broken = 0
+    for name, H, B in _valid_structures():
+        breakages = [_moved_piece(H, B, key) for key in B.components
+                     if key[0] > min(H.levels)]
+        breakages += [_swapped_w_step(H, i) for i in range(len(H.weights) - 1)]
+        for G in breakages:
+            ok = G.validate(TOL).ok
+            assert ok == _full_loop_verdict(G), name
+            broken += not ok
+    assert broken
 
 
 def test_projectors_built_once_per_tolerance(monkeypatch):

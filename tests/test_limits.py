@@ -937,13 +937,13 @@ def test_monodromy_filtration_runs_once_per_graded_piece(monkeypatch):
     from hodgeheight import limits
 
     calls = []
-    original = limits.monodromy_weight_filtration
+    original = limits._monodromy_from_powers
 
-    def counted(N, center=0, tol=None):
+    def counted(powers, center, tol):
         calls.append(center)
-        return original(N, center, tol)
+        return original(powers, center, tol)
 
-    monkeypatch.setattr(limits, "monodromy_weight_filtration", counted)
+    monkeypatch.setattr(limits, "_monodromy_from_powers", counted)
     rng = np.random.default_rng(609)
     for _ in range(20):
         W, N, _ = random_deligne_system(rng)
@@ -951,6 +951,95 @@ def test_monodromy_filtration_runs_once_per_graded_piece(monkeypatch):
             calls.clear()
             relative_weight_filtration(Nx, W)
             assert calls == W.indices
+
+
+def _own_block_table(powers, lo, hi, tol):
+    """Each graded piece's table built afresh from its block of N', the
+    path before the blocks were cut from the caller's table."""
+    from hodgeheight import limits
+    from hodgeheight.linalg import as_operator, nilpotent_powers
+
+    return nilpotent_powers(as_operator(limits._block(powers[1], lo, hi)), tol)
+
+
+def test_relative_filtration_builds_one_power_table(monkeypatch):
+    # the blocks' monodromy filtrations read trimmed slices of the one table
+    # of N', and give the filtrations of the per-block tables
+    from hodgeheight import limits
+
+    tables = []
+    original, cut = limits.nilpotent_powers, limits._block_powers
+
+    def counted(N, tol=None):
+        tables.append(len(N))
+        return original(N, tol)
+
+    def trimmed(powers, lo, hi, tol):
+        # as long as the block's own table: untrimmed slices cost twice as much
+        out = cut(powers, lo, hi, tol)
+        assert len(out) == len(_own_block_table(powers, lo, hi, tol))
+        return out
+
+    def both(N, W):
+        monkeypatch.setattr(limits, "_block_powers", trimmed)
+        monkeypatch.setattr(limits, "nilpotent_powers", counted)
+        tables.clear()
+        got = _outcome(relative_weight_filtration, N, W)
+        assert tables == [W.ambient_dim]
+        monkeypatch.setattr(limits, "nilpotent_powers", original)
+        with monkeypatch.context() as m:
+            m.setattr(limits, "_block_powers", _own_block_table)
+            return got, _outcome(relative_weight_filtration, N, W)
+
+    rng = np.random.default_rng(613)
+    inputs = []
+    for _ in range(40):
+        W, N, _ = random_deligne_system(rng)
+        inputs += [(np.round(N), W, True), (N / 3, W, False)]
+    inputs += [(N, W, True) for N, W in (_non_admissible_candidate(rng) for _ in range(30))]
+    inputs += [(orbit.N, orbit.W, False) for _, orbit, _ in _biextension_orbits()]
+    orbit, _ = cubic_orbit()
+    inputs.append((orbit.N, orbit.W, True))
+    missing = 0
+    for N, W, exact in inputs:
+        got, want = both(N, W)
+        assert (got is None) == (want is None)
+        if want is None:
+            missing += 1
+        else:
+            _assert_same_filtration(got, want, exact)
+    assert 0 < missing < len(inputs)
+
+
+def test_block_tables_stop_where_the_blocks_own_tables_stop():
+    from hodgeheight.limits import _block_powers
+    from hodgeheight.linalg import nilpotent_powers
+
+    def block_sum(*blocks):
+        n = sum(len(b) for b in blocks)
+        out, at = np.zeros((n, n)), 0
+        for b in blocks:
+            out[at:at + len(b), at:at + len(b)] = b
+            at += len(b)
+        return out
+
+    # B^2 is 5e-8, under tol * 10^2 but over tol * 10: the cut is at j = 2,
+    # while the table of N' (with a Jordan block of length 3) runs to N'^3
+    eps = 2.5e-9
+    B = np.array([[eps, 10.0], [0.0, eps]])
+    N = block_sum(B, shift_matrix(3).T)
+    table = nilpotent_powers(N, TOL)
+    assert len(table) == 4
+    assert len(_block_powers(table, 0, 2, TOL)) == len(nilpotent_powers(B, TOL)) == 3
+    exact = [[Fraction(int(x)) for x in row] for row in block_sum(
+        shift_matrix(2).T, shift_matrix(3).T)]
+    assert len(_block_powers(nilpotent_powers(exact), 0, 2, TOL)) == 3
+    # a block the table's bound lets through but its own does not is
+    # refused, as its own table refuses it
+    C = np.array([[1e-3, 1.0], [0.0, 0.0]])
+    table = nilpotent_powers(block_sum(C, [[0.0, 1e4], [0.0, 0.0]]), TOL)
+    with pytest.raises(NotNilpotent):
+        _block_powers(table, 0, 2, TOL)
 
 
 def test_initial_grading_reduces_each_eigenspace_once(monkeypatch):

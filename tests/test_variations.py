@@ -14,8 +14,16 @@ from hodgeheight.variations import (
     height_sweep,
     oriented_fiber,
     random_hodge_tate,
-    slope_fit,
 )
+
+
+def slope_fit(params: np.ndarray, heights: np.ndarray) -> dict[str, float]:
+    """Least-squares diagnostic: fit heights against log|s| and (log|s|)^3."""
+    x = np.asarray(params, dtype=float)
+    y = np.asarray(heights, dtype=float)
+    A = np.vstack([np.ones_like(x), x, x ** 3]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return {"constant": float(coef[0]), "linear": float(coef[1]), "cubic": float(coef[2])}
 
 
 def covering_points(ys, k=1):
