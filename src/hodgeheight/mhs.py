@@ -63,6 +63,7 @@ The splitting (see splitting.deligne_delta) is cached next to it.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
@@ -125,23 +126,20 @@ class Filtration:
                 raise MalformedFiltration("Hodge filtration must start at the full space")
             if spaces[-1].dim == 0:
                 raise MalformedFiltration("top jump of F must be nonzero")
+        # at() bisects the indices; every query outside the steps shares one zero
+        self._indices = [k for k, _ in self.steps]
+        self._zero = Subspace.zero(self.ambient_dim)
 
     @property
     def indices(self) -> list[int]:
-        return [k for k, _ in self.steps]
+        return list(self._indices)
 
     def at(self, k: int) -> Subspace:
         if self.increasing:
-            best = None
-            for idx, s in self.steps:
-                if idx <= k:
-                    best = s
-            return best if best is not None else Subspace.zero(self.ambient_dim)
-        best = None
-        for idx, s in reversed(self.steps):
-            if idx >= k:
-                best = s
-        return best if best is not None else Subspace.zero(self.ambient_dim)
+            i = bisect_right(self._indices, k) - 1
+            return self.steps[i][1] if i >= 0 else self._zero
+        i = bisect_left(self._indices, k)
+        return self.steps[i][1] if i < len(self.steps) else self._zero
 
     def adapted_basis(self) -> AdaptedBasis:
         """The linalg.AdaptedBasis of the steps of an increasing filtration,

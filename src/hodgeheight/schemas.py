@@ -9,6 +9,7 @@ entry raises HodgeError.  Output uses sorted keys so files are byte-stable.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 from fractions import Fraction
@@ -31,7 +32,7 @@ def _document(parse):
     def checked(doc):
         try:
             return parse(doc)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
             raise HodgeError(f"malformed document: {type(exc).__name__}: {exc}") from exc
     return checked
 
@@ -50,13 +51,19 @@ def _parse_rational(x) -> Fraction:
 
 
 def _parse_complex(x) -> complex:
+    """A [re, im] pair, a number or a rational string; json reads NaN and
+    Infinity, so a part that is not finite is a malformed entry."""
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, str):
-        return complex(Fraction(x))
-    raise HodgeError(f"expected a complex entry [re, im], got {x!r}")
+        z = complex(float(x[0]), float(x[1]))
+    elif isinstance(x, (int, float)):
+        z = complex(x)
+    elif isinstance(x, str):
+        z = complex(Fraction(x))
+    else:
+        raise HodgeError(f"expected a complex entry [re, im], got {x!r}")
+    if not cmath.isfinite(z):
+        raise HodgeError(f"malformed document: complex entry {x!r} is not finite")
+    return z
 
 
 def _rational_matrix(rows) -> list[list[Fraction]]:

@@ -6,21 +6,18 @@ conjugate:
 
     conj(Y) = Ad(exp(-2i delta)) Y.
 
-The solver runs a fixed-point iteration on the nilpotent group element w with
-Ad(exp(w)) Y = conj(Y), peeling the mismatch depth by depth along the ad-Y
-eigenvalues (all <= -1 on the relevant subalgebra, so each depth is solvable
-by division); nilpotency makes the iteration terminate after at most the
-weight span.  Realness, the bidegree constraint and the defining relation are
-verified post hoc, once, by _solve_splitting: an iteration that stops short
-of the relation fails that check, so the splitting has one NoConvergence
-verdict.  An iterate that overflows to inf or NaN stays non-finite, so the
-iteration raises that verdict at the first one.  The inverse of exp(w) is
-exp(-w), so no matrix is inverted.  Each step adds, over the pairs of
-weights l < k, the blocks P_l R P_k / (k - l) of the mismatch R with the
-weight projectors the bigrading holds: its ad-Y parts of negative degree
-divided by minus the degree, with no other block built.  gl_hodge_components
-is linalg.graded_parts over the (p, q) projectors; the Hodge components a
-Splitting holds are those of its real delta, so they sum to it.
+It is computed in closed form.  W is real, so conj(Y) grades W too, and
+exp(W_-1 gl) acts simply transitively on the gradings of W.  With P_k the
+weight projectors of Y, u = sum_k conj(P_k) P_k maps each weight piece of Y
+onto that of conj(Y) and u - 1 lowers W, so u is the one element of that
+group with Ad(u) Y = conj(Y), and delta = (i/2) log u, a finite series
+(linalg.logm_unipotent): no iteration, no inverse.  Realness, the bidegree
+constraint, the defining relation and finiteness are verified post hoc, once,
+by _solve_splitting; rounding in the projectors of an ill-conditioned
+bigrading fails that check, so the splitting has one NoConvergence verdict.
+gl_hodge_components is linalg.graded_parts over the (p, q) projectors; the
+Hodge components a Splitting holds are those of its real delta, so they sum
+to it.
 
 deligne_delta computes the Splitting once per structure and resolved
 tolerance and caches it on the MixedHodgeStructure, next to the lattice,
@@ -37,7 +34,7 @@ import numpy as np
 
 from .config import default_tol
 from .errors import NoConvergence
-from .linalg import graded_parts, maxabs, nullspace_float
+from .linalg import graded_parts, logm_unipotent, maxabs, nullspace_float
 from .mhs import DeligneBigrading, MixedHodgeStructure
 
 
@@ -73,37 +70,12 @@ class Splitting:
 def _ad_exp(w: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """exp(w) Y exp(-w) for a nilpotent w: both factors sum the terms w^k / k!,
     exp(-w) with alternating signs, so no matrix is inverted.  An overflow
-    gives inf or NaN silently; both callers' verdicts fail on it."""
+    gives inf or NaN silently; the verdict of _solve_splitting fails on it."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = [np.eye(len(w), dtype=complex)]
         while len(terms) <= len(w) and terms[-1].any():
             terms.append(terms[-1] @ w / len(terms))
         return sum(terms) @ Y @ sum((-1) ** k * t for k, t in enumerate(terms))
-
-
-def _solve_group_element_fixed_point(B: DeligneBigrading, tol: float) -> np.ndarray:
-    """w with Ad(exp(w)) Y = conj(Y), found depth by depth; the caller
-    verifies the relation.  Raises NoConvergence at the first mismatch that
-    is not finite."""
-    Y = B.Y
-    Ybar = np.conj(Y)
-    n = B.ambient_dim
-    weights = B.weights
-    span = max(weights) - min(weights)
-    scale = max(maxabs(Y), 1.0)
-    P = B.weight_projectors
-    w = np.zeros((n, n), dtype=complex)
-    for _ in range(span + 3):
-        R = Ybar - _ad_exp(w, Y)
-        err = maxabs(R)
-        if err <= 1e-3 * tol * scale:
-            return w
-        # an iterate that overflowed stays non-finite, so stop at the first
-        if not np.isfinite(err):
-            raise NoConvergence(f"splitting iterate is not finite (residual {err})")
-        # each part of R of negative weight l - k is solvable by division by k - l
-        w = w + sum(P[l] @ R @ P[k] / (k - l) for k in weights for l in weights if l < k)
-    return w
 
 
 def deligne_delta(H: MixedHodgeStructure, tol: float | None = None) -> Splitting:
@@ -115,8 +87,13 @@ def deligne_delta(H: MixedHodgeStructure, tol: float | None = None) -> Splitting
     return H._splittings[tol]
 
 
+def _group_element(B: DeligneBigrading) -> np.ndarray:
+    """w = log sum_k conj(P_k) P_k, so Ad(exp(w)) Y = conj(Y); unverified."""
+    return logm_unipotent(sum(np.conj(P) @ P for P in B.weight_projectors.values()))
+
+
 def _solve_splitting(B: DeligneBigrading, tol: float) -> Splitting:
-    w = _solve_group_element_fixed_point(B, tol)
+    w = _group_element(B)
     solved = 0.5j * w
     delta = solved.real.astype(float)
     # the components resolve the real delta the Splitting holds: their sum is it

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 
 from hodgeheight.cli import main
-from hodgeheight.schemas import dumps, load, mhs_to_doc, parse_mhs
+from hodgeheight.height import OrientedMHS, height
+from hodgeheight.schemas import (detect_kind, dumps, load, mhs_to_doc, parse_mhs, parse_orbit,
+                                 parse_variation)
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
-from hodgeheight.variations import dilog_variation
+from hodgeheight.splitting import deligne_delta
+from hodgeheight.variations import dilog_variation, oriented_fiber, random_hodge_tate
 
 
 @pytest.fixture
@@ -38,11 +41,10 @@ def orbit_file(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def variation_file(tmp_path):
-    v = dilog_variation(25)
-    doc = {
-        "dimension": 3,
+def _variation_doc(v) -> dict:
+    """A variation document with integer W, nilpotents and orientation."""
+    return {
+        "dimension": v.W.ambient_dim,
         "weight_filtration": [
             {"weight": k, "basis": [[str(int(x.real)) for x in row] for row in s.basis]}
             for k, s in v.W.steps
@@ -58,10 +60,15 @@ def variation_file(tmp_path):
              "matrix": [[[x.real, x.imag] for x in row] for row in mat]}
             for expo, mat in v.gamma.terms
         ],
-        "orientation": {"top": ["1", "0", "0"], "bottom": ["0", "0", "1"]},
+        "orientation": {"top": [str(int(x.real)) for x in v.orientation.top],
+                        "bottom": [str(int(x.real)) for x in v.orientation.bottom]},
     }
+
+
+@pytest.fixture
+def variation_file(tmp_path):
     path = tmp_path / "variation.json"
-    path.write_text(dumps(doc), encoding="utf-8")
+    path.write_text(dumps(_variation_doc(dilog_variation(25))), encoding="utf-8")
     return str(path)
 
 
@@ -237,10 +244,6 @@ def test_validate_rejects_garbage_rational(dilog_file, tmp_path):
 
 
 def test_sweep_variation_heights_match_fibers(variation_file, capsys):
-    from hodgeheight.height import height
-    from hodgeheight.schemas import parse_variation
-    from hodgeheight.variations import oriented_fiber
-
     # off the imaginary axis s is not real, so the heights are not zero (they
     # are negative here, so they differ from the height gaps too)
     assert main(["sweep", variation_file, "--z-start", "0.7+0.1j", "--z-end", "0.7+0.5j",
@@ -342,3 +345,101 @@ def test_malformed_number_is_a_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: hodgeheight") and "invalid complex value" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, key, part", [
+    ("dilog_file", "hodge_filtration", 0),
+    ("orbit_file", "f_infinity", 1),
+    ("variation_file", "f_infinity", 0),
+    ("variation_file", "gamma", 1),
+])
+def test_non_finite_complex_entry_is_a_malformed_document(kind, key, part, value, request,
+                                                          tmp_path, capsys, recwarn):
+    # json reads NaN and Infinity; either part of an entry is rejected at the
+    # boundary, before any rank decision sees it
+    doc = load(request.getfixturevalue(kind))
+    rows = doc[key][0]["matrix" if key == "gamma" else "basis"]
+    rows[0][0] = [value, 0] if part == 0 else [0, value]
+    bad = tmp_path / "non-finite.json"
+    bad.write_text(dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(bad)], ["compute", str(bad), "--what", "height"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed document")
+        assert f"{rows[0][0]!r} is not finite" in err
+    assert not recwarn.list
+
+
+def test_integer_too_large_for_a_float_is_a_malformed_document(dilog_file, tmp_path, capsys):
+    doc = load(dilog_file)
+    doc["hodge_filtration"][0]["basis"][0][0] = [10 ** 400, 0]
+    bad = tmp_path / "huge.json"
+    bad.write_text(dumps(doc), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed document: OverflowError")
+
+
+def test_validate_orbit_and_variation_files(orbit_file, variation_file, capsys):
+    # an orbit is validated at its fiber z = 2i, a variation at its limit
+    for path in (orbit_file, variation_file):
+        assert main(["validate", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"failures": [], "ok": True}
+
+
+def _fiber_at_2i(path):
+    doc = load(path)
+    if detect_kind(doc) == "orbit":
+        orbit, orient = parse_orbit(doc)
+        return OrientedMHS(orbit.fiber(2j), orient)
+    return oriented_fiber(parse_variation(doc), [2j], [np.exp(2j * np.pi * 2j)])
+
+
+@pytest.mark.parametrize("what", ["bigrading", "delta", "height"])
+def test_compute_on_orbit_and_variation_files(what, orbit_file, variation_file, capsys):
+    for path in (orbit_file, variation_file):
+        assert main(["compute", path, "--what", what]) == 0
+        out = json.loads(capsys.readouterr().out)
+        om = _fiber_at_2i(path)
+        if what == "bigrading":
+            keys = om.mhs.bigrading().keys
+            assert sorted(out["components"]) == sorted(f"{p},{q}" for p, q in keys)
+        elif what == "delta":
+            assert out["delta"] == deligne_delta(om.mhs).delta.tolist()
+        else:
+            assert out["height"] == height(om)
+    # the cubic orbit's fiber height is -(2/3) y^3
+    assert main(["compute", orbit_file, "--what", "height"]) == 0
+    assert json.loads(capsys.readouterr().out)["height"] == pytest.approx(-16 / 3, rel=1e-12)
+
+
+def test_height_needs_an_orientation(dilog_file, tmp_path, capsys):
+    doc = load(dilog_file)
+    del doc["orientation"]
+    bare = tmp_path / "unoriented.json"
+    bare.write_text(dumps(doc), encoding="utf-8")
+    assert main(["compute", str(bare), "--what", "delta"]) == 0
+    capsys.readouterr()
+    assert main(["compute", str(bare), "--what", "height"]) == 1
+    assert capsys.readouterr().err == "error: height needs an orientation\n"
+
+
+def test_sweep_short_variation_takes_plain_heights(tmp_path, capsys):
+    # length 2 is below the depth-one identity, so the rows carry no residual
+    v = random_hodge_tate((1, 1), 1, seed=1)
+    path = tmp_path / "short.json"
+    path.write_text(dumps(_variation_doc(v)), encoding="utf-8")
+    assert main(["sweep", str(path), "--z-start", "0.7+0.1j", "--z-end", "0.7+0.5j",
+                 "--count", "3"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 3
+    for param, h, residual in rows:
+        z = 0.7 + 1j * float(param)
+        assert residual == ""
+        assert float(h) == height(oriented_fiber(v, [z], [np.exp(2j * np.pi * z)]))
+
+
+def test_sweep_rejects_a_structure_file(dilog_file, capsys):
+    assert main(["sweep", dilog_file, "--count", "2"]) == 1
+    assert capsys.readouterr().err == "error: sweep needs an orbit or variation file\n"

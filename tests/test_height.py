@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgeheight import splitting
 from hodgeheight.biextension import build_biextension, embed_into_padded, random_spec
 from hodgeheight.dilog import bloch_wigner
 from hodgeheight.errors import (
     HodgeError,
-    NoConvergence,
     NotAMorphism,
     NotGeneralizedBiextension,
     NotInjectiveOnEnds,
@@ -123,10 +121,9 @@ def _moved_cubic_draws():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("y", [10.0, 20.0, 50.0, 100.0, 200.0])
 def test_moved_cubic_fiber_height_is_right_or_a_typed_error(y):
-    # on many of these fibers the splitting's fixed point overflows: the
-    # solve inverts no matrix, so that is no LinAlgError, and its verdict
-    # fails on a non-finite delta, so that is no NaN height; the overflow
-    # itself raises no numpy warning
+    # the splitting's residual on these fibers sits near tol: the answer is
+    # right or a typed error, never a NaN height, a LinAlgError (the splitting
+    # inverts no matrix) or a numpy warning
     orbit, orient = cubic_orbit()
     om = OrientedMHS(orbit.fiber(1j * y), orient)
     expected = -(2.0 / 3.0) * y ** 3
@@ -140,38 +137,6 @@ def test_moved_cubic_fiber_height_is_right_or_a_typed_error(y):
             continue
         assert np.isfinite(delta).all()
         assert height(moved) == pytest.approx(expected, rel=1e-9)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_moved_cubic_splitting_stops_at_its_first_non_finite_iterate(monkeypatch):
-    # an iterate that overflowed stays non-finite, so the fixed point raises
-    # NoConvergence there instead of running its remaining passes on inf/NaN
-    passes = []
-    ad_exp = splitting._ad_exp
-
-    def counted(w, Y):
-        out = ad_exp(w, Y)
-        passes.append(bool(np.isfinite(out).all()))
-        return out
-
-    monkeypatch.setattr(splitting, "_ad_exp", counted)
-    orbit, orient = cubic_orbit()
-    om = OrientedMHS(orbit.fiber(100j), orient)
-    overflowed = 0
-    for g in _moved_cubic_draws():
-        moved = _moved_oriented(om, g)
-        passes.clear()
-        error = None
-        try:
-            deligne_delta(moved.mhs)
-        except HodgeError as e:
-            error = type(e)
-        if False in passes:
-            overflowed += 1
-            first = passes.index(False) + 1
-            assert len(passes) <= first + 1
-            assert error is NoConvergence
-    assert overflowed >= 20
 
 
 def _moved_oriented(om: OrientedMHS, g: np.ndarray) -> OrientedMHS:

@@ -80,6 +80,29 @@ def test_malformed_filtration_raises():
                            (1, Subspace.from_rows([[1, 0]], n))], n)  # not nested
 
 
+def reference_at(filt, k):
+    """The step at k by a scan: the last index <= k of an increasing
+    filtration, the first index >= k of a decreasing one, else None."""
+    hits = [s for idx, s in filt.steps if (idx <= k if filt.increasing else idx >= k)]
+    return (hits[-1] if filt.increasing else hits[0]) if hits else None
+
+
+def test_at_matches_the_step_scan():
+    # every k around and between the jumps, and one zero per filtration
+    for H in (cubic_orbit()[0].fiber(2j), dilog_fiber(0.4 + 0.65j).mhs, rational_mhs(0)):
+        for filt in (H.W, H.F):
+            lo, hi = filt.indices[0], filt.indices[-1]
+            zeros = set()
+            for k in range(lo - 3, hi + 4):
+                want = reference_at(filt, k)
+                if want is None:
+                    assert filt.at(k).dim == 0
+                    zeros.add(id(filt.at(k)))
+                else:
+                    assert filt.at(k) is want
+            assert len(zeros) == 1
+
+
 def test_bigrading_reconstructs_filtrations():
     om = dilog_fiber(-0.3 + 0.7j)
     H = om.mhs
