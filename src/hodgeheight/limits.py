@@ -8,12 +8,15 @@ center+j and center-j; it is computed by the closed formula
 
 and verified against both axioms afterwards.
 
-Each function of the orbit path takes one N (linalg.as_operator): Fraction
-rows when every entry is rational, otherwise a complex array, with its
-powers from one table (linalg.nilpotent_powers).  So rational N with
-rational W stays in exact arithmetic throughout, and no rank
-decision on it involves a threshold; only N that is not rational (real N
-that depends on F, say) takes the float path.
+Each function of the orbit path takes one N (linalg.as_operator): an
+ExactMatrix (int rows over one denominator) when every entry is rational,
+otherwise a complex array, with its powers from one table
+(linalg.nilpotent_powers).  So rational N with rational W stays in exact
+integer arithmetic throughout, every subspace kept as primitive int rows,
+and no rank decision on it involves a threshold; only N that is not
+rational (real N that depends on F, say) takes the float path.  A
+NilpotentOrbit maps its N into the coordinates of W once, and limit_mhs
+hands that N' to the body of relative_weight_filtration.
 
 relative_weight_filtration(N, W) runs in the coordinates c of v = c T, T the
 adapted basis of W (linalg.AdaptedBasis), where W_k is the span of the
@@ -74,7 +77,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -90,6 +92,7 @@ from .errors import (
 from .height import _check_oriented, _deep_coefficient
 from .linalg import (
     AdaptedBasis,
+    ExactMatrix,
     Subspace,
     as_operator,
     check_nilpotent,
@@ -121,8 +124,8 @@ def _monodromy_from_powers(powers: list, center: int, tol: float) -> Filtration:
     N, n, m = powers[1], len(powers[0]), len(powers) - 1
 
     def kernel(e: int) -> Subspace:
-        if isinstance(N, list):
-            return Subspace.from_rows(nullspace_exact(powers[e], n), n)
+        if isinstance(N, ExactMatrix):
+            return Subspace.from_integer_rows(nullspace_exact(powers[e].num, n), n)
         return Subspace.from_rows(nullspace_float(powers[e], tol), n, tol)
 
     # ker N^e for e = 0..m, each computed once: zero at e = 0, everything at m
@@ -172,8 +175,13 @@ def _gr_dim(filt: Filtration, k: int) -> int:
 
 def relative_weight_filtration(N, W: Filtration, tol: float | None = None) -> Filtration:
     tol = default_tol() if tol is None else tol
+    return _relative_from_operator(W.adapted_basis().operator(as_operator(N)), W, tol)
+
+
+def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
+    """The body of relative_weight_filtration, from its
+    N' = W.adapted_basis().operator(N)."""
     flag = W.adapted_basis()
-    Np = flag.operator(as_operator(N))
     powers = nilpotent_powers(Np, tol)
     if not _preserves(flag, Np, tol):
         raise DoesNotExist("N does not preserve the weight filtration")
@@ -191,16 +199,20 @@ def _preserves(flag: AdaptedBasis, Np, tol: float) -> bool:
     """Whether Np = flag.operator(N) vanishes below its diagonal blocks: exactly,
     or up to tol * max(max |Np|, 1) as the rref_float pivot threshold."""
     n = len(Np)
+    exact = isinstance(Np, ExactMatrix)
+    A = Np.num if exact else Np
     block = [sum(d <= i for d in flag.dims) for i in range(n)]
-    lower = [Np[i][j] for i in range(n) for j in range(n) if block[i] > block[j]]
-    if isinstance(Np, list):
+    lower = [A[i][j] for i in range(n) for j in range(n) if block[i] > block[j]]
+    if exact:
         return not any(lower)
     return max(map(abs, lower), default=0.0) <= tol * max(maxabs(Np), 1.0)
 
 
 def _block(A, lo: int, hi: int):
-    """The diagonal block of rows and columns lo .. hi-1 of Fraction rows or an array."""
-    return [row[lo:hi] for row in A[lo:hi]] if isinstance(A, list) else A[lo:hi, lo:hi]
+    """The diagonal block of rows and columns lo .. hi-1 of an ExactMatrix or an array."""
+    if isinstance(A, ExactMatrix):
+        return ExactMatrix([row[lo:hi] for row in A.num[lo:hi]], A.den)
+    return A[lo:hi, lo:hi]
 
 
 def _block_powers(powers: list, lo: int, hi: int, tol: float) -> list:
@@ -208,17 +220,17 @@ def _block_powers(powers: list, lo: int, hi: int, tol: float) -> list:
     of N', which preserves W) up to the first power nilpotent_powers would
     stop at on the block; failing that, the block's own table."""
     table = [_block(p, lo, hi) for p in powers]
-    exact = isinstance(table[1], list)
+    exact = isinstance(table[1], ExactMatrix)
     scale = 1.0 if exact else max(maxabs(table[1]), 1.0)
     for j in range(1, len(table)):
-        if (not any(map(any, table[j]))) if exact else maxabs(table[j]) <= tol * scale ** j:
+        if (not any(map(any, table[j].num))) if exact else maxabs(table[j]) <= tol * scale ** j:
             return table[:j + 1]
     return nilpotent_powers(table[1], tol)
 
 
 def _pad(S: Subspace, d: int) -> Subspace:
     """S in C^d by appending zero coordinates, which keeps its echelon rows."""
-    zeros = [Fraction(0)] * (d - S.ambient_dim)
+    zeros = [0] * (d - S.ambient_dim)
     basis = np.hstack([S.basis, np.zeros((S.dim, len(zeros)), dtype=complex)])
     return Subspace(basis, d, pivots=S.pivots,
                     exact=None if S.exact is None else [row + zeros for row in S.exact])
@@ -462,7 +474,9 @@ class NilpotentOrbit:
         self.N = np.array(self.monodromy, dtype=complex)
         check_nilpotent(self.monodromy, tol)
         flag = W.adapted_basis()
-        if not _preserves(flag, flag.operator(self.monodromy), tol):
+        # N' = N in the coordinates of W, which limit_mhs reads
+        self.operator = flag.operator(self.monodromy)
+        if not _preserves(flag, self.operator, tol):
             raise NotNilpotent("N must preserve the weight filtration")
         for p in F_inf.indices:
             moved = F_inf.at(p).image_under(self.monodromy, tol)
@@ -479,7 +493,8 @@ class NilpotentOrbit:
 
 
 def limit_mhs(orbit: NilpotentOrbit, tol: float | None = None) -> MixedHodgeStructure:
-    M = relative_weight_filtration(orbit.monodromy, orbit.W, tol)
+    tol = default_tol() if tol is None else tol
+    M = _relative_from_operator(orbit.operator, orbit.W, tol)
     H = MixedHodgeStructure(M, orbit.F_inf)
     report = H.validate(tol)
     if not report.ok:
@@ -545,27 +560,18 @@ def random_deligne_system(rng: np.random.Generator, max_dim: int = 6,
         for k in wvals:
             rows = [np.eye(n)[i] for i in range(n) if Wlev[i] <= k]
             steps.append((k, Subspace.from_rows(rows, n)))
+        # the steps grow strictly from a nonzero W_min to everything
+        W = weight_filtration(steps, n)
         try:
-            W = weight_filtration(steps, n)
-        except Exception:
-            continue
-        flag = W.adapted_basis()
-        if not _preserves(flag, flag.operator(as_operator(N)), tol):
-            continue
-        try:
+            # raises DoesNotExist when N does not preserve W
             M = relative_weight_filtration(N, W, tol)
         except DoesNotExist:
             continue
         # Y must grade M
         if [int(x) for x in sorted(set(Mlev))] != M.indices:
             continue
-        good = True
-        for k in M.indices:
-            span = Subspace.from_rows([np.eye(n)[i] for i in range(n) if Mlev[i] <= k], n)
-            if not span.equals(M.at(k), tol):
-                good = False
-                break
-        if not good:
+        if not all(Subspace.from_rows([np.eye(n)[i] for i in range(n) if Mlev[i] <= k], n)
+                   .equals(M.at(k), tol) for k in M.indices):
             continue
         # random rational coordinate change preserving nothing in particular
         g = np.eye(n) + np.triu(rng.integers(-2, 3, size=(n, n)), 1).astype(float)

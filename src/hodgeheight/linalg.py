@@ -3,8 +3,17 @@
 Subspaces are stored as reduced row echelon bases (rows = generators), which
 makes the representation canonical for a fixed tolerance: pivots are leading
 ones ordered by column.  Purely rational inputs (weight filtrations, nilpotent
-monodromy matrices) keep an exact Fraction representation alongside the float
-one, so rank decisions on that data never involve a threshold.
+monodromy matrices) keep an exact representation alongside the float one, so
+rank decisions on that data never involve a threshold.
+
+The exact representation is over the integers.  An exact subspace keeps its
+reduced echelon rows as primitive int rows (coprime entries), each positive
+at its pivot: still canonical, so == on them is equality of subspaces.  Its
+float basis is each row divided by its pivot entry, rounded once, as the
+leading-one rational row would be.  An exact operator is an ExactMatrix.
+The kernels rref_exact and nullspace_exact are fraction-free (integer row
+operations, each row divided by the gcd of its entries); rational numbers
+are read only where Subspace.from_rows and as_operator scale them to ints.
 
 The float kernel rref_float row-reduces Python lists of complex numbers, not
 numpy rows.  The library's matrices are tiny (at most 8 columns; the common
@@ -18,7 +27,8 @@ keeps that loop as an oracle).
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
+from numbers import Complex, Rational
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -28,59 +38,60 @@ from .errors import DimensionMismatch, NotNilpotent
 
 Matrix = np.ndarray
 
-# the ambient field: complex scalars in the fixed rational coordinate basis,
-# conjugated entrywise, in double precision
-Scalar = complex
-
 # ---------------------------------------------------------------------------
-# scalar helpers
+# exact matrices
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float) and float(x).is_integer():
-        return Fraction(int(x))
-    raise TypeError(f"not an exact rational: {x!r}")
+class ExactMatrix:
+    """The rational matrix num / den: rows of Python ints over one positive
+    denominator.  numpy reads it as its complex values, each rounded once."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: list[list[int]], den: int = 1):
+        self.num, self.den = num, den
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([[x / self.den for x in row] for row in self.num], dtype=dtype or complex)
 
 
-def is_rational_entry(x) -> bool:
-    if isinstance(x, (Fraction, int, np.integer, str)):
-        return True
-    if isinstance(x, float):
-        return float(x).is_integer()
-    if isinstance(x, (complex, np.complexfloating)):
-        return x.imag == 0 and float(x.real).is_integer()
-    return False
+def _over_one_denominator(rows) -> tuple[list[list[int]], int] | None:
+    """(num, den) with rows = num / den over the least common denominator,
+    when every entry is exactly rational (a rational number, a string the
+    document boundary reads as one, or a float or complex with zero imaginary
+    part and an integral real part); else None."""
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        # such an array is rational exactly when it is integral, so no entry
+        # is scanned
+        if not integral_array(rows):
+            return None
+        return [[int(x) for x in row] for row in rows.real.tolist()], 1
+    pairs = []
+    for row in rows:
+        out = []
+        for x in row:
+            if isinstance(x, str):
+                from .schemas import _parse_rational
+                x = _parse_rational(x)
+            if isinstance(x, Rational):
+                out.append((x.numerator, x.denominator))
+            elif isinstance(x, Complex) and x.imag == 0 and float(x.real).is_integer():
+                out.append((int(x.real), 1))
+            else:
+                return None
+        pairs.append(out)
+    den = lcm(*(d for row in pairs for _, d in row))
+    return [[q * (den // d) for q, d in row] for row in pairs], den
 
 
 def integral_array(M: np.ndarray) -> bool:
     """Whether every entry of a numeric array is finite, real and an integer:
-    the verdict of is_rational_entry on each float64 or complex entry."""
-    return bool(np.isfinite(M).all() and not M.imag.any()
-                and (M.real == np.round(M.real)).all())
-
-
-def rational_rows(rows) -> list[list[Fraction]] | None:
-    """Return a Fraction matrix when every entry is exactly rational, else None."""
-    out = []
-    for row in rows:
-        if all(type(x) is Fraction for x in row):
-            out.append(list(row))
-            continue
-        r = []
-        for x in row:
-            if not is_rational_entry(x):
-                return None
-            if isinstance(x, (complex, np.complexfloating)):
-                x = x.real
-            r.append(as_fraction(x))
-        out.append(r)
-    return out
+    the verdict of the scan of _over_one_denominator on each entry."""
+    R = M.real
+    return bool(not M.imag.any() and (R == np.round(R)).all() and np.isfinite(R).all())
 
 
 # ---------------------------------------------------------------------------
@@ -135,34 +146,44 @@ def rref_float(M: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
     return np.array(A[:r], dtype=complex).reshape(r, cols), pivots
 
 
-def rref_exact(M: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over exact rationals."""
+def rref_exact(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the integers, fraction-free: each row
+    primitive with a positive entry at its pivot and zero at the others."""
     M = [list(row) for row in M]
     rows = len(M)
     cols = len(M[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
-        sel = None
         for i in range(r, rows):
-            if M[i][c] != 0:
-                sel = i
+            if M[i][c]:
                 break
-        if sel is None:
+        else:
             continue
-        M[r], M[sel] = M[sel], M[r]
-        if M[r][c] != 1:
-            inv = 1 / M[r][c]
-            M[r] = [x * inv if x else x for x in M[r]]
+        row, M[i] = M[i], M[r]
+        # a row with a one at its pivot is primitive
+        row = M[r] = row if row[c] == 1 else _primitive(row, c)
+        p = row[c]
         for k in range(rows):
             f = M[k][c]
-            if k != r and f:
-                M[k] = [a - f * b if b else a for a, b in zip(M[k], M[r])]
+            if f and k != r:
+                M[k] = ([a - f * b for a, b in zip(M[k], row)] if p == 1
+                        else [p * a - f * b for a, b in zip(M[k], row)])
         pivots.append(c)
         r += 1
-    return M[:r], pivots
+    # clearing a column multiplies the other rows by its pivot entry, which
+    # keeps their pivot entries positive
+    return [row if row[c] == 1 else _primitive(row, c) for row, c in zip(M, pivots)], pivots
+
+
+def _primitive(row: list[int], c: int) -> list[int]:
+    """row divided by the gcd of its entries, signed to be positive at c."""
+    g = gcd(*row)
+    if row[c] < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
 
 
 def nullspace_float(M: Matrix, tol: float | None = None) -> Matrix:
@@ -182,17 +203,21 @@ def nullspace_float(M: Matrix, tol: float | None = None) -> Matrix:
     return basis
 
 
-def nullspace_exact(M: Sequence[Sequence[Fraction]], n: int) -> list[list[Fraction]]:
+def nullspace_exact(M: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """Int basis (rows) of the right null space {v : M v = 0}, one row per
+    free column f of the echelon form R: v[f] = L and v[p] = -R_i[f] L / R_i[p]
+    at the pivot p of each row i, L the lcm of the pivot entries it divides."""
     if not M:
-        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        return [[int(i == j) for j in range(n)] for i in range(n)]
     R, piv = rref_exact(M)
-    free = [c for c in range(n) if c not in piv]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(piv):
-            v[p] = -R[i][f]
+    for f in (c for c in range(n) if c not in piv):
+        L = lcm(*(row[p] for row, p in zip(R, piv) if row[f]))
+        v = [0] * n
+        v[f] = L
+        for row, p in zip(R, piv):
+            if row[f]:
+                v[p] = -row[f] * (L // row[p])
         basis.append(v)
     return basis
 
@@ -205,13 +230,14 @@ class Subspace:
     """An immutable linear subspace of C^n given by a canonical echelon basis.
 
     When the generators are exactly rational the subspace also carries an
-    exact echelon basis and all operations between exact subspaces stay exact.
+    exact echelon basis, primitive int rows (see the module docstring), and
+    all operations between exact subspaces stay exact.
     """
 
     __slots__ = ("basis", "ambient_dim", "exact", "pivots")
 
     def __init__(self, basis: Matrix, ambient_dim: int, pivots: list[int],
-                 exact: list[list[Fraction]] | None = None):
+                 exact: list[list[int]] | None = None):
         self.basis = basis
         self.ambient_dim = int(ambient_dim)
         self.pivots = pivots
@@ -221,31 +247,27 @@ class Subspace:
 
     @staticmethod
     def from_rows(rows, ambient_dim: int | None = None, tol: float | None = None) -> "Subspace":
-        if (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.size
-                and rows.dtype in (np.float64, np.complex128)):
-            # such an array is rational exactly when it is integral, entry by
-            # entry as is_rational_entry decides, so no entry is scanned
-            ambient_dim = rows.shape[1] if ambient_dim is None else ambient_dim
-            M = rows.reshape(len(rows), ambient_dim)
-            exact_rows = ([[Fraction(int(x)) for x in row] for row in M.real.tolist()]
-                          if integral_array(M) else None)
-        else:
+        """The span of the rows, exact when every entry is exactly rational."""
+        if not isinstance(rows, np.ndarray):
             rows = [list(r) for r in rows]
-            if ambient_dim is None:
-                if not rows:
-                    raise DimensionMismatch(
-                        "empty generator list needs an explicit ambient dimension")
-                ambient_dim = len(rows[0])
-            exact_rows = rational_rows(rows)
-            M = rows
-        if exact_rows is not None:
-            R, piv = rref_exact(exact_rows) if exact_rows else ([], [])
-            basis = np.array([[complex(x) for x in row] for row in R],
-                             dtype=complex).reshape(len(R), ambient_dim)
-            return Subspace(basis, ambient_dim, exact=R, pivots=piv)
-        M = np.asarray(M, dtype=complex).reshape(len(M), ambient_dim)
-        R, piv = rref_float(M, tol)
+        if ambient_dim is None:
+            if not len(rows):
+                raise DimensionMismatch(
+                    "empty generator list needs an explicit ambient dimension")
+            ambient_dim = len(rows[0])
+        scaled = _over_one_denominator(rows)
+        if scaled is not None:
+            return Subspace.from_integer_rows(scaled[0], ambient_dim)
+        R, piv = rref_float(np.asarray(rows, dtype=complex).reshape(len(rows), ambient_dim), tol)
         return Subspace(R, ambient_dim, pivots=piv)
+
+    @staticmethod
+    def from_integer_rows(rows: list[list[int]], ambient_dim: int) -> "Subspace":
+        """The exact span of rows of Python ints, taken as they are."""
+        R, piv = rref_exact(rows) if rows else ([], [])
+        basis = np.array([row if row[p] == 1 else [x / row[p] for x in row]
+                          for row, p in zip(R, piv)], dtype=complex).reshape(len(R), ambient_dim)
+        return Subspace(basis, ambient_dim, exact=R, pivots=piv)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -253,7 +275,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        eye = [[Fraction(int(i == j)) for j in range(ambient_dim)] for i in range(ambient_dim)]
+        eye = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
         return Subspace(np.eye(ambient_dim, dtype=complex), ambient_dim,
                         exact=eye, pivots=list(range(ambient_dim)))
 
@@ -292,7 +314,13 @@ class Subspace:
         if other.dim == 0:
             return True
         if self.is_exact() and other.is_exact():
-            return all(_reduces_to_zero(v, self.exact, self.pivots) for v in other.exact)
+            # v is in S iff L v = sum (L v[p] / a) row over the rows of S, a
+            # the entry of a row at its pivot p and L the lcm of the a
+            lead = [(p, row[p]) for row, p in zip(self.exact, self.pivots)]
+            L = lcm(*(a for _, a in lead))
+            return all(_combination([v[p] * (L // a) for p, a in lead], self.exact,
+                                    self.ambient_dim) == [L * x for x in v]
+                       for v in other.exact)
         return self.add(other, tol).dim == self.dim
 
     # -- operations ----------------------------------------------------------
@@ -311,7 +339,7 @@ class Subspace:
         if self.dim == 0:
             return other
         if self.is_exact() and other.is_exact():
-            return Subspace.from_rows(list(self.exact) + list(other.exact), self.ambient_dim)
+            return Subspace.from_integer_rows(self.exact + other.exact, self.ambient_dim)
         rows = np.vstack([self.basis, other.basis])
         R, piv = rref_float(rows, tol)
         return Subspace(R, self.ambient_dim, pivots=piv)
@@ -328,12 +356,10 @@ class Subspace:
             return self
         if self.is_exact() and other.is_exact():
             A = self.exact
-            B = other.exact
-            cols = [[A[i][j] for i in range(len(A))] + [-B[i][j] for i in range(len(B))]
-                    for j in range(n)]
-            ker = nullspace_exact(cols, len(A) + len(B))
+            cols = [[*a, *(-x for x in b)] for a, b in zip(zip(*A), zip(*other.exact))]
+            ker = nullspace_exact(cols, len(A) + other.dim)
             vecs = [_combination(coeffs, A, n) for coeffs in ker]
-            return Subspace.from_rows(vecs, n) if vecs else Subspace.zero(n)
+            return Subspace.from_integer_rows(vecs, n)
         S = np.vstack([self.basis, -other.basis])
         ker = nullspace_float(S.T, tol)
         if ker.shape[0] == 0:
@@ -354,7 +380,7 @@ class Subspace:
         if self.dim == 0:
             return Subspace.full(n)
         if self.is_exact():
-            return Subspace.from_rows(nullspace_exact(self.exact, n), n)
+            return Subspace.from_integer_rows(nullspace_exact(self.exact, n), n)
         return Subspace.from_rows(nullspace_float(self.basis, tol), n, tol)
 
     def image_under(self, A, tol: float | None = None) -> "Subspace":
@@ -362,14 +388,14 @@ class Subspace:
         out_dim = len(A) if not isinstance(A, np.ndarray) else A.shape[0]
         if self.dim == 0:
             return Subspace.zero(out_dim)
-        # only an exact subspace can use Fraction rows of A
+        # only an exact subspace can use an exact A
         if self.is_exact():
             A = as_operator(A)
-            if isinstance(A, list):
+            if isinstance(A, ExactMatrix):
                 # A v is the combination of the columns of A with the entries of v
-                cols = list(zip(*A))
+                cols = list(zip(*A.num))
                 rows = [_combination(v, cols, out_dim) for v in self.exact]
-                return Subspace.from_rows(rows, out_dim)
+                return Subspace.from_integer_rows(rows, out_dim)
         return Subspace.from_rows(self.basis @ np.asarray(A, dtype=complex).T, out_dim, tol)
 
     def preimage_under(self, A, tol: float | None = None) -> "Subspace":
@@ -380,21 +406,22 @@ class Subspace:
             return Subspace.full(n)
         if ann.is_exact():
             A = as_operator(A)
-            if isinstance(A, list):
-                rows = [_combination(phi, A, n) for phi in ann.exact]
-                return Subspace.from_rows(nullspace_exact(rows, n), n)
+            if isinstance(A, ExactMatrix):
+                rows = [_combination(phi, A.num, n) for phi in ann.exact]
+                return Subspace.from_integer_rows(nullspace_exact(rows, n), n)
         M = ann.basis @ np.asarray(A, dtype=complex)
         return Subspace.from_rows(nullspace_float(M, tol), n, tol)
 
     def complement_in(self, bigger: "Subspace", tol: float | None = None) -> "Subspace":
         """A complement of self inside bigger, taken from echelon pivot rows."""
         self._check_ambient(bigger)
-        if self.is_exact() and bigger.is_exact():
-            sub_piv = set(self.pivots)
-            rows = [r for r, p in zip(bigger.exact, bigger.pivots) if p not in sub_piv]
-            return Subspace.from_rows(rows, self.ambient_dim)
         sub_piv = set(self.pivots)
-        rows = [bigger.basis[i] for i, p in enumerate(bigger.pivots) if p not in sub_piv]
+        keep = [i for i, p in enumerate(bigger.pivots) if p not in sub_piv]
+        if self.is_exact() and bigger.is_exact():
+            # some rows of a reduced echelon basis are a reduced echelon basis
+            return Subspace(bigger.basis[keep], self.ambient_dim,
+                            [bigger.pivots[i] for i in keep], [bigger.exact[i] for i in keep])
+        rows = [bigger.basis[i] for i in keep]
         if not rows:
             return Subspace.zero(self.ambient_dim)
         return Subspace.from_rows(rows, self.ambient_dim, tol)
@@ -410,10 +437,11 @@ class AdaptedBasis:
     does not depend on a tolerance, and a chain of coordinate subspaces
     gives a permutation.  The pivots of an exact chain are nested, and each
     row has a leading one at its own pivot, so T is then a row permutation
-    of a unit upper triangular matrix, kept over Q with its inverse.  Float
-    pivots near the threshold need not nest; a step whose pivots miss some
-    of the step below keeps its rows at the pivots that complete pivoting
-    on the coordinates of the step below leaves free (_covered_pivots).
+    of a unit upper triangular matrix, kept as an ExactMatrix with its
+    inverse.  Float pivots near the threshold need not nest; a step whose
+    pivots miss some of the step below keeps its rows at the pivots that
+    complete pivoting on the coordinates of the step below leaves free
+    (_covered_pivots).
     Coordinates of v = c T are c = v T^-1, and v lies in S_i when c
     vanishes past dims[i] (depth); there N acts by N' (operator), on
     S_i by its leading dims[i] block when N preserves the chain, and rows c
@@ -434,12 +462,18 @@ class AdaptedBasis:
         self.T = np.array([s.basis[i] for s, i in picked], dtype=complex).reshape(n, n)
         self.exact = self.exact_inverse = None
         if all(s.is_exact() for s in steps):
-            self.exact = [s.exact[i] for s, i in picked]
-            one = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            R, _ = rref_exact([row + e for row, e in zip(self.exact, one)])
-            self.exact_inverse = [row[n:] for row in R]
-            self.inverse = np.array([[complex(x) for x in row] for row in self.exact_inverse],
-                                    dtype=complex).reshape(n, n)
+            # the leading-one rows over L, the lcm of the pivot entries a
+            lead = [s.exact[i][s.pivots[i]] for s, i in picked]
+            L = lcm(*lead)
+            self.exact = ExactMatrix([[x * (L // a) for x in s.exact[i]]
+                                      for (s, i), a in zip(picked, lead)], L)
+            # [T L | L 1] row-reduces to rows g_i [e_i | row i of T^-1]
+            R, _ = rref_exact([row + [L * (i == j) for j in range(n)]
+                               for i, row in enumerate(self.exact.num)])
+            G = lcm(*(row[i] for i, row in enumerate(R)))
+            self.exact_inverse = ExactMatrix([[x * (G // row[i]) for x in row[n:]]
+                                              for i, row in enumerate(R)], G)
+            self.inverse = np.array(self.exact_inverse, dtype=complex).reshape(n, n)
         else:
             self.inverse = np.linalg.inv(self.T)
         for m in (self.T, self.inverse):
@@ -447,20 +481,21 @@ class AdaptedBasis:
 
     def reduce(self, S: Subspace, tol: float | None = None):
         """The rows of S in the coordinates of T, v T^-1, as right_echelon
-        gives them: Fraction rows when S and the chain are exact."""
+        gives them: int rows when S and the chain are exact."""
         n = S.ambient_dim
         if S.is_exact() and self.exact is not None:
-            return right_echelon([_combination(v, self.exact_inverse, n) for v in S.exact])
+            return right_echelon([_combination(v, self.exact_inverse.num, n) for v in S.exact])
         return right_echelon(S.basis @ self.inverse, tol)
 
     def operator(self, N):
         """N' with N'^T = T N^T T^-1, column j the coordinates of N applied to
-        row j of T: Fraction rows when N (as_operator) and the chain are exact."""
-        if isinstance(N, list) and self.exact is not None:
-            n, cols = len(N), list(zip(*N))
-            images = [_combination(t, cols, n) for t in self.exact]
-            coords = [_combination(v, self.exact_inverse, n) for v in images]
-            return [list(c) for c in zip(*coords)]
+        row j of T: an ExactMatrix when N (as_operator) and the chain are."""
+        if isinstance(N, ExactMatrix) and self.exact is not None:
+            n, cols = len(N), list(zip(*N.num))
+            images = [_combination(t, cols, n) for t in self.exact.num]
+            coords = [_combination(v, self.exact_inverse.num, n) for v in images]
+            return ExactMatrix([list(c) for c in zip(*coords)],
+                               self.exact.den * N.den * self.exact_inverse.den)
         return (self.T @ np.asarray(N, dtype=complex).T @ self.inverse).T
 
     def depth(self, rows, tol: float | None = None) -> int:
@@ -480,7 +515,8 @@ class AdaptedBasis:
         """The subspace of the rows c T for c in a subspace S of coordinates."""
         n = S.ambient_dim
         if S.is_exact() and self.exact is not None:
-            return Subspace.from_rows([_combination(c, self.exact, n) for c in S.exact], n)
+            return Subspace.from_integer_rows([_combination(c, self.exact.num, n)
+                                               for c in S.exact], n)
         return Subspace.from_rows(S.basis @ self.T, n, tol)
 
     def meet(self, S: Subspace, reduced, step: Subspace,
@@ -503,14 +539,14 @@ class AdaptedBasis:
         if not keep:
             return Subspace.zero(n)
         if isinstance(rows, list):
-            return Subspace.from_rows([_combination(rows[i][:d], self.exact[:d], n)
-                                       for i in keep], n)
+            return Subspace.from_integer_rows([_combination(rows[i][:d], self.exact.num[:d], n)
+                                               for i in keep], n)
         return Subspace.from_rows(rows[keep, :d] @ self.T[:d], n, tol)
 
 
 def right_echelon(rows, tol: float | None = None):
     """Reduced row echelon form with pivots taken from the right: (rows,
-    pivots), Fraction rows staying exact.  Each row is zero at the other
+    pivots), int rows staying exact.  Each row is zero at the other
     pivots and after its own (below the pivot threshold, for float rows), so
     a combination vanishes past coordinate d exactly when its coefficients
     on the rows with pivot >= d are zero."""
@@ -534,36 +570,24 @@ def _covered_pivots(sub: Subspace, top: Subspace) -> set[int]:
     return cols
 
 
-def _combination(coeffs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
-                 n: int) -> list[Fraction]:
-    """sum_i coeffs[i] * rows[i] in Q^n, skipping zero coefficients and entries."""
-    out = [Fraction(0)] * n
+def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """sum_i coeffs[i] * rows[i] in Z^n, skipping zero coefficients (most
+    combinations the library forms pick one row with coefficient one)."""
+    out = None
     for c, row in zip(coeffs, rows):
         if c:
-            out = [a + c * b if b else a for a, b in zip(out, row)]
-    return out
-
-
-def _reduces_to_zero(v: list[Fraction], R: list[list[Fraction]], pivots: list[int]) -> bool:
-    """Whether v lies in the row span of the reduced echelon basis R: clearing
-    v at each pivot column leaves zero exactly when it does."""
-    for row, p in zip(R, pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b if b else a for a, b in zip(v, row)]
-    return not any(v)
+            term = row if c == 1 else [c * b for b in row]
+            out = list(term) if out is None else [a + b for a, b in zip(out, term)]
+    return [0] * n if out is None else out
 
 
 def as_operator(A):
-    """A matrix as the subspace operations and the orbit path take it:
-    Fraction rows when every entry is exactly rational, else a complex array."""
-    rows = A
-    if isinstance(A, np.ndarray):
-        if A.dtype != object and np.iscomplexobj(A) and np.any(A.imag):
-            return A
-        rows = A.tolist()
-    exact = rational_rows(rows)
-    return exact if exact is not None else np.asarray(A, dtype=complex)
+    """A matrix as the subspace operations and the orbit path take it: an
+    ExactMatrix when every entry is exactly rational, else a complex array."""
+    if isinstance(A, ExactMatrix):
+        return A
+    scaled = _over_one_denominator(A)
+    return np.asarray(A, dtype=complex) if scaled is None else ExactMatrix(*scaled)
 
 
 def echelonize(vectors, ambient_dim: int | None = None, tol: float | None = None) -> Subspace:
@@ -591,18 +615,21 @@ def maxabs(A) -> float:
 def nilpotent_powers(N, tol: float | None = None) -> list:
     """The table N^0, ..., N^m of a nilpotent N, raising NotNilpotent otherwise.
 
-    N is Fraction rows (a list) or an array.  N^m is the first power that is
-    exactly zero on Fraction rows, and the first at most tol * scale^m on an
-    array, with scale = max(max |N_ij|, 1); callers read every power from m
-    on as N^m."""
+    N is an array, or anything as_operator reads: an ExactMatrix gives a table
+    of them.  N^m is the first power that is exactly zero on an ExactMatrix,
+    and the first at most tol * scale^m on an array, with scale = max(max
+    |N_ij|, 1); callers read every power from m on as N^m."""
     tol = default_tol() if tol is None else tol
+    if not isinstance(N, np.ndarray):
+        N = as_operator(N)
     n = len(N)
-    if isinstance(N, list):
-        table = [[[Fraction(int(i == k)) for k in range(n)] for i in range(n)]]
+    if isinstance(N, ExactMatrix):
+        table = [ExactMatrix([[int(i == k) for k in range(n)] for i in range(n)])]
         for _ in range(n):
-            table.append([[sum((a * b for a, b in zip(row, col) if a), Fraction(0))
-                           for col in zip(*N)] for row in table[-1]])
-            if not any(any(row) for row in table[-1]):
+            P = table[-1]
+            table.append(ExactMatrix([_combination(row, N.num, n) for row in P.num],
+                                     P.den * N.den))
+            if not any(map(any, table[-1].num)):
                 return table
         raise NotNilpotent("matrix is not nilpotent")
     N = np.array(N, dtype=complex)

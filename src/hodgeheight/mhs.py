@@ -112,6 +112,8 @@ class Filtration:
         spaces = [s for _, s in self.steps]
         if any(s.ambient_dim != self.ambient_dim for s in spaces):
             raise MalformedFiltration("step has wrong ambient dimension")
+        if not all(s.is_exact() or np.isfinite(s.basis).all() for s in spaces):
+            raise MalformedFiltration("step basis has an entry that is not finite")
         if self.increasing:
             if any(b.dim <= a.dim for a, b in zip(spaces, spaces[1:])):
                 raise MalformedFiltration("weight filtration steps must strictly increase")

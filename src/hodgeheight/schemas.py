@@ -178,7 +178,8 @@ def mhs_to_doc(H: MixedHodgeStructure, orientation: Orientation | None = None) -
 
 def _exact_rows(s: Subspace):
     if s.is_exact():
-        return s.exact
+        # the leading-one rows: each int row over its pivot entry
+        return [[Fraction(x, row[p]) for x in row] for row, p in zip(s.exact, s.pivots)]
     if np.abs(np.imag(s.basis)).max(initial=0.0) > 0:
         raise HodgeError("weight filtration must be rational to serialize")
     return [[Fraction(float(x)).limit_denominator(10 ** 12) for x in row]

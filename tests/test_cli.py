@@ -81,6 +81,30 @@ def test_roundtrip_mhs_serialization(dilog_file):
     assert dumps(mhs_to_doc(om.mhs, om.orientation)) == dumps(mhs_to_doc(om.mhs, om.orientation))
 
 
+def test_weight_rows_serialize_as_leading_one_rationals():
+    # W_-2 = span of (2, 1, 0), whose exact row is (2, 1, 0) and whose
+    # leading-one row (1, 1/2, 0) is what a document holds
+    from hodgeheight.linalg import Subspace
+    from hodgeheight.mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
+
+    W = weight_filtration([(-2, Subspace.from_rows([[2, 1, 0]], 3)), (0, Subspace.full(3))], 3)
+    F = hodge_filtration([(-1, Subspace.full(3)),
+                          (0, Subspace.from_rows(np.array([[1, 0.5j, 0.25]]), 3))], 3)
+    doc = mhs_to_doc(MixedHodgeStructure(W, F))
+    expected = json.dumps([{"basis": [["1", "1/2", "0"]], "weight": -2},
+                           {"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                            "weight": 0}], sort_keys=True, indent=2)
+    assert dumps(doc["weight_filtration"]) == expected
+    # parse -> dump -> parse: the same steps, exact and float, and the same text
+    text = dumps(doc)
+    H = parse_mhs(json.loads(text))
+    for (k, got), (j, want) in zip(H.W.steps + H.F.steps, W.steps + F.steps):
+        assert k == j and got.exact == want.exact and got.pivots == want.pivots
+        assert got.basis.tobytes() == want.basis.tobytes()
+    assert dumps(mhs_to_doc(H)) == text
+    assert dumps(mhs_to_doc(parse_mhs(json.loads(dumps(mhs_to_doc(H)))))) == text
+
+
 def test_validate_command(dilog_file, tmp_path, capsys):
     assert main(["validate", dilog_file]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -82,6 +82,10 @@ CASES = {
                 MalformedFiltration, "a filtration needs at least one step"),
     "step-dimension": (lambda: weight_filtration([(0, Subspace.full(2))], 3),
                        MalformedFiltration, "step has wrong ambient dimension"),
+    "step-not-finite": (lambda: weight_filtration(
+        [(0, Subspace(np.array([[1, 0, 0], [0, 1, 0], [0, 0, np.inf]], dtype=complex), 3,
+                      [0, 1, 2]))], 3),
+        MalformedFiltration, "step basis has an entry that is not finite"),
     "w-not-full": (lambda: weight_filtration([(0, _span(0))], 3),
                    MalformedFiltration, "weight filtration must top out at the full space"),
     "f-not-full": (lambda: hodge_filtration([(0, _span(0))], 3),

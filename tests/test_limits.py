@@ -31,14 +31,12 @@ from hodgeheight.linalg import (
     graded_parts,
     graded_projectors,
     maxabs,
-    nullspace_exact,
     nullspace_float,
-    rational_rows,
-    rref_exact,
 )
 from hodgeheight.mhs import is_hodge_tate, weight_filtration
 from hodgeheight.scenarios import cubic_orbit
 from hodgeheight.variations import dilog_variation
+from fraction_oracle import fractions, inverse, matmul, nullspace, rational_rows
 from test_linalg import contains_vector
 
 TOL = 1e-9
@@ -744,7 +742,7 @@ def reference_monodromy_filtration(N, center=0, tol=TOL):
         if j >= m:
             return Subspace.full(n)
         if exact is not None:
-            return Subspace.from_rows(nullspace_exact(powers[j], n), n)
+            return Subspace.from_rows(nullspace(powers[j], n), n)
         return Subspace.from_rows(nullspace_float(powers[j], tol), n, tol)
 
     def image_power(space, j):
@@ -852,18 +850,6 @@ def test_grading_with_an_eigenvalue_between_jumps_is_not_a_grading_of_w():
 # the relative weight filtration in the coordinates of the flag of W
 
 
-def _exact_inverse(g):
-    """g^-1 over Q: [g | 1] row-reduces to [1 | g^-1] for invertible g."""
-    n = len(g)
-    R, _ = rref_exact([list(row) + [Fraction(int(i == j)) for j in range(n)]
-                       for i, row in enumerate(g)])
-    return [row[n:] for row in R]
-
-
-def _matmul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
-
-
 def _rational_gl(rng, n):
     """A random g in GL_n(Q) with denominators up to 3."""
     while True:
@@ -881,7 +867,7 @@ def test_relative_filtration_is_equivariant_over_q():
         n = W.ambient_dim
         Nq = rational_rows(np.round(N).tolist())
         g = _rational_gl(rng, n)
-        moved = relative_weight_filtration(_matmul(_matmul(g, Nq), _exact_inverse(g)),
+        moved = relative_weight_filtration(matmul(matmul(g, Nq), inverse(g)),
                                            W.map_spaces(lambda s: s.image_under(g)))
         want = relative_weight_filtration(Nq, W).map_spaces(lambda s: s.image_under(g))
         assert moved.indices == want.indices
@@ -1084,9 +1070,9 @@ def _below_the_blocks(rng, W, scale):
     i, j = below[int(rng.integers(len(below)))]
     Np = [[Fraction(0)] * n for _ in range(n)]
     Np[i][j] = Fraction(int(rng.integers(1, 4)))
-    T = flag.exact
-    N = _matmul(_matmul(list(map(list, zip(*T))), Np),
-                list(map(list, zip(*flag.exact_inverse))))
+    T = fractions(flag.exact)
+    N = matmul(matmul(list(map(list, zip(*T))), Np),
+               list(map(list, zip(*fractions(flag.exact_inverse)))))
     return np.array(N, dtype=float) * scale
 
 

@@ -1,12 +1,16 @@
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+import fraction_oracle as oracle
 from hodgeheight import linalg
 from hodgeheight.errors import DimensionMismatch, NotNilpotent
 from hodgeheight.linalg import (
     AdaptedBasis,
+    ExactMatrix,
     Subspace,
     check_nilpotent,
     echelonize,
@@ -159,7 +163,7 @@ def test_float_subspace_maps_without_a_fraction_scan(monkeypatch):
 def test_from_rows_exact_verdict_matches_the_entry_scan(M):
     # the vectorized test on float and complex arrays decides exactness as
     # the per-entry scan of rational_rows does
-    scanned = linalg.rational_rows([list(r) for r in M]) is not None
+    scanned = oracle.rational_rows([list(r) for r in M]) is not None
     assert linalg.integral_array(M.astype(complex)) == scanned
     assert Subspace.from_rows(M).is_exact() == scanned
 
@@ -182,8 +186,7 @@ def test_adapted_basis_of_an_exact_chain_is_exact():
     steps = [echelonize(g[:1]), echelonize(g[:3]), Subspace.full(4)]
     A = AdaptedBasis(steps)
     one = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*A.exact_inverse)]
-               for row in A.exact]
+    product = oracle.matmul(oracle.fractions(A.exact), oracle.fractions(A.exact_inverse))
     assert product == one
     for d, step in zip(A.dims, steps):
         assert _spans(A.T[:d], step)
@@ -230,9 +233,10 @@ def test_nilpotent_powers_stop_at_the_first_zero_power():
          [Fraction(2), Fraction(5), Fraction(0)]]
     table = nilpotent_powers(N)
     assert len(table) == 4 and check_nilpotent(N) == 3
-    assert all(type(x) is Fraction for P in table for row in P for x in row)
-    assert table[2] == [[0, 0, 0], [0, 0, 0], [Fraction(5, 3), 0, 0]]
-    assert not any(any(row) for row in table[3])
+    assert all(isinstance(P, ExactMatrix) for P in table)
+    assert all(type(x) is int for P in table for row in P.num for x in row)
+    assert oracle.fractions(table[2]) == [[0, 0, 0], [0, 0, 0], [Fraction(5, 3), 0, 0]]
+    assert not any(any(row) for row in table[3].num)
     # the float table stops at the first power at most tol * scale^m
     Nf = np.array(N, dtype=complex)
     assert len(nilpotent_powers(Nf)) == 4
@@ -262,7 +266,7 @@ def quotient_coordinates(vectors, top: Subspace, sub: Subspace):
     checks that the vectors lie in top."""
     keep = [p for p in top.pivots if p not in set(sub.pivots)]
     if isinstance(vectors, list) and sub.is_exact():
-        return [[v[p] - sum(v[q] * r[p] for r, q in zip(sub.exact, sub.pivots))
+        return [[v[p] - sum(v[q] * r[p] for r, q in zip(oracle.leading_one(sub), sub.pivots))
                  for p in keep] for v in vectors]
     V = np.array(vectors, dtype=complex)
     return (V - V[:, sub.pivots] @ sub.basis)[:, keep]
@@ -420,16 +424,111 @@ def test_exact_kernel_matches_dense_reference(case):
     n, A, S, T = case
     image = S.image_under(A)
     assert image.is_exact()
-    assert image.exact == _dense_rref([_dense_apply(A, v) for v in S.exact], n)
-    ann = _dense_null(S.exact, n)
+    Sq, Tq = oracle.leading_one(S), oracle.leading_one(T)
+    assert oracle.leading_one(image) == _dense_rref([_dense_apply(A, v) for v in Sq], n)
+    ann = _dense_null(Sq, n)
     pre = S.preimage_under(A)
     assert pre.is_exact()
     want = _dense_null([_dense_apply(list(zip(*A)), phi) for phi in ann], n) if ann \
-        else _dense_rref(Subspace.full(n).exact, n)
-    assert pre.exact == want
+        else _dense_rref(oracle.leading_one(Subspace.full(n)), n)
+    assert oracle.leading_one(pre) == want
     both = S.intersect(T)
     assert both.is_exact()
-    assert both.exact == _dense_null(_dense_null(S.exact, n) + _dense_null(T.exact, n), n)
+    assert oracle.leading_one(both) == _dense_null(_dense_null(Sq, n) + _dense_null(Tq, n), n)
+
+
+# ---------------------------------------------------------------------------
+# the int kernels against the Fraction kernel they replaced (fraction_oracle)
+
+
+_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+_sparse_rationals = st.one_of(st.just(Fraction(0)), _rationals)
+
+
+@st.composite
+def _rational_case(draw):
+    """n <= 8: generators of two subspaces S and T, a rational operator A,
+    a nilpotent rational N (strictly lower triangular, then permuted) and a
+    chain cut from the rows of an invertible rational g, all with
+    denominators up to 6 and many zero entries."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(_sparse_rationals, min_size=n, max_size=n)
+    S, T = draw(st.lists(row, max_size=n)), draw(st.lists(row, max_size=n))
+    A = draw(st.lists(row, min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    N = [[A[perm[i]][perm[j]] if perm[i] > perm[j] else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    g = draw(st.lists(row, min_size=n, max_size=n))
+    if len(oracle.span(g)) < n:
+        g = [[Fraction(int(i == j)) + x for j, x in enumerate(r)] for i, r in enumerate(N)]
+    cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=3))) | {n})
+    return n, S, T, A, N, [g[:d] for d in cuts]
+
+
+def _assert_exact_as(S: Subspace, rows, n: int) -> None:
+    """S is the exact subspace with the leading-one rows of the oracle: its
+    int rows primitive with positive pivot entries, its float basis what
+    complex() makes of the oracle's rows, bit for bit."""
+    assert S.is_exact()
+    assert oracle.leading_one(S) == rows
+    assert S.pivots == oracle.rref(rows)[1]
+    assert all(type(x) is int for row in S.exact for x in row)
+    assert all(gcd(*row) == 1 and row[p] > 0 for row, p in zip(S.exact, S.pivots))
+    assert S.basis.tobytes() == oracle.floats(rows, n).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_case())
+def test_exact_operations_match_the_fraction_oracle(case):
+    n, S_gens, T_gens, A, N, chain = case
+    S, T = Subspace.from_rows(S_gens, n), Subspace.from_rows(T_gens, n)
+    Sq, Tq = oracle.span(S_gens), oracle.span(T_gens)
+    _assert_exact_as(S, Sq, n)
+    _assert_exact_as(T, Tq, n)
+    _assert_exact_as(S.add(T), oracle.add(Sq, Tq), n)
+    _assert_exact_as(S.intersect(T), oracle.intersect(Sq, Tq, n), n)
+    assert S.contains(T) == oracle.contains(Sq, Tq)
+    assert T.contains(S) == oracle.contains(Tq, Sq)
+    _assert_exact_as(S.image_under(A), oracle.image(A, Sq), n)
+    _assert_exact_as(S.preimage_under(A), oracle.preimage(A, Sq, n), n)
+    _assert_exact_as(S.annihilator(), oracle.annihilator(Sq, n), n)
+    _assert_exact_as(S.complement_in(S.add(T)),
+                     oracle.complement_in(Sq, oracle.add(Sq, Tq)), n)
+    rows, piv = linalg.right_echelon(S.exact)
+    assert ([[Fraction(x, row[p]) for x in row] for row, p in zip(rows, piv)], piv) \
+        == oracle.right_echelon(Sq)
+
+    # the adapted basis of the chain, and N' on it
+    steps = [Subspace.from_rows(gens, n) for gens in chain]
+    flag = AdaptedBasis(steps)
+    Tm, Tinv = oracle.adapted_basis(chain)
+    assert oracle.fractions(flag.exact) == Tm
+    assert oracle.fractions(flag.exact_inverse) == Tinv
+    assert flag.T.tobytes() == oracle.floats(Tm, n).tobytes()
+    assert flag.inverse.tobytes() == oracle.floats(Tinv, n).tobytes()
+    Aq = linalg.as_operator(A)
+    assert oracle.fractions(Aq) == A
+    assert oracle.fractions(flag.operator(Aq)) == oracle.transpose(
+        oracle.matmul(oracle.matmul(Tm, oracle.transpose(A)), Tinv))
+    _assert_exact_as(flag.lift(S), oracle.span(oracle.matmul(Sq, Tm)), n)
+    reduced = flag.reduce(S)
+    rows, piv = reduced
+    assert ([[Fraction(x, row[p]) for x in row] for row, p in zip(rows, piv)], piv) \
+        == oracle.right_echelon(oracle.matmul(Sq, Tinv))
+    for step, gens in zip(steps, chain):
+        _assert_exact_as(flag.meet(S, reduced, step), oracle.intersect(Sq, oracle.span(gens), n), n)
+
+    # power tables, and the verdict on a matrix that need not be nilpotent
+    table = nilpotent_powers(N)
+    assert [oracle.fractions(P) for P in table] == oracle.powers(N)
+    assert np.array(table[1], dtype=complex).tobytes() == oracle.floats(N, n).tobytes()
+    try:
+        want = oracle.powers(A)
+    except NotNilpotent:
+        with pytest.raises(NotNilpotent):
+            nilpotent_powers(A)
+    else:
+        assert [oracle.fractions(P) for P in nilpotent_powers(A)] == want
 
 
 # ---------------------------------------------------------------------------

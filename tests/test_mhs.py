@@ -80,6 +80,27 @@ def test_malformed_filtration_raises():
                            (1, Subspace.from_rows([[1, 0]], n))], n)  # not nested
 
 
+def test_a_step_with_a_non_finite_entry_is_malformed():
+    # the dilog fiber with one NaN entry in the basis of its full step F^-2:
+    # the echelon basis of that step is all NaN; without the finite check,
+    # validate passes the structure and height returns the fiber's value
+    om = dilog_fiber(0.4 + 0.65j)
+    (p, full), = [(p, s) for p, s in om.mhs.F.steps if s.dim == 3]
+    M = full.basis.copy()
+    M[2, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        bad = Subspace.from_rows(M, 3)
+    assert not np.isfinite(bad.basis).all()
+    message = "step basis has an entry that is not finite"
+    with pytest.raises(MalformedFiltration, match=message):
+        hodge_filtration([(k, bad if k == p else s) for k, s in om.mhs.F.steps], 3)
+    # a map that moves a step onto it is caught as well
+    with pytest.raises(MalformedFiltration, match=message):
+        om.mhs.F.map_spaces(lambda s: bad if s is full else s)
+    # an exact step is finite, and a finite float step passes
+    assert om.mhs.F.map_spaces(lambda s: s).steps == om.mhs.F.steps
+
+
 def reference_at(filt, k):
     """The step at k by a scan: the last index <= k of an increasing
     filtration, the first index >= k of a decreasing one, else None."""
