@@ -55,23 +55,20 @@ them at every integer.
 deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to
 an sl2-triple (N0, H = Y - Y', N0+) commuting with the deeper components of
-N.  It starts from pieces (weight -> basis rows) of a grading of W: in each
-eigenspace E of Y (computed once, there) a complement of E cap W_(k-1) in
-E cap W_k, read off one echelon of E in the coordinates of T.  The defect
-[N - N0, N0+] is then killed depth by depth with corrections exp(gamma),
-[Y, gamma] = 0; nilpotency bounds the number of steps.  A correction moves
+N.  Its start is a grading of W inside the eigenspaces E of Y, which it
+computes from Y and limit_height hands in (the limit bigrading's weight
+pieces): the rows of the one right echelon of E against T with pivot in
+d_(k-1) .. d_k - 1, mapped back by T, span a complement of E cap W_(k-1) in
+E cap W_k, and the piece at k is the orthogonal one.  Corrections exp(gamma),
+[Y, gamma] = 0, then kill the defect [N - N0, N0+] depth by depth, moving
 each piece by G = exp(gamma) (rows B become B G^T), so every row stays an
-eigenvector of Y.  With C the matrix of the rows as columns, C^-1 Y C and
-C^-1 Y' C are diagonal, diag(a) and diag(b), so ad Y and ad Y' act on the
-entries of C^-1 X C by a_i - a_j and b_i - b_j, and their bracket conditions
-only select the entries that may be nonzero: b_i = b_j and a_i - a_j = 2
-for N0+, a_i = a_j and b_i - b_j = -j0 for gamma.  What remains,
-[N0+, N0] = H or ad N0+ ad N0 gamma = R_(-j0), is solved by least squares on
-those entries.  Each step takes the projectors of the pieces from
-linalg.graded_projectors, sets Y' = sum k P_k and takes every degree part of
-N and of the defect in one linalg.graded_parts call each.  That the final
-pieces grade W and all bracket identities are verified post hoc.  The final
-projectors stay on the DeligneSystem, read-only, for the limit_height read.
+eigenvector of Y.  With C the rows as columns, C^-1 Y C = diag(a) and
+C^-1 Y' C = diag(b), so the bracket conditions only select the entries of
+C^-1 X C that may be nonzero: b_i = b_j and a_i - a_j = 2 for N0+,
+a_i = a_j and b_i - b_j = -j0 for gamma; [N0+, N0] = H or ad N0+ ad N0
+gamma = R_(-j0) is solved by least squares on them.  The final pieces and
+every bracket identity are verified post hoc; the final projectors stay on
+the DeligneSystem, read-only, for the limit_height read.
 """
 from __future__ import annotations
 
@@ -229,11 +226,12 @@ def _block_powers(powers: list, lo: int, hi: int, tol: float) -> list:
 
 
 def _pad(S: Subspace, d: int) -> Subspace:
-    """S in C^d by appending zero coordinates, which keeps its echelon rows."""
+    """S in C^d by appending zero coordinates, which keeps its echelon rows
+    (and an exact S without a float basis until one is read)."""
     zeros = [0] * (d - S.ambient_dim)
-    basis = np.hstack([S.basis, np.zeros((S.dim, len(zeros)), dtype=complex)])
-    return Subspace(basis, d, pivots=S.pivots,
-                    exact=None if S.exact is None else [row + zeros for row in S.exact])
+    if S.is_exact():
+        return Subspace(None, d, S.pivots, exact=[row + zeros for row in S.exact])
+    return Subspace(np.hstack([S.basis, np.zeros((S.dim, len(zeros)), dtype=complex)]), d, S.pivots)
 
 
 def _relative_rec(powers: list, weights: list[int], dims: tuple[int, ...],
@@ -319,15 +317,10 @@ class DeligneSystem:
         return self.sl2[0]
 
 
-def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, Subspace]:
-    """The nonzero eigenspaces of Y at the given integer eigenvalues."""
-    n = Y.shape[0]
-    spaces = {}
-    for k in levels:
-        E = Subspace.from_rows(nullspace_float(Y - k * np.eye(n), tol), n, tol)
-        if E.dim:
-            spaces[k] = E
-    return spaces
+def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, np.ndarray]:
+    """Bases (rows) of the nonzero eigenspaces of Y at the given integer eigenvalues."""
+    spaces = {k: nullspace_float(Y - k * np.eye(len(Y)), tol) for k in levels}
+    return {k: E for k, E in spaces.items() if len(E)}
 
 
 def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
@@ -342,23 +335,26 @@ def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
                     for k in W.indices))
 
 
-def _initial_w_grading(W: Filtration, Y: np.ndarray, tol: float) -> dict[int, np.ndarray]:
-    """The pieces (weight -> basis rows) of a grading of W commuting with Y:
-    in each eigenspace E of Y an echelon complement of E cap W_(k-1) in
-    E cap W_k, with E reduced once against the flag of W and E cap W_k read
-    off it (AdaptedBasis.meet)."""
+def _initial_w_grading(W: Filtration, eigenspaces, tol: float) -> dict[int, np.ndarray]:
+    """The pieces (weight -> basis rows) of a grading of W commuting with Y,
+    from the bases (rows) of Y's eigenspaces (see the module docstring)."""
     n = W.ambient_dim
-    evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
     flag = W.adapted_basis()
     parts: dict[int, list] = {k: [] for k in W.indices}
-    for E in _eigenspaces(Y, evs, tol).values():
-        reduced = flag.reduce(E, tol)
-        prev = Subspace.zero(n)
-        for k, Wk in W.steps:
-            meet = flag.meet(E, reduced, Wk, tol)
-            parts[k].append(prev.complement_in(meet, tol).basis)
-            prev = meet
-    pieces = {k: np.vstack(b) for k, b in parts.items()}
+    for E in eigenspaces:
+        rows, piv = flag.reduce(E, tol)
+        # group the rows by the step of W of their pivot; each group is made
+        # orthogonal to those below, which starts the corrections nearer Y'
+        steps, below = [bisect_right(flag.dims, c) for c in piv], None
+        for s in sorted(set(steps)):
+            d = flag.dims[s]
+            piece = rows[[i for i, t in enumerate(steps) if t == s], :d] @ flag.T[:d]
+            if below is not None:
+                Q = np.linalg.qr(below.T)[0]
+                piece = piece - piece @ Q.conj() @ Q.T
+            parts[W.indices[s]].append(piece)
+            below = piece if below is None else np.vstack([below, piece])
+    pieces = {k: np.vstack(b) for k, b in parts.items() if b}
     if sum(len(b) for b in pieces.values()) != n:
         raise ConstructionFailed("initial grading construction did not span")
     return pieces
@@ -383,15 +379,22 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     """The unique grading Y' of W commuting with Y whose sl2 completion
     satisfies [N - N0, N0+] = 0; all invariants re-verified before returning."""
     tol = default_tol() if tol is None else tol
-    N = np.asarray(N, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
+    evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
+    return _deligne_system(W, N, Y, _eigenspaces(Y, evs, tol).values(), tol)
+
+
+def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
+                    tol: float) -> DeligneSystem:
+    """The body of deligne_system_grading, from the bases (rows) of Y's eigenspaces."""
+    N = np.asarray(N, dtype=complex)
     n = W.ambient_dim
     scale = max(maxabs(N), maxabs(Y), 1.0)
     if maxabs(Y @ N - N @ Y + 2 * N) > 1e3 * tol * scale:
         raise ConstructionFailed("[Y, N] = -2N fails on the input")
     check_nilpotent(N, tol)
 
-    pieces = _initial_w_grading(W, Y, tol)
+    pieces = _initial_w_grading(W, eigenspaces, tol)
     span = W.indices[-1] - W.indices[0]
 
     def ad(A, X):
@@ -508,11 +511,14 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
 
     The generators orient W and are checked against it as a fiber's are; the
     projectors P_k are those of the Deligne system's grading Y' of W, and
-    delta is the splitting of the limit structure (F_inf, M)."""
+    delta is the splitting of the limit structure (F_inf, M), whose weight
+    pieces are the eigenspaces of Y that the Deligne system starts from."""
     tol = default_tol() if tol is None else tol
     _check_oriented(orbit.W, orientation, tol)
     Hlim = limit_mhs(orbit, tol)
-    system = deligne_system_grading(orbit.W, orbit.N, Hlim.bigrading(tol).Y, tol)
+    B = Hlim.bigrading(tol)
+    system = _deligne_system(orbit.W, orbit.N, B.Y, [np.vstack(
+        [s.basis for (p, q), s in B.components.items() if p + q == k]) for k in B.weights], tol)
     return _deep_coefficient(deligne_delta(Hlim, tol).delta, system.projectors,
                              orientation, tol)
 

@@ -9,11 +9,12 @@ rank decisions on that data never involve a threshold.
 The exact representation is over the integers.  An exact subspace keeps its
 reduced echelon rows as primitive int rows (coprime entries), each positive
 at its pivot: still canonical, so == on them is equality of subspaces.  Its
-float basis is each row divided by its pivot entry, rounded once, as the
-leading-one rational row would be.  An exact operator is an ExactMatrix.
-The kernels rref_exact and nullspace_exact are fraction-free (integer row
-operations, each row divided by the gcd of its entries); rational numbers
-are read only where Subspace.from_rows and as_operator scale them to ints.
+float basis, built on first read, is each row divided by its pivot entry,
+rounded once, as the leading-one rational row would be.  An exact operator
+is an ExactMatrix.  The kernels rref_exact and nullspace_exact are
+fraction-free (integer row operations, each row divided by the gcd of its
+entries); rational numbers are read only where Subspace.from_rows and
+as_operator scale them to ints.
 
 The float kernel rref_float row-reduces Python lists of complex numbers, not
 numpy rows.  The library's matrices are tiny (at most 8 columns; the common
@@ -234,14 +235,23 @@ class Subspace:
     all operations between exact subspaces stay exact.
     """
 
-    __slots__ = ("basis", "ambient_dim", "exact", "pivots")
+    __slots__ = ("_basis", "ambient_dim", "exact", "pivots")
 
-    def __init__(self, basis: Matrix, ambient_dim: int, pivots: list[int],
+    def __init__(self, basis: Matrix | None, ambient_dim: int, pivots: list[int],
                  exact: list[list[int]] | None = None):
-        self.basis = basis
+        self._basis = basis
         self.ambient_dim = int(ambient_dim)
         self.pivots = pivots
         self.exact = exact
+
+    @property
+    def basis(self) -> Matrix:
+        """The float echelon basis, built from the exact rows on first read."""
+        if self._basis is None:
+            self._basis = np.array([row if row[p] == 1 else [x / row[p] for x in row]
+                                    for row, p in zip(self.exact, self.pivots)],
+                                   dtype=complex).reshape(len(self.exact), self.ambient_dim)
+        return self._basis
 
     # -- constructors -------------------------------------------------------
 
@@ -263,11 +273,10 @@ class Subspace:
 
     @staticmethod
     def from_integer_rows(rows: list[list[int]], ambient_dim: int) -> "Subspace":
-        """The exact span of rows of Python ints, taken as they are."""
+        """The exact span of rows of Python ints, taken as they are; its float
+        basis is built when first read."""
         R, piv = rref_exact(rows) if rows else ([], [])
-        basis = np.array([row if row[p] == 1 else [x / row[p] for x in row]
-                          for row, p in zip(R, piv)], dtype=complex).reshape(len(R), ambient_dim)
-        return Subspace(basis, ambient_dim, exact=R, pivots=piv)
+        return Subspace(None, ambient_dim, exact=R, pivots=piv)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -276,14 +285,13 @@ class Subspace:
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         eye = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return Subspace(np.eye(ambient_dim, dtype=complex), ambient_dim,
-                        exact=eye, pivots=list(range(ambient_dim)))
+        return Subspace(None, ambient_dim, exact=eye, pivots=list(range(ambient_dim)))
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.pivots)
 
     def is_exact(self) -> bool:
         return self.exact is not None
@@ -412,33 +420,18 @@ class Subspace:
         M = ann.basis @ np.asarray(A, dtype=complex)
         return Subspace.from_rows(nullspace_float(M, tol), n, tol)
 
-    def complement_in(self, bigger: "Subspace", tol: float | None = None) -> "Subspace":
-        """A complement of self inside bigger, taken from echelon pivot rows."""
-        self._check_ambient(bigger)
-        sub_piv = set(self.pivots)
-        keep = [i for i, p in enumerate(bigger.pivots) if p not in sub_piv]
-        if self.is_exact() and bigger.is_exact():
-            # some rows of a reduced echelon basis are a reduced echelon basis
-            return Subspace(bigger.basis[keep], self.ambient_dim,
-                            [bigger.pivots[i] for i in keep], [bigger.exact[i] for i in keep])
-        rows = [bigger.basis[i] for i in keep]
-        if not rows:
-            return Subspace.zero(self.ambient_dim)
-        return Subspace.from_rows(rows, self.ambient_dim, tol)
-
 
 class AdaptedBasis:
     """A basis of C^n adapted to a chain of subspaces S_1 < ... < S_m = C^n:
     the first dims[i] rows of T span S_i.
 
     The rows are the echelon rows of S_1, then for each later step its
-    echelon rows at the pivots that the step below lacks, as
-    Subspace.complement_in selects them.  They are not re-echelonized, so T
-    does not depend on a tolerance, and a chain of coordinate subspaces
-    gives a permutation.  The pivots of an exact chain are nested, and each
-    row has a leading one at its own pivot, so T is then a row permutation
-    of a unit upper triangular matrix, kept as an ExactMatrix with its
-    inverse.  Float pivots near the threshold need not nest; a step whose
+    echelon rows at the pivots that the step below lacks.  They are not
+    re-echelonized, so T does not depend on a tolerance, and a chain of
+    coordinate subspaces gives a permutation.  The pivots of an exact chain
+    are nested, and each row has a leading one at its own pivot, so T is
+    then a row permutation of a unit upper triangular matrix, kept as an
+    ExactMatrix with its inverse.  Float pivots near the threshold need not nest; a step whose
     pivots miss some of the step below keeps its rows at the pivots that
     complete pivoting on the coordinates of the step below leaves free
     (_covered_pivots).
@@ -479,13 +472,14 @@ class AdaptedBasis:
         for m in (self.T, self.inverse):
             m.setflags(write=False)
 
-    def reduce(self, S: Subspace, tol: float | None = None):
-        """The rows of S in the coordinates of T, v T^-1, as right_echelon
-        gives them: int rows when S and the chain are exact."""
-        n = S.ambient_dim
-        if S.is_exact() and self.exact is not None:
+    def reduce(self, S: Subspace | Matrix, tol: float | None = None):
+        """The rows of S, a Subspace or the float rows of a basis, in the
+        coordinates of T, v T^-1, as right_echelon gives them: int rows when
+        S and the chain are exact."""
+        if isinstance(S, Subspace) and S.is_exact() and self.exact is not None:
+            n = S.ambient_dim
             return right_echelon([_combination(v, self.exact_inverse.num, n) for v in S.exact])
-        return right_echelon(S.basis @ self.inverse, tol)
+        return right_echelon((S.basis if isinstance(S, Subspace) else S) @ self.inverse, tol)
 
     def operator(self, N):
         """N' with N'^T = T N^T T^-1, column j the coordinates of N applied to

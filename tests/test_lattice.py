@@ -13,6 +13,7 @@ from hodgeheight.mhs import (MixedHodgeStructure, ValidationReport, hodge_filtra
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, lowering_morphisms
 from hodgeheight.variations import check_asymptotics, fiber, random_hodge_tate
+from test_linalg import complement_in
 
 TOL = 1e-9
 
@@ -375,7 +376,7 @@ def _swapped_w_step(H: MixedHodgeStructure, i: int) -> MixedHodgeStructure:
     (i+1)-th jumps; W' is again a rational filtration with the same jumps."""
     ks = H.weights
     prev = H.W.at(ks[i - 1]) if i else Subspace.zero(H.dim)
-    upper = H.W.at(ks[i]).complement_in(H.W.at(ks[i + 1]))
+    upper = complement_in(H.W.at(ks[i]), H.W.at(ks[i + 1]))
     steps = [(k, H.W.at(k)) for k in ks]
     steps[i] = (ks[i], prev.add(upper))
     return MixedHodgeStructure(weight_filtration(steps, H.dim), H.F)

@@ -42,6 +42,15 @@ from test_linalg import contains_vector
 TOL = 1e-9
 
 
+def _eigenspaces_of(Y, tol=TOL):
+    """The eigenspaces of Y, as deligne_system_grading computes them."""
+    from hodgeheight import limits
+
+    Y = np.asarray(Y, dtype=complex)
+    evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
+    return limits._eigenspaces(Y, evs, tol).values()
+
+
 def shift_matrix(n):
     N = np.zeros((n, n))
     for i in range(n - 1):
@@ -287,12 +296,13 @@ def test_deligne_system_equivariance(rng):
         assert maxabs(ds2.Yprime - expected) < 1e-10 * max(maxabs(expected), 1.0)
 
 
-# Valid inputs (W, N, Y + 2 lam N) that raise ConstructionFailed: draws 47,
-# 89 and 180 of random_deligne_system with rng seed 11, each followed by the
-# draws lam1 = normal(), lam2 = complex(normal(), normal()), lam3 =
-# 10 normal(), at lam = lam3.  N and Y are rounded to the integers they
-# approximate (draw 47 within 1.2e-16, which fails either way).  W maps each
-# weight below the top to spanning rows; W at the top weight is everything.
+# Valid inputs (W, N, Y + 2 lam N) at a large lam: draws 47, 89 and 180 of
+# random_deligne_system with rng seed 11, each followed by the draws lam1 =
+# normal(), lam2 = complex(normal(), normal()), lam3 = 10 normal(), at lam =
+# lam3.  Draws 47 and 89 match the moved grading to 3.8e-9 and 3.7e-8
+# relative; draw 180 raises ConstructionFailed.  N and Y are rounded to the
+# integers they approximate (draw 47 within 1.2e-16).  W maps each weight
+# below the top to spanning rows; W at the top weight is everything.
 PINNED_LARGE_LAMBDA = [
     ({-3: [[0, 0, 1, -1, 0, -1]],
       -1: [[2, 0, 0, -1, 0, 1], [0, 0, 1, -1, 0, -1]],
@@ -327,10 +337,12 @@ PINNED_LARGE_LAMBDA = [
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=ConstructionFailed,
-                   reason="spurious ConstructionFailed at large |lam| (ROADMAP item 4)")
-@pytest.mark.parametrize("W_rows, top, N, Y, lam", PINNED_LARGE_LAMBDA,
-                         ids=["rng11-draw47", "rng11-draw89", "rng11-draw180"])
+@pytest.mark.parametrize("W_rows, top, N, Y, lam", [
+    *PINNED_LARGE_LAMBDA[:2],
+    pytest.param(*PINNED_LARGE_LAMBDA[2], marks=pytest.mark.xfail(
+        strict=True, raises=ConstructionFailed,
+        reason="spurious ConstructionFailed at large |lam| (ROADMAP item 5)"))],
+    ids=["rng11-draw47", "rng11-draw89", "rng11-draw180"])
 def test_deligne_system_at_a_large_lambda_is_the_moved_grading(W_rows, top, N, Y, lam):
     n = len(N)
     W = weight_filtration([*((k, Subspace.from_rows(r, n)) for k, r in W_rows.items()),
@@ -500,6 +512,86 @@ def test_limit_height_needs_even_end_weights():
     N[1, 0] = 1.0
     with pytest.raises(NotOriented, match="even"):
         limit_height(NilpotentOrbit(W, N, F), Orientation.of(e[0], e[1]))
+
+
+def _limit_height_orbits():
+    """(orbit, generators): the cubic orbit with F_inf moved by exp(lam N) at
+    several lam, the biextension orbits, and each of them moved by an integer
+    g in GL_n(Q) with an integer inverse."""
+    from hodgeheight.height import Orientation
+
+    cubic, orient = cubic_orbit()
+    out = []
+    for lam in (0.0, 0.4 - 1.1j, 2.5, -1.3 + 0.7j):
+        G = expm_nilpotent(lam * cubic.N)
+        out.append((NilpotentOrbit(cubic.W, cubic.N,
+                                   cubic.F_inf.map_spaces(lambda s: s.image_under(G))), orient))
+    out += [(orbit, orient) for _, orbit, orient in _biextension_orbits()]
+    rng = np.random.default_rng(19)
+    for orbit, orient in list(out):
+        n = orbit.dim
+        g = np.eye(n) + np.triu(rng.integers(-2, 3, size=(n, n)), 1)
+        perm = rng.permutation(n)
+        g = g[perm][:, perm]
+        ginv = np.round(np.linalg.inv(g))
+        assert np.array_equal(g @ ginv, np.eye(n))
+        moved = NilpotentOrbit(orbit.W.map_spaces(lambda s: s.image_under(g)),
+                               g @ orbit.N.real @ ginv,
+                               orbit.F_inf.map_spaces(lambda s: s.image_under(g)))
+        out.append((moved, Orientation.of(g @ orient.top, g @ orient.bottom)))
+    return out
+
+
+def test_limit_height_starts_from_the_weight_pieces_of_its_limit(monkeypatch):
+    # limit_height hands the weight pieces of the limit bigrading to the body
+    # of deligne_system_grading; its Y' and height are those of the public
+    # function on the Y of that bigrading
+    from hodgeheight import limits
+    from hodgeheight.height import _deep_coefficient
+    from hodgeheight.splitting import deligne_delta
+
+    body, used = limits._deligne_system, []
+
+    def recorded(*args):
+        used.append(body(*args))
+        return used[-1]
+
+    monkeypatch.setattr(limits, "_deligne_system", recorded)
+    for orbit, orient in _limit_height_orbits():
+        used.clear()
+        got = limit_height(orbit, orient, TOL)
+        (system,) = used
+        H = limit_mhs(orbit, TOL)
+        ref = deligne_system_grading(orbit.W, orbit.N, H.bigrading(TOL).Y, TOL)
+        assert maxabs(system.Yprime - ref.Yprime) <= 1e-10 * max(maxabs(ref.Yprime), 1.0)
+        want = _deep_coefficient(deligne_delta(H, TOL).delta, ref.projectors, orient, TOL)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_limit_height_computes_no_eigenspaces(monkeypatch):
+    from hodgeheight import limits
+
+    calls = []
+    eigvals, eigenspaces = np.linalg.eigvals, limits._eigenspaces
+
+    def counted_eigvals(*args, **kwargs):
+        calls.append("eigvals")
+        return eigvals(*args, **kwargs)
+
+    def counted_eigenspaces(*args):
+        calls.append("_eigenspaces")
+        return eigenspaces(*args)
+
+    orbits = _limit_height_orbits()
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(limits, "_eigenspaces", counted_eigenspaces)
+    for orbit, orient in orbits:
+        limit_height(orbit, orient, TOL)
+    assert calls == []
+    # the public function computes them, and the counters see it
+    orbit, _ = orbits[0]
+    deligne_system_grading(orbit.W, orbit.N, limit_mhs(orbit, TOL).bigrading(TOL).Y, TOL)
+    assert calls == ["eigvals", "_eigenspaces"]
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +897,35 @@ def test_monodromy_filtration_computes_each_kernel_once(monkeypatch):
         assert len({str(M) for M in calls}) == len(calls)
 
 
+def test_relative_filtration_builds_no_float_basis_for_its_kernels(monkeypatch):
+    # the kernels of the powers of N' are exact and only summed, pushed and
+    # compared exactly, so their float bases are never built
+    from hodgeheight import limits
+
+    nullspace, from_integer_rows = limits.nullspace_exact, Subspace.from_integer_rows
+    kernel_rows, kernels = [], []
+
+    def marked(M, n):
+        kernel_rows.append(nullspace(M, n))
+        return kernel_rows[-1]
+
+    def recorded(rows, n):
+        S = from_integer_rows(rows, n)
+        if any(rows is r for r in kernel_rows):
+            kernels.append(S)
+        return S
+
+    monkeypatch.setattr(limits, "nullspace_exact", marked)
+    monkeypatch.setattr(Subspace, "from_integer_rows", staticmethod(recorded))
+    orbit, _ = cubic_orbit()
+    relative_weight_filtration(orbit.N, orbit.W)
+    assert kernels and all(S._basis is None for S in kernels)
+    # a float basis read afterwards is built as the rows over their pivots
+    S = kernels[0]
+    assert S.basis.tobytes() == np.array(
+        [[x / row[p] for x in row] for row, p in zip(S.exact, S.pivots)], dtype=complex).tobytes()
+
+
 def test_eigenspaces_computed_once_per_deligne_system(monkeypatch):
     # the eigenspaces of Y are computed once, for the initial pieces; each
     # correction moves the pieces instead of recomputing eigenspaces of Y'
@@ -1052,7 +1173,7 @@ def test_initial_grading_reduces_each_eigenspace_once(monkeypatch):
         W, N, Y = random_deligne_system(rng)
         reduced.clear()
         eigen.clear()
-        pieces = limits._initial_w_grading(W, Y, TOL)
+        pieces = limits._initial_w_grading(W, _eigenspaces_of(Y), TOL)
         assert limits._grades(pieces, W, TOL)
         if reduced:
             fallback += 1
@@ -1169,7 +1290,7 @@ def reference_deligne_system_grading(W, N, Y, tol=TOL):
     Y = np.asarray(Y, dtype=complex)
     n = W.ambient_dim
     scale = max(maxabs(N), maxabs(Y), 1.0)
-    pieces = _initial_w_grading(W, Y, tol)
+    pieces = _initial_w_grading(W, _eigenspaces_of(Y, tol), tol)
     span = W.indices[-1] - W.indices[0]
     zero = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
@@ -1226,7 +1347,7 @@ def test_deligne_system_grading_matches_the_kronecker_oracle():
         ds = deligne_system_grading(W, N, Y)
         for got, ref in zip((ds.Yprime, ds.sl2[2]), want):
             assert maxabs(got - ref) <= 1e-9 * max(maxabs(ref), 1.0)
-        initial = graded_projectors(_initial_w_grading(W, Y, TOL))
+        initial = graded_projectors(_initial_w_grading(W, _eigenspaces_of(Y), TOL))
         corrected += maxabs(sum(k * P for k, P in initial.items()) - ds.Yprime) > 1e-9
     # some systems need a depth correction, so both solves are exercised
     assert corrected >= 5
@@ -1318,7 +1439,7 @@ def test_grades_agrees_with_the_subspace_oracle():
     broken = 0
     for _ in range(60):
         W, N, Y = random_deligne_system(rng)
-        pieces = _initial_w_grading(W, Y, 1e-9)
+        pieces = _initial_w_grading(W, _eigenspaces_of(Y, 1e-9), 1e-9)
         assert _grades(pieces, W, 1e-9) and reference_grades(pieces, W, 1e-9)
         if len(pieces) < 2:
             continue
