@@ -3,10 +3,14 @@
 A generalized biextension has three graded pieces, of weights 2a > b > 2c with
 rank-one ends.  Its real-MHS class is pinned down by the graded blocks of the
 splitting: delta1 (top to middle), delta2 (middle to bottom) and the height
-coefficient delta3 (top to bottom).  The constructor realizes prescribed
-blocks on a split real reference structure as (exp(i delta) . F0, W); by the
-rigidity of that construction the splitting of the result is exactly the
-assembled delta, which makes the build/extract round trip testable.
+coefficient delta3 (top to bottom).  The constructor assembles delta from the
+blocks and realizes it in one pass as (exp(i delta) . F0, W): each F^p is
+spanned at once by G = exp(i delta) on the vectors of the split real
+reference bigrading I^{a,b} with a >= p, so no reference filtration F0 is
+built.  By the rigidity of that construction (Cattani-Kaplan-Schmid, Ann.
+Math. 1986, section 2) the splitting of the result is exactly the assembled
+delta, and extract_invariants reads every block back off that one cached
+splitting, which makes the build/extract round trip testable.
 """
 from __future__ import annotations
 
@@ -16,13 +20,7 @@ import numpy as np
 
 from .config import default_tol
 from .errors import InvalidBlockType, NotGeneralizedBiextension
-from .height import (
-    Orientation,
-    OrientedMHS,
-    _coefficient_against_bottom,
-    height_biextension,
-    top_lift,
-)
+from .height import Orientation, OrientedMHS, _coefficient_against_bottom, height
 from .linalg import Subspace, expm_nilpotent, maxabs
 from .mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
 from .splitting import deligne_delta
@@ -90,40 +88,6 @@ def spec_allclose(s1: BiextensionSpec, s2: BiextensionSpec, tol: float) -> bool:
             and abs(s1.ht - s2.ht) <= tol)
 
 
-def _split_reference(spec: BiextensionSpec):
-    """Split real structure: basis u0, middle block, u_last with W and F0."""
-    n = spec.dim
-    two_a, b, two_c = spec.weights
-    a, c = two_a // 2, two_c // 2
-    eye = np.eye(n)
-    # complex bigrading pieces of the reference: pair types use x +- i y
-    pieces: dict[tuple[int, int], list[np.ndarray]] = {(a, a): [eye[0]],
-                                                       (c, c): [eye[n - 1]]}
-    col = 1
-    for (p, q), mult in spec.middle:
-        for _ in range(mult):
-            if p == q:
-                pieces.setdefault((p, p), []).append(eye[col])
-                col += 1
-            else:
-                x, y = eye[col], eye[col + 1]
-                pieces.setdefault((p, q), []).append(x + 1j * y)
-                pieces.setdefault((q, p), []).append(x - 1j * y)
-                col += 2
-    levels = sorted({p for p, _ in pieces})
-    fsteps = []
-    for lev in levels:
-        rows = [v for (p, q), vs in pieces.items() if p >= lev for v in vs]
-        fsteps.append((lev, Subspace.from_rows(rows, n)))
-    F0 = hodge_filtration(fsteps, n)
-    W = weight_filtration([
-        (two_c, Subspace.from_rows([eye[n - 1]], n)),
-        (b, Subspace.from_rows(eye[1:], n)),
-        (two_a, Subspace.full(n)),
-    ], n)
-    return W, F0
-
-
 def assemble_delta(spec: BiextensionSpec) -> np.ndarray:
     n = spec.dim
     delta = np.zeros((n, n))
@@ -134,29 +98,47 @@ def assemble_delta(spec: BiextensionSpec) -> np.ndarray:
 
 
 def build_biextension(spec: BiextensionSpec) -> OrientedMHS:
-    """Realize the spec as (exp(i delta) . F0, W) on the split reference."""
-    W, F0 = _split_reference(spec)
-    delta = assemble_delta(spec)
-    G = expm_nilpotent(1j * delta)
-    F = F0.map_spaces(lambda s: s.image_under(G))
-    H = MixedHodgeStructure(W, F)
+    """Realize the spec as (exp(i delta) . F0, W), F0 the split real
+    reference, without building F0: each F^p is spanned at once by
+    G = exp(i delta) on the reference bigrading vectors of type (a, b), a >= p."""
     n = spec.dim
-    top = np.zeros(n)
-    top[0] = 1.0
-    bottom = np.zeros(n)
-    bottom[n - 1] = 1.0
-    return OrientedMHS(H, Orientation.of(top, bottom))
+    two_a, b, two_c = spec.weights
+    G = expm_nilpotent(1j * assemble_delta(spec))
+    # (p, G v) for each reference bigrading vector v of type (p, q): the ends
+    # e_0 and e_(n-1), a middle column, or x +- i y for a pair type, p > q
+    pieces = [(two_a // 2, G[:, 0]), (two_c // 2, G[:, n - 1])]
+    col = 1
+    for (p, q), mult in spec.middle:
+        for _ in range(mult):
+            if p == q:
+                pieces.append((p, G[:, col]))
+                col += 1
+            else:
+                x, y = G[:, col], G[:, col + 1]
+                pieces += [(p, x + 1j * y), (q, x - 1j * y)]
+                col += 2
+    F = hodge_filtration(
+        [(lev, Subspace.from_rows(np.array([v for p, v in pieces if p >= lev]), n))
+         for lev in sorted({p for p, _ in pieces})], n)
+    eye = np.eye(n)
+    W = weight_filtration([(two_c, Subspace.from_rows(eye[n - 1:], n)),
+                           (b, Subspace.from_rows(eye[1:], n)),
+                           (two_a, Subspace.full(n))], n)
+    return OrientedMHS(MixedHodgeStructure(W, F), Orientation.of(eye[0], eye[n - 1]))
 
 
 def extract_invariants(om: OrientedMHS, tol: float | None = None) -> BiextensionSpec:
-    """Read the splitting blocks of a generalized biextension back off.
+    """Read the splitting blocks of a generalized biextension back off its
+    one splitting delta.
 
     In the coordinates c = v T^-1 of the adapted basis T of W, the rows
     T[lo:hi] (lo = dim W_2c, hi = dim W_b) are a basis of the middle graded
-    piece W_b / W_2c.  delta1 is c[lo:hi] for v = (i/2) Pi_b(conj e - e),
-    with e the top lift; delta2 is the graded block of the full splitting
-    on the rows T[lo:hi], and the height is height_biextension.  The middle
-    Hodge types are the bigrading dimensions in weight b.
+    piece W_b / W_2c.  delta1 is c[lo:hi] for v = delta (top): delta lowers
+    weights by two, so it sends W_b into W_2c and the middle coordinates do
+    not depend on the representative of the top generator.  delta2 is the
+    block of delta on the rows T[lo:hi] against the bottom generator, and
+    the height is height(om), the P_min delta P_max read.  The middle Hodge
+    types are the bigrading dimensions in weight b.
     """
     tol = default_tol() if tol is None else tol
     H = om.mhs
@@ -169,17 +151,16 @@ def extract_invariants(om: OrientedMHS, tol: float | None = None) -> Biextension
     # middle types with p >= q and multiplicities
     middle = tuple(sorted(((p, q), piece.dim) for (p, q), piece in B.components.items()
                           if p + q == b and p >= q))
+    # height checks the orientation before it reads the splitting
+    ht = height(om, tol)
 
-    e = top_lift(om, tol)
+    delta = deligne_delta(H, tol).delta
     flag = H.W.adapted_basis()
     lo, hi = flag.dims[:2]
-    v1 = 0.5j * (B.weight_projector(b) @ (np.conj(e) - e))
-    d1 = (v1 @ flag.inverse)[lo:hi]
-
+    d1 = (delta @ om.orientation.top @ flag.inverse)[lo:hi]
     bottom = om.orientation.bottom
-    spl = deligne_delta(H, tol)
-    d2 = np.array([_coefficient_against_bottom(spl.delta @ m, bottom, tol,
-                                               max(maxabs(spl.delta @ m), maxabs(spl.delta)))
+    d2 = np.array([_coefficient_against_bottom(delta @ m, bottom, tol,
+                                               max(maxabs(delta @ m), maxabs(delta)))
                    for m in flag.T[lo:hi]])
 
     def clean(x: np.ndarray) -> tuple[float, ...]:
@@ -188,8 +169,7 @@ def extract_invariants(om: OrientedMHS, tol: float | None = None) -> Biextension
         return tuple(float(t) for t in out)
 
     return BiextensionSpec(weights=(two_a, b, two_c), middle=middle,
-                           delta1=clean(d1), delta2=clean(d2),
-                           ht=height_biextension(om, tol))
+                           delta1=clean(d1), delta2=clean(d2), ht=ht)
 
 
 # ---------------------------------------------------------------------------
@@ -231,46 +211,3 @@ def random_spec(rng: np.random.Generator, max_middle: int = 4) -> BiextensionSpe
 
 def _mdim(types) -> int:
     return sum((1 if p == q else 2) * m for (p, q), m in types)
-
-
-def embed_into_padded(om_spec: BiextensionSpec, extra: int = 1):
-    """Inclusion of a built biextension into the same build with extra split
-    middle coordinates: a morphism with d_max = d_min = 1 and equal heights."""
-    two_a, b, two_c = om_spec.weights
-    if b % 2:
-        pad_type = ((b + 1) // 2, (b - 1) // 2)
-    else:
-        pad_type = (b // 2, b // 2)
-    mids = dict(om_spec.middle)
-    mids[pad_type] = mids.get(pad_type, 0) + extra
-    middle_big = tuple(sorted(mids.items()))
-    # place the small delta entries at the coordinates of the matching type
-    # copies inside the (sorted) enlarged middle; padded columns stay zero
-    skeleton = BiextensionSpec(weights=om_spec.weights, middle=middle_big,
-                               delta1=(0.0,) * _mdim(middle_big),
-                               delta2=(0.0,) * _mdim(middle_big), ht=om_spec.ht)
-    small_cols = _type_positions(om_spec)
-    big_cols = _type_positions(skeleton)
-    d1 = np.zeros(skeleton.middle_dim)
-    d2 = np.zeros(skeleton.middle_dim)
-    n_a, n_b = om_spec.dim, skeleton.dim
-    f = np.zeros((n_b, n_a))
-    f[0, 0] = 1.0
-    f[n_b - 1, n_a - 1] = 1.0
-    for t, src_positions in small_cols.items():
-        for s_i, dst in zip(src_positions, big_cols[t]):
-            d1[dst] = om_spec.delta1[s_i]
-            d2[dst] = om_spec.delta2[s_i]
-            f[1 + dst, 1 + s_i] = 1.0
-    big = BiextensionSpec(weights=om_spec.weights, middle=middle_big,
-                          delta1=tuple(d1), delta2=tuple(d2), ht=om_spec.ht)
-    A = build_biextension(om_spec)
-    B = build_biextension(big)
-    return f, A, B
-
-
-def _type_positions(spec: BiextensionSpec) -> dict[tuple[int, int], list[int]]:
-    pos: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(spec.coordinate_types):
-        pos.setdefault(t, []).append(i)
-    return pos

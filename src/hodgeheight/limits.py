@@ -312,10 +312,6 @@ class DeligneSystem:
     # eigenprojectors of Y' on the weights of W, read-only
     projectors: MappingProxyType = field(repr=False)
 
-    @property
-    def N0(self) -> np.ndarray:
-        return self.sl2[0]
-
 
 def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, np.ndarray]:
     """Bases (rows) of the nonzero eigenspaces of Y at the given integer eigenvalues."""

@@ -27,6 +27,7 @@ from .height import Orientation, OrientedMHS, height, height_biextension
 from .limits import NilpotentOrbit, limit_height
 from .linalg import Subspace
 from .mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
+from .variations import DILOG_W
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +40,9 @@ def dilog_fiber(s: complex, tol: float | None = None) -> OrientedMHS:
 
     The Hodge line is spanned by
         e0 = u0 + log(1-s)/(2 pi i) u1 - (log(1-s) log(s) + Li2(s)) u2
-    and the next level adds e1 = u1/(2 pi i) - log(s) u2.
+    and the next level adds e1 = u1/(2 pi i) - log(s) u2.  W is the
+    dilog variation's variations.DILOG_W, so every fiber shares its adapted
+    basis.
     """
     s = complex(s)
     if s in (0.0, 1.0) or s.imag == 0.0 and s.real in (0.0, 1.0):
@@ -56,12 +59,7 @@ def dilog_fiber(s: complex, tol: float | None = None) -> OrientedMHS:
         (-1, Subspace.from_rows([e0, e1], n, tol)),
         (-2, Subspace.full(n)),
     ], n)
-    W = weight_filtration([
-        (-4, Subspace.from_rows([[0, 0, 1]], n)),
-        (-2, Subspace.from_rows([[0, 1, 0], [0, 0, 1]], n)),
-        (0, Subspace.full(n)),
-    ], n)
-    return OrientedMHS(MixedHodgeStructure(W, F),
+    return OrientedMHS(MixedHodgeStructure(DILOG_W, F),
                        Orientation.of([1, 0, 0], [0, 0, 1]))
 
 
@@ -73,10 +71,6 @@ class DilogScenario:
     expected: float
     bigrading_ok: bool
     paths_agree: bool
-
-    @property
-    def height(self) -> float:
-        return self.height_general
 
 
 def scenario_dilog(s: complex, tol: float | None = None,
@@ -125,10 +119,6 @@ class OrbitScenario:
     fiber_height: float
     limit_height: float
     expected_fiber: float
-
-    @property
-    def s(self) -> complex:
-        return complex(np.exp(2j * pi * self.z))
 
 
 def scenario_orbit6iii(z: complex, tol: float | None = None) -> OrbitScenario:

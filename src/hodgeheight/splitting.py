@@ -48,14 +48,6 @@ def gl_hodge_components(B: DeligneBigrading, M: np.ndarray) -> dict[tuple[int, i
     return graded_parts(B.projectors, M)
 
 
-def component_support(components: dict[tuple[int, int], np.ndarray],
-                      tol: float | None = None) -> list[tuple[int, int]]:
-    """Keys of the components that are nonzero at the working tolerance."""
-    tol = default_tol() if tol is None else tol
-    scale = max([maxabs(m) for m in components.values()] + [1.0])
-    return sorted(k for k, m in components.items() if maxabs(m) > tol * scale)
-
-
 @dataclass(frozen=True)
 class Splitting:
     delta: np.ndarray                            # real in rational coordinates

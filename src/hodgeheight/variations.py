@@ -129,8 +129,11 @@ class LocalVariation:
 
 
 def fiber(v: LocalVariation, z, s, tol: float | None = None) -> MixedHodgeStructure:
-    """(exp(N(z)) exp(Gamma(s)) . F_inf, W); raises NotAnMHS outside the region
-    where the pair is a mixed Hodge structure."""
+    """(exp(N(z)) exp(Gamma(s)) . F_inf, W).  Raises MalformedFiltration when
+    the move leaves the steps of F without strictly decreasing dimensions (a
+    step loses rank at the working tolerance, as when |s| > 1 makes the
+    truncated Gamma series huge), and NotAnMHS outside the region where the
+    pair is a mixed Hodge structure."""
     tol = default_tol() if tol is None else tol
     G = expm_nilpotent(v.n_of(z))
     gm = v.gamma(s)
@@ -308,6 +311,17 @@ def random_hodge_tate(ranks, nil_count: int, seed: int) -> LocalVariation:
                           orientation=Orientation.of(top, bottom))
 
 
+# The weight filtration (0, -2, -4) of the dilog variation, on the flat
+# rational basis u0, u1, u2.  It is one object, shared by every dilog
+# variation and by scenarios.dilog_fiber, so all their fibers read one
+# adapted basis.
+DILOG_W = weight_filtration([
+    (-4, Subspace.from_rows(np.eye(3)[2:], 3)),
+    (-2, Subspace.from_rows(np.eye(3)[1:], 3)),
+    (0, Subspace.full(3)),
+], 3)
+
+
 def dilog_variation(degree: int = 60) -> LocalVariation:
     """The rank-3 variation in flat rational coordinates, with the holomorphic
     correction truncated to the given polynomial degree.
@@ -319,11 +333,6 @@ def dilog_variation(degree: int = 60) -> LocalVariation:
     n = 3
     N = np.zeros((n, n))
     N[2, 1] = -1.0
-    W = weight_filtration([
-        (-4, Subspace.from_rows([[0, 0, 1]], n)),
-        (-2, Subspace.from_rows([[0, 1, 0], [0, 0, 1]], n)),
-        (0, Subspace.full(n)),
-    ], n)
     F = hodge_filtration([
         (0, Subspace.from_rows([[1, 0, 0]], n)),
         (-1, Subspace.from_rows([[1, 0, 0], [0, 1, 0]], n)),
@@ -337,5 +346,5 @@ def dilog_variation(degree: int = 60) -> LocalVariation:
         mat[2, 0] = -1.0 / (k * k * tp * tp)   # -Li2(s) / (2 pi i)^2
         terms[(k,)] = mat
     gamma = GammaPoly.of(1, terms)
-    return LocalVariation(W=W, F_inf=F, nilpotents=(N,), gamma=gamma,
+    return LocalVariation(W=DILOG_W, F_inf=F, nilpotents=(N,), gamma=gamma,
                           orientation=Orientation.of([1, 0, 0], [0, 0, 1]))

@@ -11,7 +11,6 @@ import pytest
 from hodgeheight.biextension import (
     BiextensionSpec,
     build_biextension,
-    embed_into_padded,
     extract_invariants,
     random_spec,
     spec_allclose,
@@ -44,12 +43,10 @@ from hodgeheight.scenarios import (
     triangle_height_nine,
     triangle_height_six,
 )
-from hodgeheight.splitting import (
-    component_support,
-    deligne_delta,
-    lowering_morphisms,
-)
+from hodgeheight.splitting import deligne_delta, lowering_morphisms
 from hodgeheight.variations import check_asymptotics, random_hodge_tate
+
+from fixtures import component_support, embed_into_padded
 
 
 class Budget:

@@ -105,6 +105,37 @@ def test_weight_rows_serialize_as_leading_one_rationals():
     assert dumps(mhs_to_doc(parse_mhs(json.loads(dumps(mhs_to_doc(H)))))) == text
 
 
+def test_entry_parsers_take_numbers_and_reject_other_shapes():
+    from hodgeheight.errors import HodgeError
+    from hodgeheight.schemas import _parse_complex, _parse_rational
+
+    assert _parse_rational(3) == 3 and _parse_rational(2.0) == 2
+    assert _parse_complex(2) == 2 and _parse_complex("1/2") == 0.5
+    with pytest.raises(HodgeError, match="expected a rational entry"):
+        _parse_rational([1])
+    with pytest.raises(HodgeError, match="expected a complex entry"):
+        _parse_complex({"a": 1})
+
+
+def test_float_weight_rows_serialize_as_rationals():
+    # a float W row is written through its nearest small-denominator
+    # fraction; a row with an imaginary part has no rational form
+    from hodgeheight.errors import HodgeError
+    from hodgeheight.linalg import Subspace
+    from hodgeheight.mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
+
+    F = hodge_filtration([(0, Subspace.full(2))], 2)
+    for row, expected in (([1, 0.1], [["1", "1/10"]]), ([1, 0.1j], None)):
+        W = weight_filtration([(-2, Subspace.from_rows(np.array([row]), 2)),
+                               (0, Subspace.full(2))], 2)
+        H = MixedHodgeStructure(W, F)
+        if expected is None:
+            with pytest.raises(HodgeError, match="weight filtration must be rational"):
+                mhs_to_doc(H)
+        else:
+            assert mhs_to_doc(H)["weight_filtration"][0]["basis"] == expected
+
+
 def test_validate_command(dilog_file, tmp_path, capsys):
     assert main(["validate", dilog_file]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -148,6 +179,17 @@ def test_compute_limit_height_rejects_a_top_generator_in_w_minus_3(orbit_file, c
         fh.write(dumps(doc))
     assert main(["compute", orbit_file, "--what", "limit-height"]) == 1
     assert "top generator" in capsys.readouterr().err
+
+
+def test_limit_height_needs_an_oriented_orbit_file(dilog_file, orbit_file, capsys):
+    assert main(["compute", dilog_file, "--what", "limit-height"]) == 1
+    assert capsys.readouterr().err == "error: limit-height needs an orbit file\n"
+    doc = load(orbit_file)
+    del doc["orientation"]
+    with open(orbit_file, "w", encoding="utf-8") as fh:
+        fh.write(dumps(doc))
+    assert main(["compute", orbit_file, "--what", "limit-height"]) == 1
+    assert capsys.readouterr().err == "error: orbit file has no orientation\n"
 
 
 def test_scenario_commands(capsys):

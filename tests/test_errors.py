@@ -8,19 +8,28 @@ import pytest
 from hodgeheight.biextension import BiextensionSpec
 from hodgeheight.errors import (
     ConstructionFailed,
+    DimensionMismatch,
     HodgeError,
+    InfeasibleRanks,
     InvalidBlockType,
     MalformedFiltration,
     NotAMorphism,
     NotInjectiveOnEnds,
+    NotNilpotent,
     NotOriented,
 )
 from hodgeheight.height import Orientation, OrientedMHS, _check_oriented, check_functoriality
-from hodgeheight.limits import deligne_system_grading
+from hodgeheight.limits import NilpotentOrbit, deligne_system_grading
 from hodgeheight.linalg import Subspace
 from hodgeheight.mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
-from hodgeheight.variations import GammaPoly, LocalVariation, dilog_variation, random_hodge_tate
+from hodgeheight.variations import (
+    GammaPoly,
+    LocalVariation,
+    dilog_variation,
+    fiber,
+    random_hodge_tate,
+)
 
 
 def _span(*rows, n=3):
@@ -47,6 +56,19 @@ def _variation(v, **changed):
     fields = dict(W=v.W, F_inf=v.F_inf, nilpotents=v.nilpotents, gamma=v.gamma,
                   orientation=v.orientation)
     LocalVariation(**{**fields, **changed})
+
+
+def _cubic_orbit_with(N):
+    orbit = cubic_orbit()[0]
+    NilpotentOrbit(orbit.W, N, orbit.F_inf)
+
+
+def _e30():
+    # E_30 sends e0 (weight 0) to e3 (weight -6), so it lowers W, but it
+    # moves F^0 = <e0> outside F^-1 = <e0, e1>
+    N = np.zeros((4, 4))
+    N[3, 0] = 1.0
+    return N
 
 
 def _untame():
@@ -86,6 +108,9 @@ CASES = {
         [(0, Subspace(np.array([[1, 0, 0], [0, 1, 0], [0, 0, np.inf]], dtype=complex), 3,
                       [0, 1, 2]))], 3),
         MalformedFiltration, "step basis has an entry that is not finite"),
+    "w-bottom-zero": (lambda: weight_filtration(
+        [(-2, Subspace.zero(2)), (0, Subspace.full(2))], 2),
+        MalformedFiltration, "bottom jump of W must be nonzero"),
     "w-not-full": (lambda: weight_filtration([(0, _span(0))], 3),
                    MalformedFiltration, "weight filtration must top out at the full space"),
     "f-not-full": (lambda: hodge_filtration([(0, _span(0))], 3),
@@ -113,6 +138,16 @@ CASES = {
     "variation-gamma-variables": (lambda: _variation(dilog_variation(25), gamma=GammaPoly.zero(2)),
                                   HodgeError, "Gamma must have one variable per divisor"),
     "variation-untame": (_untame, HodgeError, "tameness divisibility s_j | [N_j, Gamma] fails"),
+    "variation-negative-nil-count": (lambda: random_hodge_tate((1, 2, 1), -1, 0),
+                                     InfeasibleRanks, "nil_count must be nonnegative"),
+    # |s| = 2 is far outside the disc of the degree-60 Gamma series, whose
+    # huge move collapses a step of F at the working tolerance
+    "fiber-collapses-f": (lambda: fiber(dilog_variation(), [0.3j], [2.0]),
+                          MalformedFiltration, "Hodge filtration steps must strictly decrease"),
+    "orbit-horizontality": (lambda: _cubic_orbit_with(_e30()), NotNilpotent,
+                            "N must shift the Hodge filtration by one (horizontality)"),
+    "ambient-mismatch": (lambda: Subspace.full(2).contains(Subspace.full(3)),
+                         DimensionMismatch, "ambient dimensions differ"),
     "grading-input": (lambda: deligne_system_grading(cubic_orbit()[0].W, cubic_orbit()[0].N,
                                                      np.zeros((4, 4))),
                       ConstructionFailed, "[Y, N] = -2N fails on the input"),

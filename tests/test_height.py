@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgeheight.biextension import build_biextension, embed_into_padded, random_spec
+from hodgeheight.biextension import build_biextension, random_spec
 from hodgeheight.dilog import bloch_wigner
 from hodgeheight.errors import (
     HodgeError,
@@ -29,6 +29,7 @@ from hodgeheight.linalg import Subspace, maxabs
 from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, lowering_morphisms
+from fixtures import embed_into_padded
 from test_lattice import _cases, _rational_gl
 from test_linalg import contains_vector
 

@@ -255,7 +255,8 @@ def test_morphism_preserves_components():
 
 
 def test_embedding_morphism_respects_bigrading(rng):
-    from hodgeheight.biextension import embed_into_padded, random_spec
+    from hodgeheight.biextension import random_spec
+    from fixtures import embed_into_padded
 
     spec = random_spec(rng)
     f, A, B = embed_into_padded(spec)
@@ -339,7 +340,8 @@ def _morphism_probes(rng):
     """(T, A, B): the padded embeddings of built biextensions, integer maps
     of a structure to itself and to its move by g, identities, and the
     identity plus 1e-4 times a map that swaps the ends of W."""
-    from hodgeheight.biextension import embed_into_padded, random_spec
+    from hodgeheight.biextension import random_spec
+    from fixtures import embed_into_padded
     from test_lattice import _moved, _rational_gl
 
     for _ in range(20):

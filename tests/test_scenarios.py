@@ -5,6 +5,7 @@ from hodgeheight.dilog import CATALAN, ZETA2, bloch_wigner
 from hodgeheight.errors import DegenerateTriangle, HodgeError
 from hodgeheight.scenarios import (
     TriangleData,
+    dilog_fiber,
     family_triangle,
     scenario_dilog,
     scenario_dim0,
@@ -14,12 +15,21 @@ from hodgeheight.scenarios import (
     triangle_height_nine,
     triangle_height_six,
 )
+from hodgeheight.variations import dilog_variation
 
 
 def test_dilog_scenario_real_parameter():
     r = scenario_dilog(0.5)
     assert r.height_general == pytest.approx(0.0, abs=1e-12)
     assert r.bigrading_ok and r.paths_agree
+
+
+def test_dilog_fibers_share_the_variation_weight_filtration():
+    # one W object, so every dilog fiber and variation reads one adapted basis
+    W = dilog_variation().W
+    assert dilog_fiber(0.3 + 0.2j).mhs.W is W and dilog_fiber(-2.0).mhs.W is W
+    assert dilog_variation(25).W is W
+    assert W.adapted_basis() is dilog_fiber(1j).mhs.W.adapted_basis()
 
 
 def test_dilog_scenario_catalan():

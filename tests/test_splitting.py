@@ -9,12 +9,9 @@ from hodgeheight.height import rescale_fiber
 from hodgeheight.linalg import graded_parts, logm_unipotent, maxabs
 from hodgeheight.mhs import dual
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
-from hodgeheight.splitting import (
-    component_support,
-    deligne_delta,
-    gl_hodge_components,
-    lowering_morphisms,
-)
+from hodgeheight.splitting import deligne_delta, gl_hodge_components, lowering_morphisms
+
+from fixtures import component_support, embed_into_padded
 
 
 def test_components_resolve_random_matrix(rng):
@@ -133,7 +130,6 @@ def test_rescale_lemma_on_cubic_orbit_limit():
     orbit, orient = cubic_orbit()
     from hodgeheight.height import OrientedMHS
     from hodgeheight.limits import limit_mhs
-    from hodgeheight.splitting import component_support
 
     H = limit_mhs(orbit)
     om = OrientedMHS(H, orient)
@@ -155,8 +151,6 @@ def test_dual_splitting_is_minus_transpose(rng):
 
 
 def test_morphism_equivariance(rng):
-    from hodgeheight.biextension import embed_into_padded
-
     for _ in range(6):
         spec = random_spec(rng)
         f, A, B = embed_into_padded(spec, extra=1)
