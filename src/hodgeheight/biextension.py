@@ -22,7 +22,7 @@ from .config import default_tol
 from .errors import InvalidBlockType, NotGeneralizedBiextension
 from .height import Orientation, OrientedMHS, _coefficient_against_bottom, height
 from .linalg import Subspace, expm_nilpotent, maxabs
-from .mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
+from .mhs import Filtration, MixedHodgeStructure
 from .splitting import deligne_delta
 
 MiddleType = tuple[tuple[int, int], int]  # ((p, q) with p >= q, multiplicity)
@@ -117,13 +117,14 @@ def build_biextension(spec: BiextensionSpec) -> OrientedMHS:
                 x, y = G[:, col], G[:, col + 1]
                 pieces += [(p, x + 1j * y), (q, x - 1j * y)]
                 col += 2
-    F = hodge_filtration(
+    # F^p is spanned by a superset of F^(p+1)'s vectors, W by nested coordinate rows
+    F = Filtration._nested(
         [(lev, Subspace.from_rows(np.array([v for p, v in pieces if p >= lev]), n))
-         for lev in sorted({p for p, _ in pieces})], n)
+         for lev in sorted({p for p, _ in pieces})], False, n)
     eye = np.eye(n)
-    W = weight_filtration([(two_c, Subspace.from_rows(eye[n - 1:], n)),
-                           (b, Subspace.from_rows(eye[1:], n)),
-                           (two_a, Subspace.full(n))], n)
+    W = Filtration._nested([(two_c, Subspace.from_rows(eye[n - 1:], n)),
+                            (b, Subspace.from_rows(eye[1:], n)),
+                            (two_a, Subspace.full(n))], True, n)
     return OrientedMHS(MixedHodgeStructure(W, F), Orientation.of(eye[0], eye[n - 1]))
 
 

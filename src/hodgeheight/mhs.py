@@ -26,7 +26,9 @@ pivot >= d are zero.  F^p cap W_k is thus the span of the rows with pivot
 < dim W_k, mapped back by T, and its dimension is that count, read without
 a rank decision.  An exact F^p against an exact W stays exact, since T and
 T^-1 are then kept over Q.  Those counts give the Hodge numbers h^{a,b} of
-Gr^W_{a+b}, and only the pieces with h^{a,b} != 0 are built.
+Gr^W_{a+b}, and only the pieces with h^{a,b} != 0 are built.  A piece with
+h^{a,b} = dim F^a cap W_{a+b}, as every piece of a Hodge-Tate structure, is
+that space itself: no sum, conjugate or intersection.
 
 Validation checks that statement in two stages.  First the candidates must
 form a direct sum: their dimensions add to n and their stacked bases have
@@ -40,14 +42,14 @@ dimensions, so the F- and W-axioms reduce to the dimension equalities
 This is the bigrading of Deligne's splitting lemma (Cattani-Kaplan-Schmid,
 Degeneration of Hodge structures, Ann. Math. 1986, section 2), whose pieces
 have dim I^{a,b} = h^{a,b}.  Pieces inside F^a cap W_{a+b} that pass all
-checks are that bigrading, which is unique, so skipping the pieces with
-h^{a,b} = 0 loses nothing on a mixed Hodge structure and lets no other pair
-pass.  The
-conjugation axiom, conj I^{a,b} inside I^{b,a} + sum_{x<b, y<a} I^{x,y}, is
-one residual per piece, ||(1 - P_target) conj(B)^T||_max <= tol * max(1,
-||B||_max) for the echelon basis B of the piece, with P_target the sum of
-the direct-sum projectors onto the target pieces.  The residual is linear
-in B, so the bound scales with the entries of the basis, as the pivot
+checks are that bigrading, which is unique.  So skipping the pieces with
+h^{a,b} = 0, and taking F^a cap W_{a+b} whole where its dimension is
+h^{a,b}, loses nothing on a mixed Hodge structure and lets no other pair
+pass.  The conjugation axiom, conj I^{a,b} inside I^{b,a} + sum_{x<b, y<a}
+I^{x,y}, is one residual per piece, ||(1 - P_target) conj(B)^T||_max <= tol
+* max(1, ||B||_max) for the echelon basis B of the piece, with P_target the
+sum of the direct-sum projectors onto the target pieces.  The residual is
+linear in B, so the bound scales with the entries of the basis, as the pivot
 threshold of linalg.rref_float scales with the entries of its matrix.
 
 A MixedHodgeStructure is immutable: W and F are fixed at construction.  It
@@ -155,12 +157,18 @@ class Filtration:
         return Filtration([(k + by, s) for k, s in self.steps], self.increasing,
                           self.ambient_dim)
 
+    @classmethod
+    def _nested(cls, steps, increasing: bool, ambient_dim: int) -> "Filtration":
+        """Steps that nest by construction: every check of __init__ but nesting."""
+        filt = cls.__new__(cls)
+        filt._settle(steps, increasing, ambient_dim)
+        return filt
+
     def map_spaces(self, fn) -> "Filtration":
         """The steps moved by fn, a (conjugate-)linear map such as image_under,
         lift or conj, which keeps each step inside the next."""
-        moved = Filtration.__new__(Filtration)
-        moved._settle([(k, fn(s)) for k, s in self.steps], self.increasing, self.ambient_dim)
-        return moved
+        return Filtration._nested([(k, fn(s)) for k, s in self.steps], self.increasing,
+                                  self.ambient_dim)
 
     def __repr__(self) -> str:
         kind = "W" if self.increasing else "F"
@@ -267,7 +275,8 @@ class MixedHodgeStructure:
         adapted basis of W (AdaptedBasis.meet), and its dimension is the
         count of rows with pivot < dim W_k, so the Hodge numbers h^{a,b} =
         dim F^a Gr_k - dim F^{a+1} Gr_k, k = a + b, take no rank decision;
-        they are 0 unless F jumps at a and W at k."""
+        they are 0 unless F jumps at a and W at k.  A piece whose h^{a,b} is
+        dim F^a cap W_k is F^a cap W_k; any other is Deligne's formula."""
         n = self.dim
         pmin, pmax = min(self.levels), max(self.levels)
         weights = self.weights
@@ -301,14 +310,18 @@ class MixedHodgeStructure:
         for a in self.levels:
             for b in range(pmin, pmax + 1):
                 k = a + b
-                if k not in weights or (dim_FW(a, k) - dim_FW(a, k - 1)
-                                        == dim_FW(a + 1, k) - dim_FW(a + 1, k - 1)):
+                if k not in weights:
                     continue
-                # W is real, so conj(F^b) cap W_k = conj(F^b cap W_k)
-                rhs = FW(b, k).add(U(b - 1, k - 2), tol).conj()
-                piece = FW(a, k).intersect(rhs, tol)
-                if piece.dim > 0:
-                    comps[(a, b)] = piece
+                h = dim_FW(a, k) - dim_FW(a, k - 1) - dim_FW(a + 1, k) + dim_FW(a + 1, k - 1)
+                if h and dim_FW(a, k) == h:
+                    # I^{a,b} lies in F^a cap W_k and has dimension h^{a,b}
+                    comps[(a, b)] = FW(a, k)
+                elif h:
+                    # W is real, so conj(F^b) cap W_k = conj(F^b cap W_k)
+                    rhs = FW(b, k).add(U(b - 1, k - 2), tol).conj()
+                    piece = FW(a, k).intersect(rhs, tol)
+                    if piece.dim > 0:
+                        comps[(a, b)] = piece
         return comps
 
     def validate(self, tol: float | None = None) -> ValidationReport:

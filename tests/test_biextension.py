@@ -14,7 +14,7 @@ from hodgeheight.biextension import (
 from hodgeheight.errors import InvalidBlockType, NotGeneralizedBiextension
 from hodgeheight.height import dual_oriented, height, height_biextension, rescale_fiber, top_lift
 from hodgeheight.linalg import Subspace
-from hodgeheight.mhs import Filtration, validate
+from hodgeheight.mhs import Filtration, hodge_filtration, validate
 from hodgeheight.splitting import deligne_delta
 
 
@@ -233,3 +233,18 @@ def test_build_and_extract_take_the_one_pass_route(rng, monkeypatch):
     rescale_fiber(om, np.zeros((om.mhs.dim, om.mhs.dim)), 1.0)
     assert [len(c) for c in calls[:3]] == [1, 1, 1]
     assert len(calls[3]) == len(om.mhs.F.steps)
+
+
+def test_build_biextension_makes_no_nesting_check(rng, monkeypatch):
+    # each F^p is spanned by a superset of the vectors of F^(p+1), and W is
+    # made of coordinate steps, so both nest by construction
+    calls = _count_calls(monkeypatch, Subspace, "contains")
+    specs = [random_spec(rng) for _ in range(8)]
+    specs.append(BiextensionSpec(weights=(2, -1, -4), middle=(((0, -1), 1),),
+                                 delta1=(0.3, -0.7), delta2=(0.5, 0.2), ht=0.4))
+    for spec in specs:
+        om = build_biextension(spec)
+    assert not calls
+    # the wrapper is live: the public constructor checks the nesting
+    hodge_filtration(om.mhs.F.steps, om.mhs.dim)
+    assert len(calls) == len(om.mhs.F.steps) - 1

@@ -3,7 +3,7 @@ validation by dimension counts against validation by spans."""
 import numpy as np
 import pytest
 
-from hodgeheight.biextension import build_biextension, random_spec
+from hodgeheight.biextension import BiextensionSpec, build_biextension, random_spec
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight import mhs
 from hodgeheight.limits import NilpotentOrbit, limit_mhs
@@ -55,6 +55,14 @@ def reference_component_candidates(H: MixedHodgeStructure, tol: float):
     """The memoized lattice before it skipped pieces: every (a, b) in range
     builds its right-hand side and its final intersection, and only the
     pieces of dimension 0 are dropped."""
+    return _reference_lattice(H, tol)[0]
+
+
+def _reference_lattice(H: MixedHodgeStructure, tol: float):
+    """The full-loop pieces of reference_component_candidates, with its
+    F^p cap W_k reader FW and the keys whose Hodge number h^{a,b} is
+    nonzero and equals dim F^a cap W_{a+b}, where the lattice takes
+    F^a cap W_{a+b} itself as the piece."""
     n = H.dim
     pmin, pmax = min(H.levels), max(H.levels)
     wmin, wmax = min(H.weights), max(H.weights)
@@ -91,7 +99,13 @@ def reference_component_candidates(H: MixedHodgeStructure, tol: float):
             piece = FW(a, k).intersect(rhs, tol)
             if piece.dim > 0:
                 comps[(a, b)] = piece
-    return comps
+    shortcut = set()
+    for a in range(pmin, pmax + 1):
+        for k in H.weights:
+            h = FW(a, k).dim - FW(a, k - 1).dim - FW(a + 1, k).dim + FW(a + 1, k - 1).dim
+            if h and FW(a, k).dim == h:
+                shortcut.add((a, k - a))
+    return comps, FW, shortcut
 
 
 def _rational_gl(n: int, rng) -> np.ndarray:
@@ -170,10 +184,16 @@ def test_memoized_lattice_matches_reference(build):
 
 
 def _assert_nonzero_reference_pieces(H: MixedHodgeStructure) -> None:
+    # a piece whose Hodge number is dim F^a cap W_{a+b} is that space, bit
+    # for bit, and equal to the full-loop piece; every other piece is the
+    # full-loop piece bit for bit
     got = H._component_candidates(TOL)
-    want = reference_component_candidates(H, TOL)
+    want, FW, shortcut = _reference_lattice(H, TOL)
     assert sorted(got) == sorted(want)
     for key, piece in want.items():
+        if key in shortcut:
+            assert got[key].equals(piece, TOL), key
+            piece = FW(key[0], sum(key))
         assert np.array_equal(got[key].basis, piece.basis), key
         assert got[key].pivots == piece.pivots and got[key].exact == piece.exact, key
 
@@ -207,8 +227,9 @@ def test_lattice_builds_the_nonzero_pieces_on_random_structures():
         _assert_nonzero_reference_pieces(_moved(H, _rational_gl(H.dim, rng)))
 
 
-def test_hodge_tate_lattice_intersects_only_the_diagonal(monkeypatch):
-    # the (1,2,2,1) fiber has Hodge numbers h^{p,p} = 1, 2, 2, 1 and no other
+def test_hodge_tate_lattice_makes_no_intersect(monkeypatch):
+    # the (1,2,2,1) fiber has Hodge numbers h^{p,p} = 1, 2, 2, 1 and no other,
+    # and dim F^p cap W_2p = h^{p,p}, so each piece is F^p cap W_2p itself
     meets = []
     intersect = Subspace.intersect
 
@@ -222,7 +243,7 @@ def test_hodge_tate_lattice_intersects_only_the_diagonal(monkeypatch):
     comps = H._component_candidates(TOL)
     assert sorted(comps) == [(p, p) for p in range(-3, 1)]
     assert [comps[(p, p)].dim for p in range(0, -4, -1)] == [1, 2, 2, 1]
-    assert len(meets) == 4
+    assert not meets
 
 
 def test_lattice_built_once_per_tolerance(monkeypatch):
@@ -279,17 +300,26 @@ def test_lattice_reads_f_cap_w_off_one_adapted_basis(monkeypatch):
 
     monkeypatch.setattr(mhs, "AdaptedBasis", counted_basis)
     monkeypatch.setattr(Subspace, "intersect", counted_intersect)
+    # the lower member (-1, 0) of the pair type of this biextension is the
+    # one piece built by an intersection; the Hodge-Tate fiber makes none
+    spec = BiextensionSpec(weights=(2, -1, -4), middle=(((0, -1), 1),),
+                           delta1=(0.3, -0.7), delta2=(0.5, 0.2), ht=0.4)
     v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
-    H = fiber(v, [2j], [np.exp(-4 * np.pi)])
-    assert len(builds) == 1 and meets
-    fsteps, wsteps = [s for _, s in H.F.steps], [s for _, s in H.W.steps]
-    for pair in meets:
-        assert not (any(x is s for x in pair for s in fsteps)
-                    and any(x is s for x in pair for s in wsteps)), pair
+    built = (build_biextension(spec).mhs, fiber(v, [2j], [np.exp(-4 * np.pi)]))
+    for built_H, intersections in zip(built, (1, 0)):
+        H = MixedHodgeStructure(built_H.W, built_H.F)
+        meets.clear()
+        assert H.validate(TOL).ok
+        fsteps, wsteps = [s for _, s in H.F.steps], [s for _, s in H.W.steps]
+        for pair in meets:
+            assert not (any(x is s for x in pair for s in fsteps)
+                        and any(x is s for x in pair for s in wsteps)), pair
+        assert len(meets) == intersections
+    assert len(builds) == 2
     for y in (1.0, 3.0, 5.0):
         fiber(v, [1j * y], [np.exp(-2 * np.pi * y)])
     check_asymptotics(v, [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 3.0)])
-    assert len(builds) == 1
+    assert len(builds) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +479,18 @@ def test_validate_agrees_with_span_reference_on_breakages():
     assert moved and swapped and relabelled and conj
 
 
+def _real_pair_piece(H: MixedHodgeStructure, B, key) -> MixedHodgeStructure:
+    """(W, F') where F' holds the real part of the basis of I^{p,q}, p > q,
+    in place of the piece: Gr^W_{p+q} is then no Hodge structure, while
+    dim F'^p cap W_{p+q} = h^{p,q} still holds."""
+    steps = []
+    for p in sorted({a for a, _ in B.components}):
+        rows = [B.components[k].basis.real if k == key else B.components[k].basis
+                for k in B.components if k[0] >= p]
+        steps.append((p, Subspace.from_rows(np.vstack(rows), H.dim, TOL)))
+    return MixedHodgeStructure(H.W, hodge_filtration(steps, H.dim))
+
+
 def _full_loop_verdict(H: MixedHodgeStructure) -> bool:
     G = MixedHodgeStructure(H.W, H.F)
     G._component_candidates = lambda tol: reference_component_candidates(G, tol)
@@ -457,8 +499,9 @@ def _full_loop_verdict(H: MixedHodgeStructure) -> bool:
 
 def test_skipped_pieces_keep_the_verdict_on_breakages():
     # a structure that is not a mixed Hodge structure still fails when only
-    # the pieces with a nonzero Hodge number are built
-    broken = 0
+    # the pieces with a nonzero Hodge number are built, and when a piece is
+    # taken as F^a cap W_{a+b} because its Hodge number is that dimension
+    broken = real_pairs = 0
     for name, H, B in _valid_structures():
         breakages = [_moved_piece(H, B, key) for key in B.components
                      if key[0] > min(H.levels)]
@@ -467,7 +510,15 @@ def test_skipped_pieces_keep_the_verdict_on_breakages():
             ok = G.validate(TOL).ok
             assert ok == _full_loop_verdict(G), name
             broken += not ok
-    assert broken
+        for key in [(p, q) for p, q in B.components if p > q]:
+            G = _real_pair_piece(H, B, key)
+            _, FW, shortcut = _reference_lattice(G, TOL)
+            assert key in shortcut, (name, key)
+            assert G._component_candidates(TOL)[key].equals(FW(key[0], sum(key)), TOL)
+            assert not G.validate(TOL).ok, (name, key)
+            assert not _full_loop_verdict(G), (name, key)
+            real_pairs += 1
+    assert broken and real_pairs
 
 
 def test_projectors_built_once_per_tolerance(monkeypatch):
