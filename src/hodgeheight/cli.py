@@ -5,15 +5,15 @@
     hodgeheight scenario NAME [params] [--format {json,csv}]
     hodgeheight sweep FILE --z-start Z --z-end Z --count N
 
-Global flags, before or after the subcommand: --tol, --precision, --out.
+Global flags, before or after the subcommand: --tol, --out.
 
 Exit codes, mapped once in main: 0 success; 1 for any HodgeError (a
 structure that fails an axiom, a document that lacks a key or holds a
 malformed entry, a file of the wrong kind); 2 for NoConvergence, a numerical
 tolerance failure; 3 for a file that is missing, unreadable or not JSON.
 Bad arguments, including a malformed number for a complex parameter, a --tol
-(or HODGE_TOL) that is not a finite positive number and a --precision below
-53, are usage errors: argparse prints the usage and exits with status 2.
+(or HODGE_TOL) that is not a finite positive number and a --count below 1,
+are usage errors: argparse prints the usage and exits with status 2.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .schemas import (
 )
 from .splitting import deligne_delta
 from . import scenarios
-from .variations import check_asymptotics, oriented_fiber
+from .variations import check_asymptotics, height_sweep, oriented_fiber
 
 OK, FAIL, NUMERICAL, IOERR = 0, 1, 2, 3
 
@@ -122,7 +122,7 @@ def _scenario_rows(name: str, args) -> tuple[list[tuple[str, float, float]], boo
     """Rows of (label, computed, expected); second value reports overall pass."""
     tol = args.tol
     if name == "dilog":
-        r = scenarios.scenario_dilog(args.s, tol, precision_bits=args.precision)
+        r = scenarios.scenario_dilog(args.s, tol)
         rows = [("height_general", r.height_general, r.expected),
                 ("height_biextension", r.height_biextension, r.expected)]
         return rows, r.bigrading_ok and all(abs(c - e) <= 1e-9 for _, c, e in rows)
@@ -132,7 +132,7 @@ def _scenario_rows(name: str, args) -> tuple[list[tuple[str, float, float]], boo
                 ("limit_height", r.limit_height, 0.0)]
         return rows, all(abs(c - e) <= 1e-9 for _, c, e in rows)
     if name == "family":
-        r = scenarios.scenario_family(args.t, tol, precision_bits=args.precision)
+        r = scenarios.scenario_family(args.t, tol)
         rows = [("height", r.height, r.reduced_form),
                 ("closed_form", r.closed_form, r.reduced_form)]
         ok = all(abs(c - e) <= 1e-9 for _, c, e in rows)
@@ -198,9 +198,7 @@ def cmd_sweep(args) -> int:
             for p in report.points:
                 rows.append((complex(p.z[0]).imag, p.height, p.identity_residual))
         else:
-            for zz, ss in pts:
-                h = height(oriented_fiber(v, zz, ss, args.tol), args.tol)
-                rows.append((complex(zz[0]).imag, h, float("nan")))
+            rows.extend((p, h, float("nan")) for p, h in height_sweep(v, pts, args.tol))
     else:
         raise HodgeError("sweep needs an orbit or variation file")
     buf = io.StringIO()
@@ -212,14 +210,19 @@ def cmd_sweep(args) -> int:
     return OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
     ap.add_argument("--tol", type=float, default=default(None),
                     help="comparison tolerance, finite and positive")
-    ap.add_argument("--precision", type=int, default=default(53),
-                    help="working precision in bits, at least 53")
     ap.add_argument("--out", default=default(None),
                     help="write output to a file instead of stdout")
 
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--z-start", type=complex, default=0.5j)
     p.add_argument("--z-end", type=complex, default=5j)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_positive_int, default=10)
     p.set_defaults(func=cmd_sweep)
     return ap
 
@@ -282,8 +285,6 @@ def main(argv=None) -> int:
         ap.error(str(exc))
     if not (math.isfinite(args.tol) and args.tol > 0):
         ap.error(f"the tolerance must be finite and positive, got {args.tol}")
-    if args.precision < 53:
-        ap.error(f"--precision must be at least 53 bits, got {args.precision}")
     try:
         return args.func(args)
     except NoConvergence as exc:

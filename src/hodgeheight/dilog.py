@@ -9,10 +9,8 @@ whose convergence radius 2*pi comfortably covers that region.
 bloch_wigner is Im(li2) + arg(1-z) log|z|, continuous on the whole Riemann
 sphere and vanishing at 0, 1, infinity and on the real axis.
 
-Requesting more than 53 bits routes the evaluation through mpmath at the
-corresponding working precision (the limit linear algebra elsewhere stays in
-doubles); mpmath is imported only then, so importing the package does not
-load it.
+Both evaluate in doubles; the tests check them against a high-precision
+mpmath oracle (tests/fixtures.py).
 """
 from __future__ import annotations
 
@@ -23,7 +21,6 @@ from math import atan2, comb, log, pi
 import cmath
 
 ZETA2 = pi * pi / 6
-CATALAN = 0.915965594177219015054603514932384110774
 
 
 def _bernoulli(count: int) -> list[float]:
@@ -68,12 +65,10 @@ def _li2_core(z: complex) -> complex:
     return total
 
 
-def li2(z: complex, precision_bits: int = 53) -> BranchedValue:
+def li2(z: complex) -> BranchedValue:
     """Principal-branch dilogarithm with the cut along [1, inf)."""
     z = complex(z)
     on_cut = z.imag == 0.0 and z.real >= 1.0
-    if precision_bits > 53:
-        return BranchedValue(_li2_mp(z, precision_bits), on_cut)
     if z == 0:
         return BranchedValue(0.0 + 0.0j, False)
     if z == 1:
@@ -91,20 +86,7 @@ def li2(z: complex, precision_bits: int = 53) -> BranchedValue:
     return BranchedValue(sign * _li2_core(z) + extra, on_cut)
 
 
-def _li2_mp(z: complex, precision_bits: int) -> complex:
-    """mpmath evaluation; the principal branch matches ours off the cut.  On
-    the cut [1, inf) the arg = -pi convention picks the limit from above."""
-    import mpmath  # imported on first use: only precision above 53 bits needs it
-
-    with mpmath.workprec(precision_bits + 10):
-        w = mpmath.mpc(z.real, z.imag)
-        if z.imag == 0.0 and z.real > 1.0:
-            w = mpmath.mpc(z.real, abs(mpmath.mpf(2) ** (-precision_bits - 5)))
-        val = mpmath.polylog(2, w)
-        return complex(val)
-
-
-def bloch_wigner(z, precision_bits: int = 53) -> float:
+def bloch_wigner(z) -> float:
     """The single-valued dilogarithm Im(Li2) + arg(1-z) log|z|.
 
     Accepts a complex number, float('inf') or the string "inf" for the point
@@ -119,13 +101,5 @@ def bloch_wigner(z, precision_bits: int = 53) -> float:
         return 0.0
     if z.imag == 0.0:
         return 0.0
-    if precision_bits > 53:
-        import mpmath
-
-        with mpmath.workprec(precision_bits + 10):
-            w = mpmath.mpc(z.real, z.imag)
-            val = mpmath.im(mpmath.polylog(2, w)) + \
-                mpmath.arg(1 - w) * mpmath.log(abs(w))
-            return float(val)
     value = li2(z).value.imag + principal_arg(1.0 - z) * log(abs(z))
     return float(value)

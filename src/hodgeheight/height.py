@@ -36,8 +36,8 @@ from .errors import (
     NotOriented,
     ZeroBottomPairing,
 )
-from .linalg import expm_nilpotent, maxabs
-from .mhs import Filtration, MixedHodgeStructure, conjugate, dual, is_morphism
+from .linalg import maxabs
+from .mhs import Filtration, MixedHodgeStructure, is_morphism
 from .splitting import deligne_delta
 
 
@@ -193,44 +193,3 @@ def check_functoriality(f: np.ndarray, A: OrientedMHS, B: OrientedMHS,
     return FunctorialityReport(d_max=d_max, d_min=d_min, height_a=ht_a, height_b=ht_b,
                                residual=abs(ht_a * d_min - ht_b * d_max))
 
-
-# ---------------------------------------------------------------------------
-# oriented functorial constructions
-
-
-def dual_oriented(om: OrientedMHS, tol: float | None = None) -> OrientedMHS:
-    """Dual structure with the pairing-normalized orientation
-    <1_H, 1_H*^vee> = 1 and <1_H^vee, 1_H*> = 1, under which Ht flips sign."""
-    tol = default_tol() if tol is None else tol
-    H = om.mhs
-    _check_oriented(H.W, om.orientation, tol)
-    Hd = dual(H, tol)
-    # top generator of the dual: a functional taking value 1 on the bottom
-    bottom = om.orientation.bottom
-    lam = np.conj(bottom) / np.vdot(bottom, bottom)
-    # bottom generator of the dual: the annihilator line of W_{max-1}, the last
-    # column of T^-1 (T the adapted basis of W), taking value 1 on the top generator
-    mu = H.W.adapted_basis().inverse[:, -1]
-    mu = mu / (om.orientation.top @ mu)
-    return OrientedMHS(Hd, Orientation.of(lam, mu))
-
-
-def conjugate_oriented(om: OrientedMHS) -> OrientedMHS:
-    """Conjugate the structure the way a real form acts on everything at once:
-    F is conjugated entrywise and the graded end generators pick up the signs
-    (-1)^(max/2) and (-1)^(min/2) of the canonical rank-one generators.  With
-    this convention Ht multiplies by (-1)^(length/2 + 1); keeping the rational
-    generators fixed instead always flips the sign."""
-    H = conjugate(om.mhs)
-    smax = (-1) ** ((max(om.mhs.weights) // 2) % 2)
-    smin = (-1) ** ((min(om.mhs.weights) // 2) % 2)
-    return OrientedMHS(H, Orientation.of(smax * om.orientation.top,
-                                         smin * om.orientation.bottom))
-
-
-def rescale_fiber(om: OrientedMHS, N: np.ndarray, t: complex,
-                  tol: float | None = None) -> OrientedMHS:
-    """(exp(tN) . F, W) with the same orientation, for a lowering morphism N."""
-    G = expm_nilpotent(complex(t) * np.asarray(N, dtype=complex))
-    F = om.mhs.F.map_spaces(lambda s: s.image_under(G, tol))
-    return OrientedMHS(MixedHodgeStructure(om.mhs.W, F), om.orientation)

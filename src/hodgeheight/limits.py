@@ -486,8 +486,10 @@ class NilpotentOrbit:
         G = expm_nilpotent(complex(z) * self.N)
         F = self.F_inf.map_spaces(lambda s: s.image_under(G, tol))
         H = MixedHodgeStructure(self.W, F)
-        if not H.validate(tol).ok:
-            raise NotAnMHS(f"orbit fiber at z = {z} is not a mixed Hodge structure")
+        report = H.validate(tol)
+        if not report.ok:
+            raise NotAnMHS(f"orbit fiber at z = {z} is not a mixed Hodge structure: "
+                           + "; ".join(report.failures))
         return H
 
 

@@ -73,16 +73,14 @@ class DilogScenario:
     paths_agree: bool
 
 
-def scenario_dilog(s: complex, tol: float | None = None,
-                   precision_bits: int = 53) -> DilogScenario:
-    """Height of the dilog fiber two ways; both must equal -D2(s), with the
-    reference value evaluated at the requested precision."""
+def scenario_dilog(s: complex, tol: float | None = None) -> DilogScenario:
+    """Height of the dilog fiber two ways; both must equal -D2(s)."""
     tol = default_tol() if tol is None else tol
     om = dilog_fiber(s, tol)
     report = om.mhs.validate(tol)
     h1 = height(om, tol)
     h2 = height_biextension(om, tol)
-    expected = -bloch_wigner(s, precision_bits)
+    expected = -bloch_wigner(s)
     return DilogScenario(s=complex(s), height_general=h1, height_biextension=h2,
                          expected=expected, bigrading_ok=report.ok,
                          paths_agree=abs(h1 - h2) <= 1e-10)
@@ -303,8 +301,7 @@ def family_triangle(t: complex) -> TriangleData:
     return TriangleData(a=(1, t, 1), b=(1, 1, t), c=(t, 1, 1))
 
 
-def scenario_family(t: complex, tol: float | None = None,
-                    precision_bits: int = 53) -> FamilyScenario:
+def scenario_family(t: complex, tol: float | None = None) -> FamilyScenario:
     """Height of the family triangle at t: equals both
     3 (2 D2(t) + D2(t^-2)) / (2 pi i)^2 and D2(-t) / (4 zeta(2)); the
     limit_values sample approaches to the degenerate parameters."""
@@ -312,9 +309,8 @@ def scenario_family(t: complex, tol: float | None = None,
     if t == 0 or t in _FAMILY_EXCLUDED or t.imag == 0 and t.real in _FAMILY_EXCLUDED:
         raise DegenerateTriangle(f"family parameter t = {t} is excluded")
     ht = triangle_height_nine(family_triangle(t))
-    closed = (2 * bloch_wigner(t, precision_bits)
-              + bloch_wigner(t ** -2, precision_bits)) * 3 / -(4 * pi ** 2)
-    reduced = bloch_wigner(-t, precision_bits) / (4 * ZETA2)
+    closed = (2 * bloch_wigner(t) + bloch_wigner(t ** -2)) * 3 / -(4 * pi ** 2)
+    reduced = bloch_wigner(-t) / (4 * ZETA2)
     limits = {}
     for p in _FAMILY_EXCLUDED:
         tt = p + 1e-6 * complex(0.6, 0.8)

@@ -13,7 +13,6 @@ import cmath
 import functools
 import json
 from fractions import Fraction
-from typing import Any
 
 import numpy as np
 
@@ -72,11 +71,6 @@ def _rational_matrix(rows) -> list[list[Fraction]]:
 
 def _complex_matrix(rows) -> np.ndarray:
     return np.array([[_parse_complex(x) for x in row] for row in rows], dtype=complex)
-
-
-def _dump_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _filtrations(doc: dict, hodge_key: str) -> tuple[Filtration, Filtration]:
@@ -149,48 +143,6 @@ def detect_kind(doc: dict) -> str:
 def load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def mhs_to_doc(H: MixedHodgeStructure, orientation: Orientation | None = None) -> dict:
-    doc: dict[str, Any] = {
-        "dimension": H.dim,
-        "weight_filtration": [
-            {"weight": k,
-             "basis": [[_rat_str(x) for x in row] for row in _exact_rows(s)]}
-            for k, s in H.W.steps
-        ],
-        "hodge_filtration": [
-            {"level": p, "basis": [[_dump_complex(x) for x in row] for row in s.basis]}
-            for p, s in H.F.steps
-        ],
-    }
-    if orientation is not None:
-        doc["orientation"] = {
-            "top": [_rat_str(x) for x in np.real(orientation.top)],
-            "bottom": [_rat_str(x) for x in np.real(orientation.bottom)],
-        }
-    return doc
-
-
-def _exact_rows(s: Subspace):
-    if s.is_exact():
-        # the leading-one rows: each int row over its pivot entry
-        return [[Fraction(x, row[p]) for x in row] for row, p in zip(s.exact, s.pivots)]
-    if np.abs(np.imag(s.basis)).max(initial=0.0) > 0:
-        raise HodgeError("weight filtration must be rational to serialize")
-    return [[Fraction(float(x)).limit_denominator(10 ** 12) for x in row]
-            for row in np.real(s.basis)]
-
-
-def _rat_str(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    f = Fraction(float(x)).limit_denominator(10 ** 12)
-    return str(f)
 
 
 def dumps(doc: dict) -> str:

@@ -1,16 +1,51 @@
-"""Seeded structures and helpers that only the tests use.
+"""Seeded structures, oracles and helpers that only the tests use.
 
 embed_into_padded builds a biextension together with its inclusion into the
 same build with extra split middle coordinates; component_support names the
-Hodge components of a splitting that are nonzero.  The generators that the
+Hodge components of a splitting that are nonzero.  dual_oriented,
+conjugate_oriented and rescale_fiber are the oriented functorial
+constructions the height identities are checked on; mhs_to_doc writes a
+structure document that the parsers read back.  mp_li2 and mp_bloch_wigner
+evaluate the dilogarithm with mpmath at a chosen working precision, the
+oracle for the double-precision hodgeheight.dilog.  The generators that the
 benchmark also draws from (random_spec, random_deligne_system,
 random_hodge_tate) stay in the library.
 """
+from fractions import Fraction
+from typing import Any
+
+import mpmath
 import numpy as np
 
 from hodgeheight.biextension import BiextensionSpec, _mdim, build_biextension
 from hodgeheight.config import default_tol
-from hodgeheight.linalg import maxabs
+from hodgeheight.errors import HodgeError
+from hodgeheight.height import Orientation, OrientedMHS, _check_oriented
+from hodgeheight.linalg import Subspace, expm_nilpotent, maxabs
+from hodgeheight.mhs import MixedHodgeStructure, conjugate, dual
+
+CATALAN = 0.915965594177219015054603514932384110774
+
+
+def mp_li2(z: complex, precision_bits: int) -> complex:
+    """mpmath evaluation; the principal branch matches ours off the cut.  On
+    the cut [1, inf) the arg = -pi convention picks the limit from above."""
+    with mpmath.workprec(precision_bits + 10):
+        w = mpmath.mpc(z.real, z.imag)
+        if z.imag == 0.0 and z.real > 1.0:
+            w = mpmath.mpc(z.real, abs(mpmath.mpf(2) ** (-precision_bits - 5)))
+        val = mpmath.polylog(2, w)
+        return complex(val)
+
+
+def mp_bloch_wigner(z: complex, precision_bits: int) -> float:
+    """Im(Li2) + arg(1-z) log|z| at the given working precision, off the
+    real axis."""
+    with mpmath.workprec(precision_bits + 10):
+        w = mpmath.mpc(z.real, z.imag)
+        val = mpmath.im(mpmath.polylog(2, w)) + \
+            mpmath.arg(1 - w) * mpmath.log(abs(w))
+        return float(val)
 
 
 def component_support(components: dict[tuple[int, int], np.ndarray],
@@ -62,3 +97,92 @@ def _type_positions(spec: BiextensionSpec) -> dict[tuple[int, int], list[int]]:
     for i, t in enumerate(spec.coordinate_types):
         pos.setdefault(t, []).append(i)
     return pos
+
+
+# ---------------------------------------------------------------------------
+# oriented functorial constructions
+
+
+def dual_oriented(om: OrientedMHS, tol: float | None = None) -> OrientedMHS:
+    """Dual structure with the pairing-normalized orientation
+    <1_H, 1_H*^vee> = 1 and <1_H^vee, 1_H*> = 1, under which Ht flips sign."""
+    tol = default_tol() if tol is None else tol
+    H = om.mhs
+    _check_oriented(H.W, om.orientation, tol)
+    Hd = dual(H, tol)
+    # top generator of the dual: a functional taking value 1 on the bottom
+    bottom = om.orientation.bottom
+    lam = np.conj(bottom) / np.vdot(bottom, bottom)
+    # bottom generator of the dual: the annihilator line of W_{max-1}, the last
+    # column of T^-1 (T the adapted basis of W), taking value 1 on the top generator
+    mu = H.W.adapted_basis().inverse[:, -1]
+    mu = mu / (om.orientation.top @ mu)
+    return OrientedMHS(Hd, Orientation.of(lam, mu))
+
+
+def conjugate_oriented(om: OrientedMHS) -> OrientedMHS:
+    """Conjugate the structure the way a real form acts on everything at once:
+    F is conjugated entrywise and the graded end generators pick up the signs
+    (-1)^(max/2) and (-1)^(min/2) of the canonical rank-one generators.  With
+    this convention Ht multiplies by (-1)^(length/2 + 1); keeping the rational
+    generators fixed instead always flips the sign."""
+    H = conjugate(om.mhs)
+    smax = (-1) ** ((max(om.mhs.weights) // 2) % 2)
+    smin = (-1) ** ((min(om.mhs.weights) // 2) % 2)
+    return OrientedMHS(H, Orientation.of(smax * om.orientation.top,
+                                         smin * om.orientation.bottom))
+
+
+def rescale_fiber(om: OrientedMHS, N: np.ndarray, t: complex,
+                  tol: float | None = None) -> OrientedMHS:
+    """(exp(tN) . F, W) with the same orientation, for a lowering morphism N."""
+    G = expm_nilpotent(complex(t) * np.asarray(N, dtype=complex))
+    F = om.mhs.F.map_spaces(lambda s: s.image_under(G, tol))
+    return OrientedMHS(MixedHodgeStructure(om.mhs.W, F), om.orientation)
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def mhs_to_doc(H: MixedHodgeStructure, orientation: Orientation | None = None) -> dict:
+    doc: dict[str, Any] = {
+        "dimension": H.dim,
+        "weight_filtration": [
+            {"weight": k,
+             "basis": [[_rat_str(x) for x in row] for row in _exact_rows(s)]}
+            for k, s in H.W.steps
+        ],
+        "hodge_filtration": [
+            {"level": p, "basis": [[_dump_complex(x) for x in row] for row in s.basis]}
+            for p, s in H.F.steps
+        ],
+    }
+    if orientation is not None:
+        doc["orientation"] = {
+            "top": [_rat_str(x) for x in np.real(orientation.top)],
+            "bottom": [_rat_str(x) for x in np.real(orientation.bottom)],
+        }
+    return doc
+
+
+def _exact_rows(s: Subspace):
+    if s.is_exact():
+        # the leading-one rows: each int row over its pivot entry
+        return [[Fraction(x, row[p]) for x in row] for row, p in zip(s.exact, s.pivots)]
+    if np.abs(np.imag(s.basis)).max(initial=0.0) > 0:
+        raise HodgeError("weight filtration must be rational to serialize")
+    return [[Fraction(float(x)).limit_denominator(10 ** 12) for x in row]
+            for row in np.real(s.basis)]
+
+
+def _rat_str(x) -> str:
+    if isinstance(x, Fraction):
+        return str(x)
+    f = Fraction(float(x)).limit_denominator(10 ** 12)
+    return str(f)
+
+
+def _dump_complex(z: complex) -> list[float]:
+    z = complex(z)
+    return [z.real, z.imag]

@@ -15,16 +15,13 @@ from hodgeheight.biextension import (
     random_spec,
     spec_allclose,
 )
-from hodgeheight.dilog import CATALAN, ZETA2, bloch_wigner
+from hodgeheight.dilog import ZETA2, bloch_wigner
 from hodgeheight.height import (
     OrientedMHS,
     Orientation,
     check_functoriality,
-    conjugate_oriented,
-    dual_oriented,
     height,
     height_biextension,
-    rescale_fiber,
 )
 from hodgeheight.limits import (
     NilpotentOrbit,
@@ -46,7 +43,14 @@ from hodgeheight.scenarios import (
 from hodgeheight.splitting import deligne_delta, lowering_morphisms
 from hodgeheight.variations import check_asymptotics, random_hodge_tate
 
-from fixtures import component_support, embed_into_padded
+from fixtures import (
+    CATALAN,
+    component_support,
+    conjugate_oriented,
+    dual_oriented,
+    embed_into_padded,
+    rescale_fiber,
+)
 
 
 class Budget:

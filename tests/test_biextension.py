@@ -12,10 +12,12 @@ from hodgeheight.biextension import (
     spec_allclose,
 )
 from hodgeheight.errors import InvalidBlockType, NotGeneralizedBiextension
-from hodgeheight.height import dual_oriented, height, height_biextension, rescale_fiber, top_lift
+from hodgeheight.height import height, height_biextension, top_lift
 from hodgeheight.linalg import Subspace
 from hodgeheight.mhs import Filtration, hodge_filtration, validate
 from hodgeheight.splitting import deligne_delta
+
+from fixtures import dual_oriented, rescale_fiber
 
 
 def test_zero_spec_builds_split_structure():

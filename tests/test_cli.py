@@ -2,13 +2,15 @@ import json
 import numpy as np
 import pytest
 
+from hodgeheight import cli
 from hodgeheight.cli import main
 from hodgeheight.height import OrientedMHS, height
-from hodgeheight.schemas import (detect_kind, dumps, load, mhs_to_doc, parse_mhs, parse_orbit,
-                                 parse_variation)
+from hodgeheight.schemas import detect_kind, dumps, load, parse_mhs, parse_orbit, parse_variation
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta
-from hodgeheight.variations import dilog_variation, oriented_fiber, random_hodge_tate
+from hodgeheight.variations import dilog_variation, height_sweep, oriented_fiber, random_hodge_tate
+
+from fixtures import mhs_to_doc
 
 
 @pytest.fixture
@@ -331,8 +333,10 @@ def test_sweep_variation_heights_match_fibers(variation_file, capsys):
     ["--precision", "40", "scenario", "dim0"],
     ["scenario", "dim0", "--tol", "nan"],
     ["--tol", "abc", "scenario", "dim0"],
+    ["sweep", "x.json", "--count", "-1"],
+    ["sweep", "x.json", "--count", "0"],
 ], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "precision-40",
-        "tol-nan-after-command", "tol-abc"])
+        "tol-nan-after-command", "tol-abc", "count-negative", "count-zero"])
 def test_bad_global_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -491,13 +495,22 @@ def test_height_needs_an_orientation(dilog_file, tmp_path, capsys):
     assert capsys.readouterr().err == "error: height needs an orientation\n"
 
 
-def test_sweep_short_variation_takes_plain_heights(tmp_path, capsys):
-    # length 2 is below the depth-one identity, so the rows carry no residual
+def test_sweep_short_variation_takes_plain_heights(tmp_path, capsys, monkeypatch):
+    # length 2 is below the depth-one identity, so the rows carry no residual;
+    # the CLI takes them from the library's height_sweep
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return height_sweep(*args)
+
+    monkeypatch.setattr(cli, "height_sweep", counted)
     v = random_hodge_tate((1, 1), 1, seed=1)
     path = tmp_path / "short.json"
     path.write_text(dumps(_variation_doc(v)), encoding="utf-8")
     assert main(["sweep", str(path), "--z-start", "0.7+0.1j", "--z-end", "0.7+0.5j",
                  "--count", "3"]) == 0
+    assert len(calls) == 1 and len(calls[0][1]) == 3
     rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
     assert len(rows) == 3
     for param, h, residual in rows:
@@ -509,3 +522,36 @@ def test_sweep_short_variation_takes_plain_heights(tmp_path, capsys):
 def test_sweep_rejects_a_structure_file(dilog_file, capsys):
     assert main(["sweep", dilog_file, "--count", "2"]) == 1
     assert capsys.readouterr().err == "error: sweep needs an orbit or variation file\n"
+
+
+def test_scenarios_run_without_mpmath():
+    # mpmath is a test dependency only: with it unimportable, the scenarios
+    # that evaluate the dilogarithm still run and pass
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hodgeheight
+
+    src = str(Path(hodgeheight.__file__).resolve().parents[1])
+    code = """if True:
+        import contextlib, io, json, sys
+        sys.modules["mpmath"] = None
+        from hodgeheight.cli import main
+        results = []
+        for argv in (["scenario", "dilog"], ["scenario", "family", "--t=-1j"],
+                     ["scenario", "triangle"], ["scenario", "orbit6iii"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = main(argv)
+            results.append([argv, status, json.loads(out.getvalue())["pass"]])
+        print(json.dumps(results))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert [argv[1] for argv, _, _ in results] == ["dilog", "family", "triangle", "orbit6iii"]
+    for argv, status, passed in results:
+        assert (status, passed) == (0, True), argv

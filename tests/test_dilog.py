@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgeheight.dilog import CATALAN, ZETA2, bloch_wigner, li2
+from hodgeheight.dilog import ZETA2, bloch_wigner, li2
+
+from fixtures import CATALAN, mp_bloch_wigner, mp_li2
 
 
 def test_li2_small_values():
@@ -94,13 +96,13 @@ def test_continuity_across_the_cut():
 def test_high_precision_backend_agrees():
     for z in (0.3 + 0.4j, -2.1 + 1.7j, 1.2 + 0.01j):
         d53 = bloch_wigner(z)
-        d200 = bloch_wigner(z, precision_bits=200)
+        d200 = mp_bloch_wigner(z, 200)
         assert abs(d53 - d200) < 1e-13
         l53 = li2(z).value
-        l200 = li2(z, precision_bits=200).value
+        l200 = mp_li2(z, 200)
         assert abs(l53 - l200) < 1e-13 * max(1.0, abs(l53))
     # on-cut values keep the arg = -pi side
-    assert li2(2.0, precision_bits=120).value.imag == pytest.approx(
+    assert mp_li2(2.0, 120).imag == pytest.approx(
         li2(2.0).value.imag, abs=1e-12)
 
 

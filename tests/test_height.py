@@ -9,6 +9,7 @@ from hodgeheight.dilog import bloch_wigner
 from hodgeheight.errors import (
     HodgeError,
     NotAMorphism,
+    NotAnMHS,
     NotGeneralizedBiextension,
     NotInjectiveOnEnds,
     NotOriented,
@@ -17,11 +18,8 @@ from hodgeheight.height import (
     Orientation,
     OrientedMHS,
     check_functoriality,
-    conjugate_oriented,
-    dual_oriented,
     height,
     height_biextension,
-    rescale_fiber,
     rho2,
 )
 from hodgeheight.limits import limit_mhs
@@ -29,7 +27,13 @@ from hodgeheight.linalg import Subspace, maxabs
 from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, lowering_morphisms
-from fixtures import embed_into_padded
+from fixtures import (
+    conjugate_oriented,
+    dual_oriented,
+    embed_into_padded,
+    mp_bloch_wigner,
+    rescale_fiber,
+)
 from test_lattice import _cases, _rational_gl
 from test_linalg import contains_vector
 
@@ -63,7 +67,7 @@ def test_dilog_height_both_paths():
 ])
 def test_dilog_height_near_zero_and_one_is_right_to_a_relative_bound(s):
     om = dilog_fiber(s)
-    expected = -bloch_wigner(s, 200)
+    expected = -mp_bloch_wigner(s, 200)
     assert height(om) == pytest.approx(expected, rel=1e-14, abs=0)
     assert height_biextension(om) == pytest.approx(expected, rel=1e-14, abs=0)
 
@@ -74,7 +78,7 @@ def test_dilog_height_toward_infinity_is_right_to_an_absolute_bound(s):
     # log|s|, so the general path is right only up to an absolute error
     # (relative error 1.0e-3 at 1e6 + i, and no correct sign at 1e30 i)
     om = dilog_fiber(s)
-    expected = -bloch_wigner(s, 200)
+    expected = -mp_bloch_wigner(s, 200)
     assert height(om) == pytest.approx(expected, rel=0, abs=1e-13)
     assert height_biextension(om) == pytest.approx(expected, rel=0, abs=1e-13)
 
@@ -108,6 +112,14 @@ def test_cubic_fiber_past_the_frontier_is_right_or_a_typed_error(y):
     except HodgeError:
         return
     assert value == pytest.approx(-(2.0 / 3.0) * y ** 3, rel=1e-9)
+
+
+def test_orbit_fiber_past_the_frontier_names_its_failed_axioms():
+    orbit, _ = cubic_orbit()
+    with pytest.raises(NotAnMHS) as exc:
+        orbit.fiber(1450j)
+    assert str(exc.value) == ("orbit fiber at z = 1450j is not a mixed Hodge structure: "
+                              "direct-sum: component dimensions add to 5, expected 4")
 
 
 def _moved_cubic_draws():

@@ -1241,7 +1241,7 @@ def test_n_leaving_w_is_refused_where_both_axioms_of_m_hold():
 
 
 def test_float_path_with_noise_on_n_agrees_with_the_exact_path():
-    # ROADMAP item 2: a float-path M that is wrong on N with 5e-15 of noise
+    # ROADMAP item 5: a float-path M that is wrong on N with 5e-15 of noise
     # was reported and never reproduced; this pins it on seeded inputs
     rng = np.random.default_rng(612)
     refused = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodgeheight.dilog import CATALAN, ZETA2, bloch_wigner
+from hodgeheight.dilog import ZETA2, bloch_wigner
 from hodgeheight.errors import DegenerateTriangle, HodgeError
 from hodgeheight.scenarios import (
     TriangleData,
@@ -16,6 +16,8 @@ from hodgeheight.scenarios import (
     triangle_height_six,
 )
 from hodgeheight.variations import dilog_variation
+
+from fixtures import CATALAN
 
 
 def test_dilog_scenario_real_parameter():

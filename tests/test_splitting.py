@@ -5,13 +5,12 @@ import pytest
 
 from hodgeheight.biextension import build_biextension, random_spec
 from hodgeheight.dilog import bloch_wigner
-from hodgeheight.height import rescale_fiber
 from hodgeheight.linalg import graded_parts, logm_unipotent, maxabs
 from hodgeheight.mhs import dual
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, gl_hodge_components, lowering_morphisms
 
-from fixtures import component_support, embed_into_padded
+from fixtures import component_support, embed_into_padded, rescale_fiber
 
 
 def test_components_resolve_random_matrix(rng):
