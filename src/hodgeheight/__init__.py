@@ -1,7 +1,7 @@
 """Deligne bigradings, splittings and signed heights of mixed Hodge structures."""
 
 from .biextension import BiextensionSpec, build_biextension, extract_invariants
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .dilog import bloch_wigner, li2
 from .height import (
     Orientation,
@@ -48,6 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiextensionSpec",
+    "DEFAULT_TOL",
     "DeligneBigrading",
     "DeligneSystem",
     "Filtration",
@@ -64,7 +65,6 @@ __all__ = [
     "check_asymptotics",
     "check_functoriality",
     "conjugate",
-    "default_tol",
     "deligne_bigrading",
     "deligne_delta",
     "deligne_system_grading",

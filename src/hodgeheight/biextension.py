@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import InvalidBlockType, NotGeneralizedBiextension
 from .height import Orientation, OrientedMHS, _coefficient_against_bottom, height
 from .linalg import Subspace, expm_nilpotent, maxabs
@@ -128,7 +128,7 @@ def build_biextension(spec: BiextensionSpec) -> OrientedMHS:
     return OrientedMHS(MixedHodgeStructure(W, F), Orientation.of(eye[0], eye[n - 1]))
 
 
-def extract_invariants(om: OrientedMHS, tol: float | None = None) -> BiextensionSpec:
+def extract_invariants(om: OrientedMHS, tol: float = DEFAULT_TOL) -> BiextensionSpec:
     """Read the splitting blocks of a generalized biextension back off its
     one splitting delta.
 
@@ -141,7 +141,6 @@ def extract_invariants(om: OrientedMHS, tol: float | None = None) -> Biextension
     the height is height(om), the P_min delta P_max read.  The middle Hodge
     types are the bigrading dimensions in weight b.
     """
-    tol = default_tol() if tol is None else tol
     H = om.mhs
     weights = H.weights
     if len(weights) != 3:

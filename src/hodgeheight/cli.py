@@ -12,8 +12,9 @@ structure that fails an axiom, a document that lacks a key or holds a
 malformed entry, a file of the wrong kind); 2 for NoConvergence, a numerical
 tolerance failure; 3 for a file that is missing, unreadable or not JSON.
 Bad arguments, including a malformed number for a complex parameter, a --tol
-(or HODGE_TOL) that is not a finite positive number and a --count below 1,
-are usage errors: argparse prints the usage and exits with status 2.
+that is not a finite positive number and a --count below 1, are usage
+errors: argparse prints the usage and exits with status 2.  Every decision
+of a command, from the document parse on, is taken at --tol (default 1e-9).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import HodgeError, NoConvergence
 from .height import OrientedMHS, height
 from .limits import limit_height
@@ -63,18 +64,18 @@ def cmd_validate(args) -> int:
     doc = load(args.path)
     kind = detect_kind(doc)
     if kind == "orbit":
-        H = parse_orbit(doc)[0].fiber(2j, args.tol)
+        H = parse_orbit(doc, args.tol)[0].fiber(2j, args.tol)
     elif kind == "variation":
-        H = parse_variation(doc).limit_structure()
+        H = parse_variation(doc, args.tol).limit_structure()
     else:
-        H = parse_mhs(doc)
+        H = parse_mhs(doc, args.tol)
     report = H.validate(args.tol)
     _emit(args, dumps({"ok": report.ok, "failures": report.failures}))
     return OK if report.ok else FAIL
 
 
-def _oriented_orbit(doc: dict):
-    orbit, orient = parse_orbit(doc)
+def _oriented_orbit(doc: dict, tol: float):
+    orbit, orient = parse_orbit(doc, tol)
     if orient is None:
         raise HodgeError("orbit file has no orientation")
     return orbit, orient
@@ -86,22 +87,22 @@ def cmd_compute(args) -> int:
     if args.what == "limit-height":
         if kind != "orbit":
             raise HodgeError("limit-height needs an orbit file")
-        value = limit_height(*_oriented_orbit(doc), args.tol)
+        value = limit_height(*_oriented_orbit(doc, args.tol), args.tol)
         _emit(args, dumps({"limit_height": value}))
         return OK
     if kind == "orbit":
-        orbit, orient = parse_orbit(doc)
+        orbit, orient = parse_orbit(doc, args.tol)
         H = orbit.fiber(args.z, args.tol)
         om = OrientedMHS(H, orient) if orient is not None else None
     elif kind == "variation":
-        v = parse_variation(doc)
+        v = parse_variation(doc, args.tol)
         s = np.exp(2j * np.pi * args.z)
         k = len(v.nilpotents)
         om = oriented_fiber(v, [args.z] * k, [s] * k, args.tol)
         H = om.mhs
     else:
-        om = parse_oriented_mhs(doc) if "orientation" in doc else None
-        H = om.mhs if om is not None else parse_mhs(doc)
+        om = parse_oriented_mhs(doc, args.tol) if "orientation" in doc else None
+        H = om.mhs if om is not None else parse_mhs(doc, args.tol)
     if args.what == "bigrading":
         B = H.bigrading(args.tol)
         comps = {f"{p},{q}": [[[x.real, x.imag] for x in row] for row in B.components[(p, q)].basis]
@@ -132,7 +133,7 @@ def _scenario_rows(name: str, args) -> tuple[list[tuple[str, float, float]], boo
                 ("limit_height", r.limit_height, 0.0)]
         return rows, all(abs(c - e) <= 1e-9 for _, c, e in rows)
     if name == "family":
-        r = scenarios.scenario_family(args.t, tol)
+        r = scenarios.scenario_family(args.t)
         rows = [("height", r.height, r.reduced_form),
                 ("closed_form", r.closed_form, r.reduced_form)]
         ok = all(abs(c - e) <= 1e-9 for _, c, e in rows)
@@ -143,8 +144,8 @@ def _scenario_rows(name: str, args) -> tuple[list[tuple[str, float, float]], boo
     if name == "dim0":
         r = scenarios.scenario_dim0(args.a, args.b, tol)
         rows = [("height", r.height, 0.0),
-                ("delta1[0]", r.spec.delta1[0], r.spec.delta1[0]),
-                ("delta1[1]", r.spec.delta1[1], r.spec.delta1[1])]
+                ("delta1[0]", r.extracted.delta1[0], r.spec.delta1[0]),
+                ("delta1[1]", r.extracted.delta1[1], r.spec.delta1[1])]
         return rows, r.roundtrip_ok and abs(r.height) <= 1e-9
     if name == "triangle":
         T = scenarios.TriangleData(
@@ -184,12 +185,12 @@ def cmd_sweep(args) -> int:
     zs = [z0 + (z1 - z0) * t for t in np.linspace(0.0, 1.0, args.count)]
     rows = []
     if kind == "orbit":
-        orbit, orient = _oriented_orbit(doc)
+        orbit, orient = _oriented_orbit(doc, args.tol)
         for z in zs:
             h = height(OrientedMHS(orbit.fiber(z, args.tol), orient), args.tol)
             rows.append((z.imag, h, float("nan")))
     elif kind == "variation":
-        v = parse_variation(doc)
+        v = parse_variation(doc, args.tol)
         k = len(v.nilpotents)
         pts = [([z] * k, [np.exp(2j * np.pi * z)] * k) for z in zs]
         limit = v.limit_structure()
@@ -221,7 +222,7 @@ def _add_global_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    ap.add_argument("--tol", type=float, default=default(None),
+    ap.add_argument("--tol", type=float, default=default(DEFAULT_TOL),
                     help="comparison tolerance, finite and positive")
     ap.add_argument("--out", default=default(None),
                     help="write output to a file instead of stdout")
@@ -279,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        args.tol = default_tol() if args.tol is None else args.tol
-    except HodgeError as exc:
-        ap.error(str(exc))
     if not (math.isfinite(args.tol) and args.tol > 0):
         ap.error(f"the tolerance must be finite and positive, got {args.tol}")
     try:

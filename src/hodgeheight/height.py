@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import (
     NotAMorphism,
     NotGeneralizedBiextension,
@@ -90,11 +90,10 @@ def _check_oriented(W: Filtration, orientation: Orientation, tol: float) -> None
         raise NotOriented("bottom generator must span the lowest weight step")
 
 
-def top_lift(om: OrientedMHS, tol: float | None = None) -> np.ndarray:
+def top_lift(om: OrientedMHS, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The element of I^{a,a} (2a = max weight) congruent to the top generator
     modulo W_(max-1), after the orientation check: the top weight piece is
     rank one, so it is I^{a,a}, and the lift is the generator's projection."""
-    tol = default_tol() if tol is None else tol
     _check_oriented(om.mhs.W, om.orientation, tol)
     return om.mhs.bigrading(tol).weight_projector(om.max_weight) @ om.orientation.top
 
@@ -122,20 +121,18 @@ def _deep_coefficient(delta: np.ndarray, projectors: Mapping[int, np.ndarray],
                                        max(maxabs(vec), maxabs(delta)))
 
 
-def height(om: OrientedMHS, tol: float | None = None) -> float:
+def height(om: OrientedMHS, tol: float = DEFAULT_TOL) -> float:
     """Signed height via the deepest part of the splitting.
 
     Its error is absolute, on the scale of the splitting, not of the height:
     for dilog fibers as |s| -> infinity, -D2(s) -> 0 and the error is ~1e-14."""
-    tol = default_tol() if tol is None else tol
     _check_oriented(om.mhs.W, om.orientation, tol)
     return _deep_coefficient(deligne_delta(om.mhs, tol).delta,
                              om.mhs.bigrading(tol).weight_projectors, om.orientation, tol)
 
 
-def height_biextension(om: OrientedMHS, tol: float | None = None) -> float:
+def height_biextension(om: OrientedMHS, tol: float = DEFAULT_TOL) -> float:
     """Fast path for structures with at most three nonzero weights."""
-    tol = default_tol() if tol is None else tol
     H = om.mhs
     if len(H.weights) > 3:
         raise NotGeneralizedBiextension(
@@ -162,10 +159,9 @@ class FunctorialityReport:
 
 
 def check_functoriality(f: np.ndarray, A: OrientedMHS, B: OrientedMHS,
-                        tol: float | None = None) -> FunctorialityReport:
+                        tol: float = DEFAULT_TOL) -> FunctorialityReport:
     """Verify ht(A) d_min(f) = ht(B) d_max(f) for a morphism f: A -> B that is
     injective on the top and bottom graded pieces."""
-    tol = default_tol() if tol is None else tol
     f = np.asarray(f, dtype=complex)
     if A.max_weight != B.max_weight or A.min_weight != B.min_weight:
         raise NotAMorphism("top/bottom weights of source and target differ")

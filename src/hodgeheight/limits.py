@@ -78,7 +78,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import (
     ConstructionFailed,
     DoesNotExist,
@@ -110,9 +110,8 @@ from .splitting import deligne_delta
 
 
 def monodromy_weight_filtration(N, center: int = 0,
-                                tol: float | None = None) -> Filtration:
+                                tol: float = DEFAULT_TOL) -> Filtration:
     """The unique filtration with N W_k <= W_{k-2} and N^j : Gr_{c+j} ~ Gr_{c-j}."""
-    tol = default_tol() if tol is None else tol
     return _monodromy_from_powers(nilpotent_powers(as_operator(N), tol), center, tol)
 
 
@@ -170,8 +169,7 @@ def _gr_dim(filt: Filtration, k: int) -> int:
 # relative weight filtration
 
 
-def relative_weight_filtration(N, W: Filtration, tol: float | None = None) -> Filtration:
-    tol = default_tol() if tol is None else tol
+def relative_weight_filtration(N, W: Filtration, tol: float = DEFAULT_TOL) -> Filtration:
     return _relative_from_operator(W.adapted_basis().operator(as_operator(N)), W, tol)
 
 
@@ -371,10 +369,9 @@ def _solve_on_support(C: np.ndarray, Cinv: np.ndarray, support: np.ndarray, op,
 
 
 def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
-                           tol: float | None = None) -> DeligneSystem:
+                           tol: float = DEFAULT_TOL) -> DeligneSystem:
     """The unique grading Y' of W commuting with Y whose sl2 completion
     satisfies [N - N0, N0+] = 0; all invariants re-verified before returning."""
-    tol = default_tol() if tol is None else tol
     Y = np.asarray(Y, dtype=complex)
     evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
     return _deligne_system(W, N, Y, _eigenspaces(Y, evs, tol).values(), tol)
@@ -463,8 +460,7 @@ def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
 class NilpotentOrbit:
     """(W, N, F_inf) with N nilpotent, preserving W and horizontal for F_inf."""
 
-    def __init__(self, W: Filtration, N, F_inf: Filtration, tol: float | None = None):
-        tol = default_tol() if tol is None else tol
+    def __init__(self, W: Filtration, N, F_inf: Filtration, tol: float = DEFAULT_TOL):
         self.W = W
         self.F_inf = F_inf
         self.dim = W.ambient_dim
@@ -482,7 +478,7 @@ class NilpotentOrbit:
             if not F_inf.at(p - 1).contains(moved, tol):
                 raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
 
-    def fiber(self, z: complex, tol: float | None = None) -> MixedHodgeStructure:
+    def fiber(self, z: complex, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
         G = expm_nilpotent(complex(z) * self.N)
         F = self.F_inf.map_spaces(lambda s: s.image_under(G, tol))
         H = MixedHodgeStructure(self.W, F)
@@ -493,8 +489,7 @@ class NilpotentOrbit:
         return H
 
 
-def limit_mhs(orbit: NilpotentOrbit, tol: float | None = None) -> MixedHodgeStructure:
-    tol = default_tol() if tol is None else tol
+def limit_mhs(orbit: NilpotentOrbit, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
     M = _relative_from_operator(orbit.operator, orbit.W, tol)
     H = MixedHodgeStructure(M, orbit.F_inf)
     report = H.validate(tol)
@@ -503,7 +498,7 @@ def limit_mhs(orbit: NilpotentOrbit, tol: float | None = None) -> MixedHodgeStru
     return H
 
 
-def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -> float:
+def limit_height(orbit: NilpotentOrbit, orientation, tol: float = DEFAULT_TOL) -> float:
     """Height of the orbit: the height read of height.py, the coefficient of
     P_min delta P_max on the top generator against the bottom generator.
 
@@ -511,7 +506,6 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
     projectors P_k are those of the Deligne system's grading Y' of W, and
     delta is the splitting of the limit structure (F_inf, M), whose weight
     pieces are the eigenspaces of Y that the Deligne system starts from."""
-    tol = default_tol() if tol is None else tol
     _check_oriented(orbit.W, orientation, tol)
     Hlim = limit_mhs(orbit, tol)
     B = Hlim.bigrading(tol)
@@ -526,11 +520,10 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float | None = None) -
 
 
 def random_deligne_system(rng: np.random.Generator, max_dim: int = 6,
-                          tol: float | None = None):
+                          tol: float = DEFAULT_TOL):
     """A random Deligne system (W, N, Y), built from weighted shift strings and
     conjugated by a random rational change of basis; retries until the grading
     data verifies as admissible."""
-    tol = default_tol() if tol is None else tol
     for _ in range(200):
         strings = []
         total = 0

@@ -34,7 +34,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, NotNilpotent
 
 Matrix = np.ndarray
@@ -99,14 +99,13 @@ def integral_array(M: np.ndarray) -> bool:
 # echelon forms
 
 
-def rref_float(M: Matrix, tol: float | None = None) -> tuple[Matrix, list[int]]:
+def rref_float(M: Matrix, tol: float = DEFAULT_TOL) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form with pivot threshold tol * max(max |M_ij|, 1).
 
     Each pivot is the first largest |entry| at or below the current row (a
     NaN first, as np.argmax picks it); entries at or under the threshold are
     not pivots.  The matrix is row-reduced as Python complex rows, converted
     in and out once: see the module docstring for why."""
-    tol = default_tol() if tol is None else tol
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         M = M.reshape(-1, M.shape[-1]) if M.size else M.reshape(0, 0)
@@ -187,7 +186,7 @@ def _primitive(row: list[int], c: int) -> list[int]:
     return row if g == 1 else [x // g for x in row]
 
 
-def nullspace_float(M: Matrix, tol: float | None = None) -> Matrix:
+def nullspace_float(M: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     """Basis (rows) of the right null space {v : M v = 0}."""
     M = np.array(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] == 0:
@@ -256,7 +255,7 @@ class Subspace:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_rows(rows, ambient_dim: int | None = None, tol: float | None = None) -> "Subspace":
+    def from_rows(rows, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> "Subspace":
         """The span of the rows, exact when every entry is exactly rational."""
         if not isinstance(rows, np.ndarray):
             rows = [list(r) for r in rows]
@@ -305,18 +304,17 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.dim))
 
-    def equals(self, other: "Subspace", tol: float | None = None) -> bool:
+    def equals(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
         if self.is_exact() and other.is_exact():
             return self.exact == other.exact
-        tol = default_tol() if tol is None else tol
         if self.dim == 0:
             return True
         scale = max(float(np.abs(self.basis).max()), float(np.abs(other.basis).max()), 1.0)
         return bool(np.abs(self.basis - other.basis).max() <= 10 * tol * scale)
 
-    def contains(self, other: "Subspace", tol: float | None = None) -> bool:
+    def contains(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         if other.dim == 0:
@@ -338,7 +336,7 @@ class Subspace:
             raise DimensionMismatch(
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}")
 
-    def add(self, other: "Subspace", tol: float | None = None) -> "Subspace":
+    def add(self, other: "Subspace", tol: float = DEFAULT_TOL) -> "Subspace":
         """Span of the union of the two bases."""
         self._check_ambient(other)
         # bases are canonical, so a sum with the zero space is the other operand
@@ -352,7 +350,7 @@ class Subspace:
         R, piv = rref_float(rows, tol)
         return Subspace(R, self.ambient_dim, pivots=piv)
 
-    def intersect(self, other: "Subspace", tol: float | None = None) -> "Subspace":
+    def intersect(self, other: "Subspace", tol: float = DEFAULT_TOL) -> "Subspace":
         """Largest subspace contained in both operands."""
         self._check_ambient(other)
         n = self.ambient_dim
@@ -382,7 +380,7 @@ class Subspace:
         # conjugating a reduced echelon basis keeps it reduced, with the same pivots
         return Subspace(np.conj(self.basis), self.ambient_dim, pivots=self.pivots)
 
-    def annihilator(self, tol: float | None = None) -> "Subspace":
+    def annihilator(self, tol: float = DEFAULT_TOL) -> "Subspace":
         """Row vectors phi with phi . v = 0 for every v in the subspace."""
         n = self.ambient_dim
         if self.dim == 0:
@@ -391,7 +389,7 @@ class Subspace:
             return Subspace.from_integer_rows(nullspace_exact(self.exact, n), n)
         return Subspace.from_rows(nullspace_float(self.basis, tol), n, tol)
 
-    def image_under(self, A, tol: float | None = None) -> "Subspace":
+    def image_under(self, A, tol: float = DEFAULT_TOL) -> "Subspace":
         """Span of A v over basis vectors v; A may map into a different space."""
         out_dim = len(A) if not isinstance(A, np.ndarray) else A.shape[0]
         if self.dim == 0:
@@ -406,7 +404,7 @@ class Subspace:
                 return Subspace.from_integer_rows(rows, out_dim)
         return Subspace.from_rows(self.basis @ np.asarray(A, dtype=complex).T, out_dim, tol)
 
-    def preimage_under(self, A, tol: float | None = None) -> "Subspace":
+    def preimage_under(self, A, tol: float = DEFAULT_TOL) -> "Subspace":
         """{v : A v in S}."""
         n = self.ambient_dim
         ann = self.annihilator(tol)
@@ -472,7 +470,7 @@ class AdaptedBasis:
         for m in (self.T, self.inverse):
             m.setflags(write=False)
 
-    def reduce(self, S: Subspace | Matrix, tol: float | None = None):
+    def reduce(self, S: Subspace | Matrix, tol: float = DEFAULT_TOL):
         """The rows of S, a Subspace or the float rows of a basis, in the
         coordinates of T, v T^-1, as right_echelon gives them: int rows when
         S and the chain are exact."""
@@ -492,11 +490,10 @@ class AdaptedBasis:
                                self.exact.den * N.den * self.exact_inverse.den)
         return (self.T @ np.asarray(N, dtype=complex).T @ self.inverse).T
 
-    def depth(self, rows, tol: float | None = None) -> int:
+    def depth(self, rows, tol: float = DEFAULT_TOL) -> int:
         """One past the last coordinate of the rows c = v T^-1 above the
         pivot threshold tol * max(max |c|, 1) of rref_float (a NaN is above
         it): the rows lie in the step of dimension d iff their depth is <= d."""
-        tol = default_tol() if tol is None else tol
         c = np.abs(np.asarray(rows) @ self.inverse)
         # scanned as a list: numpy reductions cost more on these few columns
         c = (c.max(axis=0, initial=0.0) if c.ndim == 2 else c).tolist()
@@ -505,7 +502,7 @@ class AdaptedBasis:
             d -= 1
         return d
 
-    def lift(self, S: Subspace, tol: float | None = None) -> Subspace:
+    def lift(self, S: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
         """The subspace of the rows c T for c in a subspace S of coordinates."""
         n = S.ambient_dim
         if S.is_exact() and self.exact is not None:
@@ -514,7 +511,7 @@ class AdaptedBasis:
         return Subspace.from_rows(S.basis @ self.T, n, tol)
 
     def meet(self, S: Subspace, reduced, step: Subspace,
-             tol: float | None = None) -> Subspace:
+             tol: float = DEFAULT_TOL) -> Subspace:
         """S cap step for a step of the chain, read off reduced = reduce(S).
 
         In the coordinates of T the step is the span of the first d = dim
@@ -538,7 +535,7 @@ class AdaptedBasis:
         return Subspace.from_rows(rows[keep, :d] @ self.T[:d], n, tol)
 
 
-def right_echelon(rows, tol: float | None = None):
+def right_echelon(rows, tol: float = DEFAULT_TOL):
     """Reduced row echelon form with pivots taken from the right: (rows,
     pivots), int rows staying exact.  Each row is zero at the other
     pivots and after its own (below the pivot threshold, for float rows), so
@@ -584,16 +581,16 @@ def as_operator(A):
     return np.asarray(A, dtype=complex) if scaled is None else ExactMatrix(*scaled)
 
 
-def echelonize(vectors, ambient_dim: int | None = None, tol: float | None = None) -> Subspace:
+def echelonize(vectors, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> Subspace:
     """Row-reduce a generator matrix into a canonical Subspace (rank 0 allowed)."""
     return Subspace.from_rows(vectors, ambient_dim, tol)
 
 
-def intersect(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
+def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     return a.intersect(b, tol)
 
 
-def subspace_sum(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
+def subspace_sum(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     return a.add(b, tol)
 
 
@@ -606,14 +603,13 @@ def maxabs(A) -> float:
     return float(np.abs(A).max()) if A.size else 0.0
 
 
-def nilpotent_powers(N, tol: float | None = None) -> list:
+def nilpotent_powers(N, tol: float = DEFAULT_TOL) -> list:
     """The table N^0, ..., N^m of a nilpotent N, raising NotNilpotent otherwise.
 
     N is an array, or anything as_operator reads: an ExactMatrix gives a table
     of them.  N^m is the first power that is exactly zero on an ExactMatrix,
     and the first at most tol * scale^m on an array, with scale = max(max
     |N_ij|, 1); callers read every power from m on as N^m."""
-    tol = default_tol() if tol is None else tol
     if not isinstance(N, np.ndarray):
         N = as_operator(N)
     n = len(N)
@@ -636,7 +632,7 @@ def nilpotent_powers(N, tol: float | None = None) -> list:
     raise NotNilpotent("matrix is not nilpotent at the working tolerance")
 
 
-def check_nilpotent(N, tol: float | None = None) -> int:
+def check_nilpotent(N, tol: float = DEFAULT_TOL) -> int:
     """Return the nilpotency index, raising NotNilpotent otherwise."""
     return len(nilpotent_powers(N, tol)) - 1
 

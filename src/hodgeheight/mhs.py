@@ -53,7 +53,7 @@ linear in B, so the bound scales with the entries of the basis, as the pivot
 threshold of linalg.rref_float scales with the entries of its matrix.
 
 A MixedHodgeStructure is immutable: W and F are fixed at construction.  It
-keeps one cache, per resolved tolerance: the ValidationReport and, when the
+keeps one cache per tolerance: the ValidationReport and, when the
 axioms hold, the DeligneBigrading, which validate builds from the same
 candidate pieces and the one linalg.graded_projectors call the conjugation
 check made.  So validate(tol) followed by bigrading(tol) builds the lattice
@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import MalformedFiltration, NotAnMHS
 from .linalg import AdaptedBasis, Subspace, echelonize, graded_projectors, maxabs
 
@@ -248,9 +248,9 @@ class MixedHodgeStructure:
         self.W = W
         self.F = F
         self.dim = W.ambient_dim
-        # per resolved tol: the report and, when it is ok, the bigrading
+        # per tol: the report and, when it is ok, the bigrading
         self._validated: dict[float, tuple[ValidationReport, DeligneBigrading | None]] = {}
-        # per resolved tol: the Splitting, filled by splitting.deligne_delta
+        # per tol: the Splitting, filled by splitting.deligne_delta
         self._splittings: dict[float, Splitting] = {}
 
     # -- ranges ---------------------------------------------------------------
@@ -324,7 +324,7 @@ class MixedHodgeStructure:
                         comps[(a, b)] = piece
         return comps
 
-    def validate(self, tol: float | None = None) -> ValidationReport:
+    def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """Check the three bigrading axioms; ok iff all hold.
 
         After the direct-sum check (dimensions add to n, stacked bases of
@@ -337,7 +337,6 @@ class MixedHodgeStructure:
         residual is linear in B.  See the module docstring.  When all hold,
         the bigrading is built from the same pieces and projectors and
         cached with the report."""
-        tol = default_tol() if tol is None else tol
         if tol in self._validated:
             return self._validated[tol][0]
         comps = self._component_candidates(tol)
@@ -377,8 +376,7 @@ class MixedHodgeStructure:
                                 f"I^{(b, a)} + lower terms")
         return failures
 
-    def bigrading(self, tol: float | None = None) -> DeligneBigrading:
-        tol = default_tol() if tol is None else tol
+    def bigrading(self, tol: float = DEFAULT_TOL) -> DeligneBigrading:
         if tol not in self._validated:
             self.validate(tol)
         report, bigrading = self._validated[tol]
@@ -387,11 +385,11 @@ class MixedHodgeStructure:
         return bigrading
 
 
-def deligne_bigrading(H: MixedHodgeStructure, tol: float | None = None) -> DeligneBigrading:
+def deligne_bigrading(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> DeligneBigrading:
     return H.bigrading(tol)
 
 
-def validate(H: MixedHodgeStructure, tol: float | None = None) -> ValidationReport:
+def validate(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> ValidationReport:
     return H.validate(tol)
 
 
@@ -417,7 +415,7 @@ def conjugate(H: MixedHodgeStructure) -> MixedHodgeStructure:
     return MixedHodgeStructure(H.W, H.F.map_spaces(lambda s: s.conj()))
 
 
-def dual(H: MixedHodgeStructure, tol: float | None = None) -> MixedHodgeStructure:
+def dual(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
     """The dual structure on the dual coordinate space.
 
     W_k(V*) annihilates W_{-k-1}(V) and F^p(V*) annihilates F^{1-p}(V); the
@@ -436,10 +434,9 @@ def dual(H: MixedHodgeStructure, tol: float | None = None) -> MixedHodgeStructur
 
 
 def is_morphism(T: np.ndarray, A: MixedHodgeStructure, B: MixedHodgeStructure,
-                tol: float | None = None) -> bool:
+                tol: float = DEFAULT_TOL) -> bool:
     """True when the real matrix T respects both filtrations (type (0,0));
     T A.W_k in B.W_k is read at the steps of A.W on the adapted basis of B.W."""
-    tol = default_tol() if tol is None else tol
     T = np.asarray(T, dtype=complex)
     if maxabs(T.imag) > tol * max(1.0, maxabs(T)):
         return False
@@ -453,5 +450,5 @@ def is_morphism(T: np.ndarray, A: MixedHodgeStructure, B: MixedHodgeStructure,
     return True
 
 
-def is_hodge_tate(H: MixedHodgeStructure, tol: float | None = None) -> bool:
+def is_hodge_tate(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> bool:
     return all(p == q for (p, q) in H.bigrading(tol).components)

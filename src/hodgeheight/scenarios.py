@@ -20,7 +20,7 @@ from math import log, pi
 import numpy as np
 
 from .biextension import BiextensionSpec, build_biextension, extract_invariants, spec_allclose
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .dilog import ZETA2, bloch_wigner, li2, principal_log
 from .errors import DegenerateTriangle, HodgeError
 from .height import Orientation, OrientedMHS, height, height_biextension
@@ -34,7 +34,7 @@ from .variations import DILOG_W
 # dilog fiber
 
 
-def dilog_fiber(s: complex, tol: float | None = None) -> OrientedMHS:
+def dilog_fiber(s: complex, tol: float = DEFAULT_TOL) -> OrientedMHS:
     """The weight (0, -2, -4) fiber at s, in coordinates where the bottom
     generator is the canonical one that makes the height exactly -D2(s).
 
@@ -73,9 +73,8 @@ class DilogScenario:
     paths_agree: bool
 
 
-def scenario_dilog(s: complex, tol: float | None = None) -> DilogScenario:
+def scenario_dilog(s: complex, tol: float = DEFAULT_TOL) -> DilogScenario:
     """Height of the dilog fiber two ways; both must equal -D2(s)."""
-    tol = default_tol() if tol is None else tol
     om = dilog_fiber(s, tol)
     report = om.mhs.validate(tol)
     h1 = height(om, tol)
@@ -119,9 +118,8 @@ class OrbitScenario:
     expected_fiber: float
 
 
-def scenario_orbit6iii(z: complex, tol: float | None = None) -> OrbitScenario:
+def scenario_orbit6iii(z: complex, tol: float = DEFAULT_TOL) -> OrbitScenario:
     """Fiber height (1/12 pi^3) (log|s|)^3 with s = exp(2 pi i z); limit 0."""
-    tol = default_tol() if tol is None else tol
     z = complex(z)
     if z.imag <= 0:
         raise HodgeError("the orbit fiber needs Im(z) > 0")
@@ -258,10 +256,9 @@ class TriangleScenario:
         return abs(self.ht_nine - self.ht_six) < 1e-10
 
 
-def scenario_triangle(T: TriangleData, tol: float | None = None) -> TriangleScenario:
+def scenario_triangle(T: TriangleData, tol: float = DEFAULT_TOL) -> TriangleScenario:
     """Nine- and six-term heights, the nine splitting slots, and a biextension
     built from the extracted invariants as a machinery cross-check."""
-    tol = default_tol() if tol is None else tol
     ht9 = triangle_height_nine(T)
     ht6 = triangle_height_six(T)
     d_c, d_c_dual = triangle_delta_blocks(T)
@@ -301,7 +298,7 @@ def family_triangle(t: complex) -> TriangleData:
     return TriangleData(a=(1, t, 1), b=(1, 1, t), c=(t, 1, 1))
 
 
-def scenario_family(t: complex, tol: float | None = None) -> FamilyScenario:
+def scenario_family(t: complex) -> FamilyScenario:
     """Height of the family triangle at t: equals both
     3 (2 D2(t) + D2(t^-2)) / (2 pi i)^2 and D2(-t) / (4 zeta(2)); the
     limit_values sample approaches to the degenerate parameters."""
@@ -327,13 +324,13 @@ def scenario_family(t: complex, tol: float | None = None) -> FamilyScenario:
 @dataclass
 class DimZeroScenario:
     spec: BiextensionSpec
+    extracted: BiextensionSpec        # what extract_invariants reads back
     roundtrip_ok: bool
     height: float
 
 
-def scenario_dim0(a: complex, b: complex, tol: float | None = None) -> DimZeroScenario:
+def scenario_dim0(a: complex, b: complex, tol: float = DEFAULT_TOL) -> DimZeroScenario:
     """Splitting slots log|a|/2pi and log|b|/2pi with height zero."""
-    tol = default_tol() if tol is None else tol
     a, b = complex(a), complex(b)
     if a in (0, 1) or b in (0, 1):
         raise HodgeError("parameters must avoid 0 and 1")
@@ -343,5 +340,5 @@ def scenario_dim0(a: complex, b: complex, tol: float | None = None) -> DimZeroSc
                            delta1=(s1, s2), delta2=(s2, s1), ht=0.0)
     om = build_biextension(spec)
     back = extract_invariants(om, tol)
-    return DimZeroScenario(spec=spec, roundtrip_ok=spec_allclose(back, spec, 1e-9),
-                           height=height(om, tol))
+    return DimZeroScenario(spec=spec, extracted=back,
+                           roundtrip_ok=spec_allclose(back, spec, 1e-9), height=height(om, tol))

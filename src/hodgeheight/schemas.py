@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import DEFAULT_TOL
 from .errors import HodgeError
 from .height import Orientation, OrientedMHS
 from .limits import NilpotentOrbit
@@ -28,9 +29,9 @@ def _document(parse):
     """A parser whose document lacks a key or holds a value of the wrong
     shape raises HodgeError, as for a garbage rational entry."""
     @functools.wraps(parse)
-    def checked(doc):
+    def checked(*args, **kwargs):
         try:
-            return parse(doc)
+            return parse(*args, **kwargs)
         except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
             raise HodgeError(f"malformed document: {type(exc).__name__}: {exc}") from exc
     return checked
@@ -73,21 +74,22 @@ def _complex_matrix(rows) -> np.ndarray:
     return np.array([[_parse_complex(x) for x in row] for row in rows], dtype=complex)
 
 
-def _filtrations(doc: dict, hodge_key: str) -> tuple[Filtration, Filtration]:
-    """The weight filtration of a file and the Hodge filtration under hodge_key."""
+def _filtrations(doc: dict, hodge_key: str, tol: float) -> tuple[Filtration, Filtration]:
+    """The weight filtration of a file and the Hodge filtration under hodge_key,
+    each step echelonized at tol."""
     n = int(doc["dimension"])
     W = weight_filtration([(int(step["weight"]),
-                            Subspace.from_rows(_rational_matrix(step["basis"]), n))
+                            Subspace.from_rows(_rational_matrix(step["basis"]), n, tol))
                            for step in doc["weight_filtration"]], n)
     F = hodge_filtration([(int(step["level"]),
-                           Subspace.from_rows(_complex_matrix(step["basis"]), n))
+                           Subspace.from_rows(_complex_matrix(step["basis"]), n, tol))
                           for step in doc[hodge_key]], n)
     return W, F
 
 
 @_document
-def parse_mhs(doc: dict) -> MixedHodgeStructure:
-    return MixedHodgeStructure(*_filtrations(doc, "hodge_filtration"))
+def parse_mhs(doc: dict, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
+    return MixedHodgeStructure(*_filtrations(doc, "hodge_filtration", tol))
 
 
 @_document
@@ -101,23 +103,24 @@ def parse_orientation(doc: dict) -> Orientation | None:
 
 
 @_document
-def parse_oriented_mhs(doc: dict) -> OrientedMHS:
+def parse_oriented_mhs(doc: dict, tol: float = DEFAULT_TOL) -> OrientedMHS:
     orient = parse_orientation(doc)
     if orient is None:
         raise HodgeError("file has no orientation block")
-    return OrientedMHS(parse_mhs(doc), orient)
+    return OrientedMHS(parse_mhs(doc, tol), orient)
 
 
 @_document
-def parse_orbit(doc: dict) -> tuple[NilpotentOrbit, Orientation | None]:
-    W, F = _filtrations(doc, "f_infinity")
+def parse_orbit(doc: dict,
+                tol: float = DEFAULT_TOL) -> tuple[NilpotentOrbit, Orientation | None]:
+    W, F = _filtrations(doc, "f_infinity", tol)
     N = _rational_matrix(doc["nilpotent"])
-    return NilpotentOrbit(W, N, F), parse_orientation(doc)
+    return NilpotentOrbit(W, N, F, tol), parse_orientation(doc)
 
 
 @_document
-def parse_variation(doc: dict) -> LocalVariation:
-    W, F = _filtrations(doc, "f_infinity")
+def parse_variation(doc: dict, tol: float = DEFAULT_TOL) -> LocalVariation:
+    W, F = _filtrations(doc, "f_infinity", tol)
     nilpotents = tuple(np.array([[float(_parse_rational(x)) for x in row] for row in mat])
                        for mat in doc["nilpotents"])
     terms = {}
@@ -129,7 +132,7 @@ def parse_variation(doc: dict) -> LocalVariation:
     if orient is None:
         raise HodgeError("variation file needs an orientation block")
     return LocalVariation(W=W, F_inf=F, nilpotents=nilpotents, gamma=gamma,
-                          orientation=orient)
+                          orientation=orient, tol=tol)
 
 
 def detect_kind(doc: dict) -> str:

@@ -19,7 +19,7 @@ gl_hodge_components is linalg.graded_parts over the (p, q) projectors; the
 Hodge components a Splitting holds are those of its real delta, so they sum
 to it.
 
-deligne_delta computes the Splitting once per structure and resolved
+deligne_delta computes the Splitting once per structure and per
 tolerance and caches it on the MixedHodgeStructure, next to the lattice,
 report and bigrading caches; the cached Splitting is shared by every caller,
 so it is frozen and its arrays are read-only.
@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import NoConvergence
 from .linalg import graded_parts, logm_unipotent, maxabs, nullspace_float
 from .mhs import DeligneBigrading, MixedHodgeStructure
@@ -70,10 +70,9 @@ def _ad_exp(w: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return sum(terms) @ Y @ sum((-1) ** k * t for k, t in enumerate(terms))
 
 
-def deligne_delta(H: MixedHodgeStructure, tol: float | None = None) -> Splitting:
+def deligne_delta(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> Splitting:
     """The splitting of a valid mixed Hodge structure, computed once per
-    resolved tol and cached on H."""
-    tol = default_tol() if tol is None else tol
+    tol and cached on H."""
     if tol not in H._splittings:
         H._splittings[tol] = _solve_splitting(H.bigrading(tol), tol)
     return H._splittings[tol]
@@ -106,14 +105,13 @@ def _solve_splitting(B: DeligneBigrading, tol: float) -> Splitting:
     return Splitting(delta=delta, hodge_components=MappingProxyType(comps), residual=residual)
 
 
-def lowering_morphisms(H: MixedHodgeStructure, tol: float | None = None) -> list[np.ndarray]:
+def lowering_morphisms(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of the (-1,-1)-morphisms: real matrices N with N W_k <= W_{k-2}
     and N F^p <= F^{p-1}.
 
     Filtration compatibility of a real matrix forces pure Hodge type by
     functoriality of the bigrading, so no extra type constraint is needed.
     """
-    tol = default_tol() if tol is None else tol
     n = H.dim
     rows = []
     # a . (N v) = 0 for annihilator rows a of the target and basis vectors v of

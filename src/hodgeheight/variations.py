@@ -12,12 +12,12 @@ be probed at arbitrary points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import pi
 
 import numpy as np
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import (
     HodgeError,
     InfeasibleRanks,
@@ -78,12 +78,12 @@ class LocalVariation:
     nilpotents: tuple[np.ndarray, ...]
     gamma: GammaPoly
     orientation: Orientation
+    tol: InitVar[float] = DEFAULT_TOL    # of the nilpotent, commutation and tameness checks
     # the oriented limit pair (F_inf, W), built once so that the caches of its
     # structure (lattice, bigrading, splitting) serve every call
     _limit: OrientedMHS = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        tol = default_tol()
+    def __post_init__(self, tol: float):
         for N in self.nilpotents:
             NilpotentOrbit(self.W, N, self.F_inf, tol)
         for A in self.nilpotents:
@@ -105,10 +105,9 @@ class LocalVariation:
     def length(self) -> int:
         return max(self.W.indices) - min(self.W.indices)
 
-    def is_tame(self, tol: float | None = None) -> bool:
+    def is_tame(self, tol: float = DEFAULT_TOL) -> bool:
         """s_j | [N_j, Gamma]: every coefficient with a zero j-th exponent must
         commute with N_j, exactly as a polynomial identity."""
-        tol = default_tol() if tol is None else tol
         for j, N in enumerate(self.nilpotents):
             N = np.asarray(N, dtype=complex)
             for expo, mat in self.gamma.terms:
@@ -128,13 +127,12 @@ class LocalVariation:
         return self._limit.mhs
 
 
-def fiber(v: LocalVariation, z, s, tol: float | None = None) -> MixedHodgeStructure:
+def fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
     """(exp(N(z)) exp(Gamma(s)) . F_inf, W).  Raises MalformedFiltration when
     the move leaves the steps of F without strictly decreasing dimensions (a
     step loses rank at the working tolerance, as when |s| > 1 makes the
     truncated Gamma series huge), and NotAnMHS outside the region where the
     pair is a mixed Hodge structure."""
-    tol = default_tol() if tol is None else tol
     G = expm_nilpotent(v.n_of(z))
     gm = v.gamma(s)
     if gm.size:
@@ -147,14 +145,13 @@ def fiber(v: LocalVariation, z, s, tol: float | None = None) -> MixedHodgeStruct
     return H
 
 
-def oriented_fiber(v: LocalVariation, z, s, tol: float | None = None) -> OrientedMHS:
+def oriented_fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> OrientedMHS:
     return OrientedMHS(fiber(v, z, s, tol), v.orientation)
 
 
-def height_sweep(v: LocalVariation, path, tol: float | None = None) -> list[tuple[float, float]]:
+def height_sweep(v: LocalVariation, path, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     """Heights along a list of (z, s) pairs, keyed by the point index's
     parameter |Im z_1| when available, else the index."""
-    tol = default_tol() if tol is None else tol
     out = []
     for idx, (z, s) in enumerate(path):
         try:
@@ -183,13 +180,12 @@ class AsymptoticsReport:
     identity_ok: bool
 
 
-def check_asymptotics(v: LocalVariation, sequence, tol: float | None = None) -> AsymptoticsReport:
+def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> AsymptoticsReport:
     """For a Hodge-Tate variation of length >= 4: per sampled point, the fiber
     height Ht(fiber), the gap |Ht(fiber) - Ht(limit)| and the residual of the
     depth-one identity
     delta^{-1,-1}(z,s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1},
     with only the (-1,-1) parts taken (linalg.graded_part)."""
-    tol = default_tol() if tol is None else tol
     limit = v.limit_structure()
     # Hodge-Tate variations have relative filtration equal to W, so the pair
     # (F_inf, W) must itself be a structure with diagonal bigrading

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from hodgeheight.biextension import BiextensionSpec, _mdim, build_biextension
-from hodgeheight.config import default_tol
+from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import HodgeError
 from hodgeheight.height import Orientation, OrientedMHS, _check_oriented
 from hodgeheight.linalg import Subspace, expm_nilpotent, maxabs
@@ -49,9 +49,8 @@ def mp_bloch_wigner(z: complex, precision_bits: int) -> float:
 
 
 def component_support(components: dict[tuple[int, int], np.ndarray],
-                      tol: float | None = None) -> list[tuple[int, int]]:
+                      tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
     """Keys of the components that are nonzero at the working tolerance."""
-    tol = default_tol() if tol is None else tol
     scale = max([maxabs(m) for m in components.values()] + [1.0])
     return sorted(k for k, m in components.items() if maxabs(m) > tol * scale)
 
@@ -103,10 +102,9 @@ def _type_positions(spec: BiextensionSpec) -> dict[tuple[int, int], list[int]]:
 # oriented functorial constructions
 
 
-def dual_oriented(om: OrientedMHS, tol: float | None = None) -> OrientedMHS:
+def dual_oriented(om: OrientedMHS, tol: float = DEFAULT_TOL) -> OrientedMHS:
     """Dual structure with the pairing-normalized orientation
     <1_H, 1_H*^vee> = 1 and <1_H^vee, 1_H*> = 1, under which Ht flips sign."""
-    tol = default_tol() if tol is None else tol
     H = om.mhs
     _check_oriented(H.W, om.orientation, tol)
     Hd = dual(H, tol)
@@ -134,7 +132,7 @@ def conjugate_oriented(om: OrientedMHS) -> OrientedMHS:
 
 
 def rescale_fiber(om: OrientedMHS, N: np.ndarray, t: complex,
-                  tol: float | None = None) -> OrientedMHS:
+                  tol: float = DEFAULT_TOL) -> OrientedMHS:
     """(exp(tN) . F, W) with the same orientation, for a lowering morphism N."""
     G = expm_nilpotent(complex(t) * np.asarray(N, dtype=complex))
     F = om.mhs.F.map_spaces(lambda s: s.image_under(G, tol))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+
 import numpy as np
 import pytest
 
@@ -242,14 +244,6 @@ def test_out_flag_writes_file(dilog_file, tmp_path):
     assert "height" in doc
 
 
-def test_env_tol_override(monkeypatch, dilog_file):
-    monkeypatch.setenv("HODGE_TOL", "1e-7")
-    from hodgeheight.config import default_tol
-
-    assert default_tol() == 1e-7
-    assert main(["validate", dilog_file]) == 0
-
-
 def test_numerical_failure_exit_code(dilog_file, monkeypatch):
     from hodgeheight import cli
     from hodgeheight.errors import NoConvergence
@@ -346,21 +340,84 @@ def test_bad_global_flags_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_nonfinite_env_tol_is_a_usage_error(monkeypatch, dilog_file):
-    monkeypatch.setenv("HODGE_TOL", "nan")
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", dilog_file])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("value", ["nan", "abc"])
+def test_hodge_tol_in_the_environment_is_ignored(monkeypatch, capsys, value):
+    # --tol is the one way to set the tolerance; the environment reaches nothing
+    assert main(["scenario", "dim0", "--format", "csv"]) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("HODGE_TOL", value)
+    assert main(["scenario", "dim0", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == unset
 
 
-def test_unparsable_env_tol_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("HODGE_TOL", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["scenario", "dim0"])
-    assert exc.value.code == 2
+# F^0 = <f> and F^-1 = <f, f + 1e-8 e1>, f = (1, 0.3i, 0.1 + 0.2i): the two
+# steps differ only at 1e-8, so whether F^-1 is a plane depends on the tolerance
+# at which the document steps are echelonized
+F_STEP_DOC = {
+    "dimension": 3,
+    "weight_filtration": [
+        {"weight": -4, "basis": [["0", "0", "1"]]},
+        {"weight": -2, "basis": [["0", "1", "0"], ["0", "0", "1"]]},
+        {"weight": 0, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}],
+    "hodge_filtration": [
+        {"level": 0, "basis": [[[1, 0], [0, 0.3], [0.1, 0.2]]]},
+        {"level": -1, "basis": [[[1, 0], [0, 0.3], [0.1, 0.2]],
+                                [[1, 0], [1e-8, 0.3], [0.1, 0.2]]]},
+        {"level": -2, "basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                [[0, 0], [0, 0], [1, 0]]]}],
+}
+
+# the dilog W and F_inf with N1 = -E21 and N2 = N1 + 1e-8 E10, which commute
+# only up to [N1, N2] = -1e-8 E20
+NEAR_COMMUTING_DOC = {
+    "dimension": 3,
+    "weight_filtration": F_STEP_DOC["weight_filtration"],
+    "f_infinity": [
+        {"level": 0, "basis": [[[1, 0], [0, 0], [0, 0]]]},
+        {"level": -1, "basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]},
+        {"level": -2, "basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                [[0, 0], [0, 0], [1, 0]]]}],
+    "nilpotents": [
+        [["0", "0", "0"], ["0", "0", "0"], ["0", "-1", "0"]],
+        [["0", "0", "0"], ["1/100000000", "0", "0"], ["0", "-1", "0"]]],
+    "orientation": {"top": ["1", "0", "0"], "bottom": ["0", "0", "1"]},
+}
+
+
+@pytest.mark.parametrize("doc, flags, status, message", [
+    (F_STEP_DOC, [], 0, None),
+    (F_STEP_DOC, ["--tol", "1e-6"], 1, "Hodge filtration steps must strictly decrease"),
+    (NEAR_COMMUTING_DOC, [], 1, "monodromy logarithms must commute"),
+    (NEAR_COMMUTING_DOC, ["--tol", "1e-6"], 0, None),
+], ids=["f-steps-default", "f-steps-tol-1e-6", "nilpotents-default", "nilpotents-tol-1e-6"])
+def test_tol_reaches_the_document_parse(doc, flags, status, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    assert main([*flags, "validate", str(path)]) == status
     err = capsys.readouterr().err
-    assert err.startswith("usage: hodgeheight")
-    assert "HODGE_TOL" in err and "Traceback" not in err
+    assert "Traceback" not in err
+    if message is not None:
+        assert message in err
+
+
+def test_dim0_rows_show_what_extract_invariants_reads_back(monkeypatch, capsys):
+    from hodgeheight import scenarios
+
+    extract = scenarios.extract_invariants
+
+    def shifted(om, tol):
+        back = extract(om, tol)
+        return dataclasses.replace(back, delta1=tuple(x + 1e-3 for x in back.delta1))
+
+    monkeypatch.setattr(scenarios, "extract_invariants", shifted)
+    assert main(["scenario", "dim0", "--a", "2", "--b", "3"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    rows = {row["label"]: row for row in out["rows"]}
+    assert not out["pass"]
+    for label, x in (("delta1[0]", 2), ("delta1[1]", 3)):
+        assert rows[label]["expected"] == np.log(x) / (2 * np.pi)
+        assert rows[label]["computed"] == pytest.approx(rows[label]["expected"] + 1e-3,
+                                                        abs=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hodgeheight.biextension import BiextensionSpec, build_biextension, random_spec
+from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight import mhs
 from hodgeheight.limits import NilpotentOrbit, limit_mhs
@@ -233,7 +234,7 @@ def test_hodge_tate_lattice_makes_no_intersect(monkeypatch):
     meets = []
     intersect = Subspace.intersect
 
-    def counted(self, other, tol=None):
+    def counted(self, other, tol=DEFAULT_TOL):
         meets.append(1)
         return intersect(self, other, tol)
 
@@ -294,7 +295,7 @@ def test_lattice_reads_f_cap_w_off_one_adapted_basis(monkeypatch):
         builds.append(steps)
         return adapted(steps)
 
-    def counted_intersect(self, other, tol=None):
+    def counted_intersect(self, other, tol=DEFAULT_TOL):
         meets.append((self, other))
         return intersect(self, other, tol)
 

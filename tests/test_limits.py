@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import (
     ConstructionFailed,
     DoesNotExist,
@@ -804,7 +805,7 @@ def test_relative_filtration_preimages_stay_in_the_live_window(monkeypatch):
     calls = []
     original = Subspace.preimage_under
 
-    def counted(self, A, tol=None):
+    def counted(self, A, tol=DEFAULT_TOL):
         calls.append(1)
         return original(self, A, tol)
 
@@ -1023,7 +1024,7 @@ def test_relative_filtration_makes_no_intersection(monkeypatch):
     calls = []
     original = Subspace.intersect
 
-    def counted(self, other, tol=None):
+    def counted(self, other, tol=DEFAULT_TOL):
         calls.append(1)
         return original(self, other, tol)
 
@@ -1077,7 +1078,7 @@ def test_relative_filtration_builds_one_power_table(monkeypatch):
     tables = []
     original, cut = limits.nilpotent_powers, limits._block_powers
 
-    def counted(N, tol=None):
+    def counted(N, tol=DEFAULT_TOL):
         tables.append(len(N))
         return original(N, tol)
 
@@ -1156,7 +1157,7 @@ def test_initial_grading_reduces_each_eigenspace_once(monkeypatch):
     reduced, eigen = [], []
     original_reduce, original_eigen = AdaptedBasis.reduce, limits._eigenspaces
 
-    def counted_reduce(self, S, tol=None):
+    def counted_reduce(self, S, tol=DEFAULT_TOL):
         reduced.append(S)
         return original_reduce(self, S, tol)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_oracle as oracle
 from hodgeheight import linalg
+from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import DimensionMismatch, NotNilpotent
 from hodgeheight.linalg import (
     AdaptedBasis,
@@ -22,12 +23,12 @@ from hodgeheight.linalg import (
 )
 
 
-def contains_vector(S: Subspace, v, tol: float | None = None) -> bool:
+def contains_vector(S: Subspace, v, tol: float = DEFAULT_TOL) -> bool:
     """Whether the vector v lies in S, by Subspace.contains on its span."""
     return S.contains(Subspace.from_rows([list(v)], S.ambient_dim, tol), tol)
 
 
-def complement_in(sub: Subspace, bigger: Subspace, tol: float | None = None) -> Subspace:
+def complement_in(sub: Subspace, bigger: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """A complement of sub inside bigger: the echelon rows of bigger at the
     pivots sub lacks, exact when both are."""
     keep = [i for i, p in enumerate(bigger.pivots) if p not in set(sub.pivots)]
@@ -544,11 +545,10 @@ def test_exact_operations_match_the_fraction_oracle(case):
 # the float echelon kernel against the numpy row loop it replaced
 
 
-def reference_rref_float(M, tol=None):
+def reference_rref_float(M, tol=DEFAULT_TOL):
     """rref_float as a numpy row loop: the pivot is the first largest |entry|
     at or below row r (np.argmax), and each row is cleared by one array
     operation.  The oracle for the kernel's pivots and entries."""
-    tol = linalg.default_tol() if tol is None else tol
     M = np.array(M, dtype=complex)
     rows, cols = M.shape
     if rows == 0 or cols == 0:

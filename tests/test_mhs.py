@@ -303,17 +303,13 @@ def test_conjugate_fixes_real_split_structure():
         assert s.equals(H.F.at(p))
 
 
-def test_caches_are_keyed_by_tolerance(monkeypatch):
+def test_caches_are_keyed_by_tolerance():
     H = dilog_fiber(0.3 + 0.6j).mhs
     assert H.validate(1e-12) is H.validate(1e-12)
     assert H.bigrading(1e-12) is H.bigrading(1e-12)
     assert H.bigrading(1e-3) is not H.bigrading(1e-12)
     assert H.validate(1e-3) is not H.validate(1e-12)
-    # tol=None resolves to the current default before the lookup
     assert H.bigrading() is H.bigrading(1e-9)
-    monkeypatch.setenv("HODGE_TOL", "1e-10")
-    assert H.bigrading() is H.bigrading(1e-10)
-    assert H.bigrading() is not H.bigrading(1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -167,15 +167,11 @@ def test_lowering_morphisms_are_pure_type(rng):
         assert all(key == (-1, -1) for key in support)
 
 
-def test_splitting_cached_per_tolerance(monkeypatch):
+def test_splitting_cached_per_tolerance():
     H = dilog_fiber(0.35 + 0.55j).mhs
     assert deligne_delta(H, 1e-9) is deligne_delta(H, 1e-9)
     assert deligne_delta(H, 1e-8) is not deligne_delta(H, 1e-9)
-    # tol=None resolves to the current default before the lookup
     assert deligne_delta(H) is deligne_delta(H, 1e-9)
-    monkeypatch.setenv("HODGE_TOL", "1e-10")
-    assert deligne_delta(H) is deligne_delta(H, 1e-10)
-    assert deligne_delta(H) is not deligne_delta(H, 1e-9)
 
 
 def test_shared_splitting_and_top_lift_are_read_only():
