@@ -21,8 +21,8 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import InvalidBlockType, NotGeneralizedBiextension
 from .height import Orientation, OrientedMHS, _coefficient_against_bottom, height
-from .linalg import Subspace, expm_nilpotent, maxabs
-from .mhs import Filtration, MixedHodgeStructure
+from .linalg import expm_nilpotent, maxabs
+from .mhs import MixedHodgeStructure, split_filtration
 from .splitting import deligne_delta
 
 MiddleType = tuple[tuple[int, int], int]  # ((p, q) with p >= q, multiplicity)
@@ -99,8 +99,9 @@ def assemble_delta(spec: BiextensionSpec) -> np.ndarray:
 
 def build_biextension(spec: BiextensionSpec) -> OrientedMHS:
     """Realize the spec as (exp(i delta) . F0, W), F0 the split real
-    reference, without building F0: each F^p is spanned at once by
-    G = exp(i delta) on the reference bigrading vectors of type (a, b), a >= p."""
+    reference, without building F0: F is the split filtration
+    (mhs.split_filtration) of the basis G v, G = exp(i delta) and v the
+    reference bigrading vectors, each at the level a of its type (a, b)."""
     n = spec.dim
     two_a, b, two_c = spec.weights
     G = expm_nilpotent(1j * assemble_delta(spec))
@@ -117,14 +118,10 @@ def build_biextension(spec: BiextensionSpec) -> OrientedMHS:
                 x, y = G[:, col], G[:, col + 1]
                 pieces += [(p, x + 1j * y), (q, x - 1j * y)]
                 col += 2
-    # F^p is spanned by a superset of F^(p+1)'s vectors, W by nested coordinate rows
-    F = Filtration._nested(
-        [(lev, Subspace.from_rows(np.array([v for p, v in pieces if p >= lev]), n))
-         for lev in sorted({p for p, _ in pieces})], False, n)
+    # G is unipotent and the reference vectors are a basis, so the G v are one
+    F = split_filtration([p for p, _ in pieces], False, np.array([v for _, v in pieces]))
+    W = split_filtration([two_a] + [b] * (n - 2) + [two_c], True)
     eye = np.eye(n)
-    W = Filtration._nested([(two_c, Subspace.from_rows(eye[n - 1:], n)),
-                            (b, Subspace.from_rows(eye[1:], n)),
-                            (two_a, Subspace.full(n))], True, n)
     return OrientedMHS(MixedHodgeStructure(W, F), Orientation.of(eye[0], eye[n - 1]))
 
 

@@ -28,22 +28,21 @@ import sys
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import HodgeError, NoConvergence
+from .errors import HodgeError, LengthTooSmall, NoConvergence, NotHodgeTate
 from .height import OrientedMHS, height
 from .limits import limit_height
-from .mhs import is_hodge_tate
 from .schemas import (
     detect_kind,
     dumps,
     load,
     parse_mhs,
     parse_orbit,
-    parse_oriented_mhs,
+    parse_orientation,
     parse_variation,
 )
 from .splitting import deligne_delta
 from . import scenarios
-from .variations import check_asymptotics, height_sweep, oriented_fiber
+from .variations import check_asymptotics, fiber, height_sweep
 
 OK, FAIL, NUMERICAL, IOERR = 0, 1, 2, 3
 
@@ -60,49 +59,50 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def cmd_validate(args) -> int:
+def _read(args, needs: tuple[tuple[str, ...], str] | None = None, orientation: bool = True):
+    """(kind, object, orientation or None) of the file, parsed at --tol; needs =
+    (kinds, message) rejects another kind before parsing, and orientation=False
+    leaves a structure file's orientation unread."""
     doc = load(args.path)
     kind = detect_kind(doc)
+    if needs is not None and kind not in needs[0]:
+        raise HodgeError(needs[1])
     if kind == "orbit":
-        H = parse_orbit(doc, args.tol)[0].fiber(2j, args.tol)
-    elif kind == "variation":
-        H = parse_variation(doc, args.tol).limit_structure()
-    else:
-        H = parse_mhs(doc, args.tol)
+        return (kind, *parse_orbit(doc, args.tol))
+    if kind == "variation":
+        v = parse_variation(doc, args.tol)
+        return kind, v, v.orientation
+    orient = parse_orientation(doc) if orientation else None
+    return kind, parse_mhs(doc, args.tol), orient
+
+
+def _at(kind: str, obj, z: complex, tol: float):
+    """An orbit's fiber at z, a variation's at z_j = z and s_j = e^{2 pi i z}, or a structure."""
+    if kind == "orbit":
+        return obj.fiber(z, tol)
+    if kind == "variation":
+        k = len(obj.nilpotents)
+        return fiber(obj, [z] * k, [np.exp(2j * np.pi * z)] * k, tol)
+    return obj
+
+
+def cmd_validate(args) -> int:
+    kind, obj, _ = _read(args, orientation=False)
+    H = obj.limit_structure() if kind == "variation" else _at(kind, obj, 2j, args.tol)
     report = H.validate(args.tol)
     _emit(args, dumps({"ok": report.ok, "failures": report.failures}))
     return OK if report.ok else FAIL
 
 
-def _oriented_orbit(doc: dict, tol: float):
-    orbit, orient = parse_orbit(doc, tol)
-    if orient is None:
-        raise HodgeError("orbit file has no orientation")
-    return orbit, orient
-
-
 def cmd_compute(args) -> int:
-    doc = load(args.path)
-    kind = detect_kind(doc)
     if args.what == "limit-height":
-        if kind != "orbit":
-            raise HodgeError("limit-height needs an orbit file")
-        value = limit_height(*_oriented_orbit(doc, args.tol), args.tol)
-        _emit(args, dumps({"limit_height": value}))
+        _, orbit, orient = _read(args, (("orbit",), "limit-height needs an orbit file"))
+        if orient is None:
+            raise HodgeError("orbit file has no orientation")
+        _emit(args, dumps({"limit_height": limit_height(orbit, orient, args.tol)}))
         return OK
-    if kind == "orbit":
-        orbit, orient = parse_orbit(doc, args.tol)
-        H = orbit.fiber(args.z, args.tol)
-        om = OrientedMHS(H, orient) if orient is not None else None
-    elif kind == "variation":
-        v = parse_variation(doc, args.tol)
-        s = np.exp(2j * np.pi * args.z)
-        k = len(v.nilpotents)
-        om = oriented_fiber(v, [args.z] * k, [s] * k, args.tol)
-        H = om.mhs
-    else:
-        om = parse_oriented_mhs(doc, args.tol) if "orientation" in doc else None
-        H = om.mhs if om is not None else parse_mhs(doc, args.tol)
+    kind, obj, orient = _read(args)
+    H = _at(kind, obj, args.z, args.tol)
     if args.what == "bigrading":
         B = H.bigrading(args.tol)
         comps = {f"{p},{q}": [[[x.real, x.imag] for x in row] for row in B.components[(p, q)].basis]
@@ -113,9 +113,9 @@ def cmd_compute(args) -> int:
         _emit(args, dumps({"delta": [[float(x) for x in row] for row in spl.delta],
                            "residual": spl.residual}))
     else:
-        if om is None:
+        if orient is None:
             raise HodgeError("height needs an orientation")
-        _emit(args, dumps({"height": height(om, args.tol)}))
+        _emit(args, dumps({"height": height(OrientedMHS(H, orient), args.tol)}))
     return OK
 
 
@@ -179,29 +179,24 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = load(args.path)
-    kind = detect_kind(doc)
+    kind, obj, orient = _read(args, (("orbit", "variation"),
+                                     "sweep needs an orbit or variation file"))
+    if orient is None:
+        raise HodgeError("orbit file has no orientation")
     z0, z1 = args.z_start, args.z_end
     zs = [z0 + (z1 - z0) * t for t in np.linspace(0.0, 1.0, args.count)]
-    rows = []
     if kind == "orbit":
-        orbit, orient = _oriented_orbit(doc, args.tol)
-        for z in zs:
-            h = height(OrientedMHS(orbit.fiber(z, args.tol), orient), args.tol)
-            rows.append((z.imag, h, float("nan")))
-    elif kind == "variation":
-        v = parse_variation(doc, args.tol)
-        k = len(v.nilpotents)
-        pts = [([z] * k, [np.exp(2j * np.pi * z)] * k) for z in zs]
-        limit = v.limit_structure()
-        if limit.validate(args.tol).ok and is_hodge_tate(limit, args.tol) and v.length >= 4:
-            report = check_asymptotics(v, pts, args.tol)
-            for p in report.points:
-                rows.append((complex(p.z[0]).imag, p.height, p.identity_residual))
-        else:
-            rows.extend((p, h, float("nan")) for p, h in height_sweep(v, pts, args.tol))
+        rows = [(z.imag, height(OrientedMHS(obj.fiber(z, args.tol), orient), args.tol),
+                 float("nan")) for z in zs]
     else:
-        raise HodgeError("sweep needs an orbit or variation file")
+        k = len(obj.nilpotents)
+        pts = [([z] * k, [np.exp(2j * np.pi * z)] * k) for z in zs]
+        try:
+            report = check_asymptotics(obj, pts, args.tol)
+            rows = [(complex(p.z[0]).imag, p.height, p.identity_residual)
+                    for p in report.points]
+        except (NotHodgeTate, LengthTooSmall):
+            rows = [(p, h, float("nan")) for p, h in height_sweep(obj, pts, args.tol)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["param", "height", "identity_residual"])

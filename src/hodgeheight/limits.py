@@ -102,7 +102,7 @@ from .linalg import (
     nullspace_float,
     right_echelon,
 )
-from .mhs import Filtration, MixedHodgeStructure, weight_filtration
+from .mhs import Filtration, MixedHodgeStructure, split_filtration, weight_filtration
 from .splitting import deligne_delta
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def _monodromy_from_powers(powers: list, center: int, tol: float) -> Filtration:
                 images[(e, j)] = kernels[e].image_under(powers[j], tol) if j else kernels[e]
             total = total.add(images[(e, j)], tol)
         sums[k + center] = total
-    filt = _steps_to_filtration(sums, n)
+    filt = _steps_to_filtration(sums, n, tol)
     _verify_centered(filt, powers, center, tol)
     return filt
 
@@ -182,7 +182,7 @@ def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
         raise DoesNotExist("N does not preserve the weight filtration")
     base, M_steps = _relative_rec(powers, W.indices, flag.dims, tol)
     try:
-        filt = _steps_to_filtration(M_steps, W.ambient_dim)
+        filt = _steps_to_filtration(M_steps, W.ambient_dim, tol)
     except MalformedFiltration as exc:
         # the downward/upward passes only interlock when the filtration exists
         raise DoesNotExist(f"candidate family is not a filtration: {exc}") from exc
@@ -261,14 +261,15 @@ def _relative_rec(powers: list, weights: list[int], dims: tuple[int, ...],
     return base, M
 
 
-def _steps_to_filtration(M: dict[int, Subspace], n: int) -> Filtration:
+def _steps_to_filtration(M: dict[int, Subspace], n: int,
+                         tol: float = DEFAULT_TOL) -> Filtration:
     steps = []
     prev = -1
     for k in sorted(M):
         if M[k].dim > prev and M[k].dim > 0:
             steps.append((k, M[k]))
             prev = M[k].dim
-    return weight_filtration(steps, n)
+    return weight_filtration(steps, n, tol)
 
 
 def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tuple[int, ...],
@@ -552,13 +553,7 @@ def random_deligne_system(rng: np.random.Generator, max_dim: int = 6,
                     N[idx + j + 1, idx + j] = 1.0
             idx += length
         Y = np.diag(np.array(Mlev, dtype=float))
-        wvals = sorted(set(Wlev))
-        steps = []
-        for k in wvals:
-            rows = [np.eye(n)[i] for i in range(n) if Wlev[i] <= k]
-            steps.append((k, Subspace.from_rows(rows, n)))
-        # the steps grow strictly from a nonzero W_min to everything
-        W = weight_filtration(steps, n)
+        W = split_filtration(Wlev, True)
         try:
             # raises DoesNotExist when N does not preserve W
             M = relative_weight_filtration(N, W, tol)
@@ -567,8 +562,8 @@ def random_deligne_system(rng: np.random.Generator, max_dim: int = 6,
         # Y must grade M
         if [int(x) for x in sorted(set(Mlev))] != M.indices:
             continue
-        if not all(Subspace.from_rows([np.eye(n)[i] for i in range(n) if Mlev[i] <= k], n)
-                   .equals(M.at(k), tol) for k in M.indices):
+        Mref = split_filtration(Mlev, True)
+        if not all(Mref.at(k).equals(M.at(k), tol) for k in M.indices):
             continue
         # random rational coordinate change preserving nothing in particular
         g = np.eye(n) + np.triu(rng.integers(-2, 3, size=(n, n)), 1).astype(float)

@@ -69,7 +69,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -94,11 +94,11 @@ class Filtration:
     """
 
     def __init__(self, steps: Iterable[tuple[int, Subspace]], increasing: bool,
-                 ambient_dim: int):
+                 ambient_dim: int, tol: float = DEFAULT_TOL):
         self._settle(steps, increasing, ambient_dim)
         # each step, smallest first, must lie in the next
         up = [s for _, s in self.steps][:: 1 if self.increasing else -1]
-        if not all(b.contains(a) for a, b in zip(up, up[1:])):
+        if not all(b.contains(a, tol) for a, b in zip(up, up[1:])):
             raise MalformedFiltration("weight filtration steps must strictly increase"
                                       if self.increasing else
                                       "Hodge filtration steps must strictly decrease")
@@ -154,8 +154,9 @@ class Filtration:
         return self._adapted
 
     def shift(self, by: int) -> "Filtration":
-        return Filtration([(k + by, s) for k, s in self.steps], self.increasing,
-                          self.ambient_dim)
+        """The same steps re-indexed by by, which changes no subspace."""
+        return Filtration._nested([(k + by, s) for k, s in self.steps], self.increasing,
+                                  self.ambient_dim)
 
     @classmethod
     def _nested(cls, steps, increasing: bool, ambient_dim: int) -> "Filtration":
@@ -176,12 +177,34 @@ class Filtration:
         return f"Filtration[{kind}]({body})"
 
 
-def weight_filtration(steps: Iterable[tuple[int, Subspace]], dim: int) -> Filtration:
-    return Filtration(steps, increasing=True, ambient_dim=dim)
+def weight_filtration(steps: Iterable[tuple[int, Subspace]], dim: int,
+                      tol: float = DEFAULT_TOL) -> Filtration:
+    return Filtration(steps, increasing=True, ambient_dim=dim, tol=tol)
 
 
-def hodge_filtration(steps: Iterable[tuple[int, Subspace]], dim: int) -> Filtration:
-    return Filtration(steps, increasing=False, ambient_dim=dim)
+def hodge_filtration(steps: Iterable[tuple[int, Subspace]], dim: int,
+                     tol: float = DEFAULT_TOL) -> Filtration:
+    return Filtration(steps, increasing=False, ambient_dim=dim, tol=tol)
+
+
+def split_filtration(levels: Sequence[int], increasing: bool, basis=None,
+                     tol: float = DEFAULT_TOL) -> Filtration:
+    """Step k spans the rows of basis of level <= k (increasing) or >= k
+    (decreasing); the step of all n rows is Subspace.full(n).  The default
+    basis is the coordinate one, whose unit rows in coordinate order are
+    already reduced echelon rows, so no step of it is row-reduced.  The
+    rows of an explicit basis (G v with G unipotent in build_biextension,
+    the triangular e0, e1, u2 of dilog_fiber) are, per step at tol.  Each
+    step spans a superset of the rows of the step inside it, so the steps
+    nest by construction and are not checked."""
+    n = len(levels)
+    steps = []
+    for k in sorted(set(levels)):
+        on = [i for i, lev in enumerate(levels) if (lev <= k if increasing else lev >= k)]
+        steps.append((k, Subspace.full(n) if len(on) == n else
+                      Subspace.from_rows(basis[on], n, tol) if basis is not None else
+                      Subspace(None, n, on, exact=[[int(i == j) for j in range(n)] for i in on])))
+    return Filtration._nested(steps, increasing, n)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +422,7 @@ def validate(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> ValidationRepo
 
 def rational_mhs(a: int = 0) -> MixedHodgeStructure:
     """The rank-one structure of weight -2a with Hodge level -a."""
-    one = Subspace.full(1)
-    W = weight_filtration([(-2 * a, one)], 1)
-    F = hodge_filtration([(-a, one)], 1)
-    return MixedHodgeStructure(W, F)
+    return MixedHodgeStructure(split_filtration([-2 * a], True), split_filtration([-a], False))
 
 
 def tate_twist(H: MixedHodgeStructure, a: int) -> MixedHodgeStructure:
@@ -421,16 +441,9 @@ def dual(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> MixedHodgeStructur
     W_k(V*) annihilates W_{-k-1}(V) and F^p(V*) annihilates F^{1-p}(V); the
     dual bigrading is the annihilator pattern with weights negated.
     """
-    n = H.dim
-    wsteps = []
-    for k in [-k for k in H.weights]:
-        space = H.W.at(-k - 1).annihilator(tol)
-        wsteps.append((k, space))
-    fsteps = []
-    for p in [-p for p in H.levels]:
-        space = H.F.at(1 - p).annihilator(tol)
-        fsteps.append((p, space))
-    return MixedHodgeStructure(weight_filtration(wsteps, n), hodge_filtration(fsteps, n))
+    W = weight_filtration([(-k, H.W.at(k - 1).annihilator(tol)) for k in H.weights], H.dim, tol)
+    F = hodge_filtration([(-p, H.F.at(p + 1).annihilator(tol)) for p in H.levels], H.dim, tol)
+    return MixedHodgeStructure(W, F)
 
 
 def is_morphism(T: np.ndarray, A: MixedHodgeStructure, B: MixedHodgeStructure,

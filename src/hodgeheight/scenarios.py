@@ -25,8 +25,7 @@ from .dilog import ZETA2, bloch_wigner, li2, principal_log
 from .errors import DegenerateTriangle, HodgeError
 from .height import Orientation, OrientedMHS, height, height_biextension
 from .limits import NilpotentOrbit, limit_height
-from .linalg import Subspace
-from .mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
+from .mhs import MixedHodgeStructure, split_filtration
 from .variations import DILOG_W
 
 
@@ -40,25 +39,22 @@ def dilog_fiber(s: complex, tol: float = DEFAULT_TOL) -> OrientedMHS:
 
     The Hodge line is spanned by
         e0 = u0 + log(1-s)/(2 pi i) u1 - (log(1-s) log(s) + Li2(s)) u2
-    and the next level adds e1 = u1/(2 pi i) - log(s) u2.  W is the
-    dilog variation's variations.DILOG_W, so every fiber shares its adapted
-    basis.
+    and the next level adds e1 = u1/(2 pi i) - log(s) u2: F is the split
+    filtration of e0, e1, u2 at levels 0, -1, -2, a basis since it is
+    triangular with diagonal 1, 1/(2 pi i), 1.  W is the dilog variation's
+    variations.DILOG_W, so every fiber shares its adapted basis.
     """
     s = complex(s)
     if s in (0.0, 1.0) or s.imag == 0.0 and s.real in (0.0, 1.0):
         raise HodgeError("dilog fiber is degenerate at s in {0, 1}")
-    n = 3
     l1s = principal_log(1.0 - s)
     ls = principal_log(s)
     L2 = li2(s).value
     tp = 2j * pi
-    e0 = np.array([1.0, l1s / tp, -(l1s * ls + L2)], dtype=complex)
-    e1 = np.array([0.0, 1.0 / tp, -ls], dtype=complex)
-    F = hodge_filtration([
-        (0, Subspace.from_rows([e0], n, tol)),
-        (-1, Subspace.from_rows([e0, e1], n, tol)),
-        (-2, Subspace.full(n)),
-    ], n)
+    basis = np.array([[1.0, l1s / tp, -(l1s * ls + L2)],    # e0
+                      [0.0, 1.0 / tp, -ls],                 # e1
+                      [0.0, 0.0, 1.0]], dtype=complex)      # u2
+    F = split_filtration([0, -1, -2], False, basis, tol)
     return OrientedMHS(MixedHodgeStructure(DILOG_W, F),
                        Orientation.of([1, 0, 0], [0, 0, 1]))
 
@@ -95,18 +91,8 @@ def cubic_orbit() -> tuple[NilpotentOrbit, Orientation]:
     n = 4
     N = np.zeros((n, n))
     N[1, 0] = N[2, 1] = N[3, 2] = 1.0
-    W = weight_filtration([
-        (-6, Subspace.from_rows([[0, 0, 0, 1]], n)),
-        (-3, Subspace.from_rows(np.eye(n)[1:], n)),
-        (0, Subspace.full(n)),
-    ], n)
-    F = hodge_filtration([
-        (0, Subspace.from_rows([np.eye(n)[0]], n)),
-        (-1, Subspace.from_rows(np.eye(n)[:2], n)),
-        (-2, Subspace.from_rows(np.eye(n)[:3], n)),
-        (-3, Subspace.full(n)),
-    ], n)
-    orbit = NilpotentOrbit(W, N, F)
+    orbit = NilpotentOrbit(split_filtration([0, -3, -3, -6], True), N,
+                           split_filtration([0, -1, -2, -3], False))
     return orbit, Orientation.of(np.eye(n)[0], np.eye(n)[3])
 
 

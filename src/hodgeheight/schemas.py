@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import HodgeError
-from .height import Orientation, OrientedMHS
+from .height import Orientation
 from .limits import NilpotentOrbit
 from .linalg import Subspace
 from .mhs import Filtration, MixedHodgeStructure, hodge_filtration, weight_filtration
@@ -76,14 +76,14 @@ def _complex_matrix(rows) -> np.ndarray:
 
 def _filtrations(doc: dict, hodge_key: str, tol: float) -> tuple[Filtration, Filtration]:
     """The weight filtration of a file and the Hodge filtration under hodge_key,
-    each step echelonized at tol."""
+    each step echelonized and its nesting checked at tol."""
     n = int(doc["dimension"])
     W = weight_filtration([(int(step["weight"]),
                             Subspace.from_rows(_rational_matrix(step["basis"]), n, tol))
-                           for step in doc["weight_filtration"]], n)
+                           for step in doc["weight_filtration"]], n, tol)
     F = hodge_filtration([(int(step["level"]),
                            Subspace.from_rows(_complex_matrix(step["basis"]), n, tol))
-                          for step in doc[hodge_key]], n)
+                          for step in doc[hodge_key]], n, tol)
     return W, F
 
 
@@ -100,14 +100,6 @@ def parse_orientation(doc: dict) -> Orientation | None:
     top = [float(_parse_rational(x)) for x in o["top"]]
     bottom = [float(_parse_rational(x)) for x in o["bottom"]]
     return Orientation.of(top, bottom)
-
-
-@_document
-def parse_oriented_mhs(doc: dict, tol: float = DEFAULT_TOL) -> OrientedMHS:
-    orient = parse_orientation(doc)
-    if orient is None:
-        raise HodgeError("file has no orientation block")
-    return OrientedMHS(parse_mhs(doc, tol), orient)
 
 
 @_document

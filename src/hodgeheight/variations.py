@@ -27,8 +27,8 @@ from .errors import (
 )
 from .height import Orientation, OrientedMHS, height
 from .limits import NilpotentOrbit
-from .linalg import Subspace, expm_nilpotent, graded_part, maxabs
-from .mhs import MixedHodgeStructure, hodge_filtration, is_hodge_tate, weight_filtration
+from .linalg import expm_nilpotent, graded_part, maxabs
+from .mhs import MixedHodgeStructure, is_hodge_tate, split_filtration
 from .splitting import deligne_delta
 
 
@@ -236,19 +236,9 @@ def random_hodge_tate(ranks, nil_count: int, seed: int) -> LocalVariation:
     offsets = np.cumsum([0] + ranks)
     blocks = [(0 - 2 * i, list(range(offsets[i], offsets[i + 1])))
               for i in range(len(ranks))]
-    wsteps = []
-    acc: list[int] = []
-    for k, cols in reversed(blocks):
-        acc = cols + acc
-        wsteps.append((k, Subspace.from_rows([np.eye(n)[i] for i in acc], n)))
-    W = weight_filtration(wsteps, n)
-    fsteps = []
-    for i, (k, cols) in enumerate(blocks):
-        rows = []
-        for kk, cc in blocks[: i + 1]:
-            rows.extend(np.eye(n)[j] for j in cc)
-        fsteps.append((k // 2, Subspace.from_rows(rows, n)))
-    F = hodge_filtration(fsteps, n)
+    weights = [k for k, cols in blocks for _ in cols]
+    W = split_filtration(weights, True)
+    F = split_filtration([k // 2 for k in weights], False)
 
     def random_lowering(lo: int = -2, hi: int = 3, adjacent_only: bool = False) -> np.ndarray:
         M = np.zeros((n, n))
@@ -311,11 +301,7 @@ def random_hodge_tate(ranks, nil_count: int, seed: int) -> LocalVariation:
 # rational basis u0, u1, u2.  It is one object, shared by every dilog
 # variation and by scenarios.dilog_fiber, so all their fibers read one
 # adapted basis.
-DILOG_W = weight_filtration([
-    (-4, Subspace.from_rows(np.eye(3)[2:], 3)),
-    (-2, Subspace.from_rows(np.eye(3)[1:], 3)),
-    (0, Subspace.full(3)),
-], 3)
+DILOG_W = split_filtration([0, -2, -4], True)
 
 
 def dilog_variation(degree: int = 60) -> LocalVariation:
@@ -329,11 +315,7 @@ def dilog_variation(degree: int = 60) -> LocalVariation:
     n = 3
     N = np.zeros((n, n))
     N[2, 1] = -1.0
-    F = hodge_filtration([
-        (0, Subspace.from_rows([[1, 0, 0]], n)),
-        (-1, Subspace.from_rows([[1, 0, 0], [0, 1, 0]], n)),
-        (-2, Subspace.full(n)),
-    ], n)
+    F = split_filtration([0, -1, -2], False)
     tp = 2j * pi
     terms = {}
     for k in range(1, degree + 1):

@@ -384,12 +384,29 @@ NEAR_COMMUTING_DOC = {
 }
 
 
+# F^0 = <(1, 0.3i, 0.1 + (0.2 + 1e-8)i)> and F^-1 = <(1, 0.3i, 0.1 + 0.2i), e1>:
+# F^0 lies in F^-1 only up to 1e-8, so whether the steps nest depends on the
+# tolerance of the nesting check
+F_NESTING_DOC = {
+    "dimension": 3,
+    "weight_filtration": F_STEP_DOC["weight_filtration"],
+    "hodge_filtration": [
+        {"level": 0, "basis": [[[1, 0], [0, 0.3], [0.1, 0.20000001]]]},
+        {"level": -1, "basis": [[[1, 0], [0, 0.3], [0.1, 0.2]], [[0, 0], [1, 0], [0, 0]]]},
+        {"level": -2, "basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                [[0, 0], [0, 0], [1, 0]]]}],
+}
+
+
 @pytest.mark.parametrize("doc, flags, status, message", [
     (F_STEP_DOC, [], 0, None),
     (F_STEP_DOC, ["--tol", "1e-6"], 1, "Hodge filtration steps must strictly decrease"),
     (NEAR_COMMUTING_DOC, [], 1, "monodromy logarithms must commute"),
     (NEAR_COMMUTING_DOC, ["--tol", "1e-6"], 0, None),
-], ids=["f-steps-default", "f-steps-tol-1e-6", "nilpotents-default", "nilpotents-tol-1e-6"])
+    (F_NESTING_DOC, [], 1, "Hodge filtration steps must strictly decrease"),
+    (F_NESTING_DOC, ["--tol", "1e-6"], 0, None),
+], ids=["f-steps-default", "f-steps-tol-1e-6", "nilpotents-default", "nilpotents-tol-1e-6",
+        "f-nesting-default", "f-nesting-tol-1e-6"])
 def test_tol_reaches_the_document_parse(doc, flags, status, message, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(dumps(doc), encoding="utf-8")
@@ -550,6 +567,20 @@ def test_height_needs_an_orientation(dilog_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["compute", str(bare), "--what", "height"]) == 1
     assert capsys.readouterr().err == "error: height needs an orientation\n"
+
+
+def test_validate_leaves_a_structure_orientation_unread(dilog_file, tmp_path, capsys):
+    # validate reads no orientation block of a structure file, so a malformed
+    # one passes there; compute reads it and rejects the entry
+    doc = load(dilog_file)
+    doc["orientation"]["top"] = ["x", "0", "0"]
+    path = tmp_path / "bad-top.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["compute", str(path), "--what", "height"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
 
 
 def test_sweep_short_variation_takes_plain_heights(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgeheight.errors import MalformedFiltration, NotAnMHS
 from hodgeheight.linalg import Subspace, maxabs
 from hodgeheight.mhs import (
+    Filtration,
     MixedHodgeStructure,
     conjugate,
     deligne_bigrading,
@@ -12,6 +14,7 @@ from hodgeheight.mhs import (
     is_hodge_tate,
     is_morphism,
     rational_mhs,
+    split_filtration,
     tate_twist,
     validate,
     weight_filtration,
@@ -122,6 +125,77 @@ def test_at_matches_the_step_scan():
                 else:
                     assert filt.at(k) is want
             assert len(zeros) == 1
+
+
+_levels = st.lists(st.integers(-3, 3), min_size=1, max_size=8)
+
+
+def _selected(levels, increasing, k):
+    return [lev <= k if increasing else lev >= k for lev in levels]
+
+
+def _is_full(step, n):
+    full = Subspace.full(n)
+    return (step.exact == full.exact and step.pivots == full.pivots
+            and np.array_equal(step.basis, full.basis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_levels, st.booleans())
+def test_split_filtration_of_the_coordinate_basis_matches_from_rows(levels, increasing):
+    # unit rows are built as they are, without a row reduction: each step must
+    # be the one from_rows reduces from the same rows
+    n = len(levels)
+    filt = split_filtration(levels, increasing)
+    assert filt.indices == sorted(set(levels)) and filt.increasing is increasing
+    for k, step in filt.steps:
+        ref = Subspace.from_rows(np.eye(n)[_selected(levels, increasing, k)], n)
+        assert step.exact == ref.exact and step.pivots == ref.pivots
+        assert np.array_equal(step.basis, ref.basis)
+    assert _is_full(filt.steps[-1 if increasing else 0][1], n)
+    # the steps nest, as the checking constructor confirms
+    Filtration(filt.steps, increasing, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_levels, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_split_filtration_of_a_complex_basis_matches_from_rows(levels, increasing, seed):
+    # every step of fewer than n rows is from_rows of its rows; the step of all
+    # n rows is the full space, whose row reduction may round off the identity
+    n = len(levels)
+    rng = np.random.default_rng(seed)
+    basis = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    filt = split_filtration(levels, increasing, basis)
+    assert filt.indices == sorted(set(levels))
+    for k, step in filt.steps:
+        mask = _selected(levels, increasing, k)
+        if all(mask):
+            assert _is_full(step, n)
+        else:
+            ref = Subspace.from_rows(basis[mask], n)
+            assert step.pivots == ref.pivots and np.array_equal(step.basis, ref.basis)
+    Filtration(filt.steps, increasing, n)
+
+
+def test_split_filtration_and_shift_check_no_nesting(monkeypatch):
+    calls = []
+    contains = Subspace.contains
+
+    def counted(self, other, tol=1e-9):
+        calls.append(other)
+        return contains(self, other, tol)
+
+    monkeypatch.setattr(Subspace, "contains", counted)
+    levels = [0, -1, -1, -2, -3]
+    rng = np.random.default_rng(5)
+    basis = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    for filt in (split_filtration(levels, True), split_filtration(levels, False),
+                 split_filtration(levels, False, basis)):
+        filt.shift(3)
+    assert calls == []
+    # the counter sees the checking constructor's nesting check
+    Filtration(filt.steps, False, 5)
+    assert len(calls) == len(filt.steps) - 1
 
 
 def test_bigrading_reconstructs_filtrations():
