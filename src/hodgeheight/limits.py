@@ -74,6 +74,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import factorial
 from types import MappingProxyType
 
 import numpy as np
@@ -465,10 +466,12 @@ class NilpotentOrbit:
         self.W = W
         self.F_inf = F_inf
         self.dim = W.ambient_dim
-        # the one N of the orbit path, and its complex copy for exp(zN)
+        # the one N of the orbit path, and its complex copy
         self.monodromy = as_operator(N)
         self.N = np.array(self.monodromy, dtype=complex)
-        check_nilpotent(self.monodromy, tol)
+        # N^k / k! off the table of the nilpotency check, for exp(zN)
+        self._series = [np.array(P, dtype=complex) / factorial(k)
+                        for k, P in enumerate(nilpotent_powers(self.monodromy, tol))]
         flag = W.adapted_basis()
         # N' = N in the coordinates of W, which limit_mhs reads
         self.operator = flag.operator(self.monodromy)
@@ -479,15 +482,25 @@ class NilpotentOrbit:
             if not F_inf.at(p - 1).contains(moved, tol):
                 raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
 
+    def exp(self, z: complex) -> np.ndarray:
+        """exp(zN) = sum_k z^k N^k / k!."""
+        z = complex(z)
+        return sum(z ** k * P for k, P in enumerate(self._series))
+
     def fiber(self, z: complex, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-        G = expm_nilpotent(complex(z) * self.N)
-        F = self.F_inf.map_spaces(lambda s: s.image_under(G, tol))
-        H = MixedHodgeStructure(self.W, F)
-        report = H.validate(tol)
-        if not report.ok:
-            raise NotAnMHS(f"orbit fiber at z = {z} is not a mixed Hodge structure: "
-                           + "; ".join(report.failures))
-        return H
+        return moved_fiber(self.W, self.F_inf, self.exp(z),
+                           f"orbit fiber at z = {z} is not a mixed Hodge structure: ", tol)
+
+
+def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
+                tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
+    """(W, g F_inf), F_inf moved as one flag (Filtration.moved): the fiber of an
+    orbit and of a variation, NotAnMHS (opened by where) if it is no MHS."""
+    H = MixedHodgeStructure(W, F_inf.moved(g, tol))
+    report = H.validate(tol)
+    if not report.ok:
+        raise NotAnMHS(where + "; ".join(report.failures))
+    return H
 
 
 def limit_mhs(orbit: NilpotentOrbit, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:

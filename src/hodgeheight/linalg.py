@@ -421,7 +421,8 @@ class Subspace:
 
 class AdaptedBasis:
     """A basis of C^n adapted to a chain of subspaces S_1 < ... < S_m = C^n:
-    the first dims[i] rows of T span S_i.
+    the first dims[i] rows of T span S_i.  A decreasing filtration hands in
+    its steps by increasing dimension (Filtration.adapted_basis).
 
     The rows are the echelon rows of S_1, then for each later step its
     echelon rows at the pivots that the step below lacks.  They are not
@@ -510,8 +511,7 @@ class AdaptedBasis:
                                                for c in S.exact], n)
         return Subspace.from_rows(S.basis @ self.T, n, tol)
 
-    def meet(self, S: Subspace, reduced, step: Subspace,
-             tol: float = DEFAULT_TOL) -> Subspace:
+    def meet(self, reduced, step: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
         """S cap step for a step of the chain, read off reduced = reduce(S).
 
         In the coordinates of T the step is the span of the first d = dim
@@ -520,13 +520,10 @@ class AdaptedBasis:
         S cap step is spanned by the rows with pivot < d, cut to their first
         d coordinates and mapped back by T."""
         rows, piv = reduced
-        d = step.dim
+        d, n = step.dim, step.ambient_dim
         keep = [i for i, c in enumerate(piv) if c < d]
-        if len(keep) == S.dim:
-            return S
         if len(keep) == d:
             return step
-        n = S.ambient_dim
         if not keep:
             return Subspace.zero(n)
         if isinstance(rows, list):

@@ -19,16 +19,19 @@ Every F^p cap W_k of the lattice is read off one echelon form of F^p per
 level, not intersected step by step.  W carries an adapted basis T (see
 linalg.AdaptedBasis), whose first dim W_k rows span W_k, so in the
 coordinates v T^-1 each W_k is the span of the first dim W_k coordinates.
-There F^p is row-reduced once with its pivots taken from the right: each row
-is zero after its pivot and at the other pivots, so a combination of rows
-vanishes past coordinate d exactly when its coefficients on the rows with
-pivot >= d are zero.  F^p cap W_k is thus the span of the rows with pivot
-< dim W_k, mapped back by T, and its dimension is that count, read without
-a rank decision.  An exact F^p against an exact W stays exact, since T and
-T^-1 are then kept over Q.  Those counts give the Hodge numbers h^{a,b} of
-Gr^W_{a+b}, and only the pieces with h^{a,b} != 0 are built.  A piece with
-h^{a,b} = dim F^a cap W_{a+b}, as every piece of a Hodge-Tate structure, is
-that space itself: no sum, conjugate or intersection.
+There F^p is row-reduced once with its pivots taken from the right: each
+row is zero after its pivot and at the other pivots, so a combination of
+rows vanishes past coordinate d exactly when its coefficients on the rows
+with pivot >= d are zero.  F^p cap W_k is thus the span of the rows with
+pivot < dim W_k, mapped back by T, and its dimension is that count, read
+without a rank decision.  An exact F^p against an exact W stays exact,
+since T and T^-1 are then kept over Q.  A moved F (Filtration.moved: each
+fiber of an orbit or a variation) is reduced from its moved rows, not from
+an echelon of them; dim F^p is a step dimension, and F^p is built only as
+an answer.  Those counts give the Hodge numbers h^{a,b} of Gr^W_{a+b}, and
+only the pieces with h^{a,b} != 0 are built.  A piece with h^{a,b} = dim
+F^a cap W_{a+b}, as every piece of a Hodge-Tate structure, is that space
+itself: no sum, conjugate or intersection.
 
 Validation checks that statement in two stages.  First the candidates must
 form a direct sum: their dimensions add to n and their stacked bases have
@@ -66,6 +69,7 @@ The splitting (see splitting.deligne_delta) is cached next to it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from copy import copy
 from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
@@ -91,67 +95,106 @@ class Filtration:
     increasing filtration, W_k is the largest stored index <= k (zero space
     below the bottom jump); for a decreasing one, F^p is the smallest stored
     index >= p (zero space above the top jump).
+
+    A moved one (moved) keeps rows whose first d span its step of dimension d.
     """
 
     def __init__(self, steps: Iterable[tuple[int, Subspace]], increasing: bool,
                  ambient_dim: int, tol: float = DEFAULT_TOL):
         self._settle(steps, increasing, ambient_dim)
         # each step, smallest first, must lie in the next
-        up = [s for _, s in self.steps][:: 1 if self.increasing else -1]
+        up = self._spaces[:-1][:: 1 if self.increasing else -1]
         if not all(b.contains(a, tol) for a, b in zip(up, up[1:])):
-            raise MalformedFiltration("weight filtration steps must strictly increase"
-                                      if self.increasing else
-                                      "Hodge filtration steps must strictly decrease")
+            raise MalformedFiltration(self._not_strict())
 
     def _settle(self, steps, increasing: bool, ambient_dim: int) -> None:
         """Store the sorted steps and check all but their nesting."""
-        self.steps = tuple(sorted(((int(k), s) for k, s in steps), key=lambda t: t[0]))
+        steps = sorted(((int(k), s) for k, s in steps), key=lambda t: t[0])
         self.increasing = bool(increasing)
         self.ambient_dim = int(ambient_dim)
         self._adapted: AdaptedBasis | None = None
-        if not self.steps:
+        self._rows: np.ndarray | None = None
+        if not steps:
             raise MalformedFiltration("a filtration needs at least one step")
-        spaces = [s for _, s in self.steps]
+        spaces = [s for _, s in steps]
         if any(s.ambient_dim != self.ambient_dim for s in spaces):
             raise MalformedFiltration("step has wrong ambient dimension")
         if not all(s.is_exact() or np.isfinite(s.basis).all() for s in spaces):
             raise MalformedFiltration("step basis has an entry that is not finite")
         if self.increasing:
             if any(b.dim <= a.dim for a, b in zip(spaces, spaces[1:])):
-                raise MalformedFiltration("weight filtration steps must strictly increase")
+                raise MalformedFiltration(self._not_strict())
             if spaces[-1].dim != self.ambient_dim:
                 raise MalformedFiltration("weight filtration must top out at the full space")
             if spaces[0].dim == 0:
                 raise MalformedFiltration("bottom jump of W must be nonzero")
         else:
             if any(a.dim <= b.dim for a, b in zip(spaces, spaces[1:])):
-                raise MalformedFiltration("Hodge filtration steps must strictly decrease")
+                raise MalformedFiltration(self._not_strict())
             if spaces[0].dim != self.ambient_dim:
                 raise MalformedFiltration("Hodge filtration must start at the full space")
             if spaces[-1].dim == 0:
                 raise MalformedFiltration("top jump of F must be nonzero")
-        # at() bisects the indices; every query outside the steps shares one zero
-        self._indices = [k for k, _ in self.steps]
-        self._zero = Subspace.zero(self.ambient_dim)
+        # at() bisects the indices; a query outside the steps lands on the zero
+        # space stored last, at position -1 (below W) or len(steps) (above F)
+        self._indices = [k for k, _ in steps]
+        self._spaces: list[Subspace | None] = [*spaces, Subspace.zero(self.ambient_dim)]
+        self._dims = [s.dim for s in self._spaces]
+
+    def _not_strict(self) -> str:
+        return ("weight filtration steps must strictly increase" if self.increasing else
+                "Hodge filtration steps must strictly decrease")
 
     @property
     def indices(self) -> list[int]:
         return list(self._indices)
 
+    @property
+    def steps(self) -> tuple[tuple[int, Subspace], ...]:
+        return tuple((k, self._step(i)) for i, k in enumerate(self._indices))
+
+    def _step(self, i: int) -> Subspace:
+        """The step at position i, built from the moved rows on first read, at
+        the tolerance of the move; rows that lost rank make no filtration."""
+        s = self._spaces[i]
+        if s is None:
+            d = self._dims[i]
+            s = Subspace.from_rows(self._rows[:d], self.ambient_dim, self._tol)
+            if s.dim < d:
+                raise MalformedFiltration(self._not_strict())
+            self._spaces[i] = s
+        return s
+
     def at(self, k: int) -> Subspace:
-        if self.increasing:
-            i = bisect_right(self._indices, k) - 1
-            return self.steps[i][1] if i >= 0 else self._zero
-        i = bisect_left(self._indices, k)
-        return self.steps[i][1] if i < len(self.steps) else self._zero
+        i = bisect_right(self._indices, k) - 1 if self.increasing else bisect_left(self._indices, k)
+        return self._spaces[i] or self._step(i)
+
+    def dim_at(self, k: int) -> int:
+        """dim at(k), read off the step dimensions without building a step."""
+        return self._dims[bisect_right(self._indices, k) - 1 if self.increasing else
+                          bisect_left(self._indices, k)]
 
     def adapted_basis(self) -> AdaptedBasis:
-        """The linalg.AdaptedBasis of the steps of an increasing filtration,
-        built on first use; the steps are fixed, so every structure on this
-        filtration shares it."""
+        """The linalg.AdaptedBasis of the steps taken by increasing
+        dimension, built on first use; the steps are fixed, so every
+        structure on this filtration, and every move of it, shares it."""
         if self._adapted is None:
-            self._adapted = AdaptedBasis([s for _, s in self.steps])
+            self._adapted = AdaptedBasis(sorted((s for _, s in self.steps), key=lambda s: s.dim))
         return self._adapted
+
+    def moved(self, g, tol: float = DEFAULT_TOL) -> "Filtration":
+        """g F for an invertible complex g: the rows of the adapted basis times
+        g^T, one product, each scaled to unit max-norm, with the same step
+        dimensions.  No step is row-reduced; the full step is this one's C^n."""
+        rows = self.adapted_basis().T @ np.asarray(g, dtype=complex).T
+        if not np.isfinite(rows).all():
+            raise MalformedFiltration("step basis has an entry that is not finite")
+        scale = np.abs(rows).max(axis=1, keepdims=True)
+        out = copy(self)
+        out._rows, out._tol, out._adapted = rows / np.where(scale > 0, scale, 1.0), tol, None
+        out._spaces = [s if d in (0, self.ambient_dim) else None
+                       for s, d in zip(self._spaces, self._dims)]
+        return out
 
     def shift(self, by: int) -> "Filtration":
         """The same steps re-indexed by by, which changes no subspace."""
@@ -173,7 +216,7 @@ class Filtration:
 
     def __repr__(self) -> str:
         kind = "W" if self.increasing else "F"
-        body = ", ".join(f"{k}:{s.dim}" for k, s in self.steps)
+        body = ", ".join(f"{k}:{d}" for k, d in zip(self._indices, self._dims))
         return f"Filtration[{kind}]({body})"
 
 
@@ -303,16 +346,18 @@ class MixedHodgeStructure:
         n = self.dim
         pmin, pmax = min(self.levels), max(self.levels)
         weights = self.weights
-        flag = self.W.adapted_basis()
+        F, W = self.F, self.W
+        flag = W.adapted_basis()
 
         @cache
         def echelon(p: int) -> tuple:
-            return flag.reduce(self.F.at(p), tol)
+            # the rows of a moved F as they are, else the echelon basis of F^p
+            return flag.reduce(F.at(p) if F._rows is None else F._rows[:F.dim_at(p)], tol)
 
         @cache
         def dim_FW(p: int, k: int) -> int:
             # dim F^p cap W_k: the pivots < dim W_k of the echelon FW reads
-            f, d = self.F.at(p).dim, self.W.at(k).dim
+            f, d = F.dim_at(p), W.dim_at(k)
             if f in (0, n) or d in (0, n):
                 return min(f, d)
             return sum(c < d for c in echelon(p)[1])
@@ -320,9 +365,9 @@ class MixedHodgeStructure:
         @cache
         def FW(p: int, k: int) -> Subspace:
             # F^p cap W_k, read off the one echelon of F^p against the W-flag
-            Fp, Wk = self.F.at(p), self.W.at(k)
-            return (Fp if Fp.dim == 0 or Wk.dim == n else
-                    Wk if Wk.dim == 0 or Fp.dim == n else flag.meet(Fp, echelon(p), Wk, tol))
+            c = dim_FW(p, k)
+            return (F.at(p) if c == F.dim_at(p) else
+                    W.at(k) if c == W.dim_at(k) else flag.meet(echelon(p), W.at(k), tol))
 
         @cache
         def U(r: int, s: int) -> Subspace:
@@ -385,7 +430,7 @@ class MixedHodgeStructure:
         with projectors proj."""
         failures: list[str] = []
         for p in range(min(self.levels), max(self.levels) + 1):
-            if sum(s.dim for (a, _), s in comps.items() if a >= p) != self.F.at(p).dim:
+            if sum(s.dim for (a, _), s in comps.items() if a >= p) != self.F.dim_at(p):
                 failures.append(f"F-axiom: F^{p} is not the span of components with p >= {p}")
         for k in self.weights:
             if sum(s.dim for (a, b), s in comps.items() if a + b <= k) != self.W.at(k).dim:

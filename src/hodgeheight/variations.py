@@ -13,6 +13,7 @@ be probed at arbitrary points.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import reduce
 from math import pi
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     NotHodgeTate,
 )
 from .height import Orientation, OrientedMHS, height
-from .limits import NilpotentOrbit
+from .limits import NilpotentOrbit, moved_fiber
 from .linalg import expm_nilpotent, graded_part, maxabs
 from .mhs import MixedHodgeStructure, is_hodge_tate, split_filtration
 from .splitting import deligne_delta
@@ -38,6 +39,8 @@ class GammaPoly:
 
     nvars: int
     terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    # the exponents and the coefficients, stacked for one contraction per call
+    _stacked: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     @staticmethod
     def of(nvars: int, terms: dict) -> "GammaPoly":
@@ -55,20 +58,18 @@ class GammaPoly:
     def zero(nvars: int) -> "GammaPoly":
         return GammaPoly(nvars, ())
 
+    def __post_init__(self) -> None:
+        exponents = np.array([e for e, _ in self.terms], dtype=int).reshape(len(self.terms), self.nvars)
+        object.__setattr__(self, "_stacked", (exponents, np.array([m for _, m in self.terms])))
+
     def __call__(self, s) -> np.ndarray:
         s = [complex(x) for x in np.atleast_1d(s)]
         if len(s) != self.nvars:
             raise HodgeError(f"expected {self.nvars} parameters, got {len(s)}")
         if not self.terms:
             return np.zeros((0, 0), dtype=complex)
-        n = self.terms[0][1].shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        for expo, mat in self.terms:
-            mono = 1.0 + 0j
-            for e, x in zip(expo, s):
-                mono *= x ** e
-            out = out + mono * mat
-        return out
+        exponents, coefficients = self._stacked
+        return np.tensordot(np.prod(np.array(s) ** exponents, axis=1), coefficients, axes=1)
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,12 @@ class LocalVariation:
     # the oriented limit pair (F_inf, W), built once so that the caches of its
     # structure (lattice, bigrading, splitting) serve every call
     _limit: OrientedMHS = field(init=False, compare=False, repr=False)
+    # one NilpotentOrbit per N_j, whose power table gives exp(z_j N_j)
+    _orbits: tuple[NilpotentOrbit, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, tol: float):
-        for N in self.nilpotents:
-            NilpotentOrbit(self.W, N, self.F_inf, tol)
+        object.__setattr__(self, "_orbits", tuple(NilpotentOrbit(self.W, N, self.F_inf, tol)
+                                                  for N in self.nilpotents))
         for A in self.nilpotents:
             for B in self.nilpotents:
                 if maxabs(np.asarray(A) @ B - np.asarray(B) @ A) > tol:
@@ -115,34 +118,26 @@ class LocalVariation:
                     return False
         return True
 
-    def n_of(self, z) -> np.ndarray:
-        z = [complex(x) for x in np.atleast_1d(z)]
-        n = self.dim
-        out = np.zeros((n, n), dtype=complex)
-        for zj, N in zip(z, self.nilpotents):
-            out = out + zj * np.asarray(N, dtype=complex)
-        return out
-
     def limit_structure(self) -> MixedHodgeStructure:
         return self._limit.mhs
 
 
 def fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-    """(exp(N(z)) exp(Gamma(s)) . F_inf, W).  Raises MalformedFiltration when
-    the move leaves the steps of F without strictly decreasing dimensions (a
-    step loses rank at the working tolerance, as when |s| > 1 makes the
-    truncated Gamma series huge), and NotAnMHS outside the region where the
-    pair is a mixed Hodge structure."""
-    G = expm_nilpotent(v.n_of(z))
-    gm = v.gamma(s)
+    """(exp(N(z)) exp(Gamma(s)) . F_inf, W).  Raises NotAnMHS outside the
+    region where the pair is a mixed Hodge structure, as when |s| > 1 makes
+    the truncated Gamma series huge and a moved step of F loses rank at the
+    working tolerance."""
+    return _fiber(v, z, s, v.gamma(s), tol)
+
+
+def _fiber(v: LocalVariation, z, s, gm: np.ndarray, tol: float) -> MixedHodgeStructure:
+    """fiber at (z, s), gm = Gamma(s); exp(N(z)) = prod_j exp(z_j N_j), the
+    N_j commuting, each factor off its orbit's power table (NilpotentOrbit.exp)."""
+    factors = [orbit.exp(zj) for zj, orbit in zip(np.atleast_1d(z), v._orbits)]
     if gm.size:
-        G = G @ expm_nilpotent(gm)
-    F = v.F_inf.map_spaces(lambda sp: sp.image_under(G, tol))
-    H = MixedHodgeStructure(v.W, F)
-    report = H.validate(tol)
-    if not report.ok:
-        raise NotAnMHS(f"fiber at z={z}, s={s}: " + "; ".join(report.failures))
-    return H
+        factors.append(expm_nilpotent(gm))
+    G = reduce(np.matmul, factors, np.eye(v.dim))
+    return moved_fiber(v.W, v.F_inf, G, f"fiber at z={z}, s={s}: ", tol)
 
 
 def oriented_fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> OrientedMHS:
@@ -200,13 +195,13 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
 
     points = []
     for z, s in sequence:
-        H = fiber(v, z, s, tol)
+        gm = v.gamma(s)
+        H = _fiber(v, z, s, gm, tol)
         spl = deligne_delta(H, tol)
         d11 = graded_part(B_lim.projectors, spl.delta, (-1, -1))
         imz = [complex(x).imag for x in np.atleast_1d(z)]
-        gm = v.gamma(s)
         im_gamma = (gm - np.conj(gm)) / 2j if gm.size else np.zeros((n, n))
-        predicted = v.n_of([1j * y for y in imz]).imag + \
+        predicted = sum((y * np.real(N) for y, N in zip(imz, v.nilpotents)), np.zeros((n, n))) + \
             graded_part(B_lim.projectors, im_gamma, (-1, -1)).real + d11_lim.real
         resid = maxabs(d11.real - predicted)
         ht = height(OrientedMHS(H, v.orientation), tol)

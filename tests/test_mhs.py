@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hodgeheight.errors import MalformedFiltration, NotAnMHS
 from hodgeheight.linalg import Subspace, maxabs
@@ -175,6 +175,46 @@ def test_split_filtration_of_a_complex_basis_matches_from_rows(levels, increasin
             ref = Subspace.from_rows(basis[mask], n)
             assert step.pivots == ref.pivots and np.array_equal(step.basis, ref.basis)
     Filtration(filt.steps, increasing, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_levels, st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_moved_steps_are_the_images_of_the_steps(levels, increasing, coordinate, seed):
+    # moved(g) keeps the rows of the adapted basis times g^T and reads each
+    # step off them on first use: it is the image of the step under g; the
+    # full step and the zero space are this filtration's own
+    n = len(levels)
+    rng = np.random.default_rng(seed)
+    basis = None if coordinate else rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assume(np.linalg.cond(g) < 1e4 and (coordinate or np.linalg.cond(basis) < 1e4))
+    filt = split_filtration(levels, increasing, basis)
+    moved = filt.moved(g)
+    assert moved.indices == filt.indices and moved.increasing is increasing
+    for k in range(min(levels) - 1, max(levels) + 2):
+        step = filt.at(k)
+        assert moved.dim_at(k) == step.dim
+        if step.dim in (0, n):
+            assert moved.at(k) is step
+        else:
+            assert moved.at(k).equals(step.image_under(g), 1e-9)
+
+
+def test_moved_keeps_the_finite_and_rank_checks():
+    F = split_filtration([0, -1, -2], False)
+    g = np.eye(3)
+    g[1, 0] = np.inf
+    with pytest.raises(MalformedFiltration, match="step basis has an entry that is not finite"):
+        with np.errstate(invalid="ignore"):
+            F.moved(g)
+    # g sends e0 and e1 to one line: F^-1 keeps dimension 2 in the flag,
+    # and the echelon of its rows, taken on each read, finds one pivot
+    collapsed = F.moved(np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]]))
+    assert collapsed.dim_at(-1) == 2 and collapsed.at(0).dim == 1
+    for _ in range(2):
+        with pytest.raises(MalformedFiltration,
+                           match="Hodge filtration steps must strictly decrease"):
+            collapsed.at(-1)
 
 
 def test_split_filtration_and_shift_check_no_nesting(monkeypatch):

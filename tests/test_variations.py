@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from hodgeheight import linalg
+from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import HodgeError, InfeasibleRanks, LengthTooSmall, NotHodgeTate
 from hodgeheight.height import OrientedMHS, height
-from hodgeheight.linalg import maxabs
+from hodgeheight.limits import NilpotentOrbit
+from hodgeheight.linalg import expm_nilpotent, maxabs
+from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.variations import (
     GammaPoly,
@@ -288,3 +292,85 @@ def test_check_asymptotics_on_the_cleared_probe():
     rep = check_asymptotics(v, [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (2.95, 3.05, 3.1)])
     assert rep.identity_ok
     assert all(p.identity_residual < 1e-9 for p in rep.points)
+
+
+def test_a_fiber_row_reduces_no_step_of_f_but_its_piece(monkeypatch):
+    # the fiber moves F_inf as one flag and reduces its moved rows against W
+    # as they are: of the steps of F only F^0, which is the piece I^{0,0},
+    # is row-reduced, and the full step is the C^n of F_inf itself; moving F
+    # step by step (map_spaces) takes one echelon more per step but F^0
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    z, s = [2j], [np.exp(-4 * np.pi)]
+    G = expm_nilpotent(2j * v.nilpotents[0]) @ expm_nilpotent(v.gamma(s))
+    # the steps short of C^n; the full step is checked by identity below
+    steps = {p: v.F_inf.at(p).image_under(G) for p in v.F_inf.indices if p > -3}
+    inputs = []
+    original = linalg.rref_float
+
+    def counted(M, tol=DEFAULT_TOL):
+        inputs.append(np.array(M))
+        return original(M, tol)
+
+    monkeypatch.setattr(linalg, "rref_float", counted)
+    H = fiber(v, z, s)
+    calls = len(inputs)
+    MixedHodgeStructure(v.W, v.F_inf.map_spaces(lambda sp: sp.image_under(G))).validate()
+    stepwise = len(inputs) - calls
+    monkeypatch.undo()
+
+    def spans(M, S):
+        return len(M) == S.dim and np.linalg.matrix_rank(np.vstack([M, S.basis]), 1e-8) == S.dim
+
+    reduced = {p for p, S in steps.items() if any(spans(M, S) for M in inputs[:calls])}
+    assert reduced == {0}
+    assert H.bigrading().components[(0, 0)] is H.F.at(0)
+    assert H.F.at(-3) is v.F_inf.at(-3)
+    assert calls == stepwise - len(v.F_inf.indices) + 1
+    orbit, _ = cubic_orbit()
+    assert orbit.fiber(2j).F.at(-3) is orbit.F_inf.at(-3)
+
+
+def test_check_asymptotics_evaluates_gamma_once_per_point(monkeypatch):
+    calls = []
+    original = GammaPoly.__call__
+
+    def counted(self, s):
+        calls.append(s)
+        return original(self, s)
+
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    points = [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 2.0, 3.0)]
+    monkeypatch.setattr(GammaPoly, "__call__", counted)
+    check_asymptotics(v, points)
+    assert len(calls) == len(points)
+
+
+@pytest.mark.parametrize("nvars, seed", [(1, 0), (2, 1), (3, 2)])
+def test_gamma_is_the_sum_of_its_terms(nvars, seed):
+    # one contraction of the monomials against the stacked coefficients,
+    # against the term-by-term sum; the order of the sum changed, so they
+    # agree to rounding of the largest term
+    rng = np.random.default_rng(seed)
+    terms = {}
+    while len(terms) < min(8, 4 ** nvars - 1):
+        expo = tuple(int(e) for e in rng.integers(0, 4, size=nvars))
+        if any(expo):
+            terms[expo] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    g = GammaPoly.of(nvars, terms)
+    for _ in range(5):
+        s = rng.normal(size=nvars) + 1j * rng.normal(size=nvars)
+        monos = {expo: np.prod([x ** e for x, e in zip(s, expo)]) for expo in terms}
+        want = sum(monos[expo] * mat for expo, mat in terms.items())
+        scale = max(abs(monos[expo]) * maxabs(mat) for expo, mat in terms.items())
+        assert maxabs(g(s) - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3 - 2j, 150j, -7.5 + 1e3j])
+def test_exp_off_the_power_table_is_the_series(z):
+    # exp(zN) from the table of the nilpotency check, sum z^k N^k / k!,
+    # against the series of expm_nilpotent, for an exact and a float N
+    orbit, _ = cubic_orbit()
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    for o in (orbit, v._orbits[0], NilpotentOrbit(v.W, 0.7 * v.nilpotents[0], v.F_inf)):
+        want = expm_nilpotent(complex(z) * o.N)
+        assert maxabs(o.exp(z) - want) <= 1e-14 * max(1.0, maxabs(want))
