@@ -10,7 +10,10 @@ P_k the projectors of a grading of W by weight: those of the bigrading for
 height (the bottom piece is I^{c,c} alone, so this is delta^{r,r} on the top
 lift, r = -length/2), those of the Deligne system's Y' for
 limits.limit_height.  Both check the orientation against W first, on every
-call: a cheap read of coordinates, so no check or top lift is cached.
+call: a cheap read of coordinates, so no check or top lift is cached.  On a
+Hodge-Tate structure (mhs.Period) P is unit on the end blocks, so the read
+is (1/2) Im L[bottom, top] against the generators' end coordinates on the
+adapted basis of W, and no entry of delta is formed.
 
 For structures with at most three nonzero weights (generalized biextensions)
 the same number falls out of one conjugation:
@@ -127,8 +130,14 @@ def height(om: OrientedMHS, tol: float = DEFAULT_TOL) -> float:
     Its error is absolute, on the scale of the splitting, not of the height:
     for dilog fibers as |s| -> infinity, -D2(s) -> 0 and the error is ~1e-14."""
     _check_oriented(om.mhs.W, om.orientation, tol)
-    return _deep_coefficient(deligne_delta(om.mhs, tol).delta,
-                             om.mhs.bigrading(tol).weight_projectors, om.orientation, tol)
+    B = om.mhs.bigrading(tol)
+    if B.period is None:
+        return _deep_coefficient(deligne_delta(om.mhs, tol).delta, B.weight_projectors,
+                                 om.orientation, tol)
+    # P_min delta P_max = C E_min (-(i/2) L) E_max C^-1, and C[:, 0] spans W_min
+    top = om.orientation.top @ B.period.C_inv[-1]
+    vec = -0.5j * B.period.L[0, -1] * top * B.period.C[:, 0]
+    return _coefficient_against_bottom(vec, om.orientation.bottom, tol, maxabs(vec))
 
 
 def height_biextension(om: OrientedMHS, tol: float = DEFAULT_TOL) -> float:

@@ -493,10 +493,15 @@ class NilpotentOrbit:
 
 
 def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
-                tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
+                tol: float = DEFAULT_TOL,
+                period: tuple[np.ndarray, np.ndarray] | None = None) -> MixedHodgeStructure:
     """(W, g F_inf), F_inf moved as one flag (Filtration.moved): the fiber of an
-    orbit and of a variation, NotAnMHS (opened by where) if it is no MHS."""
-    H = MixedHodgeStructure(W, F_inf.moved(g, tol))
+    orbit and of a variation, NotAnMHS (opened by where) if it is no MHS; a
+    Hodge-Tate fiber given its period (P, L) is one by construction.  A g or
+    period that is not finite raises MalformedFiltration."""
+    if not all(np.isfinite(m).all() for m in (g, *(period or ()))):
+        raise MalformedFiltration(where + "the move is not finite")
+    H = MixedHodgeStructure(W, F_inf.moved(g, tol), period)
     report = H.validate(tol)
     if not report.ok:
         raise NotAnMHS(where + "; ".join(report.failures))

@@ -28,8 +28,10 @@ keeps that loop as an oracle).
 """
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, lcm
 from numbers import Complex, Rational
+from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -661,6 +663,49 @@ def logm_unipotent(G: Matrix) -> Matrix:
             break
         out = out + ((-1) ** (k + 1)) * T / k
     return out
+
+
+def bch(xs: Sequence[Matrix]) -> Matrix:
+    """log(exp(x_1) ... exp(x_m)) in nested commutators, for matrices that
+    each lower by at least 2 a grading of length at most 8: the two-factor
+    series Z + X + [Z,X]/2 + ([Z,[Z,X]] - [X,[Z,X]])/12 - [X,[Z,[Z,X]]]/24,
+    folded over the factors.  Every longer bracket lowers the grading by 10
+    or more and vanishes, so the series is exact, and no power of one factor
+    has to cancel as in the Mercator log of the product."""
+    z, *rest = [x for x in xs if x.any()] or [np.zeros_like(xs[0])]
+    for x in rest:
+        zx = z @ x - x @ z
+        zzx, xzx = z @ zx - zx @ z, x @ zx - zx @ x
+        z = z + x + zx / 2 + (zzx - xzx) / 12 - (x @ zzx - zzx @ x) / 24
+    return z
+
+
+def read_only(arrays: dict) -> Mapping:
+    """The arrays, made read-only, behind a read-only view, as shared caches
+    hand them out."""
+    for m in arrays.values():
+        m.setflags(write=False)
+    return MappingProxyType(arrays)
+
+
+class LazyMapping(Mapping):
+    """A read-only mapping whose items build() makes on the first read."""
+
+    def __init__(self, build):
+        self._build = build
+
+    @cached_property
+    def _items(self) -> Mapping:
+        return self._build()
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
 
 
 def graded_projectors(pieces: Mapping[Hashable, Matrix]) -> dict[Hashable, Matrix]:

@@ -15,25 +15,29 @@ from which F and W are recovered by summing components.  Validity of the pair
 (F, W) as a mixed Hodge structure is exactly the statement that this
 decomposition works.
 
-Every F^p cap W_k of the lattice is read off one echelon form of F^p per
-level, not intersected step by step.  W carries an adapted basis T (see
-linalg.AdaptedBasis), whose first dim W_k rows span W_k, so in the
-coordinates v T^-1 each W_k is the span of the first dim W_k coordinates.
-There F^p is row-reduced once with its pivots taken from the right: each
-row is zero after its pivot and at the other pivots, so a combination of
-rows vanishes past coordinate d exactly when its coefficients on the rows
-with pivot >= d are zero.  F^p cap W_k is thus the span of the rows with
-pivot < dim W_k, mapped back by T, and its dimension is that count, read
-without a rank decision.  An exact F^p against an exact W stays exact,
-since T and T^-1 are then kept over Q.  A moved F (Filtration.moved: each
-fiber of an orbit or a variation) is reduced from its moved rows, not from
-an echelon of them; dim F^p is a step dimension, and F^p is built only as
-an answer.  Those counts give the Hodge numbers h^{a,b} of Gr^W_{a+b}, and
-only the pieces with h^{a,b} != 0 are built.  A piece with h^{a,b} = dim
-F^a cap W_{a+b}, as every piece of a Hodge-Tate structure, is that space
-itself: no sum, conjugate or intersection.
+W carries an adapted basis T (linalg.AdaptedBasis) whose first dim W_k rows
+span W_k, so in the coordinates v T^-1 each W_k is the span of the first
+dim W_k coordinates.  There each F^p is row-reduced once, with pivots from
+the right, and every F^p cap W_k is read off that echelon, its dimension a
+count of pivots (MixedHodgeStructure._component_candidates).  An exact F^p
+against an exact W stays exact, since T and T^-1 are then kept over Q, and a
+moved F (Filtration.moved) is reduced from its moved rows as they are.
+Those counts give the Hodge numbers h^{a,b} of Gr^W_{a+b}; only the pieces
+with h^{a,b} != 0 are built, and a piece with h^{a,b} = dim F^a cap W_{a+b}
+is that space itself.
 
-Validation checks that statement in two stages.  First the candidates must
+A Hodge-Tate structure, whose counts give h^{a,a} = dim Gr^W_2a, is valid
+by the counts alone: F^a cap W_2a then maps onto Gr^W_2a, and F^{a+1} cap
+W_2a lies in W_{2a-1}, so I^{a,a} = F^a cap W_2a and the pieces are direct.
+It is kept as a Period: P, in the coordinates of T, whose block 2a is the
+basis of I^{a,a} that is unit on that block (the echelon rows of F^a with
+pivots there), and L = log(conj(P)^-1 P).  Its projectors are C E_2a C^-1,
+C = T^T P, and no direct-sum echelon, graded_projectors call or conjugation
+check is made.  A g in exp(W_-2 gl) carries this bigrading to that of
+(W, g F), so a fiber moved from a Hodge-Tate limit comes with its period
+and needs no lattice (variations.fiber).
+
+Any other pair is validated in two stages.  First the candidates must
 form a direct sum: their dimensions add to n and their stacked bases have
 rank n.  Each candidate I^{a,b} is built inside F^a cap W_{a+b}, so the sum
 of the pieces with a >= p lies in F^p and the sum of the pieces with
@@ -56,30 +60,27 @@ linear in B, so the bound scales with the entries of the basis, as the pivot
 threshold of linalg.rref_float scales with the entries of its matrix.
 
 A MixedHodgeStructure is immutable: W and F are fixed at construction.  It
-keeps one cache per tolerance: the ValidationReport and, when the
-axioms hold, the DeligneBigrading, which validate builds from the same
-candidate pieces and the one linalg.graded_projectors call the conjugation
-check made.  So validate(tol) followed by bigrading(tol) builds the lattice
-and the projectors once, while a call at another tol computes afresh.  A
-DeligneBigrading builds its weight projectors and its grading Y once, when
-it is made, and keeps them read-only; every grading fact downstream (the top
-lift of an oriented structure, the splitting) is read off these projectors.
-The splitting (see splitting.deligne_delta) is cached next to it.
+caches per tolerance the ValidationReport and, when the axioms hold, the
+DeligneBigrading, built from the same pieces and projectors; a
+DeligneBigrading builds its weight projectors and grading Y once, read-only,
+and every grading fact downstream is read off them.  The splitting
+(splitting.deligne_delta) is cached next to it.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import MalformedFiltration, NotAnMHS
-from .linalg import AdaptedBasis, Subspace, echelonize, graded_projectors, maxabs
+from .linalg import (AdaptedBasis, LazyMapping, Subspace, echelonize, graded_projectors,
+                     logm_unipotent, maxabs, read_only)
 
 if TYPE_CHECKING:
     from .splitting import Splitting
@@ -185,8 +186,10 @@ class Filtration:
     def moved(self, g, tol: float = DEFAULT_TOL) -> "Filtration":
         """g F for an invertible complex g: the rows of the adapted basis times
         g^T, one product, each scaled to unit max-norm, with the same step
-        dimensions.  No step is row-reduced; the full step is this one's C^n."""
-        rows = self.adapted_basis().T @ np.asarray(g, dtype=complex).T
+        dimensions.  No step is row-reduced; the full step is this one's C^n.
+        A g that is not finite raises MalformedFiltration, with no warning."""
+        with np.errstate(all="ignore"):
+            rows = self.adapted_basis().T @ np.asarray(g, dtype=complex).T
         if not np.isfinite(rows).all():
             raise MalformedFiltration("step basis has an entry that is not finite")
         scale = np.abs(rows).max(axis=1, keepdims=True)
@@ -254,6 +257,16 @@ def split_filtration(levels: Sequence[int], increasing: bool, basis=None,
 # the bigrading
 
 
+class Period(NamedTuple):
+    """A Hodge-Tate structure in the coordinates of the adapted basis T of W
+    (module docstring): P, L = log(conj(P)^-1 P), C = T^T P and C^-1 =
+    P^-1 T^-T, which inverts only the unipotent P."""
+    P: np.ndarray
+    L: np.ndarray
+    C: np.ndarray
+    C_inv: np.ndarray
+
+
 @dataclass(frozen=True)
 class DeligneBigrading:
     """The decomposition V_C = (+) I^{p,q} with its projectors and grading.
@@ -261,25 +274,30 @@ class DeligneBigrading:
     The projectors onto each I^{p,q} are those of linalg.graded_projectors on
     the components, which validation has already built.  The projectors onto
     each weight piece (the sum over p + q = k) and the grading Y (k on the
-    weight-k piece) are built once at construction.  All are read-only,
-    because the cached bigrading is shared."""
+    weight-k piece) are built once, on first read.  All are read-only,
+    because the cached bigrading is shared.  A Hodge-Tate bigrading also
+    keeps its Period and builds its components and projectors on first read."""
 
     components: Mapping[tuple[int, int], Subspace]
     ambient_dim: int
     projectors: Mapping[tuple[int, int], np.ndarray] = field(repr=False)
-    weight_projectors: Mapping[int, np.ndarray] = field(init=False, repr=False)
-    Y: np.ndarray = field(init=False, repr=False)
+    period: Period | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "projectors", MappingProxyType(self.projectors))
+
+    @cached_property
+    def weight_projectors(self) -> Mapping[int, np.ndarray]:
         by_weight: dict[int, np.ndarray] = {}
         for (p, q), P in self.projectors.items():
             by_weight[p + q] = by_weight[p + q] + P if p + q in by_weight else P
-        Y = sum(k * P for k, P in by_weight.items())
-        for m in (Y, *by_weight.values()):
-            m.setflags(write=False)
-        object.__setattr__(self, "projectors", MappingProxyType(self.projectors))
-        object.__setattr__(self, "weight_projectors", MappingProxyType(by_weight))
-        object.__setattr__(self, "Y", Y)
+        return read_only(by_weight)
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        Y = sum(k * P for k, P in self.weight_projectors.items())
+        Y.setflags(write=False)
+        return Y
 
     @property
     def keys(self) -> list[tuple[int, int]]:
@@ -304,9 +322,12 @@ class ValidationReport:
 
 
 class MixedHodgeStructure:
-    """A pair (F, W) of filtrations on a fixed rational coordinate space."""
+    """A pair (F, W) of filtrations on a fixed rational coordinate space;
+    period, the (P, L) of a Hodge-Tate pair known by construction, skips
+    validation (module docstring)."""
 
-    def __init__(self, W: Filtration, F: Filtration):
+    def __init__(self, W: Filtration, F: Filtration,
+                 period: tuple[np.ndarray, np.ndarray] | None = None):
         if W.ambient_dim != F.ambient_dim:
             raise MalformedFiltration("W and F live on different spaces")
         if not W.increasing or F.increasing:
@@ -314,6 +335,7 @@ class MixedHodgeStructure:
         self.W = W
         self.F = F
         self.dim = W.ambient_dim
+        self._period = period
         # per tol: the report and, when it is ok, the bigrading
         self._validated: dict[float, tuple[ValidationReport, DeligneBigrading | None]] = {}
         # per tol: the Splitting, filled by splitting.deligne_delta
@@ -334,15 +356,17 @@ class MixedHodgeStructure:
 
     # -- bigrading -------------------------------------------------------------
 
-    def _component_candidates(self, tol: float) -> dict[tuple[int, int], Subspace]:
-        """Build the candidate pieces I^{a,b} with h^{a,b} != 0, once per tol
+    def _component_candidates(self, tol: float) -> Mapping[tuple[int, int], Subspace]:
+        """The candidate pieces I^{a,b} with h^{a,b} != 0, once per tol
         (validate caches the outcome; the module docstring says why it stays
         sound).  F^p cap W_k is read off one echelon of F^p against the
         adapted basis of W (AdaptedBasis.meet), and its dimension is the
         count of rows with pivot < dim W_k, so the Hodge numbers h^{a,b} =
         dim F^a Gr_k - dim F^{a+1} Gr_k, k = a + b, take no rank decision;
         they are 0 unless F jumps at a and W at k.  A piece whose h^{a,b} is
-        dim F^a cap W_k is F^a cap W_k; any other is Deligne's formula."""
+        dim F^a cap W_k is F^a cap W_k; any other is Deligne's formula.  A
+        Hodge-Tate structure's pieces are built on first read, and the
+        mapping carries its period matrix as .P (module docstring)."""
         n = self.dim
         pmin, pmax = min(self.levels), max(self.levels)
         weights = self.weights
@@ -374,22 +398,35 @@ class MixedHodgeStructure:
             # U(r, s) = (F^r cap W_s) + U(r-1, s-1), zero below the bottom weight
             return Subspace.zero(n) if s < weights[0] else FW(r, s).add(U(r - 1, s - 1), tol)
 
-        comps: dict[tuple[int, int], Subspace] = {}
+        hodge: dict[tuple[int, int], int] = {}
         for a in self.levels:
-            for b in range(pmin, pmax + 1):
-                k = a + b
-                if k not in weights:
-                    continue
+            for k in (k for k in weights if pmin <= k - a <= pmax):
                 h = dim_FW(a, k) - dim_FW(a, k - 1) - dim_FW(a + 1, k) + dim_FW(a + 1, k - 1)
-                if h and dim_FW(a, k) == h:
-                    # I^{a,b} lies in F^a cap W_k and has dimension h^{a,b}
-                    comps[(a, b)] = FW(a, k)
-                elif h:
-                    # W is real, so conj(F^b) cap W_k = conj(F^b cap W_k)
-                    rhs = FW(b, k).add(U(b - 1, k - 2), tol).conj()
-                    piece = FW(a, k).intersect(rhs, tol)
-                    if piece.dim > 0:
-                        comps[(a, b)] = piece
+                if h:
+                    hodge[(a, k - a)] = h
+        if all(k % 2 == 0 and hodge.get((k // 2, k // 2)) == W.dim_at(k) - W.dim_at(k - 1)
+               for k in weights):
+            P = np.eye(n, dtype=complex)
+            for k in weights[1:]:
+                lo, (rows, piv) = W.dim_at(k - 1), echelon(k // 2)
+                for row, c in zip(rows, piv):
+                    if lo <= c < W.dim_at(k):
+                        P[:lo, c] = np.asarray(row[:lo], dtype=complex) / row[c]
+            pieces = LazyMapping(lambda: {(k // 2, k // 2): FW(k // 2, k) for k in weights})
+            pieces.P = P
+            return pieces
+        comps: dict[tuple[int, int], Subspace] = {}
+        for (a, b), h in hodge.items():
+            k = a + b
+            if dim_FW(a, k) == h:
+                # I^{a,b} lies in F^a cap W_k and has dimension h^{a,b}
+                comps[(a, b)] = FW(a, k)
+            else:
+                # W is real, so conj(F^b) cap W_k = conj(F^b cap W_k)
+                rhs = FW(b, k).add(U(b - 1, k - 2), tol).conj()
+                piece = FW(a, k).intersect(rhs, tol)
+                if piece.dim > 0:
+                    comps[(a, b)] = piece
         return comps
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -404,14 +441,17 @@ class MixedHodgeStructure:
         other pieces; the bound is relative to the basis entries because the
         residual is linear in B.  See the module docstring.  When all hold,
         the bigrading is built from the same pieces and projectors and
-        cached with the report."""
+        cached with the report.  A Hodge-Tate pair is valid by its Hodge
+        numbers alone, and its bigrading is read off its Period."""
         if tol in self._validated:
             return self._validated[tol][0]
-        comps = self._component_candidates(tol)
         n = self.dim
-        total = sum(s.dim for s in comps.values())
-        bigrading = None
-        if total != n:
+        comps = None if self._period else self._component_candidates(tol)
+        P = self._period[0] if self._period else getattr(comps, "P", None)
+        bigrading, failures = None, []
+        if P is not None:
+            bigrading = self._hodge_tate(P, comps, tol)
+        elif (total := sum(s.dim for s in comps.values())) != n:
             failures = [f"direct-sum: component dimensions add to {total}, expected {n}"]
         elif echelonize(np.vstack([comps[k].basis for k in sorted(comps)]), n, tol).dim != n:
             failures = ["direct-sum: components are not independent"]
@@ -423,6 +463,20 @@ class MixedHodgeStructure:
         report = ValidationReport(ok=not failures, failures=tuple(failures))
         self._validated[tol] = (report, bigrading)
         return report
+
+    def _hodge_tate(self, P: np.ndarray, comps, tol: float) -> DeligneBigrading:
+        """The bigrading of the Period of P; comps, if None, is built from C."""
+        flag, w = self.W.adapted_basis(), adapted_weights(self.W)
+        L = self._period[1] if self._period else logm_unipotent(np.linalg.solve(P.conj(), P))
+        period = Period(P, L, flag.T.T @ P, np.linalg.inv(P) @ flag.inverse.T)
+        blocks = {(k // 2, k // 2): w == k for k in self.weights}
+        for m in period:
+            m.setflags(write=False)
+        if comps is None:
+            comps = LazyMapping(lambda: {key: Subspace.from_rows(period.C[:, b].T, self.dim, tol)
+                                         for key, b in blocks.items()})
+        return DeligneBigrading(comps, self.dim, LazyMapping(lambda: read_only(
+            {key: period.C[:, b] @ period.C_inv[b] for key, b in blocks.items()})), period)
 
     def _axiom_failures(self, comps: dict[tuple[int, int], Subspace],
                         proj: dict[tuple[int, int], np.ndarray], tol: float) -> list[str]:
@@ -509,4 +563,10 @@ def is_morphism(T: np.ndarray, A: MixedHodgeStructure, B: MixedHodgeStructure,
 
 
 def is_hodge_tate(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> bool:
-    return all(p == q for (p, q) in H.bigrading(tol).components)
+    return H.bigrading(tol).period is not None
+
+
+def adapted_weights(W: Filtration) -> np.ndarray:
+    """The weight of each coordinate of the adapted basis of W."""
+    return np.repeat(W.indices, np.diff([0, *W.adapted_basis().dims]))
+

@@ -12,12 +12,14 @@ weight projectors of Y, u = sum_k conj(P_k) P_k maps each weight piece of Y
 onto that of conj(Y) and u - 1 lowers W, so u is the one element of that
 group with Ad(u) Y = conj(Y), and delta = (i/2) log u, a finite series
 (linalg.logm_unipotent): no iteration, no inverse.  Realness, the bidegree
-constraint, the defining relation and finiteness are verified post hoc, once,
-by _solve_splitting; rounding in the projectors of an ill-conditioned
-bigrading fails that check, so the splitting has one NoConvergence verdict.
+constraint, the defining relation and finiteness are verified post hoc,
+once, by _solve_splitting; rounding in the projectors of an ill-conditioned
+bigrading fails that check, so this general route has one NoConvergence
+verdict.  On a Hodge-Tate bigrading (mhs.Period) u = conj(P) P^-1, so delta
+= -(i/2) P L P^-1, real by construction and checked only for finiteness.
 gl_hodge_components is linalg.graded_parts over the (p, q) projectors; the
-Hodge components a Splitting holds are those of its real delta, so they sum
-to it.
+Hodge components a Splitting holds are those of its delta, so they sum to
+it (to rounding on the Hodge-Tate route, where they are built on first read).
 
 deligne_delta computes the Splitting once per structure and per
 tolerance and caches it on the MixedHodgeStructure, next to the lattice,
@@ -27,15 +29,15 @@ so it is frozen and its arrays are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import NoConvergence
-from .linalg import graded_parts, logm_unipotent, maxabs, nullspace_float
-from .mhs import DeligneBigrading, MixedHodgeStructure
+from .linalg import (LazyMapping, graded_parts, logm_unipotent, maxabs, nullspace_float,
+                     read_only)
+from .mhs import DeligneBigrading, Filtration, MixedHodgeStructure, adapted_weights
 
 
 def gl_hodge_components(B: DeligneBigrading, M: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -74,8 +76,30 @@ def deligne_delta(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> Splitting
     """The splitting of a valid mixed Hodge structure, computed once per
     tol and cached on H."""
     if tol not in H._splittings:
-        H._splittings[tol] = _solve_splitting(H.bigrading(tol), tol)
+        B = H.bigrading(tol)
+        H._splittings[tol] = (_solve_splitting(B, tol) if B.period is None else
+                              _period_splitting(B, H.W))
     return H._splittings[tol]
+
+
+def _period_splitting(B: DeligneBigrading, W: Filtration) -> Splitting:
+    """delta = C (-(i/2) L) C^-1 (mhs.Period); its residual, the imaginary
+    part rounding leaves relative to delta, decides nothing.  The Hodge
+    component (d, d) is C (-(i/2) L_2d) C^-1, L_2d the part of L that lowers
+    weight by 2d: read off L, not off delta, whose rounding the projectors
+    would amplify."""
+    C, C_inv, half, w = B.period.C, B.period.C_inv, -0.5j * B.period.L, adapted_weights(W)
+    with np.errstate(all="ignore"):
+        solved = C @ half @ C_inv
+    if not np.isfinite(solved).all():
+        raise NoConvergence("Hodge-Tate splitting is not finite")
+    delta = solved.real.copy()
+    delta.setflags(write=False)
+    shifts = {a - b for a, _ in B.projectors for b, _ in B.projectors}
+    return Splitting(delta=delta, residual=maxabs(solved.imag) / max(maxabs(solved), 1.0),
+                     hodge_components=LazyMapping(lambda: read_only({
+                         (d, d): C @ np.where(w[:, None] - w == 2 * d, half, 0) @ C_inv
+                         for d in shifts})))
 
 
 def _group_element(B: DeligneBigrading) -> np.ndarray:
@@ -100,9 +124,8 @@ def _solve_splitting(B: DeligneBigrading, tol: float) -> Splitting:
                              maxabs(rel) / max(maxabs(B.Y), 1.0)]))
     if not (np.isfinite(solved).all() and residual <= tol):
         raise NoConvergence(f"splitting residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    for m in (delta, *comps.values()):
-        m.setflags(write=False)
-    return Splitting(delta=delta, hodge_components=MappingProxyType(comps), residual=residual)
+    delta.setflags(write=False)
+    return Splitting(delta=delta, hodge_components=read_only(comps), residual=residual)
 
 
 def lowering_morphisms(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

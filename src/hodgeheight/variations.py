@@ -23,13 +23,14 @@ from .errors import (
     HodgeError,
     InfeasibleRanks,
     LengthTooSmall,
+    MalformedFiltration,
     NotAnMHS,
     NotHodgeTate,
 )
 from .height import Orientation, OrientedMHS, height
 from .limits import NilpotentOrbit, moved_fiber
-from .linalg import expm_nilpotent, graded_part, maxabs
-from .mhs import MixedHodgeStructure, is_hodge_tate, split_filtration
+from .linalg import bch, expm_nilpotent, graded_part, logm_unipotent, maxabs
+from .mhs import MixedHodgeStructure, adapted_weights, is_hodge_tate, split_filtration
 from .splitting import deligne_delta
 
 
@@ -69,7 +70,9 @@ class GammaPoly:
         if not self.terms:
             return np.zeros((0, 0), dtype=complex)
         exponents, coefficients = self._stacked
-        return np.tensordot(np.prod(np.array(s) ** exponents, axis=1), coefficients, axes=1)
+        # a value past the float range is inf or NaN, which fibers reject
+        with np.errstate(all="ignore"):
+            return np.tensordot(np.prod(np.array(s) ** exponents, axis=1), coefficients, axes=1)
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,8 @@ class LocalVariation:
     _limit: OrientedMHS = field(init=False, compare=False, repr=False)
     # one NilpotentOrbit per N_j, whose power table gives exp(z_j N_j)
     _orbits: tuple[NilpotentOrbit, ...] = field(init=False, compare=False, repr=False)
+    # per tol: the Hodge-Tate route of _fiber, or None (_transport)
+    _transports: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self, tol: float):
         object.__setattr__(self, "_orbits", tuple(NilpotentOrbit(self.W, N, self.F_inf, tol)
@@ -99,6 +104,21 @@ class LocalVariation:
             raise HodgeError("tameness divisibility s_j | [N_j, Gamma] fails")
         object.__setattr__(self, "_limit", OrientedMHS(MixedHodgeStructure(self.W, self.F_inf),
                                                        self.orientation))
+
+    def _transport(self, tol: float) -> tuple | None:
+        """Once per tol: (N_j and log P_inf in the coordinates of W, P_inf)
+        when the limit is Hodge-Tate, of length at most 8 (linalg.bch), and
+        every N_j and Gamma coefficient lowers W by at least 2, else None."""
+        if tol not in self._transports:
+            H, flag, w = self._limit.mhs, self.W.adapted_basis(), adapted_weights(self.W)
+            ops = [flag.operator(np.asarray(A, dtype=complex))
+                   for A in (*self.nilpotents, *(m for _, m in self.gamma.terms))]
+            lowers = all(maxabs(A[w[:, None] > w - 2]) <= tol * max(1.0, maxabs(A)) for A in ops)
+            period = H.validate(tol).ok and H.bigrading(tol).period
+            self._transports[tol] = (
+                (ops[:len(self.nilpotents)], logm_unipotent(period.P), period.P)
+                if period and lowers and self.length <= 8 else None)
+        return self._transports[tol]
 
     @property
     def dim(self) -> int:
@@ -123,21 +143,35 @@ class LocalVariation:
 
 
 def fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-    """(exp(N(z)) exp(Gamma(s)) . F_inf, W).  Raises NotAnMHS outside the
-    region where the pair is a mixed Hodge structure, as when |s| > 1 makes
-    the truncated Gamma series huge and a moved step of F loses rank at the
-    working tolerance."""
+    """(exp(N(z)) exp(Gamma(s)) . F_inf, W).  A Hodge-Tate variation (_fiber)
+    gives a structure at every point, |s| > 1 included; on the general route
+    NotAnMHS is raised where a step of F loses rank at the working tolerance.
+    A Gamma(s) or move that is not finite raises MalformedFiltration."""
     return _fiber(v, z, s, v.gamma(s), tol)
 
 
 def _fiber(v: LocalVariation, z, s, gm: np.ndarray, tol: float) -> MixedHodgeStructure:
     """fiber at (z, s), gm = Gamma(s); exp(N(z)) = prod_j exp(z_j N_j), the
-    N_j commuting, each factor off its orbit's power table (NilpotentOrbit.exp)."""
-    factors = [orbit.exp(zj) for zj, orbit in zip(np.atleast_1d(z), v._orbits)]
-    if gm.size:
-        factors.append(expm_nilpotent(gm))
-    G = reduce(np.matmul, factors, np.eye(v.dim))
-    return moved_fiber(v.W, v.F_inf, G, f"fiber at z={z}, s={s}: ", tol)
+    N_j commuting, each factor off its orbit's power table (NilpotentOrbit.exp).
+    On the Hodge-Tate route g = exp(N(z)) exp(Gamma) lies in exp(W_-2 gl), so
+    the fiber's period matrix is g P_inf, and L is the commutator series
+    (linalg.bch) of (-log conj(P_inf), -conj(Gamma), 2i sum_j Im(z_j) N_j,
+    Gamma, log P_inf), all in the coordinates of W: no step is row-reduced."""
+    where, transport, period = f"fiber at z={z}, s={s}: ", v._transport(tol), None
+    if not np.isfinite(gm).all():
+        raise MalformedFiltration(where + "Gamma(s) is not finite")
+    with np.errstate(all="ignore"):
+        factors = [orbit.exp(zj) for zj, orbit in zip(np.atleast_1d(z), v._orbits)]
+        if gm.size:
+            factors.append(expm_nilpotent(gm))
+        G = reduce(np.matmul, factors, np.eye(v.dim))
+        if transport is not None:
+            (N, logP, P), flag = transport, v.W.adapted_basis()
+            gam = flag.operator(gm) if gm.size else np.zeros_like(P)
+            iy = sum((2j * complex(zj).imag * Nj for zj, Nj in zip(np.atleast_1d(z), N)),
+                     np.zeros_like(P))
+            period = flag.operator(G) @ P, bch([-logP.conj(), -gam.conj(), iy, gam, logP])
+    return moved_fiber(v.W, v.F_inf, G, where, tol, period)
 
 
 def oriented_fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> OrientedMHS:
@@ -180,7 +214,8 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
     height Ht(fiber), the gap |Ht(fiber) - Ht(limit)| and the residual of the
     depth-one identity
     delta^{-1,-1}(z,s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1},
-    with only the (-1,-1) parts taken (linalg.graded_part)."""
+    with only the (-1,-1) parts taken: a Hodge-Tate fiber's off its L, the
+    others by linalg.graded_part."""
     limit = v.limit_structure()
     # Hodge-Tate variations have relative filtration equal to W, so the pair
     # (F_inf, W) must itself be a structure with diagonal bigrading
@@ -192,13 +227,19 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
     d11_lim = deligne_delta(limit, tol).component(-1, -1)
     n = v.dim
     ht_lim = height(v._limit, tol)
+    # a Hodge-Tate fiber's P is P_inf times a unipotent that lowers W, so its
+    # delta^{-1,-1} for the limit's bigrading is C (-(i/2) L_-2) C^-1, with C
+    # the limit's and L_-2 the part of the fiber's L that lowers weight by 2
+    w, C, C_inv = adapted_weights(v.W), B_lim.period.C, B_lim.period.C_inv
 
     points = []
     for z, s in sequence:
         gm = v.gamma(s)
         H = _fiber(v, z, s, gm, tol)
-        spl = deligne_delta(H, tol)
-        d11 = graded_part(B_lim.projectors, spl.delta, (-1, -1))
+        period = H.bigrading(tol).period
+        d11 = (graded_part(B_lim.projectors, deligne_delta(H, tol).delta, (-1, -1))
+               if period is None else
+               C @ np.where(w[:, None] == w - 2, -0.5j * period.L, 0) @ C_inv)
         imz = [complex(x).imag for x in np.atleast_1d(z)]
         im_gamma = (gm - np.conj(gm)) / 2j if gm.size else np.zeros((n, n))
         predicted = sum((y * np.real(N) for y, N in zip(imz, v.nilpotents)), np.zeros((n, n))) + \

@@ -7,9 +7,11 @@ conjugate_oriented and rescale_fiber are the oriented functorial
 constructions the height identities are checked on; mhs_to_doc writes a
 structure document that the parsers read back.  mp_li2 and mp_bloch_wigner
 evaluate the dilogarithm with mpmath at a chosen working precision, the
-oracle for the double-precision hodgeheight.dilog.  The generators that the
-benchmark also draws from (random_spec, random_deligne_system,
-random_hodge_tate) stay in the library.
+oracle for the double-precision hodgeheight.dilog.  general_route and
+mp_hodge_tate_height are the oracles of Hodge-Tate structures, which the
+library reads off their period matrix.  The generators that the benchmark
+also draws from (random_spec, random_deligne_system, random_hodge_tate)
+stay in the library.
 """
 from fractions import Fraction
 from typing import Any
@@ -21,8 +23,9 @@ from hodgeheight.biextension import BiextensionSpec, _mdim, build_biextension
 from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import HodgeError
 from hodgeheight.height import Orientation, OrientedMHS, _check_oriented
-from hodgeheight.linalg import Subspace, expm_nilpotent, maxabs
-from hodgeheight.mhs import MixedHodgeStructure, conjugate, dual
+from hodgeheight.linalg import Subspace, expm_nilpotent, graded_projectors, maxabs
+from hodgeheight.mhs import DeligneBigrading, MixedHodgeStructure, conjugate, dual
+from hodgeheight.splitting import _solve_splitting
 
 CATALAN = 0.915965594177219015054603514932384110774
 
@@ -137,6 +140,79 @@ def rescale_fiber(om: OrientedMHS, N: np.ndarray, t: complex,
     G = expm_nilpotent(complex(t) * np.asarray(N, dtype=complex))
     F = om.mhs.F.map_spaces(lambda s: s.image_under(G, tol))
     return OrientedMHS(MixedHodgeStructure(om.mhs.W, F), om.orientation)
+
+
+# ---------------------------------------------------------------------------
+# oracles for Hodge-Tate structures
+
+
+def general_route(H: MixedHodgeStructure, tol: float = DEFAULT_TOL):
+    """The bigrading and splitting of H by the general route, also on a
+    Hodge-Tate structure, which the library reads off its period matrix:
+    the lattice's pieces and their projectors (linalg.graded_projectors),
+    the axiom checks of validate and the residual verdict of
+    splitting._solve_splitting, which raises NoConvergence."""
+    comps = dict(H._component_candidates(tol))
+    proj = graded_projectors({key: s.basis for key, s in comps.items()})
+    assert sum(s.dim for s in comps.values()) == H.dim
+    assert not H._axiom_failures(comps, proj, tol)
+    B = DeligneBigrading(comps, H.dim, proj)
+    return B, _solve_splitting(B, tol)
+
+
+
+def mp_hodge_tate_height(v, z, s, P_inf=None, dps: int = 60) -> float:
+    """The height of the fiber of the Hodge-Tate variation v at (z, s), at
+    dps digits, from the variation's data alone: no step of the fiber is read.
+
+    In the coordinates c = x T^-1 of the adapted basis T of W, which must be
+    a permutation (W made of coordinate steps), L = log(conj(P_inf)^-1
+    exp(-conj Gamma(s)) exp(2i sum_j Im(z_j) N_j) exp(Gamma(s)) P_inf), each
+    exponential and the log a finite series, and the height is (1/2) Im
+    L[0, n-1] times the ratio of the top generator's last coordinate to the
+    bottom generator's first.  Gamma(s) is summed term by term at dps
+    digits.  P_inf is the limit's period matrix in those coordinates, exact
+    rational entries, unit on each weight block; None is a split limit."""
+    n = v.dim
+    T = v.W.adapted_basis().T.real
+    assert set(np.abs(T).sum(axis=0)) == {1.0} and set(np.abs(T).sum(axis=1)) == {1.0}
+    with mpmath.workdps(dps):
+        def mat(A):
+            return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in A])
+
+        Tm = mat(T)
+
+        def adapted(A):
+            return Tm * A * Tm.T
+
+        def conj(A):
+            return A.apply(mpmath.conj)
+
+        def exp(A):
+            out, term = mpmath.eye(n), mpmath.eye(n)
+            for k in range(1, n):
+                term = term * A / k
+                out += term
+            return out
+
+        svals = [mpmath.mpc(complex(x)) for x in np.atleast_1d(s)]
+        gamma = mpmath.zeros(n, n)
+        for expo, coeff in v.gamma.terms:
+            mono = mpmath.fprod(x ** e for x, e in zip(svals, expo))
+            gamma += mono * mat(coeff)
+        iy = mpmath.zeros(n, n)
+        for zj, N in zip(np.atleast_1d(z), v.nilpotents):
+            iy += mpmath.mpc(0, 2 * complex(zj).imag) * mat(N)
+        gamma, iy = adapted(gamma), adapted(iy)
+        P = mpmath.eye(n) if P_inf is None else mat(P_inf)
+        X = conj(P) ** -1 * exp(-conj(gamma)) * exp(iy) * exp(gamma) * P - mpmath.eye(n)
+        L, power = mpmath.zeros(n, n), mpmath.eye(n)
+        for k in range(1, n):
+            power = power * X
+            L += power * (mpmath.mpf((-1) ** (k + 1)) / k)
+        top = mat([v.orientation.top]) * Tm.T
+        bottom = mat([v.orientation.bottom]) * Tm.T
+        return float(mpmath.im(L[0, n - 1]) / 2 * mpmath.re(top[0, n - 1] / bottom[0, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hodgeheight.errors import (
     InvalidBlockType,
     MalformedFiltration,
     NotAMorphism,
-    NotAnMHS,
     NotInjectiveOnEnds,
     NotNilpotent,
     NotOriented,
@@ -38,6 +37,7 @@ def _span(*rows, n=3):
 
 
 FULL = Subspace.full(3)
+FAR_Z = complex(np.log(1e6) / (2j * np.pi))
 
 
 def _oriented(W, top=(1, 0, 0), bottom=(0, 0, 1)):
@@ -141,12 +141,11 @@ CASES = {
     "variation-untame": (_untame, HodgeError, "tameness divisibility s_j | [N_j, Gamma] fails"),
     "variation-negative-nil-count": (lambda: random_hodge_tate((1, 2, 1), -1, 0),
                                      InfeasibleRanks, "nil_count must be nonnegative"),
-    # |s| = 2 is far outside the disc of the degree-60 Gamma series, whose
-    # huge move collapses a step of F at the working tolerance; F keeps its
-    # step dimensions, so the lattice read off the moved rows comes up short
-    "fiber-collapses-f": (lambda: fiber(dilog_variation(), [0.3j], [2.0]),
-                          NotAnMHS, "fiber at z=[0.3j], s=[2.0]: direct-sum: component "
-                          "dimensions add to 1, expected 3"),
+    # s^60 overflows the float range at |s| = 1e6, so the degree-60 Gamma(s)
+    # is not finite: a typed error naming the point, and no numpy warning
+    "fiber-gamma-not-finite": (lambda: fiber(dilog_variation(), [FAR_Z], [1e6]),
+                               MalformedFiltration,
+                               f"fiber at z={[FAR_Z]}, s={[1e6]}: Gamma(s) is not finite"),
     "orbit-horizontality": (lambda: _cubic_orbit_with(_e30()), NotNilpotent,
                             "N must shift the Hodge filtration by one (horizontality)"),
     "ambient-mismatch": (lambda: Subspace.full(2).contains(Subspace.full(3)),

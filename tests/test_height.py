@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodgeheight.biextension import build_biextension, random_spec
 from hodgeheight.dilog import bloch_wigner
@@ -165,14 +165,24 @@ def _moved_oriented(om: OrientedMHS, g: np.ndarray) -> OrientedMHS:
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["biextension", "dilog", "cubic"]))
+# dilog draws on which the general splitting solve raised NoConvergence (the
+# first four) and two on which it did not
+@example(121185, "dilog")
+@example(6338, "dilog")
+@example(7223, "dilog")
+@example(26781, "dilog")
+@example(363, "dilog")
+@example(7497, "dilog")
 def test_height_is_invariant_under_a_rational_change_of_coordinates(seed, kind):
     # g is an isomorphism (W, F) -> (g W, g F) carrying the orientation, so
     # functoriality with d_max = d_min = 1 says the height does not change.
     # The moved W is rational but no longer made of coordinate subspaces, and
-    # the splitting solve loses accuracy there (NoConvergence on 4 in 5
-    # cubic fibers past y = 5, and on 1 in 300 biextensions): the answer
-    # must then be a typed error, never a wrong value.  Dilog fibers have
-    # not raised in 300 draws, so an error there fails the test.
+    # the general splitting solve loses accuracy there (NoConvergence on 4
+    # in 5 cubic fibers past y = 5, and on 1 in 300 biextensions): the answer
+    # must then be a typed error, never a wrong value.  Dilog fibers are
+    # Hodge-Tate: their splitting and height come from the period matrix in
+    # the coordinates of the moved W, with no residual verdict, so an error
+    # there fails the test.
     rng = np.random.default_rng(seed)
     if kind == "biextension":
         om = build_biextension(random_spec(rng))

@@ -259,15 +259,20 @@ def test_lattice_built_once_per_tolerance(monkeypatch):
         builds.append(tol)
         return original(self, tol)
 
-    monkeypatch.setattr(MixedHodgeStructure, "_component_candidates", counted)
     v = random_hodge_tate((1, 2, 1), 1, seed=1)
-    om = OrientedMHS(fiber(v, [2j], [np.exp(-4 * np.pi)]), v.orientation)
-    height(om)
-    deligne_delta(om.mhs)
-    assert builds == [TOL]
-    height(om, 1e-8)
-    deligne_delta(om.mhs, 1e-8)
-    assert builds == [TOL, 1e-8]
+    built = fiber(v, [2j], [np.exp(-4 * np.pi)])
+    monkeypatch.setattr(MixedHodgeStructure, "_component_candidates", counted)
+    # a fiber of a Hodge-Tate variation moves its limit's period matrix and
+    # builds no lattice; the same pair built afresh builds one per tolerance
+    for H, lattices in ((built, 0), (MixedHodgeStructure(built.W, built.F), 1)):
+        om = OrientedMHS(H, v.orientation)
+        height(om)
+        deligne_delta(om.mhs)
+        assert builds == [TOL] * lattices
+        height(om, 1e-8)
+        deligne_delta(om.mhs, 1e-8)
+        assert builds == [TOL, 1e-8] * lattices
+        builds.clear()
 
 
 def test_limit_lattice_built_once_across_asymptotics_calls(monkeypatch):
@@ -536,13 +541,19 @@ def test_projectors_built_once_per_tolerance(monkeypatch):
         calls.append(original(pieces))
         return calls[-1]
 
+    # the general route, on the cubic fiber, calls graded_projectors once
+    # per tolerance; a Hodge-Tate structure reads its projectors off its
+    # period matrix, as often, and never calls it
     v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
-    built = fiber(v, [2j], [np.exp(-4 * np.pi)])
-    H = MixedHodgeStructure(built.W, built.F)
+    built = (cubic_orbit()[0].fiber(2j), fiber(v, [2j], [np.exp(-4 * np.pi)]))
     monkeypatch.setattr(mhs, "graded_projectors", counted)
-    for tol in (TOL, 1e-8):
-        assert H.validate(tol).ok
-        B = H.bigrading(tol)
-        assert H.bigrading(tol) is B
-    assert len(calls) == 2
-    assert all(P is calls[-1][k] for k, P in B.projectors.items())
+    for built_H, per_tol in zip(built, (1, 0)):
+        H = MixedHodgeStructure(built_H.W, built_H.F)
+        calls.clear()
+        for tol in (TOL, 1e-8):
+            assert H.validate(tol).ok
+            B = H.bigrading(tol)
+            assert H.bigrading(tol) is B
+        assert len(calls) == 2 * per_tol
+        if per_tol:
+            assert all(P is calls[-1][k] for k, P in B.projectors.items())

@@ -13,6 +13,7 @@ from hodgeheight.linalg import (
     AdaptedBasis,
     ExactMatrix,
     Subspace,
+    bch,
     check_nilpotent,
     echelonize,
     expm_nilpotent,
@@ -668,3 +669,35 @@ def test_from_rows_reads_an_array_as_its_list_of_rows(M):
             assert np.array_equal(S.basis, L.basis, equal_nan=True)
             if not S.is_exact():
                 _assert_same_echelon(S.basis, S.pivots, A)
+
+
+@pytest.mark.parametrize("weights", [(0, -2, -4), (0, -2, -2, -4, -4, -6),
+                                     (0, -2, -4, -4, -6, -8), (0, -4, -6)])
+def test_bch_is_the_log_of_the_product(weights):
+    # five factors that each lower a grading of length at most 8 by at least
+    # 2: the nested commutators through four brackets are the whole series,
+    # against the Mercator log of the product of the exponentials
+    w = np.array(weights)
+    rng = np.random.default_rng(len(w) - w.min())
+    lowering = w[:, None] <= w - 2
+    for _ in range(5):
+        xs = [np.where(lowering, rng.normal(size=lowering.shape)
+                       + 1j * rng.normal(size=lowering.shape), 0) for _ in range(5)]
+        product = np.eye(len(w), dtype=complex)
+        for x in xs:
+            product = product @ expm_nilpotent(x)
+        want = logm_unipotent(product)
+        assert np.abs(bch(xs) - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_bch_needs_a_length_of_at_most_eight():
+    # on a grading of length 10 the five-bracket terms survive, and the
+    # series stops short of the log
+    w = np.arange(0, -12, -2)
+    rng = np.random.default_rng(10)
+    lowering = w[:, None] <= w - 2
+    xs = [np.where(lowering, rng.normal(size=lowering.shape), 0) for _ in range(5)]
+    product = np.eye(len(w))
+    for x in xs:
+        product = product @ expm_nilpotent(x)
+    assert np.abs(bch(xs) - logm_unipotent(product)).max() > 1e-3

@@ -3,14 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hodgeheight.biextension import build_biextension, random_spec
+from hodgeheight.biextension import BiextensionSpec, build_biextension, random_spec
+from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.dilog import bloch_wigner
+from hodgeheight.height import _deep_coefficient, height
 from hodgeheight.linalg import graded_parts, logm_unipotent, maxabs
 from hodgeheight.mhs import dual
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, gl_hodge_components, lowering_morphisms
+from hodgeheight.variations import oriented_fiber, random_hodge_tate
 
-from fixtures import component_support, embed_into_padded, rescale_fiber
+from fixtures import component_support, embed_into_padded, general_route, rescale_fiber
 
 
 def test_components_resolve_random_matrix(rng):
@@ -186,3 +189,44 @@ def test_shared_splitting_and_top_lift_are_read_only():
         spl.delta = np.zeros((3, 3))
     with pytest.raises(TypeError):
         spl.hodge_components[(0, 0)] = np.zeros((3, 3))
+
+
+def _hodge_tate_structures():
+    """Dilog fibers, fibers of four Hodge-Tate variations at y in [0.3, 3],
+    and Hodge-Tate biextensions."""
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        yield dilog_fiber(complex(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 0.9)))
+    for ranks in ((1, 2, 1), (1, 3, 1), (1, 2, 2, 1), (1, 1, 2, 1, 1)):
+        for seed in range(5):
+            v = random_hodge_tate(ranks, 1, seed=seed)
+            for y in (0.3, 1.0, 3.0):
+                z = 0.2 + 1j * y
+                yield oriented_fiber(v, [z], [np.exp(2j * np.pi * z)])
+    for _ in range(5):
+        yield build_biextension(BiextensionSpec((0, -2, -4), (((-1, -1), 2),),
+                                                tuple(rng.normal(size=2)),
+                                                tuple(rng.normal(size=2)), float(rng.normal())))
+
+
+def test_the_period_route_agrees_with_the_general_route():
+    # every Hodge-Tate structure takes the period route; the general route
+    # (lattice, projectors, axiom checks, residual verdict), called on the
+    # same pair, is its oracle for the pieces, delta, its Hodge components
+    # and the height
+    for om in _hodge_tate_structures():
+        B = om.mhs.bigrading()
+        assert B.period is not None
+        B_general, general = general_route(om.mhs)
+        scale = max(1.0, maxabs(general.delta))
+        spl = deligne_delta(om.mhs)
+        assert maxabs(spl.delta - general.delta) <= 1e-12 * scale
+        assert sorted(spl.hodge_components) == sorted(gl_hodge_components(B_general, general.delta))
+        for key, part in gl_hodge_components(B_general, general.delta).items():
+            assert maxabs(spl.component(*key) - part) <= 1e-12 * scale, key
+        assert sorted(B.components) == sorted(B_general.components)
+        for key, piece in B_general.components.items():
+            assert B.components[key].equals(piece, 1e-9), key
+        want = _deep_coefficient(general.delta, B_general.weight_projectors, om.orientation,
+                                 DEFAULT_TOL)
+        assert abs(height(om) - want) <= 1e-12 * scale

@@ -7,7 +7,6 @@ from hodgeheight.errors import HodgeError, InfeasibleRanks, LengthTooSmall, NotH
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight.limits import NilpotentOrbit
 from hodgeheight.linalg import expm_nilpotent, maxabs
-from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.variations import (
     GammaPoly,
@@ -19,6 +18,7 @@ from hodgeheight.variations import (
     oriented_fiber,
     random_hodge_tate,
 )
+from fixtures import mp_hodge_tate_height
 
 
 def slope_fit(params: np.ndarray, heights: np.ndarray) -> dict[str, float]:
@@ -295,15 +295,19 @@ def test_check_asymptotics_on_the_cleared_probe():
 
 
 def test_a_fiber_row_reduces_no_step_of_f_but_its_piece(monkeypatch):
-    # the fiber moves F_inf as one flag and reduces its moved rows against W
-    # as they are: of the steps of F only F^0, which is the piece I^{0,0},
-    # is row-reduced, and the full step is the C^n of F_inf itself; moving F
-    # step by step (map_spaces) takes one echelon more per step but F^0
+    # a Hodge-Tate fiber is its limit's period matrix moved by g: neither
+    # the fiber, its height nor the depth-one identity row-reduces anything
+    # once the limit's lattice is built; a cubic-orbit fiber (not
+    # Hodge-Tate) moves F_inf as one flag and reduces its moved rows against
+    # W as they are: of the steps of F only F^0, which is the piece I^{0,0},
+    # is row-reduced, and the full step is the C^n of F_inf itself
     v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
     z, s = [2j], [np.exp(-4 * np.pi)]
-    G = expm_nilpotent(2j * v.nilpotents[0]) @ expm_nilpotent(v.gamma(s))
+    fiber(v, z, s)
+    orbit, _ = cubic_orbit()
+    G = orbit.exp(2j)
     # the steps short of C^n; the full step is checked by identity below
-    steps = {p: v.F_inf.at(p).image_under(G) for p in v.F_inf.indices if p > -3}
+    steps = {p: orbit.F_inf.at(p).image_under(G) for p in orbit.F_inf.indices if p > -3}
     inputs = []
     original = linalg.rref_float
 
@@ -313,21 +317,86 @@ def test_a_fiber_row_reduces_no_step_of_f_but_its_piece(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref_float", counted)
     H = fiber(v, z, s)
-    calls = len(inputs)
-    MixedHodgeStructure(v.W, v.F_inf.map_spaces(lambda sp: sp.image_under(G))).validate()
-    stepwise = len(inputs) - calls
+    height(OrientedMHS(H, v.orientation))
+    check_asymptotics(v, [(z, s)])
+    assert inputs == []
+    cubic = orbit.fiber(2j)
     monkeypatch.undo()
 
     def spans(M, S):
         return len(M) == S.dim and np.linalg.matrix_rank(np.vstack([M, S.basis]), 1e-8) == S.dim
 
-    reduced = {p for p, S in steps.items() if any(spans(M, S) for M in inputs[:calls])}
+    reduced = {p for p, S in steps.items() if any(spans(M, S) for M in inputs)}
     assert reduced == {0}
-    assert H.bigrading().components[(0, 0)] is H.F.at(0)
     assert H.F.at(-3) is v.F_inf.at(-3)
-    assert calls == stepwise - len(v.F_inf.indices) + 1
-    orbit, _ = cubic_orbit()
-    assert orbit.fiber(2j).F.at(-3) is orbit.F_inf.at(-3)
+    assert cubic.F.at(-3) is orbit.F_inf.at(-3)
+
+
+def test_the_fiber_that_collapsed_f_has_height_zero():
+    # |s| = 2 is far outside the disc of the degree-60 Gamma series, whose
+    # move once collapsed a step of F at the working tolerance (NotAnMHS);
+    # the fiber is Hodge-Tate all the same.  Gamma(2) has a purely imaginary
+    # (1,0) entry and a real (2,0) entry, so every term of L = log(exp(-conj
+    # Gamma) exp(0.6i N) exp(Gamma)) at the (bottom, top) entry cancels
+    v = dilog_variation()
+    assert height(oriented_fiber(v, [0.3j], [2.0])) == 0.0
+    assert mp_hodge_tate_height(v, [0.3j], [2.0]) == 0.0
+
+
+@pytest.mark.parametrize("ranks", [(1, 1, 1, 1), (1, 2, 2, 1), (1, 1, 2, 1, 1)])
+def test_hodge_tate_fibers_far_out_match_a_60_digit_oracle(ranks):
+    # fibers up to y = 1e5, where the general route raised NotAnMHS or
+    # NoConvergence from y ~ 100 and drifted before that; the depth-one
+    # identity, read off L, holds there to rounding
+    for seed in range(10):
+        v = random_hodge_tate(ranks, 1, seed=seed)
+        points = [([0.2 + 1j * y], [np.exp(2j * np.pi * (0.2 + 1j * y))])
+                  for y in (0.3, 1.0, 10.0, 100.0, 1e3, 1e5)]
+        for z, s in points:
+            want = mp_hodge_tate_height(v, z, s)
+            got = height(oriented_fiber(v, z, s))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (seed, z, got, want)
+        assert all(p.identity_residual <= 1e-12 for p in check_asymptotics(v, points).points)
+
+
+def test_a_limit_that_is_not_split_moves_with_its_period_matrix():
+    # h, rational and unipotent on Gr^W, is an isomorphism from the fibers
+    # of v to those of the variation (h F_inf, h N h^-1, h Gamma h^-1), whose
+    # limit has period matrix h: the heights agree, and the oracle takes the
+    # factors conj(P_inf)^-1 and P_inf
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=4)
+    w = np.array([0, -2, -2, -4, -4, -6])
+    rng = np.random.default_rng(8)
+    h = np.eye(6) + np.where(w[:, None] <= w - 2, rng.integers(-2, 3, size=(6, 6)), 0)
+    h_inv = np.linalg.inv(h)
+    moved = LocalVariation(
+        W=v.W, F_inf=v.F_inf.map_spaces(lambda sp: sp.image_under(h)),
+        nilpotents=(h @ v.nilpotents[0] @ h_inv,),
+        gamma=GammaPoly.of(1, {e: h @ m @ h_inv for e, m in v.gamma.terms}),
+        orientation=v.orientation)
+    assert moved._transport(DEFAULT_TOL) is not None
+    T = v.W.adapted_basis().T.real
+    for y in (0.3, 1.0, 10.0, 1e3):
+        z = 0.2 + 1j * y
+        s = np.exp(2j * np.pi * z)
+        want = height(oriented_fiber(v, [z], [s]))
+        got = height(oriented_fiber(moved, [z], [s]))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        oracle = mp_hodge_tate_height(moved, [z], [s], P_inf=T @ h @ T.T)
+        assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+def test_a_variation_longer_than_eight_keeps_the_general_route():
+    # the commutator series stops at four brackets, exact up to length 8;
+    # a length-10 Hodge-Tate variation reads each fiber off its echelons
+    v = random_hodge_tate((1, 1, 1, 1, 1, 1), 1, seed=0)
+    assert v.length == 10 and v._transport(DEFAULT_TOL) is None
+    for y in (0.3, 1.0):
+        z = 0.2 + 1j * y
+        s = np.exp(2j * np.pi * z)
+        want = mp_hodge_tate_height(v, [z], [s])
+        got = height(oriented_fiber(v, [z], [s]))
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
 
 def test_check_asymptotics_evaluates_gamma_once_per_point(monkeypatch):
