@@ -21,8 +21,8 @@ hands that N' to the body of relative_weight_filtration.
 relative_weight_filtration(N, W) runs in the coordinates c of v = c T, T the
 adapted basis of W (linalg.AdaptedBasis), where W_k is the span of the
 first d_k = dim W_k coordinates and N acts by N' (AdaptedBasis.operator).
-N preserves W exactly when N' vanishes below its diagonal blocks; N on W_k
-is then the leading d_k x d_k block of N' and N on Gr^W_k the k-th
+N preserves W exactly when N' vanishes below its diagonal blocks (lowers);
+N on W_k is then the leading d_k x d_k block of N' and N on Gr^W_k the k-th
 diagonal block, and the powers of each block are the blocks of the powers
 of N', so one table serves every level and every block.  The recursion
 peels the top weight k of W: with M' computed on W_k' (k' the weight
@@ -89,7 +89,6 @@ from .errors import (
 )
 from .height import _check_oriented, _deep_coefficient
 from .linalg import (
-    AdaptedBasis,
     ExactMatrix,
     Subspace,
     as_operator,
@@ -103,7 +102,7 @@ from .linalg import (
     nullspace_float,
     right_echelon,
 )
-from .mhs import Filtration, MixedHodgeStructure, split_filtration, weight_filtration
+from .mhs import Filtration, MixedHodgeStructure, lowers, split_filtration, weight_filtration
 from .splitting import deligne_delta
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
     N' = W.adapted_basis().operator(N)."""
     flag = W.adapted_basis()
     powers = nilpotent_powers(Np, tol)
-    if not _preserves(flag, Np, tol):
+    if not lowers(W, Np, 0, tol):
         raise DoesNotExist("N does not preserve the weight filtration")
     base, M_steps = _relative_rec(powers, W.indices, flag.dims, tol)
     try:
@@ -189,19 +188,6 @@ def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
         raise DoesNotExist(f"candidate family is not a filtration: {exc}") from exc
     _verify_relative(filt, powers, W.indices, flag.dims, base, tol)
     return filt.map_spaces(lambda s: flag.lift(s, tol))
-
-
-def _preserves(flag: AdaptedBasis, Np, tol: float) -> bool:
-    """Whether Np = flag.operator(N) vanishes below its diagonal blocks: exactly,
-    or up to tol * max(max |Np|, 1) as the rref_float pivot threshold."""
-    n = len(Np)
-    exact = isinstance(Np, ExactMatrix)
-    A = Np.num if exact else Np
-    block = [sum(d <= i for d in flag.dims) for i in range(n)]
-    lower = [A[i][j] for i in range(n) for j in range(n) if block[i] > block[j]]
-    if exact:
-        return not any(lower)
-    return max(map(abs, lower), default=0.0) <= tol * max(maxabs(Np), 1.0)
 
 
 def _block(A, lo: int, hi: int):
@@ -472,10 +458,9 @@ class NilpotentOrbit:
         # N^k / k! off the table of the nilpotency check, for exp(zN)
         self._series = [np.array(P, dtype=complex) / factorial(k)
                         for k, P in enumerate(nilpotent_powers(self.monodromy, tol))]
-        flag = W.adapted_basis()
         # N' = N in the coordinates of W, which limit_mhs reads
-        self.operator = flag.operator(self.monodromy)
-        if not _preserves(flag, self.operator, tol):
+        self.operator = W.adapted_basis().operator(self.monodromy)
+        if not lowers(W, self.operator, 0, tol):
             raise NotNilpotent("N must preserve the weight filtration")
         for p in F_inf.indices:
             moved = F_inf.at(p).image_under(self.monodromy, tol)
@@ -483,9 +468,13 @@ class NilpotentOrbit:
                 raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
 
     def exp(self, z: complex) -> np.ndarray:
-        """exp(zN) = sum_k z^k N^k / k!."""
+        """exp(zN) = sum_k z^k N^k / k!, not finite past the float range."""
         z = complex(z)
-        return sum(z ** k * P for k, P in enumerate(self._series))
+        try:
+            with np.errstate(all="ignore"):
+                return sum(z ** k * P for k, P in enumerate(self._series))
+        except OverflowError:   # Python's complex power raises where numpy gives inf
+            return np.full((self.dim, self.dim), np.inf, dtype=complex)
 
     def fiber(self, z: complex, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
         return moved_fiber(self.W, self.F_inf, self.exp(z),

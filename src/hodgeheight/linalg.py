@@ -109,11 +109,9 @@ def rref_float(M: Matrix, tol: float = DEFAULT_TOL) -> tuple[Matrix, list[int]]:
     not pivots.  The matrix is row-reduced as Python complex rows, converted
     in and out once: see the module docstring for why."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        M = M.reshape(-1, M.shape[-1]) if M.size else M.reshape(0, 0)
     rows, cols = M.shape
     if rows == 0 or cols == 0:
-        return M.reshape(max(rows, 0), cols), []
+        return M, []
     bound = tol * max(float(np.abs(M).max()), 1.0)
     A = M.tolist()
     pivots: list[int] = []
@@ -636,18 +634,18 @@ def check_nilpotent(N, tol: float = DEFAULT_TOL) -> int:
     return len(nilpotent_powers(N, tol)) - 1
 
 
+def exp_terms(A: Matrix) -> list[Matrix]:
+    """The terms A^k / k! of exp(A), A nilpotent, up to the last nonzero one."""
+    A = np.array(A, dtype=complex)
+    terms = [np.eye(len(A), dtype=complex)]
+    while len(terms) <= len(A) and (T := terms[-1] @ A / len(terms)).any():
+        terms.append(T)
+    return terms
+
+
 def expm_nilpotent(A: Matrix) -> Matrix:
     """exp(A) as the finite polynomial series; A must be nilpotent."""
-    A = np.array(A, dtype=complex)
-    n = A.shape[0]
-    E = np.eye(n, dtype=complex)
-    T = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        T = T @ A / k
-        if not np.any(T):
-            break
-        E = E + T
-    return E
+    return sum(exp_terms(A))
 
 
 def logm_unipotent(G: Matrix) -> Matrix:

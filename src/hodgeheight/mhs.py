@@ -33,9 +33,10 @@ It is kept as a Period: P, in the coordinates of T, whose block 2a is the
 basis of I^{a,a} that is unit on that block (the echelon rows of F^a with
 pivots there), and L = log(conj(P)^-1 P).  Its projectors are C E_2a C^-1,
 C = T^T P, and no direct-sum echelon, graded_projectors call or conjugation
-check is made.  A g in exp(W_-2 gl) carries this bigrading to that of
-(W, g F), so a fiber moved from a Hodge-Tate limit comes with its period
-and needs no lattice (variations.fiber).
+check is made.  A g that preserves W (lowers, the one such test) acts on
+each Gr^W and keeps the Hodge numbers; one in exp(W_-2 gl) carries the
+bigrading along, so a fiber moved from a Hodge-Tate limit comes with its
+period and needs no lattice (variations.fiber).
 
 Any other pair is validated in two stages.  First the candidates must
 form a direct sum: their dimensions add to n and their stacked bases have
@@ -79,8 +80,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import MalformedFiltration, NotAnMHS
-from .linalg import (AdaptedBasis, LazyMapping, Subspace, echelonize, graded_projectors,
-                     logm_unipotent, maxabs, read_only)
+from .linalg import (AdaptedBasis, ExactMatrix, LazyMapping, Subspace, echelonize,
+                     graded_projectors, logm_unipotent, maxabs, read_only)
 
 if TYPE_CHECKING:
     from .splitting import Splitting
@@ -259,12 +260,18 @@ def split_filtration(levels: Sequence[int], increasing: bool, basis=None,
 
 class Period(NamedTuple):
     """A Hodge-Tate structure in the coordinates of the adapted basis T of W
-    (module docstring): P, L = log(conj(P)^-1 P), C = T^T P and C^-1 =
-    P^-1 T^-T, which inverts only the unipotent P."""
+    (module docstring): P, L = log(conj(P)^-1 P), C = T^T P, C^-1 = P^-1
+    T^-T, which inverts only the unipotent P, and w = adapted_weights(W)."""
     P: np.ndarray
     L: np.ndarray
     C: np.ndarray
     C_inv: np.ndarray
+    w: np.ndarray
+
+    def lowering(self, M: np.ndarray, d: int) -> np.ndarray:
+        """C M_d C^-1, M_d the entries of M (in the coordinates of T) that
+        lower weight by exactly d: for M = -(i/2) L, delta^{-d/2,-d/2}."""
+        return self.C @ np.where(self.w[:, None] == self.w - d, M, 0) @ self.C_inv
 
 
 @dataclass(frozen=True)
@@ -306,9 +313,6 @@ class DeligneBigrading:
     @property
     def weights(self) -> list[int]:
         return sorted(self.weight_projectors)
-
-    def projector(self, p: int, q: int) -> np.ndarray:
-        return self.projectors[(p, q)]
 
     def weight_projector(self, k: int) -> np.ndarray:
         n = self.ambient_dim
@@ -356,7 +360,7 @@ class MixedHodgeStructure:
 
     # -- bigrading -------------------------------------------------------------
 
-    def _component_candidates(self, tol: float) -> Mapping[tuple[int, int], Subspace]:
+    def _component_candidates(self, tol: float) -> tuple[Mapping, np.ndarray | None]:
         """The candidate pieces I^{a,b} with h^{a,b} != 0, once per tol
         (validate caches the outcome; the module docstring says why it stays
         sound).  F^p cap W_k is read off one echelon of F^p against the
@@ -365,8 +369,8 @@ class MixedHodgeStructure:
         dim F^a Gr_k - dim F^{a+1} Gr_k, k = a + b, take no rank decision;
         they are 0 unless F jumps at a and W at k.  A piece whose h^{a,b} is
         dim F^a cap W_k is F^a cap W_k; any other is Deligne's formula.  A
-        Hodge-Tate structure's pieces are built on first read, and the
-        mapping carries its period matrix as .P (module docstring)."""
+        Hodge-Tate structure's pieces are built on first read, next to its
+        period matrix P, else P is None (module docstring)."""
         n = self.dim
         pmin, pmax = min(self.levels), max(self.levels)
         weights = self.weights
@@ -412,9 +416,7 @@ class MixedHodgeStructure:
                 for row, c in zip(rows, piv):
                     if lo <= c < W.dim_at(k):
                         P[:lo, c] = np.asarray(row[:lo], dtype=complex) / row[c]
-            pieces = LazyMapping(lambda: {(k // 2, k // 2): FW(k // 2, k) for k in weights})
-            pieces.P = P
-            return pieces
+            return LazyMapping(lambda: {(k // 2, k // 2): FW(k // 2, k) for k in weights}), P
         comps: dict[tuple[int, int], Subspace] = {}
         for (a, b), h in hodge.items():
             k = a + b
@@ -427,7 +429,7 @@ class MixedHodgeStructure:
                 piece = FW(a, k).intersect(rhs, tol)
                 if piece.dim > 0:
                     comps[(a, b)] = piece
-        return comps
+        return comps, None
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """Check the three bigrading axioms; ok iff all hold.
@@ -446,8 +448,7 @@ class MixedHodgeStructure:
         if tol in self._validated:
             return self._validated[tol][0]
         n = self.dim
-        comps = None if self._period else self._component_candidates(tol)
-        P = self._period[0] if self._period else getattr(comps, "P", None)
+        comps, P = (None, self._period[0]) if self._period else self._component_candidates(tol)
         bigrading, failures = None, []
         if P is not None:
             bigrading = self._hodge_tate(P, comps, tol)
@@ -468,7 +469,7 @@ class MixedHodgeStructure:
         """The bigrading of the Period of P; comps, if None, is built from C."""
         flag, w = self.W.adapted_basis(), adapted_weights(self.W)
         L = self._period[1] if self._period else logm_unipotent(np.linalg.solve(P.conj(), P))
-        period = Period(P, L, flag.T.T @ P, np.linalg.inv(P) @ flag.inverse.T)
+        period = Period(P, L, flag.T.T @ P, np.linalg.inv(P) @ flag.inverse.T, w)
         blocks = {(k // 2, k // 2): w == k for k in self.weights}
         for m in period:
             m.setflags(write=False)
@@ -568,5 +569,17 @@ def is_hodge_tate(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> bool:
 
 def adapted_weights(W: Filtration) -> np.ndarray:
     """The weight of each coordinate of the adapted basis of W."""
-    return np.repeat(W.indices, np.diff([0, *W.adapted_basis().dims]))
+    dims = W.adapted_basis().dims
+    return np.array([k for k, a, b in zip(W.indices, (0, *dims), dims) for _ in range(b - a)])
+
+
+def lowers(W: Filtration, A, by: int, tol: float = DEFAULT_TOL) -> bool:
+    """Whether A in the coordinates of W (AdaptedBasis.operator) lowers W by
+    at least by (preserves it, by = 0): its entries (i, j) with w_i > w_j - by
+    vanish, exactly on an ExactMatrix, else to tol * max(max |A|, 1)."""
+    w = adapted_weights(W)
+    off = w[:, None] > w - by
+    if isinstance(A, ExactMatrix):
+        return not any(A.num[i][j] for i, j in zip(*np.nonzero(off)))
+    return maxabs(A[off]) <= tol * max(maxabs(A), 1.0)
 

@@ -35,9 +35,9 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import NoConvergence
-from .linalg import (LazyMapping, graded_parts, logm_unipotent, maxabs, nullspace_float,
-                     read_only)
-from .mhs import DeligneBigrading, Filtration, MixedHodgeStructure, adapted_weights
+from .linalg import (LazyMapping, exp_terms, graded_parts, logm_unipotent, maxabs,
+                     nullspace_float, read_only)
+from .mhs import DeligneBigrading, MixedHodgeStructure
 
 
 def gl_hodge_components(B: DeligneBigrading, M: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -62,13 +62,12 @@ class Splitting:
 
 
 def _ad_exp(w: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """exp(w) Y exp(-w) for a nilpotent w: both factors sum the terms w^k / k!,
-    exp(-w) with alternating signs, so no matrix is inverted.  An overflow
-    gives inf or NaN silently; the verdict of _solve_splitting fails on it."""
+    """exp(w) Y exp(-w) for a nilpotent w: both factors sum the terms w^k / k!
+    of linalg.exp_terms, exp(-w) with alternating signs, so no matrix is
+    inverted.  An overflow gives inf or NaN silently; the verdict of
+    _solve_splitting fails on it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = [np.eye(len(w), dtype=complex)]
-        while len(terms) <= len(w) and terms[-1].any():
-            terms.append(terms[-1] @ w / len(terms))
+        terms = exp_terms(w)
         return sum(terms) @ Y @ sum((-1) ** k * t for k, t in enumerate(terms))
 
 
@@ -78,19 +77,19 @@ def deligne_delta(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> Splitting
     if tol not in H._splittings:
         B = H.bigrading(tol)
         H._splittings[tol] = (_solve_splitting(B, tol) if B.period is None else
-                              _period_splitting(B, H.W))
+                              _period_splitting(B))
     return H._splittings[tol]
 
 
-def _period_splitting(B: DeligneBigrading, W: Filtration) -> Splitting:
+def _period_splitting(B: DeligneBigrading) -> Splitting:
     """delta = C (-(i/2) L) C^-1 (mhs.Period); its residual, the imaginary
     part rounding leaves relative to delta, decides nothing.  The Hodge
-    component (d, d) is C (-(i/2) L_2d) C^-1, L_2d the part of L that lowers
-    weight by 2d: read off L, not off delta, whose rounding the projectors
-    would amplify."""
-    C, C_inv, half, w = B.period.C, B.period.C_inv, -0.5j * B.period.L, adapted_weights(W)
+    component (d, d) is C (-(i/2) L_-2d) C^-1 (Period.lowering), L_-2d the
+    part of L that lowers weight by -2d: read off L, not off delta, whose
+    rounding the projectors would amplify."""
+    period, half = B.period, -0.5j * B.period.L
     with np.errstate(all="ignore"):
-        solved = C @ half @ C_inv
+        solved = period.C @ half @ period.C_inv
     if not np.isfinite(solved).all():
         raise NoConvergence("Hodge-Tate splitting is not finite")
     delta = solved.real.copy()
@@ -98,8 +97,7 @@ def _period_splitting(B: DeligneBigrading, W: Filtration) -> Splitting:
     shifts = {a - b for a, _ in B.projectors for b, _ in B.projectors}
     return Splitting(delta=delta, residual=maxabs(solved.imag) / max(maxabs(solved), 1.0),
                      hodge_components=LazyMapping(lambda: read_only({
-                         (d, d): C @ np.where(w[:, None] - w == 2 * d, half, 0) @ C_inv
-                         for d in shifts})))
+                         (d, d): period.lowering(half, -2 * d) for d in shifts})))
 
 
 def _group_element(B: DeligneBigrading) -> np.ndarray:

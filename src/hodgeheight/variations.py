@@ -2,9 +2,11 @@
 
 A LocalVariation holds commuting rational nilpotents, a matrix-coefficient
 polynomial Gamma with Gamma(0) = 0 satisfying the tameness divisibility
-s_j | [N_j, Gamma(s)], and an oriented limit structure.  Fibers take z and s
-as independent inputs; the covering relation s_j = exp(2 pi i z_j) is applied
-only by the sweep drivers, which lets the exact identity
+s_j | [N_j, Gamma(s)], and an oriented limit structure.  Each N_j and Gamma
+coefficient must preserve W (mhs.lowers), so that every fiber has the Hodge
+numbers of the limit.  Fibers take z and s as independent inputs; the
+covering relation s_j = exp(2 pi i z_j) is applied only by the sweep
+drivers, which lets the exact identity
 
     delta^{-1,-1}(z, s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1}
 
@@ -30,8 +32,7 @@ from .errors import (
 from .height import Orientation, OrientedMHS, height
 from .limits import NilpotentOrbit, moved_fiber
 from .linalg import bch, expm_nilpotent, graded_part, logm_unipotent, maxabs
-from .mhs import MixedHodgeStructure, adapted_weights, is_hodge_tate, split_filtration
-from .splitting import deligne_delta
+from .mhs import MixedHodgeStructure, is_hodge_tate, lowers, split_filtration
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,9 @@ class LocalVariation:
             raise HodgeError("Gamma must have one variable per divisor")
         if not self.is_tame(tol):
             raise HodgeError("tameness divisibility s_j | [N_j, Gamma] fails")
+        flag = self.W.adapted_basis()
+        if not all(lowers(self.W, flag.operator(m), 0, tol) for _, m in self.gamma.terms):
+            raise HodgeError("Gamma coefficients must preserve the weight filtration")
         object.__setattr__(self, "_limit", OrientedMHS(MixedHodgeStructure(self.W, self.F_inf),
                                                        self.orientation))
 
@@ -110,14 +114,13 @@ class LocalVariation:
         when the limit is Hodge-Tate, of length at most 8 (linalg.bch), and
         every N_j and Gamma coefficient lowers W by at least 2, else None."""
         if tol not in self._transports:
-            H, flag, w = self._limit.mhs, self.W.adapted_basis(), adapted_weights(self.W)
+            H, flag = self._limit.mhs, self.W.adapted_basis()
             ops = [flag.operator(np.asarray(A, dtype=complex))
                    for A in (*self.nilpotents, *(m for _, m in self.gamma.terms))]
-            lowers = all(maxabs(A[w[:, None] > w - 2]) <= tol * max(1.0, maxabs(A)) for A in ops)
             period = H.validate(tol).ok and H.bigrading(tol).period
+            ok = period and self.length <= 8 and all(lowers(self.W, A, 2, tol) for A in ops)
             self._transports[tol] = (
-                (ops[:len(self.nilpotents)], logm_unipotent(period.P), period.P)
-                if period and lowers and self.length <= 8 else None)
+                (ops[:len(self.nilpotents)], logm_unipotent(period.P), period.P) if ok else None)
         return self._transports[tol]
 
     @property
@@ -214,8 +217,9 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
     height Ht(fiber), the gap |Ht(fiber) - Ht(limit)| and the residual of the
     depth-one identity
     delta^{-1,-1}(z,s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1},
-    with only the (-1,-1) parts taken: a Hodge-Tate fiber's off its L, the
-    others by linalg.graded_part."""
+    with only the (-1,-1) parts taken.  Each fiber has the Hodge numbers of
+    the limit, so it is Hodge-Tate by its counts; one that is not at the
+    working tolerance raises NotHodgeTate naming its point."""
     limit = v.limit_structure()
     # Hodge-Tate variations have relative filtration equal to W, so the pair
     # (F_inf, W) must itself be a structure with diagonal bigrading
@@ -223,28 +227,25 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
         raise NotHodgeTate("limit pair (F_inf, W) is not a Hodge-Tate structure")
     if v.length < 4:
         raise LengthTooSmall("asymptotic statement needs length at least 4")
-    B_lim = limit.bigrading(tol)
-    d11_lim = deligne_delta(limit, tol).component(-1, -1)
-    n = v.dim
-    ht_lim = height(v._limit, tol)
-    # a Hodge-Tate fiber's P is P_inf times a unipotent that lowers W, so its
-    # delta^{-1,-1} for the limit's bigrading is C (-(i/2) L_-2) C^-1, with C
-    # the limit's and L_-2 the part of the fiber's L that lowers weight by 2
-    w, C, C_inv = adapted_weights(v.W), B_lim.period.C, B_lim.period.C_inv
+    B_lim, n, ht_lim = limit.bigrading(tol), v.dim, height(v._limit, tol)
 
-    points = []
+    def d11(L: np.ndarray) -> np.ndarray:
+        # a fiber's P is P_inf times a unipotent that lowers W, so delta^{-1,-1}
+        # for the limit's bigrading is C (-(i/2) L_2) C^-1 with the limit's C
+        return B_lim.period.lowering(-0.5j * L, 2)
+
+    d11_lim, points = d11(B_lim.period.L), []
     for z, s in sequence:
         gm = v.gamma(s)
         H = _fiber(v, z, s, gm, tol)
         period = H.bigrading(tol).period
-        d11 = (graded_part(B_lim.projectors, deligne_delta(H, tol).delta, (-1, -1))
-               if period is None else
-               C @ np.where(w[:, None] == w - 2, -0.5j * period.L, 0) @ C_inv)
+        if period is None:
+            raise NotHodgeTate(f"fiber at z={z}, s={s}: not a Hodge-Tate structure")
         imz = [complex(x).imag for x in np.atleast_1d(z)]
         im_gamma = (gm - np.conj(gm)) / 2j if gm.size else np.zeros((n, n))
         predicted = sum((y * np.real(N) for y, N in zip(imz, v.nilpotents)), np.zeros((n, n))) + \
             graded_part(B_lim.projectors, im_gamma, (-1, -1)).real + d11_lim.real
-        resid = maxabs(d11.real - predicted)
+        resid = maxabs(d11(period.L).real - predicted)
         ht = height(OrientedMHS(H, v.orientation), tol)
         points.append(AsymptoticsPoint(z=tuple(np.atleast_1d(z)), s=tuple(np.atleast_1d(s)),
                                        height=ht, height_gap=abs(ht - ht_lim),

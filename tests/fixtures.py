@@ -152,7 +152,7 @@ def general_route(H: MixedHodgeStructure, tol: float = DEFAULT_TOL):
     the lattice's pieces and their projectors (linalg.graded_projectors),
     the axiom checks of validate and the residual verdict of
     splitting._solve_splitting, which raises NoConvergence."""
-    comps = dict(H._component_candidates(tol))
+    comps = dict(H._component_candidates(tol)[0])
     proj = graded_projectors({key: s.basis for key, s in comps.items()})
     assert sum(s.dim for s in comps.values()) == H.dim
     assert not H._axiom_failures(comps, proj, tol)

@@ -237,6 +237,15 @@ def test_sweep_orbit_cubic_column(orbit_file, capsys):
         assert float(h) == pytest.approx(-(2 / 3) * y ** 3, abs=1e-8)
 
 
+@pytest.mark.parametrize("argv", [["compute", "--what", "height", "--z", "1e200j"],
+                                  ["sweep", "--z-end", "1e120j"]])
+def test_orbit_fiber_past_the_float_range_is_a_typed_error(argv, orbit_file, capsys):
+    # (1e200)^2 and (1e119)^3 overflow: exit 1 with the point, no traceback
+    assert main([argv[0], orbit_file, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: orbit fiber at z = ") and "the move is not finite" in err
+
+
 def test_out_flag_writes_file(dilog_file, tmp_path):
     target = tmp_path / "result.json"
     assert main(["--out", str(target), "compute", dilog_file, "--what", "height"]) == 0

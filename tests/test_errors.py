@@ -72,6 +72,14 @@ def _e30():
     return N
 
 
+def _gamma_raising_weight():
+    # Gamma = s E_02 sends e2 (weight -4) to e0 (weight 0): it does not
+    # preserve W, so no fiber of the variation keeps the limit's Hodge numbers
+    M = np.zeros((3, 3))
+    M[0, 2] = 1.0
+    _variation(dilog_variation(10), gamma=GammaPoly.of(1, {(1,): M}))
+
+
 def _untame():
     # Gamma = s_1 M with [N_2, M] != 0: s_2 does not divide [N_2, Gamma]
     v = random_hodge_tate((1, 2, 1), 2, seed=1)
@@ -146,6 +154,17 @@ CASES = {
     "fiber-gamma-not-finite": (lambda: fiber(dilog_variation(), [FAR_Z], [1e6]),
                                MalformedFiltration,
                                f"fiber at z={[FAR_Z]}, s={[1e6]}: Gamma(s) is not finite"),
+    # (1e200)^2 is past the float range: exp(zN) is not finite, and the
+    # fiber says so, naming its point, for an orbit and for a variation
+    "orbit-fiber-not-finite": (lambda: cubic_orbit()[0].fiber(1e200j), MalformedFiltration,
+                               "orbit fiber at z = 1e+200j is not a mixed Hodge structure: "
+                               "the move is not finite"),
+    "fiber-move-not-finite": (lambda: fiber(random_hodge_tate((1, 2, 2, 1), 1, seed=3),
+                                            [1e200j], [0.0]),
+                              MalformedFiltration, "fiber at z=[1e+200j], s=[0.0]: "
+                              "the move is not finite"),
+    "variation-gamma-raises-weight": (_gamma_raising_weight, HodgeError,
+                                      "Gamma coefficients must preserve the weight filtration"),
     "orbit-horizontality": (lambda: _cubic_orbit_with(_e30()), NotNilpotent,
                             "N must shift the Hodge filtration by one (horizontality)"),
     "ambient-mismatch": (lambda: Subspace.full(2).contains(Subspace.full(3)),

@@ -197,7 +197,7 @@ def test_bigrading_projectors_match_selector_construction(build):
     want = selector_projectors(B)
     assert sorted(B.projectors) == sorted(want)
     for key, P in want.items():
-        assert _close(B.projector(*key), P), key
+        assert _close(B.projectors[key], P), key
     for k in B.weights:
         assert _close(B.weight_projector(k), selector_weight_projector(want, k, n)), k
     assert _close(B.Y, sum((p + q) * P for (p, q), P in want.items()))
@@ -225,7 +225,7 @@ def test_shared_projectors_and_grading_are_read_only():
     with pytest.raises(ValueError):
         B.Y[0, 0] = 1.0
     with pytest.raises(ValueError):
-        B.projector(0, 0)[0, 0] = 1.0
+        B.projectors[(0, 0)][0, 0] = 1.0
     with pytest.raises(TypeError):
         B.projectors[(0, 0)] = np.eye(3)
     with pytest.raises(TypeError):

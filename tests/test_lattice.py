@@ -181,7 +181,7 @@ def _cases():
 @pytest.mark.parametrize("build", [pytest.param(b, id=name) for name, b in _cases()])
 def test_memoized_lattice_matches_reference(build):
     H = build()
-    got = H._component_candidates(TOL)
+    got, _ = H._component_candidates(TOL)
     want = reference_candidates(H, TOL)
     assert sorted(got) == sorted(want)
     for key in want:
@@ -192,7 +192,7 @@ def _assert_nonzero_reference_pieces(H: MixedHodgeStructure) -> None:
     # a piece whose Hodge number is dim F^a cap W_{a+b} is that space, bit
     # for bit, and equal to the full-loop piece; every other piece is the
     # full-loop piece bit for bit
-    got = H._component_candidates(TOL)
+    got, _ = H._component_candidates(TOL)
     want, FW, shortcut = _reference_lattice(H, TOL)
     assert sorted(got) == sorted(want)
     for key, piece in want.items():
@@ -245,7 +245,7 @@ def test_hodge_tate_lattice_makes_no_intersect(monkeypatch):
     built = fiber(random_hodge_tate((1, 2, 2, 1), 1, seed=3), [2j], [np.exp(-4 * np.pi)])
     H = MixedHodgeStructure(built.W, built.F)
     monkeypatch.setattr(Subspace, "intersect", counted)
-    comps = H._component_candidates(TOL)
+    comps, _ = H._component_candidates(TOL)
     assert sorted(comps) == [(p, p) for p in range(-3, 1)]
     assert [comps[(p, p)].dim for p in range(0, -4, -1)] == [1, 2, 2, 1]
     assert not meets
@@ -343,7 +343,7 @@ def reference_validate(H: MixedHodgeStructure, tol: float) -> ValidationReport:
     F^p and W_k are compared with the sums of their pieces, and conj I^{a,b}
     must be contained in the sum of I^{b,a} and the lower pieces."""
     failures: list[str] = []
-    comps = H._component_candidates(tol)
+    comps, _ = H._component_candidates(tol)
     n = H.dim
     total = sum(s.dim for s in comps.values())
     if total != n:
@@ -438,7 +438,7 @@ def _relabelled(H: MixedHodgeStructure, B):
             moved = {k: s for k, s in B.components.items() if k != key}
             moved[new] = B.components[key]
             G = MixedHodgeStructure(H.W, H.F)
-            G._component_candidates = lambda tol, moved=moved: moved
+            G._component_candidates = lambda tol, moved=moved: (moved, None)
             yield new[0] < a, G
 
 
@@ -459,7 +459,7 @@ def _conjugation_breaks(H: MixedHodgeStructure, B, size: float):
             shift = size * max(1.0, np.abs(piece.basis).max()) * v
             moved[key] = Subspace.from_rows(piece.basis + shift, H.dim, TOL)
             G = MixedHodgeStructure(H.W, H.F)
-            G._component_candidates = lambda tol, moved=moved: moved
+            G._component_candidates = lambda tol, moved=moved: (moved, None)
             yield G
 
 
@@ -505,7 +505,7 @@ def _real_pair_piece(H: MixedHodgeStructure, B, key) -> MixedHodgeStructure:
 
 def _full_loop_verdict(H: MixedHodgeStructure) -> bool:
     G = MixedHodgeStructure(H.W, H.F)
-    G._component_candidates = lambda tol: reference_component_candidates(G, tol)
+    G._component_candidates = lambda tol: (reference_component_candidates(G, tol), None)
     return G.validate(TOL).ok
 
 
@@ -526,7 +526,7 @@ def test_skipped_pieces_keep_the_verdict_on_breakages():
             G = _real_pair_piece(H, B, key)
             _, FW, shortcut = _reference_lattice(G, TOL)
             assert key in shortcut, (name, key)
-            assert G._component_candidates(TOL)[key].equals(FW(key[0], sum(key)), TOL)
+            assert G._component_candidates(TOL)[0][key].equals(FW(key[0], sum(key)), TOL)
             assert not G.validate(TOL).ok, (name, key)
             assert not _full_loop_verdict(G), (name, key)
             real_pairs += 1

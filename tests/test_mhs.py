@@ -258,7 +258,7 @@ def test_bigrading_reconstructs_filtrations():
 def test_projectors_resolve_identity():
     om = dilog_fiber(0.2 + 0.9j)
     B = om.mhs.bigrading()
-    total = sum(B.projector(p, q) for (p, q) in B.keys)
+    total = sum(B.projectors[key] for key in B.keys)
     assert maxabs(total - np.eye(om.mhs.dim)) < 1e-12
     Y = B.Y
     for (p, q) in B.keys:

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from hodgeheight import linalg
 from hodgeheight.config import DEFAULT_TOL
-from hodgeheight.errors import HodgeError, InfeasibleRanks, LengthTooSmall, NotHodgeTate
+from hodgeheight.errors import (HodgeError, InfeasibleRanks, LengthTooSmall, NotAnMHS,
+                               NotHodgeTate)
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight.limits import NilpotentOrbit
 from hodgeheight.linalg import expm_nilpotent, maxabs
@@ -206,6 +209,30 @@ def test_variation_rejects_a_nilpotent_that_raises_weight():
     with pytest.raises(NotNilpotent, match="weight filtration"):
         LocalVariation(W=v.W, F_inf=v.F_inf, nilpotents=(bad,), gamma=v.gamma,
                        orientation=v.orientation)
+
+
+def test_height_sweep_names_the_point_that_is_no_mhs():
+    # the cubic orbit as a one-N variation with Gamma = 0: its fiber at
+    # y = 10 is a structure, the one at y = 2000 is not at the working tolerance
+    orbit, orient = cubic_orbit()
+    v = LocalVariation(W=orbit.W, F_inf=orbit.F_inf, nilpotents=(orbit.N,),
+                       gamma=GammaPoly.zero(1), orientation=orient)
+    assert height_sweep(v, [([10j], [0.0])])[0][1] == pytest.approx(-(2 / 3) * 1e3, rel=1e-9)
+    with pytest.raises(NotAnMHS, match=re.escape("sweep point 1: fiber at z=[2000j], s=[0.0]: "
+                                                 "direct-sum: ")):
+        height_sweep(v, [([10j], [0.0]), ([2000j], [0.0])])
+
+
+def test_check_asymptotics_names_a_fiber_that_is_not_hodge_tate(monkeypatch):
+    # every fiber of a Hodge-Tate limit is Hodge-Tate by its counts, since N
+    # and Gamma preserve W; a fiber that were not would be named, not graded
+    import hodgeheight.variations as variations
+
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    monkeypatch.setattr(variations, "_fiber", lambda *args: cubic_orbit()[0].fiber(2j))
+    with pytest.raises(NotHodgeTate, match=re.escape(
+            "fiber at z=[2j], s=[0.5]: not a Hodge-Tate structure")):
+        check_asymptotics(v, [([2j], [0.5])])
 
 
 def _mp_left_kernel(M, mp):
