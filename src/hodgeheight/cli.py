@@ -106,7 +106,7 @@ def cmd_compute(args) -> int:
     if args.what == "bigrading":
         B = H.bigrading(args.tol)
         comps = {f"{p},{q}": [[[x.real, x.imag] for x in row] for row in B.components[(p, q)].basis]
-                 for (p, q) in B.keys}
+                 for (p, q) in sorted(B.components)}
         _emit(args, dumps({"components": comps}))
     elif args.what == "delta":
         spl = deligne_delta(H, args.tol)

@@ -12,8 +12,8 @@ lift, r = -length/2), those of the Deligne system's Y' for
 limits.limit_height.  Both check the orientation against W first, on every
 call: a cheap read of coordinates, so no check or top lift is cached.  On a
 Hodge-Tate structure (mhs.Period) P is unit on the end blocks, so the read
-is (1/2) Im L[bottom, top] against the generators' end coordinates on the
-adapted basis of W, and no entry of delta is formed.
+is (1/2) Im L[bottom, top] against the generators' end coordinates in the
+bigrading's weight frame (C = T^T P), and no entry of delta is formed.
 
 For structures with at most three nonzero weights (generalized biextensions)
 the same number falls out of one conjugation:
@@ -98,7 +98,7 @@ def top_lift(om: OrientedMHS, tol: float = DEFAULT_TOL) -> np.ndarray:
     modulo W_(max-1), after the orientation check: the top weight piece is
     rank one, so it is I^{a,a}, and the lift is the generator's projection."""
     _check_oriented(om.mhs.W, om.orientation, tol)
-    return om.mhs.bigrading(tol).weight_projector(om.max_weight) @ om.orientation.top
+    return om.mhs.bigrading(tol).weight_projectors[om.max_weight] @ om.orientation.top
 
 
 def _coefficient_against_bottom(vector: np.ndarray, bottom: np.ndarray,
@@ -135,8 +135,8 @@ def height(om: OrientedMHS, tol: float = DEFAULT_TOL) -> float:
         return _deep_coefficient(deligne_delta(om.mhs, tol).delta, B.weight_projectors,
                                  om.orientation, tol)
     # P_min delta P_max = C E_min (-(i/2) L) E_max C^-1, and C[:, 0] spans W_min
-    top = om.orientation.top @ B.period.C_inv[-1]
-    vec = -0.5j * B.period.L[0, -1] * top * B.period.C[:, 0]
+    f = B.weight_frame
+    vec = -0.5j * B.period.L[0, -1] * (om.orientation.top @ f.C_inv[-1]) * f.C[:, 0]
     return _coefficient_against_bottom(vec, om.orientation.bottom, tol, maxabs(vec))
 
 
@@ -148,7 +148,7 @@ def height_biextension(om: OrientedMHS, tol: float = DEFAULT_TOL) -> float:
             f"{len(H.weights)} nonzero weights, at most three allowed")
     e = top_lift(om, tol)
     B = H.bigrading(tol)
-    v = B.weight_projector(om.min_weight) @ (e - np.conj(e))
+    v = B.weight_projectors[om.min_weight] @ (e - np.conj(e))
     half_im = (v - np.conj(v)) / 4j
     return _coefficient_against_bottom(half_im, om.orientation.bottom, tol, maxabs(e))
 

@@ -56,16 +56,17 @@ deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to
 an sl2-triple (N0, H = Y - Y', N0+) commuting with the deeper components of
 N.  Its start is a grading of W inside the eigenspaces E of Y, which it
-computes from Y and limit_height hands in (the limit bigrading's weight
-pieces): the rows of the one right echelon of E against T with pivot in
+computes from Y and limit_height hands in (the limit frame's columns by
+weight): the rows of the one right echelon of E against T with pivot in
 d_(k-1) .. d_k - 1, mapped back by T, span a complement of E cap W_(k-1) in
 E cap W_k, and the piece at k is the orthogonal one.  Corrections exp(gamma),
 [Y, gamma] = 0, then kill the defect [N - N0, N0+] depth by depth, moving
 each piece by G = exp(gamma) (rows B become B G^T), so every row stays an
-eigenvector of Y.  With C the rows as columns, C^-1 Y C = diag(a) and
-C^-1 Y' C = diag(b), so the bracket conditions only select the entries of
-C^-1 X C that may be nonzero: b_i = b_j and a_i - a_j = 2 for N0+,
-a_i = a_j and b_i - b_j = -j0 for gamma; [N0+, N0] = H or ad N0+ ad N0
+eigenvector of Y.  Each pass makes one linalg.Frame of the pieces, C the
+rows as columns: C^-1 Y C = diag(a) and C^-1 Y' C = diag(b), so the
+bracket conditions only select the entries of C^-1 X C that may be
+nonzero: b_i = b_j and a_i - a_j = 2 for N0+, a_i = a_j and b_i - b_j =
+-j0 for gamma, and a_i - a_j = -2 for N; [N0+, N0] = H or ad N0+ ad N0
 gamma = R_(-j0) is solved by least squares on them.  The final pieces and
 every bracket identity are verified post hoc; the final projectors stay on
 the DeligneSystem, read-only, for the limit_height read.
@@ -90,12 +91,11 @@ from .errors import (
 from .height import _check_oriented, _deep_coefficient
 from .linalg import (
     ExactMatrix,
+    Frame,
     Subspace,
     as_operator,
     check_nilpotent,
     expm_nilpotent,
-    graded_parts,
-    graded_projectors,
     maxabs,
     nilpotent_powers,
     nullspace_exact,
@@ -342,13 +342,13 @@ def _initial_w_grading(W: Filtration, eigenspaces, tol: float) -> dict[int, np.n
     return pieces
 
 
-def _solve_on_support(C: np.ndarray, Cinv: np.ndarray, support: np.ndarray, op,
-                      rhs: np.ndarray, bound: float, failure: str) -> np.ndarray:
-    """The least-squares X = C Z C^-1, Z zero off the mask support, of the
-    linear op(X) = rhs (op maps stacks of matrices); raises
+def _solve_on_support(frame: Frame, support: np.ndarray, op, rhs: np.ndarray,
+                      bound: float, failure: str) -> np.ndarray:
+    """The least-squares X = C Z C^-1, C the frame's and Z zero off the mask
+    support, of the linear op(X) = rhs (op maps stacks of matrices); raises
     ConstructionFailed(failure) when op(X) misses rhs by more than bound."""
     i, j = np.nonzero(support)
-    basis = C.T[i][:, :, None] * Cinv[j][:, None, :]   # C e_i e_j^T C^-1
+    basis = frame.C.T[i][:, :, None] * frame.C_inv[j][:, None, :]   # C e_i e_j^T C^-1
     z = np.linalg.lstsq(op(basis).reshape(len(i), rhs.size).T, rhs.ravel(), rcond=None)[0]
     X = np.tensordot(z, basis, 1)
     if maxabs(op(X) - rhs) > bound:
@@ -383,31 +383,27 @@ def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
 
     zero = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
-        proj = graded_projectors(pieces)
-        Yp = sum(k * P for k, P in proj.items())
-        N_parts = graded_parts(proj, N)
-        N0 = N_parts.get(0, zero)
-        H = Y - Yp
         # the rows of the pieces as columns: C^-1 Y C = diag(a), C^-1 Y' C = diag(b)
-        keys = sorted(pieces)
-        C = np.vstack([pieces[k] for k in keys]).T
-        Cinv = np.linalg.inv(C)
-        a = np.rint(np.diag(Cinv @ Y @ C).real)
-        b = np.concatenate([np.full(len(pieces[k]), k) for k in keys])
+        frame = Frame.of(pieces)
+        Yp, a, b = frame.grading, np.rint(np.diag(frame.coordinates(Y)).real), frame.degrees
         da, db = a[:, None] - a, b[:, None] - b
+        # [Y, N] = -2N: N's coordinates lie on a_i - a_j = -2
+        N_parts = frame.parts(np.where(da == -2, frame.coordinates(N), 0))
+        N0 = N_parts[0]
+        H = Y - Yp
         # Jacobson-Morozov: [Y',X] = 0, [H,X] = 2X select entries; [X,N0] = H
-        N0p = _solve_on_support(C, Cinv, (db == 0) & (da == 2), lambda X: -ad(N0, X), H,
+        N0p = _solve_on_support(frame, (db == 0) & (da == 2), lambda X: -ad(N0, X), H,
                                 1e3 * tol * scale, "sl2 completion system is inconsistent")
         R = ad(N - N0, N0p)
         if maxabs(R) <= 10 * tol * scale:
             break
-        R_parts = graded_parts(proj, R)
+        R_parts = frame.parts(frame.coordinates(R))
         j0 = next((j for j in range(1, span + 1)
                    if maxabs(R_parts.get(-j, zero)) > 10 * tol * scale), None)
         if j0 is None:
             break
         # correction: [Y,g] = 0, [Y',g] = -j0 g select entries; ad N0+ ad N0 g = R_{-j0}
-        g = _solve_on_support(C, Cinv, (da == 0) & (db == -j0),
+        g = _solve_on_support(frame, (da == 0) & (db == -j0),
                               lambda X: ad(N0p, ad(N0, X)), R_parts[-j0],
                               1e3 * tol * scale, "depth correction system is inconsistent")
         # Ad(exp(gamma)) Y' grades by the pieces moved by exp(gamma)
@@ -416,8 +412,8 @@ def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
     else:
         raise ConstructionFailed("grading iteration did not converge")
 
-    # every exit of the loop above comes before the pieces move, so proj, Yp
-    # and N_parts belong to the final pieces
+    # every exit of the loop above comes before the pieces move, so the
+    # frame, Yp and N_parts belong to the final pieces
     comps = {j: N_parts[-j] for j in range(0, span + 1)
              if -j in N_parts and maxabs(N_parts[-j]) > tol * scale}
     N0 = comps.get(0, zero)
@@ -438,7 +434,7 @@ def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
         raise ConstructionFailed(f"bracket identities fail at {residual:.3e}")
     return DeligneSystem(W=W, N=N, Y=Y, Yprime=Yp, N_components=comps,
                          sl2=(N0, H, N0p), residual=float(residual),
-                         projectors=MappingProxyType(proj))
+                         projectors=frame.projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +512,9 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float = DEFAULT_TOL) -
     pieces are the eigenspaces of Y that the Deligne system starts from."""
     _check_oriented(orbit.W, orientation, tol)
     Hlim = limit_mhs(orbit, tol)
-    B = Hlim.bigrading(tol)
-    system = _deligne_system(orbit.W, orbit.N, B.Y, [np.vstack(
-        [s.basis for (p, q), s in B.components.items() if p + q == k]) for k in B.weights], tol)
+    frame = Hlim.bigrading(tol).weight_frame
+    system = _deligne_system(orbit.W, orbit.N, frame.grading, [
+        frame.C[:, frame.degrees == k].T for k in sorted(set(frame.degrees.tolist()))], tol)
     return _deep_coefficient(deligne_delta(Hlim, tol).delta, system.projectors,
                              orientation, tol)
 

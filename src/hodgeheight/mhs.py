@@ -31,10 +31,10 @@ by the counts alone: F^a cap W_2a then maps onto Gr^W_2a, and F^{a+1} cap
 W_2a lies in W_{2a-1}, so I^{a,a} = F^a cap W_2a and the pieces are direct.
 It is kept as a Period: P, in the coordinates of T, whose block 2a is the
 basis of I^{a,a} that is unit on that block (the echelon rows of F^a with
-pivots there), and L = log(conj(P)^-1 P).  Its projectors are C E_2a C^-1,
-C = T^T P, and no direct-sum echelon, graded_projectors call or conjugation
-check is made.  A g that preserves W (lowers, the one such test) acts on
-each Gr^W and keeps the Hodge numbers; one in exp(W_-2 gl) carries the
+pivots there), and L = log(conj(P)^-1 P).  Its linalg.Frame is C = T^T P,
+degree (a, a) on block 2a, and no direct-sum echelon or conjugation check
+is made.  A g that preserves W (lowers, the one such test) acts on each
+Gr^W and keeps the Hodge numbers; one in exp(W_-2 gl) carries the
 bigrading along, so a fiber moved from a Hodge-Tate limit comes with its
 period and needs no lattice (variations.fiber).
 
@@ -56,14 +56,14 @@ h^{a,b}, loses nothing on a mixed Hodge structure and lets no other pair
 pass.  The conjugation axiom, conj I^{a,b} inside I^{b,a} + sum_{x<b, y<a}
 I^{x,y}, is one residual per piece, ||(1 - P_target) conj(B)^T||_max <= tol
 * max(1, ||B||_max) for the echelon basis B of the piece, with P_target the
-sum of the direct-sum projectors onto the target pieces.  The residual is
+projector of the pieces' frame onto the target pieces.  The residual is
 linear in B, so the bound scales with the entries of the basis, as the pivot
 threshold of linalg.rref_float scales with the entries of its matrix.
 
 A MixedHodgeStructure is immutable: W and F are fixed at construction.  It
 caches per tolerance the ValidationReport and, when the axioms hold, the
-DeligneBigrading, built from the same pieces and projectors; a
-DeligneBigrading builds its weight projectors and grading Y once, read-only,
+DeligneBigrading, which keeps the frame validation built; its projectors,
+weight projectors and grading Y are read off that frame once, read-only,
 and every grading fact downstream is read off them.  The splitting
 (splitting.deligne_delta) is cached next to it.
 """
@@ -73,15 +73,14 @@ from bisect import bisect_left, bisect_right
 from copy import copy
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import MalformedFiltration, NotAnMHS
-from .linalg import (AdaptedBasis, ExactMatrix, LazyMapping, Subspace, echelonize,
-                     graded_projectors, logm_unipotent, maxabs, read_only)
+from .linalg import (AdaptedBasis, ExactMatrix, Frame, LazyMapping, Subspace, echelonize,
+                     logm_unipotent, maxabs)
 
 if TYPE_CHECKING:
     from .splitting import Splitting
@@ -260,63 +259,39 @@ def split_filtration(levels: Sequence[int], increasing: bool, basis=None,
 
 class Period(NamedTuple):
     """A Hodge-Tate structure in the coordinates of the adapted basis T of W
-    (module docstring): P, L = log(conj(P)^-1 P), C = T^T P, C^-1 = P^-1
-    T^-T, which inverts only the unipotent P, and w = adapted_weights(W)."""
+    (module docstring): P and L = log(conj(P)^-1 P).  Its frame is C = T^T
+    P, C^-1 = P^-1 T^-T, which inverts only the unipotent P."""
     P: np.ndarray
     L: np.ndarray
-    C: np.ndarray
-    C_inv: np.ndarray
-    w: np.ndarray
-
-    def lowering(self, M: np.ndarray, d: int) -> np.ndarray:
-        """C M_d C^-1, M_d the entries of M (in the coordinates of T) that
-        lower weight by exactly d: for M = -(i/2) L, delta^{-d/2,-d/2}."""
-        return self.C @ np.where(self.w[:, None] == self.w - d, M, 0) @ self.C_inv
 
 
 @dataclass(frozen=True)
 class DeligneBigrading:
-    """The decomposition V_C = (+) I^{p,q} with its projectors and grading.
-
-    The projectors onto each I^{p,q} are those of linalg.graded_projectors on
-    the components, which validation has already built.  The projectors onto
-    each weight piece (the sum over p + q = k) and the grading Y (k on the
-    weight-k piece) are built once, on first read.  All are read-only,
-    because the cached bigrading is shared.  A Hodge-Tate bigrading also
-    keeps its Period and builds its components and projectors on first read."""
+    """The decomposition V_C = (+) I^{p,q} and its linalg.Frame, degree (p,
+    q) on the columns of I^{p,q}: the component bases validation stacked and
+    inverted, or a Period's C.  The projectors, weight projectors and grading
+    Y (k on the weight-k piece) are read off it once, read-only."""
 
     components: Mapping[tuple[int, int], Subspace]
     ambient_dim: int
-    projectors: Mapping[tuple[int, int], np.ndarray] = field(repr=False)
+    frame: Frame = field(repr=False)
     period: Period | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "projectors", MappingProxyType(self.projectors))
-
     @cached_property
+    def weight_frame(self) -> Frame:   # graded by weight p + q
+        return Frame(self.frame.C, self.frame.C_inv, self.frame.degrees.sum(1))
+
+    @property
+    def projectors(self) -> Mapping[tuple[int, int], np.ndarray]:
+        return self.frame.projectors
+
+    @property
     def weight_projectors(self) -> Mapping[int, np.ndarray]:
-        by_weight: dict[int, np.ndarray] = {}
-        for (p, q), P in self.projectors.items():
-            by_weight[p + q] = by_weight[p + q] + P if p + q in by_weight else P
-        return read_only(by_weight)
+        return self.weight_frame.projectors
 
-    @cached_property
+    @property
     def Y(self) -> np.ndarray:
-        Y = sum(k * P for k, P in self.weight_projectors.items())
-        Y.setflags(write=False)
-        return Y
-
-    @property
-    def keys(self) -> list[tuple[int, int]]:
-        return sorted(self.components)
-
-    @property
-    def weights(self) -> list[int]:
-        return sorted(self.weight_projectors)
-
-    def weight_projector(self, k: int) -> np.ndarray:
-        n = self.ambient_dim
-        return self.weight_projectors.get(k, np.zeros((n, n), dtype=complex))
+        return self.weight_frame.grading
 
 
 @dataclass(frozen=True)
@@ -442,7 +417,7 @@ class MixedHodgeStructure:
         P_target projects onto I^{b,a} + sum_{x<b, y<a} I^{x,y} along the
         other pieces; the bound is relative to the basis entries because the
         residual is linear in B.  See the module docstring.  When all hold,
-        the bigrading is built from the same pieces and projectors and
+        the bigrading is built from the same pieces and their frame and
         cached with the report.  A Hodge-Tate pair is valid by its Hodge
         numbers alone, and its bigrading is read off its Period."""
         if tol in self._validated:
@@ -457,10 +432,10 @@ class MixedHodgeStructure:
         elif echelonize(np.vstack([comps[k].basis for k in sorted(comps)]), n, tol).dim != n:
             failures = ["direct-sum: components are not independent"]
         else:
-            proj = graded_projectors({key: s.basis for key, s in comps.items()})
-            failures = self._axiom_failures(comps, proj, tol)
+            frame = Frame.of({key: s.basis for key, s in comps.items()})
+            failures = self._axiom_failures(comps, frame, tol)
             if not failures:
-                bigrading = DeligneBigrading(comps, n, proj)
+                bigrading = DeligneBigrading(comps, n, frame)
         report = ValidationReport(ok=not failures, failures=tuple(failures))
         self._validated[tol] = (report, bigrading)
         return report
@@ -469,20 +444,19 @@ class MixedHodgeStructure:
         """The bigrading of the Period of P; comps, if None, is built from C."""
         flag, w = self.W.adapted_basis(), adapted_weights(self.W)
         L = self._period[1] if self._period else logm_unipotent(np.linalg.solve(P.conj(), P))
-        period = Period(P, L, flag.T.T @ P, np.linalg.inv(P) @ flag.inverse.T, w)
+        frame = Frame(flag.T.T @ P, np.linalg.inv(P) @ flag.inverse.T, np.outer(w // 2, [1, 1]))
         blocks = {(k // 2, k // 2): w == k for k in self.weights}
-        for m in period:
+        for m in (P, L, frame.C, frame.C_inv):
             m.setflags(write=False)
         if comps is None:
-            comps = LazyMapping(lambda: {key: Subspace.from_rows(period.C[:, b].T, self.dim, tol)
+            comps = LazyMapping(lambda: {key: Subspace.from_rows(frame.C[:, b].T, self.dim, tol)
                                          for key, b in blocks.items()})
-        return DeligneBigrading(comps, self.dim, LazyMapping(lambda: read_only(
-            {key: period.C[:, b] @ period.C_inv[b] for key, b in blocks.items()})), period)
+        return DeligneBigrading(comps, self.dim, frame, Period(P, L))
 
-    def _axiom_failures(self, comps: dict[tuple[int, int], Subspace],
-                        proj: dict[tuple[int, int], np.ndarray], tol: float) -> list[str]:
+    def _axiom_failures(self, comps: dict[tuple[int, int], Subspace], frame: Frame,
+                        tol: float) -> list[str]:
         """The F-, W- and conjugation-axiom failures of a direct-sum lattice
-        with projectors proj."""
+        with its frame."""
         failures: list[str] = []
         for p in range(min(self.levels), max(self.levels) + 1):
             if sum(s.dim for (a, _), s in comps.items() if a >= p) != self.F.dim_at(p):
@@ -490,11 +464,13 @@ class MixedHodgeStructure:
         for k in self.weights:
             if sum(s.dim for (a, b), s in comps.items() if a + b <= k) != self.W.at(k).dim:
                 failures.append(f"W-axiom: W_{k} is not the span of components with p+q <= {k}")
+        # conj of each basis vector in frame coordinates, cut to the columns
+        # outside its target I^{b,a} + sum_{x<b, y<a} I^{x,y}, mapped back
+        x, y = frame.degrees.T
+        target = ((x[:, None] == y) & (y[:, None] == x)) | ((x[:, None] < y) & (y[:, None] < x))
+        escaped = np.abs(frame.C @ np.where(target, 0, frame.C_inv @ frame.C.conj())).max(0)
         for (a, b), s in comps.items():
-            v = np.conj(s.basis).T
-            escaped = v - sum((P @ v for (x, y), P in proj.items()
-                               if (x, y) == (b, a) or (x < b and y < a)), np.zeros_like(v))
-            if maxabs(escaped) > tol * max(1.0, maxabs(s.basis)):
+            if escaped[(x == a) & (y == b)].max() > tol * max(1.0, maxabs(s.basis)):
                 failures.append(f"conjugation-axiom: conj I^{(a, b)} escapes "
                                 f"I^{(b, a)} + lower terms")
         return failures

@@ -17,9 +17,9 @@ once, by _solve_splitting; rounding in the projectors of an ill-conditioned
 bigrading fails that check, so this general route has one NoConvergence
 verdict.  On a Hodge-Tate bigrading (mhs.Period) u = conj(P) P^-1, so delta
 = -(i/2) P L P^-1, real by construction and checked only for finiteness.
-gl_hodge_components is linalg.graded_parts over the (p, q) projectors; the
-Hodge components a Splitting holds are those of its delta, so they sum to
-it (to rounding on the Hodge-Tate route, where they are built on first read).
+gl_hodge_components is Frame.parts of the bigrading's frame; the Hodge
+components a Splitting holds are those of its delta, so they sum to it (to
+rounding on the Hodge-Tate route, where they are built on first read).
 
 deligne_delta computes the Splitting once per structure and per
 tolerance and caches it on the MixedHodgeStructure, next to the lattice,
@@ -35,8 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import NoConvergence
-from .linalg import (LazyMapping, exp_terms, graded_parts, logm_unipotent, maxabs,
-                     nullspace_float, read_only)
+from .linalg import LazyMapping, exp_terms, logm_unipotent, maxabs, nullspace_float, read_only
 from .mhs import DeligneBigrading, MixedHodgeStructure
 
 
@@ -47,7 +46,7 @@ def gl_hodge_components(B: DeligneBigrading, M: np.ndarray) -> dict[tuple[int, i
     n = B.ambient_dim
     if M.shape != (n, n):
         raise ValueError("matrix must be square of the ambient dimension")
-    return graded_parts(B.projectors, M)
+    return B.frame.parts(B.frame.coordinates(M))
 
 
 @dataclass(frozen=True)
@@ -84,20 +83,17 @@ def deligne_delta(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> Splitting
 def _period_splitting(B: DeligneBigrading) -> Splitting:
     """delta = C (-(i/2) L) C^-1 (mhs.Period); its residual, the imaginary
     part rounding leaves relative to delta, decides nothing.  The Hodge
-    component (d, d) is C (-(i/2) L_-2d) C^-1 (Period.lowering), L_-2d the
-    part of L that lowers weight by -2d: read off L, not off delta, whose
-    rounding the projectors would amplify."""
-    period, half = B.period, -0.5j * B.period.L
+    component (d, d) is the lift of the entries of -(i/2) L of degree (d,
+    d): read off L, not off delta, whose rounding C would amplify."""
+    frame, half = B.frame, -0.5j * B.period.L
     with np.errstate(all="ignore"):
-        solved = period.C @ half @ period.C_inv
+        solved = frame.lift(half)
     if not np.isfinite(solved).all():
         raise NoConvergence("Hodge-Tate splitting is not finite")
     delta = solved.real.copy()
     delta.setflags(write=False)
-    shifts = {a - b for a, _ in B.projectors for b, _ in B.projectors}
     return Splitting(delta=delta, residual=maxabs(solved.imag) / max(maxabs(solved), 1.0),
-                     hodge_components=LazyMapping(lambda: read_only({
-                         (d, d): period.lowering(half, -2 * d) for d in shifts})))
+                     hodge_components=LazyMapping(lambda: read_only(frame.parts(half))))
 
 
 def _group_element(B: DeligneBigrading) -> np.ndarray:

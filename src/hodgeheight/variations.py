@@ -31,7 +31,7 @@ from .errors import (
 )
 from .height import Orientation, OrientedMHS, height
 from .limits import NilpotentOrbit, moved_fiber
-from .linalg import bch, expm_nilpotent, graded_part, logm_unipotent, maxabs
+from .linalg import bch, expm_nilpotent, logm_unipotent, maxabs
 from .mhs import MixedHodgeStructure, is_hodge_tate, lowers, split_filtration
 
 
@@ -182,8 +182,8 @@ def oriented_fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> Oriente
 
 
 def height_sweep(v: LocalVariation, path, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
-    """Heights along a list of (z, s) pairs, keyed by the point index's
-    parameter |Im z_1| when available, else the index."""
+    """Heights along a list of (z, s) pairs, each keyed by Im z_1, signed,
+    when z is complex, else by the point's index."""
     out = []
     for idx, (z, s) in enumerate(path):
         try:
@@ -228,24 +228,20 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
     if v.length < 4:
         raise LengthTooSmall("asymptotic statement needs length at least 4")
     B_lim, n, ht_lim = limit.bigrading(tol), v.dim, height(v._limit, tol)
-
-    def d11(L: np.ndarray) -> np.ndarray:
-        # a fiber's P is P_inf times a unipotent that lowers W, so delta^{-1,-1}
-        # for the limit's bigrading is C (-(i/2) L_2) C^-1 with the limit's C
-        return B_lim.period.lowering(-0.5j * L, 2)
-
-    d11_lim, points = d11(B_lim.period.L), []
+    frame, points = B_lim.frame, []
     for z, s in sequence:
         gm = v.gamma(s)
         H = _fiber(v, z, s, gm, tol)
         period = H.bigrading(tol).period
         if period is None:
             raise NotHodgeTate(f"fiber at z={z}, s={s}: not a Hodge-Tate structure")
-        imz = [complex(x).imag for x in np.atleast_1d(z)]
         im_gamma = (gm - np.conj(gm)) / 2j if gm.size else np.zeros((n, n))
-        predicted = sum((y * np.real(N) for y, N in zip(imz, v.nilpotents)), np.zeros((n, n))) + \
-            graded_part(B_lim.projectors, im_gamma, (-1, -1)).real + d11_lim.real
-        resid = maxabs(d11(period.L).real - predicted)
+        # a fiber's P is P_inf times a unipotent that lowers W, so its
+        # delta^{-1,-1} is the limit frame's lift of the (-1,-1) entries of -(i/2) L
+        X = -0.5j * (period.L - B_lim.period.L) - frame.coordinates(im_gamma)
+        resid = maxabs(frame.lift(X, (-1, -1)).real - sum(
+            (complex(x).imag * np.real(N) for x, N in zip(np.atleast_1d(z), v.nilpotents)),
+            np.zeros((n, n))))
         ht = height(OrientedMHS(H, v.orientation), tol)
         points.append(AsymptoticsPoint(z=tuple(np.atleast_1d(z)), s=tuple(np.atleast_1d(s)),
                                        height=ht, height_gap=abs(ht - ht_lim),

@@ -23,7 +23,7 @@ from hodgeheight.biextension import BiextensionSpec, _mdim, build_biextension
 from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import HodgeError
 from hodgeheight.height import Orientation, OrientedMHS, _check_oriented
-from hodgeheight.linalg import Subspace, expm_nilpotent, graded_projectors, maxabs
+from hodgeheight.linalg import Frame, Subspace, expm_nilpotent, maxabs
 from hodgeheight.mhs import DeligneBigrading, MixedHodgeStructure, conjugate, dual
 from hodgeheight.splitting import _solve_splitting
 
@@ -149,14 +149,14 @@ def rescale_fiber(om: OrientedMHS, N: np.ndarray, t: complex,
 def general_route(H: MixedHodgeStructure, tol: float = DEFAULT_TOL):
     """The bigrading and splitting of H by the general route, also on a
     Hodge-Tate structure, which the library reads off its period matrix:
-    the lattice's pieces and their projectors (linalg.graded_projectors),
-    the axiom checks of validate and the residual verdict of
+    the lattice's pieces and their frame (linalg.Frame.of), the axiom
+    checks of validate and the residual verdict of
     splitting._solve_splitting, which raises NoConvergence."""
     comps = dict(H._component_candidates(tol)[0])
-    proj = graded_projectors({key: s.basis for key, s in comps.items()})
+    frame = Frame.of({key: s.basis for key, s in comps.items()})
     assert sum(s.dim for s in comps.values()) == H.dim
-    assert not H._axiom_failures(comps, proj, tol)
-    B = DeligneBigrading(comps, H.dim, proj)
+    assert not H._axiom_failures(comps, frame, tol)
+    B = DeligneBigrading(comps, H.dim, frame)
     return B, _solve_splitting(B, tol)
 
 

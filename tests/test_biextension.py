@@ -164,7 +164,7 @@ def _delta1_by_conjugation(om, tol=1e-9) -> np.ndarray:
     H = om.mhs
     b = H.weights[1]
     e = top_lift(om, tol)
-    v = 0.5j * (H.bigrading(tol).weight_projector(b) @ (np.conj(e) - e))
+    v = 0.5j * (H.bigrading(tol).weight_projectors[b] @ (np.conj(e) - e))
     flag = H.W.adapted_basis()
     lo, hi = flag.dims[:2]
     return np.real((v @ flag.inverse)[lo:hi])

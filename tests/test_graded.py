@@ -1,5 +1,5 @@
-"""The graded-projector helper: its algebra on random direct sums, and the
-bigrading's projectors, weight parts and Hodge components against the
+"""The grading frame (linalg.Frame): its algebra on random direct sums, and
+the bigrading's projectors, weight parts and Hodge components against the
 selector-matrix construction they replace."""
 import dataclasses
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgeheight.errors import HodgeError
-from hodgeheight.linalg import graded_part, graded_parts, graded_projectors, maxabs
+from hodgeheight.linalg import Frame, maxabs
 from hodgeheight.scenarios import dilog_fiber
 from hodgeheight.splitting import _ad_exp, _group_element, gl_hodge_components
 
@@ -43,7 +43,8 @@ def _shift(k, g):
 def test_graded_projectors_and_parts_on_random_direct_sums(case):
     pieces, A = case
     n = A.shape[0]
-    proj = graded_projectors(pieces)
+    frame = Frame.of(pieces)
+    proj = frame.projectors
     assert sorted(proj) == sorted(pieces)
     scale = max([maxabs(P) for P in proj.values()] + [1.0]) ** 2
     eps = 1e-10 * scale
@@ -55,7 +56,7 @@ def test_graded_projectors_and_parts_on_random_direct_sums(case):
                 assert maxabs(P @ Q) <= eps
     assert maxabs(sum(proj.values()) - np.eye(n)) <= eps
 
-    parts = graded_parts(proj, A)
+    parts = frame.parts(frame.coordinates(A))
     eps *= scale * max(maxabs(A), 1.0)
     assert maxabs(sum(parts.values()) - A) <= eps
     for g, part in parts.items():
@@ -71,15 +72,15 @@ def test_graded_part_is_one_entry_of_graded_parts(case):
     # every degree in range, present or not, for int and (p, q) keys alike
     pieces, A = case
     n = A.shape[0]
-    proj = graded_projectors(pieces)
-    parts = graded_parts(proj, A)
-    if isinstance(next(iter(proj)), tuple):
+    frame = Frame.of(pieces)
+    parts = frame.parts(frame.coordinates(A))
+    if isinstance(next(iter(pieces)), tuple):
         degrees = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
     else:
         degrees = range(-7, 8)
     for g in degrees:
         want = parts.get(g, np.zeros((n, n), dtype=complex))
-        assert np.array_equal(graded_part(proj, A, g), want), g
+        assert np.array_equal(frame.lift(frame.coordinates(A), g), want), g
 
 
 def reference_fixed_point(B, tol):
@@ -88,11 +89,12 @@ def reference_fixed_point(B, tol):
     Y, n = B.Y, B.ambient_dim
     scale = max(maxabs(Y), 1.0)
     w = np.zeros((n, n), dtype=complex)
-    for _ in range(max(B.weights) - min(B.weights) + 3):
+    for _ in range(max(B.weight_projectors) - min(B.weight_projectors) + 3):
         R = np.conj(Y) - _ad_exp(w, Y)
         if maxabs(R) <= 1e-3 * tol * scale:
             return w
-        w = w + sum(P / -m for m, P in graded_parts(B.weight_projectors, R).items() if m < 0)
+        f = B.weight_frame
+        w = w + sum(P / -m for m, P in f.parts(f.coordinates(R)).items() if m < 0)
     return w
 
 
@@ -198,14 +200,14 @@ def test_bigrading_projectors_match_selector_construction(build):
     assert sorted(B.projectors) == sorted(want)
     for key, P in want.items():
         assert _close(B.projectors[key], P), key
-    for k in B.weights:
-        assert _close(B.weight_projector(k), selector_weight_projector(want, k, n)), k
+    for k in B.weight_projectors:
+        assert _close(B.weight_projectors[k], selector_weight_projector(want, k, n)), k
     assert _close(B.Y, sum((p + q) * P for (p, q), P in want.items()))
 
     rng = np.random.default_rng(n)
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    parts = graded_parts(B.weight_projectors, A)
-    span = max(B.weights) - min(B.weights)
+    parts = B.weight_frame.parts(B.weight_frame.coordinates(A))
+    span = max(B.weight_projectors) - min(B.weight_projectors)
     for m in range(-span, span + 1):
         ref = selector_ad_weight_component(want, A, m, n)
         assert _close(parts.get(m, np.zeros((n, n))), ref), m

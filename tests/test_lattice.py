@@ -8,7 +8,7 @@ from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight import mhs
 from hodgeheight.limits import NilpotentOrbit, limit_mhs
-from hodgeheight.linalg import Subspace, echelonize
+from hodgeheight.linalg import Frame, Subspace, echelonize
 from hodgeheight.mhs import (MixedHodgeStructure, ValidationReport, hodge_filtration,
                              weight_filtration)
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
@@ -534,26 +534,27 @@ def test_skipped_pieces_keep_the_verdict_on_breakages():
 
 
 def test_projectors_built_once_per_tolerance(monkeypatch):
-    calls = []
-    original = mhs.graded_projectors
+    frames = []
+    of = Frame.of
 
     def counted(pieces):
-        calls.append(original(pieces))
-        return calls[-1]
+        frames.append(of(pieces))
+        return frames[-1]
 
-    # the general route, on the cubic fiber, calls graded_projectors once
-    # per tolerance; a Hodge-Tate structure reads its projectors off its
-    # period matrix, as often, and never calls it
+    # the general route, on the cubic fiber, builds one frame per
+    # tolerance; a Hodge-Tate structure's frame is that of its period
+    # matrix, and no frame of pieces is built
     v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
     built = (cubic_orbit()[0].fiber(2j), fiber(v, [2j], [np.exp(-4 * np.pi)]))
-    monkeypatch.setattr(mhs, "graded_projectors", counted)
+    monkeypatch.setattr(Frame, "of", staticmethod(counted))
     for built_H, per_tol in zip(built, (1, 0)):
         H = MixedHodgeStructure(built_H.W, built_H.F)
-        calls.clear()
+        frames.clear()
         for tol in (TOL, 1e-8):
             assert H.validate(tol).ok
             B = H.bigrading(tol)
             assert H.bigrading(tol) is B
-        assert len(calls) == 2 * per_tol
+        assert len(frames) == 2 * per_tol
         if per_tol:
-            assert all(P is calls[-1][k] for k, P in B.projectors.items())
+            assert B.frame is frames[-1]
+            assert all(P is frames[-1].projectors[k] for k, P in B.projectors.items())

@@ -26,11 +26,10 @@ from hodgeheight.limits import (
     relative_weight_filtration,
 )
 from hodgeheight.linalg import (
+    Frame,
     Subspace,
     check_nilpotent,
     expm_nilpotent,
-    graded_parts,
-    graded_projectors,
     maxabs,
     nullspace_float,
 )
@@ -929,7 +928,8 @@ def test_relative_filtration_builds_no_float_basis_for_its_kernels(monkeypatch):
 
 def test_eigenspaces_computed_once_per_deligne_system(monkeypatch):
     # the eigenspaces of Y are computed once, for the initial pieces; each
-    # correction moves the pieces instead of recomputing eigenspaces of Y'
+    # correction moves the pieces instead of recomputing eigenspaces of Y'.
+    # Each pass builds one frame of the pieces, and inverts its C alone
     from hodgeheight import limits
 
     rng = np.random.default_rng(5)
@@ -937,26 +937,33 @@ def test_eigenspaces_computed_once_per_deligne_system(monkeypatch):
     for _ in range(12):
         # Y + 2 lam N grades M as well, and some of these need corrections
         W, N, Y = random_deligne_system(rng)
+        W.adapted_basis()
         systems.append((W, N, Y + 2 * complex(rng.normal(), rng.normal()) * N))
-    eigen, steps = [], []
-    original, projectors = limits._eigenspaces, limits.graded_projectors
+    eigen, frames, inverses = [], [], []
+    original, of, inv = limits._eigenspaces, Frame.of, np.linalg.inv
 
     def counted_eigen(Y, levels, tol):
         eigen.append(levels)
         return original(Y, levels, tol)
 
-    def counted_projectors(pieces):
-        steps.append(sorted(pieces))
-        return projectors(pieces)
+    def counted_frame(pieces):
+        frames.append(sorted(pieces))
+        return of(pieces)
+
+    def counted_inv(A):
+        inverses.append(A.shape)
+        return inv(A)
 
     monkeypatch.setattr(limits, "_eigenspaces", counted_eigen)
-    monkeypatch.setattr(limits, "graded_projectors", counted_projectors)
+    monkeypatch.setattr(Frame, "of", staticmethod(counted_frame))
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     for i, (W, N, Y) in enumerate(systems):
         ds = deligne_system_grading(W, N, Y)
         assert ds.residual < 1e-10
         assert len(eigen) == i + 1
     # some systems need a correction, so the moved pieces are exercised
-    assert len(steps) > len(systems)
+    assert len(frames) > len(systems)
+    assert len(inverses) == len(frames)
 
 
 def test_grading_with_an_eigenvalue_between_jumps_is_not_a_grading_of_w():
@@ -1295,9 +1302,9 @@ def reference_deligne_system_grading(W, N, Y, tol=TOL):
     span = W.indices[-1] - W.indices[0]
     zero = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
-        proj = graded_projectors(pieces)
-        Yp = sum(k * P for k, P in proj.items())
-        N0 = graded_parts(proj, N).get(0, zero)
+        frame = Frame.of(pieces)
+        Yp = frame.grading
+        N0 = frame.lift(frame.coordinates(N), 0)
         H = Y - Yp
         # [Y',X] = 0, [H,X] = 2X, [X,N0] = H
         L = np.vstack([_lin_ad(Yp), _lin_ad(H) - 2 * np.eye(n * n), -_lin_ad(N0)])
@@ -1308,7 +1315,7 @@ def reference_deligne_system_grading(W, N, Y, tol=TOL):
         R = (N - N0) @ N0p - N0p @ (N - N0)
         if maxabs(R) <= 10 * tol * scale:
             return Yp, N0p
-        R_parts = graded_parts(proj, R)
+        R_parts = frame.parts(frame.coordinates(R))
         j0 = next((j for j in range(1, span + 1)
                    if maxabs(R_parts.get(-j, zero)) > 10 * tol * scale), None)
         if j0 is None:
@@ -1348,8 +1355,8 @@ def test_deligne_system_grading_matches_the_kronecker_oracle():
         ds = deligne_system_grading(W, N, Y)
         for got, ref in zip((ds.Yprime, ds.sl2[2]), want):
             assert maxabs(got - ref) <= 1e-9 * max(maxabs(ref), 1.0)
-        initial = graded_projectors(_initial_w_grading(W, _eigenspaces_of(Y), TOL))
-        corrected += maxabs(sum(k * P for k, P in initial.items()) - ds.Yprime) > 1e-9
+        initial = Frame.of(_initial_w_grading(W, _eigenspaces_of(Y), TOL)).grading
+        corrected += maxabs(initial - ds.Yprime) > 1e-9
     # some systems need a depth correction, so both solves are exercised
     assert corrected >= 5
 

@@ -258,10 +258,10 @@ def test_bigrading_reconstructs_filtrations():
 def test_projectors_resolve_identity():
     om = dilog_fiber(0.2 + 0.9j)
     B = om.mhs.bigrading()
-    total = sum(B.projectors[key] for key in B.keys)
+    total = sum(B.projectors[key] for key in sorted(B.components))
     assert maxabs(total - np.eye(om.mhs.dim)) < 1e-12
     Y = B.Y
-    for (p, q) in B.keys:
+    for (p, q) in sorted(B.components):
         col = B.components[(p, q)].basis[0]
         assert maxabs(Y @ col - (p + q) * col) < 1e-12
 

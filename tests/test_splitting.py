@@ -7,7 +7,7 @@ from hodgeheight.biextension import BiextensionSpec, build_biextension, random_s
 from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.dilog import bloch_wigner
 from hodgeheight.height import _deep_coefficient, height
-from hodgeheight.linalg import graded_parts, logm_unipotent, maxabs
+from hodgeheight.linalg import logm_unipotent, maxabs
 from hodgeheight.mhs import dual
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, gl_hodge_components, lowering_morphisms
@@ -70,13 +70,13 @@ def group_log_delta(B, tol=1e-9):
     Y = B.Y
     Ybar = np.conj(Y)
     n = B.ambient_dim
-    span = max(B.weights) - min(B.weights)
+    span = max(B.weight_projectors) - min(B.weight_projectors)
 
     def lower(A):
         # strictly-lowering part of gl via ad-Y eigenprojections
         out = np.zeros_like(A)
         for m in range(-1, -(span + 1), -1):
-            out = out + graded_parts(B.weight_projectors, A).get(m, 0)
+            out = out + B.weight_frame.lift(B.weight_frame.coordinates(A), m)
         return out
 
     # unknown x constrained to the lowering subalgebra: parametrize by a basis
