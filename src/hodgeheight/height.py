@@ -13,7 +13,7 @@ limits.limit_height.  Both check the orientation against W first, on every
 call: a cheap read of coordinates, so no check or top lift is cached.  On a
 Hodge-Tate structure (mhs.Period) P is unit on the end blocks, so the read
 is (1/2) Im L[bottom, top] against the generators' end coordinates in the
-bigrading's weight frame (C = T^T P), and no entry of delta is formed.
+adapted basis T of W, and no entry of delta is formed.
 
 For structures with at most three nonzero weights (generalized biextensions)
 the same number falls out of one conjugation:
@@ -134,10 +134,16 @@ def height(om: OrientedMHS, tol: float = DEFAULT_TOL) -> float:
     if B.period is None:
         return _deep_coefficient(deligne_delta(om.mhs, tol).delta, B.weight_projectors,
                                  om.orientation, tol)
-    # P_min delta P_max = C E_min (-(i/2) L) E_max C^-1, and C[:, 0] spans W_min
-    f = B.weight_frame
-    vec = -0.5j * B.period.L[0, -1] * (om.orientation.top @ f.C_inv[-1]) * f.C[:, 0]
-    return _coefficient_against_bottom(vec, om.orientation.bottom, tol, maxabs(vec))
+    return _period_height(B.period.L[0, -1], om.mhs.W, om.orientation, tol)
+
+
+def _period_height(L_bt: complex, W: Filtration, orientation: Orientation, tol: float) -> float:
+    """The height read off L[bottom, top] of a Hodge-Tate Period: P_min delta
+    P_max = C E_min (-(i/2) L) E_max C^-1, C = T^T P, and P is unipotent with
+    end blocks of rank one, so C[:, 0] = T[0] and C^-1[-1] = T^-T[-1]."""
+    flag = W.adapted_basis()
+    vec = -0.5j * L_bt * (orientation.top @ flag.inverse[:, -1]) * flag.T[0]
+    return _coefficient_against_bottom(vec, orientation.bottom, tol, maxabs(vec))
 
 
 def height_biextension(om: OrientedMHS, tol: float = DEFAULT_TOL) -> float:

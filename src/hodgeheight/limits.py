@@ -463,14 +463,12 @@ class NilpotentOrbit:
             if not F_inf.at(p - 1).contains(moved, tol):
                 raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
 
-    def exp(self, z: complex) -> np.ndarray:
-        """exp(zN) = sum_k z^k N^k / k!, not finite past the float range."""
-        z = complex(z)
-        try:
-            with np.errstate(all="ignore"):
-                return sum(z ** k * P for k, P in enumerate(self._series))
-        except OverflowError:   # Python's complex power raises where numpy gives inf
-            return np.full((self.dim, self.dim), np.inf, dtype=complex)
+    def exp(self, z) -> np.ndarray:
+        """exp(zN) = sum_k z^k N^k / k!, for a z or, as (m, n, n), for a stack
+        of m; not finite past the float range."""
+        z = np.asarray(z, dtype=complex)[..., None, None]
+        with np.errstate(all="ignore"):
+            return sum(z ** k * P for k, P in enumerate(self._series))
 
     def fiber(self, z: complex, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
         return moved_fiber(self.W, self.F_inf, self.exp(z),
@@ -482,9 +480,10 @@ def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
                 period: tuple[np.ndarray, np.ndarray] | None = None) -> MixedHodgeStructure:
     """(W, g F_inf), F_inf moved as one flag (Filtration.moved): the fiber of an
     orbit and of a variation, NotAnMHS (opened by where) if it is no MHS; a
-    Hodge-Tate fiber given its period (P, L) is one by construction.  A g or
-    period that is not finite raises MalformedFiltration."""
-    if not all(np.isfinite(m).all() for m in (g, *(period or ()))):
+    Hodge-Tate fiber given its period (P, L) is one by construction.  A g that
+    is not finite raises MalformedFiltration; a period comes checked
+    (variations._moves)."""
+    if not np.isfinite(g).all():
         raise MalformedFiltration(where + "the move is not finite")
     H = MixedHodgeStructure(W, F_inf.moved(g, tol), period)
     report = H.validate(tol)

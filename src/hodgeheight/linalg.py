@@ -482,14 +482,16 @@ class AdaptedBasis:
 
     def operator(self, N):
         """N' with N'^T = T N^T T^-1, column j the coordinates of N applied to
-        row j of T: an ExactMatrix when N (as_operator) and the chain are."""
+        row j of T, for an N or a stack of them: an ExactMatrix when N
+        (as_operator) and the chain are."""
         if isinstance(N, ExactMatrix) and self.exact is not None:
             n, cols = len(N), list(zip(*N.num))
             images = [_combination(t, cols, n) for t in self.exact.num]
             coords = [_combination(v, self.exact_inverse.num, n) for v in images]
             return ExactMatrix([list(c) for c in zip(*coords)],
                                self.exact.den * N.den * self.exact_inverse.den)
-        return (self.T @ np.asarray(N, dtype=complex).T @ self.inverse).T
+        return np.swapaxes(self.T @ np.swapaxes(np.asarray(N, dtype=complex), -1, -2)
+                           @ self.inverse, -1, -2)
 
     def depth(self, rows, tol: float = DEFAULT_TOL) -> int:
         """One past the last coordinate of the rows c = v T^-1 above the
@@ -635,10 +637,11 @@ def check_nilpotent(N, tol: float = DEFAULT_TOL) -> int:
 
 
 def exp_terms(A: Matrix) -> list[Matrix]:
-    """The terms A^k / k! of exp(A), A nilpotent, up to the last nonzero one."""
+    """The terms A^k / k! of exp(A), A nilpotent or a stack of such, up to the
+    last nonzero one."""
     A = np.array(A, dtype=complex)
-    terms = [np.eye(len(A), dtype=complex)]
-    while len(terms) <= len(A) and (T := terms[-1] @ A / len(terms)).any():
+    terms = [np.eye(A.shape[-1], dtype=complex)]
+    while len(terms) <= A.shape[-1] and (T := terms[-1] @ A / len(terms)).any():
         terms.append(T)
     return terms
 

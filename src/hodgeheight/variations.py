@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from math import pi
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +27,9 @@ from .errors import (
     InfeasibleRanks,
     LengthTooSmall,
     MalformedFiltration,
-    NotAnMHS,
     NotHodgeTate,
 )
-from .height import Orientation, OrientedMHS, height
+from .height import Orientation, OrientedMHS, _check_oriented, _period_height, height
 from .limits import NilpotentOrbit, moved_fiber
 from .linalg import bch, expm_nilpotent, logm_unipotent, maxabs
 from .mhs import MixedHodgeStructure, is_hodge_tate, lowers, split_filtration
@@ -65,15 +65,19 @@ class GammaPoly:
         object.__setattr__(self, "_stacked", (exponents, np.array([m for _, m in self.terms])))
 
     def __call__(self, s) -> np.ndarray:
-        s = [complex(x) for x in np.atleast_1d(s)]
-        if len(s) != self.nvars:
-            raise HodgeError(f"expected {self.nvars} parameters, got {len(s)}")
+        """Gamma at a point of nvars values, or as (m, n, n) at each row of an
+        (m, nvars) stack; a row's value does not depend on the stack it is in."""
+        s = np.atleast_1d(np.asarray(s, dtype=complex))
+        if s.shape[-1] != self.nvars:
+            raise HodgeError(f"expected {self.nvars} parameters, got {s.shape[-1]}")
         if not self.terms:
-            return np.zeros((0, 0), dtype=complex)
+            return np.zeros((*s.shape[:-1], 0, 0), dtype=complex)
         exponents, coefficients = self._stacked
         # a value past the float range is inf or NaN, which fibers reject
         with np.errstate(all="ignore"):
-            return np.tensordot(np.prod(np.array(s) ** exponents, axis=1), coefficients, axes=1)
+            monomials = np.prod(s[..., None, :] ** exponents, axis=-1)[..., None, :]
+            flat = monomials @ coefficients.reshape(len(coefficients), -1)
+        return flat.reshape(*s.shape[:-1], *coefficients.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,9 @@ class LocalVariation:
     _limit: OrientedMHS = field(init=False, compare=False, repr=False)
     # one NilpotentOrbit per N_j, whose power table gives exp(z_j N_j)
     _orbits: tuple[NilpotentOrbit, ...] = field(init=False, compare=False, repr=False)
-    # per tol: the Hodge-Tate route of _fiber, or None (_transport)
+    # per tol: the Hodge-Tate route of _moves or None (_transport); the limit's height
     _transports: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    _limit_heights: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self, tol: float):
         object.__setattr__(self, "_orbits", tuple(NilpotentOrbit(self.W, N, self.F_inf, tol)
@@ -146,35 +151,92 @@ class LocalVariation:
 
 
 def fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-    """(exp(N(z)) exp(Gamma(s)) . F_inf, W).  A Hodge-Tate variation (_fiber)
-    gives a structure at every point, |s| > 1 included; on the general route
-    NotAnMHS is raised where a step of F loses rank at the working tolerance.
-    A Gamma(s) or move that is not finite raises MalformedFiltration."""
-    return _fiber(v, z, s, v.gamma(s), tol)
+    """(exp(N(z)) exp(Gamma(s)) . F_inf, W), one point of _moves: a structure at
+    every point of a Hodge-Tate variation, |s| > 1 included; on the general
+    route NotAnMHS where a step of F loses rank at the working tolerance.  A z
+    or s of the wrong length, or a Gamma(s) or move that is not finite, raises
+    as in _moves."""
+    return _fiber(v, next(_moves(v, [(z, s)], tol)), tol)
 
 
-def _fiber(v: LocalVariation, z, s, gm: np.ndarray, tol: float) -> MixedHodgeStructure:
-    """fiber at (z, s), gm = Gamma(s); exp(N(z)) = prod_j exp(z_j N_j), the
-    N_j commuting, each factor off its orbit's power table (NilpotentOrbit.exp).
-    On the Hodge-Tate route g = exp(N(z)) exp(Gamma) lies in exp(W_-2 gl), so
-    the fiber's period matrix is g P_inf, and L is the commutator series
-    (linalg.bch) of (-log conj(P_inf), -conj(Gamma), 2i sum_j Im(z_j) N_j,
-    Gamma, log P_inf), all in the coordinates of W: no step is row-reduced."""
-    where, transport, period = f"fiber at z={z}, s={s}: ", v._transport(tol), None
-    if not np.isfinite(gm).all():
-        raise MalformedFiltration(where + "Gamma(s) is not finite")
+class Move(NamedTuple):
+    """A point (z, s), Gamma(s), g = exp(N(z)) exp(Gamma(s)) and the (P, L) of a
+    Hodge-Tate fiber; where opens the point's errors."""
+    z: object
+    s: object
+    gamma: np.ndarray
+    g: np.ndarray
+    period: tuple[np.ndarray, np.ndarray] | None
+    where = property(lambda self: f"fiber at z={self.z}, s={self.s}: ")
+
+
+def _fiber(v: LocalVariation, move: Move, tol: float) -> MixedHodgeStructure:
+    return moved_fiber(v.W, v.F_inf, move.g, move.where, tol, move.period)
+
+
+def _moves(v: LocalVariation, points: list, tol: float):
+    """The Move of each point (z, s), in order, all evaluated on stacked arrays:
+    exp(N(z)) = prod_j exp(z_j N_j) off the orbits' power tables (the N_j
+    commute).  On the Hodge-Tate route (_transport) g lies in exp(W_-2 gl), so
+    a fiber's period matrix is g P_inf and L the commutator series (linalg.bch)
+    of (-log conj(P_inf), -conj(Gamma), 2i sum_j Im(z_j) N_j, Gamma, log P_inf)
+    in the coordinates of W.  Each point is checked after those before it,
+    with no warning: a z or s of the wrong length raises HodgeError, a Gamma(s),
+    g or period that is not finite MalformedFiltration."""
+    k, n, transport = len(v.nilpotents), v.dim, v._transport(tol)
+    z_rows, s_rows = ([np.atleast_1d(p[i]) for p in points] for i in (0, 1))
+    m = next((i for i, (z, s) in enumerate(zip(z_rows, s_rows))
+              if len(z) != k or len(s) != v.gamma.nvars), len(points))
+    zs = np.array(z_rows[:m], dtype=complex).reshape(m, k)
+    gm = (v.gamma(np.array(s_rows[:m], dtype=complex).reshape(m, v.gamma.nvars))
+          if v.gamma.terms else np.zeros((m, n, n), dtype=complex))
     with np.errstate(all="ignore"):
-        factors = [orbit.exp(zj) for zj, orbit in zip(np.atleast_1d(z), v._orbits)]
-        if gm.size:
-            factors.append(expm_nilpotent(gm))
-        G = reduce(np.matmul, factors, np.eye(v.dim))
+        G = reduce(np.matmul, [orbit.exp(zs[:, j]) for j, orbit in enumerate(v._orbits)]
+                   + [expm_nilpotent(gm)])
+        moves = [G if G.ndim == 3 else np.broadcast_to(G, (m, n, n))]   # 2-d if k = 0
         if transport is not None:
             (N, logP, P), flag = transport, v.W.adapted_basis()
-            gam = flag.operator(gm) if gm.size else np.zeros_like(P)
-            iy = sum((2j * complex(zj).imag * Nj for zj, Nj in zip(np.atleast_1d(z), N)),
+            gam = flag.operator(gm)
+            iy = sum((2j * zs[:, j, None, None].imag * Nj for j, Nj in enumerate(N)),
                      np.zeros_like(P))
-            period = flag.operator(G) @ P, bch([-logP.conj(), -gam.conj(), iy, gam, logP])
-    return moved_fiber(v.W, v.F_inf, G, where, tol, period)
+            L = bch([-logP.conj(), -gam.conj(), iy, gam, logP])   # 2-d if no stack enters
+            moves += [flag.operator(moves[0]) @ P,
+                      L if L.ndim == 3 else np.broadcast_to(L, (m, n, n))]
+    finite = [np.isfinite(x).all((-2, -1)) for x in (gm, *moves)]
+    periods = zip(*moves[1:]) if transport is not None else [None] * m
+    for (z, s), gz, g, period, ok, *ok_move in zip(points, gm, moves[0], periods, *finite):
+        move = Move(z, s, gz, g, period)
+        if not ok:
+            raise MalformedFiltration(move.where + "Gamma(s) is not finite")
+        if not all(ok_move):
+            raise MalformedFiltration(move.where + "the move is not finite")
+        yield move
+    if m < len(points):
+        v.gamma(s_rows[m])   # raises HodgeError on an s of the wrong length
+        raise HodgeError(f"expected {k} values of z, got {len(z_rows[m])}")
+
+
+def _sweep(v: LocalVariation, points: list, tol: float, hodge_tate: bool) -> list[tuple]:
+    """(Move, L, height) per point, the Hodge-Tate route reading L off _moves
+    and checking the orientation once; else L is the fiber's, or None (then
+    NotHodgeTate if hodge_tate).  A typed error names its point's index."""
+    out, moves = [], _moves(v, points, tol)
+    try:
+        if v._transport(tol) is not None:
+            _check_oriented(v.W, v.orientation, tol)
+            for move in moves:
+                L = move.period[1]
+                out.append((move, L, _period_height(L[0, -1], v.W, v.orientation, tol)))
+        else:
+            for move in moves:
+                H = _fiber(v, move, tol)
+                period = H.bigrading(tol).period
+                if hodge_tate and period is None:
+                    raise NotHodgeTate(move.where + "not a Hodge-Tate structure")
+                out.append((move, period and period.L, height(OrientedMHS(H, v.orientation), tol)))
+    except HodgeError as exc:
+        raise type(exc)(f"sweep point {len(out)}: {exc}") from exc
+    return out
 
 
 def oriented_fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> OrientedMHS:
@@ -183,17 +245,10 @@ def oriented_fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> Oriente
 
 def height_sweep(v: LocalVariation, path, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     """Heights along a list of (z, s) pairs, each keyed by Im z_1, signed,
-    when z is complex, else by the point's index."""
-    out = []
-    for idx, (z, s) in enumerate(path):
-        try:
-            h = height(oriented_fiber(v, z, s, tol), tol)
-        except NotAnMHS as exc:
-            raise NotAnMHS(f"sweep point {idx}: {exc}") from exc
-        z0 = np.atleast_1d(z)[0]
-        param = float(np.imag(z0)) if np.iscomplexobj(np.atleast_1d(z)) else float(idx)
-        out.append((param, h))
-    return out
+    when z is complex, else by the point's index (_sweep)."""
+    path = list(path)
+    return [(float(z[0].imag) if np.iscomplexobj(z := np.atleast_1d(p[0])) else float(i), h)
+            for i, (p, (_, _, h)) in enumerate(zip(path, _sweep(v, path, tol, False)))]
 
 
 @dataclass
@@ -219,7 +274,7 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
     delta^{-1,-1}(z,s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1},
     with only the (-1,-1) parts taken.  Each fiber has the Hodge numbers of
     the limit, so it is Hodge-Tate by its counts; one that is not at the
-    working tolerance raises NotHodgeTate naming its point."""
+    working tolerance raises NotHodgeTate naming its point (_sweep)."""
     limit = v.limit_structure()
     # Hodge-Tate variations have relative filtration equal to W, so the pair
     # (F_inf, W) must itself be a structure with diagonal bigrading
@@ -227,27 +282,24 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
         raise NotHodgeTate("limit pair (F_inf, W) is not a Hodge-Tate structure")
     if v.length < 4:
         raise LengthTooSmall("asymptotic statement needs length at least 4")
-    B_lim, n, ht_lim = limit.bigrading(tol), v.dim, height(v._limit, tol)
-    frame, points = B_lim.frame, []
-    for z, s in sequence:
-        gm = v.gamma(s)
-        H = _fiber(v, z, s, gm, tol)
-        period = H.bigrading(tol).period
-        if period is None:
-            raise NotHodgeTate(f"fiber at z={z}, s={s}: not a Hodge-Tate structure")
-        im_gamma = (gm - np.conj(gm)) / 2j if gm.size else np.zeros((n, n))
-        # a fiber's P is P_inf times a unipotent that lowers W, so its
-        # delta^{-1,-1} is the limit frame's lift of the (-1,-1) entries of -(i/2) L
-        X = -0.5j * (period.L - B_lim.period.L) - frame.coordinates(im_gamma)
-        resid = maxabs(frame.lift(X, (-1, -1)).real - sum(
-            (complex(x).imag * np.real(N) for x, N in zip(np.atleast_1d(z), v.nilpotents)),
-            np.zeros((n, n))))
-        ht = height(OrientedMHS(H, v.orientation), tol)
-        points.append(AsymptoticsPoint(z=tuple(np.atleast_1d(z)), s=tuple(np.atleast_1d(s)),
-                                       height=ht, height_gap=abs(ht - ht_lim),
-                                       identity_residual=float(resid)))
-    ok = all(p.identity_residual < tol for p in points)
-    return AsymptoticsReport(points=points, limit_height=ht_lim, identity_ok=ok)
+    if tol not in v._limit_heights:
+        v._limit_heights[tol] = height(v._limit, tol)
+    points, n, B, ht_lim = list(sequence), v.dim, limit.bigrading(tol), v._limit_heights[tol]
+    rows = _sweep(v, points, tol, True)
+    y = np.reshape([np.atleast_1d(z) for z, _ in points], (len(points), len(v.nilpotents))).imag
+    # a fiber's P is P_inf times a unipotent that lowers W, so its
+    # delta^{-1,-1} is the limit frame's lift of the (-1,-1) entries of -(i/2) L
+    X = -0.5j * (np.reshape([L for _, L, _ in rows], (-1, n, n)) - B.period.L)
+    gm = np.reshape([move.gamma for move, _, _ in rows], (-1, n, n))
+    X = X - B.frame.coordinates((gm - gm.conj()) / 2j)
+    N_y = sum((y[:, j, None, None] * np.real(N) for j, N in enumerate(v.nilpotents)),
+              np.zeros((n, n)))
+    resid = np.abs(B.frame.lift(X, (-1, -1)).real - N_y).max((1, 2), initial=0.0)
+    out = [AsymptoticsPoint(z=tuple(np.atleast_1d(z)), s=tuple(np.atleast_1d(s)), height=ht,
+                            height_gap=abs(ht - ht_lim), identity_residual=float(r))
+           for (z, s), (_, _, ht), r in zip(points, rows, resid)]
+    ok = all(p.identity_residual < tol for p in out)
+    return AsymptoticsReport(points=out, limit_height=ht_lim, identity_ok=ok)
 
 
 # ---------------------------------------------------------------------------

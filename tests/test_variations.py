@@ -5,8 +5,8 @@ import pytest
 
 from hodgeheight import linalg
 from hodgeheight.config import DEFAULT_TOL
-from hodgeheight.errors import (HodgeError, InfeasibleRanks, LengthTooSmall, NotAnMHS,
-                               NotHodgeTate)
+from hodgeheight.errors import (HodgeError, InfeasibleRanks, LengthTooSmall, MalformedFiltration,
+                               NotAnMHS, NotHodgeTate)
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight.limits import NilpotentOrbit
 from hodgeheight.linalg import expm_nilpotent, maxabs
@@ -225,10 +225,12 @@ def test_height_sweep_names_the_point_that_is_no_mhs():
 
 def test_check_asymptotics_names_a_fiber_that_is_not_hodge_tate(monkeypatch):
     # every fiber of a Hodge-Tate limit is Hodge-Tate by its counts, since N
-    # and Gamma preserve W; a fiber that were not would be named, not graded
+    # and Gamma preserve W; a fiber that were not would be named, not graded.
+    # Only the per-point route builds fibers: the length-10 variation keeps it
     import hodgeheight.variations as variations
 
-    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    v = random_hodge_tate((1, 1, 1, 1, 1, 1), 1, seed=0)
+    assert v._transport(DEFAULT_TOL) is None
     monkeypatch.setattr(variations, "_fiber", lambda *args: cubic_orbit()[0].fiber(2j))
     with pytest.raises(NotHodgeTate, match=re.escape(
             "fiber at z=[2j], s=[0.5]: not a Hodge-Tate structure")):
@@ -426,19 +428,24 @@ def test_a_variation_longer_than_eight_keeps_the_general_route():
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
 
-def test_check_asymptotics_evaluates_gamma_once_per_point(monkeypatch):
+def test_check_asymptotics_evaluates_gamma_once_per_call(monkeypatch):
+    # one contraction on the stack of all points, whose slices are the
+    # single-point values bit for bit
     calls = []
     original = GammaPoly.__call__
 
     def counted(self, s):
-        calls.append(s)
+        calls.append(np.array(s))
         return original(self, s)
 
     v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
     points = [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 2.0, 3.0)]
     monkeypatch.setattr(GammaPoly, "__call__", counted)
     check_asymptotics(v, points)
-    assert len(calls) == len(points)
+    assert len(calls) == 1 and calls[0].shape == (len(points), 1)
+    stacked = original(v.gamma, calls[0])
+    for row, (_, s) in zip(stacked, points):
+        assert np.array_equal(row, original(v.gamma, s))
 
 
 @pytest.mark.parametrize("nvars, seed", [(1, 0), (2, 1), (3, 2)])
@@ -470,3 +477,131 @@ def test_exp_off_the_power_table_is_the_series(z):
     for o in (orbit, v._orbits[0], NilpotentOrbit(v.W, 0.7 * v.nilpotents[0], v.F_inf)):
         want = expm_nilpotent(complex(z) * o.N)
         assert maxabs(o.exp(z) - want) <= 1e-14 * max(1.0, maxabs(want))
+
+
+# ---------------------------------------------------------------------------
+# a sweep is one stacked computation
+
+
+def test_gamma_takes_a_stack_of_points():
+    # each row of a stack is the single-point value bit for bit, whatever
+    # the height of the stack
+    rng = np.random.default_rng(5)
+    g = GammaPoly.of(2, {e: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                         for e in ((1, 0), (0, 1), (2, 1), (0, 3))})
+    stack = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    values = g(stack)
+    assert values.shape == (7, 3, 3)
+    for row, s in zip(values, stack):
+        assert np.array_equal(row, g(s))
+    with pytest.raises(HodgeError, match="expected 2 parameters, got 3"):
+        g(np.ones((4, 3)))
+    assert GammaPoly.zero(1)(np.ones((4, 1))).shape == (4, 0, 0)
+
+
+def _not_split_variation() -> LocalVariation:
+    # the variation of test_a_limit_that_is_not_split_moves_with_its_period_matrix
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=4)
+    w = np.array([0, -2, -2, -4, -4, -6])
+    rng = np.random.default_rng(8)
+    h = np.eye(6) + np.where(w[:, None] <= w - 2, rng.integers(-2, 3, size=(6, 6)), 0)
+    h_inv = np.linalg.inv(h)
+    return LocalVariation(
+        W=v.W, F_inf=v.F_inf.map_spaces(lambda sp: sp.image_under(h)),
+        nilpotents=(h @ v.nilpotents[0] @ h_inv,),
+        gamma=GammaPoly.of(1, {e: h @ m @ h_inv for e, m in v.gamma.terms}),
+        orientation=v.orientation)
+
+
+def _stacked_variations():
+    for ranks in ((1, 1, 1, 1), (1, 2, 2, 1), (1, 1, 2, 1, 1)):
+        for seed in range(10):
+            for nil_count in (1, 2):
+                yield random_hodge_tate(ranks, nil_count, seed=seed)
+    yield _not_split_variation()
+    yield dilog_variation()
+
+
+def test_a_stacked_sweep_agrees_with_its_points():
+    # check_asymptotics and height_sweep read every point off one stacked
+    # computation; each point on its own is the fiber's height and the
+    # one-point report
+    for v in _stacked_variations():
+        assert v._transport(DEFAULT_TOL) is not None
+        k = len(v.nilpotents)
+        points = [([z] * k, [np.exp(2j * np.pi * z)] * k)
+                  for z in (0.2 + 0.3j, 0.2 + 1j, 0.45 + 3j, 0.2 + 10j, 0.2 + 100j)]
+        report, swept = check_asymptotics(v, points), height_sweep(v, points)
+        for (z, s), p, (_, h) in zip(points, report.points, swept):
+            want = height(oriented_fiber(v, z, s))
+            one = check_asymptotics(v, [(z, s)]).points[0]
+            assert abs(p.height - want) <= 1e-13 * max(1.0, abs(want))
+            assert abs(h - want) <= 1e-13 * max(1.0, abs(want))
+            assert abs(p.identity_residual - one.identity_residual) \
+                <= 1e-13 * max(1.0, one.identity_residual)
+
+
+def test_a_transport_sweep_builds_no_fiber(monkeypatch):
+    # past the limit's own structure, neither sweep builds a structure, and
+    # each checks the orientation once per call
+    import hodgeheight.variations as variations
+    from hodgeheight.mhs import MixedHodgeStructure
+
+    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    points = [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 2.0, 3.0)]
+    check_asymptotics(v, points)
+    built, checks = [], []
+    init, check = MixedHodgeStructure.__init__, variations._check_oriented
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_check(*args):
+        checks.append(args)
+        check(*args)
+
+    monkeypatch.setattr(MixedHodgeStructure, "__init__", counted_init)
+    monkeypatch.setattr(variations, "_check_oriented", counted_check)
+    check_asymptotics(v, points)
+    height_sweep(v, points)
+    assert built == [] and len(checks) == 2
+
+
+@pytest.mark.parametrize("ranks", [(1, 2, 2, 1), (1, 1, 1, 1, 1, 1)])
+@pytest.mark.parametrize("z", [[1j, 7j], []])
+def test_a_z_of_the_wrong_length_raises(ranks, z):
+    # extra values were once dropped and missing ones read as 0, on the
+    # stacked route (1,2,2,1) and the per-point one (length 10) alike
+    v = random_hodge_tate(ranks, 1, seed=3)
+    s = [np.exp(-2 * np.pi)]
+    msg = f"expected 1 values of z, got {len(z)}"
+    with pytest.raises(HodgeError, match=re.escape(msg)):
+        fiber(v, z, s)
+    with pytest.raises(HodgeError, match=re.escape(msg)):
+        check_asymptotics(v, [([1j], s), (z, s)])
+    with pytest.raises(HodgeError, match=re.escape("sweep point 1: " + msg)):
+        height_sweep(v, [([1j], s), (z, s)])
+
+
+def test_a_stacked_sweep_raises_at_its_first_bad_point():
+    # Gamma(1e7) of the degree-60 series overflows at the 2nd point, and
+    # (1e200 i)^2 at the 3rd: the 2nd is named, with no RuntimeWarning first
+    # (an error under this suite's filter)
+    v = dilog_variation()
+    points = [([0.3j], [0.5]), ([0.3j], [1e7]), ([1e200j], [0.5])]
+    msg = "fiber at z=[0.3j], s=[10000000.0]: Gamma(s) is not finite"
+    with pytest.raises(MalformedFiltration, match=re.escape(msg)):
+        check_asymptotics(v, points)
+    with pytest.raises(MalformedFiltration, match=re.escape("sweep point 1: " + msg)):
+        height_sweep(v, points)
+    with pytest.raises(MalformedFiltration, match=re.escape(
+            "sweep point 1: fiber at z=[1e+200j], s=[0.5]: the move is not finite")):
+        height_sweep(v, [points[0], points[2]])
+
+
+def test_height_sweep_names_the_point_of_every_typed_error():
+    # NotAnMHS was once the only error to carry its index
+    with pytest.raises(MalformedFiltration, match=re.escape(
+            "sweep point 0: fiber at z=[0.3j], s=[10000000.0]: Gamma(s) is not finite")):
+        height_sweep(dilog_variation(), [([0.3j], [1e7])])
