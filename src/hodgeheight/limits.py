@@ -8,15 +8,17 @@ center+j and center-j; it is computed by the closed formula
 
 and verified against both axioms afterwards.
 
-Each function of the orbit path takes one N (linalg.as_operator): an
-ExactMatrix (int rows over one denominator) when every entry is rational,
-otherwise a complex array, with its powers from one table
-(linalg.nilpotent_powers).  So rational N with rational W stays in exact
-integer arithmetic throughout, every subspace kept as primitive int rows,
-and no rank decision on it involves a threshold; only N that is not
-rational (real N that depends on F, say) takes the float path.  A
-NilpotentOrbit maps its N into the coordinates of W once, and limit_mhs
-hands that N' to the body of relative_weight_filtration.
+Each function of the orbit path takes one n x n N (linalg.as_operator;
+DimensionMismatch otherwise): an ExactMatrix (int rows over one denominator)
+when every entry is rational, otherwise a complex array, with its powers
+from one table (linalg.nilpotent_powers).  So rational N with rational W
+stays in exact integer arithmetic throughout, every subspace kept as
+primitive int rows, and no rank decision on it involves a threshold; only N
+that is not rational (real N that depends on F, say) takes the float path.
+A NilpotentOrbit maps its N into the coordinates of W once, and tests there
+that N preserves W; horizontality, N F^p <= F^(p-1), is one test too, that
+N on the flag of F_inf lowers it by -1 (mhs.lowers).  limit_mhs hands the
+orbit's table of N', made once per tol, to relative_weight_filtration's body.
 
 relative_weight_filtration(N, W) runs in the coordinates c of v = c T, T the
 adapted basis of W (linalg.AdaptedBasis), where W_k is the span of the
@@ -42,15 +44,18 @@ monodromy filtration of the bottom block.  M goes back by c -> c T.
 
 The two characterizing axioms are re-verified on the result; failure raises
 DoesNotExist (admissibility failure).  The graded axiom compares, on each
-Gr^W_k, dim (M_j cap W_k) / (M_j cap W_(k-1)) with the dimension of the
-monodromy filtration of the diagonal block for j in [k-2n, k+2n] (for the
-bottom piece that is the base case, computed once).  The first dimension
-is a count: each step of M is row-reduced once with its pivots taken from
-the right (linalg.right_echelon), and it is the number of rows with pivot
-in d_(k-1) .. d_k - 1.  Both are step functions of j that change only at
-jumps of M or of the reference, so evaluating them at the lower end of the
-range and at every such jump inside it is the same check as evaluating
-them at every integer.
+Gr^W_k, dim (M_j cap W_k) / (M_j cap W_(k-1)) with dim W(B)_j for the
+diagonal block B, centered at k, for j in [k-2n, k+2n].  The first is a
+count: each step of M is row-reduced once with its pivots taken from the
+right (linalg.right_echelon), and it is the number of rows with pivot in
+d_(k-1) .. d_k - 1.  The second is read off the Jordan type of B: with
+kappa_e = dim ker B^e (ranks decided as for the kernels of W(B)), b_e =
+kappa_e - kappa_(e-1) blocks have size >= e (a b_e that increases raises
+NotNilpotent), and a block of size s adds one to Gr_(k+s-1-2i), i < s; B =
+0 takes no rank, and the bottom piece reads the base case.  Both are step
+functions of j that change only at jumps of M or of the reference, so
+evaluating them at the lower end of the range and at every such jump inside
+it is the same check as evaluating them at every integer.
 
 deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to
@@ -95,12 +100,15 @@ from .linalg import (
     Subspace,
     as_operator,
     check_nilpotent,
+    check_square,
     expm_nilpotent,
     maxabs,
     nilpotent_powers,
     nullspace_exact,
     nullspace_float,
     right_echelon,
+    rref_exact,
+    rref_float,
 )
 from .mhs import Filtration, MixedHodgeStructure, lowers, split_filtration, weight_filtration
 from .splitting import deligne_delta
@@ -112,7 +120,8 @@ from .splitting import deligne_delta
 def monodromy_weight_filtration(N, center: int = 0,
                                 tol: float = DEFAULT_TOL) -> Filtration:
     """The unique filtration with N W_k <= W_{k-2} and N^j : Gr_{c+j} ~ Gr_{c-j}."""
-    return _monodromy_from_powers(nilpotent_powers(as_operator(N), tol), center, tol)
+    N = as_operator(N)
+    return _monodromy_from_powers(nilpotent_powers(check_square(N, len(N)), tol), center, tol)
 
 
 def _monodromy_from_powers(powers: list, center: int, tol: float) -> Filtration:
@@ -170,16 +179,17 @@ def _gr_dim(filt: Filtration, k: int) -> int:
 
 
 def relative_weight_filtration(N, W: Filtration, tol: float = DEFAULT_TOL) -> Filtration:
-    return _relative_from_operator(W.adapted_basis().operator(as_operator(N)), W, tol)
-
-
-def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
-    """The body of relative_weight_filtration, from its
-    N' = W.adapted_basis().operator(N)."""
-    flag = W.adapted_basis()
+    Np = W.adapted_basis().operator(check_square(as_operator(N), W.ambient_dim))
     powers = nilpotent_powers(Np, tol)
     if not lowers(W, Np, 0, tol):
         raise DoesNotExist("N does not preserve the weight filtration")
+    return _relative_from_powers(powers, W, tol)
+
+
+def _relative_from_powers(powers: list, W: Filtration, tol: float) -> Filtration:
+    """The body of relative_weight_filtration, from the power table of its
+    N' = W.adapted_basis().operator(N), which preserves W."""
+    flag = W.adapted_basis()
     base, M_steps = _relative_rec(powers, W.indices, flag.dims, tol)
     try:
         filt = _steps_to_filtration(M_steps, W.ambient_dim, tol)
@@ -259,10 +269,26 @@ def _steps_to_filtration(M: dict[int, Subspace], n: int,
     return weight_filtration(steps, n, tol)
 
 
+def _jordan_graded(powers: list, center: int, tol: float) -> dict[int, int]:
+    """j -> dim Gr_j of the monodromy filtration of N, off the Jordan type
+    of N read from its power table (see the module docstring)."""
+    n, m = len(powers[0]), len(powers) - 1
+    # kappa_e = dim ker N^e, a rank decided as _monodromy_from_powers decides it
+    kappa = [0, *(n - len((rref_exact(P.num) if isinstance(P, ExactMatrix) else
+                           rref_float(P, tol))[1]) for P in powers[1:m]), n]
+    b = [*(y - x for x, y in zip(kappa, kappa[1:])), 0]   # b[e-1]: blocks of size >= e
+    if any(y > x for x, y in zip(b, b[1:])):
+        raise NotNilpotent("kernel dimensions of the powers of N admit no Jordan type")
+    # b[s-1] - b[s] blocks of size s, each adding one to Gr_j, j = c+s-1, c+s-3, .., c-s+1
+    return {j: sum(b[s - 1] - b[s] for s in range(abs(j - center) + 1, m + 1, 2))
+            for j in range(center - m + 1, center + m)}
+
+
 def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tuple[int, ...],
                      base: Filtration, tol: float) -> None:
     """Both axioms of M = M(N, W) in the coordinates of T, from the power
-    table of N'; the graded one by pivot counts (see the module docstring)."""
+    table of N'; the graded one by pivot counts against the Jordan type of
+    each diagonal block (see the module docstring)."""
     for k in M.indices:
         if not M.at(k - 2).contains(M.at(k).image_under(powers[1], tol), tol):
             raise DoesNotExist("candidate filtration is not lowered by two under N")
@@ -271,12 +297,14 @@ def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tupl
     pivots = [right_echelon(s.exact if s.is_exact() else s.basis, tol)[1] for _, s in M.steps]
     lo = 0
     for k, d in zip(weights, dims):
-        ref = _monodromy_from_powers(_block_powers(powers, lo, d, tol), k, tol) if lo else base
+        # the reference, j -> dim Gr_j
+        ref = (_jordan_graded(_block_powers(powers, lo, d, tol), k, tol) if lo else
+               {j: base.dim_at(j) - base.dim_at(j - 1) for j in base.indices})
         first, last = k - 2 * n, k + 2 * n
-        for j in sorted({first, *(i for i in keys + ref.indices if first < i <= last)}):
+        for j in sorted({first, *(i for i in [*keys, *ref] if first < i <= last)}):
             i = bisect_right(keys, j)
             got = sum(lo <= p < d for p in pivots[i - 1]) if i else 0
-            if got != ref.at(j).dim:
+            if got != sum(g for x, g in ref.items() if x <= j):
                 raise DoesNotExist(
                     f"induced filtration on Gr_{k} differs from the monodromy filtration")
         lo = d
@@ -360,9 +388,10 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
                            tol: float = DEFAULT_TOL) -> DeligneSystem:
     """The unique grading Y' of W commuting with Y whose sl2 completion
     satisfies [N - N0, N0+] = 0; all invariants re-verified before returning."""
-    Y = np.asarray(Y, dtype=complex)
+    Y = check_square(np.asarray(Y, dtype=complex), W.ambient_dim, "Y")
     evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
-    return _deligne_system(W, N, Y, _eigenspaces(Y, evs, tol).values(), tol)
+    return _deligne_system(W, check_square(N, W.ambient_dim), Y,
+                           _eigenspaces(Y, evs, tol).values(), tol)
 
 
 def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
@@ -448,20 +477,29 @@ class NilpotentOrbit:
         self.W = W
         self.F_inf = F_inf
         self.dim = W.ambient_dim
-        # the one N of the orbit path, and its complex copy
-        self.monodromy = as_operator(N)
+        # the one N of the orbit path, n x n, and its complex copy
+        self.monodromy = check_square(as_operator(N), self.dim)
         self.N = np.array(self.monodromy, dtype=complex)
         # N^k / k! off the table of the nilpotency check, for exp(zN)
         self._series = [np.array(P, dtype=complex) / factorial(k)
                         for k, P in enumerate(nilpotent_powers(self.monodromy, tol))]
-        # N' = N in the coordinates of W, which limit_mhs reads
+        # N' = N in the coordinates of W, and its power tables by tol (_operator_powers)
         self.operator = W.adapted_basis().operator(self.monodromy)
+        self._tol, self._tables = tol, {}
         if not lowers(W, self.operator, 0, tol):
             raise NotNilpotent("N must preserve the weight filtration")
-        for p in F_inf.indices:
-            moved = F_inf.at(p).image_under(self.monodromy, tol)
-            if not F_inf.at(p - 1).contains(moved, tol):
-                raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
+        # N F^p <= F^(p-1): N in the coordinates of the flag of F_inf lowers it by -1
+        if not lowers(F_inf, F_inf.adapted_basis().operator(self.monodromy), -1, tol):
+            raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
+
+    def _operator_powers(self, tol: float) -> list:
+        """The power table of N', made and checked to preserve W once per tol."""
+        if tol not in self._tables:
+            table = nilpotent_powers(self.operator, tol)
+            if tol != self._tol and not lowers(self.W, self.operator, 0, tol):
+                raise DoesNotExist("N does not preserve the weight filtration")
+            self._tables[tol] = table
+        return self._tables[tol]
 
     def exp(self, z) -> np.ndarray:
         """exp(zN) = sum_k z^k N^k / k!, for a z or, as (m, n, n), for a stack
@@ -493,7 +531,7 @@ def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
 
 
 def limit_mhs(orbit: NilpotentOrbit, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-    M = _relative_from_operator(orbit.operator, orbit.W, tol)
+    M = _relative_from_powers(orbit._operator_powers(tol), orbit.W, tol)
     H = MixedHodgeStructure(M, orbit.F_inf)
     report = H.validate(tol)
     if not report.ok:

@@ -207,9 +207,12 @@ def nullspace_exact(M: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     """Int basis (rows) of the right null space {v : M v = 0}, one row per
     free column f of the echelon form R: v[f] = L and v[p] = -R_i[f] L / R_i[p]
     at the pivot p of each row i, L the lcm of the pivot entries it divides."""
-    if not M:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    R, piv = rref_exact(M)
+    return _echelon_kernel(*rref_exact(M), n)
+
+
+def _echelon_kernel(R: list[list[int]], piv: list[int], n: int) -> list[list[int]]:
+    """The kernel basis of nullspace_exact, read off reduced echelon rows R
+    with pivots piv (an exact Subspace's own rows, say)."""
     basis = []
     for f in (c for c in range(n) if c not in piv):
         L = lcm(*(row[p] for row, p in zip(R, piv) if row[f]))
@@ -386,7 +389,7 @@ class Subspace:
         if self.dim == 0:
             return Subspace.full(n)
         if self.is_exact():
-            return Subspace.from_integer_rows(nullspace_exact(self.exact, n), n)
+            return Subspace.from_integer_rows(_echelon_kernel(self.exact, self.pivots, n), n)
         return Subspace.from_rows(nullspace_float(self.basis, tol), n, tol)
 
     def image_under(self, A, tol: float = DEFAULT_TOL) -> "Subspace":
@@ -405,17 +408,17 @@ class Subspace:
         return Subspace.from_rows(self.basis @ np.asarray(A, dtype=complex).T, out_dim, tol)
 
     def preimage_under(self, A, tol: float = DEFAULT_TOL) -> "Subspace":
-        """{v : A v in S}."""
+        """{v : A v in S}; over Q, S's annihilator is read off its own rows."""
         n = self.ambient_dim
-        ann = self.annihilator(tol)
-        if ann.dim == 0:
+        if self.dim == n:
             return Subspace.full(n)
-        if ann.is_exact():
+        if self.is_exact():
             A = as_operator(A)
             if isinstance(A, ExactMatrix):
-                rows = [_combination(phi, A.num, n) for phi in ann.exact]
+                rows = [_combination(phi, A.num, n)
+                        for phi in _echelon_kernel(self.exact, self.pivots, n)]
                 return Subspace.from_integer_rows(nullspace_exact(rows, n), n)
-        M = ann.basis @ np.asarray(A, dtype=complex)
+        M = self.annihilator(tol).basis @ np.asarray(A, dtype=complex)
         return Subspace.from_rows(nullspace_float(M, tol), n, tol)
 
 
@@ -578,6 +581,14 @@ def as_operator(A):
         return A
     scaled = _over_one_denominator(A)
     return np.asarray(A, dtype=complex) if scaled is None else ExactMatrix(*scaled)
+
+
+def check_square(A, n: int, name: str = "N"):
+    """A, an ExactMatrix or an array, if n x n; else DimensionMismatch."""
+    shape = (len(A.num), *{len(r) for r in A.num}) if isinstance(A, ExactMatrix) else np.shape(A)
+    if shape != (n, n):
+        raise DimensionMismatch(f"{name} must be {n} x {n}, got {' x '.join(map(str, shape))}")
+    return A
 
 
 def echelonize(vectors, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> Subspace:

@@ -544,15 +544,18 @@ def is_hodge_tate(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> bool:
 
 
 def adapted_weights(W: Filtration) -> np.ndarray:
-    """The weight of each coordinate of the adapted basis of W."""
+    """The weight of each coordinate of the adapted basis of W; on a decreasing
+    filtration (steps taken by increasing dimension) the level p of F^p, negated."""
     dims = W.adapted_basis().dims
-    return np.array([k for k, a, b in zip(W.indices, (0, *dims), dims) for _ in range(b - a)])
+    levels = W.indices if W.increasing else [-p for p in reversed(W.indices)]
+    return np.array([k for k, a, b in zip(levels, (0, *dims), dims) for _ in range(b - a)])
 
 
 def lowers(W: Filtration, A, by: int, tol: float = DEFAULT_TOL) -> bool:
     """Whether A in the coordinates of W (AdaptedBasis.operator) lowers W by
     at least by (preserves it, by = 0): its entries (i, j) with w_i > w_j - by
-    vanish, exactly on an ExactMatrix, else to tol * max(max |A|, 1)."""
+    vanish, exactly on an ExactMatrix, else to tol * max(max |A|, 1).  On a
+    decreasing F, by = -1 is Griffiths transversality, A F^p <= F^(p-1)."""
     w = adapted_weights(W)
     off = w[:, None] > w - by
     if isinstance(A, ExactMatrix):

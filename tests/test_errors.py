@@ -19,7 +19,12 @@ from hodgeheight.errors import (
     NotOriented,
 )
 from hodgeheight.height import Orientation, OrientedMHS, _check_oriented, check_functoriality
-from hodgeheight.limits import NilpotentOrbit, deligne_system_grading
+from hodgeheight.limits import (
+    NilpotentOrbit,
+    deligne_system_grading,
+    monodromy_weight_filtration,
+    relative_weight_filtration,
+)
 from hodgeheight.linalg import Subspace
 from hodgeheight.mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
@@ -172,6 +177,26 @@ CASES = {
     "grading-input": (lambda: deligne_system_grading(cubic_orbit()[0].W, cubic_orbit()[0].N,
                                                      np.zeros((4, 4))),
                       ConstructionFailed, "[Y, N] = -2N fails on the input"),
+    # an N or a Y of the wrong shape is refused where it enters the orbit path,
+    # naming the shape that W's dimension asks for
+    "orbit-nilpotent-not-square": (lambda: _cubic_orbit_with(np.zeros((4, 3))),
+                                   DimensionMismatch, "N must be 4 x 4, got 4 x 3"),
+    "orbit-nilpotent-too-small": (lambda: _cubic_orbit_with(np.zeros((3, 3))),
+                                  DimensionMismatch, "N must be 4 x 4, got 3 x 3"),
+    "monodromy-nilpotent-not-square": (lambda: monodromy_weight_filtration(np.zeros((4, 3))),
+                                       DimensionMismatch, "N must be 4 x 4, got 4 x 3"),
+    "relative-nilpotent-not-square": (
+        lambda: relative_weight_filtration(np.zeros((4, 3)), cubic_orbit()[0].W),
+        DimensionMismatch, "N must be 4 x 4, got 4 x 3"),
+    "grading-not-square": (lambda: deligne_system_grading(cubic_orbit()[0].W, cubic_orbit()[0].N,
+                                                          np.eye(3)),
+                           DimensionMismatch, "Y must be 4 x 4, got 3 x 3"),
+    "grading-nilpotent-not-square": (
+        lambda: deligne_system_grading(cubic_orbit()[0].W, np.zeros((4, 3)), np.eye(4)),
+        DimensionMismatch, "N must be 4 x 4, got 4 x 3"),
+    "variation-nilpotent-not-square": (
+        lambda: _variation(dilog_variation(), nilpotents=(np.zeros((3, 2)),)),
+        DimensionMismatch, "N must be 3 x 3, got 3 x 2"),
 }
 
 

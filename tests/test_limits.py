@@ -1,8 +1,10 @@
+import re
 import sys
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import (
@@ -899,8 +901,12 @@ def test_monodromy_filtration_computes_each_kernel_once(monkeypatch):
 
 def test_relative_filtration_builds_no_float_basis_for_its_kernels(monkeypatch):
     # the kernels of the powers of N' are exact and only summed, pushed and
-    # compared exactly, so their float bases are never built
+    # compared exactly, so their float bases are never built.  Only the
+    # bottom block's monodromy filtration takes kernels (the other graded
+    # pieces are checked by their Jordan types), so the input's bottom block
+    # has a nonzero N: a Jordan block of size 2 at weight -1, under e0 at 2
     from hodgeheight import limits
+    from hodgeheight.mhs import split_filtration
 
     nullspace, from_integer_rows = limits.nullspace_exact, Subspace.from_integer_rows
     kernel_rows, kernels = [], []
@@ -917,8 +923,7 @@ def test_relative_filtration_builds_no_float_basis_for_its_kernels(monkeypatch):
 
     monkeypatch.setattr(limits, "nullspace_exact", marked)
     monkeypatch.setattr(Subspace, "from_integer_rows", staticmethod(recorded))
-    orbit, _ = cubic_orbit()
-    relative_weight_filtration(orbit.N, orbit.W)
+    relative_weight_filtration(shift_matrix(3), split_filtration([2, -1, -1], True))
     assert kernels and all(S._basis is None for S in kernels)
     # a float basis read afterwards is built as the rows over their pivots
     S = kernels[0]
@@ -1046,9 +1051,10 @@ def test_relative_filtration_makes_no_intersection(monkeypatch):
     assert calls == []
 
 
-def test_monodromy_filtration_runs_once_per_graded_piece(monkeypatch):
+def test_monodromy_filtration_runs_once_per_call(monkeypatch):
     # the bottom piece's filtration is the base case of the recursion, and
-    # the graded check reuses it
+    # the graded check reuses it; the other pieces are checked by their
+    # Jordan types, with no filtration built
     from hodgeheight import limits
 
     calls = []
@@ -1065,7 +1071,7 @@ def test_monodromy_filtration_runs_once_per_graded_piece(monkeypatch):
         for Nx in (np.round(N), N / 3):
             calls.clear()
             relative_weight_filtration(Nx, W)
-            assert calls == W.indices
+            assert calls == [W.indices[0]]
 
 
 def _own_block_table(powers, lo, hi, tol):
@@ -1456,3 +1462,157 @@ def test_grades_agrees_with_the_subspace_oracle():
             assert not _grades(bad, W, 1e-9)
             broken += 1
     assert broken >= 100
+
+
+# ---------------------------------------------------------------------------
+# graded references by Jordan type
+
+
+@st.composite
+def _jordan_case(draw, bound):
+    """(N, sizes, center): an integer nilpotent with Jordan blocks of the
+    drawn sizes, n <= 7, conjugated by a unimodular integer g = P U L, the
+    entries of U and L in -bound .. bound."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7).filter(
+        lambda s: sum(s) <= 7))
+    n = sum(sizes)
+    J, at = [[0] * n for _ in range(n)], 0
+    for s in sizes:
+        for i in range(s - 1):
+            J[at + i + 1][at + i] = 1
+        at += s
+    entries = st.integers(-bound, bound)
+    U = [[int(i == j) or (draw(entries) if j > i else 0) for j in range(n)] for i in range(n)]
+    L = [[int(i == j) or (draw(entries) if j < i else 0) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    UL = matmul(U, L)
+    g = [UL[p] for p in perm]
+    N = matmul(matmul(g, J), inverse(g))
+    assert all(x.denominator == 1 for row in N for x in row)
+    N = np.array([[int(x) for x in row] for row in N], dtype=float)
+    return N, sizes, draw(st.integers(-2, 2))
+
+
+def _assert_jordan_reference(N, sizes, center, paths):
+    """The graded dimensions read off the Jordan type of N (and of N / 3,
+    on the float path) are those of the drawn blocks and those of the
+    monodromy filtration on the given paths, at every index."""
+    from hodgeheight import limits
+    from hodgeheight.linalg import as_operator, nilpotent_powers
+
+    n = len(N)
+    want = {j: sum(1 for s in sizes for i in range(s) if center + s - 1 - 2 * i == j)
+            for j in range(center - n, center + n + 1)}
+    for Nx, path in ((N, "exact"), (N / 3, "float")):
+        graded = limits._jordan_graded(nilpotent_powers(as_operator(Nx), TOL), center, TOL)
+        assert {j: graded.get(j, 0) for j in want} == want
+        if path in paths:
+            filt = monodromy_weight_filtration(Nx, center)
+            assert {j: filt.dim_at(j) - filt.dim_at(j - 1) for j in want} == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_jordan_case(1))
+def test_jordan_type_reference_is_the_monodromy_filtration(case):
+    _assert_jordan_reference(*case, paths=("exact", "float"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jordan_case(2))
+def test_jordan_type_reference_of_a_larger_conjugate(case):
+    # with U and L in -2 .. 2 about 7% of the float monodromy filtrations
+    # fail their own axiom check (the xfail below), so only the exact one
+    # is compared; the Jordan reading is right on both paths
+    _assert_jordan_reference(*case, paths=("exact",))
+
+
+@pytest.mark.xfail(strict=True, raises=NotNilpotent,
+                   reason="the float monodromy filtration of an ill-conditioned conjugate fails "
+                          "its N W_k <= W_(k-2) check at tol 1e-9 (passes at 1e-8)")
+def test_float_monodromy_filtration_of_an_ill_conditioned_conjugate():
+    # Jordan blocks of sizes 2 and 4, conjugated by g = P U L with entries
+    # in -2 .. 2 (entries up to 110): the exact path succeeds
+    N = np.array([[-6, 5, -11, 14, -42, 53], [-1, 2, -3, 6, -13, 16],
+                  [-11, 12, -23, 31, -87, 110], [5, -5, 10, -14, 39, -49],
+                  [-1, 1, -2, 1, -5, 7], [-5, 5, -10, 12, -36, 46]], dtype=float)
+    _assert_jordan_reference(N, [2, 4], 0, paths=("exact", "float"))
+
+
+def test_jordan_type_that_grows_raises_not_nilpotent():
+    # kernel dimensions 0, 1, 3, 3 of a hand-made table: one block of size
+    # >= 1 but two of size >= 2, which no nilpotent has
+    from hodgeheight import limits
+    from hodgeheight.linalg import ExactMatrix
+
+    def exact(rows):
+        return ExactMatrix([list(r) for r in rows])
+
+    I, A, Z = np.eye(3, dtype=int), [[0, 0, 0], [1, 0, 0], [0, 1, 0]], np.zeros((3, 3), dtype=int)
+    table = [exact(I), exact(A), exact(Z), exact(Z)]
+    with pytest.raises(NotNilpotent, match="Jordan type"):
+        limits._jordan_graded(table, 0, TOL)
+    with pytest.raises(NotNilpotent, match="Jordan type"):
+        limits._jordan_graded([np.asarray(np.array(P), dtype=complex) for P in table], 0, TOL)
+
+
+# ---------------------------------------------------------------------------
+# horizontality verdicts
+
+
+HORIZONTALITY = "N must shift the Hodge filtration by one (horizontality)"
+
+
+def _suite_orbits():
+    """(name, W, N, F_inf) of the orbits the suite and the benchmark build."""
+    from hodgeheight.variations import random_hodge_tate
+
+    orbit, _ = cubic_orbit()
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        # the cubic orbit with F_inf moved by exp(lam N), lam as the benchmark draws it
+        G = expm_nilpotent(complex(rng.normal(), rng.normal()) * orbit.N)
+        yield "cubic", orbit.W, orbit.N, orbit.F_inf.map_spaces(lambda sp: sp.image_under(G))
+    for v in (dilog_variation(), *(random_hodge_tate((1, 2, 2, 1), 2, seed) for seed in range(3))):
+        for N in v.nilpotents:
+            yield "variation", v.W, N, v.F_inf
+    for _, o, _ in _biextension_orbits():
+        yield "biextension", o.W, o.N, o.F_inf
+
+
+def _horizontal(N, F, tol=1e-8):
+    """N F^p <= F^(p-1) for every p, by singular values."""
+    def rank(A):
+        sv = np.linalg.svd(A, compute_uv=False)
+        return int((sv > tol * max(1.0, sv[0])).sum()) if len(sv) else 0
+
+    return all(rank(np.vstack([F.at(p - 1).basis, F.at(p).basis @ N.T])) == F.at(p - 1).dim
+               for p in F.indices)
+
+
+def _weight_of(W, i):
+    unit = Subspace.from_rows([[int(i == j) for j in range(W.ambient_dim)]], W.ambient_dim)
+    return min(k for k, S in W.steps if S.contains(unit))
+
+
+def test_horizontality_verdicts_of_the_suite_orbits():
+    # every orbit the suite builds is accepted, also with N scaled by 1e6;
+    # an entry of 1e-3 max |N| that lowers W but moves some F^p out of
+    # F^(p-1) is refused with the horizontality message
+    broken = set()
+    for name, W, N, F in _suite_orbits():
+        n = W.ambient_dim
+        N = np.real(np.asarray(N, dtype=complex))
+        w = [_weight_of(W, i) for i in range(n)]
+        for scale in (1.0, 1e6):
+            Ns = scale * N
+            NilpotentOrbit(W, Ns, F)
+            for i, j in ((i, j) for i in range(n) for j in range(n) if w[i] < w[j]):
+                bad = Ns.copy()
+                bad[i, j] += 1e-3 * maxabs(Ns)
+                nilpotent = maxabs(np.linalg.matrix_power(bad, n)) <= 1e-12 * maxabs(bad) ** n
+                if not nilpotent or _horizontal(bad, F):
+                    continue
+                with pytest.raises(NotNilpotent, match=re.escape(HORIZONTALITY)):
+                    NilpotentOrbit(W, bad, F)
+                broken.add(name)
+    assert broken == {"cubic", "variation", "biextension"}
