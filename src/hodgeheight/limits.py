@@ -15,10 +15,8 @@ from one table (linalg.nilpotent_powers).  So rational N with rational W
 stays in exact integer arithmetic throughout, every subspace kept as
 primitive int rows, and no rank decision on it involves a threshold; only N
 that is not rational (real N that depends on F, say) takes the float path.
-A NilpotentOrbit maps its N into the coordinates of W once, and tests there
-that N preserves W; horizontality, N F^p <= F^(p-1), is one test too, that
-N on the flag of F_inf lowers it by -1 (mhs.lowers).  limit_mhs hands the
-orbit's table of N', made once per tol, to relative_weight_filtration's body.
+A NilpotentOrbit maps its N into the coordinates of W once, where limit_mhs
+reads it; horizontality, N F^p <= F^(p-1), is mhs.lowers by -1 on F_inf.
 
 relative_weight_filtration(N, W) runs in the coordinates c of v = c T, T the
 adapted basis of W (linalg.AdaptedBasis), where W_k is the span of the
@@ -44,15 +42,12 @@ monodromy filtration of the bottom block.  M goes back by c -> c T.
 
 The two characterizing axioms are re-verified on the result; failure raises
 DoesNotExist (admissibility failure).  The graded axiom compares, on each
-Gr^W_k, dim (M_j cap W_k) / (M_j cap W_(k-1)) with dim W(B)_j for the
-diagonal block B, centered at k, for j in [k-2n, k+2n].  The first is a
-count: each step of M is row-reduced once with its pivots taken from the
-right (linalg.right_echelon), and it is the number of rows with pivot in
-d_(k-1) .. d_k - 1.  The second is read off the Jordan type of B: with
-kappa_e = dim ker B^e (ranks decided as for the kernels of W(B)), b_e =
-kappa_e - kappa_(e-1) blocks have size >= e (a b_e that increases raises
-NotNilpotent), and a block of size s adds one to Gr_(k+s-1-2i), i < s; B =
-0 takes no rank, and the bottom piece reads the base case.  Both are step
+Gr^W_k and for j in [k-2n, k+2n], dim (M_j cap W_k) / (M_j cap W_(k-1)),
+the number of rows of the right echelon of M_j (linalg.right_echelon) with
+pivot in d_(k-1) .. d_k - 1, with dim Gr_j W(B), B the diagonal block, at
+center k: the bottom piece reads the base case, the others B's Jordan type
+(b_e = dim ker B^e - dim ker B^(e-1) blocks of size >= e, NotNilpotent if
+b_e grows; one of size s adds one to Gr_(k+s-1-2i), i < s).  Both are step
 functions of j that change only at jumps of M or of the reference, so
 evaluating them at the lower end of the range and at every such jump inside
 it is the same check as evaluating them at every integer.
@@ -179,17 +174,17 @@ def _gr_dim(filt: Filtration, k: int) -> int:
 
 
 def relative_weight_filtration(N, W: Filtration, tol: float = DEFAULT_TOL) -> Filtration:
-    Np = W.adapted_basis().operator(check_square(as_operator(N), W.ambient_dim))
-    powers = nilpotent_powers(Np, tol)
-    if not lowers(W, Np, 0, tol):
-        raise DoesNotExist("N does not preserve the weight filtration")
-    return _relative_from_powers(powers, W, tol)
+    N = check_square(as_operator(N), W.ambient_dim)
+    return _relative_from_operator(W.adapted_basis().operator(N), W, tol)
 
 
-def _relative_from_powers(powers: list, W: Filtration, tol: float) -> Filtration:
-    """The body of relative_weight_filtration, from the power table of its
-    N' = W.adapted_basis().operator(N), which preserves W."""
+def _relative_from_operator(Np, W: Filtration, tol: float, preserves: bool = False) -> Filtration:
+    """The body of relative_weight_filtration, from its
+    N' = W.adapted_basis().operator(N), known to preserve W if preserves."""
     flag = W.adapted_basis()
+    powers = nilpotent_powers(Np, tol)
+    if not (preserves or lowers(W, Np, 0, tol)):
+        raise DoesNotExist("N does not preserve the weight filtration")
     base, M_steps = _relative_rec(powers, W.indices, flag.dims, tol)
     try:
         filt = _steps_to_filtration(M_steps, W.ambient_dim, tol)
@@ -270,8 +265,7 @@ def _steps_to_filtration(M: dict[int, Subspace], n: int,
 
 
 def _jordan_graded(powers: list, center: int, tol: float) -> dict[int, int]:
-    """j -> dim Gr_j of the monodromy filtration of N, off the Jordan type
-    of N read from its power table (see the module docstring)."""
+    """j -> dim Gr_j of W(N) at center, off N's Jordan type (module docstring)."""
     n, m = len(powers[0]), len(powers) - 1
     # kappa_e = dim ker N^e, a rank decided as _monodromy_from_powers decides it
     kappa = [0, *(n - len((rref_exact(P.num) if isinstance(P, ExactMatrix) else
@@ -287,8 +281,7 @@ def _jordan_graded(powers: list, center: int, tol: float) -> dict[int, int]:
 def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tuple[int, ...],
                      base: Filtration, tol: float) -> None:
     """Both axioms of M = M(N, W) in the coordinates of T, from the power
-    table of N'; the graded one by pivot counts against the Jordan type of
-    each diagonal block (see the module docstring)."""
+    table of N'; the graded one by pivot counts (see the module docstring)."""
     for k in M.indices:
         if not M.at(k - 2).contains(M.at(k).image_under(powers[1], tol), tol):
             raise DoesNotExist("candidate filtration is not lowered by two under N")
@@ -297,9 +290,8 @@ def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tupl
     pivots = [right_echelon(s.exact if s.is_exact() else s.basis, tol)[1] for _, s in M.steps]
     lo = 0
     for k, d in zip(weights, dims):
-        # the reference, j -> dim Gr_j
         ref = (_jordan_graded(_block_powers(powers, lo, d, tol), k, tol) if lo else
-               {j: base.dim_at(j) - base.dim_at(j - 1) for j in base.indices})
+               {j: _gr_dim(base, j) for j in base.indices})   # j -> dim Gr_j
         first, last = k - 2 * n, k + 2 * n
         for j in sorted({first, *(i for i in [*keys, *ref] if first < i <= last)}):
             i = bisect_right(keys, j)
@@ -390,14 +382,13 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     satisfies [N - N0, N0+] = 0; all invariants re-verified before returning."""
     Y = check_square(np.asarray(Y, dtype=complex), W.ambient_dim, "Y")
     evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
-    return _deligne_system(W, check_square(N, W.ambient_dim), Y,
-                           _eigenspaces(Y, evs, tol).values(), tol)
+    return _deligne_system(W, N, Y, _eigenspaces(Y, evs, tol).values(), tol)
 
 
 def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
                     tol: float) -> DeligneSystem:
     """The body of deligne_system_grading, from the bases (rows) of Y's eigenspaces."""
-    N = np.asarray(N, dtype=complex)
+    N = check_square(np.asarray(N, dtype=complex), W.ambient_dim)
     n = W.ambient_dim
     scale = max(maxabs(N), maxabs(Y), 1.0)
     if maxabs(Y @ N - N @ Y + 2 * N) > 1e3 * tol * scale:
@@ -483,23 +474,12 @@ class NilpotentOrbit:
         # N^k / k! off the table of the nilpotency check, for exp(zN)
         self._series = [np.array(P, dtype=complex) / factorial(k)
                         for k, P in enumerate(nilpotent_powers(self.monodromy, tol))]
-        # N' = N in the coordinates of W, and its power tables by tol (_operator_powers)
-        self.operator = W.adapted_basis().operator(self.monodromy)
-        self._tol, self._tables = tol, {}
+        # N' = N in the coordinates of W, which limit_mhs reads, checked at tol
+        self.operator, self._tol = W.adapted_basis().operator(self.monodromy), tol
         if not lowers(W, self.operator, 0, tol):
             raise NotNilpotent("N must preserve the weight filtration")
-        # N F^p <= F^(p-1): N in the coordinates of the flag of F_inf lowers it by -1
         if not lowers(F_inf, F_inf.adapted_basis().operator(self.monodromy), -1, tol):
             raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
-
-    def _operator_powers(self, tol: float) -> list:
-        """The power table of N', made and checked to preserve W once per tol."""
-        if tol not in self._tables:
-            table = nilpotent_powers(self.operator, tol)
-            if tol != self._tol and not lowers(self.W, self.operator, 0, tol):
-                raise DoesNotExist("N does not preserve the weight filtration")
-            self._tables[tol] = table
-        return self._tables[tol]
 
     def exp(self, z) -> np.ndarray:
         """exp(zN) = sum_k z^k N^k / k!, for a z or, as (m, n, n), for a stack
@@ -531,7 +511,7 @@ def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
 
 
 def limit_mhs(orbit: NilpotentOrbit, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-    M = _relative_from_powers(orbit._operator_powers(tol), orbit.W, tol)
+    M = _relative_from_operator(orbit.operator, orbit.W, tol, preserves=tol == orbit._tol)
     H = MixedHodgeStructure(M, orbit.F_inf)
     report = H.validate(tol)
     if not report.ok:

@@ -204,15 +204,14 @@ def nullspace_float(M: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
 
 
 def nullspace_exact(M: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Int basis (rows) of the right null space {v : M v = 0}, one row per
-    free column f of the echelon form R: v[f] = L and v[p] = -R_i[f] L / R_i[p]
-    at the pivot p of each row i, L the lcm of the pivot entries it divides."""
+    """Int basis (rows) of the right null space {v : M v = 0}."""
     return _echelon_kernel(*rref_exact(M), n)
 
 
 def _echelon_kernel(R: list[list[int]], piv: list[int], n: int) -> list[list[int]]:
-    """The kernel basis of nullspace_exact, read off reduced echelon rows R
-    with pivots piv (an exact Subspace's own rows, say)."""
+    """Int kernel basis of reduced echelon rows R, pivots piv (a Subspace's own,
+    say): per free column f, v[f] = L and v[p] = -R_i[f] L / R_i[p] at the pivot
+    p of each row i, L the lcm of the pivot entries it divides."""
     basis = []
     for f in (c for c in range(n) if c not in piv):
         L = lcm(*(row[p] for row, p in zip(R, piv) if row[f]))

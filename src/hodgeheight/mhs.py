@@ -544,8 +544,7 @@ def is_hodge_tate(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> bool:
 
 
 def adapted_weights(W: Filtration) -> np.ndarray:
-    """The weight of each coordinate of the adapted basis of W; on a decreasing
-    filtration (steps taken by increasing dimension) the level p of F^p, negated."""
+    """The weight of each coordinate of the adapted basis of W (-p on F^p)."""
     dims = W.adapted_basis().dims
     levels = W.indices if W.increasing else [-p for p in reversed(W.indices)]
     return np.array([k for k, a, b in zip(levels, (0, *dims), dims) for _ in range(b - a)])

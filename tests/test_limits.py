@@ -1538,6 +1538,53 @@ def test_float_monodromy_filtration_of_an_ill_conditioned_conjugate():
     _assert_jordan_reference(N, [2, 4], 0, paths=("exact", "float"))
 
 
+def _with_a_bottom_piece(B):
+    """(N, W): B as the top piece, weight 3, of W over a one-dimensional
+    bottom piece of weight 0 on which N is zero."""
+    from hodgeheight.mhs import split_filtration
+
+    n = len(B) + 1
+    N = np.zeros((n, n), dtype=complex)
+    N[1:, 1:] = B
+    return N, split_filtration([0] + [3] * len(B), True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jordan_case(2))
+def test_ill_conditioned_block_above_the_bottom_is_read_by_its_jordan_type(case):
+    # a float block as the piece of W above the bottom one: M is refused
+    # with DoesNotExist (always, for a Jordan block of size >= 3 there) or
+    # found, with the graded pieces of the block's Jordan type, also where
+    # the block's own monodromy filtration fails
+    B, sizes, _ = case
+    try:
+        M = relative_weight_filtration(*_with_a_bottom_piece(B / 3))
+    except DoesNotExist:
+        return
+    want = {j: int(j == 0) + sum(1 for s in sizes for i in range(s) if 3 + s - 1 - 2 * i == j)
+            for j in range(-8, 12)}
+    assert {j: M.dim_at(j) - M.dim_at(j - 1) for j in want} == want
+
+
+def test_ill_conditioned_block_above_the_bottom_is_accepted():
+    # Jordan blocks (2, 2, 2) conjugated by a unimodular g = P U L, U and L
+    # in -5 .. 5, divided by 3: the block's own float monodromy filtration
+    # fails its N W_k <= W_(k-2) check, which made the graded check raise
+    # NotNilpotent when it was the reference; read off the block's Jordan
+    # type, the graded check accepts M, which is the exact path's M
+    B = np.array([[8630, 179, -421, 2993, 648, 38], [-22515, -464, 1096, -7807, -1689, -96],
+                  [5877, 123, -286, 2040, 443, 27], [-28032, -581, 1368, -9721, -2104, -123],
+                  [22950, 474, -1121, 7956, 1720, 99], [27781, 575, -1352, 9636, 2087, 121]],
+                 dtype=float)
+    with pytest.raises(NotNilpotent, match="N W_k <= W_"):
+        monodromy_weight_filtration(B / 3, 3)
+    M = relative_weight_filtration(*_with_a_bottom_piece(B / 3))
+    exact = relative_weight_filtration(*_with_a_bottom_piece(B))
+    assert [(k, S.dim) for k, S in M.steps] == [(k, S.dim) for k, S in exact.steps] \
+        == [(0, 1), (2, 4), (4, 7)]
+    assert all(M.at(k).equals(exact.at(k), 1e-6) for k in M.indices)
+
+
 def test_jordan_type_that_grows_raises_not_nilpotent():
     # kernel dimensions 0, 1, 3, 3 of a hand-made table: one block of size
     # >= 1 but two of size >= 2, which no nilpotent has
