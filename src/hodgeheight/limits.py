@@ -70,10 +70,21 @@ nonzero: b_i = b_j and a_i - a_j = 2 for N0+, a_i = a_j and b_i - b_j =
 gamma = R_(-j0) is solved by least squares on them.  The final pieces and
 every bracket identity are verified post hoc; the final projectors stay on
 the DeligneSystem, read-only, for the limit_height read.
+
+An orbit fiber is its fiber at i moved by a real g (Schmid 1973; Cattani-
+Kaplan-Schmid 1986): the weight grading Y of the limit (M, F_inf) preserves
+F_inf and [Y, N] = -2N, so exp(zN) F_inf = g exp(iN) F_inf, g = exp(xN)
+y^(-Y/2), for z = x + iy, y > 0.  NilpotentOrbit.fiber checks once per tol
+that Y is real (the limit is R-split), preserves W and has [Y, N] = -2N, and
+validates the literal fiber at i; each fiber keeps its literal F and takes
+that bigrading moved by g, checked by its conjugation residual alone.  Any
+other point or orbit (y <= 0, N not real, a failed check, a Hodge-Tate base,
+a HodgeError, a moved frame not finite) takes the lattice of moved_fiber.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import factorial
 from types import MappingProxyType
@@ -84,6 +95,7 @@ from .config import DEFAULT_TOL
 from .errors import (
     ConstructionFailed,
     DoesNotExist,
+    HodgeError,
     MalformedFiltration,
     NotAnMHS,
     NotNilpotent,
@@ -465,9 +477,7 @@ class NilpotentOrbit:
     """(W, N, F_inf) with N nilpotent, preserving W and horizontal for F_inf."""
 
     def __init__(self, W: Filtration, N, F_inf: Filtration, tol: float = DEFAULT_TOL):
-        self.W = W
-        self.F_inf = F_inf
-        self.dim = W.ambient_dim
+        self.W, self.F_inf, self.dim = W, F_inf, W.ambient_dim
         # the one N of the orbit path, n x n, and its complex copy
         self.monodromy = check_square(as_operator(N), self.dim)
         self.N = np.array(self.monodromy, dtype=complex)
@@ -480,6 +490,7 @@ class NilpotentOrbit:
             raise NotNilpotent("N must preserve the weight filtration")
         if not lowers(F_inf, F_inf.adapted_basis().operator(self.monodromy), -1, tol):
             raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
+        self._bases: dict = {}   # per tol, by the first fiber: _base's frames or None
 
     def exp(self, z) -> np.ndarray:
         """exp(zN) = sum_k z^k N^k / k!, for a z or, as (m, n, n), for a stack
@@ -489,23 +500,46 @@ class NilpotentOrbit:
             return sum(z ** k * P for k, P in enumerate(self._series))
 
     def fiber(self, z: complex, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-        return moved_fiber(self.W, self.F_inf, self.exp(z),
-                           f"orbit fiber at z = {z} is not a mixed Hodge structure: ", tol)
+        """(W, exp(zN) F_inf) = g (W, exp(iN) F_inf), g = exp(xN) y^(-Y/2): for
+        y > 0 and an orbit with a base (_base), the bigrading at i moved by g,
+        else the literal lattice of moved_fiber (module docstring)."""
+        where, g = f"orbit fiber at z = {z} is not a mixed Hodge structure: ", self.exp(z)
+        if not np.isfinite(g).all():
+            raise MalformedFiltration(where + "the move is not finite")
+        x, y, frame = complex(z).real, complex(z).imag, None
+        if y > 0 and (base := self._base(tol)):
+            lim, at_i = base
+            with np.errstate(all="ignore"):   # y^(Y/2) = C diag(y^(deg/2)) C^-1, lim's C
+                s = y ** (lim.degrees / 2)
+                frame = Frame(self.exp(x) @ (lim.C / s) @ lim.C_inv @ at_i.C,
+                              at_i.C_inv @ (lim.C * s) @ lim.C_inv @ self.exp(-x), at_i.degrees)
+            frame = frame if np.isfinite([frame.C, frame.C_inv]).all() else None
+        return moved_fiber(self.W, self.F_inf, g, where, tol, frame)
+
+    def _base(self, tol: float) -> tuple[Frame, Frame] | None:
+        """Once per tol: the limit's weight frame, if N and Y are real, Y preserves
+        W and [Y, N] = -2N, and the frame of the fiber at i if not Hodge-Tate; else None."""
+        if tol not in self._bases:
+            self._bases[tol] = None
+            with suppress(HodgeError):
+                lim = limit_mhs(self, tol).bigrading(tol).weight_frame
+                Y, N = lim.grading, self.N
+                if (max(maxabs(Y.imag), maxabs(N.imag), maxabs(Y @ N - N @ Y + 2 * N))
+                        <= tol * max(maxabs(Y), maxabs(N), 1.0)
+                        and lowers(self.W, self.W.adapted_basis().operator(Y), 0, tol)):
+                    at_i = moved_fiber(self.W, self.F_inf, self.exp(1j), "", tol).bigrading(tol)
+                    self._bases[tol] = None if at_i.period else (lim, at_i.frame)
+        return self._bases[tol]
 
 
 def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
                 tol: float = DEFAULT_TOL,
-                period: tuple[np.ndarray, np.ndarray] | None = None) -> MixedHodgeStructure:
+                known: tuple[np.ndarray, np.ndarray] | Frame | None = None) -> MixedHodgeStructure:
     """(W, g F_inf), F_inf moved as one flag (Filtration.moved): the fiber of an
-    orbit and of a variation, NotAnMHS (opened by where) if it is no MHS; a
-    Hodge-Tate fiber given its period (P, L) is one by construction.  A g that
-    is not finite raises MalformedFiltration; a period comes checked
-    (variations._moves)."""
-    if not np.isfinite(g).all():
-        raise MalformedFiltration(where + "the move is not finite")
-    H = MixedHodgeStructure(W, F_inf.moved(g, tol), period)
-    report = H.validate(tol)
-    if not report.ok:
+    orbit and of a variation, NotAnMHS (opened by where) if it is no MHS.  g and
+    known (MixedHodgeStructure) come checked finite (NilpotentOrbit.fiber, variations._moves)."""
+    H = MixedHodgeStructure(W, F_inf.moved(g, tol), known)
+    if not (report := H.validate(tol)).ok:
         raise NotAnMHS(where + "; ".join(report.failures))
     return H
 
@@ -513,9 +547,7 @@ def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
 def limit_mhs(orbit: NilpotentOrbit, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
     M = _relative_from_operator(orbit.operator, orbit.W, tol, preserves=tol == orbit._tol)
     H = MixedHodgeStructure(M, orbit.F_inf)
-    report = H.validate(tol)
-    if not report.ok:
-        raise NotAnMHS("; ".join(report.failures))
+    H.bigrading(tol)   # NotAnMHS naming the failed axioms
     return H
 
 

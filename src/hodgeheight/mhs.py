@@ -36,7 +36,8 @@ degree (a, a) on block 2a, and no direct-sum echelon or conjugation check
 is made.  A g that preserves W (lowers, the one such test) acts on each
 Gr^W and keeps the Hodge numbers; one in exp(W_-2 gl) carries the
 bigrading along, so a fiber moved from a Hodge-Tate limit comes with its
-period and needs no lattice (variations.fiber).
+period and needs no lattice (variations.fiber).  A real g that preserves W
+moves the whole bigrading, so a moved frame needs only its conjugation check.
 
 Any other pair is validated in two stages.  First the candidates must
 form a direct sum: their dimensions add to n and their stacked bases have
@@ -302,19 +303,16 @@ class ValidationReport:
 
 class MixedHodgeStructure:
     """A pair (F, W) of filtrations on a fixed rational coordinate space;
-    period, the (P, L) of a Hodge-Tate pair known by construction, skips
-    validation (module docstring)."""
+    known, the (P, L) of a Hodge-Tate pair or a moved Frame of pieces, is a
+    bigrading known by construction, which skips the lattice (module docstring)."""
 
     def __init__(self, W: Filtration, F: Filtration,
-                 period: tuple[np.ndarray, np.ndarray] | None = None):
+                 known: tuple[np.ndarray, np.ndarray] | Frame | None = None):
         if W.ambient_dim != F.ambient_dim:
             raise MalformedFiltration("W and F live on different spaces")
         if not W.increasing or F.increasing:
             raise MalformedFiltration("W must be increasing and F decreasing")
-        self.W = W
-        self.F = F
-        self.dim = W.ambient_dim
-        self._period = period
+        self.W, self.F, self.dim, self._known = W, F, W.ambient_dim, known
         # per tol: the report and, when it is ok, the bigrading
         self._validated: dict[float, tuple[ValidationReport, DeligneBigrading | None]] = {}
         # per tol: the Splitting, filled by splitting.deligne_delta
@@ -419,14 +417,19 @@ class MixedHodgeStructure:
         residual is linear in B.  See the module docstring.  When all hold,
         the bigrading is built from the same pieces and their frame and
         cached with the report.  A Hodge-Tate pair is valid by its Hodge
-        numbers alone, and its bigrading is read off its Period."""
+        numbers alone, and its bigrading is read off its Period; a known
+        Frame, by construction a direct sum meeting the F- and W-axioms, by
+        its conjugation residual."""
         if tol in self._validated:
             return self._validated[tol][0]
-        n = self.dim
-        comps, P = (None, self._period[0]) if self._period else self._component_candidates(tol)
-        bigrading, failures = None, []
+        n, known = self.dim, self._known
+        comps, P = ((self._frame_components(known, tol), None) if isinstance(known, Frame) else
+                    (None, known[0]) if known else self._component_candidates(tol))
+        bigrading, failures, frame = None, [], None
         if P is not None:
             bigrading = self._hodge_tate(P, comps, tol)
+        elif isinstance(known, Frame):
+            frame, failures = known, _conjugation_failures(known, tol)
         elif (total := sum(s.dim for s in comps.values())) != n:
             failures = [f"direct-sum: component dimensions add to {total}, expected {n}"]
         elif echelonize(np.vstack([comps[k].basis for k in sorted(comps)]), n, tol).dim != n:
@@ -434,8 +437,8 @@ class MixedHodgeStructure:
         else:
             frame = Frame.of({key: s.basis for key, s in comps.items()})
             failures = self._axiom_failures(comps, frame, tol)
-            if not failures:
-                bigrading = DeligneBigrading(comps, n, frame)
+        if frame is not None and not failures:
+            bigrading = DeligneBigrading(comps, n, frame)
         report = ValidationReport(ok=not failures, failures=tuple(failures))
         self._validated[tol] = (report, bigrading)
         return report
@@ -443,37 +446,30 @@ class MixedHodgeStructure:
     def _hodge_tate(self, P: np.ndarray, comps, tol: float) -> DeligneBigrading:
         """The bigrading of the Period of P; comps, if None, is built from C."""
         flag, w = self.W.adapted_basis(), adapted_weights(self.W)
-        L = self._period[1] if self._period else logm_unipotent(np.linalg.solve(P.conj(), P))
+        L = self._known[1] if self._known else logm_unipotent(np.linalg.solve(P.conj(), P))
         frame = Frame(flag.T.T @ P, np.linalg.inv(P) @ flag.inverse.T, np.outer(w // 2, [1, 1]))
-        blocks = {(k // 2, k // 2): w == k for k in self.weights}
         for m in (P, L, frame.C, frame.C_inv):
             m.setflags(write=False)
-        if comps is None:
-            comps = LazyMapping(lambda: {key: Subspace.from_rows(frame.C[:, b].T, self.dim, tol)
-                                         for key, b in blocks.items()})
-        return DeligneBigrading(comps, self.dim, frame, Period(P, L))
+        return DeligneBigrading(self._frame_components(frame, tol) if comps is None else comps,
+                                self.dim, frame, Period(P, L))
+
+    def _frame_components(self, frame: Frame, tol: float) -> LazyMapping:
+        """The pieces of a frame, its columns by degree, built on first read."""
+        keys = list(dict.fromkeys(map(tuple, frame.degrees.tolist())))
+        return LazyMapping(lambda: {key: Subspace.from_rows(
+            frame.C[:, (frame.degrees == key).all(1)].T, self.dim, tol) for key in keys})
 
     def _axiom_failures(self, comps: dict[tuple[int, int], Subspace], frame: Frame,
                         tol: float) -> list[str]:
         """The F-, W- and conjugation-axiom failures of a direct-sum lattice
         with its frame."""
-        failures: list[str] = []
-        for p in range(min(self.levels), max(self.levels) + 1):
-            if sum(s.dim for (a, _), s in comps.items() if a >= p) != self.F.dim_at(p):
-                failures.append(f"F-axiom: F^{p} is not the span of components with p >= {p}")
-        for k in self.weights:
-            if sum(s.dim for (a, b), s in comps.items() if a + b <= k) != self.W.at(k).dim:
-                failures.append(f"W-axiom: W_{k} is not the span of components with p+q <= {k}")
-        # conj of each basis vector in frame coordinates, cut to the columns
-        # outside its target I^{b,a} + sum_{x<b, y<a} I^{x,y}, mapped back
-        x, y = frame.degrees.T
-        target = ((x[:, None] == y) & (y[:, None] == x)) | ((x[:, None] < y) & (y[:, None] < x))
-        escaped = np.abs(frame.C @ np.where(target, 0, frame.C_inv @ frame.C.conj())).max(0)
-        for (a, b), s in comps.items():
-            if escaped[(x == a) & (y == b)].max() > tol * max(1.0, maxabs(s.basis)):
-                failures.append(f"conjugation-axiom: conj I^{(a, b)} escapes "
-                                f"I^{(b, a)} + lower terms")
-        return failures
+        return [*(f"F-axiom: F^{p} is not the span of components with p >= {p}"
+                  for p in range(min(self.levels), max(self.levels) + 1)
+                  if sum(s.dim for (a, _), s in comps.items() if a >= p) != self.F.dim_at(p)),
+                *(f"W-axiom: W_{k} is not the span of components with p+q <= {k}"
+                  for k in self.weights
+                  if sum(s.dim for (a, b), s in comps.items() if a + b <= k) != self.W.at(k).dim),
+                *_conjugation_failures(frame, tol)]
 
     def bigrading(self, tol: float = DEFAULT_TOL) -> DeligneBigrading:
         if tol not in self._validated:
@@ -482,6 +478,18 @@ class MixedHodgeStructure:
         if bigrading is None:
             raise NotAnMHS("; ".join(report.failures))
         return bigrading
+
+
+def _conjugation_failures(frame: Frame, tol: float) -> list[str]:
+    """validate's conjugation residual per piece of a frame: conj of its columns cut to the
+    columns outside the target I^{b,a} + sum_{x<b, y<a} I^{x,y}; one not finite fails."""
+    x, y = frame.degrees.T
+    target = ((x[:, None] == y) & (y[:, None] == x)) | ((x[:, None] < y) & (y[:, None] < x))
+    escaped = np.abs(frame.C @ np.where(target, 0, frame.C_inv @ frame.C.conj())).max(0)
+    return [f"conjugation-axiom: conj I^{(a, b)} escapes I^{(b, a)} + lower terms"
+            for a, b in dict.fromkeys(zip(x.tolist(), y.tolist()))
+            if not escaped[(x == a) & (y == b)].max() <= tol * max(1.0, maxabs(
+                frame.C[:, (x == a) & (y == b)]))]
 
 
 def deligne_bigrading(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> DeligneBigrading:

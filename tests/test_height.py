@@ -22,7 +22,7 @@ from hodgeheight.height import (
     height_biextension,
     rho2,
 )
-from hodgeheight.limits import limit_mhs
+from hodgeheight.limits import limit_mhs, moved_fiber
 from hodgeheight.linalg import Subspace, maxabs
 from hodgeheight.mhs import MixedHodgeStructure
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
@@ -96,32 +96,30 @@ def test_cubic_fiber_height_formula():
 @pytest.mark.parametrize("y", [57.5, 60.0, 100.0, 200.0, 260.0, 400.0, 1000.0,
                                1443.0, 1500.0, 1800.0])
 def test_cubic_fiber_height_toward_the_boundary(y):
-    # each F^p cap W_k is read off one echelon of F^p against the W-flag, so
-    # no rank decision is taken on the stacked bases of F^p and W_k; from
-    # y = 260 on, only the pieces with a nonzero Hodge number are built, so
-    # no piece that is zero at the exact answer can spoil the direct sum;
-    # from y = 1443 to 1817 the fiber holds because that echelon is taken
-    # straight from the moved rows of F_inf, each scaled to unit max-norm,
-    # not from an echelon of each moved step
+    # the cubic limit is R-split, so the fiber at iy is the fiber at i moved
+    # by the real y^(-Y/2): its bigrading is that of the fiber at i moved,
+    # with no lattice of its own (NilpotentOrbit.fiber)
     orbit, orient = cubic_orbit()
     expected = -(2.0 / 3.0) * y ** 3
-    assert height(OrientedMHS(orbit.fiber(1j * y), orient)) == pytest.approx(expected, rel=1e-9)
+    assert height(OrientedMHS(orbit.fiber(1j * y), orient)) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("y", [400.0, 1000.0, 1500.0, 1e4])
-def test_cubic_fiber_past_the_frontier_is_right_or_a_typed_error(y):
+@pytest.mark.parametrize("y", [1818.0, 3000.0, 1e4, 1e5, 1e6])
+def test_cubic_fiber_past_the_frontier_is_right(y):
+    # past y = 1817 the literal lattice of the fiber fails its direct sum
+    # (next test); the fiber moved from i does not
     orbit, orient = cubic_orbit()
-    try:
-        value = height(OrientedMHS(orbit.fiber(1j * y), orient))
-    except HodgeError:
-        return
-    assert value == pytest.approx(-(2.0 / 3.0) * y ** 3, rel=1e-9)
+    value = height(OrientedMHS(orbit.fiber(1j * y), orient))
+    assert value == pytest.approx(-(2.0 / 3.0) * y ** 3, rel=1e-12)
 
 
 def test_orbit_fiber_past_the_frontier_names_its_failed_axioms():
+    # the literal route: exp(iyN) F_inf validated by its own lattice, which
+    # loses a piece at y = 1818
     orbit, _ = cubic_orbit()
     with pytest.raises(NotAnMHS) as exc:
-        orbit.fiber(1818j)
+        moved_fiber(orbit.W, orbit.F_inf, orbit.exp(1818j),
+                    "orbit fiber at z = 1818j is not a mixed Hodge structure: ")
     assert str(exc.value) == ("orbit fiber at z = 1818j is not a mixed Hodge structure: "
                               "direct-sum: component dimensions add to 3, expected 4")
 

@@ -11,6 +11,7 @@ from hodgeheight.errors import (
     ConstructionFailed,
     DoesNotExist,
     MalformedFiltration,
+    NotAnMHS,
     NotNilpotent,
     NotOriented,
 )
@@ -24,6 +25,7 @@ from hodgeheight.limits import (
     limit_height,
     limit_mhs,
     monodromy_weight_filtration,
+    moved_fiber,
     random_deligne_system,
     relative_weight_filtration,
 )
@@ -37,6 +39,7 @@ from hodgeheight.linalg import (
 )
 from hodgeheight.mhs import is_hodge_tate, weight_filtration
 from hodgeheight.scenarios import cubic_orbit
+from hodgeheight.splitting import deligne_delta
 from hodgeheight.variations import dilog_variation
 from fraction_oracle import fractions, inverse, matmul, nullspace, rational_rows
 from test_linalg import contains_vector
@@ -594,6 +597,103 @@ def test_limit_height_computes_no_eigenspaces(monkeypatch):
     orbit, _ = orbits[0]
     deligne_system_grading(orbit.W, orbit.N, limit_mhs(orbit, TOL).bigrading(TOL).Y, TOL)
     assert calls == ["eigvals", "_eigenspaces"]
+
+
+# ---------------------------------------------------------------------------
+# orbit fibers: the fiber at i moved by a real g, or the literal lattice
+
+
+def _literal(orbit, z):
+    """The fiber at z on the literal route: F_inf moved by exp(zN), validated
+    by its lattice."""
+    return moved_fiber(orbit.W, orbit.F_inf, orbit.exp(z), "", TOL)
+
+
+@pytest.mark.parametrize("z", [0.5j, 1j, 2j, 10j, 55j, 1000j, 1817j, 0.3 + 2j, -1.7 + 55j])
+def test_an_orbit_fiber_is_its_fiber_at_i_moved_by_a_real_g(z):
+    # the cubic limit is R-split, so exp(zN) F_inf = g exp(iN) F_inf with g =
+    # exp(xN) y^(-Y/2) real and preserving W: the fiber's bigrading is the
+    # moved one of the fiber at i, and agrees with the literal lattice up to
+    # y = 1817, the last point where that lattice holds
+    orbit, orient = cubic_orbit()
+    H, L = orbit.fiber(z, TOL), _literal(orbit, z)
+    assert isinstance(H._known, Frame) and L._known is None
+    got, want = H.bigrading(TOL).weight_projectors, L.bigrading(TOL).weight_projectors
+    assert got.keys() == want.keys()
+    for k, P in want.items():
+        assert maxabs(got[k] - P) <= 1e-12 * maxabs(P)
+    delta = deligne_delta(L, TOL).delta
+    assert maxabs(deligne_delta(H, TOL).delta - delta) <= 1e-12 * maxabs(delta)
+    want_height = height(OrientedMHS(L, orient), TOL)
+    assert height(OrientedMHS(H, orient), TOL) == pytest.approx(want_height, rel=1e-12)
+
+
+def test_an_orbit_fiber_does_not_depend_on_the_fibers_asked_before():
+    # the base point is fixed at i, so the order of the calls changes nothing
+    first, second = cubic_orbit()[0], cubic_orbit()[0]
+    first.fiber(1000j, TOL)
+    a, b = (o.fiber(-1.7 + 10j, TOL).bigrading(TOL).frame for o in (first, second))
+    assert np.array_equal(a.C, b.C) and np.array_equal(a.C_inv, b.C_inv)
+
+
+# the biextension orbit of weights (0, -2, -4), middle ((-1, -1), 1), delta1 =
+# 0.5, delta2 = -0.25 and limit height 0.75, with N its first lowering
+# morphism; its limit is not R-split
+BIEXTENSION_ORBIT = {
+    "dimension": 3,
+    "weight_filtration": [
+        {"weight": -4, "basis": [["0", "0", "1"]]},
+        {"weight": -2, "basis": [["0", "1", "0"], ["0", "0", "1"]]},
+        {"weight": 0, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}],
+    "f_infinity": [
+        {"level": 0, "basis": [[[1, 0], [0, 0.5], [0.0625, 0.75]]]},
+        {"level": -1, "basis": [[[1, 0], [0, 0], [-0.0625, 0.75]], [[0, 0], [1, 0], [0, -0.25]]]},
+        {"level": -2, "basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                [[0, 0], [0, 0], [1, 0]]]}],
+    "nilpotent": [["0", "0", "0"], ["-2", "0", "0"], ["0", "1", "0"]],
+    "orientation": {"top": ["1", "0", "0"], "bottom": ["0", "0", "1"]}}
+
+
+def _literal_route_orbits():
+    """(name, orbit, orientation or None, points) of orbits with no base:
+    the cubic with F_inf moved by exp(lam N), lam = 0.4 + 0.9i, whose limit
+    is not R-split; the biextension orbit; and a pure weight-0 plane with N
+    e0 = e1, whose limit has a rank-one piece of weight 1 and so raises."""
+    from hodgeheight.mhs import split_filtration
+    from hodgeheight.schemas import parse_orbit
+
+    cubic, orient = cubic_orbit()
+    G = expm_nilpotent((0.4 + 0.9j) * cubic.N)
+    moved = NilpotentOrbit(cubic.W, cubic.N, cubic.F_inf.map_spaces(lambda s: s.image_under(G)))
+    yield "cubic-lambda", moved, orient, (0.5j, 2j, 10j, 0.3 + 2j)
+    yield ("biextension", *parse_orbit(BIEXTENSION_ORBIT), (0.5j, 2j, 10j, -1.7 + 2j))
+    plane = NilpotentOrbit(split_filtration([0, 0], True), np.array([[0.0, 0.0], [1.0, 0.0]]),
+                           split_filtration([0, 0], False))
+    with pytest.raises(NotAnMHS):
+        limit_mhs(plane, TOL)
+    yield "limit-raises", plane, None, (2j, 0.3 + 10j)
+
+
+@pytest.mark.parametrize("name, orbit, orient, points", list(_literal_route_orbits()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_an_orbit_with_no_base_takes_the_literal_route(name, orbit, orient, points):
+    for z in points:
+        H, L = orbit.fiber(z, TOL), _literal(orbit, z)
+        assert orbit._bases[TOL] is None and H._known is None
+        got, want = H.bigrading(TOL).frame, L.bigrading(TOL).frame
+        assert np.array_equal(got.C, want.C) and np.array_equal(got.C_inv, want.C_inv)
+        assert np.array_equal(deligne_delta(H, TOL).delta, deligne_delta(L, TOL).delta)
+        if orient is not None:
+            assert height(OrientedMHS(H, orient), TOL) == height(OrientedMHS(L, orient), TOL)
+
+
+def test_the_cubic_fiber_below_the_real_axis_takes_the_literal_route():
+    orbit, orient = cubic_orbit()
+    for z in (-1j, -3 - 2j):
+        H = orbit.fiber(z, TOL)
+        assert H._known is None and TOL not in orbit._bases
+        want = height(OrientedMHS(_literal(orbit, z), orient), TOL)
+        assert height(OrientedMHS(H, orient), TOL) == want
 
 
 # ---------------------------------------------------------------------------

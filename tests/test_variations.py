@@ -8,7 +8,7 @@ from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import (HodgeError, InfeasibleRanks, LengthTooSmall, MalformedFiltration,
                                NotAnMHS, NotHodgeTate)
 from hodgeheight.height import OrientedMHS, height
-from hodgeheight.limits import NilpotentOrbit
+from hodgeheight.limits import NilpotentOrbit, moved_fiber
 from hodgeheight.linalg import expm_nilpotent, maxabs
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.variations import (
@@ -326,14 +326,17 @@ def test_check_asymptotics_on_the_cleared_probe():
 def test_a_fiber_row_reduces_no_step_of_f_but_its_piece(monkeypatch):
     # a Hodge-Tate fiber is its limit's period matrix moved by g: neither
     # the fiber, its height nor the depth-one identity row-reduces anything
-    # once the limit's lattice is built; a cubic-orbit fiber (not
-    # Hodge-Tate) moves F_inf as one flag and reduces its moved rows against
-    # W as they are: of the steps of F only F^0, which is the piece I^{0,0},
-    # is row-reduced, and the full step is the C^n of F_inf itself
+    # once the limit's lattice is built; nor does a cubic-orbit fiber once
+    # its base, the fiber at i, is built: it is that fiber moved by a real
+    # g.  The literal cubic fiber (not Hodge-Tate) moves F_inf as one flag
+    # and reduces its moved rows against W as they are: of the steps of F
+    # only F^0, which is the piece I^{0,0}, is row-reduced, and the full
+    # step is the C^n of F_inf itself
     v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
     z, s = [2j], [np.exp(-4 * np.pi)]
     fiber(v, z, s)
     orbit, _ = cubic_orbit()
+    orbit.fiber(1j)
     G = orbit.exp(2j)
     # the steps short of C^n; the full step is checked by identity below
     steps = {p: orbit.F_inf.at(p).image_under(G) for p in orbit.F_inf.indices if p > -3}
@@ -348,8 +351,10 @@ def test_a_fiber_row_reduces_no_step_of_f_but_its_piece(monkeypatch):
     H = fiber(v, z, s)
     height(OrientedMHS(H, v.orientation))
     check_asymptotics(v, [(z, s)])
-    assert inputs == []
     cubic = orbit.fiber(2j)
+    height(OrientedMHS(cubic, cubic_orbit()[1]))
+    assert inputs == []
+    literal = moved_fiber(orbit.W, orbit.F_inf, G, "")
     monkeypatch.undo()
 
     def spans(M, S):
@@ -358,7 +363,7 @@ def test_a_fiber_row_reduces_no_step_of_f_but_its_piece(monkeypatch):
     reduced = {p for p, S in steps.items() if any(spans(M, S) for M in inputs)}
     assert reduced == {0}
     assert H.F.at(-3) is v.F_inf.at(-3)
-    assert cubic.F.at(-3) is orbit.F_inf.at(-3)
+    assert cubic.F.at(-3) is literal.F.at(-3) is orbit.F_inf.at(-3)
 
 
 def test_the_fiber_that_collapsed_f_has_height_zero():
