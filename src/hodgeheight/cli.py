@@ -5,7 +5,10 @@
     hodgeheight scenario NAME [params] [--format {json,csv}]
     hodgeheight sweep FILE --z-start Z --z-end Z --count N
 
-Global flags, before or after the subcommand: --tol, --out.
+Global flags, before or after the subcommand: --tol, --out.  An orbit file
+is read as the variation of its one N with Gamma = 0 (schemas.parse_variation):
+validate checks its limit, compute and sweep its fibers at z_j = z and s_j =
+e^{2 pi i z}.
 
 Exit codes, mapped once in main: 0 success; 1 for any HodgeError (a
 structure that fails an axiom, a document that lacks a key or holds a
@@ -36,13 +39,12 @@ from .schemas import (
     dumps,
     load,
     parse_mhs,
-    parse_orbit,
     parse_orientation,
     parse_variation,
 )
 from .splitting import deligne_delta
 from . import scenarios
-from .variations import check_asymptotics, fiber, height_sweep
+from .variations import LocalVariation, check_asymptotics, fiber, height_sweep
 
 OK, FAIL, NUMERICAL, IOERR = 0, 1, 2, 3
 
@@ -55,40 +57,41 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _emit_csv(args, header: list[str], rows: list[list[str]]) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    _emit(args, buf.getvalue().rstrip("\n"))
+
+
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _read(args, needs: tuple[tuple[str, ...], str] | None = None, orientation: bool = True):
-    """(kind, object, orientation or None) of the file, parsed at --tol; needs =
-    (kinds, message) rejects another kind before parsing, and orientation=False
-    leaves a structure file's orientation unread."""
+def _read(args, needs: str | None = None, orientation: bool = True):
+    """(object, orientation or None) of the file at --tol: a LocalVariation for
+    an orbit or variation file (schemas.parse_variation), which the command
+    named by needs requires, oriented; else a MixedHodgeStructure, whose
+    orientation orientation=False leaves unread."""
     doc = load(args.path)
-    kind = detect_kind(doc)
-    if needs is not None and kind not in needs[0]:
-        raise HodgeError(needs[1])
-    if kind == "orbit":
-        return (kind, *parse_orbit(doc, args.tol))
-    if kind == "variation":
-        v = parse_variation(doc, args.tol)
-        return kind, v, v.orientation
-    orient = parse_orientation(doc) if orientation else None
-    return kind, parse_mhs(doc, args.tol), orient
+    if detect_kind(doc) == "mhs":
+        if needs is not None:
+            raise HodgeError(f"{needs} needs an orbit or variation file")
+        return parse_mhs(doc, args.tol), parse_orientation(doc) if orientation else None
+    v = parse_variation(doc, args.tol)
+    if needs is not None and v.orientation is None:
+        raise HodgeError("orbit file has no orientation")
+    return v, v.orientation
 
 
-def _at(kind: str, obj, z: complex, tol: float):
-    """An orbit's fiber at z, a variation's at z_j = z and s_j = e^{2 pi i z}, or a structure."""
-    if kind == "orbit":
-        return obj.fiber(z, tol)
-    if kind == "variation":
-        k = len(obj.nilpotents)
-        return fiber(obj, [z] * k, [np.exp(2j * np.pi * z)] * k, tol)
-    return obj
+def _points(v: LocalVariation, zs) -> list:
+    """The points z_j = z, s_j = e^{2 pi i z} of a variation, as Python complex."""
+    k = len(v.nilpotents)
+    return [([z] * k, [complex(np.exp(2j * np.pi * z))] * k) for z in zs]
 
 
 def cmd_validate(args) -> int:
-    kind, obj, _ = _read(args, orientation=False)
-    H = obj.limit_structure() if kind == "variation" else _at(kind, obj, 2j, args.tol)
+    obj, _ = _read(args, orientation=False)
+    H = obj.limit_structure(args.tol) if isinstance(obj, LocalVariation) else obj
     report = H.validate(args.tol)
     _emit(args, dumps({"ok": report.ok, "failures": report.failures}))
     return OK if report.ok else FAIL
@@ -96,13 +99,11 @@ def cmd_validate(args) -> int:
 
 def cmd_compute(args) -> int:
     if args.what == "limit-height":
-        _, orbit, orient = _read(args, (("orbit",), "limit-height needs an orbit file"))
-        if orient is None:
-            raise HodgeError("orbit file has no orientation")
-        _emit(args, dumps({"limit_height": limit_height(orbit, orient, args.tol)}))
+        v, orient = _read(args, "limit-height")
+        _emit(args, dumps({"limit_height": limit_height(v.cone, orient, args.tol)}))
         return OK
-    kind, obj, orient = _read(args)
-    H = _at(kind, obj, args.z, args.tol)
+    obj, orient = _read(args)
+    H = fiber(obj, *_points(obj, [args.z])[0], args.tol) if isinstance(obj, LocalVariation) else obj
     if args.what == "bigrading":
         B = H.bigrading(args.tol)
         comps = {f"{p},{q}": [[[x.real, x.imag] for x in row] for row in B.components[(p, q)].basis]
@@ -167,42 +168,24 @@ def cmd_scenario(args) -> int:
                "rows": [{"label": l, "computed": c, "expected": e} for l, c, e in rows]}
         _emit(args, dumps(doc))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["label", "computed", "expected"])
-        for l, c, e in rows:
-            writer.writerow([l, _fmt(c), _fmt(e)])
-        _emit(args, buf.getvalue().rstrip("\n"))
+        _emit_csv(args, ["label", "computed", "expected"],
+                  [[l, _fmt(c), _fmt(e)] for l, c, e in rows])
     if not ok:
         print("scenario mismatch", file=sys.stderr)
     return OK if ok else FAIL
 
 
 def cmd_sweep(args) -> int:
-    kind, obj, orient = _read(args, (("orbit", "variation"),
-                                     "sweep needs an orbit or variation file"))
-    if orient is None:
-        raise HodgeError("orbit file has no orientation")
+    v, _ = _read(args, "sweep")
     z0, z1 = args.z_start, args.z_end
-    zs = [z0 + (z1 - z0) * t for t in np.linspace(0.0, 1.0, args.count)]
-    if kind == "orbit":
-        rows = [(z.imag, height(OrientedMHS(obj.fiber(z, args.tol), orient), args.tol),
-                 float("nan")) for z in zs]
-    else:
-        k = len(obj.nilpotents)
-        pts = [([z] * k, [np.exp(2j * np.pi * z)] * k) for z in zs]
-        try:
-            report = check_asymptotics(obj, pts, args.tol)
-            rows = [(complex(p.z[0]).imag, p.height, p.identity_residual)
-                    for p in report.points]
-        except (NotHodgeTate, LengthTooSmall):
-            rows = [(p, h, float("nan")) for p, h in height_sweep(obj, pts, args.tol)]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["param", "height", "identity_residual"])
-    for p, h, r in rows:
-        writer.writerow([_fmt(p), _fmt(h), "" if np.isnan(r) else _fmt(r)])
-    _emit(args, buf.getvalue().rstrip("\n"))
+    pts = _points(v, [z0 + (z1 - z0) * t for t in np.linspace(0.0, 1.0, args.count).tolist()])
+    try:
+        report = check_asymptotics(v, pts, args.tol)
+        rows = [(complex(p.z[0]).imag, p.height, p.identity_residual) for p in report.points]
+    except (NotHodgeTate, LengthTooSmall):
+        rows = [(p, h, float("nan")) for p, h in height_sweep(v, pts, args.tol)]
+    _emit_csv(args, ["param", "height", "identity_residual"],
+              [[_fmt(p), _fmt(h), "" if np.isnan(r) else _fmt(r)] for p, h, r in rows])
     return OK
 
 

@@ -491,6 +491,7 @@ class NilpotentOrbit:
         if not lowers(F_inf, F_inf.adapted_basis().operator(self.monodromy), -1, tol):
             raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
         self._bases: dict = {}   # per tol, by the first fiber: _base's frames or None
+        self._limits: dict = {}  # per tol, by limit_mhs: the limit (M, F_inf)
 
     def exp(self, z) -> np.ndarray:
         """exp(zN) = sum_k z^k N^k / k!, for a z or, as (m, n, n), for a stack
@@ -545,10 +546,14 @@ def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
 
 
 def limit_mhs(orbit: NilpotentOrbit, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-    M = _relative_from_operator(orbit.operator, orbit.W, tol, preserves=tol == orbit._tol)
-    H = MixedHodgeStructure(M, orbit.F_inf)
-    H.bigrading(tol)   # NotAnMHS naming the failed axioms
-    return H
+    """The limit (M(N, W), F_inf), built once per orbit and tol, which limit_height
+    and the fibers' base share; a limit that is none raises on every call."""
+    if tol not in orbit._limits:
+        M = _relative_from_operator(orbit.operator, orbit.W, tol, preserves=tol == orbit._tol)
+        H = MixedHodgeStructure(M, orbit.F_inf)
+        H.bigrading(tol)   # NotAnMHS naming the failed axioms
+        orbit._limits[tol] = H
+    return orbit._limits[tol]
 
 
 def limit_height(orbit: NilpotentOrbit, orientation, tol: float = DEFAULT_TOL) -> float:

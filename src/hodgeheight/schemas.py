@@ -3,9 +3,11 @@
 Conventions: weight-filtration bases and orientation vectors are rational,
 serialized as strings "p/q" (or integers); complex entries are [re, im]
 pairs.  A structure file holds {dimension, weight_filtration, hodge_filtration,
-orientation?}; an orbit file adds {nilpotent, f_infinity}; a variation file
-adds {nilpotents, gamma}.  A document that lacks a key or holds a malformed
-entry raises HodgeError.  Output uses sorted keys so files are byte-stable.
+orientation?}; a variation file has f_infinity, nilpotents and gamma in
+place of hodge_filtration, and an orbit file is a variation file with one N
+and no Gamma, {nilpotent}, its orientation optional.  A document that lacks
+a key or holds a malformed entry raises HodgeError.  Output uses sorted keys
+so files are byte-stable.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .config import DEFAULT_TOL
 from .errors import HodgeError
 from .height import Orientation
 from .limits import NilpotentOrbit
-from .linalg import Subspace
+from .linalg import Subspace, as_operator
 from .mhs import Filtration, MixedHodgeStructure, hodge_filtration, weight_filtration
 from .variations import GammaPoly, LocalVariation
 
@@ -112,27 +114,23 @@ def parse_orbit(doc: dict,
 
 @_document
 def parse_variation(doc: dict, tol: float = DEFAULT_TOL) -> LocalVariation:
+    """A variation file, or an orbit file as the variation of its one N with
+    Gamma = 0 and no orientation needed; each N exact, as in parse_orbit."""
     W, F = _filtrations(doc, "f_infinity", tol)
-    nilpotents = tuple(np.array([[float(_parse_rational(x)) for x in row] for row in mat])
-                       for mat in doc["nilpotents"])
-    terms = {}
-    for term in doc.get("gamma", []):
-        expo = tuple(int(e) for e in term["exponents"])
-        terms[expo] = _complex_matrix(term["matrix"])
-    gamma = GammaPoly.of(len(nilpotents), terms) if terms else GammaPoly.zero(len(nilpotents))
+    orbit = "nilpotents" not in doc
+    nilpotents = tuple(as_operator(_rational_matrix(mat))
+                       for mat in ([doc["nilpotent"]] if orbit else doc["nilpotents"]))
+    terms = {tuple(int(e) for e in term["exponents"]): _complex_matrix(term["matrix"])
+             for term in doc.get("gamma", [])}
     orient = parse_orientation(doc)
-    if orient is None:
+    if orient is None and not orbit:
         raise HodgeError("variation file needs an orientation block")
-    return LocalVariation(W=W, F_inf=F, nilpotents=nilpotents, gamma=gamma,
-                          orientation=orient, tol=tol)
+    return LocalVariation(W=W, F_inf=F, nilpotents=nilpotents,
+                          gamma=GammaPoly.of(len(nilpotents), terms), orientation=orient, tol=tol)
 
 
 def detect_kind(doc: dict) -> str:
-    if "nilpotents" in doc:
-        return "variation"
-    if "nilpotent" in doc:
-        return "orbit"
-    return "mhs"
+    return "variation" if "nilpotents" in doc else "orbit" if "nilpotent" in doc else "mhs"
 
 
 def load(path: str) -> dict:

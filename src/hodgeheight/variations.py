@@ -2,11 +2,13 @@
 
 A LocalVariation holds commuting rational nilpotents, a matrix-coefficient
 polynomial Gamma with Gamma(0) = 0 satisfying the tameness divisibility
-s_j | [N_j, Gamma(s)], and an oriented limit structure.  Each N_j and Gamma
-coefficient must preserve W (mhs.lowers), so that every fiber has the Hodge
-numbers of the limit.  Fibers take z and s as independent inputs; the
-covering relation s_j = exp(2 pi i z_j) is applied only by the sweep
-drivers, which lets the exact identity
+s_j | [N_j, Gamma(s)], and an orientation; its limit is (M(N, W), F_inf) of
+the cone orbit N = sum_j N_j (limits.limit_mhs), and an orbit is the
+variation of its one N with Gamma = 0, whose fibers are the orbit's.  Each
+N_j and Gamma coefficient must preserve W (mhs.lowers), so that every fiber
+has the Hodge numbers of the limit.  Fibers take z and s as independent
+inputs; the covering relation s_j = exp(2 pi i z_j) is applied only by the
+sweep drivers, which lets the exact identity
 
     delta^{-1,-1}(z, s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1}
 
@@ -14,6 +16,7 @@ be probed at arbitrary points.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from math import pi
@@ -30,7 +33,7 @@ from .errors import (
     NotHodgeTate,
 )
 from .height import Orientation, OrientedMHS, _check_oriented, _period_height, height
-from .limits import NilpotentOrbit, moved_fiber
+from .limits import NilpotentOrbit, limit_height, limit_mhs, moved_fiber
 from .linalg import bch, expm_nilpotent, logm_unipotent, maxabs
 from .mhs import MixedHodgeStructure, is_hodge_tate, lowers, split_filtration
 
@@ -80,30 +83,33 @@ class GammaPoly:
         return flat.reshape(*s.shape[:-1], *coefficients.shape[1:])
 
 
+def _commute(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
+    """[A, B] = 0 to tol * max(1, |A| |B|), the scale of the bracket's entries."""
+    return maxabs(A @ B - B @ A) <= tol * max(1.0, maxabs(A) * maxabs(B))
+
+
 @dataclass(frozen=True)
 class LocalVariation:
     W: "object"                      # weight filtration
     F_inf: "object"                  # limit Hodge filtration
-    nilpotents: tuple[np.ndarray, ...]
+    nilpotents: tuple                # arrays, or linalg.ExactMatrix as a document gives them
     gamma: GammaPoly
-    orientation: Orientation
+    orientation: Orientation | None  # None only for an orbit document without one
     tol: InitVar[float] = DEFAULT_TOL    # of the nilpotent, commutation and tameness checks
-    # the oriented limit pair (F_inf, W), built once so that the caches of its
-    # structure (lattice, bigrading, splitting) serve every call
-    _limit: OrientedMHS = field(init=False, compare=False, repr=False)
     # one NilpotentOrbit per N_j, whose power table gives exp(z_j N_j)
     _orbits: tuple[NilpotentOrbit, ...] = field(init=False, compare=False, repr=False)
-    # per tol: the Hodge-Tate route of _moves or None (_transport); the limit's height
+    # the orbit of N = sum_j N_j (N = 0 for none), whose limit is the variation's
+    cone: NilpotentOrbit = field(init=False, compare=False, repr=False)
+    # per tol: the Hodge-Tate route of _moves or None (_transport); the
+    # Hodge-Tate limit's bigrading and height (check_asymptotics)
     _transports: dict = field(init=False, default_factory=dict, compare=False, repr=False)
-    _limit_heights: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    _asymptotics: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self, tol: float):
-        object.__setattr__(self, "_orbits", tuple(NilpotentOrbit(self.W, N, self.F_inf, tol)
-                                                  for N in self.nilpotents))
-        for A in self.nilpotents:
-            for B in self.nilpotents:
-                if maxabs(np.asarray(A) @ B - np.asarray(B) @ A) > tol:
-                    raise HodgeError("monodromy logarithms must commute")
+        orbits = tuple(NilpotentOrbit(self.W, N, self.F_inf, tol) for N in self.nilpotents)
+        object.__setattr__(self, "_orbits", orbits)
+        if not all(_commute(a.N, b.N, tol) for i, a in enumerate(orbits) for b in orbits[:i]):
+            raise HodgeError("monodromy logarithms must commute")
         if self.gamma.nvars != len(self.nilpotents):
             raise HodgeError("Gamma must have one variable per divisor")
         if not self.is_tame(tol):
@@ -111,21 +117,23 @@ class LocalVariation:
         flag = self.W.adapted_basis()
         if not all(lowers(self.W, flag.operator(m), 0, tol) for _, m in self.gamma.terms):
             raise HodgeError("Gamma coefficients must preserve the weight filtration")
-        object.__setattr__(self, "_limit", OrientedMHS(MixedHodgeStructure(self.W, self.F_inf),
-                                                       self.orientation))
+        object.__setattr__(self, "cone", orbits[0] if len(orbits) == 1 else NilpotentOrbit(
+            self.W, sum((o.N for o in orbits), np.zeros((self.dim, self.dim))), self.F_inf, tol))
 
     def _transport(self, tol: float) -> tuple | None:
         """Once per tol: (N_j and log P_inf in the coordinates of W, P_inf)
-        when the limit is Hodge-Tate, of length at most 8 (linalg.bch), and
-        every N_j and Gamma coefficient lowers W by at least 2, else None."""
+        when the length is at most 8 (linalg.bch), every N_j and Gamma
+        coefficient lowers W by at least 2, so that the limit is (W, F_inf),
+        and the limit is Hodge-Tate; else None."""
         if tol not in self._transports:
-            H, flag = self._limit.mhs, self.W.adapted_basis()
-            ops = [flag.operator(np.asarray(A, dtype=complex))
-                   for A in (*self.nilpotents, *(m for _, m in self.gamma.terms))]
-            period = H.validate(tol).ok and H.bigrading(tol).period
-            ok = period and self.length <= 8 and all(lowers(self.W, A, 2, tol) for A in ops)
-            self._transports[tol] = (
-                (ops[:len(self.nilpotents)], logm_unipotent(period.P), period.P) if ok else None)
+            flag, period = self.W.adapted_basis(), None
+            ops = [flag.operator(A) for A in (*(o.N for o in self._orbits),
+                                              *(m for _, m in self.gamma.terms))]
+            if self.length <= 8 and all(lowers(self.W, A, 2, tol) for A in ops):
+                with suppress(HodgeError):
+                    period = self.limit_structure(tol).bigrading(tol).period
+            self._transports[tol] = period and (
+                ops[:len(self.nilpotents)], logm_unipotent(period.P), period.P)
         return self._transports[tol]
 
     @property
@@ -138,16 +146,14 @@ class LocalVariation:
 
     def is_tame(self, tol: float = DEFAULT_TOL) -> bool:
         """s_j | [N_j, Gamma]: every coefficient with a zero j-th exponent must
-        commute with N_j, exactly as a polynomial identity."""
-        for j, N in enumerate(self.nilpotents):
-            N = np.asarray(N, dtype=complex)
-            for expo, mat in self.gamma.terms:
-                if expo[j] == 0 and maxabs(N @ mat - mat @ N) > tol * max(1.0, maxabs(mat)):
-                    return False
-        return True
+        commute with N_j (_commute), exactly as a polynomial identity."""
+        return all(_commute(orbit.N, mat, tol) for j, orbit in enumerate(self._orbits)
+                   for expo, mat in self.gamma.terms if expo[j] == 0)
 
-    def limit_structure(self) -> MixedHodgeStructure:
-        return self._limit.mhs
+    def limit_structure(self, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
+        """The limit (M(N, W), F_inf) of the cone orbit, as limits.limit_mhs
+        builds it once per tol, and raises where there is none."""
+        return limit_mhs(self.cone, tol)
 
 
 def fiber(v: LocalVariation, z, s, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
@@ -171,6 +177,9 @@ class Move(NamedTuple):
 
 
 def _fiber(v: LocalVariation, move: Move, tol: float) -> MixedHodgeStructure:
+    """A move's fiber: the orbit's for one N and Gamma = 0, else moved_fiber."""
+    if move.period is None and len(v._orbits) == 1 and not v.gamma.terms:
+        return v._orbits[0].fiber(complex(np.atleast_1d(move.z)[0]), tol)
     return moved_fiber(v.W, v.F_inf, move.g, move.where, tol, move.period)
 
 
@@ -272,19 +281,22 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
     height Ht(fiber), the gap |Ht(fiber) - Ht(limit)| and the residual of the
     depth-one identity
     delta^{-1,-1}(z,s) = N(Im z) + Im(Gamma(s))^{-1,-1} + delta^{-1,-1},
-    with only the (-1,-1) parts taken.  Each fiber has the Hodge numbers of
-    the limit, so it is Hodge-Tate by its counts; one that is not at the
-    working tolerance raises NotHodgeTate naming its point (_sweep)."""
-    limit = v.limit_structure()
-    # Hodge-Tate variations have relative filtration equal to W, so the pair
-    # (F_inf, W) must itself be a structure with diagonal bigrading
-    if not limit.validate(tol).ok or not is_hodge_tate(limit, tol):
-        raise NotHodgeTate("limit pair (F_inf, W) is not a Hodge-Tate structure")
-    if v.length < 4:
-        raise LengthTooSmall("asymptotic statement needs length at least 4")
-    if tol not in v._limit_heights:
-        v._limit_heights[tol] = height(v._limit, tol)
-    points, n, B, ht_lim = list(sequence), v.dim, limit.bigrading(tol), v._limit_heights[tol]
+    with only the (-1,-1) parts taken, and Ht(limit) limits.limit_height of the
+    cone orbit.  A limit that is no Hodge-Tate structure, or whose M is not W
+    (the cone N lowers W by 2), raises NotHodgeTate.  Each fiber has the
+    Hodge numbers of the limit, so it is Hodge-Tate by its counts; one that
+    is not at the working tolerance raises NotHodgeTate naming its point."""
+    if tol not in v._asymptotics:
+        try:
+            limit = v.limit_structure(tol)
+        except HodgeError as exc:
+            raise NotHodgeTate(f"the limit is not a Hodge-Tate structure: {exc}") from exc
+        if not (is_hodge_tate(limit, tol) and lowers(v.W, v.cone.operator, 2, tol)):
+            raise NotHodgeTate("the limit (M, F_inf) is not a Hodge-Tate structure with M = W")
+        if v.length < 4:
+            raise LengthTooSmall("asymptotic statement needs length at least 4")
+        v._asymptotics[tol] = limit.bigrading(tol), limit_height(v.cone, v.orientation, tol)
+    points, n, (B, ht_lim) = list(sequence), v.dim, v._asymptotics[tol]
     rows = _sweep(v, points, tol, True)
     y = np.reshape([np.atleast_1d(z) for z, _ in points], (len(points), len(v.nilpotents))).imag
     # a fiber's P is P_inf times a unipotent that lowers W, so its
@@ -292,7 +304,7 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
     X = -0.5j * (np.reshape([L for _, L, _ in rows], (-1, n, n)) - B.period.L)
     gm = np.reshape([move.gamma for move, _, _ in rows], (-1, n, n))
     X = X - B.frame.coordinates((gm - gm.conj()) / 2j)
-    N_y = sum((y[:, j, None, None] * np.real(N) for j, N in enumerate(v.nilpotents)),
+    N_y = sum((y[:, j, None, None] * o.N.real for j, o in enumerate(v._orbits)),
               np.zeros((n, n)))
     resid = np.abs(B.frame.lift(X, (-1, -1)).real - N_y).max((1, 2), initial=0.0)
     out = [AsymptoticsPoint(z=tuple(np.atleast_1d(z)), s=tuple(np.atleast_1d(s)), height=ht,

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -185,9 +187,14 @@ def test_compute_limit_height_rejects_a_top_generator_in_w_minus_3(orbit_file, c
     assert "top generator" in capsys.readouterr().err
 
 
-def test_limit_height_needs_an_oriented_orbit_file(dilog_file, orbit_file, capsys):
+def test_limit_height_needs_an_oriented_orbit_file(dilog_file, variation_file, orbit_file,
+                                                  capsys):
+    # an orbit or variation file gives the limit height of its cone orbit; a
+    # structure file has no limit
+    assert main(["compute", variation_file, "--what", "limit-height"]) == 0
+    assert json.loads(capsys.readouterr().out)["limit_height"] == 0.0
     assert main(["compute", dilog_file, "--what", "limit-height"]) == 1
-    assert capsys.readouterr().err == "error: limit-height needs an orbit file\n"
+    assert capsys.readouterr().err == "error: limit-height needs an orbit or variation file\n"
     doc = load(orbit_file)
     del doc["orientation"]
     with open(orbit_file, "w", encoding="utf-8") as fh:
@@ -240,10 +247,12 @@ def test_sweep_orbit_cubic_column(orbit_file, capsys):
 @pytest.mark.parametrize("argv", [["compute", "--what", "height", "--z", "1e200j"],
                                   ["sweep", "--z-end", "1e120j"]])
 def test_orbit_fiber_past_the_float_range_is_a_typed_error(argv, orbit_file, capsys):
-    # (1e200)^2 and (1e119)^3 overflow: exit 1 with the point, no traceback
+    # (1e200)^2 and (1e119)^3 overflow: exit 1 with the point, no traceback;
+    # the sweep's point 1 is z = 0.5i + (1e120 - 0.5)i / 9
+    where = {"compute": "fiber at z=[1e+200j], s=[0j]",
+             "sweep": "sweep point 1: fiber at z=[1.111111111111111e+119j], s=[0j]"}[argv[0]]
     assert main([argv[0], orbit_file, *argv[1:]]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: orbit fiber at z = ") and "the move is not finite" in err
+    assert capsys.readouterr().err == f"error: {where}: the move is not finite\n"
 
 
 def test_out_flag_writes_file(dilog_file, tmp_path):
@@ -535,10 +544,87 @@ def test_integer_too_large_for_a_float_is_a_malformed_document(dilog_file, tmp_p
 
 
 def test_validate_orbit_and_variation_files(orbit_file, variation_file, capsys):
-    # an orbit is validated at its fiber z = 2i, a variation at its limit
+    # an orbit is a variation with one N and Gamma = 0: each is validated at
+    # its limit (M, F_inf)
     for path in (orbit_file, variation_file):
         assert main(["validate", path]) == 0
         assert json.loads(capsys.readouterr().out) == {"failures": [], "ok": True}
+
+
+def _write(path, doc: dict) -> str:
+    path.write_text(dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _as_variation(doc: dict) -> dict:
+    """An orbit document as the variation document of its one N, with no Gamma."""
+    doc = dict(doc)
+    doc["nilpotents"] = [doc.pop("nilpotent")]
+    return doc
+
+
+def _sweep_rows(capsys) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+def test_the_cubic_as_a_variation_document_is_the_cubic_orbit(orbit_file, tmp_path, capsys):
+    # an orbit document is read as the variation of its one N with Gamma = 0,
+    # so written either way the cubic validates at its limit, has limit
+    # height 0, and at every point, past the literal lattice's frontier at
+    # y = 1818 too, the height -(2/3) y^3 of NilpotentOrbit.fiber
+    doc = load(orbit_file)
+    orbit, orient = parse_orbit(doc)
+    for path in (orbit_file, _write(tmp_path / "cubic-variation.json", _as_variation(doc))):
+        assert main(["validate", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"failures": [], "ok": True}
+        assert main(["compute", path, "--what", "limit-height"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"limit_height": 0.0}
+        for y in (3000.0, 1e5):
+            assert main(["compute", path, "--what", "height", "--z", f"{y}j"]) == 0
+            h = json.loads(capsys.readouterr().out)["height"]
+            assert h == height(OrientedMHS(orbit.fiber(1j * y), orient))
+            assert h == pytest.approx(-(2 / 3) * y ** 3, rel=1e-12)
+        assert main(["sweep", path, "--z-start", "10j", "--z-end", "100000j", "--count", "6"]) == 0
+        rows = _sweep_rows(capsys)
+        assert len(rows) == 6 and all(row["identity_residual"] == "" for row in rows)
+        for row in rows:
+            y = float(row["param"])
+            assert float(row["height"]) == pytest.approx(-(2 / 3) * y ** 3, rel=1e-12)
+
+
+def test_the_biextension_orbit_as_either_document(tmp_path, capsys):
+    # a Hodge-Tate orbit: limit height 0.75 written either way, and a sweep
+    # that checks the depth-one identity, as a variation's does
+    from test_limits import BIEXTENSION_ORBIT
+
+    heights = []
+    for name, doc in (("orbit", BIEXTENSION_ORBIT), ("variation", _as_variation(BIEXTENSION_ORBIT))):
+        path = _write(tmp_path / f"biextension-{name}.json", doc)
+        assert main(["compute", path, "--what", "limit-height"]) == 0
+        heights.append(json.loads(capsys.readouterr().out)["limit_height"])
+        assert main(["sweep", path, "--count", "3"]) == 0
+        rows = _sweep_rows(capsys)
+        assert len(rows) == 3 and all(abs(float(row["identity_residual"])) < 1e-9 for row in rows)
+    assert heights[0] == heights[1] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_validate_an_orbit_at_its_limit(tmp_path, capsys):
+    # the weight-0 plane with N e0 = e1: its fibers are structures, its limit
+    # (M(N, W), F_inf) is not, and validate names the failed axiom
+    doc = {"dimension": 2,
+           "weight_filtration": [{"weight": 0, "basis": [["1", "0"], ["0", "1"]]}],
+           "f_infinity": [{"level": 0, "basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+           "nilpotent": [["0", "0"], ["1", "0"]]}
+    path = _write(tmp_path / "plane.json", doc)
+    assert main(["compute", path, "--what", "delta"]) == 0
+    capsys.readouterr()
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().err.startswith("error: direct-sum: ")
+
+
+def test_a_fiber_error_names_its_point_in_python_numbers(variation_file, capsys):
+    assert main(["compute", variation_file, "--what", "height", "--z", "1e200j"]) == 1
+    assert capsys.readouterr().err == "error: fiber at z=[1e+200j], s=[0j]: the move is not finite\n"
 
 
 def _fiber_at_2i(path):

@@ -276,21 +276,21 @@ def test_lattice_built_once_per_tolerance(monkeypatch):
 
 
 def test_limit_lattice_built_once_across_asymptotics_calls(monkeypatch):
+    # the limit is built, and its lattice with it, by the first call alone
     v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
-    limit = v.limit_structure()
-    limit_builds = []
+    builds = []
     original = MixedHodgeStructure._component_candidates
 
     def counted(self, tol):
-        if self is limit:
-            limit_builds.append(tol)
+        builds.append((self, tol))
         return original(self, tol)
 
     monkeypatch.setattr(MixedHodgeStructure, "_component_candidates", counted)
     points = [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 3.0)]
     first = check_asymptotics(v, points)
     second = check_asymptotics(v, points)
-    assert limit_builds == [TOL]
+    limit = v.limit_structure()
+    assert [tol for H, tol in builds if H is limit] == [TOL]
     assert first == second
 
 
@@ -326,12 +326,13 @@ def test_lattice_reads_f_cap_w_off_one_adapted_basis(monkeypatch):
             assert not (any(x is s for x in pair for s in fsteps)
                         and any(x is s for x in pair for s in wsteps)), pair
         assert len(meets) == intersections
-    # the two W, and the F_inf of the variation, which every fiber moves
-    assert len(builds) == 3
+    # the two W, the F_inf of the variation, which every fiber moves, and
+    # the relative weight filtration M = W of its limit (M, F_inf)
+    assert len(builds) == 4
     for y in (1.0, 3.0, 5.0):
         fiber(v, [1j * y], [np.exp(-2 * np.pi * y)])
     check_asymptotics(v, [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 3.0)])
-    assert len(builds) == 3
+    assert len(builds) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -687,6 +687,38 @@ def test_an_orbit_with_no_base_takes_the_literal_route(name, orbit, orient, poin
             assert height(OrientedMHS(H, orient), TOL) == height(OrientedMHS(L, orient), TOL)
 
 
+def test_the_limit_is_built_once_per_orbit_and_tol(monkeypatch):
+    # the fibers' base and limit_height read one limit (M, F_inf): one
+    # relative weight filtration per orbit and tol; a limit that is none is
+    # not kept, so it raises on every call, and its orbit has no base
+    from hodgeheight import limits
+    from hodgeheight.mhs import split_filtration
+    from hodgeheight.scenarios import scenario_orbit6iii
+
+    body, calls = limits._relative_from_operator, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return body(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "_relative_from_operator", counted)
+    orbit, orient = cubic_orbit()
+    orbit.fiber(2j, TOL)
+    assert limit_height(orbit, orient, TOL) == 0.0
+    assert len(calls) == 1 and limit_mhs(orbit, TOL) is limit_mhs(orbit, TOL)
+    limit_mhs(orbit, 1e-8)
+    assert len(calls) == 2
+    scenario_orbit6iii(2j)
+    assert len(calls) == 3
+    plane = NilpotentOrbit(split_filtration([0, 0], True), np.array([[0.0, 0.0], [1.0, 0.0]]),
+                           split_filtration([0, 0], False))
+    for _ in range(2):
+        with pytest.raises(NotAnMHS):
+            limit_mhs(plane, TOL)
+    plane.fiber(2j, TOL)
+    assert len(calls) == 6 and plane._bases[TOL] is None and plane._limits == {}
+
+
 def test_the_cubic_fiber_below_the_real_axis_takes_the_literal_route():
     orbit, orient = cubic_orbit()
     for z in (-1j, -3 - 2j):

@@ -119,6 +119,40 @@ def test_tameness_exactness():
                        gamma=GammaPoly.of(2, bad_terms), orientation=v.orientation)
 
 
+def _conjugated(seed: int, *mats):
+    """The weights (0, -2, -2, -4) with F split at levels (0, -1, -1, -2), W,
+    F_inf and the orientation moved by a real normal g, and the mats
+    conjugated by g."""
+    from hodgeheight.height import Orientation
+    from hodgeheight.mhs import split_filtration
+
+    g = np.random.default_rng(seed).normal(size=(4, 4))
+    g_inv = np.linalg.inv(g)
+    W, F = (split_filtration(levels, up).map_spaces(lambda S: S.image_under(g))
+            for levels, up in (([0, -2, -2, -4], True), ([0, -1, -1, -2], False)))
+    frame = dict(W=W, F_inf=F, orientation=Orientation.of(g[:, 0], g[:, 3]))
+    return frame, *(g @ m @ g_inv for m in mats)
+
+
+def test_commutation_and_tameness_are_checked_at_the_scale_of_the_bracket():
+    # N1 = E10 + E31 and N2 = E20 + E32 commute exactly; conjugated, [A, B]
+    # is rounding of order eps |A| |B|: 2.9e-9 for 1e3 N1 and 1e3 N2, 3.3e-9
+    # for 1e6 N1 and N2, each above tol = 1e-9 and far below tol |A| |B|
+    E = np.eye(4)
+    N1, N2 = np.outer(E[1], E[0]) + np.outer(E[3], E[1]), np.outer(E[2], E[0]) + np.outer(E[3], E[2])
+    frame, A, B, C = _conjugated(4, N1, N2, N1 + np.outer(E[2], E[1]))
+    assert maxabs(1e6 * (A @ B - B @ A)) > DEFAULT_TOL
+    assert maxabs(1e6 * (A @ B - B @ A)) > DEFAULT_TOL * max(1.0, maxabs(B))
+    LocalVariation(nilpotents=(1e3 * A, 1e3 * B), gamma=GammaPoly.zero(2), **frame)
+    v = LocalVariation(nilpotents=(1e6 * A, 1e6 * A), gamma=GammaPoly.of(2, {(0, 1): B}), **frame)
+    assert v.is_tame()
+    # [N1, N1 + E21] = -E20, a bracket of the order of |A| |C|, is refused
+    with pytest.raises(HodgeError, match="must commute"):
+        LocalVariation(nilpotents=(1e3 * A, 1e3 * C), gamma=GammaPoly.zero(2), **frame)
+    with pytest.raises(HodgeError, match="tameness"):
+        LocalVariation(nilpotents=(1e6 * A, 1e6 * A), gamma=GammaPoly.of(2, {(0, 1): C}), **frame)
+
+
 def test_check_asymptotics_identity_and_decay():
     v = random_hodge_tate((1, 3, 1), 1, seed=12)
     rep = check_asymptotics(v, covering_points([1.0, 5.0, 50.0]))
@@ -211,16 +245,46 @@ def test_variation_rejects_a_nilpotent_that_raises_weight():
                        orientation=v.orientation)
 
 
-def test_height_sweep_names_the_point_that_is_no_mhs():
-    # the cubic orbit as a one-N variation with Gamma = 0: its fiber at
-    # y = 10 is a structure, the one at y = 2000 is not at the working tolerance
+def test_height_sweep_names_the_point_that_is_no_mhs(monkeypatch):
+    # the cubic orbit as a one-N variation with Gamma = 0: its fibers are the
+    # orbit's, moved from the fiber at i, so the one at y = 2000 is a
+    # structure; on the literal lattice it is not, and its point is named
+    import hodgeheight.variations as variations
+
     orbit, orient = cubic_orbit()
     v = LocalVariation(W=orbit.W, F_inf=orbit.F_inf, nilpotents=(orbit.N,),
                        gamma=GammaPoly.zero(1), orientation=orient)
-    assert height_sweep(v, [([10j], [0.0])])[0][1] == pytest.approx(-(2 / 3) * 1e3, rel=1e-9)
+    path = [([10j], [0.0]), ([2000j], [0.0])]
+    (_, h10), (_, h2000) = height_sweep(v, path)
+    assert h10 == pytest.approx(-(2 / 3) * 1e3, rel=1e-9)
+    assert h2000 == pytest.approx(-(2 / 3) * 2000 ** 3, rel=1e-12)
+    monkeypatch.setattr(variations, "_fiber", lambda v, move, tol: moved_fiber(
+        v.W, v.F_inf, move.g, move.where, tol))
     with pytest.raises(NotAnMHS, match=re.escape("sweep point 1: fiber at z=[2000j], s=[0.0]: "
                                                  "direct-sum: ")):
-        height_sweep(v, [([10j], [0.0]), ([2000j], [0.0])])
+        height_sweep(v, path)
+
+
+def test_check_asymptotics_needs_a_hodge_tate_limit_on_w(monkeypatch):
+    # the cubic's limit (M, F_inf) is Hodge-Tate, but M is not W, since N
+    # does not lower W by 2; the weight-0 plane with N e0 = e1 has no limit.
+    # Each is refused before any fiber is built
+    import hodgeheight.variations as variations
+    from hodgeheight.height import Orientation
+    from hodgeheight.mhs import is_hodge_tate, split_filtration
+
+    orbit, orient = cubic_orbit()
+    cubic = LocalVariation(W=orbit.W, F_inf=orbit.F_inf, nilpotents=(orbit.N,),
+                           gamma=GammaPoly.zero(1), orientation=orient)
+    assert is_hodge_tate(cubic.limit_structure())
+    plane = LocalVariation(W=split_filtration([0, 0], True), F_inf=split_filtration([0, 0], False),
+                           nilpotents=(np.array([[0.0, 0.0], [1.0, 0.0]]),),
+                           gamma=GammaPoly.zero(1), orientation=Orientation.of([1, 0], [0, 1]))
+    monkeypatch.setattr(variations, "_fiber", None)
+    with pytest.raises(NotHodgeTate, match=re.escape("is not a Hodge-Tate structure with M = W")):
+        check_asymptotics(cubic, [([2j], [0.0])])
+    with pytest.raises(NotHodgeTate, match="the limit is not a Hodge-Tate structure: direct-sum"):
+        check_asymptotics(plane, [([2j], [0.0])])
 
 
 def test_check_asymptotics_names_a_fiber_that_is_not_hodge_tate(monkeypatch):
@@ -326,15 +390,17 @@ def test_check_asymptotics_on_the_cleared_probe():
 def test_a_fiber_row_reduces_no_step_of_f_but_its_piece(monkeypatch):
     # a Hodge-Tate fiber is its limit's period matrix moved by g: neither
     # the fiber, its height nor the depth-one identity row-reduces anything
-    # once the limit's lattice is built; nor does a cubic-orbit fiber once
-    # its base, the fiber at i, is built: it is that fiber moved by a real
-    # g.  The literal cubic fiber (not Hodge-Tate) moves F_inf as one flag
-    # and reduces its moved rows against W as they are: of the steps of F
-    # only F^0, which is the piece I^{0,0}, is row-reduced, and the full
+    # once the limit's lattice and height (limits.limit_height, whose
+    # Deligne system is built once per tol) are built; nor does a cubic-orbit
+    # fiber once its base, the fiber at i, is built: it is that fiber moved by
+    # a real g.  The literal cubic fiber (not Hodge-Tate) moves F_inf as one
+    # flag and reduces its moved rows against W as they are: of the steps of
+    # F only F^0, which is the piece I^{0,0}, is row-reduced, and the full
     # step is the C^n of F_inf itself
     v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
     z, s = [2j], [np.exp(-4 * np.pi)]
     fiber(v, z, s)
+    check_asymptotics(v, [([1j], [np.exp(-2 * np.pi)])])
     orbit, _ = cubic_orbit()
     orbit.fiber(1j)
     G = orbit.exp(2j)
