@@ -7,8 +7,8 @@
 
 Global flags, before or after the subcommand: --tol, --out.  An orbit file
 is read as the variation of its one N with Gamma = 0 (schemas.parse_variation):
-validate checks its limit, compute and sweep its fibers at z_j = z and s_j =
-e^{2 pi i z}.
+validate checks its limit (a limit that is no MHS is a failure of the
+report), compute and sweep its fibers at z_j = z and s_j = e^{2 pi i z}.
 
 Exit codes, mapped once in main: 0 success; 1 for any HodgeError (a
 structure that fails an axiom, a document that lacks a key or holds a
@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import HodgeError, LengthTooSmall, NoConvergence, NotHodgeTate
+from .errors import HodgeError, LengthTooSmall, NoConvergence, NotAnMHS, NotHodgeTate
 from .height import OrientedMHS, height
 from .limits import limit_height
 from .schemas import (
@@ -91,10 +91,13 @@ def _points(v: LocalVariation, zs) -> list:
 
 def cmd_validate(args) -> int:
     obj, _ = _read(args, orientation=False)
-    H = obj.limit_structure(args.tol) if isinstance(obj, LocalVariation) else obj
-    report = H.validate(args.tol)
-    _emit(args, dumps({"ok": report.ok, "failures": report.failures}))
-    return OK if report.ok else FAIL
+    try:
+        H = obj.limit_structure(args.tol) if isinstance(obj, LocalVariation) else obj
+        ok, failures = (report := H.validate(args.tol)).ok, report.failures
+    except NotAnMHS as exc:   # the axioms the limit fails, which limits.limit_mhs raises
+        ok, failures = False, [f"the limit (M(N, W), F_inf) is not a mixed Hodge structure: {exc}"]
+    _emit(args, dumps({"ok": ok, "failures": failures}))
+    return OK if ok else FAIL
 
 
 def cmd_compute(args) -> int:

@@ -76,8 +76,10 @@ Kaplan-Schmid 1986): the weight grading Y of the limit (M, F_inf) preserves
 F_inf and [Y, N] = -2N, so exp(zN) F_inf = g exp(iN) F_inf, g = exp(xN)
 y^(-Y/2), for z = x + iy, y > 0.  NilpotentOrbit.fiber checks once per tol
 that Y is real (the limit is R-split), preserves W and has [Y, N] = -2N, and
-validates the literal fiber at i; each fiber keeps its literal F and takes
-that bigrading moved by g, checked by its conjugation residual alone.  Any
+validates the literal fiber at i and its splitting; each fiber keeps its
+literal F and takes that bigrading moved by g (Frame.moved), checked by its
+conjugation residual alone, and the splitting's group element w_z = g w_i
+g^-1, on which deligne_delta runs its verdict with no projector sum.  Any
 other point or orbit (y <= 0, N not real, a failed check, a Hodge-Tate base,
 a HodgeError, a moved frame not finite) takes the lattice of moved_fiber.
 """
@@ -502,24 +504,26 @@ class NilpotentOrbit:
 
     def fiber(self, z: complex, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
         """(W, exp(zN) F_inf) = g (W, exp(iN) F_inf), g = exp(xN) y^(-Y/2): for
-        y > 0 and an orbit with a base (_base), the bigrading at i moved by g,
-        else the literal lattice of moved_fiber (module docstring)."""
+        y > 0 and an orbit with a base (_base), the bigrading and splitting group
+        element at i moved by g, else the literal lattice of moved_fiber (module docstring)."""
         where, g = f"orbit fiber at z = {z} is not a mixed Hodge structure: ", self.exp(z)
         if not np.isfinite(g).all():
             raise MalformedFiltration(where + "the move is not finite")
-        x, y, frame = complex(z).real, complex(z).imag, None
+        x, y, frame, w = complex(z).real, complex(z).imag, None, None
         if y > 0 and (base := self._base(tol)):
-            lim, at_i = base
+            lim, at_i, w_i = base
             with np.errstate(all="ignore"):   # y^(Y/2) = C diag(y^(deg/2)) C^-1, lim's C
                 s = y ** (lim.degrees / 2)
-                frame = Frame(self.exp(x) @ (lim.C / s) @ lim.C_inv @ at_i.C,
-                              at_i.C_inv @ (lim.C * s) @ lim.C_inv @ self.exp(-x), at_i.degrees)
-            frame = frame if np.isfinite([frame.C, frame.C_inv]).all() else None
-        return moved_fiber(self.W, self.F_inf, g, where, tol, frame)
+                G = self.exp(x) @ (lim.C / s) @ lim.C_inv
+                G_inv = (lim.C * s) @ lim.C_inv @ self.exp(-x)
+                frame, w = at_i.moved(G, G_inv), G @ w_i @ G_inv
+            frame, w = (frame, w) if np.isfinite([frame.C, frame.C_inv]).all() else (None, None)
+        return moved_fiber(self.W, self.F_inf, g, where, tol, frame, w)
 
-    def _base(self, tol: float) -> tuple[Frame, Frame] | None:
+    def _base(self, tol: float) -> tuple[Frame, Frame, np.ndarray] | None:
         """Once per tol: the limit's weight frame, if N and Y are real, Y preserves
-        W and [Y, N] = -2N, and the frame of the fiber at i if not Hodge-Tate; else None."""
+        W and [Y, N] = -2N, and the frame and splitting group element w = -2i delta
+        of the fiber at i if not Hodge-Tate and its splitting holds; else None."""
         if tol not in self._bases:
             self._bases[tol] = None
             with suppress(HodgeError):
@@ -528,18 +532,20 @@ class NilpotentOrbit:
                 if (max(maxabs(Y.imag), maxabs(N.imag), maxabs(Y @ N - N @ Y + 2 * N))
                         <= tol * max(maxabs(Y), maxabs(N), 1.0)
                         and lowers(self.W, self.W.adapted_basis().operator(Y), 0, tol)):
-                    at_i = moved_fiber(self.W, self.F_inf, self.exp(1j), "", tol).bigrading(tol)
-                    self._bases[tol] = None if at_i.period else (lim, at_i.frame)
+                    H = moved_fiber(self.W, self.F_inf, self.exp(1j), "", tol)
+                    if not (at_i := H.bigrading(tol)).period:
+                        self._bases[tol] = (lim, at_i.frame, -2j * deligne_delta(H, tol).delta)
         return self._bases[tol]
 
 
 def moved_fiber(W: Filtration, F_inf: Filtration, g: np.ndarray, where: str,
                 tol: float = DEFAULT_TOL,
-                known: tuple[np.ndarray, np.ndarray] | Frame | None = None) -> MixedHodgeStructure:
+                known: tuple[np.ndarray, np.ndarray] | Frame | None = None,
+                group: np.ndarray | None = None) -> MixedHodgeStructure:
     """(W, g F_inf), F_inf moved as one flag (Filtration.moved): the fiber of an
     orbit and of a variation, NotAnMHS (opened by where) if it is no MHS.  g and
     known (MixedHodgeStructure) come checked finite (NilpotentOrbit.fiber, variations._moves)."""
-    H = MixedHodgeStructure(W, F_inf.moved(g, tol), known)
+    H = MixedHodgeStructure(W, F_inf.moved(g, tol), known, group)
     if not (report := H.validate(tol)).ok:
         raise NotAnMHS(where + "; ".join(report.failures))
     return H

@@ -752,6 +752,12 @@ class Frame:
         shift = self._code[:, None] - self._code
         return {g: shift == u for u, g in self._distinct(shift).items()}
 
+    def moved(self, G: np.ndarray, G_inv: np.ndarray) -> "Frame":
+        """The frame (G C, C^-1 G^-1) of the same degrees, which shares the masks."""
+        frame = Frame(G @ self.C, self.C_inv @ G_inv, self.degrees)
+        frame.masks = self.masks
+        return frame
+
     def coordinates(self, M: Matrix) -> np.ndarray:
         return self.C_inv @ M @ self.C
 

@@ -304,15 +304,17 @@ class ValidationReport:
 class MixedHodgeStructure:
     """A pair (F, W) of filtrations on a fixed rational coordinate space;
     known, the (P, L) of a Hodge-Tate pair or a moved Frame of pieces, is a
-    bigrading known by construction, which skips the lattice (module docstring)."""
+    bigrading known by construction, which skips the lattice, and group is the
+    splitting's group element w of a moved Frame, verified (module docstring)."""
 
     def __init__(self, W: Filtration, F: Filtration,
-                 known: tuple[np.ndarray, np.ndarray] | Frame | None = None):
+                 known: tuple[np.ndarray, np.ndarray] | Frame | None = None,
+                 group: np.ndarray | None = None):
         if W.ambient_dim != F.ambient_dim:
             raise MalformedFiltration("W and F live on different spaces")
         if not W.increasing or F.increasing:
             raise MalformedFiltration("W must be increasing and F decreasing")
-        self.W, self.F, self.dim, self._known = W, F, W.ambient_dim, known
+        self.W, self.F, self.dim, self._known, self._group = W, F, W.ambient_dim, known, group
         # per tol: the report and, when it is ok, the bigrading
         self._validated: dict[float, tuple[ValidationReport, DeligneBigrading | None]] = {}
         # per tol: the Splitting, filled by splitting.deligne_delta

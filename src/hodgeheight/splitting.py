@@ -15,7 +15,9 @@ group with Ad(u) Y = conj(Y), and delta = (i/2) log u, a finite series
 constraint, the defining relation and finiteness are verified post hoc,
 once, by _solve_splitting; rounding in the projectors of an ill-conditioned
 bigrading fails that check, so this general route has one NoConvergence
-verdict.  On a Hodge-Tate bigrading (mhs.Period) u = conj(P) P^-1, so delta
+verdict.  The verdict also runs on a w handed in (the group element a moved
+orbit fiber carries, g w_i g^-1: limits.NilpotentOrbit.fiber), whose sum it
+skips.  On a Hodge-Tate bigrading (mhs.Period) u = conj(P) P^-1, so delta
 = -(i/2) P L P^-1, real by construction and checked only for finiteness.
 gl_hodge_components is Frame.parts of the bigrading's frame; the Hodge
 components a Splitting holds are those of its delta, so they sum to it (to
@@ -75,7 +77,7 @@ def deligne_delta(H: MixedHodgeStructure, tol: float = DEFAULT_TOL) -> Splitting
     tol and cached on H."""
     if tol not in H._splittings:
         B = H.bigrading(tol)
-        H._splittings[tol] = (_solve_splitting(B, tol) if B.period is None else
+        H._splittings[tol] = (_solve_splitting(B, tol, H._group) if B.period is None else
                               _period_splitting(B))
     return H._splittings[tol]
 
@@ -101,8 +103,8 @@ def _group_element(B: DeligneBigrading) -> np.ndarray:
     return logm_unipotent(sum(np.conj(P) @ P for P in B.weight_projectors.values()))
 
 
-def _solve_splitting(B: DeligneBigrading, tol: float) -> Splitting:
-    w = _group_element(B)
+def _solve_splitting(B: DeligneBigrading, tol: float, w: np.ndarray | None = None) -> Splitting:
+    w = _group_element(B) if w is None else w
     solved = 0.5j * w
     delta = solved.real.astype(float)
     # the components resolve the real delta the Splitting holds: their sum is it

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
+from fractions import Fraction
 from functools import reduce
 from math import pi
 from typing import NamedTuple
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .height import Orientation, OrientedMHS, _check_oriented, _period_height, height
 from .limits import NilpotentOrbit, limit_height, limit_mhs, moved_fiber
-from .linalg import bch, expm_nilpotent, logm_unipotent, maxabs
+from .linalg import ExactMatrix, bch, expm_nilpotent, logm_unipotent, maxabs
 from .mhs import MixedHodgeStructure, is_hodge_tate, lowers, split_filtration
 
 
@@ -98,7 +99,7 @@ class LocalVariation:
     tol: InitVar[float] = DEFAULT_TOL    # of the nilpotent, commutation and tameness checks
     # one NilpotentOrbit per N_j, whose power table gives exp(z_j N_j)
     _orbits: tuple[NilpotentOrbit, ...] = field(init=False, compare=False, repr=False)
-    # the orbit of N = sum_j N_j (N = 0 for none), whose limit is the variation's
+    # the orbit of N = sum_j N_j (N = 0 for none; exact when each N_j is): the variation's limit
     cone: NilpotentOrbit = field(init=False, compare=False, repr=False)
     # per tol: the Hodge-Tate route of _moves or None (_transport); the
     # Hodge-Tate limit's bigrading and height (check_asymptotics)
@@ -117,8 +118,11 @@ class LocalVariation:
         flag = self.W.adapted_basis()
         if not all(lowers(self.W, flag.operator(m), 0, tol) for _, m in self.gamma.terms):
             raise HodgeError("Gamma coefficients must preserve the weight filtration")
+        exact = all(isinstance(o.monodromy, ExactMatrix) for o in orbits)
+        N = sum((Fraction(1, o.monodromy.den) * np.array(o.monodromy.num, dtype=object)
+                 if exact else o.N for o in orbits), np.zeros((self.dim, self.dim), int))
         object.__setattr__(self, "cone", orbits[0] if len(orbits) == 1 else NilpotentOrbit(
-            self.W, sum((o.N for o in orbits), np.zeros((self.dim, self.dim))), self.F_inf, tol))
+            self.W, N, self.F_inf, tol))
 
     def _transport(self, tol: float) -> tuple | None:
         """Once per tol: (N_j and log P_inf in the coordinates of W, P_inf)

@@ -610,7 +610,8 @@ def test_the_biextension_orbit_as_either_document(tmp_path, capsys):
 
 def test_validate_an_orbit_at_its_limit(tmp_path, capsys):
     # the weight-0 plane with N e0 = e1: its fibers are structures, its limit
-    # (M(N, W), F_inf) is not, and validate names the failed axiom
+    # (M(N, W), F_inf) is not, and validate reports that the limit fails,
+    # naming the failed axiom, on stdout, with exit status 1 and no error
     doc = {"dimension": 2,
            "weight_filtration": [{"weight": 0, "basis": [["1", "0"], ["0", "1"]]}],
            "f_infinity": [{"level": 0, "basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}],
@@ -619,7 +620,10 @@ def test_validate_an_orbit_at_its_limit(tmp_path, capsys):
     assert main(["compute", path, "--what", "delta"]) == 0
     capsys.readouterr()
     assert main(["validate", path]) == 1
-    assert capsys.readouterr().err.startswith("error: direct-sum: ")
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {"ok": False, "failures": [
+        "the limit (M(N, W), F_inf) is not a mixed Hodge structure: "
+        "direct-sum: component dimensions add to 0, expected 2"]}
 
 
 def test_a_fiber_error_names_its_point_in_python_numbers(variation_file, capsys):

@@ -679,7 +679,7 @@ def _literal_route_orbits():
 def test_an_orbit_with_no_base_takes_the_literal_route(name, orbit, orient, points):
     for z in points:
         H, L = orbit.fiber(z, TOL), _literal(orbit, z)
-        assert orbit._bases[TOL] is None and H._known is None
+        assert orbit._bases[TOL] is None and H._known is None and H._group is None
         got, want = H.bigrading(TOL).frame, L.bigrading(TOL).frame
         assert np.array_equal(got.C, want.C) and np.array_equal(got.C_inv, want.C_inv)
         assert np.array_equal(deligne_delta(H, TOL).delta, deligne_delta(L, TOL).delta)
@@ -726,6 +726,77 @@ def test_the_cubic_fiber_below_the_real_axis_takes_the_literal_route():
         assert H._known is None and TOL not in orbit._bases
         want = height(OrientedMHS(_literal(orbit, z), orient), TOL)
         assert height(OrientedMHS(H, orient), TOL) == want
+
+
+def _cubic_variation_doc() -> dict:
+    """The cubic orbit written as a variation document: its one N, no Gamma."""
+    orbit, _ = cubic_orbit()
+    return {"dimension": 4,
+            "weight_filtration": [{"weight": k, "basis": [[str(int(x.real)) for x in row]
+                                                          for row in S.basis]}
+                                  for k, S in orbit.W.steps],
+            "f_infinity": [{"level": p, "basis": [[[x.real, x.imag] for x in row] for row in S.basis]}
+                           for p, S in orbit.F_inf.steps],
+            "nilpotents": [[[str(int(x)) for x in row] for row in orbit.N.real]],
+            "orientation": {"top": ["1", "0", "0", "0"], "bottom": ["0", "0", "0", "1"]}}
+
+
+def test_a_based_fiber_moves_its_splitting_group_element_from_the_fiber_at_i(monkeypatch):
+    # w_z = g w_i g^-1 for the real g that moves the fiber at i to z, so the
+    # group element log sum_k conj(P_k) P_k is formed once per orbit and tol,
+    # at i, however many fibers or sweep points follow; each fiber's frame
+    # shares the degree masks of the frame at i
+    from hodgeheight import splitting
+    from hodgeheight.schemas import parse_variation
+    from hodgeheight.variations import height_sweep
+
+    body, calls = splitting._group_element, []
+
+    def counted(B):
+        calls.append(B)
+        return body(B)
+
+    monkeypatch.setattr(splitting, "_group_element", counted)
+    counts = []
+    for count in (5, 20):
+        orbit, orient = cubic_orbit()
+        calls.clear()
+        for y in np.linspace(0.5, 55, count):
+            assert height(OrientedMHS(orbit.fiber(0.3 + 1j * y, TOL), orient), TOL) == \
+                pytest.approx(-(2 / 3) * y ** 3, rel=1e-12)
+        H, (_, at_i, _) = orbit.fiber(10j, TOL), orbit._bases[TOL]
+        assert H._group is not None and H.bigrading(TOL).frame.masks is at_i.masks
+        v = parse_variation(_cubic_variation_doc(), TOL)
+        rows = height_sweep(v, [([1j * y], [0.0]) for y in np.linspace(0.5, 55, count)], TOL)
+        assert len(rows) == count
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
+def test_a_based_fiber_runs_the_splitting_verdict_on_its_moved_group_element(monkeypatch):
+    # the fiber takes w_z on trust; deligne_delta verifies it at every point,
+    # so a base w_i off by 1e-6 raises NoConvergence there, naming the residual
+    from hodgeheight.errors import NoConvergence
+
+    orbit, _ = cubic_orbit()
+    orbit.fiber(1j, TOL)
+    lim, at_i, w_i = orbit._bases[TOL]
+    monkeypatch.setitem(orbit._bases, TOL, (lim, at_i, w_i + 1e-6))
+    for z in (1j, 2j, 0.3 + 55j):
+        H = orbit.fiber(z, TOL)
+        assert H.validate(TOL).ok
+        with pytest.raises(NoConvergence, match=r"splitting residual \S+ exceeds tolerance 1\.000e-09"):
+            deligne_delta(H, TOL)
+
+
+def test_cubic_fiber_heights_hold_far_out():
+    # the moved splitting keeps -(2/3) y^3 to 1e-12 relative up to y = 1e6,
+    # far past the literal lattice's frontier at y = 1818
+    orbit, orient = cubic_orbit()
+    for y in np.geomspace(0.5, 1e6, 15):
+        for x in (0.0, -1.7):
+            h = height(OrientedMHS(orbit.fiber(x + 1j * y, TOL), orient), TOL)
+            assert h == pytest.approx(-(2 / 3) * y ** 3, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,43 @@ def test_limit_structure_built_once():
     assert v.limit_structure() is v.limit_structure()
 
 
+def test_the_cone_of_rational_nilpotents_stays_exact():
+    # two N = (1/3) E21 on the dilog's W: each orbit's N is an ExactMatrix, and
+    # so is the cone's N = (2/3) E21, summed in Fractions, whose limit is that
+    # of the one-N variation of (2/3) E21: M = W, since N lowers W by 2, and
+    # F_inf split, so the limit is Hodge-Tate with period matrix 1 and limit
+    # height 0
+    from hodgeheight.limits import limit_height
+    from hodgeheight.linalg import ExactMatrix
+    from hodgeheight.schemas import parse_variation
+
+    def doc(*nilpotents):
+        return {"dimension": 3,
+                "weight_filtration": [
+                    {"weight": -4, "basis": [["0", "0", "1"]]},
+                    {"weight": -2, "basis": [["0", "1", "0"], ["0", "0", "1"]]},
+                    {"weight": 0, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}],
+                "f_infinity": [
+                    {"level": 0, "basis": [[[1, 0], [0, 0], [0, 0]]]},
+                    {"level": -1, "basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]},
+                    {"level": -2, "basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                            [[0, 0], [0, 0], [1, 0]]]}],
+                "nilpotents": [[["0", "0", "0"], ["0", "0", "0"], ["0", c, "0"]] for c in nilpotents],
+                "orientation": {"top": ["1", "0", "0"], "bottom": ["0", "0", "1"]}}
+
+    v, one = parse_variation(doc("1/3", "1/3")), parse_variation(doc("2/3"))
+    assert all(type(o.monodromy) is ExactMatrix for o in v._orbits)
+    assert type(v.cone.monodromy) is ExactMatrix and v.cone is not v._orbits[0]
+    assert (v.cone.monodromy.num, v.cone.monodromy.den) == ([[0, 0, 0], [0, 0, 0], [0, 2, 0]], 3)
+    assert (one.cone.monodromy.num, one.cone.monodromy.den) == (v.cone.monodromy.num, 3)
+    L = v.limit_structure()
+    assert [(k, S.exact) for k, S in L.W.steps] == [(k, S.exact) for k, S in v.W.steps]
+    assert [(k, S.exact) for k, S in L.W.steps] == \
+        [(k, S.exact) for k, S in one.limit_structure().W.steps]
+    assert np.array_equal(L.bigrading().period.P, np.eye(3))
+    assert limit_height(v.cone, v.orientation) == limit_height(one.cone, one.orientation) == 0.0
+
+
 def test_variation_rejects_a_nilpotent_that_raises_weight():
     # a variation checks each nilpotent as NilpotentOrbit does: N must
     # preserve W (and be horizontal for F_inf)
