@@ -281,9 +281,13 @@ def _steps_to_filtration(M: dict[int, Subspace], n: int,
 def _jordan_graded(powers: list, center: int, tol: float) -> dict[int, int]:
     """j -> dim Gr_j of W(N) at center, off N's Jordan type (module docstring)."""
     n, m = len(powers[0]), len(powers) - 1
-    # kappa_e = dim ker N^e, a rank decided as _monodromy_from_powers decides it
+    # kappa_e = dim ker N^e; the rounding of a float N^e is of the order of
+    # scale^e, so its rank is decided against tol * scale^e, the bound at
+    # which nilpotent_powers takes a power to be zero
+    scale = 1.0 if isinstance(powers[1], ExactMatrix) else max(maxabs(powers[1]), 1.0)
     kappa = [0, *(n - len((rref_exact(P.num) if isinstance(P, ExactMatrix) else
-                           rref_float(P, tol))[1]) for P in powers[1:m]), n]
+                           rref_float(P / scale ** e, tol))[1])
+                  for e, P in enumerate(powers[1:m], 1)), n]
     b = [*(y - x for x, y in zip(kappa, kappa[1:])), 0]   # b[e-1]: blocks of size >= e
     if any(y > x for x, y in zip(b, b[1:])):
         raise NotNilpotent("kernel dimensions of the powers of N admit no Jordan type")

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import (
@@ -1720,8 +1720,22 @@ def test_jordan_type_reference_is_the_monodromy_filtration(case):
     _assert_jordan_reference(*case, paths=("exact", "float"))
 
 
+# blocks (4, 3) whose float N^3 / 27, of entries up to 0.22, carries a
+# rounding singular value of 1.2e-9: read against tol, not tol * scale^3,
+# rank N^3 was 2, not 1, which gives more blocks of size >= 4 than of size
+# >= 3, and NotNilpotent
+_ROUNDED_CUBE = np.array([[0, 0, 0, 0, 0, 0, 0],
+                          [3, -11, -15, -13, -44, -55, 213],
+                          [-3, 7, 9, 5, 25, 33, -125],
+                          [1, 0, -1, -1, -3, -3, 13],
+                          [0, 30, 42, 36, 123, 155, -598],
+                          [0, 46, 64, 54, 187, 235, -908],
+                          [0, 18, 25, 21, 73, 92, -355]], dtype=float)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_jordan_case(2))
+@example((_ROUNDED_CUBE, [4, 3], 0))
 def test_jordan_type_reference_of_a_larger_conjugate(case):
     # with U and L in -2 .. 2 about 7% of the float monodromy filtrations
     # fail their own axiom check (the xfail below), so only the exact one
