@@ -1,13 +1,5 @@
 """Nilpotent orbits, relative weight filtrations and limit heights.
 
-monodromy_weight_filtration is the classical unique filtration W(N) with
-N W_k <= W_{k-2} and N^j inducing isomorphisms between the graded pieces at
-center+j and center-j; it is computed by the closed formula
-
-    W(N)_k = sum_j N^j ( ker N^(k+2j+1) )
-
-and verified against both axioms afterwards.
-
 Each function of the orbit path takes one n x n N (linalg.as_operator;
 DimensionMismatch otherwise): an ExactMatrix (int rows over one denominator)
 when every entry is rational, otherwise a complex array, with its powers
@@ -18,39 +10,39 @@ that is not rational (real N that depends on F, say) takes the float path.
 A NilpotentOrbit maps its N into the coordinates of W once, where limit_mhs
 reads it; horizontality, N F^p <= F^(p-1), is mhs.lowers by -1 on F_inf.
 
-relative_weight_filtration(N, W) runs in the coordinates c of v = c T, T the
-adapted basis of W (linalg.AdaptedBasis), where W_k is the span of the
-first d_k = dim W_k coordinates and N acts by N' (AdaptedBasis.operator).
-N preserves W exactly when N' vanishes below its diagonal blocks (lowers);
-N on W_k is then the leading d_k x d_k block of N' and N on Gr^W_k the k-th
-diagonal block, and the powers of each block are the blocks of the powers
-of N', so one table serves every level and every block.  The recursion
-peels the top weight k of W: with M' computed on W_k' (k' the weight
-below) and carried up to C^(d_k) by appending zero coordinates,
+relative_weight_filtration(N, W) is the unique M with N M_j <= M_(j-2) that
+induces on each Gr^W_k the monodromy filtration of N there, centered at k;
+monodromy_weight_filtration(N, c) is M for the W with the one step W_c, which
+exists for every nilpotent N (a failed check there raises NotNilpotent).
+Both run in the coordinates c of v = c T, T the adapted basis of W
+(linalg.AdaptedBasis): W_k is the span of the first d_k = dim W_k
+coordinates, N acts by N' (AdaptedBasis.operator), and N preserves W exactly
+when N' vanishes below its diagonal blocks (lowers).  N on W_k is then the
+leading d_k x d_k block of N' and N on Gr^W_k the k-th diagonal block, whose
+powers are the blocks of the powers of N' (_block_powers cuts each block's
+table, with its own nilpotency index m, N^m = 0).
 
-    M_(k+j)  = preimage of M'_(k-j-2) under N^(j+1)      (j >= 0)
-    M_(k-j)  = N^j( M_(k+j) ) + M'_(k-j)                 (j >= 1)
+M is peeled weight by weight from the empty M.  With M' the filtration of
+the step of W below (zero at the bottom weight), padded with zero
+coordinates to C^(d_k) = W_k, and j running from m-1 down,
 
-with every preimage taken inside C^(d_k) = W_k.  With m the nilpotency
-index (N^m = 0), only the 2m-1 indices k-m+1 .. k+m-1 of each peeled
-weight are live: from j = m-1 on the preimage under N^(j+1) = 0 is
-everything, so M_(k+j) = W_k, and from j = m on the push N^j M_(k+j) is
-zero, so M_(k-j) = M'_(k-j).  The recursion therefore computes M_(k+j) for
-j = 0..m-2 and M_(k-j) for j = 1..m-1, sets M_(k+m-1) = W_k and carries the
-entries of M' at or below k-m over unchanged.  The base case is the
-monodromy filtration of the bottom block.  M goes back by c -> c T.
+    M_(k+m-1) = W_k,   M_(k-j) = N^j M_(k+j) + M'_(k-j)   (j >= 1),
+    M_(k+j) = preimage of M_(k-j-2) under N^(j+1)         (j >= 0),
 
-The two characterizing axioms are re-verified on the result; failure raises
-DoesNotExist (admissibility failure).  The graded axiom compares, on each
-Gr^W_k and for j in [k-2n, k+2n], dim (M_j cap W_k) / (M_j cap W_(k-1)),
-the number of rows of the right echelon of M_j (linalg.right_echelon) with
-pivot in d_(k-1) .. d_k - 1, with dim Gr_j W(B), B the diagonal block, at
-center k: the bottom piece reads the base case, the others B's Jordan type
-(b_e = dim ker B^e - dim ker B^(e-1) blocks of size >= e, NotNilpotent if
-b_e grows; one of size s adds one to Gr_(k+s-1-2i), i < s).  Both are step
-functions of j that change only at jumps of M or of the reference, so
-evaluating them at the lower end of the range and at every such jump inside
-it is the same check as evaluating them at every integer.
+where M_(k-j-2) reads M_(k+j+2), known by then; past this window of 2m-1
+indices M_(k+j) = W_k and M_(k-j) = M'_(k-j).  Over Q, N^j is read off the
+table; on a float N it is j steps of N (_under), since the rounding of a
+float N^j grows with |N|^j and moves the rank decisions of ill-conditioned
+conjugates.  M goes back by c -> c T.
+
+Both axioms are verified on the result (DoesNotExist otherwise).  The graded
+one compares, on each Gr^W_k and for j in [k-2n, k+2n], dim (M_j cap W_k) /
+(M_j cap W_(k-1)), the rows of the right echelon of M_j (linalg.right_echelon)
+with pivot in d_(k-1) .. d_k - 1, with dim Gr_j W(B) at center k, B the
+diagonal block, read off B's Jordan type: b_e = dim ker B^e - dim ker
+B^(e-1) blocks of size >= e (NotNilpotent if b_e grows), one of size s
+adding one to Gr_(k+s-1-2i), i < s.  Both sides are step functions of j, so
+they are compared at the lower end and at every jump of M or the reference.
 
 deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to
@@ -113,7 +105,6 @@ from .linalg import (
     expm_nilpotent,
     maxabs,
     nilpotent_powers,
-    nullspace_exact,
     nullspace_float,
     right_echelon,
     rref_exact,
@@ -123,68 +114,18 @@ from .mhs import Filtration, MixedHodgeStructure, lowers, split_filtration, weig
 from .splitting import deligne_delta
 
 # ---------------------------------------------------------------------------
-# monodromy weight filtration
+# monodromy and relative weight filtrations
 
 
 def monodromy_weight_filtration(N, center: int = 0,
                                 tol: float = DEFAULT_TOL) -> Filtration:
-    """The unique filtration with N W_k <= W_{k-2} and N^j : Gr_{c+j} ~ Gr_{c-j}."""
+    """The unique filtration with N W_k <= W_{k-2} and N^j : Gr_{c+j} ~ Gr_{c-j}:
+    M(N, W) for W with the one step W_c (module docstring)."""
     N = as_operator(N)
-    return _monodromy_from_powers(nilpotent_powers(check_square(N, len(N)), tol), center, tol)
-
-
-def _monodromy_from_powers(powers: list, center: int, tol: float) -> Filtration:
-    """The monodromy filtration of N from its power table N^0 .. N^m."""
-    N, n, m = powers[1], len(powers[0]), len(powers) - 1
-
-    def kernel(e: int) -> Subspace:
-        if isinstance(N, ExactMatrix):
-            return Subspace.from_integer_rows(nullspace_exact(powers[e].num, n), n)
-        return Subspace.from_rows(nullspace_float(powers[e], tol), n, tol)
-
-    # ker N^e for e = 0..m, each computed once: zero at e = 0, everything at m
-    kernels = [Subspace.zero(n), *(kernel(e) for e in range(1, m)), Subspace.full(n)]
-    images: dict[tuple[int, int], Subspace] = {}   # (e, j) -> N^j ker N^e
-
-    sums: dict[int, Subspace] = {}
-    for k in range(-m, m + 1):
-        total = Subspace.zero(n)
-        for j in range(0, m + 1):
-            e = min(max(k + 2 * j + 1, 0), m)
-            if (e, j) not in images:
-                images[(e, j)] = kernels[e].image_under(powers[j], tol) if j else kernels[e]
-            total = total.add(images[(e, j)], tol)
-        sums[k + center] = total
-    filt = _steps_to_filtration(sums, n, tol)
-    _verify_centered(filt, powers, center, tol)
-    return filt
-
-
-def _verify_centered(filt: Filtration, powers: list, center: int, tol: float) -> None:
-    m = len(powers) - 1
-    for k in filt.indices:
-        moved = filt.at(k).image_under(powers[1], tol)
-        if not filt.at(k - 2).contains(moved, tol):
-            raise NotNilpotent("monodromy filtration axiom N W_k <= W_{k-2} failed")
-    for j in range(1, m + 1):
-        hi = _gr_dim(filt, center + j)
-        lo = _gr_dim(filt, center - j)
-        if hi != lo:
-            raise NotNilpotent("graded pieces are not symmetric around the center")
-        if hi:
-            # N^j must drop Gr_{c+j} isomorphically onto Gr_{c-j}
-            img = filt.at(center + j).image_under(powers[j], tol)
-            covered = img.add(filt.at(center - j - 1), tol)
-            if covered.dim - filt.at(center - j - 1).dim != hi:
-                raise NotNilpotent("N^j does not induce an isomorphism on graded pieces")
-
-
-def _gr_dim(filt: Filtration, k: int) -> int:
-    return filt.at(k).dim - filt.at(k - 1).dim
-
-
-# ---------------------------------------------------------------------------
-# relative weight filtration
+    try:
+        return relative_weight_filtration(N, split_filtration([center] * len(N), True), tol)
+    except DoesNotExist as exc:
+        raise NotNilpotent(f"monodromy filtration check failed: {exc}") from exc
 
 
 def relative_weight_filtration(N, W: Filtration, tol: float = DEFAULT_TOL) -> Filtration:
@@ -192,20 +133,19 @@ def relative_weight_filtration(N, W: Filtration, tol: float = DEFAULT_TOL) -> Fi
     return _relative_from_operator(W.adapted_basis().operator(N), W, tol)
 
 
-def _relative_from_operator(Np, W: Filtration, tol: float, preserves: bool = False) -> Filtration:
-    """The body of relative_weight_filtration, from its
-    N' = W.adapted_basis().operator(N), known to preserve W if preserves."""
+def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
+    """relative_weight_filtration from its N' = W.adapted_basis().operator(N)."""
     flag = W.adapted_basis()
     powers = nilpotent_powers(Np, tol)
-    if not (preserves or lowers(W, Np, 0, tol)):
+    if not lowers(W, Np, 0, tol):
         raise DoesNotExist("N does not preserve the weight filtration")
-    base, M_steps = _relative_rec(powers, W.indices, flag.dims, tol)
+    M_steps = _relative_rec(powers, W.indices, flag.dims, tol)
     try:
         filt = _steps_to_filtration(M_steps, W.ambient_dim, tol)
     except MalformedFiltration as exc:
         # the downward/upward passes only interlock when the filtration exists
         raise DoesNotExist(f"candidate family is not a filtration: {exc}") from exc
-    _verify_relative(filt, powers, W.indices, flag.dims, base, tol)
+    _verify_relative(filt, powers, W.indices, flag.dims, tol)
     return filt.map_spaces(lambda s: flag.lift(s, tol))
 
 
@@ -239,32 +179,39 @@ def _pad(S: Subspace, d: int) -> Subspace:
 
 
 def _relative_rec(powers: list, weights: list[int], dims: tuple[int, ...],
-                  tol: float) -> tuple[Filtration, dict[int, Subspace]]:
-    """(base, M) from the power table of N': the monodromy filtration of the
-    bottom block, and M in the coordinates of T as a map k -> M_k, read as
-    the step function of its largest key <= j (see the module docstring)."""
-    m = len(powers) - 1
-    base = _monodromy_from_powers(_block_powers(powers, 0, dims[0], tol), weights[0], tol)
-    M = dict(base.steps)
-    for k_top, d in zip(weights[1:], dims[1:]):
+                  tol: float) -> dict[int, Subspace]:
+    """M in the coordinates of T from the power table of N' (module docstring),
+    as a map k -> M_k read as the step function of its largest key <= j."""
+    M: dict[int, Subspace] = {}
+    for k_top, d in zip(weights, dims):
         keys = sorted(M)
         Msub = {k: _pad(M[k], d) for k in keys}
-        P = [_block(p, 0, d) for p in powers]
+        P = _block_powers(powers, 0, d, tol)
+        m = len(P) - 1
 
         def msub_at(j: int) -> Subspace:
             i = bisect_right(keys, j)
             return Msub[keys[i - 1]] if i else Subspace.zero(d)
 
-        # upward: M_(k+j) = N^-(j+1) M'_(k-j-2); N^(j+1) = 0 from j = m-1 on
-        up = [msub_at(k_top - j - 2).preimage_under(P[j + 1], tol) for j in range(m - 1)]
-        up.append(Subspace.full(d))
         M = {k: Msub[k] for k in keys if k <= k_top - m}
-        # downward: M_(k-j) = N^j M_(k+j) + M'_(k-j); N^j = 0 from j = m on
-        for j in range(1, m):
-            M[k_top - j] = up[j].image_under(P[j], tol).add(msub_at(k_top - j), tol)
-        for j, space in enumerate(up):
-            M[k_top + j] = space
-    return base, M
+        # top down: M_(k+j) = N^-(j+1) M_(k-j-2), everything from j = m-1 on;
+        # M_(k-j) = N^j M_(k+j) + M'_(k-j), which is M'_(k-j) from j = m on
+        down = {j: msub_at(k_top - j) for j in (m, m + 1)}
+        for j in range(m - 1, -1, -1):
+            M[k_top + j] = up = (Subspace.full(d) if j == m - 1 else
+                                 _under(Subspace.preimage_under, down[j + 2], P, j + 1, tol))
+            if j:
+                M[k_top - j] = down[j] = _under(Subspace.image_under, up, P, j, tol).add(
+                    msub_at(k_top - j), tol)
+    return M
+
+
+def _under(op, S: Subspace, P: list, e: int, tol: float) -> Subspace:
+    """op(S, N^e), op Subspace.image_under or preimage_under: N^e off the
+    table P over Q, e steps of N on a float N (module docstring)."""
+    for A in [P[e]] if isinstance(P[1], ExactMatrix) else [P[1]] * e:
+        S = op(S, A, tol)
+    return S
 
 
 def _steps_to_filtration(M: dict[int, Subspace], n: int,
@@ -297,7 +244,7 @@ def _jordan_graded(powers: list, center: int, tol: float) -> dict[int, int]:
 
 
 def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tuple[int, ...],
-                     base: Filtration, tol: float) -> None:
+                     tol: float) -> None:
     """Both axioms of M = M(N, W) in the coordinates of T, from the power
     table of N'; the graded one by pivot counts (see the module docstring)."""
     for k in M.indices:
@@ -306,10 +253,8 @@ def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tupl
     n = len(powers[0])
     keys = M.indices
     pivots = [right_echelon(s.exact if s.is_exact() else s.basis, tol)[1] for _, s in M.steps]
-    lo = 0
-    for k, d in zip(weights, dims):
-        ref = (_jordan_graded(_block_powers(powers, lo, d, tol), k, tol) if lo else
-               {j: _gr_dim(base, j) for j in base.indices})   # j -> dim Gr_j
+    for lo, k, d in zip((0, *dims), weights, dims):
+        ref = _jordan_graded(_block_powers(powers, lo, d, tol), k, tol)   # j -> dim Gr_j
         first, last = k - 2 * n, k + 2 * n
         for j in sorted({first, *(i for i in [*keys, *ref] if first < i <= last)}):
             i = bisect_right(keys, j)
@@ -317,7 +262,6 @@ def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tupl
             if got != sum(g for x, g in ref.items() if x <= j):
                 raise DoesNotExist(
                     f"induced filtration on Gr_{k} differs from the monodromy filtration")
-        lo = d
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +435,7 @@ class NilpotentOrbit:
         self._series = [np.array(P, dtype=complex) / factorial(k)
                         for k, P in enumerate(nilpotent_powers(self.monodromy, tol))]
         # N' = N in the coordinates of W, which limit_mhs reads, checked at tol
-        self.operator, self._tol = W.adapted_basis().operator(self.monodromy), tol
+        self.operator = W.adapted_basis().operator(self.monodromy)
         if not lowers(W, self.operator, 0, tol):
             raise NotNilpotent("N must preserve the weight filtration")
         if not lowers(F_inf, F_inf.adapted_basis().operator(self.monodromy), -1, tol):
@@ -559,7 +503,7 @@ def limit_mhs(orbit: NilpotentOrbit, tol: float = DEFAULT_TOL) -> MixedHodgeStru
     """The limit (M(N, W), F_inf), built once per orbit and tol, which limit_height
     and the fibers' base share; a limit that is none raises on every call."""
     if tol not in orbit._limits:
-        M = _relative_from_operator(orbit.operator, orbit.W, tol, preserves=tol == orbit._tol)
+        M = _relative_from_operator(orbit.operator, orbit.W, tol)
         H = MixedHodgeStructure(M, orbit.F_inf)
         H.bigrading(tol)   # NotAnMHS naming the failed axioms
         orbit._limits[tol] = H

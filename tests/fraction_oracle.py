@@ -202,3 +202,23 @@ def powers(N):
         if not any(any(row) for row in table[-1]):
             return table
     raise NotNilpotent("matrix is not nilpotent")
+
+
+def monodromy_filtration(N, center: int = 0) -> list[tuple[int, list[list[Fraction]]]]:
+    """The steps (k, leading-one rows) of W(N) centered at center, at its
+    jumps, by the closed formula W(N)_k = sum_j N^j ker N^(k+2j+1)."""
+    n = len(N)
+    table = powers(N)
+    m = len(table) - 1
+
+    def kernel(e):
+        if e <= 0:
+            return []
+        return span(nullspace(table[e], n)) if e < m else span(table[0])
+
+    steps = []
+    for k in range(-m, m + 1):
+        rows = span([v for j in range(m + 1) for v in image(table[j], kernel(k + 2 * j + 1))])
+        if rows and len(rows) > (len(steps[-1][1]) if steps else 0):
+            steps.append((k + center, rows))
+    return steps
