@@ -33,9 +33,14 @@ where M_(k-j-2) reads M_(k+j+2), known by then; past this window of 2m-1
 indices M_(k+j) = W_k and M_(k-j) = M'_(k-j).  Over Q, N^j is read off the
 table; on a float N it is j steps of N (_under), since the rounding of a
 float N^j grows with |N|^j and moves the rank decisions of ill-conditioned
-conjugates.  M goes back by c -> c T.
+conjugates.  M goes back by c -> c T.  None of this runs when N' lowers W
+by two (lowers, exact on an ExactMatrix): M is W itself (Steenbrink-Zucker
+1985), as that is the first axiom and N induces 0 on each Gr^W_k, whose
+monodromy filtration centered at k is the one step at k.  Then Y' = Y, the
+limit's weight grading (Cattani-Kaplan-Schmid 1986): N0 = 0, so the sl2-
+triple is 0 and every bracket identity but [Y, N] = -2N reads 0 = 0.
 
-Both axioms are verified on the result (DoesNotExist otherwise).  The graded
+Both axioms are verified on a peeled M (DoesNotExist otherwise).  The graded
 one compares, on each Gr^W_k and for j in [k-2n, k+2n], dim (M_j cap W_k) /
 (M_j cap W_(k-1)), the rows of the right echelon of M_j (linalg.right_echelon)
 with pivot in d_(k-1) .. d_k - 1, with dim Gr_j W(B) at center k, B the
@@ -135,6 +140,8 @@ def relative_weight_filtration(N, W: Filtration, tol: float = DEFAULT_TOL) -> Fi
 
 def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
     """relative_weight_filtration from its N' = W.adapted_basis().operator(N)."""
+    if lowers(W, Np, 2, tol):
+        return W   # M = W (module docstring)
     flag = W.adapted_basis()
     powers = nilpotent_powers(Np, tol)
     if not lowers(W, Np, 0, tol):
@@ -347,14 +354,20 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     return _deligne_system(W, N, Y, _eigenspaces(Y, evs, tol).values(), tol)
 
 
+def _check_bracket(Y: np.ndarray, N: np.ndarray, tol: float) -> float:
+    """scale = max(max |N|, max |Y|, 1), once [Y, N] = -2N holds to 1e3 tol scale."""
+    scale = max(maxabs(N), maxabs(Y), 1.0)
+    if maxabs(Y @ N - N @ Y + 2 * N) > 1e3 * tol * scale:
+        raise ConstructionFailed("[Y, N] = -2N fails on the input")
+    return scale
+
+
 def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
                     tol: float) -> DeligneSystem:
     """The body of deligne_system_grading, from the bases (rows) of Y's eigenspaces."""
     N = check_square(np.asarray(N, dtype=complex), W.ambient_dim)
     n = W.ambient_dim
-    scale = max(maxabs(N), maxabs(Y), 1.0)
-    if maxabs(Y @ N - N @ Y + 2 * N) > 1e3 * tol * scale:
-        raise ConstructionFailed("[Y, N] = -2N fails on the input")
+    scale = _check_bracket(Y, N, tol)
     check_nilpotent(N, tol)
 
     pieces = _initial_w_grading(W, eigenspaces, tol)
@@ -454,16 +467,17 @@ class NilpotentOrbit:
         """(W, exp(zN) F_inf) = g (W, exp(iN) F_inf), g = exp(xN) y^(-Y/2): for
         y > 0 and an orbit with a base (_base), the bigrading and splitting group
         element at i moved by g, else the literal lattice of moved_fiber (module docstring)."""
-        where, g = f"orbit fiber at z = {z} is not a mixed Hodge structure: ", self.exp(z)
+        x, y, frame, w = complex(z).real, complex(z).imag, None, None
+        where = f"orbit fiber at z = {z} is not a mixed Hodge structure: "
+        g, E, E_inv = self.exp([z, x, -x])   # exp(zN), exp(xN), exp(-xN)
         if not np.isfinite(g).all():
             raise MalformedFiltration(where + "the move is not finite")
-        x, y, frame, w = complex(z).real, complex(z).imag, None, None
         if y > 0 and (base := self._base(tol)):
             lim, at_i, w_i = base
             with np.errstate(all="ignore"):   # y^(Y/2) = C diag(y^(deg/2)) C^-1, lim's C
                 s = y ** (lim.degrees / 2)
-                G = self.exp(x) @ (lim.C / s) @ lim.C_inv
-                G_inv = (lim.C * s) @ lim.C_inv @ self.exp(-x)
+                G = E @ (lim.C / s) @ lim.C_inv
+                G_inv = (lim.C * s) @ lim.C_inv @ E_inv
                 frame, w = at_i.moved(G, G_inv), G @ w_i @ G_inv
             frame, w = (frame, w) if np.isfinite([frame.C, frame.C_inv]).all() else (None, None)
         return moved_fiber(self.W, self.F_inf, g, where, tol, frame, w)
@@ -517,14 +531,20 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float = DEFAULT_TOL) -
     The generators orient W and are checked against it as a fiber's are; the
     projectors P_k are those of the Deligne system's grading Y' of W, and
     delta is the splitting of the limit structure (F_inf, M), whose weight
-    pieces are the eigenspaces of Y that the Deligne system starts from."""
+    pieces are the eigenspaces of Y that the Deligne system starts from.
+    When M is W (N lowers W by two), Y' is Y, so only [Y, N] = -2N is
+    checked and P_k are the limit's weight projectors (module docstring)."""
     _check_oriented(orbit.W, orientation, tol)
     Hlim = limit_mhs(orbit, tol)
     frame = Hlim.bigrading(tol).weight_frame
-    system = _deligne_system(orbit.W, orbit.N, frame.grading, [
-        frame.C[:, frame.degrees == k].T for k in sorted(set(frame.degrees.tolist()))], tol)
-    return _deep_coefficient(deligne_delta(Hlim, tol).delta, system.projectors,
-                             orientation, tol)
+    if Hlim.W is orbit.W:
+        _check_bracket(frame.grading, orbit.N, tol)
+        projectors = frame.projectors
+    else:
+        projectors = _deligne_system(orbit.W, orbit.N, frame.grading, [
+            frame.C[:, frame.degrees == k].T
+            for k in sorted(set(frame.degrees.tolist()))], tol).projectors
+    return _deep_coefficient(deligne_delta(Hlim, tol).delta, projectors, orientation, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ def check_asymptotics(v: LocalVariation, sequence, tol: float = DEFAULT_TOL) -> 
             limit = v.limit_structure(tol)
         except HodgeError as exc:
             raise NotHodgeTate(f"the limit is not a Hodge-Tate structure: {exc}") from exc
-        if not (is_hodge_tate(limit, tol) and lowers(v.W, v.cone.operator, 2, tol)):
+        if not (is_hodge_tate(limit, tol) and limit.W is v.W):
             raise NotHodgeTate("the limit (M, F_inf) is not a Hodge-Tate structure with M = W")
         if v.length < 4:
             raise LengthTooSmall("asymptotic statement needs length at least 4")

@@ -326,13 +326,14 @@ def test_lattice_reads_f_cap_w_off_one_adapted_basis(monkeypatch):
             assert not (any(x is s for x in pair for s in fsteps)
                         and any(x is s for x in pair for s in wsteps)), pair
         assert len(meets) == intersections
-    # the two W, the F_inf of the variation, which every fiber moves, and
-    # the relative weight filtration M = W of its limit (M, F_inf)
-    assert len(builds) == 4
+    # the two W and the F_inf of the variation, which every fiber moves; the
+    # limit (M, F_inf) has M = W itself, which shares W's adapted basis
+    assert len(builds) == 3
     for y in (1.0, 3.0, 5.0):
         fiber(v, [1j * y], [np.exp(-2 * np.pi * y)])
     check_asymptotics(v, [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 3.0)])
-    assert len(builds) == 4
+    assert v.limit_structure().W is v.W
+    assert len(builds) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,16 @@ from hodgeheight.limits import (
     relative_weight_filtration,
 )
 from hodgeheight.linalg import (
+    ExactMatrix,
     Frame,
     Subspace,
+    as_operator,
     check_nilpotent,
     expm_nilpotent,
     maxabs,
     nullspace_float,
 )
-from hodgeheight.mhs import is_hodge_tate, weight_filtration
+from hodgeheight.mhs import is_hodge_tate, lowers, split_filtration, weight_filtration
 from hodgeheight.scenarios import cubic_orbit
 from hodgeheight.splitting import deligne_delta
 from hodgeheight.variations import dilog_variation
@@ -558,13 +560,14 @@ def _limit_height_orbits():
 
 def test_limit_height_starts_from_the_weight_pieces_of_its_limit(monkeypatch):
     # limit_height hands the weight pieces of the limit bigrading to the body
-    # of deligne_system_grading; its Y' and height are those of the public
-    # function on the Y of that bigrading
+    # of deligne_system_grading when M is not W, and takes Y' = Y when it is;
+    # its Y' and height are those of the public function on the Y of that
+    # bigrading
     from hodgeheight import limits
     from hodgeheight.height import _deep_coefficient
     from hodgeheight.splitting import deligne_delta
 
-    body, used = limits._deligne_system, []
+    body, used, kinds = limits._deligne_system, [], set()
 
     def recorded(*args):
         used.append(body(*args))
@@ -574,12 +577,20 @@ def test_limit_height_starts_from_the_weight_pieces_of_its_limit(monkeypatch):
     for orbit, orient in _limit_height_orbits():
         used.clear()
         got = limit_height(orbit, orient, TOL)
-        (system,) = used
         H = limit_mhs(orbit, TOL)
+        m_is_w = H.W is orbit.W
+        kinds.add(m_is_w)
+        if m_is_w:
+            assert used == []
+            Yprime = H.bigrading(TOL).Y
+        else:
+            (system,) = used
+            Yprime = system.Yprime
         ref = deligne_system_grading(orbit.W, orbit.N, H.bigrading(TOL).Y, TOL)
-        assert maxabs(system.Yprime - ref.Yprime) <= 1e-10 * max(maxabs(ref.Yprime), 1.0)
+        assert maxabs(Yprime - ref.Yprime) <= 1e-10 * max(maxabs(ref.Yprime), 1.0)
         want = _deep_coefficient(deligne_delta(H, TOL).delta, ref.projectors, orient, TOL)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+    assert kinds == {True, False}
 
 
 def test_limit_height_computes_no_eigenspaces(monkeypatch):
@@ -1263,6 +1274,72 @@ def test_relative_filtration_is_equivariant_under_an_irrational_real_g():
                                 exact=False)
 
 
+def _lowers_w_by_two(N, W):
+    """Whether N' = N in the coordinates of W lowers W by two (mhs.lowers)."""
+    return lowers(W, W.adapted_basis().operator(as_operator(N)), 2, TOL)
+
+
+def test_relative_filtration_is_w_when_n_lowers_w_by_two():
+    # N' lowering W by two is the first axiom of M(N, W), and N induces 0 on
+    # each Gr^W_k: M is W itself, on the exact path and under an irrational
+    # real g; a float N' with a graded block of 1e-3 takes the recursion
+    rng = np.random.default_rng(614)
+    exact = moved = 0
+    while exact < 10 or moved < 10:
+        W, N, _ = random_deligne_system(rng)
+        N = np.round(N)
+        if not _lowers_w_by_two(N, W):
+            continue
+        assert relative_weight_filtration(N, W) is W
+        _assert_same_filtration(W, reference_relative_weight_filtration(N, W), exact=True)
+        exact += 1
+        n = W.ambient_dim
+        g = np.eye(n) + np.sqrt(2) / 4 * rng.choice([-2, -1, 1, 2], size=(n, n))
+        if np.linalg.cond(g) > 100:
+            continue
+        gW = W.map_spaces(lambda s: s.image_under(g))
+        gN = g @ N @ np.linalg.inv(g)
+        assert not gW.adapted_basis().exact and _lowers_w_by_two(gN, gW)
+        assert relative_weight_filtration(gN, gW) is gW
+        _assert_same_filtration(gW, reference_relative_weight_filtration(gN, gW), exact=False)
+        moved += 1
+    # N = 0 lowers every W by two; at one weight, M is the one step there
+    W = split_filtration([1, 1, -1], True)
+    assert relative_weight_filtration(np.zeros((3, 3)), W) is W
+    for center in (-2, 0, 3):
+        filt = monodromy_weight_filtration(np.zeros((3, 3)), center)
+        assert filt.indices == [center] and filt.at(center).dim == 3
+    # N e0 = 1e-3 e1 + sqrt(2) e2 on W of weights (0, 0, -2): the block of
+    # Gr^W_0 is far above tol, so M splits it at -1 and 1
+    N = np.zeros((3, 3))
+    N[1, 0], N[2, 0] = 1e-3, np.sqrt(2)
+    W = split_filtration([0, 0, -2], True)
+    assert not isinstance(as_operator(N), ExactMatrix) and not _lowers_w_by_two(N, W)
+    M = relative_weight_filtration(N, W)
+    assert M is not W and M.indices == [-2, -1, 1]
+    _assert_same_filtration(M, reference_relative_weight_filtration(N, W), exact=False)
+
+
+def test_limit_height_with_m_equal_to_w_is_the_height_of_the_limit():
+    # with M = W, limit_height reads the limit's weight projectors (Y' = Y):
+    # it equals the Deligne-system route and the height of (W, F_inf)
+    from hodgeheight.height import _deep_coefficient
+
+    count = 0
+    for orbit, orient in _limit_height_orbits():
+        H = limit_mhs(orbit, TOL)
+        if H.W is not orbit.W:
+            continue
+        count += 1
+        got = limit_height(orbit, orient, TOL)
+        system = deligne_system_grading(orbit.W, orbit.N, H.bigrading(TOL).Y, TOL)
+        want = _deep_coefficient(deligne_delta(H, TOL).delta, system.projectors, orient, TOL)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+        fiber_height = height(OrientedMHS(H, orient), TOL)
+        assert abs(got - fiber_height) <= 1e-12 * max(abs(fiber_height), 1.0)
+    assert count == 12   # the biextension orbits and their integer moves
+
+
 def test_relative_filtration_makes_no_intersection(monkeypatch):
     calls = []
     original = Subspace.intersect
@@ -1293,10 +1370,11 @@ def _own_block_table(powers, lo, hi, tol):
 
 def test_relative_filtration_builds_one_power_table(monkeypatch):
     # the blocks' monodromy filtrations read trimmed slices of the one table
-    # of N', and give the filtrations of the per-block tables
+    # of N', and give the filtrations of the per-block tables; an N' that
+    # lowers W by two builds no table, since M is W
     from hodgeheight import limits
 
-    tables = []
+    tables, kinds = [], set()
     original, cut = limits.nilpotent_powers, limits._block_powers
 
     def counted(N, tol=DEFAULT_TOL):
@@ -1312,9 +1390,12 @@ def test_relative_filtration_builds_one_power_table(monkeypatch):
     def both(N, W):
         monkeypatch.setattr(limits, "_block_powers", trimmed)
         monkeypatch.setattr(limits, "nilpotent_powers", counted)
+        by_two = _lowers_w_by_two(N, W)
+        kinds.add(by_two)
         tables.clear()
         got = _outcome(relative_weight_filtration, N, W)
-        assert tables == [W.ambient_dim]
+        assert tables == ([] if by_two else [W.ambient_dim])
+        assert (got is W) == by_two
         monkeypatch.setattr(limits, "nilpotent_powers", original)
         with monkeypatch.context() as m:
             m.setattr(limits, "_block_powers", _own_block_table)
@@ -1338,6 +1419,7 @@ def test_relative_filtration_builds_one_power_table(monkeypatch):
         else:
             _assert_same_filtration(got, want, exact)
     assert 0 < missing < len(inputs)
+    assert kinds == {True, False}
 
 
 def test_block_tables_stop_where_the_blocks_own_tables_stop():
