@@ -92,14 +92,10 @@ def bloch_wigner(z) -> float:
     Accepts a complex number, float('inf') or the string "inf" for the point
     at infinity.  Identically zero on the real axis and at 0, 1, infinity.
     """
-    if isinstance(z, str):
-        if z.strip().lower() in ("inf", "infinity"):
-            return 0.0
-        z = complex(z)
-    z = complex(z)
-    if cmath.isinf(z):
+    if isinstance(z, str) and z.strip().lower() in ("inf", "infinity"):
         return 0.0
-    if z.imag == 0.0:
+    z = complex(z)
+    if cmath.isinf(z) or z.imag == 0.0:
         return 0.0
     value = li2(z).value.imag + principal_arg(1.0 - z) * log(abs(z))
     return float(value)

@@ -68,23 +68,29 @@ gamma = R_(-j0) is solved by least squares on them.  The final pieces and
 every bracket identity are verified post hoc; the final projectors stay on
 the DeligneSystem, read-only, for the limit_height read.
 
-An orbit fiber is its fiber at i moved by a real g (Schmid 1973; Cattani-
-Kaplan-Schmid 1986): the weight grading Y of the limit (M, F_inf) preserves
-F_inf and [Y, N] = -2N, so exp(zN) F_inf = g exp(iN) F_inf, g = exp(xN)
-y^(-Y/2), for z = x + iy, y > 0.  NilpotentOrbit.fiber checks once per tol
-that Y is real (the limit is R-split), preserves W and has [Y, N] = -2N, and
-validates the literal fiber at i and its splitting; each fiber keeps its
-literal F and takes that bigrading moved by g (Frame.moved), checked by its
-conjugation residual alone, and the splitting's group element w_z = g w_i
-g^-1, on which deligne_delta runs its verdict with no projector sum.  Any
-other point or orbit (y <= 0, N not real, a failed check, a Hodge-Tate base,
-a HodgeError, a moved frame not finite) takes the lattice of moved_fiber.
+An orbit fiber takes the route of the orbit's base (NilpotentOrbit._base),
+decided once per tol.  If N lowers W by two (M = W) and the limit is Hodge-
+Tate of length at most 8, exp(zN) lies in exp(W_-2 gl), so every fiber is
+Hodge-Tate with period exp(zN) P_inf and L = bch(-log conj(P_inf), 2iy N',
+log P_inf) in the coordinates of W, as a variation's (variations._moves).
+Else, for y > 0, it is the fiber at i moved by a real g (Schmid 1973;
+Cattani-Kaplan-Schmid 1986): the weight grading Y of the limit (M, F_inf)
+preserves F_inf and [Y, N] = -2N, so exp(zN) F_inf = g exp(iN) F_inf, g =
+exp(xN) y^(-Y/2).  That base checks that Y is real (the limit is R-split),
+preserves W and has [Y, N] = -2N, and validates the fiber at i and its
+splitting; each fiber keeps its literal F and takes that bigrading moved by
+g (Frame.moved), checked by its conjugation residual alone, and the
+splitting's group element w_z = g w_i g^-1, on which deligne_delta runs its
+verdict with no projector sum.  Any other point or orbit (a failed check, a
+Hodge-Tate fiber at i, a HodgeError, a moved frame not finite) takes the
+lattice of moved_fiber.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial
 from types import MappingProxyType
 
@@ -105,9 +111,11 @@ from .linalg import (
     Frame,
     Subspace,
     as_operator,
+    bch,
     check_nilpotent,
     check_square,
     expm_nilpotent,
+    logm_unipotent,
     maxabs,
     nilpotent_powers,
     nullspace_float,
@@ -223,13 +231,10 @@ def _under(op, S: Subspace, P: list, e: int, tol: float) -> Subspace:
 
 def _steps_to_filtration(M: dict[int, Subspace], n: int,
                          tol: float = DEFAULT_TOL) -> Filtration:
-    steps = []
-    prev = -1
-    for k in sorted(M):
-        if M[k].dim > prev and M[k].dim > 0:
-            steps.append((k, M[k]))
-            prev = M[k].dim
-    return weight_filtration(steps, n, tol)
+    """The weight filtration of the steps of M where its dimension grows."""
+    keys = sorted(M)
+    tops = accumulate((M[k].dim for k in keys), max, initial=0)
+    return weight_filtration([(k, M[k]) for k, top in zip(keys, tops) if M[k].dim > top], n, tol)
 
 
 def _jordan_graded(powers: list, center: int, tol: float) -> dict[int, int]:
@@ -464,34 +469,46 @@ class NilpotentOrbit:
             return sum(z ** k * P for k, P in enumerate(self._series))
 
     def fiber(self, z: complex, tol: float = DEFAULT_TOL) -> MixedHodgeStructure:
-        """(W, exp(zN) F_inf) = g (W, exp(iN) F_inf), g = exp(xN) y^(-Y/2): for
-        y > 0 and an orbit with a base (_base), the bigrading and splitting group
-        element at i moved by g, else the literal lattice of moved_fiber (module docstring)."""
-        x, y, frame, w = complex(z).real, complex(z).imag, None, None
+        """(W, exp(zN) F_inf) on the route of the orbit's base (_base): at every
+        z, the period of exp(zN) P_inf on a Hodge-Tate base; for y > 0, the
+        bigrading and group element at i moved by g on an R-split one; else the
+        literal lattice of moved_fiber (module docstring)."""
+        x, y, known, w = complex(z).real, complex(z).imag, None, None
         where = f"orbit fiber at z = {z} is not a mixed Hodge structure: "
         g, E, E_inv = self.exp([z, x, -x])   # exp(zN), exp(xN), exp(-xN)
-        if not np.isfinite(g).all():
-            raise MalformedFiltration(where + "the move is not finite")
-        if y > 0 and (base := self._base(tol)):
-            lim, at_i, w_i = base
-            with np.errstate(all="ignore"):   # y^(Y/2) = C diag(y^(deg/2)) C^-1, lim's C
+        base, flag = self._base(tol), self.W.adapted_basis()
+        with np.errstate(all="ignore"):
+            if base and len(base) == 2:   # Hodge-Tate
+                P, logP = base
+                known = (flag.operator(g) @ P,
+                         bch([-logP.conj(), 2j * y * flag.operator(self.N), logP]))
+            elif base and y > 0:   # y^(Y/2) = C diag(y^(deg/2)) C^-1, lim's C
+                lim, at_i, w_i = base
                 s = y ** (lim.degrees / 2)
                 G = E @ (lim.C / s) @ lim.C_inv
                 G_inv = (lim.C * s) @ lim.C_inv @ E_inv
-                frame, w = at_i.moved(G, G_inv), G @ w_i @ G_inv
-            frame, w = (frame, w) if np.isfinite([frame.C, frame.C_inv]).all() else (None, None)
-        return moved_fiber(self.W, self.F_inf, g, where, tol, frame, w)
+                known, w = at_i.moved(G, G_inv), G @ w_i @ G_inv
+                known, w = (known, w) if np.isfinite([known.C, known.C_inv]).all() else (None, None)
+        # a period g P_inf is not finite where g is not
+        if not np.isfinite(known if isinstance(known, tuple) else g).all():
+            raise MalformedFiltration(where + "the move is not finite")
+        return moved_fiber(self.W, self.F_inf, g, where, tol, known, w)
 
-    def _base(self, tol: float) -> tuple[Frame, Frame, np.ndarray] | None:
-        """Once per tol: the limit's weight frame, if N and Y are real, Y preserves
-        W and [Y, N] = -2N, and the frame and splitting group element w = -2i delta
-        of the fiber at i if not Hodge-Tate and its splitting holds; else None."""
+    def _base(self, tol: float) -> tuple | None:
+        """Once per tol, the fibers' route: (P_inf, log P_inf) if N lowers W by
+        two and the limit is Hodge-Tate of length <= 8 (linalg.bch); else the
+        limit's weight frame, the frame at i and w_i = -2i delta at i, if N and
+        Y are real, Y preserves W, [Y, N] = -2N, the fiber at i is not
+        Hodge-Tate and its splitting holds; else None."""
         if tol not in self._bases:
             self._bases[tol] = None
             with suppress(HodgeError):
-                lim = limit_mhs(self, tol).bigrading(tol).weight_frame
+                Hlim = limit_mhs(self, tol)
+                period, lim = Hlim.bigrading(tol).period, Hlim.bigrading(tol).weight_frame
                 Y, N = lim.grading, self.N
-                if (max(maxabs(Y.imag), maxabs(N.imag), maxabs(Y @ N - N @ Y + 2 * N))
+                if period and Hlim.W is self.W and self.W.indices[-1] - self.W.indices[0] <= 8:
+                    self._bases[tol] = period.P, logm_unipotent(period.P)
+                elif (max(maxabs(Y.imag), maxabs(N.imag), maxabs(Y @ N - N @ Y + 2 * N))
                         <= tol * max(maxabs(Y), maxabs(N), 1.0)
                         and lowers(self.W, self.W.adapted_basis().operator(Y), 0, tol)):
                     H = moved_fiber(self.W, self.F_inf, self.exp(1j), "", tol)

@@ -193,13 +193,10 @@ def nullspace_float(M: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
         n = M.shape[-1] if M.ndim == 2 else 0
         return np.eye(n, dtype=complex)
     R, piv = rref_float(M, tol)
-    n = M.shape[1]
-    free = [c for c in range(n) if c not in piv]
-    basis = np.zeros((len(free), n), dtype=complex)
-    for row, f in enumerate(free):
-        basis[row, f] = 1.0
-        for i, p in enumerate(piv):
-            basis[row, p] = -R[i, f]
+    free = [c for c in range(M.shape[1]) if c not in piv]
+    basis = np.zeros((len(free), M.shape[1]), dtype=complex)
+    basis[range(len(free)), free] = 1.0
+    basis[:, piv] = -R[:, free].T
     return basis
 
 
@@ -663,16 +660,12 @@ def expm_nilpotent(A: Matrix) -> Matrix:
 
 def logm_unipotent(G: Matrix) -> Matrix:
     """log(G) for unipotent G as the finite Mercator series."""
-    G = np.array(G, dtype=complex)
-    n = G.shape[0]
-    X = G - np.eye(n)
-    out = np.zeros_like(X)
-    T = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        T = T @ X
-        if not np.any(T):
+    X = np.array(G, dtype=complex) - np.eye(len(G))
+    out, T = np.zeros_like(X), X
+    for k in range(1, len(X) + 1):
+        if not T.any():
             break
-        out = out + ((-1) ** (k + 1)) * T / k
+        out, T = out + ((-1) ** (k + 1)) * T / k, T @ X
     return out
 
 

@@ -36,8 +36,12 @@ degree (a, a) on block 2a, and no direct-sum echelon or conjugation check
 is made.  A g that preserves W (lowers, the one such test) acts on each
 Gr^W and keeps the Hodge numbers; one in exp(W_-2 gl) carries the
 bigrading along, so a fiber moved from a Hodge-Tate limit comes with its
-period and needs no lattice (variations.fiber).  A real g that preserves W
-moves the whole bigrading, so a moved frame needs only its conjugation check.
+period and needs no lattice (limits.NilpotentOrbit.fiber, variations.fiber).
+Only pairs with no known period take the plain log of conj(P)^-1 P: hand-
+built and document structures, limits, and fibers of a Hodge-Tate limit of
+length > 8 or with an N_j or Gamma that does not lower W by two.  A real g
+that preserves W moves the whole bigrading, so a moved frame needs only its
+conjugation check.
 
 Any other pair is validated in two stages.  First the candidates must
 form a direct sum: their dimensions add to n and their stacked bases have
@@ -123,20 +127,16 @@ class Filtration:
             raise MalformedFiltration("step has wrong ambient dimension")
         if not all(s.is_exact() or np.isfinite(s.basis).all() for s in spaces):
             raise MalformedFiltration("step basis has an entry that is not finite")
-        if self.increasing:
-            if any(b.dim <= a.dim for a, b in zip(spaces, spaces[1:])):
-                raise MalformedFiltration(self._not_strict())
-            if spaces[-1].dim != self.ambient_dim:
-                raise MalformedFiltration("weight filtration must top out at the full space")
-            if spaces[0].dim == 0:
-                raise MalformedFiltration("bottom jump of W must be nonzero")
-        else:
-            if any(a.dim <= b.dim for a, b in zip(spaces, spaces[1:])):
-                raise MalformedFiltration(self._not_strict())
-            if spaces[0].dim != self.ambient_dim:
-                raise MalformedFiltration("Hodge filtration must start at the full space")
-            if spaces[-1].dim == 0:
-                raise MalformedFiltration("top jump of F must be nonzero")
+        up = spaces if self.increasing else spaces[::-1]   # smallest step first
+        if any(b.dim <= a.dim for a, b in zip(up, up[1:])):
+            raise MalformedFiltration(self._not_strict())
+        if up[-1].dim != self.ambient_dim:
+            raise MalformedFiltration("weight filtration must top out at the full space"
+                                      if self.increasing else
+                                      "Hodge filtration must start at the full space")
+        if up[0].dim == 0:
+            raise MalformedFiltration("bottom jump of W must be nonzero" if self.increasing else
+                                      "top jump of F must be nonzero")
         # at() bisects the indices; a query outside the steps lands on the zero
         # space stored last, at position -1 (below W) or len(steps) (above F)
         self._indices = [k for k, _ in steps]

@@ -41,12 +41,8 @@ def _document(parse):
 
 def _parse_rational(x) -> Fraction:
     try:
-        if isinstance(x, str):
+        if isinstance(x, (str, int)) or isinstance(x, float) and x.is_integer():
             return Fraction(x)
-        if isinstance(x, (int,)):
-            return Fraction(x)
-        if isinstance(x, float) and x.is_integer():
-            return Fraction(int(x))
     except (ValueError, ZeroDivisionError) as exc:
         raise HodgeError(f"bad rational entry {x!r}: {exc}") from exc
     raise HodgeError(f"expected a rational entry, got {x!r}")

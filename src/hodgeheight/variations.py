@@ -16,7 +16,6 @@ be probed at arbitrary points.
 """
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .height import Orientation, OrientedMHS, _check_oriented, _period_height, height
 from .limits import NilpotentOrbit, limit_height, limit_mhs, moved_fiber
-from .linalg import ExactMatrix, bch, expm_nilpotent, logm_unipotent, maxabs
+from .linalg import ExactMatrix, bch, expm_nilpotent, maxabs
 from .mhs import MixedHodgeStructure, is_hodge_tate, lowers, split_filtration
 
 
@@ -125,19 +124,16 @@ class LocalVariation:
             self.W, N, self.F_inf, tol))
 
     def _transport(self, tol: float) -> tuple | None:
-        """Once per tol: (N_j and log P_inf in the coordinates of W, P_inf)
-        when the length is at most 8 (linalg.bch), every N_j and Gamma
-        coefficient lowers W by at least 2, so that the limit is (W, F_inf),
-        and the limit is Hodge-Tate; else None."""
+        """Once per tol: (N_j in the coordinates of W, P_inf, log P_inf) when
+        every N_j and Gamma coefficient lowers W by 2 and the cone orbit has
+        a Hodge-Tate base (limits.NilpotentOrbit._base); else None."""
         if tol not in self._transports:
-            flag, period = self.W.adapted_basis(), None
+            flag = self.W.adapted_basis()
             ops = [flag.operator(A) for A in (*(o.N for o in self._orbits),
                                               *(m for _, m in self.gamma.terms))]
-            if self.length <= 8 and all(lowers(self.W, A, 2, tol) for A in ops):
-                with suppress(HodgeError):
-                    period = self.limit_structure(tol).bigrading(tol).period
-            self._transports[tol] = period and (
-                ops[:len(self.nilpotents)], logm_unipotent(period.P), period.P)
+            base = all(lowers(self.W, A, 2, tol) for A in ops) and self.cone._base(tol)
+            self._transports[tol] = ((ops[:len(self.nilpotents)], *base)
+                                     if base and len(base) == 2 else None)
         return self._transports[tol]
 
     @property
@@ -181,8 +177,9 @@ class Move(NamedTuple):
 
 
 def _fiber(v: LocalVariation, move: Move, tol: float) -> MixedHodgeStructure:
-    """A move's fiber: the orbit's for one N and Gamma = 0, else moved_fiber."""
-    if move.period is None and len(v._orbits) == 1 and not v.gamma.terms:
+    """A move's fiber: for one N and Gamma = 0 the orbit's, on the route its
+    base decides; else moved_fiber, with the move's period if it has one."""
+    if len(v._orbits) == 1 and not v.gamma.terms:
         return v._orbits[0].fiber(complex(np.atleast_1d(move.z)[0]), tol)
     return moved_fiber(v.W, v.F_inf, move.g, move.where, tol, move.period)
 
@@ -208,7 +205,7 @@ def _moves(v: LocalVariation, points: list, tol: float):
                    + [expm_nilpotent(gm)])
         moves = [G if G.ndim == 3 else np.broadcast_to(G, (m, n, n))]   # 2-d if k = 0
         if transport is not None:
-            (N, logP, P), flag = transport, v.W.adapted_basis()
+            (N, P, logP), flag = transport, v.W.adapted_basis()
             gam = flag.operator(gm)
             iy = sum((2j * zs[:, j, None, None].imag * Nj for j, Nj in enumerate(N)),
                      np.zeros_like(P))

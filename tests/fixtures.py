@@ -9,9 +9,10 @@ structure document that the parsers read back.  mp_li2 and mp_bloch_wigner
 evaluate the dilogarithm with mpmath at a chosen working precision, the
 oracle for the double-precision hodgeheight.dilog.  general_route and
 mp_hodge_tate_height are the oracles of Hodge-Tate structures, which the
-library reads off their period matrix.  The generators that the benchmark
-also draws from (random_spec, random_deligne_system, random_hodge_tate)
-stay in the library.
+library reads off their period matrix, and hodge_tate_orbits draws orbits
+with a Hodge-Tate limit for them.  The generators that the benchmark also
+draws from (random_spec, random_deligne_system, random_hodge_tate) stay in
+the library.
 """
 from fractions import Fraction
 from typing import Any
@@ -19,13 +20,15 @@ from typing import Any
 import mpmath
 import numpy as np
 
-from hodgeheight.biextension import BiextensionSpec, _mdim, build_biextension
+from hodgeheight.biextension import BiextensionSpec, _mdim, assemble_delta, build_biextension
 from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import HodgeError
 from hodgeheight.height import Orientation, OrientedMHS, _check_oriented
+from hodgeheight.limits import NilpotentOrbit
 from hodgeheight.linalg import Frame, Subspace, expm_nilpotent, maxabs
 from hodgeheight.mhs import DeligneBigrading, MixedHodgeStructure, conjugate, dual
-from hodgeheight.splitting import _solve_splitting
+from hodgeheight.splitting import _solve_splitting, lowering_morphisms
+from hodgeheight.variations import GammaPoly, LocalVariation
 
 CATALAN = 0.915965594177219015054603514932384110774
 
@@ -213,6 +216,41 @@ def mp_hodge_tate_height(v, z, s, P_inf=None, dps: int = 60) -> float:
         top = mat([v.orientation.top]) * Tm.T
         bottom = mat([v.orientation.bottom]) * Tm.T
         return float(mpmath.im(L[0, n - 1]) / 2 * mpmath.re(top[0, n - 1] / bottom[0, 0]))
+
+
+def hodge_tate_orbits(seed: int, count: int) -> list[tuple]:
+    """count seeded (orbit, variation, P_inf) whose limit is Hodge-Tate by
+    construction, no draw filtered through the library: F_inf is that of
+    build_biextension with weights (0, -2, -4) and middle ((-1, -1), m), m
+    in 1..3, so every Gr^W is of Hodge-Tate type, and N a positive integer
+    combination of its lowering_morphisms, cut to the entries that lower W
+    by two, so that the limit is (W, F_inf).  The variation is the orbit's
+    N with Gamma = 0, and P_inf = exp(i delta) in the coordinates of the
+    adapted basis T of W, the limit's period matrix, as mp_hodge_tate_height
+    reads them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(1, 4))
+        spec = BiextensionSpec(weights=(0, -2, -4), middle=(((-1, -1), m),),
+                               delta1=tuple(rng.normal(size=m)),
+                               delta2=tuple(rng.normal(size=m)), ht=float(rng.normal()))
+        om = build_biextension(spec)
+        basis = lowering_morphisms(om.mhs)
+        N = sum(int(c) * B for c, B in zip(rng.integers(1, 4, len(basis)), basis))
+        # the null space leaves a rounding residue of about 1e-16 on entries
+        # that do not lower W by two; it moves the height itself like y^2
+        # (1.6e-7 relative at y = 1e3 on some draws), which is the data's
+        # conditioning, not the route's, so N is cut to lower W by two
+        weights = np.array([0] + [-2] * m + [-4])
+        N = np.where(weights[:, None] <= weights - 2, N, 0.0)
+        W, F = om.mhs.W, om.mhs.F
+        T = W.adapted_basis().T.real
+        out.append((NilpotentOrbit(W, N, F),
+                    LocalVariation(W=W, F_inf=F, nilpotents=(N,), gamma=GammaPoly.zero(1),
+                                   orientation=om.orientation),
+                    T @ expm_nilpotent(1j * assemble_delta(spec)) @ T.T))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -593,10 +593,15 @@ def test_the_cubic_as_a_variation_document_is_the_cubic_orbit(orbit_file, tmp_pa
 
 
 def test_the_biextension_orbit_as_either_document(tmp_path, capsys):
-    # a Hodge-Tate orbit: limit height 0.75 written either way, and a sweep
-    # that checks the depth-one identity, as a variation's does
+    # a Hodge-Tate orbit: limit height 0.75 written either way, a sweep that
+    # checks the depth-one identity, as a variation's does, and the height
+    # 0.75 of NilpotentOrbit.fiber at 1e5 i, where the literal lattice raised.
+    # N lowers W by two, so the limit is (W, F_inf): validate exits 0 with
+    # "ok": true and writes nothing to stderr
     from test_limits import BIEXTENSION_ORBIT
 
+    orbit, orient = parse_orbit(BIEXTENSION_ORBIT)
+    far = height(OrientedMHS(orbit.fiber(1e5j), orient))
     heights = []
     for name, doc in (("orbit", BIEXTENSION_ORBIT), ("variation", _as_variation(BIEXTENSION_ORBIT))):
         path = _write(tmp_path / f"biextension-{name}.json", doc)
@@ -605,6 +610,11 @@ def test_the_biextension_orbit_as_either_document(tmp_path, capsys):
         assert main(["sweep", path, "--count", "3"]) == 0
         rows = _sweep_rows(capsys)
         assert len(rows) == 3 and all(abs(float(row["identity_residual"])) < 1e-9 for row in rows)
+        assert main(["validate", path]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"failures": [], "ok": True} and err == ""
+        assert main(["compute", path, "--what", "height", "--z", "100000j"]) == 0
+        assert json.loads(capsys.readouterr().out)["height"] == far == 0.75
     assert heights[0] == heights[1] == pytest.approx(0.75, abs=1e-12)
 
 

@@ -1,3 +1,4 @@
+import functools
 import re
 import sys
 
@@ -42,7 +43,8 @@ from hodgeheight.linalg import (
 from hodgeheight.mhs import is_hodge_tate, lowers, split_filtration, weight_filtration
 from hodgeheight.scenarios import cubic_orbit
 from hodgeheight.splitting import deligne_delta
-from hodgeheight.variations import dilog_variation
+from hodgeheight.variations import dilog_variation, fiber, height_sweep
+from fixtures import hodge_tate_orbits, mp_hodge_tate_height
 from fraction_oracle import (
     fractions,
     inverse,
@@ -677,16 +679,14 @@ BIEXTENSION_ORBIT = {
 def _literal_route_orbits():
     """(name, orbit, orientation or None, points) of orbits with no base:
     the cubic with F_inf moved by exp(lam N), lam = 0.4 + 0.9i, whose limit
-    is not R-split; the biextension orbit; and a pure weight-0 plane with N
-    e0 = e1, whose limit has a rank-one piece of weight 1 and so raises."""
+    is not R-split, and a pure weight-0 plane with N e0 = e1, whose limit
+    has a rank-one piece of weight 1 and so raises."""
     from hodgeheight.mhs import split_filtration
-    from hodgeheight.schemas import parse_orbit
 
     cubic, orient = cubic_orbit()
     G = expm_nilpotent((0.4 + 0.9j) * cubic.N)
     moved = NilpotentOrbit(cubic.W, cubic.N, cubic.F_inf.map_spaces(lambda s: s.image_under(G)))
     yield "cubic-lambda", moved, orient, (0.5j, 2j, 10j, 0.3 + 2j)
-    yield ("biextension", *parse_orbit(BIEXTENSION_ORBIT), (0.5j, 2j, 10j, -1.7 + 2j))
     plane = NilpotentOrbit(split_filtration([0, 0], True), np.array([[0.0, 0.0], [1.0, 0.0]]),
                            split_filtration([0, 0], False))
     with pytest.raises(NotAnMHS):
@@ -740,10 +740,12 @@ def test_the_limit_is_built_once_per_orbit_and_tol(monkeypatch):
 
 
 def test_the_cubic_fiber_below_the_real_axis_takes_the_literal_route():
+    # the base is decided at any z, since a Hodge-Tate one serves every z;
+    # the cubic's is R-split, which serves only y > 0
     orbit, orient = cubic_orbit()
     for z in (-1j, -3 - 2j):
         H = orbit.fiber(z, TOL)
-        assert H._known is None and TOL not in orbit._bases
+        assert H._known is None and H._group is None and len(orbit._bases[TOL]) == 3
         want = height(OrientedMHS(_literal(orbit, z), orient), TOL)
         assert height(OrientedMHS(H, orient), TOL) == want
 
@@ -817,6 +819,81 @@ def test_cubic_fiber_heights_hold_far_out():
         for x in (0.0, -1.7):
             h = height(OrientedMHS(orbit.fiber(x + 1j * y, TOL), orient), TOL)
             assert h == pytest.approx(-(2 / 3) * y ** 3, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Hodge-Tate orbits: N lowers W by two, so each fiber is the limit's period
+# moved by exp(zN), read with the commutator series as a variation's fiber
+
+
+@functools.cache
+def _hodge_tate_orbits():
+    return hodge_tate_orbits(seed=1, count=24)
+
+
+def test_the_biextension_orbit_takes_its_period_route():
+    # its fibers at these points are those of the literal lattice, whose
+    # plain log of conj(P)^-1 P is still exact this close to the limit; far
+    # out, where that lattice raised NotAnMHS, the height stays exactly 0.75,
+    # as N is of type (-1, -1)
+    from hodgeheight.schemas import parse_orbit
+
+    orbit, orient = parse_orbit(BIEXTENSION_ORBIT)
+    for z in (0.5j, 2j, 10j, -1.7 + 2j):
+        H, L = orbit.fiber(z, TOL), _literal(orbit, z)
+        assert len(orbit._bases[TOL]) == 2 and isinstance(H._known, tuple) and H._group is None
+        assert len(H._known) == 2 and L._known is None
+        delta = deligne_delta(L, TOL).delta
+        assert maxabs(deligne_delta(H, TOL).delta - delta) <= 1e-14 * maxabs(delta)
+        want = height(OrientedMHS(L, orient), TOL)
+        assert abs(height(OrientedMHS(H, orient), TOL) - want) <= 1e-14 * abs(want)
+    for y in (1e5, 1e6):
+        assert height(OrientedMHS(orbit.fiber(1j * y, TOL), orient), TOL) == 0.75
+
+
+@pytest.mark.parametrize("y", [30.0, 100.0, 1e3, 1e4, 1e5])
+def test_a_hodge_tate_orbit_fiber_matches_the_oracle(y):
+    # the literal lattice drifted from y ~ 30 and raised NotAnMHS from 1e4;
+    # the period route keeps 2.2e-16 relative on these draws at every y, so
+    # the height does not depend on x to 2e-14 up to y = 1e5
+    for orbit, v, P_inf in _hodge_tate_orbits():
+        want = mp_hodge_tate_height(v, [1j * y], [0j], P_inf=P_inf)
+        for x in (0.0, 0.37, -2.1):
+            got = height(OrientedMHS(orbit.fiber(complex(x, y), TOL), v.orientation), TOL)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_a_hodge_tate_orbit_fiber_is_its_variation_fiber():
+    # variations.fiber hands a one-N variation with Gamma = 0 to the orbit,
+    # and a sweep reads L off the stacked moves: the same series, so the
+    # same height
+    for orbit, v, _ in _hodge_tate_orbits():
+        points = [([complex(x, y)], [0j]) for y in (0.5, 30.0, 1e3, 1e5) for x in (0.0, 0.37, -2.1)]
+        for (z, s), (_, swept) in zip(points, height_sweep(v, points, TOL)):
+            want = height(OrientedMHS(orbit.fiber(z[0], TOL), v.orientation), TOL)
+            assert height(OrientedMHS(fiber(v, z, s, TOL), v.orientation), TOL) == want
+            assert abs(swept - want) <= 1e-14 * abs(want)
+
+
+def test_a_hodge_tate_orbit_fiber_takes_no_plain_log(monkeypatch):
+    # the limit's own period reads the plain log once, when the base of the
+    # orbit, and of its variation's cone, is built; no fiber does
+    import hodgeheight.mhs as mhs
+
+    orbits = _hodge_tate_orbits()
+    for orbit, v, _ in orbits:
+        orbit.fiber(1j, TOL)
+        fiber(v, [1j], [0j], TOL)
+
+    def refuse(G):
+        raise AssertionError("a fiber took the plain log of conj(P)^-1 P")
+
+    monkeypatch.setattr(mhs, "logm_unipotent", refuse)
+    for orbit, v, _ in orbits:
+        for z in (0.5j, -3 + 2j, 0.37 + 1e4j, -2j):
+            assert isinstance(orbit.fiber(z, TOL)._known, tuple)
+            deligne_delta(orbit.fiber(z, TOL), TOL)
+            height(OrientedMHS(fiber(v, [z], [0j], TOL), v.orientation), TOL)
 
 
 # ---------------------------------------------------------------------------
