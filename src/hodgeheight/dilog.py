@@ -14,11 +14,12 @@ mpmath oracle (tests/fixtures.py).
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import atan2, comb, log, pi
 
-import cmath
+from .errors import HodgeError
 
 ZETA2 = pi * pi / 6
 
@@ -66,8 +67,10 @@ def _li2_core(z: complex) -> complex:
 
 
 def li2(z: complex) -> BranchedValue:
-    """Principal-branch dilogarithm with the cut along [1, inf)."""
+    """Principal-branch dilogarithm with the cut along [1, inf), at a finite z."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise HodgeError(f"li2 needs a finite argument, got {z}")
     on_cut = z.imag == 0.0 and z.real >= 1.0
     if z == 0:
         return BranchedValue(0.0 + 0.0j, False)
@@ -89,12 +92,12 @@ def li2(z: complex) -> BranchedValue:
 def bloch_wigner(z) -> float:
     """The single-valued dilogarithm Im(Li2) + arg(1-z) log|z|.
 
-    Accepts a complex number, float('inf') or the string "inf" for the point
-    at infinity.  Identically zero on the real axis and at 0, 1, infinity.
+    Accepts what complex() does, float('inf') or "inf" being the point at
+    infinity, but no NaN.  Identically zero on the real axis and at 0, 1, inf.
     """
-    if isinstance(z, str) and z.strip().lower() in ("inf", "infinity"):
-        return 0.0
     z = complex(z)
+    if cmath.isnan(z):
+        raise HodgeError(f"bloch_wigner needs a number or infinity, got {z}")
     if cmath.isinf(z) or z.imag == 0.0:
         return 0.0
     value = li2(z).value.imag + principal_arg(1.0 - z) * log(abs(z))

@@ -36,9 +36,7 @@ float N^j grows with |N|^j and moves the rank decisions of ill-conditioned
 conjugates.  M goes back by c -> c T.  None of this runs when N' lowers W
 by two (lowers, exact on an ExactMatrix): M is W itself (Steenbrink-Zucker
 1985), as that is the first axiom and N induces 0 on each Gr^W_k, whose
-monodromy filtration centered at k is the one step at k.  Then Y' = Y, the
-limit's weight grading (Cattani-Kaplan-Schmid 1986): N0 = 0, so the sl2-
-triple is 0 and every bracket identity but [Y, N] = -2N reads 0 = 0.
+monodromy filtration centered at k is the one step at k.
 
 Both axioms are verified on a peeled M (DoesNotExist otherwise).  The graded
 one compares, on each Gr^W_k and for j in [k-2n, k+2n], dim (M_j cap W_k) /
@@ -50,23 +48,26 @@ adding one to Gr_(k+s-1-2i), i < s.  Both sides are step functions of j, so
 they are compared at the lower end and at every jump of M or the reference.
 
 deligne_system_grading builds the unique grading Y' of W commuting with a
-given grading Y of M such that the zero eigencomponent N0 of N completes to
-an sl2-triple (N0, H = Y - Y', N0+) commuting with the deeper components of
-N.  Its start is a grading of W inside the eigenspaces E of Y, which it
-computes from Y and limit_height hands in (the limit frame's columns by
-weight): the rows of the one right echelon of E against T with pivot in
-d_(k-1) .. d_k - 1, mapped back by T, span a complement of E cap W_(k-1) in
-E cap W_k, and the piece at k is the orthogonal one.  Corrections exp(gamma),
-[Y, gamma] = 0, then kill the defect [N - N0, N0+] depth by depth, moving
-each piece by G = exp(gamma) (rows B become B G^T), so every row stays an
-eigenvector of Y.  Each pass makes one linalg.Frame of the pieces, C the
-rows as columns: C^-1 Y C = diag(a) and C^-1 Y' C = diag(b), so the
-bracket conditions only select the entries of C^-1 X C that may be
-nonzero: b_i = b_j and a_i - a_j = 2 for N0+, a_i = a_j and b_i - b_j =
--j0 for gamma, and a_i - a_j = -2 for N; [N0+, N0] = H or ad N0+ ad N0
+given grading Y of M such that the zero eigencomponent N0 of N completes to an
+sl2-triple (N0, H = Y - Y', N0+) commuting with the deeper components of N.
+One body, _deligne_system, serves it and limit_height: it takes Y and its
+weight frame (of Y's eigenspaces, or the limit's) and checks [Y, N] = -2N.  If
+Y grades W, N lowers W by two, so M = W and Y' = Y (Cattani-Kaplan-Schmid
+1986): N0 = 0, the sl2-triple is 0, every other bracket identity reads 0 = 0,
+and the projectors are the frame's.  Else the pass starts from a grading of W
+inside the eigenspaces E of Y, the frame's columns by degree: the rows of the
+one right echelon of E against T with pivot in d_(k-1) .. d_k - 1, mapped
+back by T, span a complement of E cap W_(k-1) in E cap W_k, and the piece at k
+is the orthogonal one.  Corrections exp(gamma), [Y, gamma] = 0, then kill the
+defect [N - N0, N0+] depth by depth, moving each piece by G = exp(gamma) (rows
+B become B G^T), so every row stays an eigenvector of Y.  Each pass makes one
+linalg.Frame of the pieces, C the rows as columns: C^-1 Y C = diag(a) and C^-1
+Y' C = diag(b), so the bracket conditions only select the entries of C^-1 X C
+that may be nonzero: b_i = b_j and a_i - a_j = 2 for N0+, a_i = a_j and b_i -
+b_j = -j0 for gamma, and a_i - a_j = -2 for N; [N0+, N0] = H or ad N0+ ad N0
 gamma = R_(-j0) is solved by least squares on them.  The final pieces and
-every bracket identity are verified post hoc; the final projectors stay on
-the DeligneSystem, read-only, for the limit_height read.
+every bracket identity are verified post hoc; the final projectors stay on the
+DeligneSystem, read-only, for the limit_height read.
 
 An orbit fiber takes the route of the orbit's base (NilpotentOrbit._base),
 decided once per tol.  If N lowers W by two (M = W) and the limit is Hodge-
@@ -123,7 +124,8 @@ from .linalg import (
     rref_exact,
     rref_float,
 )
-from .mhs import Filtration, MixedHodgeStructure, lowers, split_filtration, weight_filtration
+from .mhs import (Filtration, MixedHodgeStructure, adapted_weights, lowers, split_filtration,
+                  weight_filtration)
 from .splitting import deligne_delta
 
 # ---------------------------------------------------------------------------
@@ -355,33 +357,36 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     """The unique grading Y' of W commuting with Y whose sl2 completion
     satisfies [N - N0, N0+] = 0; all invariants re-verified before returning."""
     Y = check_square(np.asarray(Y, dtype=complex), W.ambient_dim, "Y")
-    evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
-    return _deligne_system(W, N, Y, _eigenspaces(Y, evs, tol).values(), tol)
+    if not np.isfinite(Y).all():
+        raise ConstructionFailed("Y has an entry that is not finite")
+    spaces = _eigenspaces(Y, sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)}), tol)
+    if sum(len(E) for E in spaces.values()) != len(Y):
+        raise ConstructionFailed("initial grading construction did not span")
+    return _deligne_system(W, N, Y, Frame.of(spaces), tol)
 
 
-def _check_bracket(Y: np.ndarray, N: np.ndarray, tol: float) -> float:
-    """scale = max(max |N|, max |Y|, 1), once [Y, N] = -2N holds to 1e3 tol scale."""
-    scale = max(maxabs(N), maxabs(Y), 1.0)
-    if maxabs(Y @ N - N @ Y + 2 * N) > 1e3 * tol * scale:
-        raise ConstructionFailed("[Y, N] = -2N fails on the input")
-    return scale
-
-
-def _deligne_system(W: Filtration, N, Y: np.ndarray, eigenspaces,
-                    tol: float) -> DeligneSystem:
-    """The body of deligne_system_grading, from the bases (rows) of Y's eigenspaces."""
+def _deligne_system(W: Filtration, N, Y: np.ndarray, frame: Frame, tol: float) -> DeligneSystem:
+    """The body of deligne_system_grading and limit_height (module docstring)."""
     N = check_square(np.asarray(N, dtype=complex), W.ambient_dim)
-    n = W.ambient_dim
-    scale = _check_bracket(Y, N, tol)
+    scale = max(maxabs(N), maxabs(Y), 1.0)
+    if (bracket := maxabs(Y @ N - N @ Y + 2 * N)) > 1e3 * tol * scale:
+        raise ConstructionFailed("[Y, N] = -2N fails on the input")
+    zero = np.zeros_like(N)
+    # Y grades W (M = W, Y' = Y): the frame's degrees are W's weights w_i, T C^-T is 0 above w_i
+    w, X = adapted_weights(W), np.abs(W.adapted_basis().T @ frame.C_inv.T)
+    if (sorted(frame.degrees.tolist()) == w.tolist()
+            and X[frame.degrees > w[:, None]].max(initial=0.0) <= tol * max(X.max(), 1.0)):
+        return DeligneSystem(W, N, Y, Y, {2: N} if maxabs(N) > tol * scale else {},
+                             (zero, zero, zero), bracket / scale, frame.projectors)
     check_nilpotent(N, tol)
 
-    pieces = _initial_w_grading(W, eigenspaces, tol)
+    pieces = _initial_w_grading(W, [frame.C[:, frame.degrees == k].T
+                                    for k in sorted(set(frame.degrees.tolist()))], tol)
     span = W.indices[-1] - W.indices[0]
 
     def ad(A, X):
         return A @ X - X @ A
 
-    zero = np.zeros((n, n), dtype=complex)
     for _ in range(span + 3):
         # the rows of the pieces as columns: C^-1 Y C = diag(a), C^-1 Y' C = diag(b)
         frame = Frame.of(pieces)
@@ -545,22 +550,14 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float = DEFAULT_TOL) -
     """Height of the orbit: the height read of height.py, the coefficient of
     P_min delta P_max on the top generator against the bottom generator.
 
-    The generators orient W and are checked against it as a fiber's are; the
-    projectors P_k are those of the Deligne system's grading Y' of W, and
-    delta is the splitting of the limit structure (F_inf, M), whose weight
-    pieces are the eigenspaces of Y that the Deligne system starts from.
-    When M is W (N lowers W by two), Y' is Y, so only [Y, N] = -2N is
-    checked and P_k are the limit's weight projectors (module docstring)."""
+    The generators orient W and are checked against it as a fiber's are;
+    delta is the splitting of the limit (M, F_inf), and P_k the projectors of
+    the Y' that the Deligne-system body builds from the limit's Y and weight
+    frame: Y' = Y and P_k the limit's weight projectors when M = W."""
     _check_oriented(orbit.W, orientation, tol)
     Hlim = limit_mhs(orbit, tol)
     frame = Hlim.bigrading(tol).weight_frame
-    if Hlim.W is orbit.W:
-        _check_bracket(frame.grading, orbit.N, tol)
-        projectors = frame.projectors
-    else:
-        projectors = _deligne_system(orbit.W, orbit.N, frame.grading, [
-            frame.C[:, frame.degrees == k].T
-            for k in sorted(set(frame.degrees.tolist()))], tol).projectors
+    projectors = _deligne_system(orbit.W, orbit.N, frame.grading, frame, tol).projectors
     return _deep_coefficient(deligne_delta(Hlim, tol).delta, projectors, orientation, tol)
 
 

@@ -289,7 +289,7 @@ def scenario_family(t: complex) -> FamilyScenario:
     3 (2 D2(t) + D2(t^-2)) / (2 pi i)^2 and D2(-t) / (4 zeta(2)); the
     limit_values sample approaches to the degenerate parameters."""
     t = complex(t)
-    if t == 0 or t in _FAMILY_EXCLUDED or t.imag == 0 and t.real in _FAMILY_EXCLUDED:
+    if not np.isfinite(t) or t in _FAMILY_EXCLUDED:
         raise DegenerateTriangle(f"family parameter t = {t} is excluded")
     ht = triangle_height_nine(family_triangle(t))
     closed = (2 * bloch_wigner(t) + bloch_wigner(t ** -2)) * 3 / -(4 * pi ** 2)

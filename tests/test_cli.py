@@ -221,6 +221,16 @@ def test_scenario_commands(capsys):
     assert main(["scenario", "orbit6iii", "--z", "1j"]) == 0
 
 
+@pytest.mark.parametrize("t", ["nan", "nan+1j", "inf", "1+infj"])
+def test_family_scenario_refuses_a_parameter_that_is_not_finite(t, capsys):
+    # exit 1 with a typed error and nothing on stdout, so no bare NaN token
+    assert main(["scenario", "family", f"--t={t}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: family parameter t = ") and err.endswith(" is excluded\n")
+    assert "Traceback" not in err
+
+
 def test_sweep_variation_csv(variation_file, capsys):
     code = main(["sweep", variation_file, "--z-start", "0.5j", "--z-end", "3j",
                  "--count", "4"])
@@ -570,8 +580,8 @@ def _sweep_rows(capsys) -> list[dict]:
 def test_the_cubic_as_a_variation_document_is_the_cubic_orbit(orbit_file, tmp_path, capsys):
     # an orbit document is read as the variation of its one N with Gamma = 0,
     # so written either way the cubic validates at its limit, has limit
-    # height 0, and at every point, past the literal lattice's frontier at
-    # y = 1818 too, the height -(2/3) y^3 of NilpotentOrbit.fiber
+    # height 0, and at every point, below and past the literal lattice's
+    # frontier at y = 1818, the height -(2/3) y^3 of NilpotentOrbit.fiber
     doc = load(orbit_file)
     orbit, orient = parse_orbit(doc)
     for path in (orbit_file, _write(tmp_path / "cubic-variation.json", _as_variation(doc))):
@@ -579,7 +589,7 @@ def test_the_cubic_as_a_variation_document_is_the_cubic_orbit(orbit_file, tmp_pa
         assert json.loads(capsys.readouterr().out) == {"failures": [], "ok": True}
         assert main(["compute", path, "--what", "limit-height"]) == 0
         assert json.loads(capsys.readouterr().out) == {"limit_height": 0.0}
-        for y in (3000.0, 1e5):
+        for y in (1500.0, 3000.0, 1e5):
             assert main(["compute", path, "--what", "height", "--z", f"{y}j"]) == 0
             h = json.loads(capsys.readouterr().out)["height"]
             assert h == height(OrientedMHS(orbit.fiber(1j * y), orient))
@@ -590,6 +600,23 @@ def test_the_cubic_as_a_variation_document_is_the_cubic_orbit(orbit_file, tmp_pa
         for row in rows:
             y = float(row["param"])
             assert float(row["height"]) == pytest.approx(-(2 / 3) * y ** 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("change, message", [
+    # N e0 = e1 + e3: nilpotent and preserving W, but it moves F^0 = <e0>
+    # out of F^-1 = <e0, e1>
+    (lambda d: d["nilpotent"][3].__setitem__(0, "1"),
+     "N must shift the Hodge filtration by one (horizontality)"),
+    (lambda d: d.__setitem__("nilpotent", [row[:3] for row in d["nilpotent"][:3]]),
+     "N must be 4 x 4, got 3 x 3"),
+], ids=["horizontality", "nilpotent-3x3"])
+def test_limit_height_refuses_a_bad_cubic_nilpotent(change, message, orbit_file, tmp_path,
+                                                    capsys):
+    doc = load(orbit_file)
+    change(doc)
+    path = _write(tmp_path / "bad-nilpotent.json", doc)
+    assert main(["compute", path, "--what", "limit-height"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_the_biextension_orbit_as_either_document(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgeheight.dilog import ZETA2, bloch_wigner, li2
+from hodgeheight.errors import HodgeError
 
 from fixtures import CATALAN, mp_bloch_wigner, mp_li2
 
@@ -38,6 +39,26 @@ def test_bloch_wigner_real_axis_and_special_points():
     assert bloch_wigner(1) == 0.0
     assert bloch_wigner("inf") == 0.0
     assert bloch_wigner(float("inf")) == 0.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("z", [NAN, complex(NAN, 1), complex(1, NAN), float("inf"),
+                               complex(0, float("inf"))],
+                         ids=["nan", "nan-real", "nan-imag", "inf", "inf-imag"])
+def test_li2_refuses_a_point_that_is_not_finite(z):
+    with pytest.raises(HodgeError, match="li2 needs a finite argument"):
+        li2(z)
+
+
+@pytest.mark.parametrize("z", [NAN, complex(NAN, 1), complex(NAN, 0), complex(1, NAN), "nan"],
+                         ids=["nan", "nan-real", "nan-real-on-axis", "nan-imag", "nan-text"])
+def test_bloch_wigner_refuses_a_nan(z):
+    # the point at infinity is a point of the sphere (0 there); a NaN is none
+    with pytest.raises(HodgeError, match="bloch_wigner needs a number or infinity"):
+        bloch_wigner(z)
+    assert bloch_wigner(complex(float("inf"), 1)) == 0.0
 
 
 def test_catalan_value():

@@ -177,6 +177,10 @@ CASES = {
     "grading-input": (lambda: deligne_system_grading(cubic_orbit()[0].W, cubic_orbit()[0].N,
                                                      np.zeros((4, 4))),
                       ConstructionFailed, "[Y, N] = -2N fails on the input"),
+    # a Y with a NaN is refused before its eigenvalues are taken
+    "grading-not-finite": (lambda: deligne_system_grading(
+        cubic_orbit()[0].W, cubic_orbit()[0].N, np.diag([0.0, -2.0, np.nan, -6.0])),
+        ConstructionFailed, "Y has an entry that is not finite"),
     # an N or a Y of the wrong shape is refused where it enters the orbit path,
     # naming the shape that W's dimension asks for
     "orbit-nilpotent-not-square": (lambda: _cubic_orbit_with(np.zeros((4, 3))),

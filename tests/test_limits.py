@@ -561,33 +561,43 @@ def _limit_height_orbits():
 
 
 def test_limit_height_starts_from_the_weight_pieces_of_its_limit(monkeypatch):
-    # limit_height hands the weight pieces of the limit bigrading to the body
-    # of deligne_system_grading when M is not W, and takes Y' = Y when it is;
-    # its Y' and height are those of the public function on the Y of that
-    # bigrading
+    # limit_height hands the Y and the weight frame of the limit bigrading to
+    # the one body of deligne_system_grading, once: when M is W that body
+    # returns Y' = Y and the limit's weight projectors with no solve, else it
+    # runs the corrected pass; its Y' and height are those of the public
+    # function on the Y of that bigrading
     from hodgeheight import limits
     from hodgeheight.height import _deep_coefficient
     from hodgeheight.splitting import deligne_delta
 
-    body, used, kinds = limits._deligne_system, [], set()
+    body, used, kinds, solves = limits._deligne_system, [], set(), []
+    lstsq = np.linalg.lstsq
 
     def recorded(*args):
         used.append(body(*args))
         return used[-1]
 
+    def counted(*args, **kwargs):
+        solves.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
     monkeypatch.setattr(limits, "_deligne_system", recorded)
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
     for orbit, orient in _limit_height_orbits():
         used.clear()
+        solves.clear()
         got = limit_height(orbit, orient, TOL)
         H = limit_mhs(orbit, TOL)
         m_is_w = H.W is orbit.W
         kinds.add(m_is_w)
+        (system,) = used
+        Yprime = system.Yprime
         if m_is_w:
-            assert used == []
-            Yprime = H.bigrading(TOL).Y
+            B = H.bigrading(TOL)
+            assert Yprime is B.Y and system.projectors is B.weight_projectors
+            assert solves == []
         else:
-            (system,) = used
-            Yprime = system.Yprime
+            assert solves
         ref = deligne_system_grading(orbit.W, orbit.N, H.bigrading(TOL).Y, TOL)
         assert maxabs(Yprime - ref.Yprime) <= 1e-10 * max(maxabs(ref.Yprime), 1.0)
         want = _deep_coefficient(deligne_delta(H, TOL).delta, ref.projectors, orient, TOL)
@@ -1246,11 +1256,12 @@ def test_relative_filtration_builds_no_float_basis_for_its_kernels(monkeypatch):
 
 
 def test_eigenspaces_computed_once_per_deligne_system(monkeypatch):
-    # the eigenspaces of Y are computed once, for the initial pieces; each
-    # correction moves the pieces instead of recomputing eigenspaces of Y'.
-    # Each pass builds one frame of the pieces, and inverts its C alone.  The
-    # systems are drawn up front (the generator inverts matrices too), and run
-    # until one needs a correction, which the 21st of these 24 does
+    # the eigenspaces of Y are computed once, as one frame that the initial
+    # pieces start from; each correction moves the pieces instead of
+    # recomputing eigenspaces of Y'.  Each pass builds one frame of the
+    # pieces, and every frame inverts its C alone.  The systems are drawn up
+    # front (the generator inverts matrices too), and run until one needs a
+    # correction, which the 21st of these 24 does
     from hodgeheight import limits
 
     rng = np.random.default_rng(5)
@@ -1284,10 +1295,38 @@ def test_eigenspaces_computed_once_per_deligne_system(monkeypatch):
         assert ds.residual < 1e-10
         assert len(eigen) == i + 1
         assert len(inverses) == len(frames)
-        if len(frames) - passes > 1:
+        if len(frames) - passes > 2:
             break   # a correction moved the pieces, so the moved pieces are exercised
     else:
         pytest.fail("no drawn system needed a correction")
+
+
+def test_deligne_system_is_y_itself_when_y_grades_w(monkeypatch):
+    # when N lowers W by two, M = W, and Y grades W as does Y + 2 lam N =
+    # Ad(exp(lam N)) Y; then Y' is the input itself (Cattani-Kaplan-Schmid),
+    # with N of degree -2 and a zero sl2-triple, and nothing is solved
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    rng = np.random.default_rng(7)
+    graded = 0
+    for _ in range(40):
+        W, N, Y = random_deligne_system(rng)
+        lam = complex(rng.normal(), rng.normal())
+        if relative_weight_filtration(N, W) is not W:
+            continue
+        for Yin in (Y, Y + 2 * lam * N):
+            ds = deligne_system_grading(W, N, Yin)
+            assert np.array_equal(ds.Yprime, Yin)
+            assert not any(X.any() for X in ds.sl2)
+            assert set(ds.N_components) <= {2} and ds.residual < 1e-12
+            graded += 1
+    assert calls == [] and graded >= 30
 
 
 def test_grading_with_an_eigenvalue_between_jumps_is_not_a_grading_of_w():
@@ -1772,6 +1811,10 @@ def test_deligne_system_solves_on_the_free_entries_alone(monkeypatch):
             return sum(c * m.get((a - da, b - db), 0) for (a, b), c in m.items())
 
         span = W.indices[-1] - W.indices[0]
+        if relative_weight_filtration(N, W) is W:
+            # Y grades W: Y' = Y with no solve
+            assert shapes == [] and np.array_equal(ds.Yprime, Y)
+            continue
         assert shapes and all(rows == n * n for rows, _ in shapes)
         # the solves alternate: N0+, then (gamma, N0+) per correction
         assert len(shapes) % 2
