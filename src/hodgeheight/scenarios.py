@@ -45,8 +45,8 @@ def dilog_fiber(s: complex, tol: float = DEFAULT_TOL) -> OrientedMHS:
     variations.DILOG_W, so every fiber shares its adapted basis.
     """
     s = complex(s)
-    if s in (0.0, 1.0) or s.imag == 0.0 and s.real in (0.0, 1.0):
-        raise HodgeError("dilog fiber is degenerate at s in {0, 1}")
+    if not np.isfinite(np.abs(s)) or s in (0.0, 1.0):
+        raise HodgeError(f"dilog fiber needs s of finite modulus outside {{0, 1}}, got s = {s}")
     l1s = principal_log(1.0 - s)
     ls = principal_log(s)
     L2 = li2(s).value
@@ -135,10 +135,23 @@ class TriangleData:
     beta: complex = 1.0
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "alpha", "beta"):
+            if not np.isfinite(np.abs(value := getattr(self, name))).all():
+                raise DegenerateTriangle(f"triangle parameter {name} = {value} is not finite")
         if self.alpha == 0 or self.beta == 0:
             raise DegenerateTriangle("scale factors must be nonzero")
-        M = np.array([self.a, self.b, self.c], dtype=complex)
-        if abs(np.linalg.det(M)) < 1e-12 * max(1.0, float(np.abs(M).max()) ** 3):
+        # the formulas take ratios of products of two coefficients, normal doubles while
+        # each nonzero |x| is in 2^-511 .. 2^511 and within 2^511 of the largest; each
+        # section is defined up to scale, so rows rescaled by their largest entry decide
+        # general position
+        mag = np.abs(M := np.array([self.a, self.b, self.c], dtype=complex))
+        lo = max(2.0 ** -511, mag.max() / 2.0 ** 511)
+        for name, row in zip("abc", mag):
+            if not all(lo <= x <= 2.0 ** 511 for x in row if x):
+                raise DegenerateTriangle(f"triangle parameter {name} = {getattr(self, name)} is "
+                                         "out of range for the nine- and six-term formulas")
+        top = mag.max(axis=1, keepdims=True)
+        if not top.all() or abs(np.linalg.det(M / top)) < 1e-12:
             raise DegenerateTriangle("sections do not form a triangle")
 
 
@@ -217,15 +230,13 @@ def triangle_delta_blocks(T: TriangleData) -> tuple[np.ndarray, np.ndarray]:
             num, den = p[(j + 1) % 3], p[(j + 2) % 3]
             if num == 0 or den == 0:
                 raise DegenerateTriangle("intersection point lies on another coordinate line")
-            val = beta_vec[j] * num / den
-            d_c[i, j] = log(abs(val) ** 2) / (4 * pi)
+            d_c[i, j] = (log(abs(beta_vec[j])) + log(abs(num / den))) / (2 * pi)
             # section-triangle functions f_i = s_{i+1}/s_{i+2} at the same point
             num2 = letters[(i + 1) % 3] @ p
             den2 = letters[(i + 2) % 3] @ p
             if num2 == 0 or den2 == 0:
                 raise DegenerateTriangle("intersection point lies on another section line")
-            val2 = alpha_vec[i] * num2 / den2
-            d_c_dual[i, j] = log(abs(val2) ** 2) / (4 * pi)
+            d_c_dual[i, j] = (log(abs(alpha_vec[i])) + log(abs(num2 / den2))) / (2 * pi)
     return d_c, d_c_dual
 
 
@@ -289,7 +300,7 @@ def scenario_family(t: complex) -> FamilyScenario:
     3 (2 D2(t) + D2(t^-2)) / (2 pi i)^2 and D2(-t) / (4 zeta(2)); the
     limit_values sample approaches to the degenerate parameters."""
     t = complex(t)
-    if not np.isfinite(t) or t in _FAMILY_EXCLUDED:
+    if not 2.0 ** -511 <= np.abs(t) <= 2.0 ** 511 or t in _FAMILY_EXCLUDED:  # t^2, t^-2 normal
         raise DegenerateTriangle(f"family parameter t = {t} is excluded")
     ht = triangle_height_nine(family_triangle(t))
     closed = (2 * bloch_wigner(t) + bloch_wigner(t ** -2)) * 3 / -(4 * pi ** 2)
@@ -318,8 +329,9 @@ class DimZeroScenario:
 def scenario_dim0(a: complex, b: complex, tol: float = DEFAULT_TOL) -> DimZeroScenario:
     """Splitting slots log|a|/2pi and log|b|/2pi with height zero."""
     a, b = complex(a), complex(b)
-    if a in (0, 1) or b in (0, 1):
-        raise HodgeError("parameters must avoid 0 and 1")
+    for name, x in (("a", a), ("b", b)):
+        if not np.isfinite(np.abs(x)) or x in (0, 1):
+            raise HodgeError(f"dim0 parameter {name} = {x} must be of finite modulus, not 0 or 1")
     s1 = log(abs(a)) / (2 * pi)
     s2 = log(abs(b)) / (2 * pi)
     spec = BiextensionSpec(weights=(0, -2, -4), middle=(((-1, -1), 2),),

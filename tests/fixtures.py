@@ -5,7 +5,8 @@ same build with extra split middle coordinates; component_support names the
 Hodge components of a splitting that are nonzero.  dual_oriented,
 conjugate_oriented and rescale_fiber are the oriented functorial
 constructions the height identities are checked on; mhs_to_doc writes a
-structure document that the parsers read back.  mp_li2 and mp_bloch_wigner
+structure document that the parsers read back, and run_cli runs the command
+line in a fresh process.  mp_li2 and mp_bloch_wigner
 evaluate the dilogarithm with mpmath at a chosen working precision, the
 oracle for the double-precision hodgeheight.dilog.  general_route and
 mp_hodge_tate_height are the oracles of Hodge-Tate structures, which the
@@ -14,12 +15,17 @@ with a Hodge-Tate limit for them.  The generators that the benchmark also
 draws from (random_spec, random_deligne_system, random_hodge_tate) stay in
 the library.
 """
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 import mpmath
 import numpy as np
 
+import hodgeheight
 from hodgeheight.biextension import BiextensionSpec, _mdim, assemble_delta, build_biextension
 from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import HodgeError
@@ -298,3 +304,18 @@ def _rat_str(x) -> str:
 def _dump_complex(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """`python -W error::RuntimeWarning -m hodgeheight.cli *argv` in a fresh
+    process, in this process's environment updated by env, with the source
+    tree of hodgeheight on PYTHONPATH ahead of any path env names there.  Its
+    stdout and stderr come back as the text written, line ends untranslated."""
+    extra = dict(env or {})
+    src = str(Path(hodgeheight.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, extra.pop("PYTHONPATH", None)]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hodgeheight.cli",
+                           *argv], env={**os.environ, **extra, "PYTHONPATH": path},
+                          capture_output=True, timeout=120)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, proc.stdout.decode("utf-8"),
+                                       proc.stderr.decode("utf-8"))

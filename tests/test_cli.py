@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from hodgeheight import cli
+from hodgeheight.biextension import BiextensionSpec, assemble_delta, build_biextension
 from hodgeheight.cli import main
 from hodgeheight.height import OrientedMHS, height
 from hodgeheight.schemas import detect_kind, dumps, load, parse_mhs, parse_orbit, parse_variation
@@ -14,7 +16,7 @@ from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta
 from hodgeheight.variations import dilog_variation, height_sweep, oriented_fiber, random_hodge_tate
 
-from fixtures import mhs_to_doc
+from fixtures import mhs_to_doc, run_cli
 
 
 @pytest.fixture
@@ -553,10 +555,10 @@ def test_integer_too_large_for_a_float_is_a_malformed_document(dilog_file, tmp_p
     assert capsys.readouterr().err.startswith("error: malformed document: OverflowError")
 
 
-def test_validate_orbit_and_variation_files(orbit_file, variation_file, capsys):
+def test_validate_orbit_and_variation_files(orbit_file, variation_file, tmp_path, capsys):
     # an orbit is a variation with one N and Gamma = 0: each is validated at
     # its limit (M, F_inf)
-    for path in (orbit_file, variation_file):
+    for path in (orbit_file, variation_file, _write(tmp_path / "j3.json", J3_DOC)):
         assert main(["validate", path]) == 0
         assert json.loads(capsys.readouterr().out) == {"failures": [], "ok": True}
 
@@ -663,6 +665,96 @@ def test_validate_an_orbit_at_its_limit(tmp_path, capsys):
         "direct-sum: component dimensions add to 0, expected 2"]}
 
 
+# N = E_02 on the dilog W and F_inf sends W_-4 = <e2> to e0, out of W_-2: it
+# raises weight, so it is no monodromy logarithm of the variation
+WEIGHT_RAISING_DOC = {**NEAR_COMMUTING_DOC,
+                      "nilpotents": [[["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]]]}
+
+
+def test_validate_refuses_a_weight_raising_nilpotent(tmp_path, capsys):
+    path = _write(tmp_path / "weight-raising.json", WEIGHT_RAISING_DOC)
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr() == ("", "error: N must preserve the weight filtration\n")
+
+
+# N = 0 + J3 (e1 -> e2 -> e3) on W of weights (0, 2, 2, 2), with F_inf of
+# levels (0, 2, 1, 0) on e0 .. e3: the Jordan block of size 3 above the bottom
+# weight has M = <e0, e3>, <e0, e2, e3>, all at 0, 2, 4, and the limit is a
+# mixed Hodge structure
+J3_DOC = {
+    "dimension": 4,
+    "weight_filtration": [
+        {"weight": 0, "basis": [["1", "0", "0", "0"]]},
+        {"weight": 2, "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+                                ["0", "0", "0", "1"]]}],
+    "f_infinity": [
+        {"level": 2, "basis": [[[0, 0], [1, 0], [0, 0], [0, 0]]]},
+        {"level": 1, "basis": [[[0, 0], [1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0], [0, 0]]]},
+        {"level": 0, "basis": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
+                               [[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]}],
+    "nilpotent": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "1", "0", "0"],
+                  ["0", "0", "1", "0"]],
+}
+
+
+@pytest.mark.parametrize("spec", [
+    BiextensionSpec((0, -2, -4), (((-1, -1), 2),), (0.5, -0.25), (0.125, 0.75), 0.3),
+    BiextensionSpec((2, -1, -4), (((0, -1), 1),), (0.5, -0.25), (0.125, 0.75), 0.3),
+], ids=["hodge-tate-middle", "pair-type-middle"])
+def test_compute_delta_of_a_biextension_document(spec, tmp_path, capsys):
+    # one document per splitting route: a Hodge-Tate middle, read off its
+    # period matrix, and a pair-type middle, by the general route
+    path = _write(tmp_path / "biextension.json", mhs_to_doc(build_biextension(spec).mhs))
+    assert main(["compute", path, "--what", "delta"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert np.abs(np.array(out["delta"]) - assemble_delta(spec)).max() <= 1e-9
+    assert out["residual"] <= 1e-9
+
+
+# the dilog variation with Gamma truncated at degree 2
+DILOG_DEGREE_TWO_DOC = {
+    **NEAR_COMMUTING_DOC,
+    "nilpotents": [[["0", "0", "0"], ["0", "0", "0"], ["0", "-1", "0"]]],
+    "gamma": [
+        {"exponents": [1], "matrix": [[[0, 0], [0, 0], [0, 0]],
+                                      [[0, 0.15915494309189535], [0, 0], [0, 0]],
+                                      [[0.025330295910584444, 0], [0, 0], [0, 0]]]},
+        {"exponents": [2], "matrix": [[[0, 0], [0, 0], [0, 0]],
+                                      [[0, 0.07957747154594767], [0, 0], [0, 0]],
+                                      [[0.006332573977646111, 0], [0, 0], [0, 0]]]}],
+}
+
+
+# the (1,2,2,1) Hodge-Tate variation of random_hodge_tate seed 0, and the
+# dilog variation to degree 2, as documents
+SWEEP_DOCS = {"hodge-tate": lambda: _variation_doc(random_hodge_tate((1, 2, 2, 1), 1, seed=0)),
+              "dilog-degree-2": lambda: DILOG_DEGREE_TWO_DOC}
+
+
+@pytest.mark.parametrize("doc, z_start, z_end", [
+    ("hodge-tate", "0.7+10j", "0.7+10000j"),
+    ("hodge-tate", "0.7+0.3j", "0.7+3j"),
+    ("dilog-degree-2", "0.7+0.1j", "0.7+0.5j"),
+], ids=["hodge-tate-far", "hodge-tate-near", "dilog-degree-2"])
+def test_sweep_rows_are_the_heights_of_compute(doc, z_start, z_end, tmp_path, capsys):
+    # both variations have length 4, so sweep checks the depth-one identity:
+    # four finite heights, each with an identity residual below 1e-9, out to
+    # y = 1e4.  The sweep is one stacked computation: each row's height is the
+    # one-fiber height of compute --what height at its z, to 1e-13 max(1, |h|),
+    # far out and at y <= 3, where the heights are far from 0.  The Hodge-Tate
+    # heights are positive over a limit height 0, so they equal their height
+    # gaps; the dilog heights on its ray are negative, and tell the two apart
+    path = _write(tmp_path / f"{doc}.json", SWEEP_DOCS[doc]())
+    assert main(["sweep", path, "--z-start", z_start, "--z-end", z_end, "--count", "4"]) == 0
+    rows = _sweep_rows(capsys)
+    assert len(rows) == 4
+    for row in rows:
+        assert math.isfinite(float(row["height"])) and abs(float(row["identity_residual"])) < 1e-9
+        assert main(["compute", path, "--what", "height", "--z", f"0.7+{row['param']}j"]) == 0
+        want = json.loads(capsys.readouterr().out)["height"]
+        assert abs(float(row["height"]) - want) <= 1e-13 * max(1.0, abs(want))
+
+
 def test_a_fiber_error_names_its_point_in_python_numbers(variation_file, capsys):
     assert main(["compute", variation_file, "--what", "height", "--z", "1e200j"]) == 1
     assert capsys.readouterr().err == "error: fiber at z=[1e+200j], s=[0j]: the move is not finite\n"
@@ -748,34 +840,72 @@ def test_sweep_rejects_a_structure_file(dilog_file, capsys):
     assert capsys.readouterr().err == "error: sweep needs an orbit or variation file\n"
 
 
-def test_scenarios_run_without_mpmath():
-    # mpmath is a test dependency only: with it unimportable, the scenarios
-    # that evaluate the dilogarithm still run and pass
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+def test_scenarios_run_without_mpmath(tmp_path):
+    # mpmath is a test dependency only: with an mpmath on the path that fails
+    # to import, the scenarios that evaluate the dilogarithm still run and pass
+    (tmp_path / "mpmath.py").write_text('raise ImportError("no mpmath here")\n', encoding="utf-8")
+    for argv in (["scenario", "dilog"], ["scenario", "family", "--t=-1j"],
+                 ["scenario", "triangle"], ["scenario", "orbit6iii"]):
+        proc = run_cli(*argv, env={"PYTHONPATH": str(tmp_path)})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True, argv
 
-    import hodgeheight
 
-    src = str(Path(hodgeheight.__file__).resolve().parents[1])
-    code = """if True:
-        import contextlib, io, json, sys
-        sys.modules["mpmath"] = None
-        from hodgeheight.cli import main
-        results = []
-        for argv in (["scenario", "dilog"], ["scenario", "family", "--t=-1j"],
-                     ["scenario", "triangle"], ["scenario", "orbit6iii"]):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                status = main(argv)
-            results.append([argv, status, json.loads(out.getvalue())["pass"]])
-        print(json.dumps(results))
-    """
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout)
-    assert [argv[1] for argv, _, _ in results] == ["dilog", "family", "triangle", "orbit6iii"]
-    for argv, status, passed in results:
-        assert (status, passed) == (0, True), argv
+# a document that lacks its weight filtration
+MISSING_KEY_DOC = {"dimension": 1, "hodge_filtration": [{"level": 0, "basis": [[[1, 0]]]}]}
+
+
+@pytest.mark.parametrize("argv, env, status", [
+    (["scenario", "dim0", "--format", "csv"], {"HODGE_TOL": "abc"}, 0),
+    (["validate", "missing-key.json"], None, 1),
+    (["--tol", "nan", "scenario", "dim0"], None, 2),
+], ids=["hodge-tol-abc", "missing-key", "tol-nan"])
+def test_the_cli_process_exits_with_the_status_of_main(argv, env, status, tmp_path, monkeypatch,
+                                                       capsys):
+    # python -m hodgeheight.cli hands the shell main's exit status and output,
+    # with no traceback; HODGE_TOL in a fresh process's environment reaches nothing
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HODGE_TOL", raising=False)
+    _write(tmp_path / "missing-key.json", MISSING_KEY_DOC)
+    proc = run_cli(*argv, env=env)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == status and "Traceback" not in err
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["dim0", "--a", "nan"], "a"),
+    (["dim0", "--b", "inf"], "b"),
+    (["dim0", "--a", "1.7e308+1.7e308j"], "a"),
+    (["triangle", "--alpha", "nan"], "alpha"),
+    (["triangle", "--a-coeffs", "nan", "1", "1"], "a"),
+    (["dilog", "--s", "nan"], "s"),
+    (["dilog", "--s", "1.7e308+1.7e308j"], "s"),
+    (["triangle", "--alpha", "1e200"], None),
+    (["triangle", "--alpha", "1e300"], None),
+    (["triangle", "--alpha", "1.7e308"], None),
+    (["triangle", "--alpha", "1e-170"], None),
+    (["triangle", "--alpha", "5e-324"], None),
+    (["triangle", "--beta", "1e-200"], None),
+    (["family", "--t", "1e200"], "t"),
+    (["family", "--t", "1e-160"], "t"),
+    (["triangle", "--a-coeffs", "1e300", "1", "1"], "a"),
+], ids=["dim0-a-nan", "dim0-b-inf", "dim0-a-modulus-overflows", "triangle-alpha-nan",
+        "triangle-a-nan", "dilog-s-nan", "dilog-s-modulus-overflows", "triangle-alpha-1e200",
+        "triangle-alpha-1e300", "triangle-alpha-1.7e308", "triangle-alpha-1e-170",
+        "triangle-alpha-5e-324", "triangle-beta-1e-200", "family-t-1e200", "family-t-1e-160",
+        "triangle-a-1e300"])
+def test_scenario_parameters_at_the_boundary(argv, name, capsys):
+    # each input passes, or is refused with a typed error naming its
+    # parameter; none warns, raises or writes a NaN or Infinity token
+    status = main(["scenario", *argv])
+    out, err = capsys.readouterr()
+    assert "NaN" not in out + err and "Infinity" not in out + err
+    if name is None:
+        assert status == 0 and json.loads(out)["pass"] is True
+    else:
+        assert (status, out) == (1, "") and err.startswith("error: ") and f" {name} = " in err
