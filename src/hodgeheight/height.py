@@ -33,6 +33,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
+    DimensionMismatch,
     NotAMorphism,
     NotGeneralizedBiextension,
     NotInjectiveOnEnds,
@@ -85,6 +86,8 @@ def _check_oriented(W: Filtration, orientation: Orientation, tol: float) -> None
     if W.indices[-1] % 2 or W.indices[0] % 2:
         raise NotOriented("top and bottom weights must be even")
     top, bottom = orientation.top, orientation.bottom
+    if np.shape(top) != (W.ambient_dim,) or np.shape(bottom) != (W.ambient_dim,):
+        raise DimensionMismatch(f"orientation generators must have {W.ambient_dim} entries")
     if maxabs(top) == 0 or maxabs(bottom) == 0:
         raise NotOriented("orientation generators must be nonzero")
     if flag.depth(top, tol) <= below_top:

@@ -454,9 +454,8 @@ class NilpotentOrbit:
         # the one N of the orbit path, n x n, and its complex copy
         self.monodromy = check_square(as_operator(N), self.dim)
         self.N = np.array(self.monodromy, dtype=complex)
-        # N^k / k! off the table of the nilpotency check, for exp(zN)
-        self._series = [np.array(P, dtype=complex) / factorial(k)
-                        for k, P in enumerate(nilpotent_powers(self.monodromy, tol))]
+        # the table of the nilpotency check, N^0 .. N^m; exp builds N^k / k! off it once
+        self._powers, self._series = nilpotent_powers(self.monodromy, tol), None
         # N' = N in the coordinates of W, which limit_mhs reads, checked at tol
         self.operator = W.adapted_basis().operator(self.monodromy)
         if not lowers(W, self.operator, 0, tol):
@@ -470,6 +469,9 @@ class NilpotentOrbit:
         """exp(zN) = sum_k z^k N^k / k!, for a z or, as (m, n, n), for a stack
         of m; not finite past the float range."""
         z = np.asarray(z, dtype=complex)[..., None, None]
+        if self._series is None:
+            self._series = [np.array(P, dtype=complex) / factorial(k)
+                            for k, P in enumerate(self._powers)]
         with np.errstate(all="ignore"):
             return sum(z ** k * P for k, P in enumerate(self._series))
 

@@ -37,7 +37,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import DimensionMismatch, NotNilpotent
+from .errors import DimensionMismatch, HodgeError, NotNilpotent
 
 Matrix = np.ndarray
 
@@ -95,6 +95,13 @@ def integral_array(M: np.ndarray) -> bool:
     the verdict of the scan of _over_one_denominator on each entry."""
     R = M.real
     return bool(not M.imag.any() and (R == np.round(R)).all() and np.isfinite(R).all())
+
+
+def integer(x, name: str) -> int:
+    """x as an int, raising HodgeError named name for a bool or a non-integral float."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise HodgeError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------

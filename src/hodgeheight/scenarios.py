@@ -142,16 +142,17 @@ class TriangleData:
             raise DegenerateTriangle("scale factors must be nonzero")
         # the formulas take ratios of products of two coefficients, normal doubles while
         # each nonzero |x| is in 2^-511 .. 2^511 and within 2^511 of the largest; each
-        # section is defined up to scale, so rows rescaled by their largest entry decide
-        # general position
+        # section and each coordinate x_j is defined up to scale, so columns rescaled by
+        # their largest entry, then rows by theirs, decide general position
         mag = np.abs(M := np.array([self.a, self.b, self.c], dtype=complex))
         lo = max(2.0 ** -511, mag.max() / 2.0 ** 511)
         for name, row in zip("abc", mag):
             if not all(lo <= x <= 2.0 ** 511 for x in row if x):
                 raise DegenerateTriangle(f"triangle parameter {name} = {getattr(self, name)} is "
                                          "out of range for the nine- and six-term formulas")
-        top = mag.max(axis=1, keepdims=True)
-        if not top.all() or abs(np.linalg.det(M / top)) < 1e-12:
+        cols = mag.max(axis=0)
+        if (not cols.all() or not (rows := (mag / cols).max(axis=1, keepdims=True)).all()
+                or abs(np.linalg.det(M / cols / rows)) < 1e-12):
             raise DegenerateTriangle("sections do not form a triangle")
 
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .height import Orientation, OrientedMHS, _check_oriented, _period_height, height
 from .limits import NilpotentOrbit, limit_height, limit_mhs, moved_fiber
-from .linalg import ExactMatrix, bch, expm_nilpotent, maxabs
+from .linalg import ExactMatrix, bch, expm_nilpotent, integer, maxabs
 from .mhs import MixedHodgeStructure, is_hodge_tate, lowers, split_filtration
 
 
@@ -51,7 +51,7 @@ class GammaPoly:
     def of(nvars: int, terms: dict) -> "GammaPoly":
         clean = []
         for expo, mat in sorted(terms.items()):
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(integer(e, "exponent") for e in expo)
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise HodgeError(f"bad exponent tuple {expo}")
             if all(e == 0 for e in expo):

@@ -5,8 +5,10 @@ same build with extra split middle coordinates; component_support names the
 Hodge components of a splitting that are nonzero.  dual_oriented,
 conjugate_oriented and rescale_fiber are the oriented functorial
 constructions the height identities are checked on; mhs_to_doc writes a
-structure document that the parsers read back, and run_cli runs the command
-line in a fresh process.  mp_li2 and mp_bloch_wigner
+structure document that the parsers read back, fraction_reading reads an
+orbit document with a Fraction per rational entry (the oracle of the
+parsers' int rows), and run_cli runs the command line in a fresh process.
+mp_li2 and mp_bloch_wigner
 evaluate the dilogarithm with mpmath at a chosen working precision, the
 oracle for the double-precision hodgeheight.dilog.  general_route and
 mp_hodge_tate_height are the oracles of Hodge-Tate structures, which the
@@ -32,7 +34,8 @@ from hodgeheight.errors import HodgeError
 from hodgeheight.height import Orientation, OrientedMHS, _check_oriented
 from hodgeheight.limits import NilpotentOrbit
 from hodgeheight.linalg import Frame, Subspace, expm_nilpotent, maxabs
-from hodgeheight.mhs import DeligneBigrading, MixedHodgeStructure, conjugate, dual
+from hodgeheight.mhs import (DeligneBigrading, MixedHodgeStructure, conjugate, dual,
+                             hodge_filtration, weight_filtration)
 from hodgeheight.splitting import _solve_splitting, lowering_morphisms
 from hodgeheight.variations import GammaPoly, LocalVariation
 
@@ -319,3 +322,43 @@ def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
                           capture_output=True, timeout=120)
     return subprocess.CompletedProcess(proc.args, proc.returncode, proc.stdout.decode("utf-8"),
                                        proc.stderr.decode("utf-8"))
+
+
+def fraction_reading(doc: dict, tol: float = DEFAULT_TOL) -> tuple[NilpotentOrbit, Orientation]:
+    """An orbit document read with a Fraction per rational entry, each W step
+    spanned by Subspace.from_rows and N given as its Fraction rows: the
+    orbit and orientation schemas.parse_orbit builds from int rows."""
+    n = doc["dimension"]
+
+    def fractions(rows):
+        return [[Fraction(x) for x in row] for row in rows]
+
+    W = weight_filtration([(step["weight"], Subspace.from_rows(fractions(step["basis"]), n, tol))
+                           for step in doc["weight_filtration"]], n, tol)
+    F = hodge_filtration([(step["level"], Subspace.from_rows(
+        np.array([[complex(float(re), float(im)) for re, im in row] for row in step["basis"]],
+                 dtype=complex), n, tol)) for step in doc["f_infinity"]], n, tol)
+    o = doc.get("orientation")
+    orientation = o and Orientation.of(*([float(x) for x in fractions([o[k]])[0]]
+                                         for k in ("top", "bottom")))
+    return NilpotentOrbit(W, fractions(doc["nilpotent"]), F, tol), orientation
+
+
+# N = 0 + J3 (e1 -> e2 -> e3) on W of weights (0, 2, 2, 2), with F_inf of
+# levels (0, 2, 1, 0) on e0 .. e3: the Jordan block of size 3 above the bottom
+# weight has M = <e0, e3>, <e0, e2, e3>, all at 0, 2, 4, and the limit is a
+# mixed Hodge structure
+J3_DOC = {
+    "dimension": 4,
+    "weight_filtration": [
+        {"weight": 0, "basis": [["1", "0", "0", "0"]]},
+        {"weight": 2, "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+                                ["0", "0", "0", "1"]]}],
+    "f_infinity": [
+        {"level": 2, "basis": [[[0, 0], [1, 0], [0, 0], [0, 0]]]},
+        {"level": 1, "basis": [[[0, 0], [1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0], [0, 0]]]},
+        {"level": 0, "basis": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
+                               [[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]}],
+    "nilpotent": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "1", "0", "0"],
+                  ["0", "0", "1", "0"]],
+}

@@ -16,7 +16,7 @@ from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta
 from hodgeheight.variations import dilog_variation, height_sweep, oriented_fiber, random_hodge_tate
 
-from fixtures import mhs_to_doc, run_cli
+from fixtures import J3_DOC, mhs_to_doc, run_cli
 
 
 @pytest.fixture
@@ -675,26 +675,6 @@ def test_validate_refuses_a_weight_raising_nilpotent(tmp_path, capsys):
     path = _write(tmp_path / "weight-raising.json", WEIGHT_RAISING_DOC)
     assert main(["validate", path]) == 1
     assert capsys.readouterr() == ("", "error: N must preserve the weight filtration\n")
-
-
-# N = 0 + J3 (e1 -> e2 -> e3) on W of weights (0, 2, 2, 2), with F_inf of
-# levels (0, 2, 1, 0) on e0 .. e3: the Jordan block of size 3 above the bottom
-# weight has M = <e0, e3>, <e0, e2, e3>, all at 0, 2, 4, and the limit is a
-# mixed Hodge structure
-J3_DOC = {
-    "dimension": 4,
-    "weight_filtration": [
-        {"weight": 0, "basis": [["1", "0", "0", "0"]]},
-        {"weight": 2, "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
-                                ["0", "0", "0", "1"]]}],
-    "f_infinity": [
-        {"level": 2, "basis": [[[0, 0], [1, 0], [0, 0], [0, 0]]]},
-        {"level": 1, "basis": [[[0, 0], [1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0], [0, 0]]]},
-        {"level": 0, "basis": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
-                               [[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]}],
-    "nilpotent": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "1", "0", "0"],
-                  ["0", "0", "1", "0"]],
-}
 
 
 @pytest.mark.parametrize("spec", [

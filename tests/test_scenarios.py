@@ -108,6 +108,32 @@ def test_triangle_degenerate_sections():
         TriangleData(a=(1, 2, 3), b=(2, 4, 6), c=(1, 0, 0))
 
 
+def test_triangle_general_position_does_not_see_the_scale_of_a_coordinate():
+    # 400 configurations with entries spread over 10^+-50: each section and
+    # each coordinate x_j is defined up to scale, and the heights read the
+    # coefficients through cross ratios, so rescaling a column moves neither
+    # height.  A det test on rows rescaled alone refuses 211 of them; with the
+    # columns rescaled first, most of those are triangles, and on each the
+    # nine- and six-term heights agree, as they do with unit columns
+    rng = np.random.default_rng(3)
+    refused_by_rows = formed = 0
+    for _ in range(400):
+        M = ((rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+             * 10.0 ** rng.uniform(-50, 50, (3, 3)))
+        if abs(np.linalg.det(M / np.abs(M).max(axis=1, keepdims=True))) >= 1e-12:
+            continue
+        refused_by_rows += 1
+        try:
+            T = TriangleData(*map(tuple, M))
+        except DegenerateTriangle:
+            continue
+        formed += 1
+        h9, h6 = triangle_height_nine(T), triangle_height_six(T)
+        unit = TriangleData(*map(tuple, M / np.abs(M).max(axis=0)))
+        assert abs(h9 - h6) <= 1e-10 and abs(h9 - triangle_height_nine(unit)) <= 1e-10
+    assert refused_by_rows == 211 and formed >= 150
+
+
 def test_family_matches_triangle_and_closed_forms():
     for t in (-1j, 0.4 + 0.8j, 2.5 - 1.1j):
         r = scenario_family(t)
