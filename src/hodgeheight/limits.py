@@ -51,23 +51,25 @@ deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to an
 sl2-triple (N0, H = Y - Y', N0+) commuting with the deeper components of N.
 One body, _deligne_system, serves it and limit_height: it takes Y and its
-weight frame (of Y's eigenspaces, or the limit's) and checks [Y, N] = -2N.  If
-Y grades W, N lowers W by two, so M = W and Y' = Y (Cattani-Kaplan-Schmid
-1986): N0 = 0, the sl2-triple is 0, every other bracket identity reads 0 = 0,
-and the projectors are the frame's.  Else the pass starts from a grading of W
-inside the eigenspaces E of Y, the frame's columns by degree: the rows of the
-one right echelon of E against T with pivot in d_(k-1) .. d_k - 1, mapped
-back by T, span a complement of E cap W_(k-1) in E cap W_k, and the piece at k
-is the orthogonal one.  Corrections exp(gamma), [Y, gamma] = 0, then kill the
-defect [N - N0, N0+] depth by depth, moving each piece by G = exp(gamma) (rows
-B become B G^T), so every row stays an eigenvector of Y.  Each pass makes one
-linalg.Frame of the pieces, C the rows as columns: C^-1 Y C = diag(a) and C^-1
-Y' C = diag(b), so the bracket conditions only select the entries of C^-1 X C
-that may be nonzero: b_i = b_j and a_i - a_j = 2 for N0+, a_i = a_j and b_i -
-b_j = -j0 for gamma, and a_i - a_j = -2 for N; [N0+, N0] = H or ad N0+ ad N0
-gamma = R_(-j0) is solved by least squares on them.  The final pieces and
-every bracket identity are verified post hoc; the final projectors stay on the
-DeligneSystem, read-only, for the limit_height read.
+weight frame (of Y's eigenspaces, or the limit's), checks [Y, N] = -2N and
+reads each column's W-weight once, that of its last coordinate in T above the
+bound of AdaptedBasis.depth.  If each column's weight is its degree, Y grades
+W, N lowers W by two, so M = W and Y' = Y (Cattani-Kaplan-Schmid 1986): N0 =
+0, the sl2-triple is 0, every other bracket identity reads 0 = 0, and the
+projectors are the frame's.  Else the pass starts from a grading of W by
+eigenvectors of Y: the columns by weight, each cut to W_k (coordinates past
+dim W_k set to 0), if they count dim Gr^W_k per weight; else per eigenspace E,
+the rows of the right echelon of E against T with pivot in d_(k-1) .. d_k - 1,
+mapped back by T and made orthogonal to E cap W_(k-1).  It runs in the
+coordinates of its frame of unit columns (the one inverse), C^-1 Y C =
+diag(a), C^-1 Y' C = diag(b), where the brackets select the entries that may
+be nonzero: b_i = b_j, a_i - a_j = 2 for N0+; a_i = a_j, b_i - b_j = -j0 for
+gamma; a_i - a_j = -2 for N.  [N0+, N0] = H = diag(a - b), or ad N0+ ad N0
+gamma = R_(-j0) for the defect R = [N - N0, N0+] at its first depth j0, is
+solved by least squares on their unit matrices; exp(gamma) moves the frame to
+(C exp(gamma), exp(-gamma) C^-1).  R is read lifted by C, and N0, N0+ and N's
+parts are lifted at the exit, where _grades and every bracket identity verify
+the result in the caller's coordinates.
 
 An orbit fiber takes the route of the orbit's base (NilpotentOrbit._base),
 decided once per tol.  If N lowers W by two (M = W) and the limit is Hodge-
@@ -302,12 +304,13 @@ def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, np.ndarray]:
 
 
 def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
-    """Whether the pieces (weight -> basis rows) grade W: their rows are
-    independent, each piece k lies in W_k (read by AdaptedBasis.depth) and,
-    for every weight k, the pieces with key <= k count dim W_k rows."""
+    """Whether the pieces (weight -> basis rows) grade W: their rows, each scaled
+    to a largest entry of 1, have no singular value <= tol, each piece k lies in
+    W_k (AdaptedBasis.depth), and the pieces with key <= k count dim W_k rows."""
     rows = np.vstack(list(pieces.values()))
-    flag = W.adapted_basis()
-    return (Subspace.from_rows(rows, W.ambient_dim, tol).dim == len(rows)
+    flag, size = W.adapted_basis(), np.abs(rows).max(1, keepdims=True)
+    return (np.isfinite(rows).all()
+            and np.linalg.matrix_rank(rows / np.where(size > 0, size, 1.0), tol) == len(rows)
             and all(flag.depth(b, tol) <= W.at(j).dim for j, b in pieces.items())
             and all(sum(len(b) for j, b in pieces.items() if j <= k) == W.at(k).dim
                     for k in W.indices))
@@ -338,15 +341,13 @@ def _initial_w_grading(W: Filtration, eigenspaces, tol: float) -> dict[int, np.n
     return pieces
 
 
-def _solve_on_support(frame: Frame, support: np.ndarray, op, rhs: np.ndarray,
-                      bound: float, failure: str) -> np.ndarray:
-    """The least-squares X = C Z C^-1, C the frame's and Z zero off the mask
-    support, of the linear op(X) = rhs (op maps stacks of matrices); raises
-    ConstructionFailed(failure) when op(X) misses rhs by more than bound."""
-    i, j = np.nonzero(support)
-    basis = frame.C.T[i][:, :, None] * frame.C_inv[j][:, None, :]   # C e_i e_j^T C^-1
-    z = np.linalg.lstsq(op(basis).reshape(len(i), rhs.size).T, rhs.ravel(), rcond=None)[0]
-    X = np.tensordot(z, basis, 1)
+def _solve_on_entries(mask, op, rhs, bound: float, failure: str) -> np.ndarray:
+    """The least-squares X, zero off the mask, of the linear op(X) = rhs (op
+    maps stacks of matrices) over the unit matrices e_i e_j^T of the mask;
+    ConstructionFailed(failure) if op(X) misses rhs by more than bound."""
+    basis = np.eye(mask.size, dtype=complex)[mask.ravel()].reshape(-1, *mask.shape)
+    X = np.zeros(mask.shape, dtype=complex)
+    X[mask] = np.linalg.lstsq(op(basis).reshape(len(basis), rhs.size).T, rhs.ravel(), rcond=None)[0]
     if maxabs(op(X) - rhs) > bound:
         raise ConstructionFailed(failure)
     return X
@@ -365,63 +366,66 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     return _deligne_system(W, N, Y, Frame.of(spaces), tol)
 
 
-def _deligne_system(W: Filtration, N, Y: np.ndarray, frame: Frame, tol: float) -> DeligneSystem:
-    """The body of deligne_system_grading and limit_height (module docstring)."""
+def _deligne_system(W: Filtration, N, Y: np.ndarray, frame: Frame, tol: float,
+                    nilpotent: bool = False) -> DeligneSystem:
+    """The body of deligne_system_grading and limit_height (module docstring);
+    nilpotent: N's nilpotency is decided already, as an orbit's is."""
     N = check_square(np.asarray(N, dtype=complex), W.ambient_dim)
     scale = max(maxabs(N), maxabs(Y), 1.0)
     if (bracket := maxabs(Y @ N - N @ Y + 2 * N)) > 1e3 * tol * scale:
         raise ConstructionFailed("[Y, N] = -2N fails on the input")
     zero = np.zeros_like(N)
-    # Y grades W (M = W, Y' = Y): the frame's degrees are W's weights w_i, T C^-T is 0 above w_i
-    w, X = adapted_weights(W), np.abs(W.adapted_basis().T @ frame.C_inv.T)
-    if (sorted(frame.degrees.tolist()) == w.tolist()
-            and X[frame.degrees > w[:, None]].max(initial=0.0) <= tol * max(X.max(), 1.0)):
+    # each column's W-weight: of its last coordinate in T above AdaptedBasis.depth's bound
+    flag, w = W.adapted_basis(), adapted_weights(W)
+    mag = np.abs(K := frame.C.T @ flag.inverse)
+    weights = np.where(mag <= tol * mag.max(1, initial=1.0)[:, None], w[0], w).max(1)
+    if (weights == frame.degrees).all():   # Y grades W: M = W, Y' = Y
         return DeligneSystem(W, N, Y, Y, {2: N} if maxabs(N) > tol * scale else {},
                              (zero, zero, zero), bracket / scale, frame.projectors)
-    check_nilpotent(N, tol)
-
-    pieces = _initial_w_grading(W, [frame.C[:, frame.degrees == k].T
-                                    for k in sorted(set(frame.degrees.tolist()))], tol)
-    span = W.indices[-1] - W.indices[0]
+    if not nilpotent:
+        check_nilpotent(N, tol)
+    if sorted(weights.tolist()) == w.tolist():   # the columns grade W, each cut to its W_k
+        frame = Frame((np.where(w > weights[:, None], 0, K) @ flag.T).T, None, weights)
+    else:
+        spaces = [frame.C[:, frame.degrees == k].T for k in sorted(set(frame.degrees.tolist()))]
+        frame = Frame.of(_initial_w_grading(W, spaces, tol))
+    frame = Frame(frame.C / np.linalg.norm(frame.C, axis=0), None, frame.degrees)
+    b, span, bound = frame.degrees, W.indices[-1] - W.indices[0], 1e3 * tol * scale
+    a = np.rint(np.diag(frame.coordinates(Y)).real)
+    da, db = a[:, None] - a, b[:, None] - b
 
     def ad(A, X):
         return A @ X - X @ A
 
     for _ in range(span + 3):
-        # the rows of the pieces as columns: C^-1 Y C = diag(a), C^-1 Y' C = diag(b)
-        frame = Frame.of(pieces)
-        Yp, a, b = frame.grading, np.rint(np.diag(frame.coordinates(Y)).real), frame.degrees
-        da, db = a[:, None] - a, b[:, None] - b
-        # [Y, N] = -2N: N's coordinates lie on a_i - a_j = -2
-        N_parts = frame.parts(np.where(da == -2, frame.coordinates(N), 0))
-        N0 = N_parts[0]
-        H = Y - Yp
-        # Jacobson-Morozov: [Y',X] = 0, [H,X] = 2X select entries; [X,N0] = H
-        N0p = _solve_on_support(frame, (db == 0) & (da == 2), lambda X: -ad(N0, X), H,
-                                1e3 * tol * scale, "sl2 completion system is inconsistent")
-        R = ad(N - N0, N0p)
-        if maxabs(R) <= 10 * tol * scale:
+        # frame coordinates: C^-1 Y C ~ diag(a), C^-1 Y' C = diag(b), N on a_i - a_j = -2
+        Nc = frame.coordinates(N)
+        N0 = np.where((da == -2) & (db == 0), Nc, 0)
+        # Jacobson-Morozov: [Y',X] = 0, [H,X] = 2X select entries; [X,N0] = H = diag(a - b)
+        N0p = _solve_on_entries((db == 0) & (da == 2), lambda X: X @ N0 - N0 @ X,
+                                np.diag(a - b), bound, "sl2 completion system is inconsistent")
+        R = ad(Nc - N0, N0p)
+        if maxabs(frame.lift(R)) <= 10 * tol * scale:
             break
-        R_parts = frame.parts(frame.coordinates(R))
+        R_parts = frame.parts(R)
         j0 = next((j for j in range(1, span + 1)
                    if maxabs(R_parts.get(-j, zero)) > 10 * tol * scale), None)
         if j0 is None:
             break
         # correction: [Y,g] = 0, [Y',g] = -j0 g select entries; ad N0+ ad N0 g = R_{-j0}
-        g = _solve_on_support(frame, (da == 0) & (db == -j0),
-                              lambda X: ad(N0p, ad(N0, X)), R_parts[-j0],
-                              1e3 * tol * scale, "depth correction system is inconsistent")
-        # Ad(exp(gamma)) Y' grades by the pieces moved by exp(gamma)
-        G = expm_nilpotent(g)
-        pieces = {k: rows @ G.T for k, rows in pieces.items()}
+        g = _solve_on_entries((da == 0) & (db == -j0), lambda X: ad(N0p, ad(N0, X)),
+                              np.where(db == -j0, R, 0), bound,
+                              "depth correction system is inconsistent")
+        frame = Frame(frame.C @ expm_nilpotent(g), expm_nilpotent(-g) @ frame.C_inv, b)
     else:
         raise ConstructionFailed("grading iteration did not converge")
 
-    # every exit of the loop above comes before the pieces move, so the
-    # frame, Yp and N_parts belong to the final pieces
+    # each exit of the loop comes before the frame moves: Nc and N0+ are the final frame's
+    N_parts = frame.parts(np.where(da == -2, Nc, 0))
     comps = {j: N_parts[-j] for j in range(0, span + 1)
              if -j in N_parts and maxabs(N_parts[-j]) > tol * scale}
-    N0 = comps.get(0, zero)
+    N0, N0p, Yp = comps.get(0, zero), frame.lift(N0p), frame.grading
+    H = Y - Yp
 
     # np.max keeps a NaN that Python's max would drop, and the verdict fails on it
     residual = float(np.max([
@@ -433,7 +437,7 @@ def _deligne_system(W: Filtration, N, Y: np.ndarray, frame: Frame, tol: float) -
         maxabs(H @ N0p - N0p @ H - 2 * N0p),
         maxabs((N - N0) @ N0p - N0p @ (N - N0)),
     ])) / scale
-    if not _grades(pieces, W, tol):
+    if not _grades({k: frame.C.T[b == k] for k in W.indices}, W, tol):
         raise ConstructionFailed("result does not grade the weight filtration")
     if not (np.isfinite(Yp).all() and residual <= 1e3 * tol):
         raise ConstructionFailed(f"bracket identities fail at {residual:.3e}")
@@ -559,7 +563,7 @@ def limit_height(orbit: NilpotentOrbit, orientation, tol: float = DEFAULT_TOL) -
     _check_oriented(orbit.W, orientation, tol)
     Hlim = limit_mhs(orbit, tol)
     frame = Hlim.bigrading(tol).weight_frame
-    projectors = _deligne_system(orbit.W, orbit.N, frame.grading, frame, tol).projectors
+    projectors = _deligne_system(orbit.W, orbit.N, frame.grading, frame, tol, True).projectors
     return _deep_coefficient(deligne_delta(Hlim, tol).delta, projectors, orientation, tol)
 
 

@@ -28,9 +28,10 @@ keeps that loop as an oracle).
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import cached_property
 from math import gcd, lcm
-from numbers import Complex, Rational
+from numbers import Complex, Number, Rational
 from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
 
@@ -98,10 +99,11 @@ def integral_array(M: np.ndarray) -> bool:
 
 
 def integer(x, name: str) -> int:
-    """x as an int, raising HodgeError named name for a bool or a non-integral float."""
-    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
-        raise HodgeError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    """x as an int; HodgeError named name for a bool, a bad string or a non-integral number."""
+    with suppress(ArithmeticError, TypeError, ValueError):
+        if not isinstance(x, bool) and (not isinstance(x, Number) or int(x) == x):
+            return int(x)
+    raise HodgeError(f"{name} must be an integer, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ class Subspace:
     def contains(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        if other.dim == 0:
+        if other.dim == 0 or self.dim == self.ambient_dim:
             return True
         if self.is_exact() and other.is_exact():
             # v is in S iff L v = sum (L v[p] / a) row over the rows of S, a
@@ -515,8 +517,8 @@ class AdaptedBasis:
         """The subspace of the rows c T for c in a subspace S of coordinates."""
         n = S.ambient_dim
         if S.is_exact() and self.exact is not None:
-            return Subspace.from_integer_rows([_combination(c, self.exact.num, n)
-                                               for c in S.exact], n)
+            return Subspace.full(n) if S.dim == n else Subspace.from_integer_rows(
+                [_combination(c, self.exact.num, n) for c in S.exact], n)
         return Subspace.from_rows(S.basis @ self.T, n, tol)
 
     def meet(self, reduced, step: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
@@ -728,8 +730,10 @@ class Frame:
     it maps the piece of degree d into that of degree d + g, and the parts
     sum to M.  Frames are shared, so projectors and grading are read-only."""
 
-    def __init__(self, C: np.ndarray, C_inv: np.ndarray, degrees):
-        self.C, self.C_inv, self.degrees = C, C_inv, np.asarray(degrees)
+    def __init__(self, C: np.ndarray, C_inv: np.ndarray | None, degrees):
+        self.C, self.degrees = C, np.asarray(degrees)
+        if C_inv is not None:   # else C^-1 is taken on its first read
+            self.C_inv = C_inv
         # a bidegree (p, q) as p + qi, so that degrees compare as scalars
         self._code = self.degrees @ [1, 1j] if self.degrees.ndim == 2 else self.degrees
 
@@ -738,7 +742,9 @@ class Frame:
         """The basis rows of the pieces as the columns of C, in key order."""
         keys = sorted(pieces)
         C = np.vstack([pieces[k] for k in keys]).T
-        return Frame(C, np.linalg.inv(C), np.repeat(keys, [len(pieces[k]) for k in keys], 0))
+        return Frame(C, None, np.repeat(keys, [len(pieces[k]) for k in keys], 0))
+
+    C_inv = cached_property(lambda self: np.linalg.inv(self.C))
 
     def _distinct(self, codes: np.ndarray) -> dict:
         """code -> degree of each distinct code, sorted; np.unique is not used,

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracle as oracle
 from hodgeheight import linalg
 from hodgeheight.config import DEFAULT_TOL
-from hodgeheight.errors import DimensionMismatch, NotNilpotent
+from hodgeheight.errors import DimensionMismatch, HodgeError, NotNilpotent
 from hodgeheight.linalg import (
     AdaptedBasis,
     ExactMatrix,
@@ -701,3 +702,52 @@ def test_bch_needs_a_length_of_at_most_eight():
     for x in xs:
         product = product @ expm_nilpotent(x)
     assert np.abs(bch(xs) - logm_unipotent(product)).max() > 1e-3
+
+
+@pytest.mark.parametrize("x, want", [
+    (3, 3), (-2, -2), (3.0, 3), ("7", 7), ("-6", -6), (Fraction(4, 2), 2),
+    (np.int64(5), 5), (np.float64(-4.0), -4), (Decimal("3"), 3)])
+def test_integer_reads_an_integer_of_any_type(x, want):
+    got = linalg.integer(x, "field")
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(5, 2), Fraction(-1, 3), 2.5, -3.7, float("nan"), float("inf"), True, False,
+    complex(2, 0), np.float64(0.5), Decimal("2.5")])
+def test_integer_refuses_a_value_that_is_not_an_integer(x):
+    with pytest.raises(HodgeError) as exc:
+        linalg.integer(x, "field")
+    assert str(exc.value) == f"field must be an integer, got {x!r}"
+
+
+def test_a_full_space_contains_every_space_with_no_row_reduction(monkeypatch):
+    # the answer that the reduction gave, True, for exact and float operands
+    rng = np.random.default_rng(41)
+    n = 4
+    operands = [Subspace.from_rows(rng.integers(-3, 4, size=(2, n)), n),
+                Subspace.from_rows(rng.normal(size=(3, n)), n), Subspace.zero(n)]
+    fulls = [Subspace.full(n), Subspace.from_rows(rng.normal(size=(n, n)), n)]
+    want = [[S.add(T).dim == S.dim for T in operands] for S in fulls]
+    calls = []
+    for name in ("rref_float", "rref_exact"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, f=original, **k: calls.append(a) or f(*a, **k))
+    assert [[S.contains(T) for T in operands] for S in fulls] == want == [[True] * 3] * 2
+    assert calls == []
+
+
+def test_an_adapted_basis_lifts_an_exact_full_step_to_the_full_space(monkeypatch):
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        g = np.eye(4) + np.triu(rng.integers(-2, 3, size=(4, 4)), 1)
+        flag = AdaptedBasis([Subspace.from_rows(g[:k], 4) for k in (1, 3, 4)])
+        # the rows c T of the unit rows c, reduced, as the lift reduced them
+        want = Subspace.from_integer_rows([list(r) for r in flag.exact.num], 4)
+        calls = []
+        monkeypatch.setattr(linalg, "rref_exact",
+                            lambda *a, f=linalg.rref_exact: calls.append(a) or f(*a))
+        got = flag.lift(Subspace.full(4))
+        monkeypatch.undo()
+        assert calls == [] and got.is_exact() and got.exact == want.exact
+        assert got.pivots == want.pivots and np.array_equal(got.basis, want.basis)

@@ -1,6 +1,7 @@
 """The document reader: rational entries read straight to int rows, the
 integer fields, the row lengths, and the orbit's exp series built on first
-use, each against a reading with a Fraction per entry."""
+use, each against a reading with a Fraction per entry; and the work a cubic
+document's limit height does in the Deligne-system body."""
 import json
 import re
 from fractions import Fraction
@@ -183,6 +184,7 @@ def _set(path, value):
 @pytest.mark.parametrize("change, error, message", [
     (_set(["dimension"], 4.9), HodgeError, "dimension must be an integer, got 4.9"),
     (_set(["dimension"], True), HodgeError, "dimension must be an integer, got True"),
+    (_set(["dimension"], "2.5"), HodgeError, "dimension must be an integer, got '2.5'"),
     (_set(["weight_filtration", 0, "weight"], -3.7), HodgeError,
      "weight must be an integer, got -3.7"),
     (_set(["weight_filtration", 0, "weight"], False), HodgeError,
@@ -204,7 +206,7 @@ def _set(path, value):
      "malformed document: nilpotent: a row of 3 entries in dimension 4"),
     (_set(["orientation", "bottom"], ["0", "0", "0", "0", "1"]), DimensionMismatch,
      "malformed document: orientation: a row of 5 entries in dimension 4"),
-], ids=["dimension-float", "dimension-bool", "weight-float", "weight-bool", "level-float",
+], ids=["dimension-float", "dimension-bool", "dimension-str-float", "weight-float", "weight-bool", "level-float",
         "level-nan", "w-entry-bool", "n-entry-bool", "orientation-entry-bool", "f-entry-bool",
         "f-entry-zero-denominator", "w-row-short", "n-row-short", "orientation-long"])
 def test_a_bad_field_or_row_is_refused_by_name(change, error, message):
@@ -238,6 +240,50 @@ def test_variation_exponents_are_integers():
         GammaPoly.of(1, {(True,): np.zeros((4, 4))})
     assert GammaPoly.of(1, {(2.0,): np.zeros((4, 4))}).terms[0][0] == (2,)
     assert GammaPoly.of(1, {("2",): np.zeros((4, 4))}).terms[0][0] == (2,)
+    # a number of any type is read by its value: 5/2 is no exponent, 4/2 is 2
+    with pytest.raises(HodgeError, match=r"^exponent must be an integer, got Fraction\(5, 2\)$"):
+        GammaPoly.of(1, {(Fraction(5, 2),): np.zeros((4, 4))})
+    assert GammaPoly.of(1, {(Fraction(4, 2),): np.zeros((4, 4))}).terms[0][0] == (2,)
+
+
+def test_a_cubic_limit_height_takes_no_echelon_in_the_deligne_body(monkeypatch):
+    # the columns of the cubic's limit frame, read by their W-weights, count
+    # dim Gr^W_k per weight, so the Deligne body seeds its pass with them: no
+    # eigenspace is reduced and _grades decides by singular values, so the
+    # body takes no echelon form.  N's nilpotency is the orbit's, so the
+    # power table is built for N and for N' = N in W's coordinates alone
+    from hodgeheight import limits
+
+    doc = _cubic_doc(0.3 + 0.2j)
+    body, runs, inside, echelons, tables = limits._deligne_system, [], [], [], []
+
+    def counted_body(*args):
+        runs.append(args)
+        inside.append(True)
+        try:
+            return body(*args)
+        finally:
+            inside.pop()
+
+    def counted(module, name, record, anywhere):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if anywhere or inside:
+                record.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (linalg, limits):
+        for name in ("rref_float", "right_echelon"):
+            counted(module, name, echelons, False)
+        counted(module, "nilpotent_powers", tables, True)
+    monkeypatch.setattr(limits, "_deligne_system", counted_body)
+    orbit, orient = parse_orbit(doc)
+    assert abs(limit_height(orbit, orient)) < 1e-10
+    assert len(runs) == 1 and limit_mhs(orbit).W is not orbit.W   # M != W: the corrected pass
+    assert echelons == []
+    assert len(tables) == 2
 
 
 def test_an_orientation_of_the_wrong_length_is_a_dimension_mismatch():
