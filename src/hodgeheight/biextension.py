@@ -129,7 +129,7 @@ def extract_invariants(om: OrientedMHS, tol: float = DEFAULT_TOL) -> Biextension
     """Read the splitting blocks of a generalized biextension back off its
     one splitting delta.
 
-    In the coordinates c = v T^-1 of the adapted basis T of W, the rows
+    In the coordinates c = v T^-1 of the flag T of W, the rows
     T[lo:hi] (lo = dim W_2c, hi = dim W_b) are a basis of the middle graded
     piece W_b / W_2c.  delta1 is c[lo:hi] for v = delta (top): delta lowers
     weights by two, so it sends W_b into W_2c and the middle coordinates do
@@ -152,13 +152,12 @@ def extract_invariants(om: OrientedMHS, tol: float = DEFAULT_TOL) -> Biextension
     ht = height(om, tol)
 
     delta = deligne_delta(H, tol).delta
-    flag = H.W.adapted_basis()
-    lo, hi = flag.dims[:2]
-    d1 = (delta @ om.orientation.top @ flag.inverse)[lo:hi]
+    lo, hi = H.W.dims[:2]
+    d1 = (delta @ om.orientation.top @ H.W.inverse)[lo:hi]
     bottom = om.orientation.bottom
     d2 = np.array([_coefficient_against_bottom(delta @ m, bottom, tol,
                                                max(maxabs(delta @ m), maxabs(delta)))
-                   for m in flag.T[lo:hi]])
+                   for m in H.W.T[lo:hi]])
 
     def clean(x: np.ndarray) -> tuple[float, ...]:
         scale = max(1.0, float(np.abs(x).max()) if x.size else 0.0)

@@ -13,7 +13,7 @@ limits.limit_height.  Both check the orientation against W first, on every
 call: a cheap read of coordinates, so no check or top lift is cached.  On a
 Hodge-Tate structure (mhs.Period) P is unit on the end blocks, so the read
 is (1/2) Im L[bottom, top] against the generators' end coordinates in the
-adapted basis T of W, and no entry of delta is formed.
+flag T of W (mhs.Filtration), and no entry of delta is formed.
 
 For structures with at most three nonzero weights (generalized biextensions)
 the same number falls out of one conjugation:
@@ -75,13 +75,15 @@ class OrientedMHS:
 
 
 def _check_oriented(W: Filtration, orientation: Orientation, tol: float) -> None:
-    """Raise NotOriented unless the generators orient W, read on the adapted
-    basis of W: W_(max-1) is all coordinates but the last, W_min the first."""
-    flag = W.adapted_basis()
-    below_top = flag.dims[-2] if len(flag.dims) > 1 else 0
+    """Raise NotOriented unless the generators orient W, read on the flag of
+    W: W_(max-1) is all coordinates but the last, W_min the first.  A missing
+    orientation (None, as an orbit document without one gives) raises too."""
+    if orientation is None:
+        raise NotOriented("no orientation given")
+    below_top = W.dim_at(W.indices[-1] - 1)
     if W.ambient_dim - below_top != 1:
         raise NotOriented("top weight-graded piece is not of rank one")
-    if flag.dims[0] != 1:
+    if W.dims[0] != 1:
         raise NotOriented("bottom weight-graded piece is not of rank one")
     if W.indices[-1] % 2 or W.indices[0] % 2:
         raise NotOriented("top and bottom weights must be even")
@@ -90,9 +92,9 @@ def _check_oriented(W: Filtration, orientation: Orientation, tol: float) -> None
         raise DimensionMismatch(f"orientation generators must have {W.ambient_dim} entries")
     if maxabs(top) == 0 or maxabs(bottom) == 0:
         raise NotOriented("orientation generators must be nonzero")
-    if flag.depth(top, tol) <= below_top:
+    if W.depth(top, tol) <= below_top:
         raise NotOriented("top generator projects to zero in the top graded piece")
-    if flag.depth(bottom, tol) > 1:
+    if W.depth(bottom, tol) > 1:
         raise NotOriented("bottom generator must span the lowest weight step")
 
 
@@ -144,8 +146,7 @@ def _period_height(L_bt: complex, W: Filtration, orientation: Orientation, tol: 
     """The height read off L[bottom, top] of a Hodge-Tate Period: P_min delta
     P_max = C E_min (-(i/2) L) E_max C^-1, C = T^T P, and P is unipotent with
     end blocks of rank one, so C[:, 0] = T[0] and C^-1[-1] = T^-T[-1]."""
-    flag = W.adapted_basis()
-    vec = -0.5j * L_bt * (orientation.top @ flag.inverse[:, -1]) * flag.T[0]
+    vec = -0.5j * L_bt * (orientation.top @ W.inverse[:, -1]) * W.T[0]
     return _coefficient_against_bottom(vec, orientation.bottom, tol, maxabs(vec))
 
 
@@ -183,15 +184,17 @@ def check_functoriality(f: np.ndarray, A: OrientedMHS, B: OrientedMHS,
     f = np.asarray(f, dtype=complex)
     if A.max_weight != B.max_weight or A.min_weight != B.min_weight:
         raise NotAMorphism("top/bottom weights of source and target differ")
+    if f.shape != (B.mhs.dim, A.mhs.dim):
+        raise DimensionMismatch(f"f must be {B.mhs.dim} x {A.mhs.dim}, got shape {f.shape}")
     if not is_morphism(f, A.mhs, B.mhs, tol):
         raise NotAMorphism("matrix does not respect both filtrations")
     _check_oriented(A.mhs.W, A.orientation, tol)
     _check_oriented(B.mhs.W, B.orientation, tol)
 
     # d_max: f(1_A) = d_max 1_B in the top graded piece, read as the ratio of
-    # their last coordinates c[n-1], c = v T^-1 for the adapted basis T of W:
-    # the one coordinate modulo W_(max-1), which 1_B does not lie in
-    last = B.mhs.W.adapted_basis().inverse[:, -1]
+    # their last coordinates c[n-1], c = v T^-1 for the flag T of W: the one
+    # coordinate modulo W_(max-1), which 1_B does not lie in
+    last = B.mhs.W.inverse[:, -1]
     d_max = (f @ A.orientation.top) @ last / (B.orientation.top @ last)
     # d_min: f(bottom_A) = d_min bottom_B inside the rank-one bottom step
     img = f @ A.orientation.bottom

@@ -1,26 +1,23 @@
 """Nilpotent orbits, relative weight filtrations and limit heights.
 
 Each function of the orbit path takes one n x n N (linalg.as_operator;
-DimensionMismatch otherwise): an ExactMatrix (int rows over one denominator)
-when every entry is rational, otherwise a complex array, with its powers
-from one table (linalg.nilpotent_powers).  So rational N with rational W
-stays in exact integer arithmetic throughout, every subspace kept as
-primitive int rows, and no rank decision on it involves a threshold; only N
-that is not rational (real N that depends on F, say) takes the float path.
-A NilpotentOrbit maps its N into the coordinates of W once, where limit_mhs
-reads it; horizontality, N F^p <= F^(p-1), is mhs.lowers by -1 on F_inf.
+DimensionMismatch otherwise): an ExactMatrix when every entry is rational,
+else a complex array, its powers from one table (linalg.nilpotent_powers).
+So rational N with rational W stays over the integers throughout, and no
+rank decision on it involves a threshold.  A NilpotentOrbit maps its N into
+the coordinates of W once, where limit_mhs reads it; horizontality, N F^p <=
+F^(p-1), is mhs.lowers by -1 on F_inf.
 
 relative_weight_filtration(N, W) is the unique M with N M_j <= M_(j-2) that
 induces on each Gr^W_k the monodromy filtration of N there, centered at k;
 monodromy_weight_filtration(N, c) is M for the W with the one step W_c, which
 exists for every nilpotent N (a failed check there raises NotNilpotent).
-Both run in the coordinates c of v = c T, T the adapted basis of W
-(linalg.AdaptedBasis): W_k is the span of the first d_k = dim W_k
-coordinates, N acts by N' (AdaptedBasis.operator), and N preserves W exactly
-when N' vanishes below its diagonal blocks (lowers).  N on W_k is then the
-leading d_k x d_k block of N' and N on Gr^W_k the k-th diagonal block, whose
-powers are the blocks of the powers of N' (_block_powers cuts each block's
-table, with its own nilpotency index m, N^m = 0).
+Both run in the coordinates c of v = c T, T the flag of W (mhs.Filtration):
+W_k is the span of the first d_k = dim W_k coordinates, N acts by N'
+(Filtration.operator), and N preserves W exactly when N' vanishes below its
+diagonal blocks (lowers).  N on W_k is then the leading d_k x d_k block of
+N', and N on Gr^W_k the k-th diagonal block, whose powers are the blocks of
+the powers of N' (_block_powers cuts each block's table at its own m, N^m = 0).
 
 M is peeled weight by weight from the empty M.  With M' the filtration of
 the step of W below (zero at the bottom weight), padded with zero
@@ -34,9 +31,8 @@ indices M_(k+j) = W_k and M_(k-j) = M'_(k-j).  Over Q, N^j is read off the
 table; on a float N it is j steps of N (_under), since the rounding of a
 float N^j grows with |N|^j and moves the rank decisions of ill-conditioned
 conjugates.  M goes back by c -> c T.  None of this runs when N' lowers W
-by two (lowers, exact on an ExactMatrix): M is W itself (Steenbrink-Zucker
-1985), as that is the first axiom and N induces 0 on each Gr^W_k, whose
-monodromy filtration centered at k is the one step at k.
+by two: M is W itself (Steenbrink-Zucker 1985), as that is the first axiom
+and N induces 0 on each Gr^W_k, whose monodromy filtration is the one step k.
 
 Both axioms are verified on a peeled M (DoesNotExist otherwise).  The graded
 one compares, on each Gr^W_k and for j in [k-2n, k+2n], dim (M_j cap W_k) /
@@ -53,40 +49,32 @@ sl2-triple (N0, H = Y - Y', N0+) commuting with the deeper components of N.
 One body, _deligne_system, serves it and limit_height: it takes Y and its
 weight frame (of Y's eigenspaces, or the limit's), checks [Y, N] = -2N and
 reads each column's W-weight once, that of its last coordinate in T above the
-bound of AdaptedBasis.depth.  If each column's weight is its degree, Y grades
-W, N lowers W by two, so M = W and Y' = Y (Cattani-Kaplan-Schmid 1986): N0 =
-0, the sl2-triple is 0, every other bracket identity reads 0 = 0, and the
-projectors are the frame's.  Else the pass starts from a grading of W by
-eigenvectors of Y: the columns by weight, each cut to W_k (coordinates past
-dim W_k set to 0), if they count dim Gr^W_k per weight; else per eigenspace E,
-the rows of the right echelon of E against T with pivot in d_(k-1) .. d_k - 1,
-mapped back by T and made orthogonal to E cap W_(k-1).  It runs in the
-coordinates of its frame of unit columns (the one inverse), C^-1 Y C =
-diag(a), C^-1 Y' C = diag(b), where the brackets select the entries that may
-be nonzero: b_i = b_j, a_i - a_j = 2 for N0+; a_i = a_j, b_i - b_j = -j0 for
-gamma; a_i - a_j = -2 for N.  [N0+, N0] = H = diag(a - b), or ad N0+ ad N0
-gamma = R_(-j0) for the defect R = [N - N0, N0+] at its first depth j0, is
-solved by least squares on their unit matrices; exp(gamma) moves the frame to
-(C exp(gamma), exp(-gamma) C^-1).  R is read lifted by C, and N0, N0+ and N's
-parts are lifted at the exit, where _grades and every bracket identity verify
-the result in the caller's coordinates.
+bound of Filtration.depth.  If each column's weight is its degree, Y grades
+W, N lowers W by two, so M = W and Y' = Y (Cattani-Kaplan-Schmid 1986), and
+the projectors are the frame's.  Else the pass starts from a grading of W by
+eigenvectors of Y: the columns by weight, each cut to W_k, if they count dim
+Gr^W_k per weight; else per eigenspace E, the rows of the right echelon of E
+against T with pivot in d_(k-1) .. d_k - 1, mapped back by T and made
+orthogonal to E cap W_(k-1).  It runs in the coordinates of its frame of
+unit columns, C^-1 Y C = diag(a), C^-1 Y' C = diag(b), where the brackets
+select the entries that may be nonzero: b_i = b_j, a_i - a_j = 2 for N0+;
+a_i = a_j, b_i - b_j = -j0 for gamma; a_i - a_j = -2 for N.  [N0+, N0] = H =
+diag(a - b), or ad N0+ ad N0 gamma = R_(-j0) for the defect R = [N - N0, N0+]
+at its first depth j0, is solved by least squares on their unit matrices;
+exp(gamma) moves the frame to (C exp(gamma), exp(-gamma) C^-1).  _grades and
+every bracket identity verify the result in the caller's coordinates.
 
 An orbit fiber takes the route of the orbit's base (NilpotentOrbit._base),
-decided once per tol.  If N lowers W by two (M = W) and the limit is Hodge-
-Tate of length at most 8, exp(zN) lies in exp(W_-2 gl), so every fiber is
-Hodge-Tate with period exp(zN) P_inf and L = bch(-log conj(P_inf), 2iy N',
-log P_inf) in the coordinates of W, as a variation's (variations._moves).
-Else, for y > 0, it is the fiber at i moved by a real g (Schmid 1973;
-Cattani-Kaplan-Schmid 1986): the weight grading Y of the limit (M, F_inf)
-preserves F_inf and [Y, N] = -2N, so exp(zN) F_inf = g exp(iN) F_inf, g =
-exp(xN) y^(-Y/2).  That base checks that Y is real (the limit is R-split),
-preserves W and has [Y, N] = -2N, and validates the fiber at i and its
-splitting; each fiber keeps its literal F and takes that bigrading moved by
-g (Frame.moved), checked by its conjugation residual alone, and the
-splitting's group element w_z = g w_i g^-1, on which deligne_delta runs its
-verdict with no projector sum.  Any other point or orbit (a failed check, a
-Hodge-Tate fiber at i, a HodgeError, a moved frame not finite) takes the
-lattice of moved_fiber.
+decided once per tol.  If N lowers W by two and the limit is Hodge-Tate of
+length at most 8, every fiber is Hodge-Tate with period exp(zN) P_inf and L
+= bch(-log conj(P_inf), 2iy N', log P_inf) in the coordinates of W, as a
+variation's (variations._moves).  Else, for y > 0, it is the fiber at i moved
+by the real g = exp(xN) y^(-Y/2), Y the weight grading of the limit (Schmid
+1973; Cattani-Kaplan-Schmid 1986), once Y is checked real, W-preserving and
+with [Y, N] = -2N: each fiber keeps its literal F and takes the bigrading at
+i moved by g (Frame.moved), checked by its conjugation residual alone, and
+the splitting's group element w_z = g w_i g^-1.  Any other point or orbit
+takes the lattice of moved_fiber.
 """
 from __future__ import annotations
 
@@ -126,8 +114,7 @@ from .linalg import (
     rref_exact,
     rref_float,
 )
-from .mhs import (Filtration, MixedHodgeStructure, adapted_weights, lowers, split_filtration,
-                  weight_filtration)
+from .mhs import Filtration, MixedHodgeStructure, lowers, split_filtration, weight_filtration
 from .splitting import deligne_delta
 
 # ---------------------------------------------------------------------------
@@ -147,25 +134,24 @@ def monodromy_weight_filtration(N, center: int = 0,
 
 def relative_weight_filtration(N, W: Filtration, tol: float = DEFAULT_TOL) -> Filtration:
     N = check_square(as_operator(N), W.ambient_dim)
-    return _relative_from_operator(W.adapted_basis().operator(N), W, tol)
+    return _relative_from_operator(W.operator(N), W, tol)
 
 
 def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
-    """relative_weight_filtration from its N' = W.adapted_basis().operator(N)."""
+    """relative_weight_filtration from its N' = W.operator(N)."""
     if lowers(W, Np, 2, tol):
         return W   # M = W (module docstring)
-    flag = W.adapted_basis()
     powers = nilpotent_powers(Np, tol)
     if not lowers(W, Np, 0, tol):
         raise DoesNotExist("N does not preserve the weight filtration")
-    M_steps = _relative_rec(powers, W.indices, flag.dims, tol)
+    M_steps = _relative_rec(powers, W.indices, W.dims, tol)
     try:
         filt = _steps_to_filtration(M_steps, W.ambient_dim, tol)
     except MalformedFiltration as exc:
         # the downward/upward passes only interlock when the filtration exists
         raise DoesNotExist(f"candidate family is not a filtration: {exc}") from exc
-    _verify_relative(filt, powers, W.indices, flag.dims, tol)
-    return filt.map_spaces(lambda s: flag.lift(s, tol))
+    _verify_relative(filt, powers, W.indices, W.dims, tol)
+    return filt.map_spaces(lambda s: W.lift(s, tol))
 
 
 def _block(A, lo: int, hi: int):
@@ -306,37 +292,35 @@ def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, np.ndarray]:
 def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
     """Whether the pieces (weight -> basis rows) grade W: their rows, each scaled
     to a largest entry of 1, have no singular value <= tol, each piece k lies in
-    W_k (AdaptedBasis.depth), and the pieces with key <= k count dim W_k rows."""
+    W_k (Filtration.depth), and the pieces with key <= k count dim W_k rows."""
     rows = np.vstack(list(pieces.values()))
-    flag, size = W.adapted_basis(), np.abs(rows).max(1, keepdims=True)
+    size = np.abs(rows).max(1, keepdims=True)
     return (np.isfinite(rows).all()
             and np.linalg.matrix_rank(rows / np.where(size > 0, size, 1.0), tol) == len(rows)
-            and all(flag.depth(b, tol) <= W.at(j).dim for j, b in pieces.items())
-            and all(sum(len(b) for j, b in pieces.items() if j <= k) == W.at(k).dim
+            and all(W.depth(b, tol) <= W.dim_at(j) for j, b in pieces.items())
+            and all(sum(len(b) for j, b in pieces.items() if j <= k) == W.dim_at(k)
                     for k in W.indices))
 
 
 def _initial_w_grading(W: Filtration, eigenspaces, tol: float) -> dict[int, np.ndarray]:
     """The pieces (weight -> basis rows) of a grading of W commuting with Y,
     from the bases (rows) of Y's eigenspaces (see the module docstring)."""
-    n = W.ambient_dim
-    flag = W.adapted_basis()
     parts: dict[int, list] = {k: [] for k in W.indices}
     for E in eigenspaces:
-        rows, piv = flag.reduce(E, tol)
+        rows, piv = W.reduce(E, tol)
         # group the rows by the step of W of their pivot; each group is made
         # orthogonal to those below, which starts the corrections nearer Y'
-        steps, below = [bisect_right(flag.dims, c) for c in piv], None
+        steps, below = [bisect_right(W.dims, c) for c in piv], None
         for s in sorted(set(steps)):
-            d = flag.dims[s]
-            piece = rows[[i for i, t in enumerate(steps) if t == s], :d] @ flag.T[:d]
+            d = W.dims[s]
+            piece = rows[[i for i, t in enumerate(steps) if t == s], :d] @ W.T[:d]
             if below is not None:
                 Q = np.linalg.qr(below.T)[0]
                 piece = piece - piece @ Q.conj() @ Q.T
             parts[W.indices[s]].append(piece)
             below = piece if below is None else np.vstack([below, piece])
     pieces = {k: np.vstack(b) for k, b in parts.items() if b}
-    if sum(len(b) for b in pieces.values()) != n:
+    if sum(len(b) for b in pieces.values()) != W.ambient_dim:
         raise ConstructionFailed("initial grading construction did not span")
     return pieces
 
@@ -375,9 +359,9 @@ def _deligne_system(W: Filtration, N, Y: np.ndarray, frame: Frame, tol: float,
     if (bracket := maxabs(Y @ N - N @ Y + 2 * N)) > 1e3 * tol * scale:
         raise ConstructionFailed("[Y, N] = -2N fails on the input")
     zero = np.zeros_like(N)
-    # each column's W-weight: of its last coordinate in T above AdaptedBasis.depth's bound
-    flag, w = W.adapted_basis(), adapted_weights(W)
-    mag = np.abs(K := frame.C.T @ flag.inverse)
+    # each column's W-weight: of its last coordinate in T above Filtration.depth's bound
+    w = W.adapted_weights
+    mag = np.abs(K := frame.C.T @ W.inverse)
     weights = np.where(mag <= tol * mag.max(1, initial=1.0)[:, None], w[0], w).max(1)
     if (weights == frame.degrees).all():   # Y grades W: M = W, Y' = Y
         return DeligneSystem(W, N, Y, Y, {2: N} if maxabs(N) > tol * scale else {},
@@ -385,7 +369,7 @@ def _deligne_system(W: Filtration, N, Y: np.ndarray, frame: Frame, tol: float,
     if not nilpotent:
         check_nilpotent(N, tol)
     if sorted(weights.tolist()) == w.tolist():   # the columns grade W, each cut to its W_k
-        frame = Frame((np.where(w > weights[:, None], 0, K) @ flag.T).T, None, weights)
+        frame = Frame((np.where(w > weights[:, None], 0, K) @ W.T).T, None, weights)
     else:
         spaces = [frame.C[:, frame.degrees == k].T for k in sorted(set(frame.degrees.tolist()))]
         frame = Frame.of(_initial_w_grading(W, spaces, tol))
@@ -461,10 +445,10 @@ class NilpotentOrbit:
         # the table of the nilpotency check, N^0 .. N^m; exp builds N^k / k! off it once
         self._powers, self._series = nilpotent_powers(self.monodromy, tol), None
         # N' = N in the coordinates of W, which limit_mhs reads, checked at tol
-        self.operator = W.adapted_basis().operator(self.monodromy)
+        self.operator = W.operator(self.monodromy)
         if not lowers(W, self.operator, 0, tol):
             raise NotNilpotent("N must preserve the weight filtration")
-        if not lowers(F_inf, F_inf.adapted_basis().operator(self.monodromy), -1, tol):
+        if not lowers(F_inf, F_inf.operator(self.monodromy), -1, tol):
             raise NotNilpotent("N must shift the Hodge filtration by one (horizontality)")
         self._bases: dict = {}   # per tol, by the first fiber: _base's frames or None
         self._limits: dict = {}  # per tol, by limit_mhs: the limit (M, F_inf)
@@ -487,12 +471,11 @@ class NilpotentOrbit:
         x, y, known, w = complex(z).real, complex(z).imag, None, None
         where = f"orbit fiber at z = {z} is not a mixed Hodge structure: "
         g, E, E_inv = self.exp([z, x, -x])   # exp(zN), exp(xN), exp(-xN)
-        base, flag = self._base(tol), self.W.adapted_basis()
+        base, W = self._base(tol), self.W
         with np.errstate(all="ignore"):
             if base and len(base) == 2:   # Hodge-Tate
                 P, logP = base
-                known = (flag.operator(g) @ P,
-                         bch([-logP.conj(), 2j * y * flag.operator(self.N), logP]))
+                known = (W.operator(g) @ P, bch([-logP.conj(), 2j * y * W.operator(self.N), logP]))
             elif base and y > 0:   # y^(Y/2) = C diag(y^(deg/2)) C^-1, lim's C
                 lim, at_i, w_i = base
                 s = y ** (lim.degrees / 2)
@@ -521,7 +504,7 @@ class NilpotentOrbit:
                     self._bases[tol] = period.P, logm_unipotent(period.P)
                 elif (max(maxabs(Y.imag), maxabs(N.imag), maxabs(Y @ N - N @ Y + 2 * N))
                         <= tol * max(maxabs(Y), maxabs(N), 1.0)
-                        and lowers(self.W, self.W.adapted_basis().operator(Y), 0, tol)):
+                        and lowers(self.W, self.W.operator(Y), 0, tol)):
                     H = moved_fiber(self.W, self.F_inf, self.exp(1j), "", tol)
                     if not (at_i := H.bigrading(tol)).period:
                         self._bases[tol] = (lim, at_i.frame, -2j * deligne_delta(H, tol).delta)

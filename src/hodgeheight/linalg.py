@@ -17,14 +17,12 @@ entries); rational numbers are read only where Subspace.from_rows and
 as_operator scale them to ints.
 
 The float kernel rref_float row-reduces Python lists of complex numbers, not
-numpy rows.  The library's matrices are tiny (at most 8 columns; the common
-shapes are 1-4 x 4 and 6 x 6), so a numpy call per row operation costs more
-in call overhead than the arithmetic it does.  The matrix goes into Python
-rows once and back into an array once.  Only the pivot-row division stays in
-numpy, so that it rounds as numpy does.  CPython's complex product is not
-fused as numpy's may be, so entries can differ from a numpy row loop in the
-last bits; the pivots agree away from the threshold (tests/test_linalg.py
-keeps that loop as an oracle).
+numpy rows: the library's matrices are tiny (at most 8 columns), so a numpy
+call per row operation costs more in overhead than its arithmetic.  Only the
+pivot-row division stays in numpy, so that it rounds as numpy does.
+CPython's complex product is not fused as numpy's may be, so entries can
+differ from a numpy row loop in the last bits; the pivots agree away from the
+threshold (tests/test_linalg.py keeps that loop as an oracle).
 """
 from __future__ import annotations
 
@@ -100,6 +98,8 @@ def integral_array(M: np.ndarray) -> bool:
 
 def integer(x, name: str) -> int:
     """x as an int; HodgeError named name for a bool, a bad string or a non-integral number."""
+    if type(x) is int:   # the common case, read with no checks
+        return x
     with suppress(ArithmeticError, TypeError, ValueError):
         if not isinstance(x, bool) and (not isinstance(x, Number) or int(x) == x):
             return int(x)
@@ -307,7 +307,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, exact={self.is_exact()})"
 
     def __eq__(self, other) -> bool:
-        return self.equals(other)
+        return self.equals(other) if isinstance(other, Subspace) else NotImplemented
 
     def __hash__(self):
         return hash((self.ambient_dim, self.dim))
@@ -427,121 +427,6 @@ class Subspace:
         return Subspace.from_rows(nullspace_float(M, tol), n, tol)
 
 
-class AdaptedBasis:
-    """A basis of C^n adapted to a chain of subspaces S_1 < ... < S_m = C^n:
-    the first dims[i] rows of T span S_i.  A decreasing filtration hands in
-    its steps by increasing dimension (Filtration.adapted_basis).
-
-    The rows are the echelon rows of S_1, then for each later step its
-    echelon rows at the pivots that the step below lacks.  They are not
-    re-echelonized, so T does not depend on a tolerance, and a chain of
-    coordinate subspaces gives a permutation.  The pivots of an exact chain
-    are nested, and each row has a leading one at its own pivot, so T is
-    then a row permutation of a unit upper triangular matrix, kept as an
-    ExactMatrix with its inverse.  Float pivots near the threshold need not nest; a step whose
-    pivots miss some of the step below keeps its rows at the pivots that
-    complete pivoting on the coordinates of the step below leaves free
-    (_covered_pivots).
-    Coordinates of v = c T are c = v T^-1, and v lies in S_i when c
-    vanishes past dims[i] (depth); there N acts by N' (operator), on
-    S_i by its leading dims[i] block when N preserves the chain, and rows c
-    go back by c T (lift), both over Q when the chain and N are exact."""
-
-    __slots__ = ("T", "inverse", "exact", "exact_inverse", "dims")
-
-    def __init__(self, steps: Sequence[Subspace]):
-        n = steps[-1].ambient_dim
-        picked: list[tuple[Subspace, int]] = []
-        below: set[int] = set()
-        for prev, s in zip((None, *steps), steps):
-            if not below <= set(s.pivots):
-                below = _covered_pivots(prev, s)
-            picked += [(s, i) for i, p in enumerate(s.pivots) if p not in below]
-            below = set(s.pivots)
-        self.dims = tuple(s.dim for s in steps)
-        self.T = np.array([s.basis[i] for s, i in picked], dtype=complex).reshape(n, n)
-        self.exact = self.exact_inverse = None
-        if all(s.is_exact() for s in steps):
-            # the leading-one rows over L, the lcm of the pivot entries a
-            lead = [s.exact[i][s.pivots[i]] for s, i in picked]
-            L = lcm(*lead)
-            self.exact = ExactMatrix([[x * (L // a) for x in s.exact[i]]
-                                      for (s, i), a in zip(picked, lead)], L)
-            # [T L | L 1] row-reduces to rows g_i [e_i | row i of T^-1]
-            R, _ = rref_exact([row + [L * (i == j) for j in range(n)]
-                               for i, row in enumerate(self.exact.num)])
-            G = lcm(*(row[i] for i, row in enumerate(R)))
-            self.exact_inverse = ExactMatrix([[x * (G // row[i]) for x in row[n:]]
-                                              for i, row in enumerate(R)], G)
-            self.inverse = np.array(self.exact_inverse, dtype=complex).reshape(n, n)
-        else:
-            self.inverse = np.linalg.inv(self.T)
-        for m in (self.T, self.inverse):
-            m.setflags(write=False)
-
-    def reduce(self, S: Subspace | Matrix, tol: float = DEFAULT_TOL):
-        """The rows of S, a Subspace or the float rows of a basis, in the
-        coordinates of T, v T^-1, as right_echelon gives them: int rows when
-        S and the chain are exact."""
-        if isinstance(S, Subspace) and S.is_exact() and self.exact is not None:
-            n = S.ambient_dim
-            return right_echelon([_combination(v, self.exact_inverse.num, n) for v in S.exact])
-        return right_echelon((S.basis if isinstance(S, Subspace) else S) @ self.inverse, tol)
-
-    def operator(self, N):
-        """N' with N'^T = T N^T T^-1, column j the coordinates of N applied to
-        row j of T, for an N or a stack of them: an ExactMatrix when N
-        (as_operator) and the chain are."""
-        if isinstance(N, ExactMatrix) and self.exact is not None:
-            n, cols = len(N), list(zip(*N.num))
-            images = [_combination(t, cols, n) for t in self.exact.num]
-            coords = [_combination(v, self.exact_inverse.num, n) for v in images]
-            return ExactMatrix([list(c) for c in zip(*coords)],
-                               self.exact.den * N.den * self.exact_inverse.den)
-        return np.swapaxes(self.T @ np.swapaxes(np.asarray(N, dtype=complex), -1, -2)
-                           @ self.inverse, -1, -2)
-
-    def depth(self, rows, tol: float = DEFAULT_TOL) -> int:
-        """One past the last coordinate of the rows c = v T^-1 above the
-        pivot threshold tol * max(max |c|, 1) of rref_float (a NaN is above
-        it): the rows lie in the step of dimension d iff their depth is <= d."""
-        c = np.abs(np.asarray(rows) @ self.inverse)
-        # scanned as a list: numpy reductions cost more on these few columns
-        c = (c.max(axis=0, initial=0.0) if c.ndim == 2 else c).tolist()
-        bound, d = tol * max(1.0, *c), len(c)
-        while d and c[d - 1] <= bound:
-            d -= 1
-        return d
-
-    def lift(self, S: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-        """The subspace of the rows c T for c in a subspace S of coordinates."""
-        n = S.ambient_dim
-        if S.is_exact() and self.exact is not None:
-            return Subspace.full(n) if S.dim == n else Subspace.from_integer_rows(
-                [_combination(c, self.exact.num, n) for c in S.exact], n)
-        return Subspace.from_rows(S.basis @ self.T, n, tol)
-
-    def meet(self, reduced, step: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-        """S cap step for a step of the chain, read off reduced = reduce(S).
-
-        In the coordinates of T the step is the span of the first d = dim
-        step coordinates.  A combination of the reduced rows vanishes past d
-        exactly when its coefficient on each row with pivot >= d is zero, so
-        S cap step is spanned by the rows with pivot < d, cut to their first
-        d coordinates and mapped back by T."""
-        rows, piv = reduced
-        d, n = step.dim, step.ambient_dim
-        keep = [i for i, c in enumerate(piv) if c < d]
-        if len(keep) == d:
-            return step
-        if not keep:
-            return Subspace.zero(n)
-        if isinstance(rows, list):
-            return Subspace.from_integer_rows([_combination(rows[i][:d], self.exact.num[:d], n)
-                                               for i in keep], n)
-        return Subspace.from_rows(rows[keep, :d] @ self.T[:d], n, tol)
-
-
 def right_echelon(rows, tol: float = DEFAULT_TOL):
     """Reduced row echelon form with pivots taken from the right: (rows,
     pivots), int rows staying exact.  Each row is zero at the other
@@ -553,19 +438,6 @@ def right_echelon(rows, tol: float = DEFAULT_TOL):
         return [row[::-1] for row in R], [len(rows[0]) - 1 - c for c in piv]
     R, piv = rref_float(rows[:, ::-1], tol)
     return R[:, ::-1], [rows.shape[1] - 1 - c for c in piv]
-
-
-def _covered_pivots(sub: Subspace, top: Subspace) -> set[int]:
-    """dim sub pivots of top whose echelon rows, swapped for the rows of
-    sub, still span top: complete pivoting on the coordinates of sub in the
-    rows of top, for a fixed count and so without a threshold."""
-    C = np.array(sub.basis[:, top.pivots], dtype=complex)
-    cols = set()
-    for _ in range(sub.dim):
-        i, j = np.unravel_index(int(np.argmax(np.abs(C))), C.shape)
-        cols.add(top.pivots[j])
-        C = C - np.outer(C[:, j] / C[i, j], C[i])
-    return cols
 
 
 def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> list[int]:

@@ -42,7 +42,7 @@ def dilog_fiber(s: complex, tol: float = DEFAULT_TOL) -> OrientedMHS:
     and the next level adds e1 = u1/(2 pi i) - log(s) u2: F is the split
     filtration of e0, e1, u2 at levels 0, -1, -2, a basis since it is
     triangular with diagonal 1, 1/(2 pi i), 1.  W is the dilog variation's
-    variations.DILOG_W, so every fiber shares its adapted basis.
+    variations.DILOG_W, so every fiber shares its flag.
     """
     s = complex(s)
     if not np.isfinite(np.abs(s)) or s in (0.0, 1.0):

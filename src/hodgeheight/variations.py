@@ -34,7 +34,7 @@ from .errors import (
 )
 from .height import Orientation, OrientedMHS, _check_oriented, _period_height, height
 from .limits import NilpotentOrbit, limit_height, limit_mhs, moved_fiber
-from .linalg import ExactMatrix, bch, expm_nilpotent, integer, maxabs
+from .linalg import ExactMatrix, bch, check_square, expm_nilpotent, integer, maxabs
 from .mhs import MixedHodgeStructure, is_hodge_tate, lowers, split_filtration
 
 
@@ -112,10 +112,11 @@ class LocalVariation:
             raise HodgeError("monodromy logarithms must commute")
         if self.gamma.nvars != len(self.nilpotents):
             raise HodgeError("Gamma must have one variable per divisor")
+        for _, m in self.gamma.terms:
+            check_square(m, self.dim, "Gamma coefficient")
         if not self.is_tame(tol):
             raise HodgeError("tameness divisibility s_j | [N_j, Gamma] fails")
-        flag = self.W.adapted_basis()
-        if not all(lowers(self.W, flag.operator(m), 0, tol) for _, m in self.gamma.terms):
+        if not all(lowers(self.W, self.W.operator(m), 0, tol) for _, m in self.gamma.terms):
             raise HodgeError("Gamma coefficients must preserve the weight filtration")
         exact = all(isinstance(o.monodromy, ExactMatrix) for o in orbits)
         N = sum((Fraction(1, o.monodromy.den) * np.array(o.monodromy.num, dtype=object)
@@ -128,9 +129,8 @@ class LocalVariation:
         every N_j and Gamma coefficient lowers W by 2 and the cone orbit has
         a Hodge-Tate base (limits.NilpotentOrbit._base); else None."""
         if tol not in self._transports:
-            flag = self.W.adapted_basis()
-            ops = [flag.operator(A) for A in (*(o.N for o in self._orbits),
-                                              *(m for _, m in self.gamma.terms))]
+            ops = [self.W.operator(A) for A in (*(o.N for o in self._orbits),
+                                                *(m for _, m in self.gamma.terms))]
             base = all(lowers(self.W, A, 2, tol) for A in ops) and self.cone._base(tol)
             self._transports[tol] = ((ops[:len(self.nilpotents)], *base)
                                      if base and len(base) == 2 else None)
@@ -205,12 +205,12 @@ def _moves(v: LocalVariation, points: list, tol: float):
                    + [expm_nilpotent(gm)])
         moves = [G if G.ndim == 3 else np.broadcast_to(G, (m, n, n))]   # 2-d if k = 0
         if transport is not None:
-            (N, P, logP), flag = transport, v.W.adapted_basis()
-            gam = flag.operator(gm)
+            (N, P, logP), W = transport, v.W
+            gam = W.operator(gm)
             iy = sum((2j * zs[:, j, None, None].imag * Nj for j, Nj in enumerate(N)),
                      np.zeros_like(P))
             L = bch([-logP.conj(), -gam.conj(), iy, gam, logP])   # 2-d if no stack enters
-            moves += [flag.operator(moves[0]) @ P,
+            moves += [W.operator(moves[0]) @ P,
                       L if L.ndim == 3 else np.broadcast_to(L, (m, n, n))]
     finite = [np.isfinite(x).all((-2, -1)) for x in (gm, *moves)]
     periods = zip(*moves[1:]) if transport is not None else [None] * m
@@ -397,8 +397,7 @@ def random_hodge_tate(ranks, nil_count: int, seed: int) -> LocalVariation:
 
 # The weight filtration (0, -2, -4) of the dilog variation, on the flat
 # rational basis u0, u1, u2.  It is one object, shared by every dilog
-# variation and by scenarios.dilog_fiber, so all their fibers read one
-# adapted basis.
+# variation and by scenarios.dilog_fiber, so all their fibers read one flag.
 DILOG_W = split_filtration([0, -2, -4], True)
 
 

@@ -127,8 +127,8 @@ def dual_oriented(om: OrientedMHS, tol: float = DEFAULT_TOL) -> OrientedMHS:
     bottom = om.orientation.bottom
     lam = np.conj(bottom) / np.vdot(bottom, bottom)
     # bottom generator of the dual: the annihilator line of W_{max-1}, the last
-    # column of T^-1 (T the adapted basis of W), taking value 1 on the top generator
-    mu = H.W.adapted_basis().inverse[:, -1]
+    # column of T^-1 (T the flag of W), taking value 1 on the top generator
+    mu = H.W.inverse[:, -1]
     mu = mu / (om.orientation.top @ mu)
     return OrientedMHS(Hd, Orientation.of(lam, mu))
 
@@ -186,7 +186,7 @@ def mp_hodge_tate_height(v, z, s, P_inf=None, dps: int = 60) -> float:
     digits.  P_inf is the limit's period matrix in those coordinates, exact
     rational entries, unit on each weight block; None is a split limit."""
     n = v.dim
-    T = v.W.adapted_basis().T.real
+    T = v.W.T.real
     assert set(np.abs(T).sum(axis=0)) == {1.0} and set(np.abs(T).sum(axis=1)) == {1.0}
     with mpmath.workdps(dps):
         def mat(A):
@@ -254,7 +254,7 @@ def hodge_tate_orbits(seed: int, count: int) -> list[tuple]:
         weights = np.array([0] + [-2] * m + [-4])
         N = np.where(weights[:, None] <= weights - 2, N, 0.0)
         W, F = om.mhs.W, om.mhs.F
-        T = W.adapted_basis().T.real
+        T = W.T.real
         out.append((NilpotentOrbit(W, N, F),
                     LocalVariation(W=W, F_inf=F, nilpotents=(N,), gamma=GammaPoly.zero(1),
                                    orientation=om.orientation),

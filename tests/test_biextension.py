@@ -165,9 +165,8 @@ def _delta1_by_conjugation(om, tol=1e-9) -> np.ndarray:
     b = H.weights[1]
     e = top_lift(om, tol)
     v = 0.5j * (H.bigrading(tol).weight_projectors[b] @ (np.conj(e) - e))
-    flag = H.W.adapted_basis()
-    lo, hi = flag.dims[:2]
-    return np.real((v @ flag.inverse)[lo:hi])
+    lo, hi = H.W.dims[:2]
+    return np.real((v @ H.W.inverse)[lo:hi])
 
 
 def test_delta1_read_matches_the_conjugation_route(rng):

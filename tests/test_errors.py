@@ -18,15 +18,17 @@ from hodgeheight.errors import (
     NotNilpotent,
     NotOriented,
 )
-from hodgeheight.height import Orientation, OrientedMHS, _check_oriented, check_functoriality
+from hodgeheight.height import (Orientation, OrientedMHS, _check_oriented, check_functoriality,
+                                height, height_biextension)
 from hodgeheight.limits import (
     NilpotentOrbit,
     deligne_system_grading,
+    limit_height,
     monodromy_weight_filtration,
     relative_weight_filtration,
 )
 from hodgeheight.linalg import Subspace
-from hodgeheight.mhs import MixedHodgeStructure, hodge_filtration, weight_filtration
+from hodgeheight.mhs import MixedHodgeStructure, hodge_filtration, is_morphism, weight_filtration
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.variations import (
     GammaPoly,
@@ -201,6 +203,13 @@ CASES = {
     "variation-nilpotent-not-square": (
         lambda: _variation(dilog_variation(), nilpotents=(np.zeros((3, 2)),)),
         DimensionMismatch, "N must be 3 x 3, got 3 x 2"),
+    "variation-gamma-not-square": (
+        lambda: _variation(dilog_variation(), gamma=GammaPoly.of(1, {(1,): np.zeros((2, 2))})),
+        DimensionMismatch, "Gamma coefficient must be 3 x 3, got 2 x 2"),
+    "morphism-shape": (lambda: is_morphism(np.eye(3, 2), dilog_fiber(1j).mhs, dilog_fiber(1j).mhs),
+                       DimensionMismatch, "T must be 3 x 3, got shape (3, 2)"),
+    "functoriality-shape": (lambda: _functoriality(np.eye(2)),
+                            DimensionMismatch, "f must be 3 x 3, got shape (2, 2)"),
 }
 
 
@@ -209,3 +218,14 @@ def test_invalid_input_raises_its_typed_error(make, error, message):
     with pytest.raises(error, match=re.escape(message)) as info:
         make()
     assert str(info.value) == message
+
+
+def test_a_missing_orientation_raises_not_oriented():
+    # an orbit document without an orientation block parses to None, which
+    # every height read refuses before it reads the orientation's generators
+    orbit = cubic_orbit()[0]
+    for read in (lambda: height(OrientedMHS(orbit.fiber(1j), None)),
+                 lambda: height_biextension(OrientedMHS(dilog_fiber(1j).mhs, None)),
+                 lambda: limit_height(orbit, None)):
+        with pytest.raises(NotOriented, match="no orientation given"):
+            read()

@@ -278,7 +278,7 @@ def test_check_oriented_builds_no_subspace(monkeypatch):
     monkeypatch.setattr(Subspace, "__init__",
                         lambda self, *a, **kw: made.append(a) or init(self, *a, **kw))
     for om in (dilog_fiber(0.25 + 0.5j), build_biextension(random_spec(np.random.default_rng(5)))):
-        om.mhs.W.adapted_basis()
+        om.mhs.W.inverse
         made.clear()
         _check_oriented(om.mhs.W, om.orientation, 1e-9)
         bottom = om.orientation.bottom

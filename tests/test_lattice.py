@@ -13,7 +13,7 @@ from hodgeheight.mhs import (MixedHodgeStructure, ValidationReport, hodge_filtra
                              weight_filtration)
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
 from hodgeheight.splitting import deligne_delta, lowering_morphisms
-from hodgeheight.variations import check_asymptotics, fiber, random_hodge_tate
+from hodgeheight.variations import LocalVariation, check_asymptotics, fiber, random_hodge_tate
 from test_linalg import complement_in
 
 TOL = 1e-9
@@ -67,7 +67,6 @@ def _reference_lattice(H: MixedHodgeStructure, tol: float):
     n = H.dim
     pmin, pmax = min(H.levels), max(H.levels)
     wmin, wmax = min(H.weights), max(H.weights)
-    flag = H.W.adapted_basis()
     reduced, fw, us = {}, {}, {}
 
     def FW(p, k):
@@ -79,12 +78,12 @@ def _reference_lattice(H: MixedHodgeStructure, tol: float):
                 fw[(p, k)] = Wk
             else:
                 if p not in reduced:
-                    # the rows the library reduces: a moved F's own rows, as
-                    # they are, else the echelon basis of the step
-                    reduced[p] = flag.reduce(H.F.at(p) if H.F._rows is None
-                                              else H.F._rows[:f], tol)
+                    # the rows the library reduces: the first dim F^p rows of
+                    # the flag of F
+                    reduced[p] = H.W.reduce(H.F.T[:f] if H.F.exact is None
+                                            else H.F.exact.num[:f], tol)
                 inside = sum(c < Wk.dim for c in reduced[p][1])
-                fw[(p, k)] = H.F.at(p) if inside == f else flag.meet(reduced[p], Wk, tol)
+                fw[(p, k)] = H.F.at(p) if inside == f else H.W.meet(reduced[p], Wk, tol)
         return fw[(p, k)]
 
     def U(r, s):
@@ -295,27 +294,33 @@ def test_limit_lattice_built_once_across_asymptotics_calls(monkeypatch):
 
 
 def test_lattice_reads_f_cap_w_off_one_adapted_basis(monkeypatch):
-    # no F^p cap W_k goes through Subspace.intersect, and the adapted basis
-    # of W is built once for every fiber of a variation and its limit, as is
-    # the adapted basis of F_inf that each fiber moves
+    # no F^p cap W_k goes through Subspace.intersect, and the flag of a W
+    # built from its steps is taken once for every fiber of a variation and
+    # its limit, as is the flag of F_inf that each fiber moves
     builds, meets = [], []
-    adapted, intersect = mhs.AdaptedBasis, Subspace.intersect
+    flag_of, intersect = mhs._flag_of, Subspace.intersect
 
-    def counted_basis(steps):
+    def counted_flag(steps):
         builds.append(steps)
-        return adapted(steps)
+        return flag_of(steps)
 
     def counted_intersect(self, other, tol=DEFAULT_TOL):
         meets.append((self, other))
         return intersect(self, other, tol)
 
-    monkeypatch.setattr(mhs, "AdaptedBasis", counted_basis)
+    monkeypatch.setattr(mhs, "_flag_of", counted_flag)
     monkeypatch.setattr(Subspace, "intersect", counted_intersect)
     # the lower member (-1, 0) of the pair type of this biextension is the
     # one piece built by an intersection; the Hodge-Tate fiber makes none
     spec = BiextensionSpec(weights=(2, -1, -4), middle=(((0, -1), 1),),
                            delta1=(0.3, -0.7), delta2=(0.5, 0.2), ht=0.4)
-    v = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    split = random_hodge_tate((1, 2, 2, 1), 1, seed=3)
+    n = split.dim
+    # the split W and F_inf carry their flag; the same steps as documents give them
+    v = LocalVariation(W=weight_filtration(split.W.steps, n),
+                       F_inf=hodge_filtration(split.F_inf.steps, n),
+                       nilpotents=split.nilpotents, gamma=split.gamma,
+                       orientation=split.orientation)
     built = (build_biextension(spec).mhs, fiber(v, [2j], [np.exp(-4 * np.pi)]))
     for built_H, intersections in zip(built, (1, 0)):
         H = MixedHodgeStructure(built_H.W, built_H.F)
@@ -326,14 +331,15 @@ def test_lattice_reads_f_cap_w_off_one_adapted_basis(monkeypatch):
             assert not (any(x is s for x in pair for s in fsteps)
                         and any(x is s for x in pair for s in wsteps)), pair
         assert len(meets) == intersections
-    # the two W and the F_inf of the variation, which every fiber moves; the
-    # limit (M, F_inf) has M = W itself, which shares W's adapted basis
-    assert len(builds) == 3
+    # the W and the F_inf of the variation, which every fiber moves (the
+    # biextension's split W and F carry their flags); the limit (M, F_inf)
+    # has M = W itself, which shares W's flag
+    assert len(builds) == 2
     for y in (1.0, 3.0, 5.0):
         fiber(v, [1j * y], [np.exp(-2 * np.pi * y)])
     check_asymptotics(v, [([1j * y], [np.exp(-2 * np.pi * y)]) for y in (1.0, 3.0)])
     assert v.limit_structure().W is v.W
-    assert len(builds) == 3
+    assert len(builds) == 2
 
 
 # ---------------------------------------------------------------------------

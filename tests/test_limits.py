@@ -1269,7 +1269,7 @@ def test_eigenspaces_computed_once_per_deligne_system(monkeypatch):
     for _ in range(24):
         # Y + 2 lam N grades M as well, and some of these need corrections
         W, N, Y = random_deligne_system(rng)
-        W.adapted_basis()
+        W.inverse
         systems.append((W, N, Y + 2 * complex(rng.normal(), rng.normal()) * N))
     eigen, exps, inverses = [], [], []
     original, exp, inv = limits._eigenspaces, limits.expm_nilpotent, np.linalg.inv
@@ -1382,7 +1382,7 @@ def test_relative_filtration_is_equivariant_under_an_irrational_real_g():
             continue
         tested += 1
         gW = W.map_spaces(lambda s: s.image_under(g))
-        assert not gW.adapted_basis().exact
+        assert not gW.exact
         gN = g @ np.round(N) @ np.linalg.inv(g)
         moved = relative_weight_filtration(gN, gW)
         want = relative_weight_filtration(np.round(N), W).map_spaces(
@@ -1394,7 +1394,7 @@ def test_relative_filtration_is_equivariant_under_an_irrational_real_g():
 
 def _lowers_w_by_two(N, W):
     """Whether N' = N in the coordinates of W lowers W by two (mhs.lowers)."""
-    return lowers(W, W.adapted_basis().operator(as_operator(N)), 2, TOL)
+    return lowers(W, W.operator(as_operator(N)), 2, TOL)
 
 
 def test_relative_filtration_is_w_when_n_lowers_w_by_two():
@@ -1417,7 +1417,7 @@ def test_relative_filtration_is_w_when_n_lowers_w_by_two():
             continue
         gW = W.map_spaces(lambda s: s.image_under(g))
         gN = g @ N @ np.linalg.inv(g)
-        assert not gW.adapted_basis().exact and _lowers_w_by_two(gN, gW)
+        assert not gW.exact and _lowers_w_by_two(gN, gW)
         assert relative_weight_filtration(gN, gW) is gW
         _assert_same_filtration(gW, reference_relative_weight_filtration(gN, gW), exact=False)
         moved += 1
@@ -1573,10 +1573,10 @@ def test_block_tables_stop_where_the_blocks_own_tables_stop():
 
 def test_initial_grading_reduces_each_eigenspace_once(monkeypatch):
     from hodgeheight import limits
-    from hodgeheight.linalg import AdaptedBasis
+    from hodgeheight.mhs import Filtration
 
     reduced, eigen = [], []
-    original_reduce, original_eigen = AdaptedBasis.reduce, limits._eigenspaces
+    original_reduce, original_eigen = Filtration.reduce, limits._eigenspaces
 
     def counted_reduce(self, S, tol=DEFAULT_TOL):
         reduced.append(S)
@@ -1587,7 +1587,7 @@ def test_initial_grading_reduces_each_eigenspace_once(monkeypatch):
         eigen.append(out)
         return out
 
-    monkeypatch.setattr(AdaptedBasis, "reduce", counted_reduce)
+    monkeypatch.setattr(Filtration, "reduce", counted_reduce)
     monkeypatch.setattr(limits, "_eigenspaces", counted_eigen)
     rng = np.random.default_rng(610)
     fallback = 0
@@ -1606,16 +1606,15 @@ def test_initial_grading_reduces_each_eigenspace_once(monkeypatch):
 def _below_the_blocks(rng, W, scale):
     """An N whose N' (in the coordinates of the flag of W) has one nonzero
     entry, below its diagonal blocks: N = T^T N' T^-T."""
-    flag = W.adapted_basis()
     n = W.ambient_dim
-    block = [sum(d <= i for d in flag.dims) for i in range(n)]
+    block = [sum(d <= i for d in W.dims) for i in range(n)]
     below = [(i, j) for i in range(n) for j in range(n) if block[i] > block[j]]
     i, j = below[int(rng.integers(len(below)))]
     Np = [[Fraction(0)] * n for _ in range(n)]
     Np[i][j] = Fraction(int(rng.integers(1, 4)))
-    T = fractions(flag.exact)
+    T = fractions(W.exact)
     N = matmul(matmul(list(map(list, zip(*T))), Np),
-               list(map(list, zip(*fractions(flag.exact_inverse)))))
+               list(map(list, zip(*fractions(W.exact_inverse)))))
     return np.array(N, dtype=float) * scale
 
 

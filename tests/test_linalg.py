@@ -11,7 +11,6 @@ from hodgeheight import linalg
 from hodgeheight.config import DEFAULT_TOL
 from hodgeheight.errors import DimensionMismatch, HodgeError, NotNilpotent
 from hodgeheight.linalg import (
-    AdaptedBasis,
     ExactMatrix,
     Subspace,
     bch,
@@ -23,6 +22,7 @@ from hodgeheight.linalg import (
     nilpotent_powers,
     subspace_sum,
 )
+from hodgeheight.mhs import Filtration, weight_filtration
 
 
 def contains_vector(S: Subspace, v, tol: float = DEFAULT_TOL) -> bool:
@@ -184,10 +184,15 @@ def _spans(rows, step: Subspace) -> bool:
     return len(rows) == step.dim and step.contains(echelonize(rows, step.ambient_dim))
 
 
+def _chain(steps) -> Filtration:
+    """The weight filtration of a chain of steps, at indices 0, 1, ..."""
+    return weight_filtration(list(enumerate(steps)), steps[-1].ambient_dim)
+
+
 def test_adapted_basis_of_coordinate_steps_is_a_permutation():
     steps = [echelonize([[0, 0, 1, 0]]), echelonize([[0, 0, 1, 0], [1, 0, 0, 0]]),
              Subspace.full(4)]
-    A = AdaptedBasis(steps)
+    A = _chain(steps)
     assert A.dims == (1, 2, 4)
     assert np.array_equal(np.abs(A.T), np.eye(4)[[2, 0, 1, 3]])
     assert np.array_equal(A.inverse, A.T.T)
@@ -196,7 +201,7 @@ def test_adapted_basis_of_coordinate_steps_is_a_permutation():
 def test_adapted_basis_of_an_exact_chain_is_exact():
     g = np.array([[1, 2, 0, -1], [0, 1, 1, 0], [2, 0, 1, 1], [0, -1, 0, 1]], dtype=float)
     steps = [echelonize(g[:1]), echelonize(g[:3]), Subspace.full(4)]
-    A = AdaptedBasis(steps)
+    A = _chain(steps)
     one = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     product = oracle.matmul(oracle.fractions(A.exact), oracle.fractions(A.exact_inverse))
     assert product == one
@@ -204,7 +209,7 @@ def test_adapted_basis_of_an_exact_chain_is_exact():
         assert _spans(A.T[:d], step)
     # F cap W_k read off the flag, against the intersection, stays exact
     F = echelonize([[1, 0, 3, 0], [0, 1, -1, 2]])
-    reduced = A.reduce(F)
+    reduced = A.reduce(F.exact)
     for step in steps:
         got = A.meet(reduced, step)
         assert got.is_exact() and got.equals(F.intersect(step))
@@ -216,9 +221,16 @@ def test_adapted_basis_when_float_pivots_do_not_nest():
     low = Subspace.from_rows(np.array([[2e-9, 1, 0]], dtype=complex), 3)
     mid = Subspace.from_rows(np.array([[2e-9, 1, 0], [0, 0, 10]], dtype=complex), 3)
     assert mid.contains(low) and not set(low.pivots) <= set(mid.pivots)
-    A = AdaptedBasis([low, mid, Subspace.full(3)])
+    A = _chain([low, mid, Subspace.full(3)])
     assert np.abs(A.T @ A.inverse - np.eye(3)).max() < 1e-12
     assert _spans(A.T[:1], low) and _spans(A.T[:2], mid)
+
+
+def test_a_subspace_is_equal_to_no_other_type():
+    # == hands anything but a Subspace back to Python, which compares identity
+    assert Subspace.full(2).__eq__(3) is NotImplemented
+    assert not Subspace.full(2) == 3 and Subspace.full(2) != "full"
+    assert Subspace.full(2) == echelonize(np.eye(2))
 
 
 def test_complement_in():
@@ -313,7 +325,7 @@ def test_adapted_basis_reads_the_quotient_coordinates(seed):
     cuts = sorted(set(rng.integers(1, n, size=2).tolist())) + [n]
     steps = [echelonize(basis[:d]) for d in cuts]
     assert all(s.is_exact() for s in steps)
-    flag = AdaptedBasis(steps)
+    flag = _chain(steps)
     assert flag.dims == tuple(cuts)
     for k, (sub, top) in enumerate(zip([Subspace.zero(n), *steps], steps)):
         lo, hi = (0, *flag.dims)[k], flag.dims[k]
@@ -512,7 +524,7 @@ def test_exact_operations_match_the_fraction_oracle(case):
 
     # the adapted basis of the chain, and N' on it
     steps = [Subspace.from_rows(gens, n) for gens in chain]
-    flag = AdaptedBasis(steps)
+    flag = _chain(steps)
     Tm, Tinv = oracle.adapted_basis(chain)
     assert oracle.fractions(flag.exact) == Tm
     assert oracle.fractions(flag.exact_inverse) == Tinv
@@ -523,7 +535,7 @@ def test_exact_operations_match_the_fraction_oracle(case):
     assert oracle.fractions(flag.operator(Aq)) == oracle.transpose(
         oracle.matmul(oracle.matmul(Tm, oracle.transpose(A)), Tinv))
     _assert_exact_as(flag.lift(S), oracle.span(oracle.matmul(Sq, Tm)), n)
-    reduced = flag.reduce(S)
+    reduced = flag.reduce(S.exact)
     rows, piv = reduced
     assert ([[Fraction(x, row[p]) for x in row] for row, p in zip(rows, piv)], piv) \
         == oracle.right_echelon(oracle.matmul(Sq, Tinv))
@@ -741,7 +753,7 @@ def test_an_adapted_basis_lifts_an_exact_full_step_to_the_full_space(monkeypatch
     rng = np.random.default_rng(43)
     for _ in range(5):
         g = np.eye(4) + np.triu(rng.integers(-2, 3, size=(4, 4)), 1)
-        flag = AdaptedBasis([Subspace.from_rows(g[:k], 4) for k in (1, 3, 4)])
+        flag = _chain([Subspace.from_rows(g[:k], 4) for k in (1, 3, 4)])
         # the rows c T of the unit rows c, reduced, as the lift reduced them
         want = Subspace.from_integer_rows([list(r) for r in flag.exact.num], 4)
         calls = []

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hodgeheight.errors import MalformedFiltration, NotAnMHS
-from hodgeheight.linalg import Subspace, maxabs
+import fraction_oracle as oracle
+from hodgeheight.errors import HodgeError, MalformedFiltration, NotAnMHS
+from hodgeheight.limits import monodromy_weight_filtration
+from hodgeheight.linalg import Subspace, echelonize, maxabs
 from hodgeheight.mhs import (
     Filtration,
     MixedHodgeStructure,
@@ -20,7 +22,7 @@ from hodgeheight.mhs import (
     weight_filtration,
 )
 from hodgeheight.scenarios import cubic_orbit, dilog_fiber
-from test_linalg import contains_vector
+from test_linalg import _spans, contains_vector
 
 
 def test_rational_structure_validates():
@@ -214,6 +216,82 @@ def test_moved_keeps_the_finite_and_rank_checks():
         with pytest.raises(MalformedFiltration,
                            match="Hodge filtration steps must strictly decrease"):
             collapsed.at(-1)
+
+
+def test_a_step_index_that_is_not_an_integer_raises():
+    # each index is read as an int: a twist by 1/2 moves F to -1.5 (W to -3.0,
+    # which is -3), and a step at 0.7 is not a step at 0
+    with pytest.raises(HodgeError, match="filtration index must be an integer, got -1.5"):
+        tate_twist(rational_mhs(1), 0.5)
+    with pytest.raises(HodgeError, match="filtration index must be an integer, got 0.7"):
+        weight_filtration([(0.7, Subspace.full(2))], 2)
+
+
+def _every_made_filtration():
+    """(name, filtration, the same filtration built from its steps) for each
+    way a Filtration is made."""
+    rng = np.random.default_rng(77)
+    g = np.array([[1, 2, 0, -1], [0, 1, 1, 0], [2, 0, 1, 1], [0, -1, 0, 1]])
+    basis = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    move = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    exact = weight_filtration([(-2, echelonize(g[:1])), (0, echelonize(g[:3])),
+                               (1, Subspace.full(4))], 4)
+    floats = hodge_filtration([(1, echelonize(basis[:1])), (-1, echelonize(basis[:3])),
+                               (-2, Subspace.full(4))], 4)
+    # the pivot of the bottom step is at a 2e-9 entry that the step above misses
+    low = Subspace.from_rows(np.array([[2e-9, 1, 0]], dtype=complex), 3)
+    mid = Subspace.from_rows(np.array([[2e-9, 1, 0], [0, 0, 10]], dtype=complex), 3)
+    levels = [0, -1, -1, -2]
+    N = np.diag([1, 1, 1], -1)
+    M = monodromy_weight_filtration(N)
+    yield from [
+        ("exact steps", exact, exact),
+        ("float steps", floats, floats),
+        ("unnested pivots", weight_filtration([(0, low), (1, mid), (2, Subspace.full(3))], 3),
+         None),
+        ("split", split_filtration(levels, False), hodge_filtration(
+            [(k, Subspace.from_rows(np.eye(4)[[lev >= k for lev in levels]], 4))
+             for k in set(levels)], 4)),
+        ("split basis", split_filtration(levels, False, basis), hodge_filtration(
+            [(k, Subspace.from_rows(basis[[lev >= k for lev in levels]], 4))
+             for k in set(levels)], 4)),
+        ("moved", floats.moved(move), floats.map_spaces(lambda s: s.image_under(move))),
+        ("moved exact", exact.moved(g), exact.map_spaces(lambda s: s.image_under(g))),
+        ("shift", exact.shift(3), weight_filtration([(k + 3, s) for k, s in exact.steps], 4)),
+        ("conj", conjugate(MixedHodgeStructure(split_filtration([0] * 4, True), floats)).F,
+         floats.map_spaces(lambda s: s.conj())),
+        ("dual exact", exact.dual(), weight_filtration(
+            [(-k, exact.at(k - 1).annihilator()) for k in exact.indices], 4)),
+        ("dual float", floats.dual(), hodge_filtration(
+            [(-p, floats.at(p + 1).annihilator()) for p in floats.indices], 4)),
+        ("relative M", M, None),
+    ]
+
+
+@pytest.mark.parametrize("name, filt, ref", list(_every_made_filtration()),
+                         ids=[name for name, *_ in _every_made_filtration()])
+def test_every_filtration_is_its_flag(name, filt, ref):
+    # the first dims[i] flag rows span the i-th smallest step; T T^-1 = 1,
+    # over Q on an exact flag; the steps are those of the filtration built
+    # from the same steps by the checking constructor
+    n = filt.ambient_dim
+    by_dim = sorted((s for _, s in filt.steps), key=lambda s: s.dim)
+    for d, step in zip(filt.dims, by_dim):
+        assert step.dim == d
+        if filt.exact is not None:
+            assert Subspace.from_integer_rows(filt.exact.num[:d], n).exact == step.exact
+        assert _spans(filt.T[:d], step)
+    if filt.exact is not None:
+        one = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert oracle.matmul(oracle.fractions(filt.exact),
+                             oracle.fractions(filt.exact_inverse)) == one
+    assert np.abs(filt.T @ filt.inverse - np.eye(n)).max() < 1e-9
+    ref = Filtration(filt.steps, filt.increasing, n) if ref is None else ref
+    assert ref.indices == filt.indices
+    for k, step in ref.steps:
+        assert filt.at(k).equals(step, 1e-8)
+        if step.is_exact() and filt.at(k).is_exact():
+            assert filt.at(k).exact == step.exact
 
 
 def test_split_filtration_and_shift_check_no_nesting(monkeypatch):

@@ -31,7 +31,7 @@ def test_dilog_fibers_share_the_variation_weight_filtration():
     W = dilog_variation().W
     assert dilog_fiber(0.3 + 0.2j).mhs.W is W and dilog_fiber(-2.0).mhs.W is W
     assert dilog_variation(25).W is W
-    assert W.adapted_basis() is dilog_fiber(1j).mhs.W.adapted_basis()
+    assert W.T is dilog_fiber(1j).mhs.W.T
 
 
 def test_dilog_scenario_catalan():

@@ -512,7 +512,7 @@ def test_a_limit_that_is_not_split_moves_with_its_period_matrix():
         gamma=GammaPoly.of(1, {e: h @ m @ h_inv for e, m in v.gamma.terms}),
         orientation=v.orientation)
     assert moved._transport(DEFAULT_TOL) is not None
-    T = v.W.adapted_basis().T.real
+    T = v.W.T.real
     for y in (0.3, 1.0, 10.0, 1e3):
         z = 0.2 + 1j * y
         s = np.exp(2j * np.pi * z)
