@@ -5,8 +5,9 @@ DimensionMismatch otherwise): an ExactMatrix when every entry is rational,
 else a complex array, its powers from one table (linalg.nilpotent_powers).
 So rational N with rational W stays over the integers throughout, and no
 rank decision on it involves a threshold.  A NilpotentOrbit maps its N into
-the coordinates of W once, where limit_mhs reads it; horizontality, N F^p <=
-F^(p-1), is mhs.lowers by -1 on F_inf.
+the coordinates of W once, where limit_mhs reads it; over Q it decides
+nilpotency on the table of that N', which limit_mhs reuses; horizontality,
+N F^p <= F^(p-1), is mhs.lowers by -1 on F_inf.
 
 relative_weight_filtration(N, W) is the unique M with N M_j <= M_(j-2) that
 induces on each Gr^W_k the monodromy filtration of N there, centered at k;
@@ -28,41 +29,48 @@ coordinates to C^(d_k) = W_k, and j running from m-1 down,
 
 where M_(k-j-2) reads M_(k+j+2), known by then; past this window of 2m-1
 indices M_(k+j) = W_k and M_(k-j) = M'_(k-j).  Over Q, N^j is read off the
-table; on a float N it is j steps of N (_under), since the rounding of a
-float N^j grows with |N|^j and moves the rank decisions of ill-conditioned
-conjugates.  M goes back by c -> c T.  None of this runs when N' lowers W
-by two: M is W itself (Steenbrink-Zucker 1985), as that is the first axiom
-and N induces 0 on each Gr^W_k, whose monodromy filtration is the one step k.
+table, a sum is one echelon of the stacked rows and a preimage is read off
+one right echelon, already reduced (linalg.nullspace_exact); on a float N,
+N^j is j steps of N (_under), since the rounding of a float N^j grows with
+|N|^j and moves the rank decisions of ill-conditioned conjugates.  M goes
+back by c -> c T.  None of this runs when N' lowers W by two: M is W itself
+(Steenbrink-Zucker 1985), as that is the first axiom and N induces 0 on each
+Gr^W_k, whose monodromy filtration is the one step k.
 
-Both axioms are verified on a peeled M (DoesNotExist otherwise).  The graded
-one compares, on each Gr^W_k and for j in [k-2n, k+2n], dim (M_j cap W_k) /
-(M_j cap W_(k-1)), the rows of the right echelon of M_j (linalg.right_echelon)
-with pivot in d_(k-1) .. d_k - 1, with dim Gr_j W(B) at center k, B the
-diagonal block, read off B's Jordan type: b_e = dim ker B^e - dim ker
-B^(e-1) blocks of size >= e (NotNilpotent if b_e grows), one of size s
-adding one to Gr_(k+s-1-2i), i < s.  Both sides are step functions of j, so
-they are compared at the lower end and at every jump of M or the reference.
+Both axioms are verified on a peeled M (DoesNotExist otherwise), the first
+over Q on the rows N v themselves (Subspace.holds).  The graded one
+compares, on each Gr^W_k and for j in [k-2n, k+2n], dim (M_j cap W_k) /
+(M_j cap W_(k-1)), the rows of the right echelon of M_j (linalg.right_echelon;
+over Q every step's off one elimination, _right_pivots) with pivot in
+d_(k-1) .. d_k - 1, with dim Gr_j W(B) at center k, B the diagonal block,
+read off B's Jordan type: b_e = dim ker B^e - dim ker B^(e-1) blocks of size
+>= e (NotNilpotent if b_e grows), one of size s adding one to
+Gr_(k+s-1-2i), i < s.  Both sides are step functions of j, so they are
+compared at the lower end and at every jump of M or the reference.
 
 deligne_system_grading builds the unique grading Y' of W commuting with a
 given grading Y of M such that the zero eigencomponent N0 of N completes to an
 sl2-triple (N0, H = Y - Y', N0+) commuting with the deeper components of N.
 One body, _deligne_system, serves it and limit_height: it takes Y and its
-weight frame (of Y's eigenspaces, or the limit's), checks [Y, N] = -2N and
-reads each column's W-weight once, that of its last coordinate in T above the
-bound of Filtration.depth.  If each column's weight is its degree, Y grades
-W, N lowers W by two, so M = W and Y' = Y (Cattani-Kaplan-Schmid 1986), and
-the projectors are the frame's.  Else the pass starts from a grading of W by
-eigenvectors of Y: the columns by weight, each cut to W_k, if they count dim
-Gr^W_k per weight; else per eigenspace E, the rows of the right echelon of E
-against T with pivot in d_(k-1) .. d_k - 1, mapped back by T and made
-orthogonal to E cap W_(k-1).  It runs in the coordinates of its frame of
-unit columns, C^-1 Y C = diag(a), C^-1 Y' C = diag(b), where the brackets
-select the entries that may be nonzero: b_i = b_j, a_i - a_j = 2 for N0+;
-a_i = a_j, b_i - b_j = -j0 for gamma; a_i - a_j = -2 for N.  [N0+, N0] = H =
+weight frame (of Y's eigenspaces, over Q when Y is rational, or the limit's),
+checks [Y, N] = -2N and reads each column's W-weight, that of its last
+coordinate in T above the bound of Filtration.depth (_weights).  If each
+column's weight is its degree, Y grades W, N lowers W by two, so M = W and
+Y' = Y (Cattani-Kaplan-Schmid 1986), and the projectors are the frame's.
+Else the pass starts from a grading of W by eigenvectors of Y: the columns by
+weight, each cut to W_k, if they count dim Gr^W_k per weight; else per
+eigenspace E, the rows of the right echelon of E against T (exact for int
+rows) with pivot in d_(k-1) .. d_k - 1, mapped back by T and made orthogonal
+to E cap W_(k-1).  It runs in the coordinates of its frame of unit columns,
+C^-1 Y C = diag(a), C^-1 Y' C = diag(b), where the brackets select the
+entries that may be nonzero: b_i = b_j, a_i - a_j = 2 for N0+; a_i = a_j,
+b_i - b_j = -j0 for gamma; a_i - a_j = -2 for N.  [N0+, N0] = H =
 diag(a - b), or ad N0+ ad N0 gamma = R_(-j0) for the defect R = [N - N0, N0+]
-at its first depth j0, is solved by least squares on their unit matrices;
-exp(gamma) moves the frame to (C exp(gamma), exp(-gamma) C^-1).  _grades and
-every bracket identity verify the result in the caller's coordinates.
+at its first depth j0, is solved by least squares on the images of their
+unit matrices (_ad_units); exp(gamma) moves the frame to (C exp(gamma),
+exp(-gamma) C^-1).  _grades, the start's W-weight read on the final frame,
+and the bracket identities, one stacked array, verify the result in the
+caller's coordinates.
 
 An orbit fiber takes the route of the orbit's base (NilpotentOrbit._base),
 decided once per tol.  If N lowers W by two and the limit is Hodge-Tate of
@@ -101,6 +109,7 @@ from .linalg import (
     ExactMatrix,
     Frame,
     Subspace,
+    _combination,
     as_operator,
     bch,
     check_nilpotent,
@@ -109,6 +118,7 @@ from .linalg import (
     logm_unipotent,
     maxabs,
     nilpotent_powers,
+    nullspace_exact,
     nullspace_float,
     right_echelon,
     rref_exact,
@@ -137,11 +147,12 @@ def relative_weight_filtration(N, W: Filtration, tol: float = DEFAULT_TOL) -> Fi
     return _relative_from_operator(W.operator(N), W, tol)
 
 
-def _relative_from_operator(Np, W: Filtration, tol: float) -> Filtration:
-    """relative_weight_filtration from its N' = W.operator(N)."""
+def _relative_from_operator(Np, W: Filtration, tol: float, powers: list | None = None
+                            ) -> Filtration:
+    """relative_weight_filtration from its N' = W.operator(N) and, if known, its table."""
     if lowers(W, Np, 2, tol):
         return W   # M = W (module docstring)
-    powers = nilpotent_powers(Np, tol)
+    powers = powers or nilpotent_powers(Np, tol)
     if not lowers(W, Np, 0, tol):
         raise DoesNotExist("N does not preserve the weight filtration")
     M_steps = _relative_rec(powers, W.indices, W.dims, tol)
@@ -165,12 +176,14 @@ def _block_powers(powers: list, lo: int, hi: int, tol: float) -> list:
     """The diagonal blocks lo .. hi-1 of N'^0 .. N'^m (the powers of that block
     of N', which preserves W) up to the first power nilpotent_powers would
     stop at on the block; failing that, the block's own table."""
-    table = [_block(p, lo, hi) for p in powers]
+    table = [_block(p, lo, hi) for p in powers[:2]]
     exact = isinstance(table[1], ExactMatrix)
     scale = 1.0 if exact else max(maxabs(table[1]), 1.0)
-    for j in range(1, len(table)):
+    for j in range(1, len(powers)):   # each block cut once it is read
+        if j > 1:
+            table.append(_block(powers[j], lo, hi))
         if (not any(map(any, table[j].num))) if exact else maxabs(table[j]) <= tol * scale ** j:
-            return table[:j + 1]
+            return table
     return nilpotent_powers(table[1], tol)
 
 
@@ -206,17 +219,19 @@ def _relative_rec(powers: list, weights: list[int], dims: tuple[int, ...],
             M[k_top + j] = up = (Subspace.full(d) if j == m - 1 else
                                  _under(Subspace.preimage_under, down[j + 2], P, j + 1, tol))
             if j:
-                M[k_top - j] = down[j] = _under(Subspace.image_under, up, P, j, tol).add(
-                    msub_at(k_top - j), tol)
+                M[k_top - j] = down[j] = _under(Subspace.image_under, up, P, j, tol,
+                                                msub_at(k_top - j))
     return M
 
 
-def _under(op, S: Subspace, P: list, e: int, tol: float) -> Subspace:
-    """op(S, N^e), op Subspace.image_under or preimage_under: N^e off the
-    table P over Q, e steps of N on a float N (module docstring)."""
-    for A in [P[e]] if isinstance(P[1], ExactMatrix) else [P[1]] * e:
+def _under(op, S: Subspace, P: list, e: int, tol: float, *plus: Subspace) -> Subspace:
+    """op(S, N^e, tol, *plus), op Subspace.image_under (plus added in its one
+    echelon over Q) or preimage_under: N^e off the table P over Q, e steps of
+    N on a float N (module docstring)."""
+    *steps, last = [P[e]] if isinstance(P[1], ExactMatrix) else [P[1]] * e
+    for A in steps:
         S = op(S, A, tol)
-    return S
+    return op(S, last, tol, *plus)
 
 
 def _steps_to_filtration(M: dict[int, Subspace], n: int,
@@ -249,21 +264,40 @@ def _verify_relative(M: Filtration, powers: list, weights: list[int], dims: tupl
                      tol: float) -> None:
     """Both axioms of M = M(N, W) in the coordinates of T, from the power
     table of N'; the graded one by pivot counts (see the module docstring)."""
-    for k in M.indices:
-        if not M.at(k - 2).contains(M.at(k).image_under(powers[1], tol), tol):
+    n, keys, steps = len(powers[0]), M.indices, [s for _, s in M.steps]
+    exact = isinstance(powers[1], ExactMatrix) and all(s.is_exact() for s in steps)
+    cols = list(zip(*powers[1].num)) if exact else None
+    for k, s in zip(keys, steps):
+        # over Q the rows N v, v in M_k, are tested as they are, with no echelon
+        if not (M.at(k - 2).holds([_combination(v, cols, n) for v in s.exact]) if exact else
+                M.at(k - 2).contains(s.image_under(powers[1], tol), tol)):
             raise DoesNotExist("candidate filtration is not lowered by two under N")
-    n = len(powers[0])
-    keys = M.indices
-    pivots = [right_echelon(s.exact if s.is_exact() else s.basis, tol)[1] for _, s in M.steps]
+    pivots = _right_pivots(steps) if exact else [right_echelon(s.basis, tol)[1] for s in steps]
     for lo, k, d in zip((0, *dims), weights, dims):
         ref = _jordan_graded(_block_powers(powers, lo, d, tol), k, tol)   # j -> dim Gr_j
+        got = [0, *(sum(lo <= p < d for p in piv) for piv in pivots)]   # per step of M
         first, last = k - 2 * n, k + 2 * n
         for j in sorted({first, *(i for i in [*keys, *ref] if first < i <= last)}):
-            i = bisect_right(keys, j)
-            got = sum(lo <= p < d for p in pivots[i - 1]) if i else 0
-            if got != sum(g for x, g in ref.items() if x <= j):
+            if got[bisect_right(keys, j)] != sum(g for x, g in ref.items() if x <= j):
                 raise DoesNotExist(
                     f"induced filtration on Gr_{k} differs from the monodromy filtration")
+
+
+def _right_pivots(steps: list[Subspace]) -> list[set[int]]:
+    """The right-echelon pivots of each exact step, smallest first, off one
+    elimination of the flag rows in order (a step's rows at the pivots the
+    step below lacks): each row, reduced from the right against those before
+    it, adds its last nonzero entry."""
+    basis: dict[int, list[int]] = {}
+    out, below = [], set()
+    for s in steps:
+        for row in (r for r, p in zip(s.exact, s.pivots) if p not in below):
+            while (c := max(i for i, x in enumerate(row) if x)) in basis:
+                row = [basis[c][c] * x - row[c] * y for x, y in zip(row, basis[c])]
+            basis[c] = row
+        out.append(set(basis))
+        below = set(s.pivots)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +317,35 @@ class DeligneSystem:
     projectors: MappingProxyType = field(repr=False)
 
 
-def _eigenspaces(Y: np.ndarray, levels, tol: float) -> dict[int, np.ndarray]:
-    """Bases (rows) of the nonzero eigenspaces of Y at the given integer eigenvalues."""
-    spaces = {k: nullspace_float(Y - k * np.eye(len(Y)), tol) for k in levels}
+def _eigenspaces(Y, levels, tol: float) -> dict:
+    """Bases (rows) of the nonzero eigenspaces of Y at the given integer
+    eigenvalues: int rows (nullspace_exact) when Y is an ExactMatrix."""
+    n = len(Y)
+    spaces = ({k: nullspace_exact([[*r[:i], r[i] - k * Y.den, *r[i + 1:]]
+                                   for i, r in enumerate(Y.num)], n) for k in levels}
+              if isinstance(Y, ExactMatrix) else
+              {k: nullspace_float(Y - k * np.eye(n), tol) for k in levels})
     return {k: E for k, E in spaces.items() if len(E)}
 
 
-def _grades(pieces: dict[int, np.ndarray], W: Filtration, tol: float) -> bool:
-    """Whether the pieces (weight -> basis rows) grade W: their rows, each scaled
-    to a largest entry of 1, have no singular value <= tol, each piece k lies in
-    W_k (Filtration.depth), and the pieces with key <= k count dim W_k rows."""
-    rows = np.vstack(list(pieces.values()))
-    size = np.abs(rows).max(1, keepdims=True)
-    return (np.isfinite(rows).all()
-            and np.linalg.matrix_rank(rows / np.where(size > 0, size, 1.0), tol) == len(rows)
-            and all(W.depth(b, tol) <= W.dim_at(j) for j, b in pieces.items())
-            and all(sum(len(b) for j, b in pieces.items() if j <= k) == W.dim_at(k)
-                    for k in W.indices))
+def _weights(C: np.ndarray, W: Filtration, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's W-weight, that of its last coordinate in T above the
+    bound of Filtration.depth, and the coordinates K = C^T T^-1 it is read off."""
+    w = W.adapted_weights
+    mag = np.abs(K := C.T @ W.inverse)
+    return np.where(mag <= tol * mag.max(1, initial=1.0)[:, None], w[0], w).max(1), K
+
+
+def _grades(frame: Frame, W: Filtration, tol: float) -> bool:
+    """Whether the columns of the frame grade W: their degrees count dim
+    Gr^W_k per weight k, each lies in W_k, k its degree (_weights), and, each
+    scaled to a largest entry of 1, they have no singular value <= tol."""
+    C, b = frame.C, frame.degrees
+    size = np.abs(C).max(0)
+    return bool(np.isfinite(C).all() and sorted(b.tolist()) == W.adapted_weights.tolist()
+                and (_weights(C, W, tol)[0] <= b).all()
+                and np.linalg.svd(C / np.where(size > 0, size, 1.0), compute_uv=False).min()
+                > tol)
 
 
 def _initial_w_grading(W: Filtration, eigenspaces, tol: float) -> dict[int, np.ndarray]:
@@ -308,6 +354,7 @@ def _initial_w_grading(W: Filtration, eigenspaces, tol: float) -> dict[int, np.n
     parts: dict[int, list] = {k: [] for k in W.indices}
     for E in eigenspaces:
         rows, piv = W.reduce(E, tol)
+        rows = np.asarray(rows, dtype=complex)
         # group the rows by the step of W of their pivot; each group is made
         # orthogonal to those below, which starts the corrections nearer Y'
         steps, below = [bisect_right(W.dims, c) for c in piv], None
@@ -325,16 +372,22 @@ def _initial_w_grading(W: Filtration, eigenspaces, tol: float) -> dict[int, np.n
     return pieces
 
 
-def _solve_on_entries(mask, op, rhs, bound: float, failure: str) -> np.ndarray:
-    """The least-squares X, zero off the mask, of the linear op(X) = rhs (op
-    maps stacks of matrices) over the unit matrices e_i e_j^T of the mask;
+def _solve_on_entries(mask, images: np.ndarray, rhs, bound: float, failure: str) -> np.ndarray:
+    """The least-squares X, zero off the mask, of the linear op(X) = rhs from the
+    images op(e_i e_j^T) of the mask's unit matrices, stacked (_ad_units);
     ConstructionFailed(failure) if op(X) misses rhs by more than bound."""
-    basis = np.eye(mask.size, dtype=complex)[mask.ravel()].reshape(-1, *mask.shape)
-    X = np.zeros(mask.shape, dtype=complex)
-    X[mask] = np.linalg.lstsq(op(basis).reshape(len(basis), rhs.size).T, rhs.ravel(), rcond=None)[0]
-    if maxabs(op(X) - rhs) > bound:
+    A, X = images.reshape(len(images), rhs.size).T, np.zeros(mask.shape, dtype=complex)
+    X[mask] = x = np.linalg.lstsq(A, rhs.ravel(), rcond=None)[0]
+    if maxabs(A @ x - rhs.ravel()) > bound:
         raise ConstructionFailed(failure)
     return X
+
+
+def _ad_units(A: np.ndarray, mask) -> np.ndarray:
+    """[A, e_i e_j^T] = A_(:,i) e_j^T - e_i A_(j,:) over the mask's (i, j), stacked."""
+    i, j = np.nonzero(mask)
+    eye = np.eye(len(A))
+    return A.T[i][:, :, None] * eye[j][:, None, :] - eye[i][:, :, None] * A[j][:, None, :]
 
 
 def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
@@ -344,84 +397,81 @@ def deligne_system_grading(W: Filtration, N: np.ndarray, Y: np.ndarray,
     Y = check_square(np.asarray(Y, dtype=complex), W.ambient_dim, "Y")
     if not np.isfinite(Y).all():
         raise ConstructionFailed("Y has an entry that is not finite")
-    spaces = _eigenspaces(Y, sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)}), tol)
+    levels = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
+    spaces = _eigenspaces(as_operator(Y), levels, tol)
     if sum(len(E) for E in spaces.values()) != len(Y):
         raise ConstructionFailed("initial grading construction did not span")
-    return _deligne_system(W, N, Y, Frame.of(spaces), tol)
+    frame = Frame.of({k: np.array(E, dtype=complex) for k, E in spaces.items()})
+    return _deligne_system(W, N, Y, frame, tol, False, list(spaces.values()))
 
 
 def _deligne_system(W: Filtration, N, Y: np.ndarray, frame: Frame, tol: float,
-                    nilpotent: bool = False) -> DeligneSystem:
+                    nilpotent: bool = False, spaces: list | None = None) -> DeligneSystem:
     """The body of deligne_system_grading and limit_height (module docstring);
-    nilpotent: N's nilpotency is decided already, as an orbit's is."""
+    nilpotent: N's nilpotency is decided already, as an orbit's is; spaces:
+    the frame's columns by degree as eigenspace rows, int rows over Q."""
     N = check_square(np.asarray(N, dtype=complex), W.ambient_dim)
     scale = max(maxabs(N), maxabs(Y), 1.0)
     if (bracket := maxabs(Y @ N - N @ Y + 2 * N)) > 1e3 * tol * scale:
         raise ConstructionFailed("[Y, N] = -2N fails on the input")
     zero = np.zeros_like(N)
-    # each column's W-weight: of its last coordinate in T above Filtration.depth's bound
-    w = W.adapted_weights
-    mag = np.abs(K := frame.C.T @ W.inverse)
-    weights = np.where(mag <= tol * mag.max(1, initial=1.0)[:, None], w[0], w).max(1)
+    weights, K = _weights(frame.C, W, tol)
     if (weights == frame.degrees).all():   # Y grades W: M = W, Y' = Y
         return DeligneSystem(W, N, Y, Y, {2: N} if maxabs(N) > tol * scale else {},
                              (zero, zero, zero), bracket / scale, frame.projectors)
     if not nilpotent:
         check_nilpotent(N, tol)
+    w = W.adapted_weights
     if sorted(weights.tolist()) == w.tolist():   # the columns grade W, each cut to its W_k
         frame = Frame((np.where(w > weights[:, None], 0, K) @ W.T).T, None, weights)
     else:
-        spaces = [frame.C[:, frame.degrees == k].T for k in sorted(set(frame.degrees.tolist()))]
-        frame = Frame.of(_initial_w_grading(W, spaces, tol))
+        frame = Frame.of(_initial_w_grading(W, spaces or [
+            frame.C[:, frame.degrees == k].T for k in sorted(set(frame.degrees.tolist()))], tol))
     frame = Frame(frame.C / np.linalg.norm(frame.C, axis=0), None, frame.degrees)
     b, span, bound = frame.degrees, W.indices[-1] - W.indices[0], 1e3 * tol * scale
     a = np.rint(np.diag(frame.coordinates(Y)).real)
     da, db = a[:, None] - a, b[:, None] - b
-
-    def ad(A, X):
-        return A @ X - X @ A
 
     for _ in range(span + 3):
         # frame coordinates: C^-1 Y C ~ diag(a), C^-1 Y' C = diag(b), N on a_i - a_j = -2
         Nc = frame.coordinates(N)
         N0 = np.where((da == -2) & (db == 0), Nc, 0)
         # Jacobson-Morozov: [Y',X] = 0, [H,X] = 2X select entries; [X,N0] = H = diag(a - b)
-        N0p = _solve_on_entries((db == 0) & (da == 2), lambda X: X @ N0 - N0 @ X,
-                                np.diag(a - b), bound, "sl2 completion system is inconsistent")
-        R = ad(Nc - N0, N0p)
+        mask = (db == 0) & (da == 2)
+        N0p = _solve_on_entries(mask, -_ad_units(N0, mask), np.diag(a - b), bound,
+                                "sl2 completion system is inconsistent")
+        R = (Nc - N0) @ N0p - N0p @ (Nc - N0)
         if maxabs(frame.lift(R)) <= 10 * tol * scale:
             break
-        R_parts = frame.parts(R)
-        j0 = next((j for j in range(1, span + 1)
-                   if maxabs(R_parts.get(-j, zero)) > 10 * tol * scale), None)
+        j0 = next((j for j in range(1, span + 1)   # R's first depth, of Y'-degree -j0
+                   if maxabs(frame.lift(np.where(db == -j, R, 0))) > 10 * tol * scale), None)
         if j0 is None:
             break
         # correction: [Y,g] = 0, [Y',g] = -j0 g select entries; ad N0+ ad N0 g = R_{-j0}
-        g = _solve_on_entries((da == 0) & (db == -j0), lambda X: ad(N0p, ad(N0, X)),
-                              np.where(db == -j0, R, 0), bound,
+        mask = (da == 0) & (db == -j0)
+        D = _ad_units(N0, mask)
+        g = _solve_on_entries(mask, N0p @ D - D @ N0p, np.where(db == -j0, R, 0), bound,
                               "depth correction system is inconsistent")
         frame = Frame(frame.C @ expm_nilpotent(g), expm_nilpotent(-g) @ frame.C_inv, b)
     else:
         raise ConstructionFailed("grading iteration did not converge")
 
     # each exit of the loop comes before the frame moves: Nc and N0+ are the final frame's
-    N_parts = frame.parts(np.where(da == -2, Nc, 0))
-    comps = {j: N_parts[-j] for j in range(0, span + 1)
-             if -j in N_parts and maxabs(N_parts[-j]) > tol * scale}
+    Nd = np.where(da == -2, Nc, 0)   # N on a_i - a_j = -2
+    comps = {j: part for j in range(span + 1)   # N_-j, of Y'-degree -j
+             if maxabs(part := frame.lift(np.where(db == -j, Nd, 0))) > tol * scale}
     N0, N0p, Yp = comps.get(0, zero), frame.lift(N0p), frame.grading
     H = Y - Yp
 
-    # np.max keeps a NaN that Python's max would drop, and the verdict fails on it
-    residual = float(np.max([
-        maxabs(Y @ Yp - Yp @ Y),
-        maxabs(sum(comps.values()) - N) if comps else maxabs(N),
-        *(maxabs(Yp @ part - part @ Yp + j * part) for j, part in comps.items()),
-        maxabs(H @ N0 - N0 @ H + 2 * N0),
-        maxabs(N0p @ N0 - N0 @ N0p - H),
-        maxabs(H @ N0p - N0p @ H - 2 * N0p),
-        maxabs((N - N0) @ N0p - N0p @ (N - N0)),
-    ])) / scale
-    if not _grades({k: frame.C.T[b == k] for k in W.indices}, W, tol):
+    # the bracket identities [A, B] = E, one stacked array; the first pair
+    # (0, 0) checks that the components sum to N
+    pairs = [(zero, zero, N - sum(comps.values(), zero)), (Y, Yp, zero), (H, N0, -2 * N0),
+             (N0p, N0, H), (H, N0p, 2 * N0p), (N - N0, N0p, zero),
+             *((Yp, part, -j * part) for j, part in comps.items())]
+    A, B, E = (np.array(x) for x in zip(*pairs))
+    # a NaN stays in the maximum, and the verdict fails on it
+    residual = float(np.abs(A @ B - B @ A - E).max()) / scale
+    if not _grades(frame, W, tol):
         raise ConstructionFailed("result does not grade the weight filtration")
     if not (np.isfinite(Yp).all() and residual <= 1e3 * tol):
         raise ConstructionFailed(f"bracket identities fail at {residual:.3e}")
@@ -442,10 +492,13 @@ class NilpotentOrbit:
         # the one N of the orbit path, n x n, and its complex copy
         self.monodromy = check_square(as_operator(N), self.dim)
         self.N = np.array(self.monodromy, dtype=complex)
-        # the table of the nilpotency check, N^0 .. N^m; exp builds N^k / k! off it once
-        self._powers, self._series = nilpotent_powers(self.monodromy, tol), None
-        # N' = N in the coordinates of W, which limit_mhs reads, checked at tol
+        # N' = N in the coordinates of W, which limit_mhs reads, checked at tol;
+        # over Q nilpotency is decided on the table of N', which limit_mhs
+        # reuses, else on N's; exp builds N^k / k! off N's table
         self.operator = W.operator(self.monodromy)
+        exact = isinstance(self.operator, ExactMatrix)
+        self._table = nilpotent_powers(self.operator, tol) if exact else None
+        self._powers, self._series = None if exact else nilpotent_powers(self.monodromy, tol), None
         if not lowers(W, self.operator, 0, tol):
             raise NotNilpotent("N must preserve the weight filtration")
         if not lowers(F_inf, F_inf.operator(self.monodromy), -1, tol):
@@ -458,8 +511,8 @@ class NilpotentOrbit:
         of m; not finite past the float range."""
         z = np.asarray(z, dtype=complex)[..., None, None]
         if self._series is None:
-            self._series = [np.array(P, dtype=complex) / factorial(k)
-                            for k, P in enumerate(self._powers)]
+            self._series = [np.array(P, dtype=complex) / factorial(k) for k, P in
+                            enumerate(self._powers or nilpotent_powers(self.monodromy))]
         with np.errstate(all="ignore"):
             return sum(z ** k * P for k, P in enumerate(self._series))
 
@@ -528,7 +581,7 @@ def limit_mhs(orbit: NilpotentOrbit, tol: float = DEFAULT_TOL) -> MixedHodgeStru
     """The limit (M(N, W), F_inf), built once per orbit and tol, which limit_height
     and the fibers' base share; a limit that is none raises on every call."""
     if tol not in orbit._limits:
-        M = _relative_from_operator(orbit.operator, orbit.W, tol)
+        M = _relative_from_operator(orbit.operator, orbit.W, tol, orbit._table)
         H = MixedHodgeStructure(M, orbit.F_inf)
         H.bigrading(tol)   # NotAnMHS naming the failed axioms
         orbit._limits[tol] = H

@@ -93,7 +93,7 @@ def integral_array(M: np.ndarray) -> bool:
     """Whether every entry of a numeric array is finite, real and an integer:
     the verdict of the scan of _over_one_denominator on each entry."""
     R = M.real
-    return bool(not M.imag.any() and (R == np.round(R)).all() and np.isfinite(R).all())
+    return bool(not M.imag.any() and (R == np.rint(R)).all() and np.isfinite(R).all())
 
 
 def integer(x, name: str) -> int:
@@ -210,23 +210,28 @@ def nullspace_float(M: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
 
 
 def nullspace_exact(M: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Int basis (rows) of the right null space {v : M v = 0}."""
-    return _echelon_kernel(*rref_exact(M), n)
+    """Int basis (rows) of the right null space {v : M v = 0}, reduced as a
+    Subspace's rows: off the right echelon of M, each row is zero at the other
+    free columns and before its own, and is made primitive, positive there."""
+    R, piv = right_echelon(M) if M else ([], [])
+    free = [c for c in range(n) if c not in piv]
+    return [_primitive(v, f) for v, f in zip(_echelon_kernel(R, piv, n), free)]
 
 
 def _echelon_kernel(R: list[list[int]], piv: list[int], n: int) -> list[list[int]]:
     """Int kernel basis of reduced echelon rows R, pivots piv (a Subspace's own,
     say): per free column f, v[f] = L and v[p] = -R_i[f] L / R_i[p] at the pivot
     p of each row i, L the lcm of the pivot entries it divides."""
-    basis = []
-    for f in (c for c in range(n) if c not in piv):
-        L = lcm(*(row[p] for row, p in zip(R, piv) if row[f]))
-        v = [0] * n
-        v[f] = L
-        for row, p in zip(R, piv):
-            if row[f]:
-                v[p] = -row[f] * (L // row[p])
-        basis.append(v)
+    basis, pivots = [], set(piv)
+    for f in range(n):
+        if f not in pivots:
+            hits = [(p, row[f], row[p]) for row, p in zip(R, piv) if row[f]]
+            L = lcm(*(a for _, _, a in hits))
+            v = [0] * n
+            v[f] = L
+            for p, x, a in hits:
+                v[p] = -x * (L // a)
+            basis.append(v)
     return basis
 
 
@@ -328,14 +333,17 @@ class Subspace:
         if other.dim == 0 or self.dim == self.ambient_dim:
             return True
         if self.is_exact() and other.is_exact():
-            # v is in S iff L v = sum (L v[p] / a) row over the rows of S, a
-            # the entry of a row at its pivot p and L the lcm of the a
-            lead = [(p, row[p]) for row, p in zip(self.exact, self.pivots)]
-            L = lcm(*(a for _, a in lead))
-            return all(_combination([v[p] * (L // a) for p, a in lead], self.exact,
-                                    self.ambient_dim) == [L * x for x in v]
-                       for v in other.exact)
+            return self.holds(other.exact)
         return self.add(other, tol).dim == self.dim
+
+    def holds(self, rows: list[list[int]]) -> bool:
+        """Whether every int row lies in this exact subspace: v does iff L v =
+        sum (L v[p] / a) row over the rows of S, a the entry of a row at its
+        pivot p and L the lcm of the a.  The rows need not be reduced."""
+        lead = [(p, row[p]) for row, p in zip(self.exact, self.pivots)]
+        L = lcm(*(a for _, a in lead))
+        return all(_combination([v[p] * (L // a) for p, a in lead], self.exact,
+                                self.ambient_dim) == [L * x for x in v] for v in rows)
 
     # -- operations ----------------------------------------------------------
 
@@ -397,20 +405,25 @@ class Subspace:
             return Subspace.from_integer_rows(_echelon_kernel(self.exact, self.pivots, n), n)
         return Subspace.from_rows(nullspace_float(self.basis, tol), n, tol)
 
-    def image_under(self, A, tol: float = DEFAULT_TOL) -> "Subspace":
-        """Span of A v over basis vectors v; A may map into a different space."""
+    def image_under(self, A, tol: float = DEFAULT_TOL, plus: "Subspace | None" = None
+                    ) -> "Subspace":
+        """Span of A v over basis vectors v, and of plus (a subspace of the
+        target) when given: over Q one echelon of the stacked rows.  A may map
+        into a different space."""
         out_dim = len(A) if not isinstance(A, np.ndarray) else A.shape[0]
         if self.dim == 0:
-            return Subspace.zero(out_dim)
+            return Subspace.zero(out_dim) if plus is None else plus
         # only an exact subspace can use an exact A
-        if self.is_exact():
+        if self.is_exact() and (plus is None or plus.is_exact()):
             A = as_operator(A)
             if isinstance(A, ExactMatrix):
                 # A v is the combination of the columns of A with the entries of v
                 cols = list(zip(*A.num))
                 rows = [_combination(v, cols, out_dim) for v in self.exact]
-                return Subspace.from_integer_rows(rows, out_dim)
-        return Subspace.from_rows(self.basis @ np.asarray(A, dtype=complex).T, out_dim, tol)
+                return Subspace.from_integer_rows(rows + (plus.exact if plus is not None else []),
+                                                  out_dim)
+        image = Subspace.from_rows(self.basis @ np.asarray(A, dtype=complex).T, out_dim, tol)
+        return image if plus is None else image.add(plus, tol)
 
     def preimage_under(self, A, tol: float = DEFAULT_TOL) -> "Subspace":
         """{v : A v in S}; over Q, S's annihilator is read off its own rows."""
@@ -422,7 +435,8 @@ class Subspace:
             if isinstance(A, ExactMatrix):
                 rows = [_combination(phi, A.num, n)
                         for phi in _echelon_kernel(self.exact, self.pivots, n)]
-                return Subspace.from_integer_rows(nullspace_exact(rows, n), n)
+                ker = nullspace_exact(rows, n)   # already reduced
+                return Subspace(None, n, [v.index(next(filter(None, v))) for v in ker], exact=ker)
         M = self.annihilator(tol).basis @ np.asarray(A, dtype=complex)
         return Subspace.from_rows(nullspace_float(M, tol), n, tol)
 
@@ -445,9 +459,10 @@ def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], n: int) -
     combinations the library forms pick one row with coefficient one)."""
     out = None
     for c, row in zip(coeffs, rows):
-        if c:
-            term = row if c == 1 else [c * b for b in row]
-            out = list(term) if out is None else [a + b for a, b in zip(out, term)]
+        if c:   # one list per term: the product is taken inside the sum
+            out = ((list(row) if c == 1 else [c * b for b in row]) if out is None else
+                   [a + b for a, b in zip(out, row)] if c == 1 else
+                   [a + c * b for a, b in zip(out, row)])
     return [0] * n if out is None else out
 
 

@@ -177,8 +177,14 @@ class Filtration:
         s = self._spaces[i]
         if s is None:
             d, n = self._dims[i], self.ambient_dim
+            rows = None if self.exact is None else self.exact.num[:d]
+            # unit rows e_c are the step's echelon rows, by column; copied as an echelon
+            # does, since perfbench's calibration reads the garbage (ROADMAP item 1)
+            units = rows and len({r.index(1) for r in rows if r.count(0) == n - 1 and 1 in r}) == d
             s = (Subspace.full(n) if d == n else Subspace.from_rows(self.T[:d], n, self.tol)
-                 if self.exact is None else Subspace.from_integer_rows(self.exact.num[:d], n))
+                 if rows is None else Subspace(None, n, sorted(r.index(1) for r in rows),
+                                               exact=[[*r] for r in sorted(rows, reverse=True)])
+                 if units else Subspace.from_integer_rows(rows, n))
             if s.dim < d:
                 raise MalformedFiltration(self._not_strict())
             self._spaces[i] = s
@@ -676,8 +682,9 @@ def lowers(W: Filtration, A, by: int, tol: float = DEFAULT_TOL) -> bool:
     vanish, exactly on an ExactMatrix, else to tol * max(max |A|, 1).  On a
     decreasing F, by = -1 is Griffiths transversality, A F^p <= F^(p-1)."""
     w = W.adapted_weights
-    off = w[:, None] > w - by
     if isinstance(A, ExactMatrix):
-        return not any(A.num[i][j] for i, j in zip(*np.nonzero(off)))
-    return maxabs(A[off]) <= tol * max(maxabs(A), 1.0)
+        # w ascends, so the entries of row i with w_i > w_j - by are a prefix
+        ws = w.tolist()
+        return not any(any(row[:bisect_left(ws, k + by)]) for row, k in zip(A.num, ws))
+    return maxabs(A[w[:, None] > w - by]) <= tol * max(maxabs(A), 1.0)
 

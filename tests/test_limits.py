@@ -314,6 +314,82 @@ def test_deligne_system_equivariance(rng):
         assert maxabs(ds2.Yprime - expected) < 1e-10 * max(maxabs(expected), 1.0)
 
 
+def _float_start(W, N, Y, tol=TOL):
+    """The Deligne-system body from the float eigenspaces of Y (nullspace_float),
+    the start a Y that is not exactly rational takes."""
+    from hodgeheight import limits
+
+    Y = np.asarray(Y, dtype=complex)
+    evs = sorted({int(round(x.real)) for x in np.linalg.eigvals(Y)})
+    return limits._deligne_system(W, N, Y, Frame.of(limits._eigenspaces(Y, evs, tol)), tol)
+
+
+def test_deligne_system_equivariance_from_the_exact_and_the_float_start(rng, monkeypatch):
+    # each draw rounded to the integers it stands for takes the exact start
+    # (nullspace_exact eigenspaces, an exact reduction against W), and its
+    # Y + 2 lam N with 2 lam an integer does too; the same system conjugated
+    # by a real orthogonal g with irrational entries (the Q of a normal
+    # draw) takes the float start; both are equivariant within the bounds of
+    # test_deligne_system_equivariance
+    from hodgeheight import limits
+
+    starts = []
+    original = limits._eigenspaces
+
+    def recorded(Y, levels, tol):
+        spaces = original(Y, levels, tol)
+        starts.append("exact" if all(isinstance(E, list) for E in spaces.values()) else "float")
+        return spaces
+
+    monkeypatch.setattr(limits, "_eigenspaces", recorded)
+    solved = 0
+    for _ in range(40):
+        W, N, Y = random_deligne_system(rng)
+        N, Y = np.rint(N.real), np.rint(Y.real)
+        lam = rng.integers(-6, 7) / 2
+        G = expm_nilpotent(lam * N)
+        starts.clear()
+        ds = deligne_system_grading(W, N, Y)
+        ds2 = deligne_system_grading(W, N, Y + 2 * lam * N)
+        expected = G @ ds.Yprime @ np.linalg.inv(G)
+        assert maxabs(ds2.Yprime - expected) < 1e-10 * max(maxabs(expected), 1.0)
+        n = W.ambient_dim
+        if n > 1:
+            g = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            ds3 = deligne_system_grading(W.map_spaces(lambda sp: sp.image_under(g)),
+                                         g @ N @ g.T, g @ (Y + 2 * lam * N) @ g.T)
+            expected = g @ ds2.Yprime @ g.T
+            assert maxabs(ds3.Yprime - expected) < 1e-10 * max(maxabs(expected), 1.0)
+        assert starts == ["exact", "exact", *(["float"] if n > 1 else [])]
+        solved += not np.array_equal(ds2.Yprime, Y + 2 * lam * N)
+    assert solved >= 10   # draws whose Y' is no shortcut
+
+
+def test_deligne_system_from_the_exact_start_is_the_float_start():
+    # on 50 rational draws the exact start and the float start give one Y'
+    rng = np.random.default_rng(4242)
+    solved = 0
+    for _ in range(50):
+        W, N, Y = random_deligne_system(rng)
+        N, Y = np.rint(N.real), np.rint(Y.real)
+        exact, floated = deligne_system_grading(W, N, Y).Yprime, _float_start(W, N, Y).Yprime
+        assert maxabs(exact - floated) <= 1e-12 * max(maxabs(exact), 1.0)
+        solved += not np.array_equal(exact, Y)
+    assert solved >= 10
+
+
+def test_a_frame_that_does_not_grade_w_is_refused():
+    # with N = 0 and Y = 2, a frame whose columns e2 and e1 + e2 both sit at
+    # weight 2 converges at once (N0 = N0+ = 0, Y' = 2), but W has a weight-0
+    # line, so the result check of the body refuses it
+    from hodgeheight import limits
+
+    W = split_filtration([0, 2], True)
+    frame = Frame(np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex), None, [0, 2])
+    with pytest.raises(ConstructionFailed, match="^result does not grade the weight filtration$"):
+        limits._deligne_system(W, np.zeros((2, 2)), 2 * np.eye(2, dtype=complex), frame, TOL)
+
+
 # Valid inputs (W, N, Y + 2 lam N) at a large lam: draws 47, 89 and 180 of
 # random_deligne_system with rng seed 11, each followed by the draws lam1 =
 # normal(), lam2 = complex(normal(), normal()), lam3 = 10 normal(), at lam =
@@ -1228,24 +1304,16 @@ def test_relative_filtration_builds_no_float_basis_for_its_kernels(monkeypatch):
     # the kernels are the exact preimages of the recursion, which are only
     # summed, pushed and compared exactly, so their float bases are never
     # built: a Jordan block of size 2 at weight -1, under e0 at 2
-    from hodgeheight import linalg
+    # (a preimage is its kernel rows, already reduced: linalg.nullspace_exact)
     from hodgeheight.mhs import split_filtration
 
-    nullspace, from_integer_rows = linalg.nullspace_exact, Subspace.from_integer_rows
-    kernel_rows, kernels = [], []
+    preimage_under, kernels = Subspace.preimage_under, []
 
-    def marked(M, n):
-        kernel_rows.append(nullspace(M, n))
-        return kernel_rows[-1]
+    def recorded(S, A, tol=DEFAULT_TOL):
+        kernels.append(preimage_under(S, A, tol))
+        return kernels[-1]
 
-    def recorded(rows, n):
-        S = from_integer_rows(rows, n)
-        if any(rows is r for r in kernel_rows):
-            kernels.append(S)
-        return S
-
-    monkeypatch.setattr(linalg, "nullspace_exact", marked)
-    monkeypatch.setattr(Subspace, "from_integer_rows", staticmethod(recorded))
+    monkeypatch.setattr(Subspace, "preimage_under", recorded)
     relative_weight_filtration(shift_matrix(3), split_filtration([2, -1, -1], True))
     assert kernels and all(S._basis is None for S in kernels)
     # a float basis read afterwards is built as the rows over their pivots
@@ -1596,7 +1664,7 @@ def test_initial_grading_reduces_each_eigenspace_once(monkeypatch):
         reduced.clear()
         eigen.clear()
         pieces = limits._initial_w_grading(W, _eigenspaces_of(Y), TOL)
-        assert limits._grades(pieces, W, TOL)
+        assert limits._grades(Frame.of(pieces), W, TOL)
         if reduced:
             fallback += 1
             assert [id(S) for S in reduced] == [id(E) for E in eigen[0].values()]
@@ -1865,12 +1933,12 @@ def test_grades_agrees_with_the_subspace_oracle():
     for _ in range(60):
         W, N, Y = random_deligne_system(rng)
         pieces = _initial_w_grading(W, _eigenspaces_of(Y, 1e-9), 1e-9)
-        assert _grades(pieces, W, 1e-9) and reference_grades(pieces, W, 1e-9)
+        assert _grades(Frame.of(pieces), W, 1e-9) and reference_grades(pieces, W, 1e-9)
         if len(pieces) < 2:
             continue
         for bad in _broken_gradings(pieces, rng):
             assert not reference_grades(bad, W, 1e-9)
-            assert not _grades(bad, W, 1e-9)
+            assert not _grades(Frame.of(bad), W, 1e-9)
             broken += 1
     assert broken >= 100
 

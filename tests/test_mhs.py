@@ -315,6 +315,27 @@ def test_split_filtration_and_shift_check_no_nesting(monkeypatch):
     assert len(calls) == len(filt.steps) - 1
 
 
+@pytest.mark.parametrize("levels", [[0, 2, 0, 1, 2], [3, 3, -1, 3, 0, -1], [1, 1, 1], [-2]])
+def test_a_coordinate_flag_hands_its_unit_rows_over_as_its_steps(levels, monkeypatch):
+    # the steps of a coordinate split_filtration and of its shift are their
+    # unit flag rows sorted by column, with no echelon form; their int rows and
+    # pivots are those rref_exact gives the same flag rows
+    from hodgeheight import linalg
+
+    n = len(levels)
+    for increasing in (True, False):
+        filt = split_filtration(levels, increasing)
+        want = [Subspace.from_integer_rows(filt.exact.num[:d], n) for d in sorted(filt.dims)]
+        for F in (filt.shift(3), filt):
+            calls = []
+            monkeypatch.setattr(linalg, "rref_exact", lambda M: calls.append(M))
+            got = sorted((s for _, s in F.steps), key=lambda s: s.dim)
+            monkeypatch.undo()
+            assert calls == []
+            assert [(s.exact, s.pivots) for s in got] == [(s.exact, s.pivots) for s in want]
+            assert all(np.array_equal(s.basis, t.basis) for s, t in zip(got, want))
+
+
 def test_bigrading_reconstructs_filtrations():
     om = dilog_fiber(-0.3 + 0.7j)
     H = om.mhs

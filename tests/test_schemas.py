@@ -283,7 +283,7 @@ def test_a_cubic_limit_height_takes_no_echelon_in_the_deligne_body(monkeypatch):
     assert abs(limit_height(orbit, orient)) < 1e-10
     assert len(runs) == 1 and limit_mhs(orbit).W is not orbit.W   # M != W: the corrected pass
     assert echelons == []
-    assert len(tables) == 2
+    assert len(tables) == 1
 
 
 def test_an_orientation_of_the_wrong_length_is_a_dimension_mismatch():
